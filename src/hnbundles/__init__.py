@@ -2,14 +2,16 @@
 reductions, and HN-type stratifications of decorated bundles on a formal
 model, for the classical groups GL, SL, Sp, SO."""
 
-from .bundle import (Atom, PlainBundle, SlBundle, SoBundle, SpBundle,
-                     adjoint_bundle, adjoint_gl, direct_sum, dual,
-                     is_semistable, tensor, underlying, vertical_degree)
+from .bundle import (Atom, IsotropicBundle, PlainBundle, SlBundle, SoBundle,
+                     SpBundle, adjoint_bundle, adjoint_gl, bundle_from_degrees,
+                     direct_sum, dual, is_semistable, tensor, underlying,
+                     vertical_degree)
 from .canon import (CanonicalReduction, HNType, canonical_reduction, check_bh,
                     hn_type)
 from .errors import HnBundleError
 from .hnfilt import (Filtration, IsotropicFiltration, extend_with_perps,
-                     hn_filtration, hn_filtration_so, hn_filtration_sp,
+                     hn_filtration, hn_filtration_isotropic,
+                     hn_filtration_so, hn_filtration_sp,
                      hn_uniqueness_oracle, scss)
 from .lattice import (FinAbGroup, LatticeTower, fundamental_groups,
                       lattice_tower, levi_fundamental_groups,
@@ -17,8 +19,9 @@ from .lattice import (FinAbGroup, LatticeTower, fundamental_groups,
 from .parabolic import (LeviBlocks, ParabolicIndex, character_generators,
                         is_dominant_character, levi_blocks, parabolic_from_flag,
                         parabolic_leq)
-from .rootsys import (GroupFamily, coroot, dominant_representative,
-                      positive_roots, simple_roots, weyl_orbit)
+from .rootsys import (GroupFamily, as_cocharacter, coroot,
+                      dominant_representative, positive_roots, simple_roots,
+                      weyl_orbit)
 from .strata import (StrataPoset, StratumLabel, enumerate_strata,
                      hull_membership, stratum_leq, to_dot)
 

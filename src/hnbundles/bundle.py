@@ -8,10 +8,11 @@ isotropic part and a slope-0 block, the mirror being implied.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 
-from .errors import (InvalidFlag, NotDegreeZero, NotIntegral, UnsupportedRank,
-                     ZeroBundle)
-from .rootsys import GL, SL, SO, SP, GroupFamily, all_roots, evaluate
+from .errors import InvalidFlag, NotDegreeZero, UnsupportedRank, ZeroBundle
+from .rootsys import (GL, SL, SO, SP, GroupFamily, all_roots, as_cocharacter,
+                      evaluate)
 
 
 @dataclass(frozen=True, order=True)
@@ -85,55 +86,62 @@ def _check_zero(atoms):
 
 
 @dataclass(frozen=True)
-class SpBundle:
-    """Symplectic bundle: positive isotropic part plus slope-0 block.
+class IsotropicBundle:
+    """Sp or SO bundle, by ``kind``: positive isotropic part plus slope-0 block.
 
     The underlying bundle is positive + dual(positive) + zero block; the
     zero block is kept as a multiset of slope-0 atoms so that filtration
-    quotients compare exactly against the plain-bundle route.
+    quotients compare exactly against the plain-bundle route.  Build one
+    through SpBundle or SoBundle.
     """
 
+    kind: ClassVar[str]
     positive: tuple
     zero_part: tuple = field(default=())
 
     def __post_init__(self):
         object.__setattr__(self, "positive", _check_positive(self.positive))
         object.__setattr__(self, "zero_part", _check_zero(self.zero_part))
+
+    @property
+    def zero_rank(self) -> int:
+        return sum(a.rank for a in self.zero_part)
+
+    @property
+    def rank(self) -> int:
+        return 2 * sum(a.rank for a in self.positive) + self.zero_rank
+
+
+class SpBundle(IsotropicBundle):
+    """Symplectic bundle: the total rank must be even."""
+
+    kind = SP
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.rank % 2 != 0:
             raise UnsupportedRank("Sp bundle rank must be even")
 
-    @property
-    def zero_rank(self) -> int:
-        return sum(a.rank for a in self.zero_part)
 
-    @property
-    def rank(self) -> int:
-        return 2 * sum(a.rank for a in self.positive) + self.zero_rank
+class SoBundle(IsotropicBundle):
+    """Special-orthogonal bundle: any total rank."""
+
+    kind = SO
 
 
-@dataclass(frozen=True)
-class SoBundle:
-    """Special-orthogonal bundle, same shape as SpBundle with odd ranks allowed."""
-
-    positive: tuple
-    zero_part: tuple = field(default=())
-
-    def __post_init__(self):
-        object.__setattr__(self, "positive", _check_positive(self.positive))
-        object.__setattr__(self, "zero_part", _check_zero(self.zero_part))
-
-    @property
-    def zero_rank(self) -> int:
-        return sum(a.rank for a in self.zero_part)
-
-    @property
-    def rank(self) -> int:
-        return 2 * sum(a.rank for a in self.positive) + self.zero_rank
+def isotropic_bundle(kind: str, positive, zero_part) -> IsotropicBundle:
+    """The Sp or SO bundle of the given family kind."""
+    return (SpBundle if kind == SP else SoBundle)(positive, zero_part)
 
 
-def zero_block(rank: int):
-    """Opaque slope-0 block of the given rank, as a single atom."""
-    return (Atom(0, rank),) if rank else ()
+def bundle_from_degrees(family: GroupFamily, degrees):
+    """Torus-split bundle of the given degree vector."""
+    if family.kind in (GL, SL):
+        b = PlainBundle(tuple(Atom(d, 1) for d in degrees))
+        return SlBundle(b) if family.kind == SL else b
+    positive = tuple(Atom(abs(d), 1) for d in degrees if d != 0)
+    zeros = 2 * sum(1 for d in degrees if d == 0) + (family.r % 2)
+    return isotropic_bundle(family.kind, positive, tuple([Atom(0, 1)] * zeros))
 
 
 def underlying(b) -> PlainBundle:
@@ -163,6 +171,26 @@ def direct_sum(a: PlainBundle, b: PlainBundle) -> PlainBundle:
     return PlainBundle(a.atoms + b.atoms)
 
 
+def _flag_shape(family: GroupFamily, e, f):
+    """Check a flag reduction's shape; returns (d, r, fdeg, l) from
+    e = (total degree, total rank) and f = (subbundle degree, rank)."""
+    d, r = e
+    fdeg, l = f
+    if family.kind in (GL, SL):
+        if not 1 <= l < r:
+            raise InvalidFlag(f"need 1 <= l < r, got l={l}, r={r}")
+        return d, r, fdeg, l
+    if d != 0:
+        raise NotDegreeZero("Sp/SO vertical degree needs ambient degree 0")
+    if family.kind == SP and r % 2 != 0:
+        raise UnsupportedRank("Sp rank must be even")
+    if family.kind == SO and r < 3:
+        raise UnsupportedRank("SO vertical degree needs r >= 3")
+    if not 1 <= l <= r // 2:
+        raise InvalidFlag(f"need 1 <= l <= {r // 2}, got {l}")
+    return d, r, fdeg, l
+
+
 def vertical_degree(family: GroupFamily, e, f) -> int:
     """Degree of the vertical tangent bundle of the flag reduction.
 
@@ -170,25 +198,11 @@ def vertical_degree(family: GroupFamily, e, f) -> int:
     of the subbundle (isotropic for Sp/SO).  Nonnegative exactly when the
     slope test for semistability holds, positive when it holds strictly.
     """
-    d, r = e
-    fdeg, l = f
+    d, r, fdeg, l = _flag_shape(family, e, f)
     if family.kind in (GL, SL):
-        if not 1 <= l < r:
-            raise InvalidFlag(f"need 1 <= l < r, got l={l}, r={r}")
         return -fdeg * r + d * l
-    if d != 0:
-        raise NotDegreeZero("Sp/SO vertical degree needs ambient degree 0")
     if family.kind == SP:
-        if r % 2 != 0:
-            raise UnsupportedRank("Sp rank must be even")
-        n = r // 2
-        if not 1 <= l <= n:
-            raise InvalidFlag(f"need 1 <= l <= {n}, got {l}")
-        return -fdeg * (2 * n - l + 1)
-    if r < 3:
-        raise UnsupportedRank("SO vertical degree needs r >= 3")
-    if not 1 <= l <= r // 2:
-        raise InvalidFlag(f"need 1 <= l <= {r // 2}, got {l}")
+        return -fdeg * (r - l + 1)
     return -fdeg * (r - l - 1)
 
 
@@ -198,30 +212,14 @@ def vertical_degree_composite(family: GroupFamily, e, f) -> int:
     GL/SL: deg(F* tensor E/F).  Sp: deg(F* tensor F_perp/F) plus the
     det(F*)^(l+1) twist.  SO: the same with twist exponent l-1.
     """
-    d, r = e
-    fdeg, l = f
+    d, r, fdeg, l = _flag_shape(family, e, f)
     if family.kind in (GL, SL):
-        if not 1 <= l < r:
-            raise InvalidFlag(f"need 1 <= l < r, got l={l}, r={r}")
         fs = PlainBundle((Atom(-fdeg, l),))
         quot = PlainBundle((Atom(d - fdeg, r - l),))
         return tensor(fs, quot).degree
-    if d != 0:
-        raise NotDegreeZero("Sp/SO vertical degree needs ambient degree 0")
-    if family.kind == SP:
-        n = r // 2
-        if r % 2 != 0:
-            raise UnsupportedRank("Sp rank must be even")
-        if not 1 <= l <= n:
-            raise InvalidFlag(f"need 1 <= l <= {n}, got {l}")
-        mid = -fdeg * (2 * n - 2 * l)
-        return mid + (l + 1) * (-fdeg)
-    if r < 3:
-        raise UnsupportedRank("SO vertical degree needs r >= 3")
-    if not 1 <= l <= r // 2:
-        raise InvalidFlag(f"need 1 <= l <= {r // 2}, got {l}")
     mid = -fdeg * (r - 2 * l)
-    return mid + (l - 1) * (-fdeg)
+    twist = l + 1 if family.kind == SP else l - 1
+    return mid + twist * (-fdeg)
 
 
 def is_semistable(b) -> bool:
@@ -234,7 +232,7 @@ def is_semistable(b) -> bool:
         b = b.underlying
     if isinstance(b, PlainBundle):
         return len({a.slope for a in b.atoms}) == 1
-    if isinstance(b, SoBundle) and b.rank == 2:
+    if b.kind == SO and b.rank == 2:
         return True
     return not b.positive
 
@@ -246,11 +244,7 @@ def adjoint_bundle(family: GroupFamily, a) -> SoBundle:
     trivial block; the SO decoration takes the positive-degree atoms as
     the isotropic positive part.
     """
-    a = tuple(a)
-    if any(not isinstance(c, int) and (not hasattr(c, "denominator") or c.denominator != 1)
-           for c in a):
-        raise NotIntegral(f"adjoint bundle needs an integral vector, got {a}")
-    a = tuple(int(c) for c in a)
+    a = as_cocharacter(family, a)
     positive = []
     zero = [Atom(0, 1)] * family.torus_dim
     for alpha in all_roots(family):

@@ -11,12 +11,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .bundle import PlainBundle, SlBundle, SoBundle, SpBundle
-from .errors import InvalidReduction, NotIntegral, TooLarge
-from .hnfilt import hn_filtration, hn_filtration_so, hn_filtration_sp
-from .intlin import solve_rational
-from .parabolic import ParabolicIndex, character_generators
-from .rootsys import (GL, SL, SO, SP, GroupFamily, all_roots,
+from .bundle import IsotropicBundle, SlBundle, underlying
+from .errors import InvalidReduction, TooLarge
+from .hnfilt import hn_filtration, hn_filtration_isotropic
+from .parabolic import ParabolicIndex, _root_split, character_generators
+from .rootsys import (GL, SL, GroupFamily, all_roots, as_cocharacter,
                       dominant_representative, evaluate, is_dominant,
                       is_root, simple_roots, weyl_orbit)
 
@@ -54,24 +53,6 @@ def forced_index(family: GroupFamily, mu) -> ParabolicIndex:
 
 
 @lru_cache(maxsize=None)
-def _is_positive_combination(family, root):
-    coeffs = solve_rational(simple_roots(family), root)
-    return coeffs is not None and all(c >= 0 for c in coeffs)
-
-
-@lru_cache(maxsize=None)
-def _parabolic_root_sets(family, index):
-    """(Levi roots, nilradical roots) of the standard parabolic P_I."""
-    simples = simple_roots(family)
-    keep = [simples[i] for i in range(len(simples)) if i not in index.members]
-    levi = frozenset(a for a in all_roots(family)
-                     if keep and solve_rational(keep, a) is not None)
-    nilrad = frozenset(a for a in all_roots(family)
-                       if a not in levi and _is_positive_combination(family, a))
-    return levi, nilrad
-
-
-@lru_cache(maxsize=None)
 def _generators(family, index):
     return tuple(character_generators(family, index))
 
@@ -79,12 +60,8 @@ def _generators(family, index):
 def canonical_reduction(family: GroupFamily, a) -> CanonicalReduction:
     """The canonical parabolic reduction of the torus-split bundle with
     degree vector a, reported at its dominant representative."""
-    a = tuple(a)
-    if any(not isinstance(c, int) and (not hasattr(c, "denominator") or c.denominator != 1)
-           for c in a):
-        raise NotIntegral(f"need an integral degree vector, got {a}")
+    a = as_cocharacter(family, a)
     family.require_root_system()
-    a = tuple(int(c) for c in a)
     mu = dominant_representative(family, a)
     index = forced_index(family, mu)
     positives = frozenset(r for r in all_roots(family) if evaluate(r, mu) > 0)
@@ -92,31 +69,19 @@ def canonical_reduction(family: GroupFamily, a) -> CanonicalReduction:
     return CanonicalReduction(family, index, HNType(family, mu), positives, parabolic)
 
 
-def _family_of(b) -> GroupFamily:
-    if isinstance(b, SlBundle):
-        return GroupFamily(SL, b.underlying.rank)
-    if isinstance(b, PlainBundle):
-        return GroupFamily(GL, b.rank)
-    if isinstance(b, SpBundle):
-        return GroupFamily(SP, b.rank)
-    return GroupFamily(SO, b.rank)
-
-
 def hn_type(b) -> HNType:
     """Dominant slope vector of the HN filtration: quotient slopes with
     multiplicity for GL/SL, positive slopes padded by zeros for Sp/SO."""
-    family = _family_of(b)
-    if isinstance(b, (PlainBundle, SlBundle)):
-        coords = []
-        for q in hn_filtration(b).quotients:
-            coords.extend([q.slope] * q.rank)
-        return HNType(family, tuple(coords))
-    filt = hn_filtration_sp(b) if isinstance(b, SpBundle) else hn_filtration_so(b)
+    if isinstance(b, IsotropicBundle):
+        family = GroupFamily(b.kind, b.rank)
+        quotients = hn_filtration_isotropic(b).quotients
+    else:
+        family = GroupFamily(SL if isinstance(b, SlBundle) else GL, underlying(b).rank)
+        quotients = hn_filtration(b).quotients
     coords = []
-    for q in filt.quotients:
+    for q in quotients:
         coords.extend([q.slope] * q.rank)
-    n = family.cartan_dim
-    coords.extend([Fraction(0)] * (n - len(coords)))
+    coords.extend([Fraction(0)] * (family.cartan_dim - len(coords)))
     return HNType(family, tuple(coords))
 
 
@@ -128,7 +93,7 @@ def check_bh(family: GroupFamily, a, red: CanonicalReduction):
     reduction point, and char_degrees pairs the character generators of
     the index against it (all positive for a canonical reduction).
     """
-    a = tuple(int(c) for c in a)
+    a = as_cocharacter(family, a)
     mu = red.mu.mu
     if tuple(dominant_representative(family, a)) != tuple(
             dominant_representative(family, mu)):
@@ -151,7 +116,7 @@ def bh_conditions(family: GroupFamily, index: ParabolicIndex, v):
 def ad_degree(family: GroupFamily, index: ParabolicIndex, v) -> int:
     """Degree of the adjoint bundle of the reduction to P_I at point v:
     the sum of parabolic-root values (Levi pairs cancel)."""
-    levi, nilrad = _parabolic_root_sets(family, index)
+    levi, nilrad = _root_split(index)
     return sum(evaluate(a, v) for a in levi) + sum(evaluate(a, v) for a in nilrad)
 
 
@@ -159,7 +124,7 @@ def ad_degree_max_oracle(family: GroupFamily, a):
     """Exhaustive maximum of ad_degree over all (index, Weyl point) pairs."""
     if family.cartan_dim > ORACLE_DIM_GUARD:
         raise TooLarge("enumeration guard exceeded")
-    a = tuple(int(c) for c in a)
+    a = as_cocharacter(family, a)
     count = len(simple_roots(family))
     best = None
     argmax = []

@@ -13,21 +13,20 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bundle import (Atom, PlainBundle, SlBundle, SoBundle, SpBundle,
-                     is_semistable, underlying, vertical_degree,
-                     vertical_degree_composite)
-from .canon import (ad_degree, ad_degree_max_oracle, bh_conditions,
-                    canonical_reduction, check_bh, hn_type)
+from .bundle import (Atom, PlainBundle, SlBundle, SpBundle, bundle_from_degrees,
+                     is_semistable, isotropic_bundle, underlying,
+                     vertical_degree, vertical_degree_composite)
+from .canon import (ad_degree, ad_degree_max_oracle, canonical_reduction,
+                    check_bh, hn_type)
 from .errors import HnBundleError
-from .hnfilt import (extend_with_perps, hn_filtration, hn_filtration_so,
-                     hn_filtration_sp, hn_uniqueness_oracle)
+from .hnfilt import (extend_with_perps, hn_filtration, hn_filtration_isotropic,
+                     hn_uniqueness_oracle)
 from .lattice import fundamental_groups, levi_fundamental_groups, \
     obstruction_class, topological_type
 from .parabolic import ParabolicIndex
 from .rootsys import (GL, SL, SO, SP, GroupFamily, root_name, simple_roots,
                       weyl_orbit)
-from .strata import (enumerate_strata, gl_dominance, hull_membership,
-                     stratum_leq, to_dot)
+from .strata import enumerate_strata, gl_dominance, hull_membership, to_dot
 
 
 class SpecError(HnBundleError):
@@ -93,9 +92,8 @@ def parse_bundle_spec(text: str) -> BundleSpec:
     if any(a.slope <= 0 for a in atoms):
         raise SpecError("rule positive-slope: sp/so atoms must have slope > 0")
     zpart = (Atom(0, zero),) if zero else ()
-    cls = SpBundle if kind == SP else SoBundle
     try:
-        b = cls(tuple(atoms), zpart)
+        b = isotropic_bundle(kind, tuple(atoms), zpart)
     except (HnBundleError, ValueError) as exc:
         raise SpecError(f"rule decorated-shape: {exc}")
     if b.rank != rank:
@@ -118,18 +116,6 @@ def serialize_bundle_spec(spec: BundleSpec) -> str:
     return head + body
 
 
-def bundle_from_degrees(family: GroupFamily, degrees):
-    """Torus-split bundle of the given degree vector."""
-    if family.kind in (GL, SL):
-        b = PlainBundle(tuple(Atom(d, 1) for d in degrees))
-        return SlBundle(b) if family.kind == SL else b
-    positive = tuple(Atom(abs(d), 1) for d in degrees if d != 0)
-    zeros = 2 * sum(1 for d in degrees if d == 0) + (family.r % 2)
-    zpart = tuple([Atom(0, 1)] * zeros)
-    cls = SpBundle if family.kind == SP else SoBundle
-    return cls(positive, zpart)
-
-
 def _frac(x) -> str:
     return str(Fraction(x))
 
@@ -138,15 +124,8 @@ def _atom_list(atoms):
     return [[a.degree, a.rank] for a in atoms]
 
 
-def _index_names(index: ParabolicIndex):
-    return index.names()
-
-
-_PRETTY = False
-
-
-def _emit(doc) -> None:
-    if _PRETTY:
+def _emit(doc, pretty: bool) -> None:
+    if pretty:
         width = max(len(k) for k in doc)
         for key, value in doc.items():
             sys.stdout.write(f"{key.ljust(width)}  {json.dumps(value)}\n")
@@ -155,7 +134,7 @@ def _emit(doc) -> None:
     sys.stdout.write("\n")
 
 
-def _cmd_hn(args) -> int:
+def _cmd_hn(args) -> dict:
     spec = parse_bundle_spec(args.spec)
     if spec.degrees is not None:
         b = bundle_from_degrees(spec.family, spec.degrees)
@@ -167,24 +146,22 @@ def _cmd_hn(args) -> int:
         doc["blocks"] = [_atom_list(q.atoms) for q in filt.quotients]
         doc["slopes"] = [_frac(s) for s in filt.slopes]
     else:
-        filt = hn_filtration_sp(b) if isinstance(b, SpBundle) else hn_filtration_so(b)
+        filt = hn_filtration_isotropic(b)
         doc["blocks"] = [_atom_list(q.atoms) for q in filt.quotients]
         doc["middle_rank"] = sum(a.rank for a in filt.middle)
         doc["rank_flag"] = filt.rank_flag
         doc["full_blocks"] = [_atom_list(q.atoms)
                               for q in extend_with_perps(filt).quotients]
     doc["type"] = [_frac(c) for c in hn_type(b).mu]
-    _emit(doc)
-    return 0
+    return doc
 
 
-def _cmd_semistable(args) -> int:
+def _cmd_semistable(args) -> dict:
     spec = parse_bundle_spec(args.spec)
     b = bundle_from_degrees(spec.family, spec.degrees) \
         if spec.degrees is not None else spec.bundle
-    _emit({"command": "semistable", "spec": serialize_bundle_spec(spec),
-           "semistable": is_semistable(b)})
-    return 0
+    return {"command": "semistable", "spec": serialize_bundle_spec(spec),
+            "semistable": is_semistable(b)}
 
 
 def _parse_levi(family, tokens):
@@ -197,27 +174,26 @@ def _parse_levi(family, tokens):
     return ParabolicIndex(family, frozenset(members))
 
 
-def _cmd_pi1(args) -> int:
+def _cmd_pi1(args) -> dict:
     family = GroupFamily(args.family, args.rank)
     if args.levi:
         index = _parse_levi(family, args.levi)
         der, pi1, ab = levi_fundamental_groups(family, index)
     else:
         der, pi1, ab = fundamental_groups(family)
-    _emit({"command": "pi1", "family": f"{family.kind}{family.r}",
-           "levi": _index_names(index) if args.levi else None,
-           "der": der.describe(), "pi1": pi1.describe(), "ab": ab.describe()})
-    return 0
+    return {"command": "pi1", "family": f"{family.kind}{family.r}",
+            "levi": index.names() if args.levi else None,
+            "der": der.describe(), "pi1": pi1.describe(), "ab": ab.describe()}
 
 
-def _cmd_canon(args) -> int:
+def _cmd_canon(args) -> dict:
     family = GroupFamily(args.family, args.rank)
     red = canonical_reduction(family, args.deg)
     levi_ss, degrees = check_bh(family, args.deg, red)
     doc = {"command": "canon", "family": f"{family.kind}{family.r}",
            "deg": list(args.deg),
            "mu": [_frac(c) for c in red.mu.mu],
-           "index": _index_names(red.index),
+           "index": red.index.names(),
            "ad_positive_count": len(red.ad_positive_roots),
            "ad_parabolic_rank": len(red.ad_parabolic_roots) + family.torus_dim,
            "levi_semistable": levi_ss,
@@ -229,8 +205,7 @@ def _cmd_canon(args) -> int:
         doc["oracle_max"] = best
         doc["oracle_attained"] = ad_degree(family, red.index, red.mu.mu) == best
         doc["oracle_argmax_count"] = len(argmax)
-    _emit(doc)
-    return 0
+    return doc
 
 
 def _obstruction_doc(family, a):
@@ -238,31 +213,29 @@ def _obstruction_doc(family, a):
     return {"free": list(free), "torsion": list(torsion)}
 
 
-def _cmd_vdeg(args) -> int:
+def _cmd_vdeg(args) -> dict:
     family = GroupFamily(args.family, args.E[1])
     v = vertical_degree(family, tuple(args.E), tuple(args.F))
     w = vertical_degree_composite(family, tuple(args.E), tuple(args.F))
     if v != w:
         raise AssertionError("vertical degree routes disagree")
-    _emit({"command": "vdeg", "family": f"{family.kind}{family.r}",
-           "E": list(args.E), "F": list(args.F), "vertical_degree": v})
-    return 0
+    return {"command": "vdeg", "family": f"{family.kind}{family.r}",
+            "E": list(args.E), "F": list(args.F), "vertical_degree": v}
 
 
-def _cmd_strata(args) -> int:
+def _cmd_strata(args) -> dict:
     family = GroupFamily(args.family, args.rank)
     poset = enumerate_strata(family, args.bound, args.fix_type)
     dot = to_dot(poset)
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(dot)
-    _emit({"command": "strata", "family": f"{family.kind}{family.r}",
-           "bound": args.bound,
-           "labels": [{"mu": [_frac(c) for c in s.mu.mu],
-                       "index": _index_names(s.index)} for s in poset.labels],
-           "covers": sorted(list(e) for e in poset.relation),
-           "dot_path": args.dot})
-    return 0
+    return {"command": "strata", "family": f"{family.kind}{family.r}",
+            "bound": args.bound,
+            "labels": [{"mu": [_frac(c) for c in s.mu.mu],
+                        "index": s.index.names()} for s in poset.labels],
+            "covers": sorted(list(e) for e in poset.relation),
+            "dot_path": args.dot}
 
 
 def _suite_hn(rng, cases):
@@ -279,7 +252,7 @@ def _suite_hn(rng, cases):
         positive = tuple(Atom(rng.randint(1, 3), 1) for _ in range(rng.randint(0, 2)))
         sp = SpBundle(positive, tuple([Atom(0, 1)] * (2 * rng.randint(0, 1))))
         if sp.rank:
-            assert extend_with_perps(hn_filtration_sp(sp)).quotients == \
+            assert extend_with_perps(hn_filtration_isotropic(sp)).quotients == \
                 hn_filtration(underlying(sp)).quotients
         passed += 1
     return passed
@@ -342,12 +315,11 @@ _SUITES = {"hn": _suite_hn, "canon": _suite_canon,
            "hull": _suite_hull, "lattice": _suite_lattice}
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> dict:
     rng = random.Random(args.seed)
     passed = _SUITES[args.suite](rng, args.cases)
-    _emit({"command": "check", "suite": args.suite, "seed": args.seed,
-           "cases": args.cases, "passed": passed})
-    return 0
+    return {"command": "check", "suite": args.suite, "seed": args.seed,
+            "cases": args.cases, "passed": passed}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,10 +382,8 @@ def run_command(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
-    global _PRETTY
-    _PRETTY = args.pretty
     try:
-        return args.fn(args)
+        doc = args.fn(args)
     except SpecError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
@@ -423,6 +393,8 @@ def run_command(argv=None) -> int:
     except AssertionError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return 3
+    _emit(doc, args.pretty)
+    return 0
 
 
 def main() -> None:

@@ -45,7 +45,7 @@ class NotIntegral(HnBundleError):
     """Cartan vector with non-integer coordinates where a cocharacter is required."""
 
 
-class NotInKernelLattice(HnBundleError):
+class NotInKernelLattice(NotIntegral):
     """Vector does not lie in the kernel lattice of the family."""
 
 

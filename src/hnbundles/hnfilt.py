@@ -8,9 +8,9 @@ isotropic chains (Sp/SO), so the two routes check each other.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bundle import (Atom, PlainBundle, SlBundle, SoBundle, SpBundle, dual,
-                     is_semistable, underlying)
-from .errors import TooLarge, UnsupportedRank, ZeroBundle
+from .bundle import IsotropicBundle, PlainBundle, SlBundle, dual, is_semistable
+from .errors import TooLarge, UnsupportedRank
+from .rootsys import SO
 
 ORACLE_RANK_GUARD = 8
 
@@ -68,25 +68,22 @@ def hn_filtration(b) -> Filtration:
     return Filtration(_group_by_slope(b.atoms))
 
 
-def hn_filtration_sp(b: SpBundle) -> IsotropicFiltration:
-    """Isotropic HN filtration of a symplectic bundle."""
-    return IsotropicFiltration(_group_by_slope(b.positive) if b.positive else (),
-                               b.zero_part)
+def hn_filtration_isotropic(b: IsotropicBundle) -> IsotropicFiltration:
+    """Isotropic HN filtration of a symplectic or special-orthogonal bundle.
 
-
-def hn_filtration_so(b: SoBundle) -> IsotropicFiltration:
-    """Isotropic HN filtration of a special-orthogonal bundle.
-
-    rank_flag is set when the total rank is even and the isotropic part
+    rank_flag is set for SO of even total rank when the isotropic part
     has rank n-1; the associated parabolic then carries both special
     simple roots.
     """
-    if b.rank < 3:
+    if b.kind == SO and b.rank < 3:
         raise UnsupportedRank("SO filtration needs total rank >= 3")
-    quotients = _group_by_slope(b.positive) if b.positive else ()
+    quotients = _group_by_slope(b.positive)
     iso_rank = sum(q.rank for q in quotients)
-    flag = b.rank % 2 == 0 and iso_rank == b.rank // 2 - 1
+    flag = b.kind == SO and b.rank % 2 == 0 and iso_rank == b.rank // 2 - 1
     return IsotropicFiltration(quotients, b.zero_part, flag)
+
+
+hn_filtration_sp = hn_filtration_so = hn_filtration_isotropic
 
 
 def extend_with_perps(f: IsotropicFiltration) -> Filtration:
@@ -129,7 +126,7 @@ def _sub_multisets(atoms):
 def hn_uniqueness_oracle(b) -> bool:
     """Exhaustively verify that exactly one filtration satisfies the
     defining conditions, and that it is the fast-path output."""
-    if isinstance(b, (SpBundle, SoBundle)):
+    if isinstance(b, IsotropicBundle):
         return _uniqueness_isotropic(b)
     if isinstance(b, SlBundle):
         b = b.underlying
@@ -169,9 +166,5 @@ def _uniqueness_isotropic(b) -> bool:
             if not (all(s > 0 for s in slopes) and middle_ok):
                 continue
             winners.add(tuple(tuple(q.atoms) for q in blocks))
-    if isinstance(b, SpBundle):
-        fast = hn_filtration_sp(b)
-    else:
-        fast = hn_filtration_so(b)
-    expected = tuple(tuple(q.atoms) for q in fast.quotients)
+    expected = tuple(tuple(q.atoms) for q in hn_filtration_isotropic(b).quotients)
     return winners == {expected}

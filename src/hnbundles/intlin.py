@@ -44,25 +44,6 @@ def solve_rational(rows, rhs):
     return sol
 
 
-def integer_kernel(rows):
-    """Basis of the left-kernel {x integer : x * M = 0} of the matrix whose
-    rows are ``rows``... computed as the integer kernel of the column span.
-
-    Concretely: returns integer vectors f (length = row length) with
-    f . r = 0 for every row r, in Hermite-reduced form with positive pivots.
-    """
-    if not rows:
-        return []
-    m = len(rows[0])
-    # kernel of the linear map f -> (f . r_i): SNF of the m x k matrix M^T
-    mat = [[rows[j][i] for j in range(len(rows))] for i in range(m)]
-    d, v = smith_normal_form(mat)
-    rank = sum(1 for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0)
-    # kernel rows of M^T: last m - rank rows of V^{-1}?  We use the transform
-    # on the left instead: redo with rows as unknown combinations.
-    return _row_kernel(mat)
-
-
 def _row_kernel(mat):
     """Integer basis of {x : x * mat = 0}, Hermite-reduced, positive pivots."""
     m = len(mat)
@@ -127,8 +108,6 @@ def _hermite_reduce(rows):
         piv = cand[0]
         if piv[col] < 0:
             piv = [-a for a in piv]
-        for prev in out:
-            pass
         out.append(piv)
         rest = [r for r in work if r is not piv and not _same(r, piv)]
         # eliminate this column from the rest

@@ -10,12 +10,12 @@ saturation inside Gamma; the quotients give the fundamental groups.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotInKernelLattice
+from .errors import NotInKernelLattice, NotIntegral
 from .intlin import (_row_kernel, invert_unimodular, smith_normal_form,
                      solve_rational)
-from .parabolic import ParabolicIndex, levi_blocks
-from .rootsys import (GL, SL, GroupFamily, all_roots, coroot, evaluate,
-                      simple_roots)
+from .parabolic import ParabolicIndex, _root_split, levi_blocks
+from .rootsys import (GL, SL, GroupFamily, all_roots, as_cocharacter, coroot,
+                      evaluate)
 
 
 @dataclass(frozen=True)
@@ -120,11 +120,8 @@ def lattice_tower(family: GroupFamily) -> LatticeTower:
 def levi_lattice_tower(family: GroupFamily, index: ParabolicIndex) -> LatticeTower:
     """Tower of the Levi factor: coroots restricted to the Levi roots."""
     family.require_root_system()
-    simples = simple_roots(family)
-    keep = [simples[i] for i in range(len(simples)) if i not in index.members]
-    levi_roots = [a for a in all_roots(family)
-                  if keep and solve_rational(keep, a) is not None]
-    return _tower(family, levi_roots, levi_blocks(family, index).blocks)
+    blocks = levi_blocks(family, index).blocks
+    return _tower(family, _root_split(index)[0], blocks)
 
 
 def _quotient(ambient_basis, sub_basis):
@@ -160,12 +157,10 @@ def _tower_groups(t: LatticeTower):
 
 
 def _check_in_gamma(family, a):
-    a = tuple(a)
-    if len(a) != family.cartan_dim or any(
-            not isinstance(c, int) and (not hasattr(c, "denominator") or c.denominator != 1)
-            for c in a):
-        raise NotInKernelLattice(f"{a} is not a cocharacter of the torus")
-    a = tuple(int(c) for c in a)
+    try:
+        a = as_cocharacter(family, a)
+    except NotIntegral as exc:
+        raise NotInKernelLattice(str(exc)) from exc
     if family.kind == SL and sum(a) != 0:
         raise NotInKernelLattice("SL cocharacters have trace zero")
     return a
@@ -228,11 +223,9 @@ def levi_topological_type(family: GroupFamily, index: ParabolicIndex, a):
     for start, length in blocks:
         lo = start - 1
         hi = lo + length
-        if family.kind in (GL, SL):
-            avg = Fraction(sum(a[lo:hi]), length)
-            for i in range(lo, hi):
-                out[i] = avg
-        elif hi <= dim:
+        # GL/SL blocks all lie in the first dim coordinates; Sp/SO middle
+        # and mirrored blocks do not
+        if hi <= dim:
             avg = Fraction(sum(a[lo:hi]), length)
             for i in range(lo, hi):
                 out[i] = avg

@@ -6,12 +6,13 @@ functionals on Cartan coordinates).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .errors import FamilyMismatch, InvalidFlag, NotACharacter, NothingToGenerate
 from .intlin import _row_kernel, primitive, solve_rational
-from .rootsys import (GL, SL, SO, SP, GroupFamily, coroot, evaluate,
-                      root_name, simple_roots)
+from .rootsys import (GL, SL, SP, GroupFamily, all_roots, coroot, evaluate,
+                      positive_roots, root_name, simple_roots)
 
 
 @dataclass(frozen=True)
@@ -88,25 +89,29 @@ def levi_blocks(family: GroupFamily, index: ParabolicIndex) -> LeviBlocks:
     else:
         n = family.n
         for i in index.members:
-            if family.kind == SP:
-                if i < n - 1:
-                    cuts.update({i + 1, r - i - 1})
-                else:
-                    cuts.add(n)
-            elif family.r % 2 == 1:
-                if i < n - 1:
-                    cuts.update({i + 1, r - i - 1})
-                else:
-                    cuts.update({n, n + 1})
+            # the last simple root cuts at n and its mirror r - n, which
+            # coincide except for SO of odd rank
+            if i < n - 1:
+                cuts.update({i + 1, r - i - 1})
             else:
-                if i < n - 1:
-                    cuts.update({i + 1, r - i - 1})
-                else:
-                    cuts.add(n)
+                cuts.update({n, r - n})
     bounds = [0] + sorted(cuts) + [r]
     blocks = tuple((bounds[k] + 1, bounds[k + 1] - bounds[k])
                    for k in range(len(bounds) - 1) if bounds[k + 1] > bounds[k])
     return LeviBlocks(family, blocks)
+
+
+@lru_cache(maxsize=None)
+def _root_split(index: ParabolicIndex):
+    """(Levi roots, nilradical roots) of P_I, both in all_roots order: the
+    Levi roots are the roots in the span of the simple roots outside I,
+    the nilradical roots are the positive roots that are not Levi roots."""
+    simples = simple_roots(index.family)
+    keep = [simples[i] for i in range(len(simples)) if i not in index.members]
+    levi = tuple(a for a in all_roots(index.family)
+                 if keep and solve_rational(keep, a) is not None)
+    nilrad = tuple(a for a in positive_roots(index.family) if a not in levi)
+    return levi, nilrad
 
 
 def parabolic_leq(a: ParabolicIndex, b: ParabolicIndex) -> bool:

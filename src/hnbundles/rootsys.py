@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NotARoot, TooLarge, UnsupportedRank
+from .errors import NotARoot, NotIntegral, TooLarge, UnsupportedRank
 
 GL, SL, SP, SO = "gl", "sl", "sp", "so"
 KINDS = (GL, SL, SP, SO)
@@ -103,6 +103,16 @@ def simple_roots(family: GroupFamily):
         last[n - 1] = 1
         out.append(tuple(last))
     return tuple(out)
+
+
+def as_cocharacter(family: GroupFamily, a):
+    """The integer tuple of a Cartan vector that must be a cocharacter:
+    exactly cartan_dim entries, each an integer or an integral rational."""
+    a = tuple(a)
+    if len(a) != family.cartan_dim or any(
+            not isinstance(c, int) and getattr(c, "denominator", None) != 1 for c in a):
+        raise NotIntegral(f"{a} is not a cocharacter: need {family.cartan_dim} integral entries")
+    return tuple(int(c) for c in a)
 
 
 def _sub(a, b):

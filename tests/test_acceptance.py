@@ -10,13 +10,12 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SoBundle, SpBundle,
-                              adjoint_gl, direct_sum, dual, is_semistable,
-                              tensor, underlying, vertical_degree,
-                              vertical_degree_composite)
+                              adjoint_gl, bundle_from_degrees, direct_sum, dual,
+                              is_semistable, tensor, underlying,
+                              vertical_degree, vertical_degree_composite)
 from hnbundles.canon import (ad_degree, ad_degree_max_oracle, bh_conditions,
                              canonical_reduction, check_bh, forced_index,
                              hn_type)
-from hnbundles.cli import bundle_from_degrees
 from hnbundles.hnfilt import (extend_with_perps, hn_filtration,
                               hn_filtration_so, hn_uniqueness_oracle)
 from hnbundles.lattice import (fundamental_groups, obstruction_class,

@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SoBundle, SpBundle,
-                              adjoint_bundle, adjoint_gl, direct_sum, dual,
-                              is_semistable, tensor, underlying,
-                              vertical_degree, vertical_degree_composite)
+from hnbundles.bundle import (Atom, IsotropicBundle, PlainBundle, SlBundle,
+                              SoBundle, SpBundle, adjoint_bundle, adjoint_gl,
+                              direct_sum, dual, is_semistable, isotropic_bundle,
+                              tensor, underlying, vertical_degree,
+                              vertical_degree_composite)
 from hnbundles.errors import (InvalidFlag, NotDegreeZero, NotIntegral,
                               UnsupportedRank, ZeroBundle)
 from hnbundles.rootsys import GroupFamily
@@ -96,6 +97,19 @@ def test_is_semistable_examples():
     assert not is_semistable(SpBundle((Atom(1, 1),), ()))
     assert is_semistable(SoBundle((), (Atom(0, 4),)))
     assert is_semistable(SoBundle((Atom(5, 1),), ())) is True  # rank 2 case
+
+
+def test_isotropic_bundles_share_one_shape():
+    pos, zero = (Atom(1, 1),), (Atom(0, 2),)
+    sp, so = SpBundle(pos, zero), SoBundle(pos, zero)
+    assert isinstance(sp, IsotropicBundle) and isinstance(so, IsotropicBundle)
+    assert (sp.kind, so.kind) == ("sp", "so") and sp != so
+    assert sp.rank == so.rank == 4 and underlying(sp) == underlying(so)
+    assert isotropic_bundle("sp", pos, zero) == sp
+    assert isotropic_bundle("so", pos, zero) == so
+    with pytest.raises(UnsupportedRank):
+        SpBundle(pos, (Atom(0, 1),))
+    assert SoBundle(pos, (Atom(0, 1),)).rank == 3
 
 
 def test_adjoint_bundle_examples():

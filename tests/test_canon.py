@@ -31,6 +31,16 @@ def test_canonical_reduction_examples():
 def test_canonical_reduction_errors():
     with pytest.raises(NotIntegral):
         canonical_reduction(GroupFamily("gl", 2), (Fraction(1, 2), 0))
+    gl2 = GroupFamily("gl", 2)
+    with pytest.raises(NotIntegral):
+        ad_degree_max_oracle(gl2, (Fraction(3, 2), Fraction(1, 2)))
+    with pytest.raises(NotIntegral):
+        ad_degree_max_oracle(gl2, (1,))
+    red = canonical_reduction(gl2, (1, 0))
+    with pytest.raises(NotIntegral):
+        check_bh(gl2, (Fraction(3, 2), Fraction(1, 2)), red)
+    with pytest.raises(NotIntegral):
+        check_bh(gl2, (1,), red)
 
 
 def test_hn_type_examples():

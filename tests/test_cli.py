@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from hnbundles.bundle import Atom, PlainBundle, SlBundle, SpBundle
-from hnbundles.cli import (SpecError, bundle_from_degrees, parse_bundle_spec,
-                           run_command, serialize_bundle_spec)
+from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SpBundle,
+                              bundle_from_degrees)
+from hnbundles.cli import (SpecError, parse_bundle_spec, run_command,
+                           serialize_bundle_spec)
 from hnbundles.rootsys import GroupFamily
 
 
@@ -148,3 +149,6 @@ def test_exit_codes(capsys):
     code2, _, _ = run(capsys, "canon", "--family", "so", "--rank", "2",
                       "--deg", "1")
     assert code2 == 2                                   # unsupported rank
+    code3, _, err3 = run(capsys, "canon", "--family", "gl", "--rank", "3",
+                         "--deg", "1,2")
+    assert code3 == 2 and "validation error:" in err3   # wrong-length degrees

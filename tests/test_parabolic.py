@@ -4,10 +4,12 @@ import pytest
 
 from hnbundles.errors import (FamilyMismatch, InvalidFlag, NotACharacter,
                               NothingToGenerate)
-from hnbundles.parabolic import (ParabolicIndex, character_generators,
-                                 is_dominant_character, levi_blocks,
-                                 parabolic_from_flag, parabolic_leq)
-from hnbundles.rootsys import GroupFamily, coroot, evaluate, simple_roots
+from hnbundles.parabolic import (ParabolicIndex, _root_split,
+                                 character_generators, is_dominant_character,
+                                 levi_blocks, parabolic_from_flag,
+                                 parabolic_leq)
+from hnbundles.rootsys import (GroupFamily, all_roots, coroot, evaluate,
+                               simple_roots)
 
 
 def _idx(family, members):
@@ -57,6 +59,23 @@ def test_levi_blocks_mirror_and_total(family):
         assert sum(sizes) == family.r
         if family.kind in ("sp", "so"):
             assert sizes == tuple(reversed(sizes))
+
+
+@pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (
+    ("gl", 4), ("sl", 3), ("sp", 6), ("so", 7), ("so", 8))])
+def test_root_split_partitions_the_roots(family):
+    roots = all_roots(family)
+    simples = simple_roots(family)
+    for bits in range(1 << len(simples)):
+        index = _idx(family, [i for i in range(len(simples)) if bits >> i & 1])
+        levi, nilrad = _root_split(index)
+        assert list(levi) == [a for a in roots if a in levi]
+        assert set(levi) == {tuple(-c for c in a) for a in levi}
+        opposite = {tuple(-c for c in a) for a in nilrad}
+        assert len(levi) + 2 * len(nilrad) == len(roots)
+        assert set(levi) | set(nilrad) | opposite == set(roots)
+        for i, alpha in enumerate(simples):
+            assert (alpha in nilrad) == (i in index.members)
 
 
 def test_parabolic_leq():

@@ -4,8 +4,8 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from hnbundles.errors import NotARoot, TooLarge, UnsupportedRank
-from hnbundles.rootsys import (GroupFamily, all_roots, coroot,
+from hnbundles.errors import NotARoot, NotIntegral, TooLarge, UnsupportedRank
+from hnbundles.rootsys import (GroupFamily, all_roots, as_cocharacter, coroot,
                                dominant_representative, evaluate, is_dominant,
                                is_root, positive_roots, reflect, root_name,
                                simple_roots, weyl_group_order, weyl_orbit)
@@ -35,6 +35,17 @@ def test_positive_roots_examples():
 def test_so2_rejected_outside_semistability():
     with pytest.raises(UnsupportedRank):
         simple_roots(GroupFamily("so", 2))
+
+
+def test_as_cocharacter():
+    gl3 = GroupFamily("gl", 3)
+    out = as_cocharacter(gl3, [Fraction(2), -1, 0])
+    assert out == (2, -1, 0) and all(type(c) is int for c in out)
+    for bad in [(Fraction(1, 2), 0, 0), (1.0, 0, 0), (1, 2), (1, 2, 3, 4)]:
+        with pytest.raises(NotIntegral):
+            as_cocharacter(gl3, bad)
+    # the SL trace condition is lattice membership, not checked here
+    assert as_cocharacter(GroupFamily("sl", 3), (1, 1, 1)) == (1, 1, 1)
 
 
 def test_coroot_examples():
