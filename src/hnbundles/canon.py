@@ -14,7 +14,7 @@ from functools import lru_cache
 from .bundle import IsotropicBundle, SlBundle, underlying
 from .errors import InvalidReduction, TooLarge
 from .hnfilt import hn_filtration, hn_filtration_isotropic
-from .parabolic import ParabolicIndex, _root_split, character_generators
+from .parabolic import ParabolicIndex, _two_rho, character_generators
 from .rootsys import (GL, SL, GroupFamily, all_roots, as_cocharacter,
                       dominant_representative, evaluate, is_dominant,
                       is_root, simple_roots, weyl_orbit)
@@ -114,10 +114,14 @@ def bh_conditions(family: GroupFamily, index: ParabolicIndex, v):
 
 
 def ad_degree(family: GroupFamily, index: ParabolicIndex, v) -> int:
-    """Degree of the adjoint bundle of the reduction to P_I at point v:
-    the sum of parabolic-root values (Levi pairs cancel)."""
-    levi, nilrad = _root_split(index)
-    return sum(evaluate(a, v) for a in levi) + sum(evaluate(a, v) for a in nilrad)
+    """Degree of the adjoint bundle of the reduction to P_I at point v.
+
+    The parabolic roots are the Levi roots and the nilradical roots, and the
+    degree is the sum of their values at v.  The Levi roots are closed under
+    negation, so their values cancel in pairs and the degree is <2rho_P, v>,
+    where 2rho_P is the sum of the nilradical roots.
+    """
+    return evaluate(_two_rho(index), v)
 
 
 def ad_degree_max_oracle(family: GroupFamily, a):

@@ -213,17 +213,32 @@ def _obstruction_doc(family, a):
     return {"free": list(free), "torsion": list(torsion)}
 
 
+def _degree_rank(option, value):
+    if len(value) != 2:
+        raise ValueError(f"{option} takes exactly degree,rank, got "
+                         f"{','.join(str(x) for x in value)}")
+    return value
+
+
+def _nonnegative(option, value):
+    if value < 0:
+        raise ValueError(f"{option} must be nonnegative, got {value}")
+
+
 def _cmd_vdeg(args) -> dict:
-    family = GroupFamily(args.family, args.E[1])
-    v = vertical_degree(family, tuple(args.E), tuple(args.F))
-    w = vertical_degree_composite(family, tuple(args.E), tuple(args.F))
+    e = _degree_rank("--E", args.E)
+    f = _degree_rank("--F", args.F)
+    family = GroupFamily(args.family, e[1])
+    v = vertical_degree(family, e, f)
+    w = vertical_degree_composite(family, e, f)
     if v != w:
         raise AssertionError("vertical degree routes disagree")
     return {"command": "vdeg", "family": f"{family.kind}{family.r}",
-            "E": list(args.E), "F": list(args.F), "vertical_degree": v}
+            "E": list(e), "F": list(f), "vertical_degree": v}
 
 
 def _cmd_strata(args) -> dict:
+    _nonnegative("--bound", args.bound)
     family = GroupFamily(args.family, args.rank)
     poset = enumerate_strata(family, args.bound, args.fix_type)
     dot = to_dot(poset)
@@ -238,59 +253,73 @@ def _cmd_strata(args) -> dict:
             "dot_path": args.dot}
 
 
-def _suite_hn(rng, cases):
+def _suite_hn(rng, cases, require):
     passed = 0
-    for _ in range(cases):
+    for case in range(cases):
         atoms = tuple(Atom(rng.randint(-3, 3), rng.randint(1, 2))
                       for _ in range(rng.randint(1, 4)))
         b = PlainBundle(atoms)
+        family = GroupFamily(GL, b.rank)
+        spec = repr(serialize_bundle_spec(BundleSpec(family, b, None)))
         if b.rank <= 6:
-            assert hn_uniqueness_oracle(b)
-        filt = hn_filtration(b)
-        slopes = filt.slopes
-        assert list(slopes) == sorted(slopes, reverse=True)
+            require(hn_uniqueness_oracle(b), case, family, spec,
+                    "the HN filtration is not the unique one")
+        slopes = hn_filtration(b).slopes
+        require(list(slopes) == sorted(slopes, reverse=True), case, family, spec,
+                f"HN slopes {[_frac(x) for x in slopes]} are not decreasing")
         positive = tuple(Atom(rng.randint(1, 3), 1) for _ in range(rng.randint(0, 2)))
         sp = SpBundle(positive, tuple([Atom(0, 1)] * (2 * rng.randint(0, 1))))
         if sp.rank:
-            assert extend_with_perps(hn_filtration_isotropic(sp)).quotients == \
-                hn_filtration(underlying(sp)).quotients
+            sp_family = GroupFamily(SP, sp.rank)
+            require(extend_with_perps(hn_filtration_isotropic(sp)).quotients ==
+                    hn_filtration(underlying(sp)).quotients, case, sp_family,
+                    repr(serialize_bundle_spec(BundleSpec(sp_family, sp, None))),
+                    "the isotropic HN filtration completed by perps differs "
+                    "from the HN filtration of the underlying bundle")
         passed += 1
     return passed
 
 
-def _suite_canon(rng, cases):
+def _suite_canon(rng, cases, require):
     passed = 0
-    for _ in range(cases):
+    for case in range(cases):
         family = rng.choice([GroupFamily(GL, 3), GroupFamily(SP, 4),
                              GroupFamily(SO, 5)])
         a = tuple(rng.randint(-2, 2) for _ in range(family.cartan_dim))
         red = canonical_reduction(family, a)
         best, _ = ad_degree_max_oracle(family, a)
-        assert ad_degree(family, red.index, red.mu.mu) == best
+        attained = ad_degree(family, red.index, red.mu.mu)
+        require(attained == best, case, family, a,
+                f"the canonical reduction has adjoint degree {attained}, "
+                f"the oracle maximum is {best}")
         levi_ss, degrees = check_bh(family, a, red)
-        assert levi_ss and all(d > 0 for d in degrees)
+        require(levi_ss and all(d > 0 for d in degrees), case, family, a,
+                f"BH conditions fail: levi_semistable={levi_ss}, "
+                f"char_degrees={[_frac(d) for d in degrees]}")
         passed += 1
     return passed
 
 
-def _suite_hull(rng, cases):
+def _suite_hull(rng, cases, require):
     passed = 0
     family = GroupFamily(GL, 3)
-    for _ in range(cases):
+    for case in range(cases):
         mu = tuple(sorted((rng.randint(-3, 3) for _ in range(3)), reverse=True))
         shift = sum(mu) - sum(m := tuple(
             sorted((rng.randint(-3, 3) for _ in range(3)), reverse=True)))
         nu = (m[0] + shift, m[1], m[2])
         if list(nu) != sorted(nu, reverse=True):
             continue
-        assert hull_membership(family, mu, nu) == gl_dominance(mu, nu)
+        inside, dominated = hull_membership(family, mu, nu), gl_dominance(mu, nu)
+        require(inside == dominated, case, family, f"mu={mu}, nu={nu}",
+                f"hull membership is {inside}, dominance is {dominated}")
         passed += 1
     return passed
 
 
-def _suite_lattice(rng, cases):
+def _suite_lattice(rng, cases, require):
     passed = 0
-    for _ in range(cases):
+    for case in range(cases):
         family = rng.choice([GroupFamily(GL, 4), GroupFamily(SL, 3),
                              GroupFamily(SP, 6), GroupFamily(SO, 7)])
         a = [rng.randint(-3, 3) for _ in range(family.cartan_dim)]
@@ -299,14 +328,20 @@ def _suite_lattice(rng, cases):
         b = [rng.randint(-3, 3) for _ in range(family.cartan_dim)]
         if family.kind == SL:
             b[-1] -= sum(b)
+        data = f"a={tuple(a)}, b={tuple(b)}"
         fa, ta = obstruction_class(family, a)
         fb, tb = obstruction_class(family, b)
         fs, ts = obstruction_class(family, [x + y for x, y in zip(a, b)])
-        assert fs == tuple(x + y for x, y in zip(fa, fb))
+        require(fs == tuple(x + y for x, y in zip(fa, fb)), case, family, data,
+                "the free part of the obstruction class is not additive")
         _, pi1, _ = fundamental_groups(family)
-        assert ts == tuple((x + y) % d for x, y, d in zip(ta, tb, pi1.torsion))
+        require(ts == tuple((x + y) % d for x, y, d in zip(ta, tb, pi1.torsion)),
+                case, family, data,
+                "the torsion part of the obstruction class is not additive")
         for w in weyl_orbit(family, tuple(a)):
-            assert topological_type(family, w) == topological_type(family, a)
+            require(topological_type(family, w) == topological_type(family, a),
+                    case, family, data,
+                    f"the topological type of a differs at its Weyl translate {w}")
         passed += 1
     return passed
 
@@ -316,8 +351,16 @@ _SUITES = {"hn": _suite_hn, "canon": _suite_canon,
 
 
 def _cmd_check(args) -> dict:
-    rng = random.Random(args.seed)
-    passed = _SUITES[args.suite](rng, args.cases)
+    _nonnegative("--cases", args.cases)
+
+    def require(ok, case, family, data, what):
+        # an explicit raise, not assert, so that python -O keeps every check
+        if not ok:
+            raise AssertionError(
+                f"check {args.suite} failed at seed {args.seed}, case {case} "
+                f"({family.kind}{family.r}, input {data}): {what}")
+
+    passed = _SUITES[args.suite](random.Random(args.seed), args.cases, require)
     return {"command": "check", "suite": args.suite, "seed": args.seed,
             "cases": args.cases, "passed": passed}
 

@@ -114,6 +114,13 @@ def _root_split(index: ParabolicIndex):
     return levi, nilrad
 
 
+@lru_cache(maxsize=None)
+def _two_rho(index: ParabolicIndex):
+    """2rho_P, the sum of the nilradical roots of P_I, as a functional."""
+    _, nilrad = _root_split(index)
+    return tuple(sum(a[t] for a in nilrad) for t in range(index.family.cartan_dim))
+
+
 def parabolic_leq(a: ParabolicIndex, b: ParabolicIndex) -> bool:
     """P_a contained in P_b: larger index set means smaller parabolic."""
     if a.family != b.family:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -11,7 +12,7 @@ from hnbundles.canon import (ad_degree, ad_degree_max_oracle, bh_conditions,
                              check_bh, forced_index, hn_type)
 from hnbundles.errors import InvalidReduction, NotIntegral, TooLarge
 from hnbundles.lattice import topological_type
-from hnbundles.parabolic import ParabolicIndex
+from hnbundles.parabolic import ParabolicIndex, _root_split
 from hnbundles.rootsys import (GroupFamily, evaluate, is_dominant,
                                simple_roots, weyl_orbit)
 
@@ -93,6 +94,40 @@ def test_ad_degree_max_examples():
 def test_ad_degree_guard():
     with pytest.raises(TooLarge):
         ad_degree_max_oracle(GroupFamily("gl", 6), (0,) * 6)
+
+
+def _root_sum(index, v):
+    """Reference adjoint degree: every Levi and nilradical root evaluated at v."""
+    levi, nilrad = _root_split(index)
+    return sum(evaluate(a, v) for a in levi) + sum(evaluate(a, v) for a in nilrad)
+
+
+def _indices(family):
+    count = len(simple_roots(family))
+    return [ParabolicIndex(family, frozenset(i for i in range(count) if bits >> i & 1))
+            for bits in range(1 << count)]
+
+
+@pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (
+    ("gl", 1), ("gl", 2), ("gl", 3), ("sl", 1), ("sl", 2), ("sl", 3),
+    ("sp", 2), ("sp", 4), ("sp", 6), ("so", 3), ("so", 4), ("so", 5),
+    ("so", 6), ("so", 7))])
+def test_ad_degree_equals_root_sum(family):
+    for index in _indices(family):
+        for v in product(range(-2, 3), repeat=family.cartan_dim):
+            assert ad_degree(family, index, v) == _root_sum(index, v)
+
+
+def test_ad_degree_equals_root_sum_sampled_rank_four():
+    rng = random.Random(4)
+    for family in [GroupFamily(k, r) for k, r in (
+            ("gl", 4), ("sl", 4), ("sp", 8), ("so", 8), ("so", 9))]:
+        indices = _indices(family)
+        for _ in range(200):
+            index = rng.choice(indices)
+            v = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                      for _ in range(family.cartan_dim))
+            assert ad_degree(family, index, v) == _root_sum(index, v)
 
 
 def test_bracket_closure():

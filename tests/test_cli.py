@@ -1,7 +1,13 @@
 import json
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
+import hnbundles.cli
 from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SpBundle,
                               bundle_from_degrees)
 from hnbundles.cli import (SpecError, parse_bundle_spec, run_command,
@@ -125,6 +131,36 @@ def test_check_command(capsys):
     assert code == 0 and json.loads(out)["passed"] >= 1
 
 
+CANON_FAILURE = re.compile(
+    r"^internal invariant breach: check canon failed at seed 1, case 0 "
+    r"\((gl3|sp4|so5), input \(-?\d+(, -?\d+)*\)\): the canonical reduction "
+    r"has adjoint degree -1000, the oracle maximum is -?\d+\n$")
+
+
+def test_check_failure_names_the_case(capsys, monkeypatch):
+    monkeypatch.setattr(hnbundles.cli, "ad_degree", lambda *args: -1000)
+    code, out, err = run(capsys, "check", "--suite", "canon",
+                         "--seed", "1", "--cases", "3")
+    assert code == 3 and out == ""
+    assert CANON_FAILURE.match(err), err
+
+
+def test_check_failure_survives_optimize():
+    # python -O strips assert statements; the suites must still fail
+    script = ("import sys, hnbundles.cli as cli\n"
+              "cli.ad_degree = lambda *args: -1000\n"
+              "sys.exit(cli.run_command(['check', '--suite', 'canon',"
+              " '--seed', '1', '--cases', '3']))\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert CANON_FAILURE.match(proc.stderr), proc.stderr
+
+
 def test_byte_determinism(capsys):
     runs = [run(capsys, "canon", "--family", "so", "--rank", "5",
                 "--deg", "2,1")[1] for _ in range(2)]
@@ -152,3 +188,11 @@ def test_exit_codes(capsys):
     code3, _, err3 = run(capsys, "canon", "--family", "gl", "--rank", "3",
                          "--deg", "1,2")
     assert code3 == 2 and "validation error:" in err3   # wrong-length degrees
+    for e, f, option in (("2", "1,1", "--E"), ("2,4", "1", "--F")):
+        code4, _, err4 = run(capsys, "vdeg", "--family", "gl", "--E", e, "--F", f)
+        assert code4 == 2 and f"validation error: {option} " in err4
+    code5, out5, err5 = run(capsys, "strata", "--family", "gl", "--rank", "2",
+                            "--bound=-1")
+    assert code5 == 2 and out5 == "" and "validation error: --bound" in err5
+    code6, out6, err6 = run(capsys, "check", "--suite", "canon", "--cases=-2")
+    assert code6 == 2 and out6 == "" and "validation error: --cases" in err6

@@ -4,7 +4,7 @@ import pytest
 
 from hnbundles.errors import (FamilyMismatch, InvalidFlag, NotACharacter,
                               NothingToGenerate)
-from hnbundles.parabolic import (ParabolicIndex, _root_split,
+from hnbundles.parabolic import (ParabolicIndex, _root_split, _two_rho,
                                  character_generators, is_dominant_character,
                                  levi_blocks, parabolic_from_flag,
                                  parabolic_leq)
@@ -76,6 +76,34 @@ def test_root_split_partitions_the_roots(family):
         assert set(levi) | set(nilrad) | opposite == set(roots)
         for i, alpha in enumerate(simples):
             assert (alpha in nilrad) == (i in index.members)
+
+
+@pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (
+    ("gl", 4), ("sl", 3), ("sp", 6), ("so", 7), ("so", 8), ("so", 4))])
+def test_two_rho_is_a_dominant_character(family):
+    simples = simple_roots(family)
+    for bits in range(1 << len(simples)):
+        index = _idx(family, [i for i in range(len(simples)) if bits >> i & 1])
+        two_rho = _two_rho(index)
+        for i, alpha in enumerate(simples):
+            pairing = evaluate(two_rho, coroot(family, alpha))
+            assert pairing > 0 if i in index.members else pairing == 0
+
+
+@pytest.mark.parametrize("family, expected", [
+    (GroupFamily("gl", 1), (0,)),
+    (GroupFamily("gl", 4), (3, 1, -1, -3)),
+    (GroupFamily("sl", 3), (2, 0, -2)),
+    (GroupFamily("sp", 2), (2,)),
+    (GroupFamily("sp", 6), (6, 4, 2)),
+    (GroupFamily("so", 3), (1,)),
+    (GroupFamily("so", 7), (5, 3, 1)),
+    (GroupFamily("so", 4), (2, 0)),
+    (GroupFamily("so", 8), (6, 4, 2, 0))])
+def test_two_rho_of_the_borel_and_of_g(family, expected):
+    count = len(simple_roots(family))
+    assert _two_rho(_idx(family, range(count))) == expected
+    assert _two_rho(_idx(family, [])) == (0,) * family.cartan_dim
 
 
 def test_parabolic_leq():
