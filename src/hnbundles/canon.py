@@ -12,10 +12,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bundle import IsotropicBundle, SlBundle, underlying
-from .errors import InvalidReduction, TooLarge
+from .errors import FamilyMismatch, InvalidReduction, TooLarge
 from .hnfilt import hn_filtration, hn_filtration_isotropic
-from .parabolic import ParabolicIndex, _two_rho, character_generators
-from .rootsys import (GL, SL, GroupFamily, all_roots, as_cocharacter,
+from .parabolic import (ParabolicIndex, _root_split, _two_rho,
+                        character_generators)
+from .rootsys import (GL, SL, GroupFamily, as_cocharacter,
                       dominant_representative, evaluate, is_dominant,
                       is_root, simple_roots, weyl_orbit)
 
@@ -64,9 +65,11 @@ def canonical_reduction(family: GroupFamily, a) -> CanonicalReduction:
     family.require_root_system()
     mu = dominant_representative(family, a)
     index = forced_index(family, mu)
-    positives = frozenset(r for r in all_roots(family) if evaluate(r, mu) > 0)
-    parabolic = frozenset(r for r in all_roots(family) if evaluate(r, mu) >= 0)
-    return CanonicalReduction(family, index, HNType(family, mu), positives, parabolic)
+    # mu is dominant, so the roots positive at mu are the nilradical roots
+    # of its forced index and the roots vanishing at mu are the Levi roots
+    levi, nilrad = _root_split(index)
+    return CanonicalReduction(family, index, HNType(family, mu),
+                              frozenset(nilrad), frozenset(levi + nilrad))
 
 
 def hn_type(b) -> HNType:
@@ -104,6 +107,9 @@ def check_bh(family: GroupFamily, a, red: CanonicalReduction):
 def bh_conditions(family: GroupFamily, index: ParabolicIndex, v):
     """The two conditions at an arbitrary reduction point v (possibly a
     non-dominant Weyl translate); used by the exhaustive oracle."""
+    if (index.family is not family and index.family != family) \
+            or len(v) != family.cartan_dim:
+        _reject_point(family, index, v)
     simples = simple_roots(family)
     levi_ss = all(evaluate(simples[i], v) == 0
                   for i in range(len(simples)) if i not in index.members)
@@ -121,7 +127,21 @@ def ad_degree(family: GroupFamily, index: ParabolicIndex, v) -> int:
     negation, so their values cancel in pairs and the degree is <2rho_P, v>,
     where 2rho_P is the sum of the nilradical roots.
     """
-    return evaluate(_two_rho(index), v)
+    two_rho = _two_rho(index)
+    # the oracle calls this once per candidate, so the checks stay inline
+    if (index.family is not family and index.family != family) \
+            or len(v) != len(two_rho):
+        _reject_point(family, index, v)
+    return evaluate(two_rho, v)
+
+
+def _reject_point(family, index, v):
+    """Raise for an index of another family or a point of the wrong length,
+    which evaluate would silently truncate."""
+    if index.family != family:
+        raise FamilyMismatch("index belongs to a different family")
+    raise ValueError(f"point {tuple(v)} has {len(v)} coordinates, "
+                     f"{family.kind}{family.r} needs {family.cartan_dim}")
 
 
 def ad_degree_max_oracle(family: GroupFamily, a):

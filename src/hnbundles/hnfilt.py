@@ -45,10 +45,6 @@ class IsotropicFiltration:
         assert slopes == sorted(slopes, reverse=True) and len(set(slopes)) == len(slopes)
         assert all(s > 0 for s in slopes)
 
-    @property
-    def isotropic_rank(self) -> int:
-        return sum(q.rank for q in self.quotients)
-
 
 def scss(b: PlainBundle):
     """Strongly contradicting semistability subobject: the maximal-slope atoms."""

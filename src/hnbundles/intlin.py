@@ -137,15 +137,17 @@ def _same(a, b):
 def smith_normal_form(mat):
     """Smith normal form of an integer matrix.
 
-    Returns (diag, V) where diag is the list of invariant factors (including
-    zeros up to min(k, m)) and V is the unimodular m x m column transform
-    with U * mat * V diagonal for some unimodular U.  Row space of mat over
-    the integers equals span{diag[i] * row_i(V^{-1})}.
+    Returns (diag, V, V^{-1}) where diag is the list of invariant factors
+    (including zeros up to min(k, m)) and V is the unimodular m x m column
+    transform with U * mat * V diagonal for some unimodular U; V^{-1} is
+    built alongside from the inverse of each column operation.  Row space
+    of mat over the integers equals span{diag[i] * row_i(V^{-1})}.
     """
     a = [list(r) for r in mat]
     k = len(a)
     m = len(a[0]) if k else 0
     v = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    vinv = [row[:] for row in v]  # rows of V^{-1}
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -154,6 +156,7 @@ def smith_normal_form(mat):
         for r in a:
             r[i], r[j] = r[j], r[i]
         v[i], v[j] = v[j], v[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_row(i, j, q):  # row_i -= q * row_j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
@@ -162,6 +165,7 @@ def smith_normal_form(mat):
         for r in a:
             r[i] -= q * r[j]
         v[i] = [x - q * y for x, y in zip(v[i], v[j])]
+        vinv[j] = [x + q * y for x, y in zip(vinv[j], vinv[i])]
 
     t = 0
     while t < min(k, m):
@@ -211,36 +215,12 @@ def smith_normal_form(mat):
             for r in a:
                 r[t] = -r[t]
             v[t] = [-x for x in v[t]]
+            vinv[t] = [-x for x in vinv[t]]
         t += 1
     diag = [a[i][i] if i < m else 0 for i in range(min(k, m))]
     # note: columns of the work matrix were transformed; v rows track columns
     v_mat = [[v[j][i] for j in range(m)] for i in range(m)]
-    return diag, v_mat
-
-
-def invert_unimodular(v):
-    """Exact inverse of an integer matrix with determinant +-1."""
-    m = len(v)
-    aug = [[Fraction(v[i][j]) for j in range(m)] + [Fraction(1 if j == i else 0) for j in range(m)]
-           for i in range(m)]
-    for col in range(m):
-        piv = next(i for i in range(col, m) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(m):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            x = aug[i][m + j]
-            assert x.denominator == 1
-            row.append(int(x))
-        out.append(tuple(row))
-    return out
+    return diag, v_mat, vinv
 
 
 def primitive(vec):

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInKernelLattice, NotIntegral
-from .intlin import (_row_kernel, invert_unimodular, smith_normal_form,
-                     solve_rational)
+from .intlin import _row_kernel, smith_normal_form, solve_rational
 from .parabolic import ParabolicIndex, _root_split, levi_blocks
 from .rootsys import (GL, SL, GroupFamily, all_roots, as_cocharacter, coroot,
                       evaluate)
@@ -59,15 +58,17 @@ class FinAbGroup:
 
 @dataclass(frozen=True)
 class LatticeTower:
+    """Gamma, Lambda and its saturation, with the nonzero invariant factors
+    and the column transform V of the one Smith normal form of the coroot
+    matrix; the central slope denominators of the Levi blocks."""
+
     family: GroupFamily
     gamma_basis: tuple
     lam: IntegerLattice
     lam_sat: IntegerLattice
     psi_denominators: tuple
-
-    @property
-    def gamma_dim(self) -> int:
-        return len(self.gamma_basis)
+    invariant_factors: tuple
+    column_transform: tuple
 
 
 def _gamma_basis(family: GroupFamily):
@@ -76,23 +77,6 @@ def _gamma_basis(family: GroupFamily):
         return tuple(tuple(1 if j == i else (-1 if j == i + 1 else 0) for j in range(dim))
                      for i in range(dim - 1))
     return tuple(tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim))
-
-
-def _lattice_from_spans(vectors, ambient_dim):
-    """Canonical bases of the integer span and of its saturation."""
-    mat = [list(v) for v in vectors]
-    if not mat:
-        empty = IntegerLattice(ambient_dim, ())
-        return empty, empty
-    diag, v = smith_normal_form(mat)
-    vinv = invert_unimodular(v)
-    basis = []
-    sat = []
-    for i, d in enumerate(diag):
-        if d != 0:
-            basis.append(tuple(d * x for x in vinv[i]))
-            sat.append(tuple(vinv[i]))
-    return IntegerLattice(ambient_dim, tuple(basis)), IntegerLattice(ambient_dim, tuple(sat))
 
 
 def _psi_denominators(family, blocks):
@@ -105,11 +89,18 @@ def _psi_denominators(family, blocks):
 
 
 def _tower(family, roots, blocks):
+    """Canonical bases of Lambda = span{d_i * row_i(V^{-1})} and of its
+    saturation span{row_i(V^{-1})}, from one Smith normal form."""
     dim = family.cartan_dim
     coroots = [coroot(family, a) for a in roots]
-    lam, lam_sat = _lattice_from_spans(coroots, dim)
+    diag, v, vinv = smith_normal_form(coroots)
+    factors = tuple(d for d in diag if d != 0)
+    lam = IntegerLattice(dim, tuple(tuple(d * x for x in vinv[i])
+                                    for i, d in enumerate(factors)))
+    lam_sat = IntegerLattice(dim, tuple(map(tuple, vinv[:len(factors)])))
     return LatticeTower(family, _gamma_basis(family), lam, lam_sat,
-                        _psi_denominators(family, blocks))
+                        _psi_denominators(family, blocks), factors,
+                        tuple(tuple(row) for row in v))
 
 
 def lattice_tower(family: GroupFamily) -> LatticeTower:
@@ -124,22 +115,6 @@ def levi_lattice_tower(family: GroupFamily, index: ParabolicIndex) -> LatticeTow
     return _tower(family, _root_split(index)[0], blocks)
 
 
-def _quotient(ambient_basis, sub_basis):
-    """Quotient of the ambient lattice by the sublattice, canonical form."""
-    if not sub_basis:
-        return FinAbGroup(len(ambient_basis), ())
-    coords = []
-    for v in sub_basis:
-        c = solve_rational(ambient_basis, v)
-        assert c is not None and all(x.denominator == 1 for x in c)
-        coords.append([int(x) for x in c])
-    diag, _ = smith_normal_form(coords)
-    nonzero = [d for d in diag if d != 0]
-    free = len(ambient_basis) - len(nonzero)
-    torsion = tuple(d for d in nonzero if d > 1)
-    return FinAbGroup(free, torsion)
-
-
 def fundamental_groups(family: GroupFamily):
     """(pi1 of the derived group, pi1 of G, pi1 of the abelianization)."""
     return _tower_groups(lattice_tower(family))
@@ -150,10 +125,14 @@ def levi_fundamental_groups(family: GroupFamily, index: ParabolicIndex):
 
 
 def _tower_groups(t: LatticeTower):
-    pi1 = _quotient(t.gamma_basis, t.lam.basis)
-    pi1_der = _quotient(t.lam_sat.basis, t.lam.basis)
-    pi1_ab = _quotient(t.gamma_basis, t.lam_sat.basis)
-    return pi1_der, pi1, pi1_ab
+    """pi1 = Gamma/Lambda = Z^(n-k) x (+) Z/d_i, its torsion pi1_der =
+    Lambda-hat/Lambda and its free part pi1_ab = Gamma/Lambda-hat, read off
+    the k nonzero invariant factors d_i, with n the rank of Gamma.  Gamma is
+    saturated in Z^dim, so the torsion of Gamma/Lambda is that of
+    Z^dim/Lambda."""
+    free = len(t.gamma_basis) - len(t.invariant_factors)
+    torsion = tuple(d for d in t.invariant_factors if d > 1)
+    return FinAbGroup(0, torsion), FinAbGroup(free, torsion), FinAbGroup(free, ())
 
 
 def _check_in_gamma(family, a):
@@ -187,22 +166,10 @@ def obstruction_class(family: GroupFamily, a):
     a = _check_in_gamma(family, a)
     t = lattice_tower(family)
     free = tuple(evaluate(f, a) for f in free_functionals(family))
-    coords = solve_rational(t.gamma_basis, a)
-    assert coords is not None and all(c.denominator == 1 for c in coords)
-    coords = [int(c) for c in coords]
-    rel = []
-    for v in t.lam.basis:
-        c = solve_rational(t.gamma_basis, v)
-        rel.append([int(x) for x in c])
-    residues = []
-    if rel:
-        diag, vmat = smith_normal_form(rel)
-        adapted = [sum(coords[i] * vmat[i][j] for i in range(len(coords)))
-                   for j in range(len(coords))]
-        for i, d in enumerate(diag):
-            if d > 1:
-                residues.append(adapted[i] % d)
-    return free, tuple(residues)
+    v = t.column_transform
+    residues = tuple(sum(x * row[i] for x, row in zip(a, v)) % d
+                     for i, d in enumerate(t.invariant_factors) if d > 1)
+    return free, residues
 
 
 def topological_type(family: GroupFamily, a):

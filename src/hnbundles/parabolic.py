@@ -12,7 +12,7 @@ from math import gcd
 from .errors import FamilyMismatch, InvalidFlag, NotACharacter, NothingToGenerate
 from .intlin import _row_kernel, primitive, solve_rational
 from .rootsys import (GL, SL, SP, GroupFamily, all_roots, coroot, evaluate,
-                      positive_roots, root_name, simple_roots)
+                      root_name, simple_roots)
 
 
 @dataclass(frozen=True)
@@ -101,17 +101,33 @@ def levi_blocks(family: GroupFamily, index: ParabolicIndex) -> LeviBlocks:
     return LeviBlocks(family, blocks)
 
 
+def _index_point(index: ParabolicIndex):
+    """The point v_I where the simple roots in I take the value 1 and the
+    others 0, from one solve on the transposed simple-root matrix."""
+    simples = simple_roots(index.family)
+    columns = [[a[t] for a in simples] for t in range(index.family.cartan_dim)]
+    return solve_rational(columns, [int(i in index.members)
+                                    for i in range(len(simples))])
+
+
 @lru_cache(maxsize=None)
 def _root_split(index: ParabolicIndex):
-    """(Levi roots, nilradical roots) of P_I, both in all_roots order: the
-    Levi roots are the roots in the span of the simple roots outside I,
-    the nilradical roots are the positive roots that are not Levi roots."""
-    simples = simple_roots(index.family)
-    keep = [simples[i] for i in range(len(simples)) if i not in index.members]
-    levi = tuple(a for a in all_roots(index.family)
-                 if keep and solve_rational(keep, a) is not None)
-    nilrad = tuple(a for a in positive_roots(index.family) if a not in levi)
-    return levi, nilrad
+    """(Levi roots, nilradical roots) of P_I, both in all_roots order.
+
+    A root's coefficients over the simple roots share one sign, so it lies
+    in the span of the simple roots outside I iff it vanishes at v_I: those
+    are the Levi roots, and the nilradical roots are the roots positive at
+    v_I.
+    """
+    point = _index_point(index)
+    levi, nilrad = [], []
+    for a in all_roots(index.family):
+        value = evaluate(a, point)
+        if value == 0:
+            levi.append(a)
+        elif value > 0:
+            nilrad.append(a)
+    return tuple(levi), tuple(nilrad)
 
 
 @lru_cache(maxsize=None)

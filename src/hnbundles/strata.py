@@ -13,7 +13,7 @@ from itertools import product
 from .canon import HNType, forced_index
 from .errors import FamilyMismatch, TooLarge
 from .parabolic import ParabolicIndex, parabolic_leq
-from .rootsys import GL, SL, GroupFamily, is_dominant, weyl_orbit
+from .rootsys import GL, SL, GroupFamily, evaluate, is_dominant, weyl_orbit
 
 HULL_DIM_GUARD = 6
 ENUM_DIM_GUARD = 4
@@ -139,14 +139,16 @@ def enumerate_strata(family: GroupFamily, bound: int,
     dim = family.cartan_dim
     if dim > ENUM_DIM_GUARD or bound > ENUM_BOUND_GUARD:
         raise TooLarge("enumeration guard exceeded")
+    # the degree of the underlying vector bundle pairs the determinant
+    # character with the type; it is trivial on Sp and SO
+    det = (1 if family.kind in (GL, SL) else 0,) * dim
     labels = []
     for coords in product(range(bound, -bound - 1, -1), repeat=dim):
         if not is_dominant(family, coords):
             continue
         if family.kind == SL and sum(coords) != 0:
             continue
-        if total_degree is not None and family.kind in (GL, SL) \
-                and sum(coords) != total_degree:
+        if total_degree is not None and evaluate(det, coords) != total_degree:
             continue
         labels.append(stratum_label(family, coords))
     labels.sort(key=lambda s: s.mu.mu, reverse=True)

@@ -10,10 +10,11 @@ from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SoBundle, SpBundle,
 from hnbundles.canon import (ad_degree, ad_degree_max_oracle, bh_conditions,
                              bracket_closure_check, canonical_reduction,
                              check_bh, forced_index, hn_type)
-from hnbundles.errors import InvalidReduction, NotIntegral, TooLarge
+from hnbundles.errors import (FamilyMismatch, InvalidReduction, NotIntegral,
+                              TooLarge)
 from hnbundles.lattice import topological_type
 from hnbundles.parabolic import ParabolicIndex, _root_split
-from hnbundles.rootsys import (GroupFamily, evaluate, is_dominant,
+from hnbundles.rootsys import (GroupFamily, all_roots, evaluate, is_dominant,
                                simple_roots, weyl_orbit)
 
 
@@ -42,6 +43,19 @@ def test_canonical_reduction_errors():
         check_bh(gl2, (Fraction(3, 2), Fraction(1, 2)), red)
     with pytest.raises(NotIntegral):
         check_bh(gl2, (1,), red)
+    # evaluate zips and would silently truncate a short point
+    gl3, sp4 = GroupFamily("gl", 3), GroupFamily("sp", 4)
+    with pytest.raises(ValueError):
+        ad_degree(gl3, ParabolicIndex(gl3, frozenset({0, 1})), (5,))
+    with pytest.raises(FamilyMismatch):
+        ad_degree(gl3, ParabolicIndex(sp4, frozenset({0})), (1, 2, 3))
+    with pytest.raises(ValueError):
+        bh_conditions(gl3, ParabolicIndex(gl3, frozenset({0})), (5,))
+    with pytest.raises(FamilyMismatch):
+        bh_conditions(sp4, ParabolicIndex(gl3, frozenset({0})), (1, 2))
+    # an equal family object built elsewhere is the same family
+    assert ad_degree(gl3, ParabolicIndex(GroupFamily("gl", 3), frozenset({0})),
+                     (1, 0, 0)) == 2
 
 
 def test_hn_type_examples():
@@ -128,6 +142,21 @@ def test_ad_degree_equals_root_sum_sampled_rank_four():
             v = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3))
                       for _ in range(family.cartan_dim))
             assert ad_degree(family, index, v) == _root_sum(index, v)
+
+
+@pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (
+    ("gl", 3), ("sl", 3), ("sp", 4), ("sp", 6), ("so", 4), ("so", 5), ("so", 7))])
+def test_canonical_root_sets_are_the_roots_nonnegative_at_mu(family):
+    # reference: rescan every root at the dominant representative
+    for a in product(range(-2, 3), repeat=family.cartan_dim):
+        if family.kind == "sl" and sum(a) != 0:
+            continue
+        red = canonical_reduction(family, a)
+        mu = red.mu.mu
+        assert red.ad_positive_roots == frozenset(
+            r for r in all_roots(family) if evaluate(r, mu) > 0)
+        assert red.ad_parabolic_roots == frozenset(
+            r for r in all_roots(family) if evaluate(r, mu) >= 0)
 
 
 def test_bracket_closure():

@@ -119,6 +119,13 @@ def test_strata_command(capsys, tmp_path):
     assert [lab["mu"] for lab in doc["labels"]] == [["1", "-1"], ["0", "0"]]
     text = target.read_text()
     assert text.startswith("digraph strata {") and "->" in text
+    # the underlying bundle of every SL, Sp and SO type has degree 0
+    for family in ("sl3", "sp4", "so5"):
+        argv = ("strata", f"--family={family[:2]}", f"--rank={family[2:]}",
+                "--bound=1")
+        every = json.loads(run(capsys, *argv)[1])["labels"]
+        assert json.loads(run(capsys, *argv, "--fix-type=0")[1])["labels"] == every
+        assert json.loads(run(capsys, *argv, "--fix-type=5")[1])["labels"] == []
 
 
 def test_check_command(capsys):

@@ -1,15 +1,20 @@
+import random
 from fractions import Fraction
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hnbundles.errors import NotInKernelLattice, UnsupportedRank
+from hnbundles.intlin import smith_normal_form, solve_rational
 from hnbundles.lattice import (FinAbGroup, fundamental_groups, lattice_tower,
                                levi_fundamental_groups, levi_lattice_tower,
                                levi_topological_type, obstruction_class,
                                topological_type)
-from hnbundles.parabolic import ParabolicIndex
-from hnbundles.rootsys import GroupFamily, weyl_orbit
+from hnbundles.parabolic import ParabolicIndex, _root_split
+from hnbundles.rootsys import (GroupFamily, all_roots, coroot, simple_roots,
+                               weyl_orbit)
 
 FAMILIES = [GroupFamily("gl", r) for r in (3, 4, 5)] + \
     [GroupFamily("sl", r) for r in (3, 4)] + \
@@ -129,3 +134,106 @@ def test_levi_topological_type():
     sp4 = GroupFamily("sp", 4)
     idx = ParabolicIndex(sp4, frozenset({0}))
     assert levi_topological_type(sp4, idx, (3, 2)) == (3, 0)
+
+
+def _quotient(ambient_basis, spanning):
+    """Reference quotient of the lattice on ambient_basis by the span of
+    spanning: coordinates of each spanning vector by a rational solve, then
+    a Smith normal form of the coordinate matrix."""
+    if not spanning:
+        return FinAbGroup(len(ambient_basis), ())
+    coords = []
+    for v in spanning:
+        c = solve_rational(ambient_basis, v)
+        assert c is not None and all(x.denominator == 1 for x in c)
+        coords.append([int(x) for x in c])
+    nonzero = [d for d in smith_normal_form(coords)[0] if d != 0]
+    return FinAbGroup(len(ambient_basis) - len(nonzero),
+                      tuple(d for d in nonzero if d > 1))
+
+
+def _groups_oracle(t, roots):
+    """(pi1_der, pi1, pi1_ab) as the three quotients Lambda-hat/Lambda,
+    Gamma/Lambda and Gamma/Lambda-hat."""
+    coroots = [coroot(t.family, a) for a in roots]
+    return (_quotient(t.lam_sat.basis, coroots),
+            _quotient(t.gamma_basis, coroots),
+            _quotient(t.gamma_basis, t.lam_sat.basis))
+
+
+RANK_EIGHT = [GroupFamily(k, r) for k in ("gl", "sl") for r in range(1, 9)] + \
+    [GroupFamily("sp", r) for r in (2, 4, 6, 8)] + \
+    [GroupFamily("so", r) for r in range(3, 9)]
+
+
+@pytest.mark.parametrize("family", RANK_EIGHT, ids=lambda f: f"{f.kind}{f.r}")
+def test_groups_equal_the_three_quotients(family):
+    assert fundamental_groups(family) == \
+        _groups_oracle(lattice_tower(family), all_roots(family))
+    count = len(simple_roots(family))
+    for bits in range(1 << count):
+        index = ParabolicIndex(family, frozenset(
+            i for i in range(count) if bits >> i & 1))
+        assert levi_fundamental_groups(family, index) == _groups_oracle(
+            levi_lattice_tower(family, index), _root_split(index)[0])
+
+
+def _obstruction_oracle(family, a):
+    """Reference torsion residues: coordinates of a and of the Lambda basis
+    over Gamma by rational solves, then a second Smith normal form."""
+    t = lattice_tower(family)
+    coords = [int(c) for c in solve_rational(t.gamma_basis, a)]
+    rel = [[int(c) for c in solve_rational(t.gamma_basis, v)] for v in t.lam.basis]
+    diag, vmat, _ = smith_normal_form(rel)
+    adapted = [sum(coords[i] * vmat[i][j] for i in range(len(coords)))
+               for j in range(len(coords))]
+    return tuple(adapted[i] % d for i, d in enumerate(diag) if d > 1)
+
+
+@pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (
+    ("gl", 3), ("sl", 4), ("sp", 6), ("so", 4), ("so", 5), ("so", 6),
+    ("so", 7), ("so", 8))], ids=lambda f: f"{f.kind}{f.r}")
+def test_obstruction_residues_equal_the_second_snf(family):
+    for a in product(range(-2, 3), repeat=family.cartan_dim):
+        if family.kind == "sl" and sum(a) != 0:
+            continue
+        assert obstruction_class(family, a)[1] == _obstruction_oracle(family, a)
+
+
+def _det(mat):
+    if not mat:
+        return 1
+    return sum((-1) ** j * mat[0][j] * _det([row[:j] + row[j + 1:] for row in mat[1:]])
+               for j in range(len(mat)))
+
+
+def test_smith_normal_form_transform_and_factors():
+    rng = random.Random(7)
+    for _ in range(300):
+        k, m = rng.randint(1, 4), rng.randint(1, 4)
+        mat = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(k)]
+        diag, v, vinv = smith_normal_form(mat)
+        assert [[sum(v[i][t] * vinv[t][j] for t in range(m)) for j in range(m)]
+                for i in range(m)] == [[int(i == j) for j in range(m)] for i in range(m)]
+        factors = [d for d in diag if d != 0]
+        assert diag == factors + [0] * (len(diag) - len(factors))
+        assert all(d > 0 for d in factors)
+        assert all(y % x == 0 for x, y in zip(factors, factors[1:]))
+        # mat * V = U^{-1} * diag: column i is d_i times a primitive column,
+        # the columns past the rank vanish
+        mv = [[sum(row[t] * v[t][j] for t in range(m)) for j in range(m)] for row in mat]
+        for j in range(m):
+            g = 0
+            for row in mv:
+                g = gcd(g, row[j])
+            assert g == (factors[j] if j < len(factors) else 0)
+        # d_1 * ... * d_j is the gcd of the j x j minors
+        for j in range(1, min(k, m) + 1):
+            g = 0
+            for rows in combinations(range(k), j):
+                for cols in combinations(range(m), j):
+                    g = gcd(g, _det([[mat[r][c] for c in cols] for r in rows]))
+            expected = 1
+            for d in diag[:j]:
+                expected *= d
+            assert g == expected

@@ -2,14 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from hnbundles.canon import forced_index
 from hnbundles.errors import (FamilyMismatch, InvalidFlag, NotACharacter,
                               NothingToGenerate)
-from hnbundles.parabolic import (ParabolicIndex, _root_split, _two_rho,
-                                 character_generators, is_dominant_character,
-                                 levi_blocks, parabolic_from_flag,
-                                 parabolic_leq)
+from hnbundles.intlin import solve_rational
+from hnbundles.parabolic import (ParabolicIndex, _index_point, _root_split,
+                                 _two_rho, character_generators,
+                                 is_dominant_character, levi_blocks,
+                                 parabolic_from_flag, parabolic_leq)
 from hnbundles.rootsys import (GroupFamily, all_roots, coroot, evaluate,
-                               simple_roots)
+                               positive_roots, simple_roots)
 
 
 def _idx(family, members):
@@ -76,6 +78,22 @@ def test_root_split_partitions_the_roots(family):
         assert set(levi) | set(nilrad) | opposite == set(roots)
         for i, alpha in enumerate(simples):
             assert (alpha in nilrad) == (i in index.members)
+
+
+@pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (
+    ("gl", 4), ("sl", 3), ("sp", 6), ("so", 4), ("so", 7), ("so", 8))])
+def test_root_split_equals_the_span_definition(family):
+    # reference: a Levi root is one in the span of the simple roots outside I
+    roots = all_roots(family)
+    simples = simple_roots(family)
+    for bits in range(1 << len(simples)):
+        index = _idx(family, [i for i in range(len(simples)) if bits >> i & 1])
+        keep = [a for i, a in enumerate(simples) if i not in index.members]
+        levi = tuple(a for a in roots
+                     if keep and solve_rational(keep, a) is not None)
+        nilrad = tuple(a for a in positive_roots(family) if a not in levi)
+        assert _root_split(index) == (levi, nilrad)
+        assert forced_index(family, _index_point(index)) == index
 
 
 @pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (
