@@ -12,9 +12,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bundle import IsotropicBundle, SlBundle, underlying
-from .errors import FamilyMismatch, InvalidReduction, TooLarge
+from .errors import InvalidReduction, TooLarge
 from .hnfilt import hn_filtration, hn_filtration_isotropic
-from .parabolic import (ParabolicIndex, _root_split, _two_rho,
+from .parabolic import (ParabolicIndex, _reject_point, _root_split, _two_rho,
                         character_generators)
 from .rootsys import (GL, SL, GroupFamily, as_cocharacter,
                       dominant_representative, evaluate, is_dominant,
@@ -32,8 +32,12 @@ class HNType:
 
     def __post_init__(self):
         object.__setattr__(self, "mu", tuple(Fraction(c) for c in self.mu))
-        assert len(self.mu) == self.family.cartan_dim
-        assert is_dominant(self.family, self.mu)
+        # explicit raises, not assert, so that python -O keeps the checks
+        if len(self.mu) != self.family.cartan_dim:
+            _reject_point(self.family, v=self.mu)
+        if not is_dominant(self.family, self.mu):
+            raise ValueError(f"HN type ({', '.join(map(str, self.mu))}) is not "
+                             f"dominant for {self.family.kind}{self.family.r}")
 
 
 @dataclass(frozen=True)
@@ -133,15 +137,6 @@ def ad_degree(family: GroupFamily, index: ParabolicIndex, v) -> int:
             or len(v) != len(two_rho):
         _reject_point(family, index, v)
     return evaluate(two_rho, v)
-
-
-def _reject_point(family, index, v):
-    """Raise for an index of another family or a point of the wrong length,
-    which evaluate would silently truncate."""
-    if index.family != family:
-        raise FamilyMismatch("index belongs to a different family")
-    raise ValueError(f"point {tuple(v)} has {len(v)} coordinates, "
-                     f"{family.kind}{family.r} needs {family.cartan_dim}")
 
 
 def ad_degree_max_oracle(family: GroupFamily, a):

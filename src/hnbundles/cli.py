@@ -26,7 +26,8 @@ from .lattice import fundamental_groups, levi_fundamental_groups, \
 from .parabolic import ParabolicIndex
 from .rootsys import (GL, SL, SO, SP, GroupFamily, root_name, simple_roots,
                       weyl_orbit)
-from .strata import enumerate_strata, gl_dominance, hull_membership, to_dot
+from .strata import (enumerate_strata, gl_dominance, hull_membership,
+                     hull_membership_lp_oracle, to_dot)
 
 
 class SpecError(HnBundleError):
@@ -310,8 +311,13 @@ def _suite_hull(rng, cases, require):
         nu = (m[0] + shift, m[1], m[2])
         if list(nu) != sorted(nu, reverse=True):
             continue
-        inside, dominated = hull_membership(family, mu, nu), gl_dominance(mu, nu)
-        require(inside == dominated, case, family, f"mu={mu}, nu={nu}",
+        data = f"mu={mu}, nu={nu}"
+        inside = hull_membership(family, mu, nu)
+        feasible = hull_membership_lp_oracle(family, mu, nu)
+        require(inside == feasible, case, family, data,
+                f"hull membership is {inside}, the LP oracle says {feasible}")
+        dominated = gl_dominance(mu, nu)
+        require(inside == dominated, case, family, data,
                 f"hull membership is {inside}, dominance is {dominated}")
         passed += 1
     return passed

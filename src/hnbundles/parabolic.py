@@ -81,7 +81,7 @@ class LeviBlocks:
 def levi_blocks(family: GroupFamily, index: ParabolicIndex) -> LeviBlocks:
     """Diagonal block shape of the Levi factor L_I inside the r x r matrix."""
     if index.family != family:
-        raise FamilyMismatch("index belongs to a different family")
+        _reject_point(family, index)
     r = family.r
     cuts = set()
     if family.kind in (GL, SL):
@@ -99,6 +99,17 @@ def levi_blocks(family: GroupFamily, index: ParabolicIndex) -> LeviBlocks:
     blocks = tuple((bounds[k] + 1, bounds[k + 1] - bounds[k])
                    for k in range(len(bounds) - 1) if bounds[k + 1] > bounds[k])
     return LeviBlocks(family, blocks)
+
+
+def _reject_point(family: GroupFamily, index=None, v=()):
+    """Raise for an index of another family, else for a point or functional
+    v whose length is not cartan_dim, which evaluate would silently
+    truncate.  Callers test first and call this only to raise."""
+    if index is not None and index.family != family:
+        raise FamilyMismatch("index belongs to a different family")
+    raise ValueError(f"point ({', '.join(map(str, v))}) has {len(v)} "
+                     f"coordinates, {family.kind}{family.r} needs "
+                     f"{family.cartan_dim}")
 
 
 def _index_point(index: ParabolicIndex):
@@ -152,8 +163,10 @@ def is_dominant_character(family: GroupFamily, index: ParabolicIndex, dchi):
     where coeffs is the exact decomposition over the simple roots, or None
     when dchi does not lie in their rational span.
     """
-    simples = simple_roots(family)
     dchi = tuple(dchi)
+    if index.family != family or len(dchi) != family.cartan_dim:
+        _reject_point(family, index, dchi)
+    simples = simple_roots(family)
     for i, alpha in enumerate(simples):
         if i not in index.members and evaluate(dchi, coroot(family, alpha)) != 0:
             raise NotACharacter(
@@ -175,6 +188,8 @@ def character_generators(family: GroupFamily, index: ParabolicIndex):
     positively with the coroot of alpha.  The solution line is unique; the
     primitive integer point with positive pairing is returned.
     """
+    if index.family != family:
+        _reject_point(family, index)
     if not index.members:
         raise NothingToGenerate("empty parabolic index has no generators")
     simples = simple_roots(family)

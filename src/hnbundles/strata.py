@@ -2,8 +2,10 @@
 
 Labels are (dominant type, forced parabolic index) pairs; the order
 combines parabolic containment with Weyl-orbit convex-hull membership,
-decided by exact rational linear programming.  A fast partial-sum
-dominance test for GL cross-checks the LP.
+decided by Kostant's convexity theorem from one rational solve over the
+simple roots.  An exact phase-1 simplex over the whole Weyl orbit stays
+as an oracle for tests and the hull check suite, and a partial-sum
+dominance test for GL cross-checks both.
 """
 
 from dataclasses import dataclass
@@ -12,8 +14,10 @@ from itertools import product
 
 from .canon import HNType, forced_index
 from .errors import FamilyMismatch, TooLarge
-from .parabolic import ParabolicIndex, parabolic_leq
-from .rootsys import GL, SL, GroupFamily, evaluate, is_dominant, weyl_orbit
+from .intlin import solve_rational
+from .parabolic import ParabolicIndex, _reject_point, parabolic_leq
+from .rootsys import (GL, SL, GroupFamily, dominant_representative, evaluate,
+                      is_dominant, simple_roots, weyl_orbit)
 
 HULL_DIM_GUARD = 6
 ENUM_DIM_GUARD = 4
@@ -75,12 +79,38 @@ def _phase_one_feasible(columns, target):
     return obj[width] == 0
 
 
-def hull_membership(family: GroupFamily, mu, nu) -> bool:
-    """Whether nu lies in the convex hull of the Weyl orbit of mu."""
+def _hull_points(family: GroupFamily, mu, nu):
+    """mu and nu as tuples, after the guard and the length checks."""
     if family.cartan_dim > HULL_DIM_GUARD:
         raise TooLarge("hull guard exceeded")
-    orbit = weyl_orbit(family, tuple(mu))
-    return _phase_one_feasible([tuple(p) for p in orbit], tuple(nu))
+    mu, nu = tuple(mu), tuple(nu)
+    for v in (mu, nu):
+        if len(v) != family.cartan_dim:
+            _reject_point(family, v=v)
+    return mu, nu
+
+
+def hull_membership(family: GroupFamily, mu, nu) -> bool:
+    """Whether nu lies in the convex hull of the Weyl orbit of mu.
+
+    Kostant's convexity theorem: exactly when dom(mu) - dom(nu) is a
+    nonnegative rational combination of the simple roots.  For GL/SL the
+    simple roots span only the trace-zero hyperplane, so points with
+    different centres have no solution at all.
+    """
+    mu, nu = _hull_points(family, mu, nu)
+    top = dominant_representative(family, mu)
+    low = dominant_representative(family, nu)
+    coeffs = solve_rational(simple_roots(family),
+                            [a - b for a, b in zip(top, low)])
+    return coeffs is not None and all(c >= 0 for c in coeffs)
+
+
+def hull_membership_lp_oracle(family: GroupFamily, mu, nu) -> bool:
+    """hull_membership by brute force, for tests and the hull check suite:
+    the phase-1 simplex on nu as a convex combination of the points of W.mu."""
+    mu, nu = _hull_points(family, mu, nu)
+    return _phase_one_feasible(weyl_orbit(family, mu), nu)
 
 
 def gl_dominance(mu, nu) -> bool:
@@ -106,7 +136,13 @@ class StratumLabel:
     index: ParabolicIndex
 
     def __post_init__(self):
-        assert self.index == forced_index(self.family, self.mu.mu)
+        # explicit raises, not assert, so that python -O keeps the checks
+        if self.mu.family != self.family:
+            raise FamilyMismatch("type belongs to a different family")
+        if self.index != forced_index(self.family, self.mu.mu):
+            mu = ", ".join(str(c) for c in self.mu.mu)
+            raise ValueError(f"index {{{','.join(self.index.names())}}} is "
+                             f"not the index forced by the type ({mu})")
 
 
 def stratum_label(family: GroupFamily, mu) -> StratumLabel:

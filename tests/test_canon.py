@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SoBundle, SpBundle,
                               is_semistable, vertical_degree)
-from hnbundles.canon import (ad_degree, ad_degree_max_oracle, bh_conditions,
-                             bracket_closure_check, canonical_reduction,
-                             check_bh, forced_index, hn_type)
+from hnbundles.canon import (HNType, ad_degree, ad_degree_max_oracle,
+                             bh_conditions, bracket_closure_check,
+                             canonical_reduction, check_bh, forced_index,
+                             hn_type)
 from hnbundles.errors import (FamilyMismatch, InvalidReduction, NotIntegral,
                               TooLarge)
 from hnbundles.lattice import topological_type
@@ -56,6 +57,14 @@ def test_canonical_reduction_errors():
     # an equal family object built elsewhere is the same family
     assert ad_degree(gl3, ParabolicIndex(GroupFamily("gl", 3), frozenset({0})),
                      (1, 0, 0)) == 2
+
+
+def test_hn_type_errors():
+    gl3 = GroupFamily("gl", 3)
+    with pytest.raises(ValueError, match="has 2 coordinates, gl3 needs 3"):
+        HNType(gl3, (1, 0))
+    with pytest.raises(ValueError, match=r"HN type \(0, 1/2, 0\) is not dominant"):
+        HNType(gl3, (0, Fraction(1, 2), 0))
 
 
 def test_hn_type_examples():

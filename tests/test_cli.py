@@ -152,20 +152,73 @@ def test_check_failure_names_the_case(capsys, monkeypatch):
     assert CANON_FAILURE.match(err), err
 
 
+def _run_optimized(script):
+    """Run a script under python -O, which strips assert statements."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                           capture_output=True, text=True, timeout=120)
+
+
 def test_check_failure_survives_optimize():
     # python -O strips assert statements; the suites must still fail
     script = ("import sys, hnbundles.cli as cli\n"
               "cli.ad_degree = lambda *args: -1000\n"
               "sys.exit(cli.run_command(['check', '--suite', 'canon',"
               " '--seed', '1', '--cases', '3']))\n")
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(src), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = _run_optimized(script)
     assert proc.returncode == 3 and proc.stdout == ""
     assert CANON_FAILURE.match(proc.stderr), proc.stderr
+
+
+def test_hull_check_compares_the_lp_oracle(capsys, monkeypatch):
+    monkeypatch.setattr(hnbundles.cli, "hull_membership", lambda *args: None)
+    code, out, err = run(capsys, "check", "--suite", "hull",
+                         "--seed", "1", "--cases", "3")
+    assert code == 3 and out == ""
+    assert re.match(r"^internal invariant breach: check hull failed at seed 1, "
+                    r"case \d+ \(gl3, input mu=.*, nu=.*\): hull membership is "
+                    r"None, the LP oracle says (True|False)\n$", err), err
+
+
+# input checks, each with the exception it must raise also under python -O
+OPTIMIZED_INPUT_CHECKS = """\
+from hnbundles.canon import HNType
+from hnbundles.parabolic import (ParabolicIndex, character_generators,
+                                 is_dominant_character)
+from hnbundles.rootsys import GroupFamily
+from hnbundles.strata import StratumLabel, hull_membership, stratum_label
+gl3, sp4 = GroupFamily("gl", 3), GroupFamily("sp", 4)
+calls = [
+    lambda: HNType(gl3, (1, 0)),
+    lambda: HNType(gl3, (0, 1, 0)),
+    lambda: stratum_label(gl3, (1, 0)),
+    lambda: StratumLabel(gl3, HNType(gl3, (1, 0, 0)),
+                         ParabolicIndex(gl3, frozenset())),
+    lambda: hull_membership(gl3, (2, 0, -2), (1, -1)),
+    lambda: hull_membership(gl3, (2, 0, -2), (1, 0, 0, -1)),
+    lambda: hull_membership(gl3, (2, 0), (1, 0, -1)),
+    lambda: is_dominant_character(gl3, ParabolicIndex(gl3, frozenset({0})),
+                                  (1,)),
+    lambda: is_dominant_character(gl3, ParabolicIndex(sp4, frozenset({0})),
+                                  (1, -1, 0)),
+    lambda: character_generators(gl3, ParabolicIndex(sp4, frozenset({0}))),
+]
+for call in calls:
+    try:
+        call()
+        print("no error")
+    except Exception as exc:
+        print(type(exc).__name__)
+"""
+
+
+def test_input_checks_survive_optimize():
+    proc = _run_optimized(OPTIMIZED_INPUT_CHECKS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * 8 + ["FamilyMismatch"] * 2
 
 
 def test_byte_determinism(capsys):

@@ -150,6 +150,17 @@ def test_dominant_character_errors():
         is_dominant_character(gl4, _idx(gl4, {1}), (1, 0, 0, -1))
 
 
+def test_character_checks_reject_other_families_and_lengths():
+    # evaluate zips and would silently truncate, or read past the end
+    gl3, sp4 = GroupFamily("gl", 3), GroupFamily("sp", 4)
+    with pytest.raises(ValueError):
+        is_dominant_character(gl3, _idx(gl3, {0}), (1,))
+    with pytest.raises(FamilyMismatch):
+        is_dominant_character(gl3, _idx(sp4, {0}), (1, -1, 0))
+    with pytest.raises(FamilyMismatch):
+        character_generators(gl3, _idx(sp4, {0}))
+
+
 def test_character_generator_examples():
     gl4 = GroupFamily("gl", 4)
     assert character_generators(gl4, _idx(gl4, {1})) == [(1, 1, -1, -1)]

@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hnbundles.canon import HNType
 from hnbundles.errors import FamilyMismatch, TooLarge
-from hnbundles.strata import (StrataPoset, edges_from_dot, enumerate_strata,
-                              gl_dominance, hull_membership, stratum_label,
+from hnbundles.parabolic import ParabolicIndex
+from hnbundles.strata import (StrataPoset, StratumLabel, edges_from_dot,
+                              enumerate_strata, gl_dominance, hull_membership,
+                              hull_membership_lp_oracle, stratum_label,
                               stratum_leq, to_dot)
 from hnbundles.rootsys import GroupFamily, dominant_representative, weyl_orbit
 
@@ -37,6 +41,61 @@ def test_hull_agrees_with_gl_dominance():
                 assert hull_membership(fam, mu, nu) == gl_dominance(mu, nu)
 
 
+def _hull_grid(dim):
+    """Integer points of a box, dominant or not, and points of half-integers."""
+    steps = (-2, -1, 0, 1, 2) if dim <= 2 else (-1, 0, 1)
+    points = list(product(steps, repeat=dim))
+    points += [tuple(Fraction(c, 2) for c in p)
+               for p in product((-3, 1), repeat=dim)]
+    return points
+
+
+@pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (
+    ("gl", 1), ("gl", 2), ("gl", 3), ("sl", 1), ("sl", 2), ("sl", 3),
+    ("sp", 2), ("sp", 4), ("sp", 6), ("so", 3), ("so", 4), ("so", 5),
+    ("so", 6), ("so", 7))])
+def test_hull_equals_the_lp_oracle(family):
+    # every ordered pair of the grid: GL/SL pairs with different centres
+    # included, and both answers occur in every family
+    grid = _hull_grid(family.cartan_dim)
+    seen = set()
+    for mu in grid:
+        for nu in grid:
+            inside = hull_membership(family, mu, nu)
+            assert inside == hull_membership_lp_oracle(family, mu, nu), (mu, nu)
+            seen.add(inside)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("family,samples", [
+    (GroupFamily("sp", 8), 8), (GroupFamily("so", 8), 16), (GroupFamily("so", 9), 8)])
+def test_hull_equals_the_lp_oracle_sampled_rank_four(family, samples):
+    rng = random.Random(5)
+
+    def point():
+        return tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
+                     for _ in range(family.cartan_dim))
+
+    seen = set()
+    for _ in range(samples):
+        mu, nu = point(), point()
+        inside = hull_membership(family, mu, nu)
+        assert inside == hull_membership_lp_oracle(family, mu, nu), (mu, nu)
+        seen.add(inside)
+    assert seen == {True, False}
+
+
+def test_hull_rejects_wrong_length_points():
+    # without the checks zip would truncate a short nu, and the simplex
+    # would index past the end of a short mu
+    gl3 = GroupFamily("gl", 3)
+    for mu, nu in (((2, 0, -2), (1, -1)), ((2, 0, -2), (1, 0, 0, -1)),
+                   ((2, 0), (1, 0, -1))):
+        for decide in (hull_membership, hull_membership_lp_oracle):
+            with pytest.raises(ValueError):
+                decide(gl3, mu, nu)
+
+
 def test_hull_rejects_total_degree_mismatch():
     assert not hull_membership(GroupFamily("gl", 2), (1, 0), (1, 1))
     assert not gl_dominance((1, 0), (1, 1))
@@ -56,6 +115,20 @@ def test_hull_weyl_invariant(family, xs, ys):
         assert hull_membership(family, w, nu) == base
     for w in weyl_orbit(family, nu):
         assert hull_membership(family, mu, w) == base
+
+
+def test_stratum_label_errors():
+    gl3 = GroupFamily("gl", 3)
+    with pytest.raises(ValueError):
+        stratum_label(gl3, (1, 0))  # short type
+    with pytest.raises(ValueError):
+        stratum_label(gl3, (0, 1, 0))  # not dominant
+    with pytest.raises(ValueError):
+        StratumLabel(gl3, HNType(gl3, (1, 0, 0)),
+                     ParabolicIndex(gl3, frozenset()))  # not the forced index
+    with pytest.raises(FamilyMismatch):
+        StratumLabel(gl3, HNType(GroupFamily("gl", 2), (1, 0)),
+                     ParabolicIndex(gl3, frozenset({0})))
 
 
 def test_stratum_leq_examples():
