@@ -57,7 +57,7 @@ def forced_index(family: GroupFamily, mu) -> ParabolicIndex:
     return ParabolicIndex(family, members)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _generators(family, index):
     return tuple(character_generators(family, index))
 

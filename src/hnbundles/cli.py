@@ -2,7 +2,7 @@
 emission, and the brute-force check suites.
 
 Exit codes: 0 success, 1 usage or parse error, 2 validation error,
-3 internal invariant breach.
+3 internal invariant breach (an InvariantBreach, and nothing else).
 """
 
 import argparse
@@ -12,13 +12,14 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .bundle import (Atom, PlainBundle, SlBundle, SpBundle, bundle_from_degrees,
                      is_semistable, isotropic_bundle, underlying,
                      vertical_degree, vertical_degree_composite)
 from .canon import (ad_degree, ad_degree_max_oracle, canonical_reduction,
                     check_bh, hn_type)
-from .errors import HnBundleError
+from .errors import HnBundleError, InvariantBreach
 from .hnfilt import (extend_with_perps, hn_filtration, hn_filtration_isotropic,
                      hn_uniqueness_oracle)
 from .lattice import fundamental_groups, levi_fundamental_groups, \
@@ -137,10 +138,8 @@ def _emit(doc, pretty: bool) -> None:
 
 def _cmd_hn(args) -> dict:
     spec = parse_bundle_spec(args.spec)
-    if spec.degrees is not None:
-        b = bundle_from_degrees(spec.family, spec.degrees)
-    else:
-        b = spec.bundle
+    b = bundle_from_degrees(spec.family, spec.degrees) \
+        if spec.degrees is not None else spec.bundle
     doc = {"command": "hn", "spec": serialize_bundle_spec(spec)}
     if isinstance(b, (PlainBundle, SlBundle)):
         filt = hn_filtration(b)
@@ -167,12 +166,10 @@ def _cmd_semistable(args) -> dict:
 
 def _parse_levi(family, tokens):
     names = {root_name(family, i): i for i in range(len(simple_roots(family)))}
-    members = set()
     for t in tokens:
         if t not in names:
             raise SpecError(f"unknown simple root name {t!r}; choose from {sorted(names)}")
-        members.add(names[t])
-    return ParabolicIndex(family, frozenset(members))
+    return ParabolicIndex(family, {names[t] for t in tokens})
 
 
 def _cmd_pi1(args) -> dict:
@@ -191,6 +188,7 @@ def _cmd_canon(args) -> dict:
     family = GroupFamily(args.family, args.rank)
     red = canonical_reduction(family, args.deg)
     levi_ss, degrees = check_bh(family, args.deg, red)
+    free, torsion = obstruction_class(family, args.deg)
     doc = {"command": "canon", "family": f"{family.kind}{family.r}",
            "deg": list(args.deg),
            "mu": [_frac(c) for c in red.mu.mu],
@@ -199,7 +197,7 @@ def _cmd_canon(args) -> dict:
            "ad_parabolic_rank": len(red.ad_parabolic_roots) + family.torus_dim,
            "levi_semistable": levi_ss,
            "char_degrees": [_frac(d) for d in degrees],
-           "obstruction": _obstruction_doc(family, args.deg),
+           "obstruction": {"free": list(free), "torsion": list(torsion)},
            "topological_type": [_frac(c) for c in topological_type(family, args.deg)]}
     if args.oracle:
         best, argmax = ad_degree_max_oracle(family, args.deg)
@@ -207,11 +205,6 @@ def _cmd_canon(args) -> dict:
         doc["oracle_attained"] = ad_degree(family, red.index, red.mu.mu) == best
         doc["oracle_argmax_count"] = len(argmax)
     return doc
-
-
-def _obstruction_doc(family, a):
-    free, torsion = obstruction_class(family, a)
-    return {"free": list(free), "torsion": list(torsion)}
 
 
 def _degree_rank(option, value):
@@ -233,7 +226,7 @@ def _cmd_vdeg(args) -> dict:
     v = vertical_degree(family, e, f)
     w = vertical_degree_composite(family, e, f)
     if v != w:
-        raise AssertionError("vertical degree routes disagree")
+        raise InvariantBreach(f"vertical degree routes disagree: {v} != {w}")
     return {"command": "vdeg", "family": f"{family.kind}{family.r}",
             "E": list(e), "F": list(f), "vertical_degree": v}
 
@@ -328,11 +321,10 @@ def _suite_lattice(rng, cases, require):
     for case in range(cases):
         family = rng.choice([GroupFamily(GL, 4), GroupFamily(SL, 3),
                              GroupFamily(SP, 6), GroupFamily(SO, 7)])
-        a = [rng.randint(-3, 3) for _ in range(family.cartan_dim)]
+        a, b = ([rng.randint(-3, 3) for _ in range(family.cartan_dim)]
+                for _ in range(2))
         if family.kind == SL:
             a[-1] -= sum(a)
-        b = [rng.randint(-3, 3) for _ in range(family.cartan_dim)]
-        if family.kind == SL:
             b[-1] -= sum(b)
         data = f"a={tuple(a)}, b={tuple(b)}"
         fa, ta = obstruction_class(family, a)
@@ -362,7 +354,7 @@ def _cmd_check(args) -> dict:
     def require(ok, case, family, data, what):
         # an explicit raise, not assert, so that python -O keeps every check
         if not ok:
-            raise AssertionError(
+            raise InvariantBreach(
                 f"check {args.suite} failed at seed {args.seed}, case {case} "
                 f"({family.kind}{family.r}, input {data}): {what}")
 
@@ -371,7 +363,20 @@ def _cmd_check(args) -> dict:
             "cases": args.cases, "passed": passed}
 
 
+def _family_args(s, rank=True):
+    s.add_argument("--family", required=True, choices=[GL, SL, SP, SO])
+    if rank:
+        s.add_argument("--rank", required=True, type=int)
+
+
+# argparse names a rejected value by its type's __name__; a lambda keeps
+# the "invalid <lambda> value" text of the usage errors
+_int_tuple = lambda text: tuple(int(x) for x in text.split(","))  # noqa: E731
+
+
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """Built once: parse_args returns a fresh Namespace and keeps no state."""
     p = argparse.ArgumentParser(prog="hnbundles",
                                 description="exact HN filtration toolkit")
     p.add_argument("--pretty", action="store_true",
@@ -387,31 +392,25 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_semistable)
 
     s = sub.add_parser("pi1", help="fundamental group triple")
-    s.add_argument("--family", required=True, choices=[GL, SL, SP, SO])
-    s.add_argument("--rank", required=True, type=int)
+    _family_args(s)
     s.add_argument("--levi", nargs="*", default=None,
                    help="simple-root names of the parabolic index")
     s.set_defaults(fn=_cmd_pi1)
 
     s = sub.add_parser("canon", help="canonical reduction of torus-split data")
-    s.add_argument("--family", required=True, choices=[GL, SL, SP, SO])
-    s.add_argument("--rank", required=True, type=int)
-    s.add_argument("--deg", required=True,
-                   type=lambda t: tuple(int(x) for x in t.split(",")))
+    _family_args(s)
+    s.add_argument("--deg", required=True, type=_int_tuple)
     s.add_argument("--oracle", action="store_true")
     s.set_defaults(fn=_cmd_canon)
 
     s = sub.add_parser("vdeg", help="vertical degree of a flag reduction")
-    s.add_argument("--family", required=True, choices=[GL, SL, SP, SO])
-    s.add_argument("--E", required=True,
-                   type=lambda t: tuple(int(x) for x in t.split(",")))
-    s.add_argument("--F", required=True,
-                   type=lambda t: tuple(int(x) for x in t.split(",")))
+    _family_args(s, rank=False)
+    s.add_argument("--E", required=True, type=_int_tuple)
+    s.add_argument("--F", required=True, type=_int_tuple)
     s.set_defaults(fn=_cmd_vdeg)
 
     s = sub.add_parser("strata", help="stratification poset")
-    s.add_argument("--family", required=True, choices=[GL, SL, SP, SO])
-    s.add_argument("--rank", required=True, type=int)
+    _family_args(s)
     s.add_argument("--bound", required=True, type=int)
     s.add_argument("--dot", default=None)
     s.add_argument("--fix-type", dest="fix_type", type=int, default=None)
@@ -426,9 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
@@ -436,12 +434,12 @@ def run_command(argv=None) -> int:
     except SpecError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
+    except InvariantBreach as exc:
+        print(f"internal invariant breach: {exc}", file=sys.stderr)
+        return 3
     except (HnBundleError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"internal invariant breach: {exc}", file=sys.stderr)
-        return 3
     _emit(doc, args.pretty)
     return 0
 

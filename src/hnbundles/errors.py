@@ -51,3 +51,9 @@ class NotInKernelLattice(NotIntegral):
 
 class InvalidReduction(HnBundleError):
     """Reduction data inconsistent with the given degree vector."""
+
+
+class InvariantBreach(HnBundleError):
+    """An internal invariant failed: two independent routes disagree, or a
+    check suite found a case where the fast path and its oracle differ.
+    Never caused by invalid input; the CLI maps it, and only it, to exit 3."""

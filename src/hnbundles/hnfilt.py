@@ -15,6 +15,14 @@ from .rootsys import SO
 ORACLE_RANK_GUARD = 8
 
 
+def _require_decreasing(quotients):
+    # explicit raises, not assert, so that python -O keeps the checks
+    slopes = [q.slope for q in quotients]
+    if any(s <= t for s, t in zip(slopes, slopes[1:])):
+        raise ValueError(f"HN slopes ({', '.join(map(str, slopes))}) are not "
+                         "strictly decreasing")
+
+
 @dataclass(frozen=True)
 class Filtration:
     """Ordered semistable quotients with strictly decreasing slopes."""
@@ -22,9 +30,9 @@ class Filtration:
     quotients: tuple
 
     def __post_init__(self):
-        slopes = [q.slope for q in self.quotients]
-        assert slopes == sorted(slopes, reverse=True) and len(set(slopes)) == len(slopes)
-        assert all(is_semistable(q) for q in self.quotients)
+        _require_decreasing(self.quotients)
+        if not all(is_semistable(q) for q in self.quotients):
+            raise ValueError("HN quotients must be semistable")
 
     @property
     def slopes(self):
@@ -41,9 +49,9 @@ class IsotropicFiltration:
     rank_flag: bool = False
 
     def __post_init__(self):
-        slopes = [q.slope for q in self.quotients]
-        assert slopes == sorted(slopes, reverse=True) and len(set(slopes)) == len(slopes)
-        assert all(s > 0 for s in slopes)
+        _require_decreasing(self.quotients)
+        if self.quotients and self.quotients[-1].slope <= 0:
+            raise ValueError("isotropic HN quotients must have positive slopes")
 
 
 def scss(b: PlainBundle):

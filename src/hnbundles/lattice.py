@@ -9,9 +9,10 @@ saturation inside Gamma; the quotients give the fundamental groups.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import NotInKernelLattice, NotIntegral
-from .intlin import _row_kernel, smith_normal_form, solve_rational
+from .intlin import _hermite_reduce, smith_normal_form, solve_rational
 from .parabolic import ParabolicIndex, _root_split, levi_blocks
 from .rootsys import (GL, SL, GroupFamily, all_roots, as_cocharacter, coroot,
                       evaluate)
@@ -39,8 +40,12 @@ class FinAbGroup:
     torsion: tuple
 
     def __post_init__(self):
-        assert all(d >= 2 for d in self.torsion)
-        assert all(x % y == 0 for x, y in zip(self.torsion[1:], self.torsion))
+        # explicit raises, not assert, so that python -O keeps the checks
+        if any(d < 2 for d in self.torsion):
+            raise ValueError(f"invariant factors {self.torsion} must be >= 2")
+        if any(y % x for x, y in zip(self.torsion, self.torsion[1:])):
+            raise ValueError(f"invariant factors {self.torsion} must divide "
+                             "each other in order")
 
     @property
     def order(self):
@@ -60,7 +65,9 @@ class FinAbGroup:
 class LatticeTower:
     """Gamma, Lambda and its saturation, with the nonzero invariant factors
     and the column transform V of the one Smith normal form of the coroot
-    matrix; the central slope denominators of the Levi blocks."""
+    matrix; the central slope denominators of the Levi blocks; and the free
+    forms, the integer functionals whose values on Gamma are the free
+    coordinates of pi1."""
 
     family: GroupFamily
     gamma_basis: tuple
@@ -69,6 +76,7 @@ class LatticeTower:
     psi_denominators: tuple
     invariant_factors: tuple
     column_transform: tuple
+    free_forms: tuple
 
 
 def _gamma_basis(family: GroupFamily):
@@ -90,19 +98,29 @@ def _psi_denominators(family, blocks):
 
 def _tower(family, roots, blocks):
     """Canonical bases of Lambda = span{d_i * row_i(V^{-1})} and of its
-    saturation span{row_i(V^{-1})}, from one Smith normal form."""
+    saturation span{row_i(V^{-1})}, from one Smith normal form.
+
+    The columns k+1..dim of V, past the k nonzero invariant factors, are a
+    basis of the integer kernel of the coroot matrix; their Hermite normal
+    form, less the rows that vanish on Gamma, gives the free forms."""
     dim = family.cartan_dim
-    coroots = [coroot(family, a) for a in roots]
+    # a zero row keeps the width of the matrix when there are no roots
+    coroots = [coroot(family, a) for a in roots] or [(0,) * dim]
     diag, v, vinv = smith_normal_form(coroots)
     factors = tuple(d for d in diag if d != 0)
     lam = IntegerLattice(dim, tuple(tuple(d * x for x in vinv[i])
                                     for i, d in enumerate(factors)))
     lam_sat = IntegerLattice(dim, tuple(map(tuple, vinv[:len(factors)])))
-    return LatticeTower(family, _gamma_basis(family), lam, lam_sat,
+    gamma = _gamma_basis(family)
+    kernel = _hermite_reduce([[row[j] for row in v]
+                              for j in range(len(factors), dim)])
+    free_forms = tuple(f for f in kernel if any(evaluate(f, g) for g in gamma))
+    return LatticeTower(family, gamma, lam, lam_sat,
                         _psi_denominators(family, blocks), factors,
-                        tuple(tuple(row) for row in v))
+                        tuple(tuple(row) for row in v), free_forms)
 
 
+@lru_cache(maxsize=64)
 def lattice_tower(family: GroupFamily) -> LatticeTower:
     family.require_root_system()
     return _tower(family, all_roots(family), ((1, family.r),))
@@ -145,27 +163,17 @@ def _check_in_gamma(family, a):
     return a
 
 
-def free_functionals(family: GroupFamily):
-    """Integer functionals cutting out the free part of pi1(G): the
-    Hermite-reduced kernel of the coroot span, restricted to Gamma."""
-    dim = family.cartan_dim
-    coroots = [coroot(family, r) for r in all_roots(family)]
-    kernel = _row_kernel([[cr[i] for cr in coroots] for i in range(dim)])
-    gamma = _gamma_basis(family)
-    return tuple(f for f in kernel if any(evaluate(f, g) for g in gamma))
-
-
 def obstruction_class(family: GroupFamily, a):
     """Class of the degree cocharacter a in pi1(G) = Gamma/Lambda.
 
     Returns (free_coords, torsion_residues): free coordinates through the
-    canonical kernel functionals (for GL this is the total degree), and
-    torsion residues in adapted Smith coordinates, reduced mod the
-    invariant factors.
+    tower's free forms (for GL this is the total degree), and torsion
+    residues in adapted Smith coordinates, reduced mod the invariant
+    factors.
     """
     a = _check_in_gamma(family, a)
     t = lattice_tower(family)
-    free = tuple(evaluate(f, a) for f in free_functionals(family))
+    free = tuple(evaluate(f, a) for f in t.free_forms)
     v = t.column_transform
     residues = tuple(sum(x * row[i] for x, row in zip(a, v)) % d
                      for i, d in enumerate(t.invariant_factors) if d > 1)

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import FamilyMismatch, InvalidFlag, NotACharacter, NothingToGenerate
+from .errors import (FamilyMismatch, InvalidFlag, InvariantBreach,
+                     NotACharacter, NothingToGenerate)
 from .intlin import _row_kernel, primitive, solve_rational
 from .rootsys import (GL, SL, SP, GroupFamily, all_roots, coroot, evaluate,
                       root_name, simple_roots)
@@ -23,6 +24,8 @@ class ParabolicIndex:
     members: frozenset
 
     def __post_init__(self):
+        # a frozenset, so that the index can key the caches below
+        object.__setattr__(self, "members", frozenset(self.members))
         count = len(simple_roots(self.family))
         if not all(0 <= i < count for i in self.members):
             raise ValueError("parabolic index out of range")
@@ -121,7 +124,7 @@ def _index_point(index: ParabolicIndex):
                                     for i in range(len(simples))])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _root_split(index: ParabolicIndex):
     """(Levi roots, nilradical roots) of P_I, both in all_roots order.
 
@@ -141,7 +144,7 @@ def _root_split(index: ParabolicIndex):
     return tuple(levi), tuple(nilrad)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _two_rho(index: ParabolicIndex):
     """2rho_P, the sum of the nilradical roots of P_I, as a functional."""
     _, nilrad = _root_split(index)
@@ -202,7 +205,10 @@ def character_generators(family: GroupFamily, index: ParabolicIndex):
         mat = [[evaluate(simples[j], coroots[k]) for k in others]
                for j in range(len(simples))]
         kernel = _row_kernel(mat)
-        assert len(kernel) == 1
+        if len(kernel) != 1:
+            raise InvariantBreach(
+                f"the character line of {root_name(family, i)} has rank "
+                f"{len(kernel)}, not 1")
         c = kernel[0]
         chi = tuple(sum(c[j] * simples[j][t] for j in range(len(simples)))
                     for t in range(family.cartan_dim))

@@ -85,7 +85,7 @@ def evaluate(functional, v):
     return sum(a * b for a, b in zip(functional, v))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def simple_roots(family: GroupFamily):
     """Ordered simple roots of the family in diagonal coordinates."""
     family.require_root_system()
@@ -119,7 +119,7 @@ def _sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def positive_roots(family: GroupFamily):
     """Positive roots: closure of the simple system, listed deterministically."""
     family.require_root_system()
@@ -137,13 +137,13 @@ def positive_roots(family: GroupFamily):
     return tuple(sorted(out, reverse=True))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def all_roots(family: GroupFamily):
     pos = positive_roots(family)
     return pos + tuple(tuple(-c for c in a) for a in pos)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _root_set(family: GroupFamily):
     return frozenset(all_roots(family))
 
@@ -152,7 +152,7 @@ def is_root(family: GroupFamily, functional) -> bool:
     return tuple(functional) in _root_set(family)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def coroot(family: GroupFamily, root):
     """The coroot 2a/<a,a> of a root, under the standard dot product."""
     if not is_root(family, root):
@@ -170,7 +170,7 @@ def reflect(family: GroupFamily, root, v):
     return tuple(x - val * c for x, c in zip(v, cr))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)
 def weyl_orbit(family: GroupFamily, v):
     """Finite Weyl orbit of v, generated by simple reflections; sorted output."""
     family.require_root_system()

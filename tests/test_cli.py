@@ -1,11 +1,16 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hnbundles.cli
 from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SpBundle,
@@ -52,6 +57,48 @@ def test_parse_serialize_round_trip():
                  "sl2: 1:1, -1:1"]:
         spec = parse_bundle_spec(text)
         assert parse_bundle_spec(serialize_bundle_spec(spec)) == spec
+
+
+def _csv(values):
+    return ",".join(str(x) for x in values)
+
+
+@st.composite
+def valid_specs(draw):
+    """Bundle-spec text that parses: atoms, or a torus-split degree vector."""
+    kind = draw(st.sampled_from(["gl", "sl", "sp", "so"]))
+    small = st.integers(-4, 4)
+    if draw(st.booleans()):
+        r = draw(st.integers(1, 8) if kind in ("gl", "sl") else
+                 st.sampled_from([2, 4, 6, 8]) if kind == "sp" else
+                 st.integers(3, 8))
+        dim = r if kind in ("gl", "sl") else r // 2
+        deg = draw(st.lists(small, min_size=dim, max_size=dim))
+        if kind == "sl":
+            deg[-1] -= sum(deg)
+        return f"{kind}{r}: deg={_csv(deg)}"
+    if kind in ("gl", "sl"):
+        atoms = draw(st.lists(st.tuples(small, st.integers(1, 3)),
+                              min_size=1, max_size=4))
+        if kind == "sl":
+            atoms.append((-sum(d for d, _ in atoms), 1))
+        r = sum(k for _, k in atoms)
+        return f"{kind}{r}: " + ",".join(f"{d}:{k}" for d, k in atoms)
+    atoms = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 2)),
+                          min_size=1, max_size=3))
+    zero = draw(st.integers(0, 2)) * (2 if kind == "sp" else 1)
+    r = 2 * sum(k for _, k in atoms) + zero
+    if kind == "so" and r < 3:
+        zero, r = zero + 1, r + 1
+    text = f"{kind}{r}: " + ",".join(f"{d}:{k}" for d, k in atoms)
+    return text + (f" | z={zero}" if zero else "")
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_specs())
+def test_parse_serialize_round_trip_property(text):
+    spec = parse_bundle_spec(text)
+    assert parse_bundle_spec(serialize_bundle_spec(spec)) == spec
 
 
 def test_bundle_from_degrees():
@@ -221,6 +268,78 @@ def test_input_checks_survive_optimize():
     assert proc.stdout.split() == ["ValueError"] * 8 + ["FamilyMismatch"] * 2
 
 
+CONSTRUCTOR_CHECKS = """\
+from hnbundles.bundle import Atom, PlainBundle
+from hnbundles.canon import ad_degree
+from hnbundles.hnfilt import Filtration, IsotropicFiltration
+from hnbundles.lattice import FinAbGroup
+from hnbundles.parabolic import ParabolicIndex
+from hnbundles.rootsys import GroupFamily
+low, high = PlainBundle((Atom(0, 1),)), PlainBundle((Atom(3, 1),))
+calls = [
+    lambda: Filtration((low, high)),
+    lambda: IsotropicFiltration((high, low), ()),
+    lambda: FinAbGroup(0, (3, 2)),
+]
+for call in calls:
+    try:
+        call()
+        print("no error")
+    except Exception as exc:
+        print(type(exc).__name__)
+gl3 = GroupFamily("gl", 3)
+print(ad_degree(gl3, ParabolicIndex(gl3, {0}), (1, 0, 0)))
+"""
+
+
+def test_constructor_checks_survive_optimize():
+    proc = _run_optimized(CONSTRUCTOR_CHECKS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * 3 + ["2"]
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(kwargs)
+        return argparse.ArgumentParser(*args, **kwargs)
+
+    monkeypatch.setattr(hnbundles.cli, "argparse",
+                        types.SimpleNamespace(ArgumentParser=counted))
+    hnbundles.cli.build_parser.cache_clear()
+    argvs = [["pi1", "--family", "gl", "--rank", "3"], ["bogus"],
+             ["semistable", "so4: deg=1,0"], ["hn", "gl4: what"],
+             ["canon", "--family", "gl", "--rank", "2", "--deg", "1,2"],
+             ["pi1", "--family", "gl", "--rank", "3"]]
+    try:
+        assert [run(capsys, *argv)[0] for argv in argvs] == [0, 1, 0, 1, 0, 0]
+        assert len(builds) == 1
+    finally:
+        hnbundles.cli.build_parser.cache_clear()
+    # built on the first run_command, not on import
+    proc = _run_optimized("import hnbundles.cli as cli\n"
+                          "print(cli.build_parser.cache_info().currsize)\n")
+    assert proc.stdout.split() == ["0"], proc.stderr
+
+
+def test_only_invariant_breach_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(hnbundles.cli, "vertical_degree_composite",
+                        lambda *args: 1000)
+    code, out, err = run(capsys, "vdeg", "--family", "gl",
+                         "--E", "2,4", "--F", "3,2")
+    assert code == 3 and out == ""
+    assert err == ("internal invariant breach: vertical degree routes "
+                   "disagree: -8 != 1000\n")
+
+    def stray(*args):
+        raise AssertionError("not an invariant breach")
+
+    monkeypatch.setattr(hnbundles.cli, "vertical_degree", stray)
+    with pytest.raises(AssertionError):
+        run_command(["vdeg", "--family", "gl", "--E", "2,4", "--F", "3,2"])
+
+
 def test_byte_determinism(capsys):
     runs = [run(capsys, "canon", "--family", "so", "--rank", "5",
                 "--deg", "2,1")[1] for _ in range(2)]
@@ -256,3 +375,79 @@ def test_exit_codes(capsys):
     assert code5 == 2 and out5 == "" and "validation error: --bound" in err5
     code6, out6, err6 = run(capsys, "check", "--suite", "canon", "--cases=-2")
     assert code6 == 2 and out6 == "" and "validation error: --cases" in err6
+
+
+# bounded argv strategies: rank <= 8, --bound <= 2, --cases <= 3, no --dot
+SMALL = st.integers(-3, 3)
+KIND = st.sampled_from(["gl", "sl", "sp", "so"] * 3 + ["xx"])
+ROOT_NAMES = st.sampled_from(["a1,2", "a2,3", "a3,4", "2a2", "2a3", "a3",
+                              "a3+a4", "a9,10", "zz"])
+
+
+@st.composite
+def vectors(draw, dim):
+    """Mostly dim entries, sometimes a wrong length; as comma text."""
+    size = draw(st.sampled_from([dim, dim, dim, max(dim - 1, 0), dim + 1]))
+    return _csv(draw(st.lists(SMALL, min_size=size, max_size=size)))
+
+
+@st.composite
+def family_argvs(draw, command):
+    kind, r = draw(KIND), draw(st.integers(0, 4 if command == "strata" else 8))
+    argv = (command, f"--family={kind}", f"--rank={r}")
+    if command == "pi1":
+        names = draw(st.lists(ROOT_NAMES, max_size=3))
+        return argv + (("--levi",) + tuple(names) if names else ())
+    if command == "canon":
+        dim = r if kind in ("gl", "sl") else r // 2
+        oracle = draw(st.sampled_from([(), ("--oracle",)]))
+        return argv + (f"--deg={draw(vectors(dim))}",) + oracle
+    fix = draw(st.sampled_from([(), ("--fix-type=0",), ("--fix-type=2",)]))
+    return argv + (f"--bound={draw(st.integers(-1, 2))}",) + fix
+
+
+@st.composite
+def vdeg_argvs(draw):
+    """--E degree,rank and --F degree,rank, sometimes of the wrong length;
+    Sp/SO need E of degree 0."""
+    r = draw(st.integers(0, 8))
+    e = [draw(st.sampled_from([0, 0, -1, 2])), r]
+    f = [draw(SMALL), draw(st.integers(0, r))]
+    e, f = (v[:draw(st.sampled_from([2, 2, 2, 1]))] for v in (e, f))
+    return ("vdeg", f"--family={draw(KIND)}", f"--E={_csv(e)}", f"--F={_csv(f)}")
+
+
+SPEC_TEXT = st.one_of(
+    valid_specs(),
+    st.builds(lambda k, r, body: f"{k}{r}: {body}", KIND, st.integers(0, 8),
+              st.one_of(vectors(3).map("deg={}".format),
+                        st.lists(st.tuples(SMALL, st.integers(0, 3)), max_size=4)
+                        .map(lambda a: ",".join(f"{d}:{k}" for d, k in a)),
+                        st.builds("{}:{} | z={}".format, SMALL, SMALL, SMALL))),
+    st.text(alphabet="gls01234:,=|-z ", max_size=12))
+
+ARGVS = st.one_of(
+    st.tuples(st.sampled_from(["hn", "semistable"]), SPEC_TEXT),
+    family_argvs("pi1"), family_argvs("canon"), family_argvs("strata"),
+    vdeg_argvs(),
+    st.tuples(st.just("check"),
+              st.sampled_from(["hn", "canon", "hull", "lattice", "nope"])
+              .map("--suite={}".format),
+              st.integers(0, 99).map("--seed={}".format),
+              st.integers(-1, 3).map("--cases={}".format)),
+    st.lists(st.sampled_from(["pi1", "--family", "gl", "--rank", "3", "-x",
+                              "--pretty", "bogus"]), max_size=4).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ARGVS, st.booleans())
+def test_every_argv_exits_with_a_message(argv, pretty):
+    argv = ["--pretty", *argv] if pretty else list(argv)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    if code:
+        assert err.getvalue().strip() and not out.getvalue(), argv
+    else:
+        assert out.getvalue(), argv

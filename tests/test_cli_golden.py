@@ -32,5 +32,11 @@ def test_golden(case):
     assert capture(case["argv"]) == case
 
 
+def test_golden_in_reverse_order():
+    # the parser is built once per process: no state may leak between calls
+    for case in CASES + CASES[::-1]:
+        assert capture(case["argv"]) == case
+
+
 if __name__ == "__main__":
     DATA.write_text(json.dumps([capture(c["argv"]) for c in CASES], indent=1) + "\n")

@@ -3,7 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from hnbundles.bundle import Atom, PlainBundle, SoBundle, SpBundle, underlying
 from hnbundles.errors import TooLarge, UnsupportedRank
-from hnbundles.hnfilt import (extend_with_perps, hn_filtration,
+from hnbundles.hnfilt import (Filtration, IsotropicFiltration,
+                              extend_with_perps, hn_filtration,
                               hn_filtration_so, hn_filtration_sp,
                               hn_uniqueness_oracle, scss)
 
@@ -108,3 +109,18 @@ def test_slopes_are_distinct_atom_slopes(atoms):
     assert list(filt.slopes) == sorted({a.slope for a in atoms}, reverse=True)
     assert (len(filt.quotients) == 1) == \
         (len({a.slope for a in atoms}) == 1)
+
+
+def test_filtrations_reject_bad_slopes():
+    low, high = PlainBundle((Atom(0, 1),)), PlainBundle((Atom(3, 1),))
+    with pytest.raises(ValueError, match="not strictly decreasing"):
+        Filtration((low, high))
+    with pytest.raises(ValueError, match="not strictly decreasing"):
+        Filtration((high, high))
+    with pytest.raises(ValueError, match="semistable"):
+        Filtration((PlainBundle((Atom(1, 1), Atom(0, 1))),))
+    with pytest.raises(ValueError, match="not strictly decreasing"):
+        IsotropicFiltration((PlainBundle((Atom(1, 1),)), high), ())
+    with pytest.raises(ValueError, match="positive slopes"):
+        IsotropicFiltration((high, low), ())
+    assert Filtration((high, low)).slopes == (3, 0)

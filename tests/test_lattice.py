@@ -6,15 +6,16 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hnbundles.lattice
 from hnbundles.errors import NotInKernelLattice, UnsupportedRank
-from hnbundles.intlin import smith_normal_form, solve_rational
+from hnbundles.intlin import _row_kernel, smith_normal_form, solve_rational
 from hnbundles.lattice import (FinAbGroup, fundamental_groups, lattice_tower,
                                levi_fundamental_groups, levi_lattice_tower,
                                levi_topological_type, obstruction_class,
                                topological_type)
 from hnbundles.parabolic import ParabolicIndex, _root_split
-from hnbundles.rootsys import (GroupFamily, all_roots, coroot, simple_roots,
-                               weyl_orbit)
+from hnbundles.rootsys import (GroupFamily, all_roots, coroot, evaluate,
+                               simple_roots, weyl_orbit)
 
 FAMILIES = [GroupFamily("gl", r) for r in (3, 4, 5)] + \
     [GroupFamily("sl", r) for r in (3, 4)] + \
@@ -33,6 +34,14 @@ def test_fundamental_group_table():
                 == ["1", "1", "1"]
         assert [g.describe() for g in fundamental_groups(GroupFamily("so", r))] \
             == ["Z/2", "Z/2", "1"]
+
+
+def test_fin_ab_group_rejects_bad_factors():
+    with pytest.raises(ValueError, match="divide"):
+        FinAbGroup(0, (3, 2))
+    with pytest.raises(ValueError, match=">= 2"):
+        FinAbGroup(1, (1,))
+    assert FinAbGroup(0, (2, 4)).order == 8
 
 
 def test_tower_examples():
@@ -176,6 +185,45 @@ def test_groups_equal_the_three_quotients(family):
             i for i in range(count) if bits >> i & 1))
         assert levi_fundamental_groups(family, index) == _groups_oracle(
             levi_lattice_tower(family, index), _root_split(index)[0])
+
+
+def _free_functionals_oracle(family):
+    """Reference free forms: the Hermite-reduced integer row kernel of the
+    transposed coroot matrix, less the rows that vanish on Gamma."""
+    coroots = [coroot(family, a) for a in all_roots(family)]
+    kernel = _row_kernel([[cr[i] for cr in coroots]
+                          for i in range(family.cartan_dim)])
+    gamma = lattice_tower(family).gamma_basis
+    return tuple(f for f in kernel if any(evaluate(f, g) for g in gamma))
+
+
+@pytest.mark.parametrize("family", RANK_EIGHT, ids=lambda f: f"{f.kind}{f.r}")
+def test_free_functionals_equal_the_row_kernel_oracle(family):
+    forms = lattice_tower(family).free_forms
+    assert forms == _free_functionals_oracle(family)
+    # the free part of pi1 is Z, read by the total degree, for GL only
+    assert forms == (((1,) * family.r,) if family.kind == "gl" else ())
+
+
+def test_one_smith_normal_form_per_family(monkeypatch):
+    calls = []
+
+    def counted(mat):
+        calls.append(len(mat))
+        return smith_normal_form(mat)
+
+    monkeypatch.setattr(hnbundles.lattice, "smith_normal_form", counted)
+    lattice_tower.cache_clear()
+    families = [GroupFamily("gl", 4), GroupFamily("so", 7), GroupFamily("sp", 6)]
+    try:
+        for _ in range(3):
+            for family in families:
+                obstruction_class(family, (1,) * family.cartan_dim)
+                fundamental_groups(family)
+        assert len(calls) == len(families)
+        assert all(lattice_tower(f) is lattice_tower(f) for f in families)
+    finally:
+        lattice_tower.cache_clear()
 
 
 def _obstruction_oracle(family, a):

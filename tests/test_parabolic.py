@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hnbundles.canon import forced_index
+from hnbundles.canon import ad_degree, forced_index
 from hnbundles.errors import (FamilyMismatch, InvalidFlag, NotACharacter,
                               NothingToGenerate)
 from hnbundles.intlin import solve_rational
@@ -194,3 +194,12 @@ def test_generators_are_dominant_and_vanish_elsewhere(family):
             for j in index.members:
                 pairing = evaluate(chi, coroot(family, simples[j]))
                 assert (pairing > 0) == (j == i)
+
+
+def test_index_members_become_a_frozenset():
+    gl3 = GroupFamily("gl", 3)
+    index = ParabolicIndex(gl3, {0})
+    assert type(index.members) is frozenset
+    assert index == _idx(gl3, {0}) and hash(index) == hash(_idx(gl3, {0}))
+    assert ad_degree(gl3, index, (1, 0, 0)) == 2
+    assert ParabolicIndex(gl3, [1, 0]).members == {0, 1}
