@@ -14,9 +14,9 @@ from functools import lru_cache
 from .bundle import IsotropicBundle, SlBundle, underlying
 from .errors import InvalidReduction, TooLarge
 from .hnfilt import hn_filtration, hn_filtration_isotropic
-from .parabolic import (ParabolicIndex, _reject_point, _root_split, _two_rho,
+from .parabolic import (ParabolicIndex, _root_split, _two_rho,
                         character_generators)
-from .rootsys import (GL, SL, GroupFamily, as_cocharacter,
+from .rootsys import (GL, SL, GroupFamily, _reject_point, as_cocharacter,
                       dominant_representative, evaluate, is_dominant,
                       is_root, simple_roots, weyl_orbit)
 
@@ -32,9 +32,8 @@ class HNType:
 
     def __post_init__(self):
         object.__setattr__(self, "mu", tuple(Fraction(c) for c in self.mu))
-        # explicit raises, not assert, so that python -O keeps the checks
-        if len(self.mu) != self.family.cartan_dim:
-            _reject_point(self.family, v=self.mu)
+        # explicit raises, not assert, so that python -O keeps the checks;
+        # is_dominant rejects a point of the wrong length
         if not is_dominant(self.family, self.mu):
             raise ValueError(f"HN type ({', '.join(map(str, self.mu))}) is not "
                              f"dominant for {self.family.kind}{self.family.r}")

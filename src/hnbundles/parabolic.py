@@ -12,8 +12,8 @@ from math import gcd
 from .errors import (FamilyMismatch, InvalidFlag, InvariantBreach,
                      NotACharacter, NothingToGenerate)
 from .intlin import _row_kernel, primitive, solve_rational
-from .rootsys import (GL, SL, SP, GroupFamily, all_roots, coroot, evaluate,
-                      root_name, simple_roots)
+from .rootsys import (GL, SL, SP, GroupFamily, _reject_point, all_roots, coroot,
+                      evaluate, root_name, simple_roots)
 
 
 @dataclass(frozen=True)
@@ -102,17 +102,6 @@ def levi_blocks(family: GroupFamily, index: ParabolicIndex) -> LeviBlocks:
     blocks = tuple((bounds[k] + 1, bounds[k + 1] - bounds[k])
                    for k in range(len(bounds) - 1) if bounds[k + 1] > bounds[k])
     return LeviBlocks(family, blocks)
-
-
-def _reject_point(family: GroupFamily, index=None, v=()):
-    """Raise for an index of another family, else for a point or functional
-    v whose length is not cartan_dim, which evaluate would silently
-    truncate.  Callers test first and call this only to raise."""
-    if index is not None and index.family != family:
-        raise FamilyMismatch("index belongs to a different family")
-    raise ValueError(f"point ({', '.join(map(str, v))}) has {len(v)} "
-                     f"coordinates, {family.kind}{family.r} needs "
-                     f"{family.cartan_dim}")
 
 
 def _index_point(index: ParabolicIndex):

@@ -2,21 +2,32 @@
 
 Cartan vectors are tuples of exact rationals of length ``cartan_dim``:
 r for GL/SL, n for Sp(2n) and SO(2n)/SO(2n+1).  Roots are integer
-functionals of the same length, evaluated by the dot product.  All Weyl
-group machinery is generated from simple reflections rather than
-hard-coded permutation models.
+functionals of the same length, evaluated by the dot product.
+
+The Weyl group acts by permutations (GL/SL) and signed permutations
+(Sp, SO; even SO changes an even number of signs), so the dominant
+chamber, the simple-root coordinates and the orbit sizes have closed
+forms (Bourbaki, Lie Groups and Lie Algebras ch. VI, Plates I-IV).  The
+orbit built from simple reflections serves only the brute-force oracles;
+the tests check the closed forms against a reflection loop and a solve.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from math import factorial
 
-from .errors import NotARoot, NotIntegral, TooLarge, UnsupportedRank
+from .errors import (FamilyMismatch, NotARoot, NotIntegral, TooLarge,
+                     UnsupportedRank)
 
 GL, SL, SP, SO = "gl", "sl", "sp", "so"
 KINDS = (GL, SL, SP, SO)
 
-WEYL_DIM_GUARD = 8
+# |W(B6)| = |W(C6)|, the largest orbit the hull LP oracle can need under
+# its dimension guard; a regular GL9 point (9! translates) is refused.
+WEYL_ORBIT_GUARD = 46080
 
 
 @dataclass(frozen=True)
@@ -170,12 +181,50 @@ def reflect(family: GroupFamily, root, v):
     return tuple(x - val * c for x, c in zip(v, cr))
 
 
+def _reject_point(family: GroupFamily, index=None, v=()):
+    """Raise for an index of another family, else for a point or functional
+    v whose length is not cartan_dim, which evaluate would silently
+    truncate.  Callers test first and call this only to raise."""
+    if index is not None and index.family != family:
+        raise FamilyMismatch("index belongs to a different family")
+    raise ValueError(f"point ({', '.join(map(str, v))}) has {len(v)} "
+                     f"coordinates, {family.kind}{family.r} needs "
+                     f"{family.cartan_dim}")
+
+
+def _point(family: GroupFamily, v):
+    """v as a tuple of cartan_dim coordinates, else ValueError."""
+    v = tuple(v)
+    if len(v) != family.cartan_dim:
+        _reject_point(family, v=v)
+    return v
+
+
+def weyl_orbit_size(family: GroupFamily, v) -> int:
+    """|W.v| in closed form: the ways to place the multiset of entries
+    (of absolute values, for Sp/SO), times a sign for each nonzero entry
+    off GL/SL, halved for even SO when no entry is zero."""
+    family.require_root_system()
+    v = _point(family, v)
+    signed = family.kind not in (GL, SL)
+    size = factorial(len(v))
+    for count in Counter(abs(x) if signed else x for x in v).values():
+        size //= factorial(count)
+    if signed:
+        size <<= sum(1 for x in v if x)
+        if family.kind == SO and family.r % 2 == 0 and all(v):
+            size //= 2
+    return size
+
+
 @lru_cache(maxsize=2048)
 def weyl_orbit(family: GroupFamily, v):
-    """Finite Weyl orbit of v, generated by simple reflections; sorted output."""
-    family.require_root_system()
-    if family.cartan_dim > WEYL_DIM_GUARD:
-        raise TooLarge(f"cartan_dim {family.cartan_dim} exceeds orbit guard")
+    """Finite Weyl orbit of v, generated by simple reflections; sorted output.
+    Refuses an orbit of more than WEYL_ORBIT_GUARD points before building it."""
+    size = weyl_orbit_size(family, v)
+    if size > WEYL_ORBIT_GUARD:
+        raise TooLarge(f"the Weyl orbit has {size} points, over the guard "
+                       f"of {WEYL_ORBIT_GUARD}")
     v = tuple(v)
     simples = simple_roots(family)
     seen = {v}
@@ -193,28 +242,48 @@ def weyl_orbit(family: GroupFamily, v):
 
 
 def dominant_representative(family: GroupFamily, v):
-    """Unique orbit element in the closed Weyl chamber (all simple roots >= 0)."""
+    """Unique orbit element in the closed Weyl chamber (all simple roots >= 0):
+    the entries sorted descending for GL/SL, their absolute values sorted
+    descending for Sp/SO, with the last one negated for even SO when no
+    entry is zero and an odd number of them are negative."""
     family.require_root_system()
-    simples = simple_roots(family)
-    v = tuple(v)
-    while True:
-        for a in simples:
-            if evaluate(a, v) < 0:
-                v = reflect(family, a, v)
-                break
-        else:
-            return v
+    v = _point(family, v)
+    if family.kind in (GL, SL):
+        return tuple(sorted(v, reverse=True))
+    out = sorted(map(abs, v), reverse=True)
+    if family.kind == SO and family.r % 2 == 0 and all(v) \
+            and sum(1 for x in v if x < 0) % 2:
+        out[-1] = -out[-1]
+    return tuple(out)
 
 
 def is_dominant(family: GroupFamily, v) -> bool:
+    v = _point(family, v)
     return all(evaluate(a, v) >= 0 for a in simple_roots(family))
 
 
+def simple_root_coordinates(family: GroupFamily, d):
+    """The exact c with d = sum c_i alpha_i over the simple roots, or None
+    when d is off their span (GL/SL: when the entries of d do not sum to 0).
+
+    With s the prefix sums of d, c_i = s_i except at the end of the
+    diagram: c_n = s_n / 2 for Sp, and for even SO the fork splits into
+    (s_{n-1} - d_n) / 2 and s_n / 2."""
+    family.require_root_system()
+    d = _point(family, d)
+    s = list(accumulate(d))
+    if family.kind in (GL, SL):
+        return s[:-1] if s[-1] == 0 else None
+    if family.kind == SP:
+        return s[:-1] + [Fraction(s[-1], 2)]
+    if family.r % 2:
+        return s
+    return s[:-2] + [Fraction(s[-2] - d[-1], 2), Fraction(s[-1], 2)]
+
+
 def weyl_group_order(family: GroupFamily) -> int:
-    """Order of the Weyl group, by orbit-stabilizer on a regular vector."""
-    dim = family.cartan_dim
-    regular = tuple(2 ** (dim - i) for i in range(dim))
-    return len(weyl_orbit(family, regular))
+    """Order of the Weyl group: the orbit size of a regular vector."""
+    return weyl_orbit_size(family, range(family.cartan_dim, 0, -1))
 
 
 def root_name(family: GroupFamily, index: int) -> str:

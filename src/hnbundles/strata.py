@@ -2,10 +2,11 @@
 
 Labels are (dominant type, forced parabolic index) pairs; the order
 combines parabolic containment with Weyl-orbit convex-hull membership,
-decided by Kostant's convexity theorem from one rational solve over the
-simple roots.  An exact phase-1 simplex over the whole Weyl orbit stays
-as an oracle for tests and the hull check suite, and a partial-sum
-dominance test for GL cross-checks both.
+decided by Kostant's convexity theorem from the closed-form dominant
+representatives and simple-root coordinates, with no orbit and no
+solve.  An exact phase-1 simplex over the whole Weyl orbit stays as an
+oracle for tests and the hull check suite, and a partial-sum dominance
+test for GL cross-checks both.
 """
 
 from dataclasses import dataclass
@@ -14,10 +15,10 @@ from itertools import product
 
 from .canon import HNType, forced_index
 from .errors import FamilyMismatch, TooLarge
-from .intlin import solve_rational
-from .parabolic import ParabolicIndex, _reject_point, parabolic_leq
-from .rootsys import (GL, SL, GroupFamily, dominant_representative, evaluate,
-                      is_dominant, simple_roots, weyl_orbit)
+from .parabolic import ParabolicIndex, parabolic_leq
+from .rootsys import (GL, SL, GroupFamily, _reject_point,
+                      dominant_representative, evaluate, is_dominant,
+                      simple_root_coordinates, weyl_orbit)
 
 HULL_DIM_GUARD = 6
 ENUM_DIM_GUARD = 4
@@ -79,38 +80,30 @@ def _phase_one_feasible(columns, target):
     return obj[width] == 0
 
 
-def _hull_points(family: GroupFamily, mu, nu):
-    """mu and nu as tuples, after the guard and the length checks."""
-    if family.cartan_dim > HULL_DIM_GUARD:
-        raise TooLarge("hull guard exceeded")
-    mu, nu = tuple(mu), tuple(nu)
-    for v in (mu, nu):
-        if len(v) != family.cartan_dim:
-            _reject_point(family, v=v)
-    return mu, nu
-
-
 def hull_membership(family: GroupFamily, mu, nu) -> bool:
     """Whether nu lies in the convex hull of the Weyl orbit of mu.
 
     Kostant's convexity theorem: exactly when dom(mu) - dom(nu) is a
-    nonnegative rational combination of the simple roots.  For GL/SL the
-    simple roots span only the trace-zero hyperplane, so points with
-    different centres have no solution at all.
+    nonnegative rational combination of the simple roots, read off its
+    closed-form simple-root coordinates.  For GL/SL the simple roots span
+    only the trace-zero hyperplane, so points with different centres have
+    no coordinates at all.
     """
-    mu, nu = _hull_points(family, mu, nu)
     top = dominant_representative(family, mu)
     low = dominant_representative(family, nu)
-    coeffs = solve_rational(simple_roots(family),
-                            [a - b for a, b in zip(top, low)])
+    coeffs = simple_root_coordinates(family, [a - b for a, b in zip(top, low)])
     return coeffs is not None and all(c >= 0 for c in coeffs)
 
 
 def hull_membership_lp_oracle(family: GroupFamily, mu, nu) -> bool:
     """hull_membership by brute force, for tests and the hull check suite:
     the phase-1 simplex on nu as a convex combination of the points of W.mu."""
-    mu, nu = _hull_points(family, mu, nu)
-    return _phase_one_feasible(weyl_orbit(family, mu), nu)
+    if family.cartan_dim > HULL_DIM_GUARD:
+        raise TooLarge("hull guard exceeded")
+    nu = tuple(nu)
+    if len(nu) != family.cartan_dim:
+        _reject_point(family, v=nu)
+    return _phase_one_feasible(weyl_orbit(family, tuple(mu)), nu)
 
 
 def gl_dominance(mu, nu) -> bool:

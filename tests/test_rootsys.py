@@ -1,14 +1,18 @@
+import random
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hnbundles import canon, parabolic, rootsys, strata
 from hnbundles.errors import NotARoot, NotIntegral, TooLarge, UnsupportedRank
+from hnbundles.intlin import solve_rational
 from hnbundles.rootsys import (GroupFamily, all_roots, as_cocharacter, coroot,
                                dominant_representative, evaluate, is_dominant,
                                is_root, positive_roots, reflect, root_name,
-                               simple_roots, weyl_group_order, weyl_orbit)
+                               simple_root_coordinates, simple_roots,
+                               weyl_group_order, weyl_orbit, weyl_orbit_size)
 
 FAMILIES = [GroupFamily("gl", 3), GroupFamily("gl", 4), GroupFamily("sl", 3),
             GroupFamily("sl", 4), GroupFamily("sp", 4), GroupFamily("sp", 6),
@@ -69,6 +73,22 @@ def test_weyl_orbit_examples():
 def test_orbit_guard():
     with pytest.raises(TooLarge):
         weyl_orbit(GroupFamily("gl", 9), tuple(range(9)))
+
+
+def test_orbit_guard_counts_points_not_dimension():
+    # a regular B8 point has 2^8 * 8! = 10,321,920 translates: refused from
+    # the closed-form size, before any of them is built
+    b8 = GroupFamily("so", 17)
+    assert weyl_orbit_size(b8, range(8, 0, -1)) == 10321920
+    with pytest.raises(TooLarge):
+        weyl_orbit(b8, tuple(range(8, 0, -1)))
+    # a small orbit in a large dimension is enumerated
+    gl12 = GroupFamily("gl", 12)
+    e1 = (1,) + (0,) * 11
+    assert len(weyl_orbit(gl12, e1)) == weyl_orbit_size(gl12, e1) == 12
+    assert weyl_orbit_size(GroupFamily("so", 8), (1, 2, 3, 4)) == 192
+    assert weyl_orbit_size(GroupFamily("so", 8), (1, 2, 3, 0)) == 192
+    assert weyl_orbit_size(GroupFamily("sp", 8), (1, -1, 0, 0)) == 24
 
 
 def test_dominant_representative_examples():
@@ -139,6 +159,100 @@ def test_dominant_representative_idempotent(family, coords):
     assert is_dominant(family, rep)
     assert dominant_representative(family, rep) == rep
     assert rep in weyl_orbit(family, v)
+
+
+def _dominant_by_reflections(family, v):
+    """Reference dominant representative: reflect in a simple root that is
+    negative on v until none is."""
+    simples = simple_roots(family)
+    v = tuple(v)
+    while True:
+        for a in simples:
+            if evaluate(a, v) < 0:
+                v = reflect(family, a, v)
+                break
+        else:
+            return v
+
+
+ORACLE_FAMILIES = ([GroupFamily("gl", r) for r in range(1, 6)]
+                   + [GroupFamily("sl", r) for r in range(2, 5)]
+                   + [GroupFamily("sp", r) for r in (2, 4, 6, 8)]
+                   + [GroupFamily("so", r) for r in range(3, 11)])
+
+
+def _oracle_points(family, seed):
+    """Seeded points: the origin, ten each of integers, half-integers and
+    thirds (zero entries included), then a point with no zero entry and
+    exactly one negative one, the same point with its last entry zeroed,
+    and the first one halved: for even SO the chamber flips the last sign
+    of the first and the third, not of the second."""
+    rng = random.Random(seed)
+    dim = family.cartan_dim
+    points = [(0,) * dim]
+    for den in (1, 2, 3):
+        for _ in range(10):
+            points.append(tuple(Fraction(rng.randint(-6, 6), den) if den > 1
+                                else rng.randint(-6, 6) for _ in range(dim)))
+    nonzero = [rng.randint(1, 4) for _ in range(dim)]
+    odd = (-nonzero[0],) + tuple(nonzero[1:])
+    return points + [odd, odd[:-1] + (0,), tuple(Fraction(c, 2) for c in odd)]
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=str)
+def test_dominant_representative_equals_the_reflection_loop(family):
+    for k, v in enumerate(_oracle_points(family, 7)):
+        rep = dominant_representative(family, v)
+        assert rep == _dominant_by_reflections(family, v), v
+        # orbits of Fraction points are slow to enumerate: the first
+        # half-integer and the first thirds point stand for the rest
+        if k in (11, 21) or all(type(c) is int for c in v):
+            orbit = weyl_orbit(family, v)
+            assert rep in orbit and weyl_orbit_size(family, v) == len(orbit), v
+
+
+def test_type_d_chamber_flips_the_last_sign():
+    so8 = GroupFamily("so", 8)
+    assert dominant_representative(so8, (-1, 2, 3, Fraction(1, 2))) == \
+        (3, 2, 1, Fraction(-1, 2))
+    assert dominant_representative(so8, (-1, 2, 3, 0)) == (3, 2, 1, 0)
+    assert dominant_representative(so8, (-1, -2, 3, 4)) == (4, 3, 2, 1)
+    assert dominant_representative(GroupFamily("so", 9), (-1, 2, 3, 4)) == \
+        (4, 3, 2, 1)
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=str)
+def test_simple_root_coordinates_equal_the_rational_solve(family):
+    points = _oracle_points(family, 11)
+    simples = simple_roots(family)
+    seen = set()
+    for mu, nu in zip(points, points[1:] + points[:1]):
+        d = [a - b for a, b in zip(mu, nu)]
+        # for GL/SL the raw difference is mostly off the span (unequal
+        # totals); the centred one is on it
+        centred = d[:-1] + [d[-1] - sum(d)]
+        for point in (d, centred):
+            coeffs = simple_root_coordinates(family, point)
+            assert coeffs == solve_rational(simples, point), point
+            seen.add(coeffs is None)
+    assert seen == ({True, False} if family.kind in ("gl", "sl") else {False})
+
+
+def test_wrong_length_points_are_rejected():
+    gl3, so6 = GroupFamily("gl", 3), GroupFamily("so", 6)
+    for call in (lambda: dominant_representative(gl3, (1, 2, 3, 4)),
+                 lambda: dominant_representative(gl3, (1, 2)),
+                 lambda: weyl_orbit(gl3, (1, 2)),
+                 lambda: weyl_orbit(so6, (0, 0, 0, 0)),
+                 lambda: is_dominant(gl3, (5,)),
+                 lambda: simple_root_coordinates(gl3, (1, -1)),
+                 lambda: simple_root_coordinates(so6, (1, 0, 0, -1)),
+                 lambda: weyl_orbit_size(gl3, (1, 2))):
+        with pytest.raises(ValueError, match=r"coordinates, (gl3|so6) needs 3"):
+            call()
+    # one home for the message, shared by every module that rejects points
+    assert canon._reject_point is parabolic._reject_point is \
+        strata._reject_point is rootsys._reject_point
 
 
 def test_root_names():

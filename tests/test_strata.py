@@ -26,8 +26,30 @@ def test_hull_examples():
 
 
 def test_hull_guard():
+    # only the LP oracle enumerates the orbit, so only it is guarded
     with pytest.raises(TooLarge):
-        hull_membership(GroupFamily("gl", 7), (0,) * 7, (0,) * 7)
+        hull_membership_lp_oracle(GroupFamily("gl", 7), (0,) * 7, (0,) * 7)
+
+
+def test_hull_membership_past_the_oracle_guard():
+    gl7 = GroupFamily("gl", 7)
+    mu = (3, 2, 1, 0, -1, -2, -3)
+    for nu, inside in (((1, 1, 0, 0, 0, -1, -1), True), ((0,) * 7, True),
+                       ((4, 0, 0, 0, 0, 0, -4), False), ((1,) * 7, False)):
+        assert hull_membership(gl7, mu, nu) is inside
+        assert gl_dominance(mu, nu) is inside
+    # (1,...,1) and (1,...,1,-1) are both dominant for D7, in different
+    # orbits and with incomparable hulls; for B7 they share one orbit
+    ones = (1,) * 7
+    flipped = (1,) * 6 + (-1,)
+    d7, b7 = GroupFamily("so", 14), GroupFamily("so", 15)
+    assert not hull_membership(d7, ones, flipped)
+    assert not hull_membership(d7, flipped, ones)
+    assert hull_membership(b7, ones, flipped) and hull_membership(b7, flipped, ones)
+    e1, e12 = (2,) + (0,) * 6, (1, 1) + (0,) * 5
+    for family in (d7, b7):
+        assert hull_membership(family, e1, e12)
+        assert not hull_membership(family, e12, e1)
 
 
 def test_hull_agrees_with_gl_dominance():
