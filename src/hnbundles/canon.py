@@ -122,6 +122,17 @@ def bh_conditions(family: GroupFamily, index: ParabolicIndex, v):
     return levi_ss, degrees
 
 
+def _ad_degree_form(family: GroupFamily, index: ParabolicIndex, v):
+    """2rho_P, the functional whose value at v is the adjoint degree of the
+    reduction to P_I at v, once index is checked to be of family and v to
+    have its length."""
+    two_rho = _two_rho(index)
+    if (index.family is not family and index.family != family) \
+            or len(v) != len(two_rho):
+        _reject_point(family, index, v)
+    return two_rho
+
+
 def ad_degree(family: GroupFamily, index: ParabolicIndex, v) -> int:
     """Degree of the adjoint bundle of the reduction to P_I at point v.
 
@@ -130,27 +141,26 @@ def ad_degree(family: GroupFamily, index: ParabolicIndex, v) -> int:
     negation, so their values cancel in pairs and the degree is <2rho_P, v>,
     where 2rho_P is the sum of the nilradical roots.
     """
-    two_rho = _two_rho(index)
-    # the oracle calls this once per candidate, so the checks stay inline
-    if (index.family is not family and index.family != family) \
-            or len(v) != len(two_rho):
-        _reject_point(family, index, v)
-    return evaluate(two_rho, v)
+    return evaluate(_ad_degree_form(family, index, v), v)
 
 
 def ad_degree_max_oracle(family: GroupFamily, a):
-    """Exhaustive maximum of ad_degree over all (index, Weyl point) pairs."""
+    """Exhaustive maximum of ad_degree over all (index, Weyl point) pairs.
+    The orbit is built once, and 2rho_P and its checks are taken once per
+    index: every point of the orbit of a has the length of a."""
     if family.cartan_dim > ORACLE_DIM_GUARD:
         raise TooLarge("enumeration guard exceeded")
     a = as_cocharacter(family, a)
     count = len(simple_roots(family))
+    orbit = weyl_orbit(family, a)
     best = None
     argmax = []
     for bits in range(1 << count):
         index = ParabolicIndex(family, frozenset(
             i for i in range(count) if bits >> i & 1))
-        for v in weyl_orbit(family, a):
-            val = ad_degree(family, index, v)
+        two_rho = _ad_degree_form(family, index, a)
+        for v in orbit:
+            val = evaluate(two_rho, v)
             if best is None or val > best:
                 best = val
                 argmax = [(index, v)]

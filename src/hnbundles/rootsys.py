@@ -7,16 +7,18 @@ functionals of the same length, evaluated by the dot product.
 The Weyl group acts by permutations (GL/SL) and signed permutations
 (Sp, SO; even SO changes an even number of signs), so the dominant
 chamber, the simple-root coordinates and the orbit sizes have closed
-forms (Bourbaki, Lie Groups and Lie Algebras ch. VI, Plates I-IV).  The
-orbit built from simple reflections serves only the brute-force oracles;
-the tests check the closed forms against a reflection loop and a solve.
+forms (Bourbaki, Lie Groups and Lie Algebras ch. VI, Plates I-IV).  So
+does the orbit itself: the distinct arrangements of the entries, or for
+Sp/SO of their absolute values with every sign pattern on the nonzero
+ones.  The tests check the closed forms against a loop of simple
+reflections and a solve.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 from math import factorial
 
 from .errors import (FamilyMismatch, NotARoot, NotIntegral, TooLarge,
@@ -174,13 +176,6 @@ def coroot(family: GroupFamily, root):
     return tuple(int(c) for c in out)
 
 
-def reflect(family: GroupFamily, root, v):
-    """Reflection s_root applied to a Cartan vector: v - root(v) * coroot."""
-    cr = coroot(family, root)
-    val = evaluate(root, v)
-    return tuple(x - val * c for x, c in zip(v, cr))
-
-
 def _reject_point(family: GroupFamily, index=None, v=()):
     """Raise for an index of another family, else for a point or functional
     v whose length is not cartan_dim, which evaluate would silently
@@ -217,28 +212,54 @@ def weyl_orbit_size(family: GroupFamily, v) -> int:
     return size
 
 
-@lru_cache(maxsize=2048)
-def weyl_orbit(family: GroupFamily, v):
-    """Finite Weyl orbit of v, generated by simple reflections; sorted output.
-    Refuses an orbit of more than WEYL_ORBIT_GUARD points before building it."""
+def _arrangements(counts, n):
+    """Every distinct sequence of length n that uses each entry as often
+    as counts says, each once; counts is restored on return."""
+    if not n:
+        return [()]
+    out = []
+    for x, m in counts.items():
+        if m:
+            counts[x] = m - 1
+            out += [(x,) + rest for rest in _arrangements(counts, n - 1)]
+            counts[x] = m
+    return out
+
+
+# holds every distinct orbit of a cli_mix benchmark run (103-135 of them);
+# ad_degree_max_oracle asks for each of its orbits once
+@lru_cache(maxsize=128)
+def _weyl_orbit(family: GroupFamily, v):
     size = weyl_orbit_size(family, v)
     if size > WEYL_ORBIT_GUARD:
         raise TooLarge(f"the Weyl orbit has {size} points, over the guard "
                        f"of {WEYL_ORBIT_GUARD}")
-    v = tuple(v)
-    simples = simple_roots(family)
-    seen = {v}
-    frontier = [v]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for a in simples:
-                img = reflect(family, a, w)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return tuple(sorted(seen, reverse=True))
+    if family.kind in (GL, SL):
+        return tuple(sorted(_arrangements(Counter(v), len(v)), reverse=True))
+    # even SO changes an even number of signs: with no zero entry to absorb
+    # one, the count of negative entries keeps its parity
+    parity = family.kind == SO and family.r % 2 == 0 and all(v)
+    negatives = sum(1 for x in v if x < 0)
+    points = []
+    for p in _arrangements(Counter(map(abs, v)), len(v)):
+        for signs in product(*((1, -1) if x else (1,) for x in p)):
+            if not parity or (signs.count(-1) - negatives) % 2 == 0:
+                points.append(tuple(s * x for s, x in zip(signs, p)))
+    return tuple(sorted(points, reverse=True))
+
+
+def weyl_orbit(family: GroupFamily, v):
+    """Finite Weyl orbit of v in closed form, sorted descending: the
+    distinct arrangements of the entries for GL/SL; for Sp/SO those of
+    the absolute values, with every sign pattern on the nonzero ones.
+    Refuses an orbit of more than WEYL_ORBIT_GUARD points before building
+    it.  v may be any sequence; it is a tuple before the cache lookup."""
+    family.require_root_system()
+    return _weyl_orbit(family, _point(family, v))
+
+
+weyl_orbit.cache_info = _weyl_orbit.cache_info
+weyl_orbit.cache_clear = _weyl_orbit.cache_clear
 
 
 def dominant_representative(family: GroupFamily, v):

@@ -15,8 +15,8 @@ from hnbundles.errors import (FamilyMismatch, InvalidReduction, NotIntegral,
                               TooLarge)
 from hnbundles.lattice import topological_type
 from hnbundles.parabolic import ParabolicIndex, _root_split
-from hnbundles.rootsys import (GroupFamily, all_roots, evaluate, is_dominant,
-                               simple_roots, weyl_orbit)
+from hnbundles.rootsys import (GroupFamily, all_roots, as_cocharacter,
+                               evaluate, is_dominant, simple_roots, weyl_orbit)
 
 
 def test_canonical_reduction_examples():
@@ -151,6 +151,38 @@ def test_ad_degree_equals_root_sum_sampled_rank_four():
             v = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3))
                       for _ in range(family.cartan_dim))
             assert ad_degree(family, index, v) == _root_sum(index, v)
+
+
+def _ad_degree_max_by_pairs(family, a):
+    """Reference oracle: one ad_degree call per (index, Weyl point) pair,
+    indices in the order of their bit masks, points in orbit order."""
+    best, argmax = None, []
+    for index in _indices(family):
+        for v in weyl_orbit(family, as_cocharacter(family, a)):
+            val = ad_degree(family, index, v)
+            if best is None or val > best:
+                best, argmax = val, [(index, v)]
+            elif val == best:
+                argmax.append((index, v))
+    return best, argmax
+
+
+@pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (
+    ("gl", 3), ("sl", 3), ("sp", 4), ("so", 5), ("so", 6))], ids=str)
+def test_oracle_equals_the_per_pair_loop(family):
+    for a in product(range(-2, 3), repeat=family.cartan_dim):
+        # same best, same argmax pairs in the same order
+        assert ad_degree_max_oracle(family, a) == \
+            _ad_degree_max_by_pairs(family, a), a
+
+
+def test_oracle_equals_the_per_pair_loop_sampled_rank_four():
+    rng = random.Random(9)
+    for family in (GroupFamily("sp", 8), GroupFamily("so", 9)):
+        for _ in range(40):
+            a = tuple(rng.randint(-3, 3) for _ in range(family.cartan_dim))
+            assert ad_degree_max_oracle(family, a) == \
+                _ad_degree_max_by_pairs(family, a), (family, a)
 
 
 @pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (

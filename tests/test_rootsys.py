@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +11,7 @@ from hnbundles.errors import NotARoot, NotIntegral, TooLarge, UnsupportedRank
 from hnbundles.intlin import solve_rational
 from hnbundles.rootsys import (GroupFamily, all_roots, as_cocharacter, coroot,
                                dominant_representative, evaluate, is_dominant,
-                               is_root, positive_roots, reflect, root_name,
+                               is_root, positive_roots, root_name,
                                simple_root_coordinates, simple_roots,
                                weyl_group_order, weyl_orbit, weyl_orbit_size)
 
@@ -97,12 +98,41 @@ def test_dominant_representative_examples():
     assert dominant_representative(GroupFamily("so", 4), (1, -2)) == (2, -1)
 
 
+def _reflect(family, root, v):
+    """Reflection s_root applied to a Cartan vector: v - root(v) * coroot."""
+    cr = coroot(family, root)
+    val = evaluate(root, v)
+    return tuple(x - val * c for x, c in zip(v, cr))
+
+
+def _orbit_by_reflections(family, v):
+    """Reference Weyl orbit: every point reached from v by simple
+    reflections, breadth first.  W acts linearly, so the loop runs on the
+    integer point m * v, m the common denominator, and divides by m at
+    the end."""
+    simples = simple_roots(family)
+    m = lcm(*(Fraction(x).denominator for x in v))
+    v = tuple(int(x * m) for x in v)
+    seen = {v}
+    frontier = [v]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for a in simples:
+                img = _reflect(family, a, w)
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return {tuple(Fraction(x, m) for x in w) for w in seen}
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_reflections_preserve_root_system(family):
     roots = all_roots(family)
     for alpha in roots:
         for beta in roots:
-            assert is_root(family, reflect(family, alpha, beta))
+            assert is_root(family, _reflect(family, alpha, beta))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -169,7 +199,7 @@ def _dominant_by_reflections(family, v):
     while True:
         for a in simples:
             if evaluate(a, v) < 0:
-                v = reflect(family, a, v)
+                v = _reflect(family, a, v)
                 break
         else:
             return v
@@ -200,15 +230,21 @@ def _oracle_points(family, seed):
 
 
 @pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=str)
+def test_weyl_orbit_equals_the_reflection_orbit(family):
+    for v in _oracle_points(family, 5):
+        orbit = weyl_orbit(family, v)
+        assert set(orbit) == _orbit_by_reflections(family, v), v
+        assert len(orbit) == len(set(orbit)) == weyl_orbit_size(family, v), v
+        assert list(orbit) == sorted(orbit, reverse=True), v
+
+
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=str)
 def test_dominant_representative_equals_the_reflection_loop(family):
-    for k, v in enumerate(_oracle_points(family, 7)):
+    for v in _oracle_points(family, 7):
         rep = dominant_representative(family, v)
         assert rep == _dominant_by_reflections(family, v), v
-        # orbits of Fraction points are slow to enumerate: the first
-        # half-integer and the first thirds point stand for the rest
-        if k in (11, 21) or all(type(c) is int for c in v):
-            orbit = weyl_orbit(family, v)
-            assert rep in orbit and weyl_orbit_size(family, v) == len(orbit), v
+        orbit = weyl_orbit(family, v)
+        assert rep in orbit and weyl_orbit_size(family, v) == len(orbit), v
 
 
 def test_type_d_chamber_flips_the_last_sign():
@@ -243,13 +279,18 @@ def test_wrong_length_points_are_rejected():
     for call in (lambda: dominant_representative(gl3, (1, 2, 3, 4)),
                  lambda: dominant_representative(gl3, (1, 2)),
                  lambda: weyl_orbit(gl3, (1, 2)),
+                 lambda: weyl_orbit(gl3, [1, 2]),
                  lambda: weyl_orbit(so6, (0, 0, 0, 0)),
+                 lambda: weyl_orbit(so6, [0, 0, 0, 0]),
                  lambda: is_dominant(gl3, (5,)),
                  lambda: simple_root_coordinates(gl3, (1, -1)),
                  lambda: simple_root_coordinates(so6, (1, 0, 0, -1)),
                  lambda: weyl_orbit_size(gl3, (1, 2))):
         with pytest.raises(ValueError, match=r"coordinates, (gl3|so6) needs 3"):
             call()
+    # a list of the right length is a point like any other sequence
+    assert weyl_orbit(GroupFamily("gl", 2), [1, 0]) == ((1, 0), (0, 1))
+    assert weyl_orbit(so6, [0, 0, 1]) == weyl_orbit(so6, (0, 0, 1))
     # one home for the message, shared by every module that rejects points
     assert canon._reject_point is parabolic._reject_point is \
         strata._reject_point is rootsys._reject_point
