@@ -9,7 +9,6 @@ other.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .bundle import IsotropicBundle, SlBundle, underlying
 from .errors import InvalidReduction, TooLarge
@@ -18,7 +17,7 @@ from .parabolic import (ParabolicIndex, _root_split, _two_rho,
                         character_generators)
 from .rootsys import (GL, SL, GroupFamily, _reject_point, as_cocharacter,
                       dominant_representative, evaluate, is_dominant,
-                      is_root, simple_roots, weyl_orbit)
+                      simple_roots, weyl_orbit)
 
 ORACLE_DIM_GUARD = 5
 
@@ -54,11 +53,6 @@ def forced_index(family: GroupFamily, mu) -> ParabolicIndex:
     members = frozenset(i for i, a in enumerate(simple_roots(family))
                         if evaluate(a, mu) > 0)
     return ParabolicIndex(family, members)
-
-
-@lru_cache(maxsize=1024)
-def _generators(family, index):
-    return tuple(character_generators(family, index))
 
 
 def canonical_reduction(family: GroupFamily, a) -> CanonicalReduction:
@@ -118,7 +112,7 @@ def bh_conditions(family: GroupFamily, index: ParabolicIndex, v):
                   for i in range(len(simples)) if i not in index.members)
     if not index.members:
         return levi_ss, []
-    degrees = [evaluate(chi, v) for chi in _generators(family, index)]
+    degrees = [evaluate(chi, v) for chi in character_generators(family, index)]
     return levi_ss, degrees
 
 
@@ -168,15 +162,3 @@ def ad_degree_max_oracle(family: GroupFamily, a):
                 argmax.append((index, v))
     return best, argmax
 
-
-def bracket_closure_check(red: CanonicalReduction) -> bool:
-    """Root-level shadow of Lie-bracket closure: both adjoint root sets
-    are closed under root addition."""
-    family = red.family
-    for roots in (red.ad_positive_roots, red.ad_parabolic_roots):
-        for x in roots:
-            for y in roots:
-                s = tuple(p + q for p, q in zip(x, y))
-                if any(s) and is_root(family, s) and s not in roots:
-                    return False
-    return True

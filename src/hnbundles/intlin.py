@@ -1,9 +1,8 @@
-"""Small exact linear algebra kernel: rational solves, integer kernels,
-and Smith normal form with a column transform, all over Python ints and
-Fractions.  Matrices are lists of row tuples/lists."""
+"""Small exact linear algebra kernel: rational solves, Hermite normal
+form, and Smith normal form with a column transform, all over Python ints
+and Fractions.  Matrices are lists of row tuples/lists."""
 
 from fractions import Fraction
-from math import gcd
 
 
 def solve_rational(rows, rhs):
@@ -42,40 +41,6 @@ def solve_rational(rows, rhs):
     for i, col in enumerate(pivots):
         sol[col] = aug[i][k]
     return sol
-
-
-def _row_kernel(mat):
-    """Integer basis of {x : x * mat = 0}, Hermite-reduced, positive pivots."""
-    m = len(mat)
-    if m == 0:
-        return []
-    k = len(mat[0])
-    # [mat | I] row reduction over Z (fraction-free via gcd steps)
-    work = [list(mat[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-    row = 0
-    for col in range(k):
-        piv = None
-        for i in range(row, m):
-            if work[i][col] != 0 and (piv is None or abs(work[i][col]) < abs(work[piv][col])):
-                piv = i
-        if piv is None:
-            continue
-        work[row], work[piv] = work[piv], work[row]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(row + 1, m):
-                if work[i][col] != 0:
-                    q = work[i][col] // work[row][col]
-                    work[i] = [a - q * b for a, b in zip(work[i], work[row])]
-                    if work[i][col] != 0:
-                        work[row], work[i] = work[i], work[row]
-                        changed = True
-        row += 1
-        if row == m:
-            break
-    kernel = [w[k:] for w in work[row:]]
-    return _hermite_reduce(kernel)
 
 
 def _hermite_reduce(rows):
@@ -222,16 +187,3 @@ def smith_normal_form(mat):
     v_mat = [[v[j][i] for j in range(m)] for i in range(m)]
     return diag, v_mat, vinv
 
-
-def primitive(vec):
-    """Divide an integer vector by the gcd of its entries; fix leading sign > 0."""
-    g = 0
-    for c in vec:
-        g = gcd(g, abs(c))
-    if g == 0:
-        return tuple(vec)
-    out = [c // g for c in vec]
-    lead = next((c for c in out if c != 0), 0)
-    if lead < 0:
-        out = [-c for c in out]
-    return tuple(out)

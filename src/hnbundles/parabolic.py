@@ -2,18 +2,20 @@
 
 Covers the flag correspondence, Levi block shapes, containment order,
 and characters of P_I represented by their differentials (integer
-functionals on Cartan coordinates).
+functionals on Cartan coordinates).  The root split and the character
+generators are closed forms read off the simple-root coordinates; the
+tests keep a solve and an integer-kernel route as oracles.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import (FamilyMismatch, InvalidFlag, InvariantBreach,
-                     NotACharacter, NothingToGenerate)
-from .intlin import _row_kernel, primitive, solve_rational
-from .rootsys import (GL, SL, SP, GroupFamily, _reject_point, all_roots, coroot,
-                      evaluate, root_name, simple_roots)
+from .errors import (FamilyMismatch, InvalidFlag, NotACharacter,
+                     NothingToGenerate)
+from .rootsys import (GL, SL, SO, SP, GroupFamily, _reject_point, all_roots,
+                      coroot, evaluate, root_name, simple_root_coordinates,
+                      simple_roots)
 
 
 @dataclass(frozen=True)
@@ -104,33 +106,31 @@ def levi_blocks(family: GroupFamily, index: ParabolicIndex) -> LeviBlocks:
     return LeviBlocks(family, blocks)
 
 
-def _index_point(index: ParabolicIndex):
-    """The point v_I where the simple roots in I take the value 1 and the
-    others 0, from one solve on the transposed simple-root matrix."""
-    simples = simple_roots(index.family)
-    columns = [[a[t] for a in simples] for t in range(index.family.cartan_dim)]
-    return solve_rational(columns, [int(i in index.members)
-                                    for i in range(len(simples))])
+@lru_cache(maxsize=128)
+def _root_supports(family: GroupFamily):
+    """(root, support, positive) for each root in all_roots order, where
+    support is the bitmask of the simple roots with a nonzero coefficient
+    in the root's expansion; the coefficients share one sign."""
+    out = []
+    for a in all_roots(family):
+        coords = simple_root_coordinates(family, a)
+        out.append((a, sum(1 << i for i, c in enumerate(coords) if c),
+                    any(c > 0 for c in coords)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=1024)
 def _root_split(index: ParabolicIndex):
     """(Levi roots, nilradical roots) of P_I, both in all_roots order.
 
-    A root's coefficients over the simple roots share one sign, so it lies
-    in the span of the simple roots outside I iff it vanishes at v_I: those
-    are the Levi roots, and the nilradical roots are the roots positive at
-    v_I.
+    The Levi roots are the roots whose support misses I, and the nilradical
+    roots are the positive roots whose support meets I.
     """
-    point = _index_point(index)
-    levi, nilrad = [], []
-    for a in all_roots(index.family):
-        value = evaluate(a, point)
-        if value == 0:
-            levi.append(a)
-        elif value > 0:
-            nilrad.append(a)
-    return tuple(levi), tuple(nilrad)
+    mask = sum(1 << i for i in index.members)
+    supports = _root_supports(index.family)
+    return (tuple(a for a, support, _ in supports if not support & mask),
+            tuple(a for a, support, positive in supports
+                  if positive and support & mask))
 
 
 @lru_cache(maxsize=1024)
@@ -165,49 +165,41 @@ def is_dominant_character(family: GroupFamily, index: ParabolicIndex, dchi):
                 f"functional does not vanish on the coroot of {root_name(family, i)}")
     if not any(dchi):
         raise NotACharacter("the zero functional is not a character")
-    coeffs = solve_rational(simples, dchi)
+    coeffs = simple_root_coordinates(family, dchi)
     if coeffs is None:
         return False, None
     ok = all(c.denominator == 1 and c >= 0 for c in coeffs)
     return ok, coeffs
 
 
-def character_generators(family: GroupFamily, index: ParabolicIndex):
-    """One primitive character differential per member of I.
+def _generator(family: GroupFamily, k: int):
+    """The generator of the k-th simple root (1-based): its fundamental
+    weight, scaled to the least multiple that is integral with integral
+    simple-root coordinates (Bourbaki, Lie Groups and Lie Algebras ch. VI,
+    Plates I-IV)."""
+    n = family.cartan_dim
+    if family.kind in (GL, SL):
+        g = gcd(k, n)
+        return ((n - k) // g,) * k + (-(k // g),) * (n - k)
+    if family.kind == SO and family.r % 2 == 0 and k >= n - 1:
+        # the two fork roots of D_n: (1/2, ..., 1/2, -1/2) and (1/2, ..., 1/2)
+        c = 2 if n % 2 else 1
+        return (c,) * (n - 1) + (c if k == n else -c,)
+    # the simple-root coordinates of 1_k end in k/2 for Sp and even SO
+    c = 2 if k % 2 and family.r % 2 == 0 else 1
+    return (c,) * k + (0,) * (n - k)
 
-    The generator for alpha lies in the rational span of the simple roots,
-    pairs to zero with the coroot of every other simple root, and pairs
-    positively with the coroot of alpha.  The solution line is unique; the
-    primitive integer point with positive pairing is returned.
+
+def character_generators(family: GroupFamily, index: ParabolicIndex):
+    """One character differential per member of I, in member order.
+
+    The generator for alpha pairs to zero with the coroot of every other
+    simple root and positively with the coroot of alpha: it is the least
+    positive multiple of the fundamental weight of alpha that is integral
+    with integral coordinates over the simple roots.
     """
     if index.family != family:
         _reject_point(family, index)
     if not index.members:
         raise NothingToGenerate("empty parabolic index has no generators")
-    simples = simple_roots(family)
-    coroots = [coroot(family, a) for a in simples]
-    out = []
-    for i in sorted(index.members):
-        # unknowns: coefficients c over simples; constraints: pairing with
-        # the other coroots vanishes
-        others = [k for k in range(len(simples)) if k != i]
-        mat = [[evaluate(simples[j], coroots[k]) for k in others]
-               for j in range(len(simples))]
-        kernel = _row_kernel(mat)
-        if len(kernel) != 1:
-            raise InvariantBreach(
-                f"the character line of {root_name(family, i)} has rank "
-                f"{len(kernel)}, not 1")
-        c = kernel[0]
-        chi = tuple(sum(c[j] * simples[j][t] for j in range(len(simples)))
-                    for t in range(family.cartan_dim))
-        chi = primitive(chi)
-        if evaluate(chi, coroots[i]) < 0:
-            chi = tuple(-x for x in chi)
-        # smallest multiple whose simple-root decomposition is integral
-        decomp = solve_rational(simples, chi)
-        scale = 1
-        for c in decomp:
-            scale = scale * c.denominator // gcd(scale, c.denominator)
-        out.append(tuple(scale * x for x in chi))
-    return out
+    return [_generator(family, i + 1) for i in sorted(index.members)]

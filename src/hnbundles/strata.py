@@ -212,17 +212,3 @@ def to_dot(p: StrataPoset) -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-def edges_from_dot(text: str):
-    """Edge set parsed back from to_dot output, for round-trip checks."""
-    edges = set()
-    nodes = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if line.startswith('"') and "->" in line:
-            left, right = line.split("->")
-            edges.add((left.strip().strip('"'),
-                       right.strip().rstrip(";").strip().strip('"')))
-        elif line.startswith('"') and line.endswith('";'):
-            nodes.add(line[1:-2])
-    return nodes, edges

@@ -8,15 +8,15 @@ from hypothesis import given, settings, strategies as st
 from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SoBundle, SpBundle,
                               is_semistable, vertical_degree)
 from hnbundles.canon import (HNType, ad_degree, ad_degree_max_oracle,
-                             bh_conditions, bracket_closure_check,
-                             canonical_reduction, check_bh, forced_index,
-                             hn_type)
+                             bh_conditions, canonical_reduction, check_bh,
+                             forced_index, hn_type)
 from hnbundles.errors import (FamilyMismatch, InvalidReduction, NotIntegral,
                               TooLarge)
 from hnbundles.lattice import topological_type
 from hnbundles.parabolic import ParabolicIndex, _root_split
 from hnbundles.rootsys import (GroupFamily, all_roots, as_cocharacter,
-                               evaluate, is_dominant, simple_roots, weyl_orbit)
+                               evaluate, is_dominant, is_root, simple_roots,
+                               weyl_orbit)
 
 
 def test_canonical_reduction_examples():
@@ -198,6 +198,18 @@ def test_canonical_root_sets_are_the_roots_nonnegative_at_mu(family):
             r for r in all_roots(family) if evaluate(r, mu) > 0)
         assert red.ad_parabolic_roots == frozenset(
             r for r in all_roots(family) if evaluate(r, mu) >= 0)
+
+
+def bracket_closure_check(red):
+    """Root-level shadow of Lie-bracket closure: both adjoint root sets
+    are closed under root addition."""
+    for roots in (red.ad_positive_roots, red.ad_parabolic_roots):
+        for x in roots:
+            for y in roots:
+                s = tuple(p + q for p, q in zip(x, y))
+                if any(s) and is_root(red.family, s) and s not in roots:
+                    return False
+    return True
 
 
 def test_bracket_closure():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import hnbundles.lattice
 from hnbundles.errors import NotInKernelLattice, UnsupportedRank
-from hnbundles.intlin import _row_kernel, smith_normal_form, solve_rational
+from hnbundles.intlin import smith_normal_form, solve_rational
 from hnbundles.lattice import (FinAbGroup, fundamental_groups, lattice_tower,
                                levi_fundamental_groups, levi_lattice_tower,
                                levi_topological_type, obstruction_class,
@@ -16,6 +16,7 @@ from hnbundles.lattice import (FinAbGroup, fundamental_groups, lattice_tower,
 from hnbundles.parabolic import ParabolicIndex, _root_split
 from hnbundles.rootsys import (GroupFamily, all_roots, coroot, evaluate,
                                simple_roots, weyl_orbit)
+from oracles import _row_kernel
 
 FAMILIES = [GroupFamily("gl", r) for r in (3, 4, 5)] + \
     [GroupFamily("sl", r) for r in (3, 4)] + \

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,12 +7,13 @@ from hnbundles.canon import ad_degree, forced_index
 from hnbundles.errors import (FamilyMismatch, InvalidFlag, NotACharacter,
                               NothingToGenerate)
 from hnbundles.intlin import solve_rational
-from hnbundles.parabolic import (ParabolicIndex, _index_point, _root_split,
-                                 _two_rho, character_generators,
-                                 is_dominant_character, levi_blocks,
-                                 parabolic_from_flag, parabolic_leq)
+from hnbundles.parabolic import (ParabolicIndex, _root_split, _two_rho,
+                                 character_generators, is_dominant_character,
+                                 levi_blocks, parabolic_from_flag,
+                                 parabolic_leq)
 from hnbundles.rootsys import (GroupFamily, all_roots, coroot, evaluate,
                                positive_roots, simple_roots)
+from oracles import generator_oracle, index_point, root_split_oracle
 
 
 def _idx(family, members):
@@ -93,7 +95,83 @@ def test_root_split_equals_the_span_definition(family):
                      if keep and solve_rational(keep, a) is not None)
         nilrad = tuple(a for a in positive_roots(family) if a not in levi)
         assert _root_split(index) == (levi, nilrad)
-        assert forced_index(family, _index_point(index)) == index
+        assert forced_index(family, index_point(index)) == index
+
+
+# every family with a root system and r <= 14
+FAMILIES = [GroupFamily(kind, r) for kind in ("gl", "sl", "sp", "so")
+            for r in range(1, 15)
+            if (kind != "sp" or r % 2 == 0) and (kind != "so" or r >= 3)]
+
+
+def _name(family):
+    return f"{family.kind}{family.r}"
+
+
+@pytest.mark.parametrize("family", [f for f in FAMILIES if f.cartan_dim <= 4],
+                         ids=_name)
+def test_root_split_equals_the_solve_point_route(family):
+    count = len(simple_roots(family))
+    for bits in range(1 << count):
+        index = _idx(family, [i for i in range(count) if bits >> i & 1])
+        assert _root_split(index) == root_split_oracle(index)
+
+
+@pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (
+    ("gl", 12), ("sl", 12), ("sp", 12), ("so", 11), ("so", 12))], ids=_name)
+def test_root_split_equals_the_solve_point_route_at_rank_twelve(family):
+    # the singleton and co-singleton indices, the ones pi1 asks for
+    count = len(simple_roots(family))
+    for i in range(count):
+        for members in ({i}, set(range(count)) - {i}):
+            index = _idx(family, members)
+            assert _root_split(index) == root_split_oracle(index)
+
+
+def test_character_generators_equal_the_kernel_oracle():
+    pairs = 0
+    for family in FAMILIES:
+        count = len(simple_roots(family))
+        if count:
+            borel = _idx(family, range(count))
+            assert character_generators(family, borel) == [
+                generator_oracle(family, i) for i in range(count)], family
+            pairs += count
+    assert pairs == 258
+
+
+@pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (
+    ("gl", 5), ("sl", 4), ("sp", 2), ("sp", 6), ("so", 3), ("so", 4),
+    ("so", 7), ("so", 8))], ids=_name)
+def test_dominant_character_coefficients_equal_the_solve(family):
+    rng = random.Random(11)
+    simples = simple_roots(family)
+    count = len(simples)
+    dim = family.cartan_dim
+    for _ in range(60):
+        if rng.random() < 0.5:
+            # every functional is a character of the Borel
+            members = set(range(count))
+            dchi = [rng.randint(-3, 3) for _ in range(dim)]
+        else:
+            # a combination of the generators of a random index, plus for
+            # GL/SL a multiple of the trace, which is off the span
+            members = {i for i in range(count) if rng.random() < 0.5} \
+                or {rng.randrange(count)}
+            dchi = [0] * dim
+            for i in members:
+                m = rng.randint(-2, 2)
+                dchi = [x + m * g for x, g in zip(dchi, generator_oracle(family, i))]
+            if family.kind in ("gl", "sl"):
+                trace = rng.randint(-1, 1)
+                dchi = [x + trace for x in dchi]
+        if not any(dchi):
+            continue
+        coeffs = solve_rational(simples, dchi)
+        ok = coeffs is not None and all(c.denominator == 1 and c >= 0
+                                        for c in coeffs)
+        assert is_dominant_character(family, _idx(family, members), dchi) \
+            == (ok, coeffs), (members, dchi)
 
 
 @pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (

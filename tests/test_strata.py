@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hnbundles.canon import HNType
 from hnbundles.errors import FamilyMismatch, TooLarge
 from hnbundles.parabolic import ParabolicIndex
-from hnbundles.strata import (StrataPoset, StratumLabel, edges_from_dot,
-                              enumerate_strata, gl_dominance, hull_membership,
+from hnbundles.strata import (StrataPoset, StratumLabel, enumerate_strata,
+                              gl_dominance, hull_membership,
                               hull_membership_lp_oracle, stratum_label,
                               stratum_leq, to_dot)
 from hnbundles.rootsys import GroupFamily, dominant_representative, weyl_orbit
@@ -253,6 +253,21 @@ def test_labels_use_dominant_representatives():
     for lab in p.labels:
         assert tuple(lab.mu.mu) == dominant_representative(gl3, lab.mu.mu)
         assert all(isinstance(c, (int, Fraction)) for c in lab.mu.mu)
+
+
+def edges_from_dot(text):
+    """Node and edge sets parsed back from to_dot output."""
+    edges = set()
+    nodes = set()
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith('"') and "->" in line:
+            left, right = line.split("->")
+            edges.add((left.strip().strip('"'),
+                       right.strip().rstrip(";").strip().strip('"')))
+        elif line.startswith('"') and line.endswith('";'):
+            nodes.add(line[1:-2])
+    return nodes, edges
 
 
 def test_dot_round_trip():
