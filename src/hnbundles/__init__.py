@@ -11,7 +11,6 @@ from .canon import (CanonicalReduction, HNType, canonical_reduction, check_bh,
 from .errors import HnBundleError
 from .hnfilt import (Filtration, IsotropicFiltration, extend_with_perps,
                      hn_filtration, hn_filtration_isotropic,
-                     hn_filtration_so, hn_filtration_sp,
                      hn_uniqueness_oracle, scss)
 from .lattice import (FinAbGroup, LatticeTower, fundamental_groups,
                       lattice_tower, levi_fundamental_groups,

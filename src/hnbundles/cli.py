@@ -247,118 +247,107 @@ def _cmd_strata(args) -> dict:
             "dot_path": args.dot}
 
 
-def _suite_hn(rng, cases, require):
-    passed = 0
-    for case in range(cases):
-        atoms = tuple(Atom(rng.randint(-3, 3), rng.randint(1, 2))
-                      for _ in range(rng.randint(1, 4)))
-        b = PlainBundle(atoms)
-        family = GroupFamily(GL, b.rank)
-        spec = repr(serialize_bundle_spec(BundleSpec(family, b, None)))
-        if b.rank <= 6:
-            require(hn_uniqueness_oracle(b), case, family, spec,
-                    "the HN filtration is not the unique one")
-        slopes = hn_filtration(b).slopes
-        require(list(slopes) == sorted(slopes, reverse=True), case, family, spec,
-                f"HN slopes {[_frac(x) for x in slopes]} are not decreasing")
-        positive = tuple(Atom(rng.randint(1, 3), 1) for _ in range(rng.randint(0, 2)))
-        sp = SpBundle(positive, tuple([Atom(0, 1)] * (2 * rng.randint(0, 1))))
-        if sp.rank:
-            sp_family = GroupFamily(SP, sp.rank)
-            require(extend_with_perps(hn_filtration_isotropic(sp)).quotients ==
-                    hn_filtration(underlying(sp)).quotients, case, sp_family,
-                    repr(serialize_bundle_spec(BundleSpec(sp_family, sp, None))),
-                    "the isotropic HN filtration completed by perps differs "
-                    "from the HN filtration of the underlying bundle")
-        passed += 1
-    return passed
+def _suite_hn(rng):
+    atoms = tuple(Atom(rng.randint(-3, 3), rng.randint(1, 2))
+                  for _ in range(rng.randint(1, 4)))
+    b = PlainBundle(atoms)
+    family = GroupFamily(GL, b.rank)
+    spec = repr(serialize_bundle_spec(BundleSpec(family, b, None)))
+    if b.rank <= 6:
+        yield (hn_uniqueness_oracle(b), family, spec,
+               "the HN filtration is not the unique one")
+    slopes = hn_filtration(b).slopes
+    yield (list(slopes) == sorted(slopes, reverse=True), family, spec,
+           f"HN slopes {[_frac(x) for x in slopes]} are not decreasing")
+    positive = tuple(Atom(rng.randint(1, 3), 1) for _ in range(rng.randint(0, 2)))
+    sp = SpBundle(positive, tuple([Atom(0, 1)] * (2 * rng.randint(0, 1))))
+    if sp.rank:
+        sp_family = GroupFamily(SP, sp.rank)
+        yield (extend_with_perps(hn_filtration_isotropic(sp)).quotients ==
+               hn_filtration(underlying(sp)).quotients, sp_family,
+               repr(serialize_bundle_spec(BundleSpec(sp_family, sp, None))),
+               "the isotropic HN filtration completed by perps differs "
+               "from the HN filtration of the underlying bundle")
 
 
-def _suite_canon(rng, cases, require):
-    passed = 0
-    for case in range(cases):
-        family = rng.choice([GroupFamily(GL, 3), GroupFamily(SP, 4),
-                             GroupFamily(SO, 5)])
-        a = tuple(rng.randint(-2, 2) for _ in range(family.cartan_dim))
-        red = canonical_reduction(family, a)
-        best, _ = ad_degree_max_oracle(family, a)
-        attained = ad_degree(family, red.index, red.mu.mu)
-        require(attained == best, case, family, a,
-                f"the canonical reduction has adjoint degree {attained}, "
-                f"the oracle maximum is {best}")
-        levi_ss, degrees = check_bh(family, a, red)
-        require(levi_ss and all(d > 0 for d in degrees), case, family, a,
-                f"BH conditions fail: levi_semistable={levi_ss}, "
-                f"char_degrees={[_frac(d) for d in degrees]}")
-        passed += 1
-    return passed
+def _suite_canon(rng):
+    family = rng.choice([GroupFamily(GL, 3), GroupFamily(SP, 4),
+                         GroupFamily(SO, 5)])
+    a = tuple(rng.randint(-2, 2) for _ in range(family.cartan_dim))
+    red = canonical_reduction(family, a)
+    best, _ = ad_degree_max_oracle(family, a)
+    attained = ad_degree(family, red.index, red.mu.mu)
+    yield (attained == best, family, a,
+           f"the canonical reduction has adjoint degree {attained}, "
+           f"the oracle maximum is {best}")
+    levi_ss, degrees = check_bh(family, a, red)
+    yield (levi_ss and all(d > 0 for d in degrees), family, a,
+           f"BH conditions fail: levi_semistable={levi_ss}, "
+           f"char_degrees={[_frac(d) for d in degrees]}")
 
 
-def _suite_hull(rng, cases, require):
-    passed = 0
+def _suite_hull(rng):
     family = GroupFamily(GL, 3)
-    for case in range(cases):
-        mu = tuple(sorted((rng.randint(-3, 3) for _ in range(3)), reverse=True))
-        shift = sum(mu) - sum(m := tuple(
-            sorted((rng.randint(-3, 3) for _ in range(3)), reverse=True)))
-        nu = (m[0] + shift, m[1], m[2])
-        if list(nu) != sorted(nu, reverse=True):
-            continue
-        data = f"mu={mu}, nu={nu}"
-        inside = hull_membership(family, mu, nu)
-        feasible = hull_membership_lp_oracle(family, mu, nu)
-        require(inside == feasible, case, family, data,
-                f"hull membership is {inside}, the LP oracle says {feasible}")
-        dominated = gl_dominance(mu, nu)
-        require(inside == dominated, case, family, data,
-                f"hull membership is {inside}, dominance is {dominated}")
-        passed += 1
-    return passed
+    mu = tuple(sorted((rng.randint(-3, 3) for _ in range(3)), reverse=True))
+    shift = sum(mu) - sum(m := tuple(
+        sorted((rng.randint(-3, 3) for _ in range(3)), reverse=True)))
+    nu = (m[0] + shift, m[1], m[2])
+    if list(nu) != sorted(nu, reverse=True):
+        return
+    data = f"mu={mu}, nu={nu}"
+    inside = hull_membership(family, mu, nu)
+    feasible = hull_membership_lp_oracle(family, mu, nu)
+    yield (inside == feasible, family, data,
+           f"hull membership is {inside}, the LP oracle says {feasible}")
+    dominated = gl_dominance(mu, nu)
+    yield (inside == dominated, family, data,
+           f"hull membership is {inside}, dominance is {dominated}")
 
 
-def _suite_lattice(rng, cases, require):
-    passed = 0
-    for case in range(cases):
-        family = rng.choice([GroupFamily(GL, 4), GroupFamily(SL, 3),
-                             GroupFamily(SP, 6), GroupFamily(SO, 7)])
-        a, b = ([rng.randint(-3, 3) for _ in range(family.cartan_dim)]
-                for _ in range(2))
-        if family.kind == SL:
-            a[-1] -= sum(a)
-            b[-1] -= sum(b)
-        data = f"a={tuple(a)}, b={tuple(b)}"
-        fa, ta = obstruction_class(family, a)
-        fb, tb = obstruction_class(family, b)
-        fs, ts = obstruction_class(family, [x + y for x, y in zip(a, b)])
-        require(fs == tuple(x + y for x, y in zip(fa, fb)), case, family, data,
-                "the free part of the obstruction class is not additive")
-        _, pi1, _ = fundamental_groups(family)
-        require(ts == tuple((x + y) % d for x, y, d in zip(ta, tb, pi1.torsion)),
-                case, family, data,
-                "the torsion part of the obstruction class is not additive")
-        for w in weyl_orbit(family, tuple(a)):
-            require(topological_type(family, w) == topological_type(family, a),
-                    case, family, data,
-                    f"the topological type of a differs at its Weyl translate {w}")
-        passed += 1
-    return passed
+def _suite_lattice(rng):
+    family = rng.choice([GroupFamily(GL, 4), GroupFamily(SL, 3),
+                         GroupFamily(SP, 6), GroupFamily(SO, 7)])
+    a, b = ([rng.randint(-3, 3) for _ in range(family.cartan_dim)]
+            for _ in range(2))
+    if family.kind == SL:
+        a[-1] -= sum(a)
+        b[-1] -= sum(b)
+    data = f"a={tuple(a)}, b={tuple(b)}"
+    fa, ta = obstruction_class(family, a)
+    fb, tb = obstruction_class(family, b)
+    fs, ts = obstruction_class(family, [x + y for x, y in zip(a, b)])
+    yield (fs == tuple(x + y for x, y in zip(fa, fb)), family, data,
+           "the free part of the obstruction class is not additive")
+    _, pi1, _ = fundamental_groups(family)
+    yield (ts == tuple((x + y) % d for x, y, d in zip(ta, tb, pi1.torsion)),
+           family, data,
+           "the torsion part of the obstruction class is not additive")
+    for w in weyl_orbit(family, tuple(a)):
+        yield (topological_type(family, w) == topological_type(family, a),
+               family, data,
+               f"the topological type of a differs at its Weyl translate {w}")
 
 
+# each suite draws one case from the rng and yields its checks in order,
+# as (ok, family, input, what); a case that yields no check is skipped
 _SUITES = {"hn": _suite_hn, "canon": _suite_canon,
            "hull": _suite_hull, "lattice": _suite_lattice}
 
 
 def _cmd_check(args) -> dict:
     _nonnegative("--cases", args.cases)
-
-    def require(ok, case, family, data, what):
-        # an explicit raise, not assert, so that python -O keeps every check
-        if not ok:
-            raise InvariantBreach(
-                f"check {args.suite} failed at seed {args.seed}, case {case} "
-                f"({family.kind}{family.r}, input {data}): {what}")
-
-    passed = _SUITES[args.suite](random.Random(args.seed), args.cases, require)
+    rng = random.Random(args.seed)
+    passed = 0
+    for case in range(args.cases):
+        checked = False
+        for ok, family, data, what in _SUITES[args.suite](rng):
+            # an explicit raise, not assert, so that python -O keeps every check
+            if not ok:
+                raise InvariantBreach(
+                    f"check {args.suite} failed at seed {args.seed}, case {case} "
+                    f"({family.kind}{family.r}, input {data}): {what}")
+            checked = True
+        passed += checked
     return {"command": "check", "suite": args.suite, "seed": args.seed,
             "cases": args.cases, "passed": passed}
 
@@ -437,7 +426,7 @@ def run_command(argv=None) -> int:
     except InvariantBreach as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return 3
-    except (HnBundleError, ValueError) as exc:
+    except (HnBundleError, ValueError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     _emit(doc, args.pretty)

@@ -87,9 +87,6 @@ def hn_filtration_isotropic(b: IsotropicBundle) -> IsotropicFiltration:
     return IsotropicFiltration(quotients, b.zero_part, flag)
 
 
-hn_filtration_sp = hn_filtration_so = hn_filtration_isotropic
-
-
 def extend_with_perps(f: IsotropicFiltration) -> Filtration:
     """Complete an isotropic filtration by the co-isotropic perps: the
     result is the plain HN filtration of the underlying bundle."""

@@ -1,102 +1,6 @@
-"""Small exact linear algebra kernel: rational solves, Hermite normal
-form, and Smith normal form with a column transform, all over Python ints
-and Fractions.  Matrices are lists of row tuples/lists."""
-
-from fractions import Fraction
-
-
-def solve_rational(rows, rhs):
-    """Solve sum_j x_j * rows[j] = rhs over the rationals.
-
-    Returns the coefficient list, or None if rhs is not in the row span.
-    If the rows are dependent, an arbitrary consistent solution is returned.
-    """
-    k = len(rows)
-    if k == 0:
-        return [] if not any(rhs) else None
-    m = len(rows[0])
-    # augmented system A^T x = rhs
-    aug = [[Fraction(rows[j][i]) for j in range(k)] + [Fraction(rhs[i])] for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        piv = next((i for i in range(row, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for i in range(row, m):
-        if aug[i][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][k]
-    return sol
-
-
-def _hermite_reduce(rows):
-    """Row-style Hermite normal form with positive pivots (for determinism)."""
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return []
-    m = len(rows[0])
-    out = []
-    work = rows
-    col = 0
-    while work and col < m:
-        cand = [r for r in work if r[col] != 0]
-        if not cand:
-            col += 1
-            continue
-        while True:
-            cand.sort(key=lambda r: abs(r[col]))
-            piv = cand[0]
-            done = True
-            for r in cand[1:]:
-                q = r[col] // piv[col]
-                nr = [a - q * b for a, b in zip(r, piv)]
-                r[:] = nr
-                if r[col] != 0:
-                    done = False
-            cand = [r for r in cand if r[col] != 0] or [piv]
-            if done or len(cand) == 1:
-                break
-        piv = cand[0]
-        if piv[col] < 0:
-            piv = [-a for a in piv]
-        out.append(piv)
-        rest = [r for r in work if r is not piv and not _same(r, piv)]
-        # eliminate this column from the rest
-        nrest = []
-        for r in rest:
-            if r[col] != 0:
-                q = r[col] // piv[col]
-                r = [a - q * b for a, b in zip(r, piv)]
-            if any(r):
-                nrest.append(list(r))
-        work = nrest
-        col += 1
-    # reduce entries above pivots
-    for i in reversed(range(len(out))):
-        pcol = next(j for j, a in enumerate(out[i]) if a != 0)
-        for j in range(i):
-            q = out[j][pcol] // out[i][pcol]
-            if q:
-                out[j] = [a - q * b for a, b in zip(out[j], out[i])]
-    return [tuple(r) for r in out]
-
-
-def _same(a, b):
-    return all(x == y for x, y in zip(a, b))
+"""Small exact linear algebra kernel: the Smith normal form of an integer
+matrix with its column transform, over Python ints.  Matrices are lists of
+row tuples/lists."""
 
 
 def smith_normal_form(mat):

@@ -12,10 +12,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotInKernelLattice, NotIntegral
-from .intlin import _hermite_reduce, smith_normal_form, solve_rational
+from .intlin import smith_normal_form
 from .parabolic import ParabolicIndex, _root_split, levi_blocks
-from .rootsys import (GL, SL, GroupFamily, all_roots, as_cocharacter, coroot,
-                      evaluate)
+from .rootsys import GL, SL, GroupFamily, all_roots, as_cocharacter, coroot
 
 
 @dataclass(frozen=True)
@@ -26,10 +25,6 @@ class IntegerLattice:
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def contains(self, v) -> bool:
-        coeffs = solve_rational(self.basis, tuple(v))
-        return coeffs is not None and all(c.denominator == 1 for c in coeffs)
 
 
 @dataclass(frozen=True)
@@ -65,9 +60,7 @@ class FinAbGroup:
 class LatticeTower:
     """Gamma, Lambda and its saturation, with the nonzero invariant factors
     and the column transform V of the one Smith normal form of the coroot
-    matrix; the central slope denominators of the Levi blocks; and the free
-    forms, the integer functionals whose values on Gamma are the free
-    coordinates of pi1."""
+    matrix; and the central slope denominators of the Levi blocks."""
 
     family: GroupFamily
     gamma_basis: tuple
@@ -76,7 +69,6 @@ class LatticeTower:
     psi_denominators: tuple
     invariant_factors: tuple
     column_transform: tuple
-    free_forms: tuple
 
 
 def _gamma_basis(family: GroupFamily):
@@ -98,11 +90,7 @@ def _psi_denominators(family, blocks):
 
 def _tower(family, roots, blocks):
     """Canonical bases of Lambda = span{d_i * row_i(V^{-1})} and of its
-    saturation span{row_i(V^{-1})}, from one Smith normal form.
-
-    The columns k+1..dim of V, past the k nonzero invariant factors, are a
-    basis of the integer kernel of the coroot matrix; their Hermite normal
-    form, less the rows that vanish on Gamma, gives the free forms."""
+    saturation span{row_i(V^{-1})}, from one Smith normal form."""
     dim = family.cartan_dim
     # a zero row keeps the width of the matrix when there are no roots
     coroots = [coroot(family, a) for a in roots] or [(0,) * dim]
@@ -111,13 +99,9 @@ def _tower(family, roots, blocks):
     lam = IntegerLattice(dim, tuple(tuple(d * x for x in vinv[i])
                                     for i, d in enumerate(factors)))
     lam_sat = IntegerLattice(dim, tuple(map(tuple, vinv[:len(factors)])))
-    gamma = _gamma_basis(family)
-    kernel = _hermite_reduce([[row[j] for row in v]
-                              for j in range(len(factors), dim)])
-    free_forms = tuple(f for f in kernel if any(evaluate(f, g) for g in gamma))
-    return LatticeTower(family, gamma, lam, lam_sat,
+    return LatticeTower(family, _gamma_basis(family), lam, lam_sat,
                         _psi_denominators(family, blocks), factors,
-                        tuple(tuple(row) for row in v), free_forms)
+                        tuple(tuple(row) for row in v))
 
 
 @lru_cache(maxsize=64)
@@ -166,14 +150,14 @@ def _check_in_gamma(family, a):
 def obstruction_class(family: GroupFamily, a):
     """Class of the degree cocharacter a in pi1(G) = Gamma/Lambda.
 
-    Returns (free_coords, torsion_residues): free coordinates through the
-    tower's free forms (for GL this is the total degree), and torsion
-    residues in adapted Smith coordinates, reduced mod the invariant
-    factors.
+    Returns (free_coords, torsion_residues).  pi1 has a free part only
+    for GL, and its one free coordinate is the total degree, the degree of
+    the determinant; the torsion residues are in adapted Smith
+    coordinates, reduced mod the invariant factors.
     """
     a = _check_in_gamma(family, a)
     t = lattice_tower(family)
-    free = tuple(evaluate(f, a) for f in t.free_forms)
+    free = (sum(a),) if family.kind == GL else ()
     v = t.column_transform
     residues = tuple(sum(x * row[i] for x, row in zip(a, v)) % d
                      for i, d in enumerate(t.invariant_factors) if d > 1)

@@ -32,10 +32,6 @@ class ParabolicIndex:
         if not all(0 <= i < count for i in self.members):
             raise ValueError("parabolic index out of range")
 
-    def roots(self):
-        simples = simple_roots(self.family)
-        return [simples[i] for i in sorted(self.members)]
-
     def names(self):
         return [root_name(self.family, i) for i in sorted(self.members)]
 
@@ -56,7 +52,7 @@ def parabolic_from_flag(family: GroupFamily, flag_ranks) -> ParabolicIndex:
         members.update(l - 1 for l in ranks)
         return ParabolicIndex(family, frozenset(members))
     family.require_root_system()
-    n = family.n
+    n = family.cartan_dim
     if any(l > n for l in ranks):
         raise InvalidFlag(f"isotropic ranks must be <= {n}")
     for l in ranks:
@@ -92,7 +88,7 @@ def levi_blocks(family: GroupFamily, index: ParabolicIndex) -> LeviBlocks:
     if family.kind in (GL, SL):
         cuts.update(i + 1 for i in index.members)
     else:
-        n = family.n
+        n = family.cartan_dim
         for i in index.members:
             # the last simple root cuts at n and its mirror r - n, which
             # coincide except for SO of odd rank

@@ -56,23 +56,6 @@ class GroupFamily:
         return self.r // 2
 
     @property
-    def n(self) -> int:
-        """Isotropic rank bound for Sp/SO; alias of cartan_dim."""
-        return self.cartan_dim
-
-    @property
-    def dim_group(self) -> int:
-        r = self.r
-        if self.kind == GL:
-            return r * r
-        if self.kind == SL:
-            return r * r - 1
-        if self.kind == SP:
-            n = r // 2
-            return n * (2 * n + 1)
-        return r * (r - 1) // 2
-
-    @property
     def torus_dim(self) -> int:
         """Dimension of the maximal torus (Cartan subgroup)."""
         if self.kind == GL:
@@ -165,15 +148,13 @@ def is_root(family: GroupFamily, functional) -> bool:
     return tuple(functional) in _root_set(family)
 
 
-@lru_cache(maxsize=4096)
 def coroot(family: GroupFamily, root):
-    """The coroot 2a/<a,a> of a root, under the standard dot product."""
+    """The coroot 2a/<a,a> of a root, under the standard dot product;
+    classical coroots are integral in these coordinates."""
     if not is_root(family, root):
         raise NotARoot(f"{root} is not a root of {family}")
     norm = sum(c * c for c in root)
-    out = [Fraction(2 * c, norm) for c in root]
-    # classical coroots are integral in these coordinates
-    return tuple(int(c) for c in out)
+    return tuple(2 * c // norm for c in root)
 
 
 def _reject_point(family: GroupFamily, index=None, v=()):
@@ -300,11 +281,6 @@ def simple_root_coordinates(family: GroupFamily, d):
     if family.r % 2:
         return s
     return s[:-2] + [Fraction(s[-2] - d[-1], 2), Fraction(s[-1], 2)]
-
-
-def weyl_group_order(family: GroupFamily) -> int:
-    """Order of the Weyl group: the orbit size of a regular vector."""
-    return weyl_orbit_size(family, range(family.cartan_dim, 0, -1))
 
 
 def root_name(family: GroupFamily, index: int) -> str:

@@ -17,7 +17,7 @@ from hnbundles.canon import (ad_degree, ad_degree_max_oracle, bh_conditions,
                              canonical_reduction, check_bh, forced_index,
                              hn_type)
 from hnbundles.hnfilt import (extend_with_perps, hn_filtration,
-                              hn_filtration_so, hn_uniqueness_oracle)
+                              hn_filtration_isotropic, hn_uniqueness_oracle)
 from hnbundles.lattice import (fundamental_groups, obstruction_class,
                                topological_type)
 from hnbundles.parabolic import (ParabolicIndex, character_generators,
@@ -84,7 +84,7 @@ def test_criterion_3_adjoint_filtration():
             ep = PlainBundle((Atom(dp, rp),))
             ad = adjoint_gl(direct_sum(e, ep))
             assert isinstance(ad, SoBundle)
-            filt = hn_filtration_so(ad)
+            filt = hn_filtration_isotropic(ad)
             hom = tensor(dual(ep), e)
             assert [q.atoms for q in filt.quotients] == [hom.atoms]
             full = extend_with_perps(filt)

@@ -175,6 +175,15 @@ def test_strata_command(capsys, tmp_path):
         assert json.loads(run(capsys, *argv, "--fix-type=5")[1])["labels"] == []
 
 
+def test_unwritable_dot_path_is_a_validation_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "poset.dot"
+    code, out, err = run(capsys, "strata", "--family", "gl", "--rank", "2",
+                         "--bound", "1", "--dot", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert str(target) in err and not target.exists()
+
+
 def test_check_command(capsys):
     for suite in ("hn", "canon", "lattice"):
         code, out, _ = run(capsys, "check", "--suite", suite,

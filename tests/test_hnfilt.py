@@ -5,8 +5,8 @@ from hnbundles.bundle import Atom, PlainBundle, SoBundle, SpBundle, underlying
 from hnbundles.errors import TooLarge, UnsupportedRank
 from hnbundles.hnfilt import (Filtration, IsotropicFiltration,
                               extend_with_perps, hn_filtration,
-                              hn_filtration_so, hn_filtration_sp,
-                              hn_uniqueness_oracle, scss)
+                              hn_filtration_isotropic, hn_uniqueness_oracle,
+                              scss)
 
 B = PlainBundle((Atom(3, 1), Atom(1, 2), Atom(1, 2), Atom(-2, 1)))
 
@@ -30,36 +30,36 @@ def test_hn_filtration_examples():
 
 
 def test_hn_filtration_sp_examples():
-    f = hn_filtration_sp(SpBundle((Atom(2, 1),), (Atom(0, 2),)))
+    f = hn_filtration_isotropic(SpBundle((Atom(2, 1),), (Atom(0, 2),)))
     assert [q.atoms for q in f.quotients] == [(Atom(2, 1),)]
     assert sum(a.rank for a in f.middle) == 2
-    trivial = hn_filtration_sp(SpBundle((), (Atom(0, 4),)))
+    trivial = hn_filtration_isotropic(SpBundle((), (Atom(0, 4),)))
     assert not trivial.quotients and sum(a.rank for a in trivial.middle) == 4
-    lagr = hn_filtration_sp(SpBundle((Atom(3, 1), Atom(1, 2)), ()))
+    lagr = hn_filtration_isotropic(SpBundle((Atom(3, 1), Atom(1, 2)), ()))
     assert [q.atoms for q in lagr.quotients] == [(Atom(3, 1),), (Atom(1, 2),)]
     assert not lagr.middle
 
 
 def test_hn_filtration_so_examples():
-    f = hn_filtration_so(SoBundle((Atom(1, 1),), (Atom(0, 2),)))
+    f = hn_filtration_isotropic(SoBundle((Atom(1, 1),), (Atom(0, 2),)))
     assert [q.atoms for q in f.quotients] == [(Atom(1, 1),)] and f.rank_flag
-    g = hn_filtration_so(SoBundle((Atom(2, 1), Atom(1, 1)), (Atom(0, 1),)))
+    g = hn_filtration_isotropic(SoBundle((Atom(2, 1), Atom(1, 1)), (Atom(0, 1),)))
     assert [q.atoms for q in g.quotients] == [(Atom(2, 1),), (Atom(1, 1),)]
     assert not g.rank_flag
-    t = hn_filtration_so(SoBundle((), (Atom(0, 6),)))
+    t = hn_filtration_isotropic(SoBundle((), (Atom(0, 6),)))
     assert not t.quotients
     with pytest.raises(UnsupportedRank):
-        hn_filtration_so(SoBundle((Atom(1, 1),), ()))
+        hn_filtration_isotropic(SoBundle((Atom(1, 1),), ()))
 
 
 def test_extend_with_perps_examples():
-    f = extend_with_perps(hn_filtration_sp(SpBundle((Atom(2, 1),), (Atom(0, 2),))))
+    f = extend_with_perps(hn_filtration_isotropic(SpBundle((Atom(2, 1),), (Atom(0, 2),))))
     assert [q.atoms for q in f.quotients] == [
         (Atom(2, 1),), (Atom(0, 2),), (Atom(-2, 1),)]
-    t = extend_with_perps(hn_filtration_sp(SpBundle((), (Atom(0, 4),))))
+    t = extend_with_perps(hn_filtration_isotropic(SpBundle((), (Atom(0, 4),))))
     assert len(t.quotients) == 1
     lagr = extend_with_perps(
-        hn_filtration_sp(SpBundle((Atom(3, 1), Atom(1, 2)), ())))
+        hn_filtration_isotropic(SpBundle((Atom(3, 1), Atom(1, 2)), ())))
     assert [q.atoms for q in lagr.quotients] == [
         (Atom(3, 1),), (Atom(1, 2),), (Atom(-1, 2),), (Atom(-3, 1),)]
 
@@ -95,7 +95,7 @@ def test_perp_extension_matches_plain_route(positive, zeros, symplectic):
         b = SoBundle(positive, tuple([Atom(0, 1)] * (2 * zeros + 1)))
     if b.rank == 0 or (not symplectic and b.rank < 3):
         return
-    filt = hn_filtration_sp(b) if symplectic else hn_filtration_so(b)
+    filt = hn_filtration_isotropic(b)
     assert extend_with_perps(filt).quotients == \
         hn_filtration(underlying(b)).quotients
 

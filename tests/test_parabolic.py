@@ -6,14 +6,14 @@ import pytest
 from hnbundles.canon import ad_degree, forced_index
 from hnbundles.errors import (FamilyMismatch, InvalidFlag, NotACharacter,
                               NothingToGenerate)
-from hnbundles.intlin import solve_rational
 from hnbundles.parabolic import (ParabolicIndex, _root_split, _two_rho,
                                  character_generators, is_dominant_character,
                                  levi_blocks, parabolic_from_flag,
                                  parabolic_leq)
 from hnbundles.rootsys import (GroupFamily, all_roots, coroot, evaluate,
                                positive_roots, simple_roots)
-from oracles import generator_oracle, index_point, root_split_oracle
+from oracles import (generator_oracle, index_point, root_split_oracle,
+                     solve_rational)
 
 
 def _idx(family, members):
@@ -39,7 +39,7 @@ def test_flag_errors():
                                     GroupFamily("sp", 6), GroupFamily("so", 7),
                                     GroupFamily("so", 8), GroupFamily("so", 4)])
 def test_full_flag_gives_borel(family):
-    top = family.r - 1 if family.kind in ("gl", "sl") else family.n
+    top = family.r - 1 if family.kind in ("gl", "sl") else family.cartan_dim
     index = parabolic_from_flag(family, list(range(1, top + 1)))
     assert index.members == set(range(len(simple_roots(family))))
 
