@@ -12,11 +12,10 @@ from .errors import HnBundleError
 from .hnfilt import (Filtration, IsotropicFiltration, extend_with_perps,
                      hn_filtration, hn_filtration_isotropic,
                      hn_uniqueness_oracle, scss)
-from .lattice import (FinAbGroup, LatticeTower, fundamental_groups,
-                      lattice_tower, levi_fundamental_groups,
-                      levi_lattice_tower, obstruction_class, topological_type)
-from .parabolic import (LeviBlocks, ParabolicIndex, character_generators,
-                        is_dominant_character, levi_blocks, parabolic_from_flag,
+from .lattice import (FinAbGroup, fundamental_groups, levi_fundamental_groups,
+                      obstruction_class, topological_type)
+from .parabolic import (ParabolicIndex, character_generators,
+                        is_dominant_character, parabolic_from_flag,
                         parabolic_leq)
 from .rootsys import (GroupFamily, as_cocharacter, coroot,
                       dominant_representative, positive_roots, simple_roots,

@@ -25,7 +25,7 @@ from .hnfilt import (extend_with_perps, hn_filtration, hn_filtration_isotropic,
 from .lattice import fundamental_groups, levi_fundamental_groups, \
     obstruction_class, topological_type
 from .parabolic import ParabolicIndex
-from .rootsys import (GL, SL, SO, SP, GroupFamily, root_name, simple_roots,
+from .rootsys import (GL, SL, SO, SP, GroupFamily, root_name, simple_root_count,
                       weyl_orbit)
 from .strata import (enumerate_strata, gl_dominance, hull_membership,
                      hull_membership_lp_oracle, to_dot)
@@ -165,7 +165,7 @@ def _cmd_semistable(args) -> dict:
 
 
 def _parse_levi(family, tokens):
-    names = {root_name(family, i): i for i in range(len(simple_roots(family)))}
+    names = {root_name(family, i): i for i in range(simple_root_count(family))}
     for t in tokens:
         if t not in names:
             raise SpecError(f"unknown simple root name {t!r}; choose from {sorted(names)}")
@@ -326,6 +326,8 @@ def _suite_lattice(rng):
         yield (topological_type(family, w) == topological_type(family, a),
                family, data,
                f"the topological type of a differs at its Weyl translate {w}")
+        yield (obstruction_class(family, w) == (fa, ta), family, data,
+               f"the obstruction class of a differs at its Weyl translate {w}")
 
 
 # each suite draws one case from the rng and yields its checks in order,

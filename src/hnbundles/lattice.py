@@ -1,30 +1,23 @@
-"""Kernel lattice, coroot lattice, saturation, fundamental groups, and
-the central slope data, all through integer normal forms.
+"""Fundamental groups, obstruction classes and topological types, in
+closed form.
 
 Gamma is the cocharacter lattice of the maximal torus in its own
-coordinates (for SL, the trace-zero sublattice of Z^r, presented by a
-basis).  Lambda is the integer span of all coroots, Lambda-hat its
-saturation inside Gamma; the quotients give the fundamental groups.
+coordinates (for SL, the trace-zero sublattice of Z^r).  Lambda is the
+integer span of the coroots; pi1 = Gamma/Lambda.  For the classical
+families every group below is read off the parabolic index: a Levi
+factor is a product of GL blocks and one classical factor of the same
+type, and pi1(SO(m)) = Z/2 for m >= 3 is its only torsion (Bourbaki,
+Lie Groups and Lie Algebras ch. VI, Plates I-IV).  The tests keep the
+Smith normal form of the coroot matrix as the oracle.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import NotInKernelLattice, NotIntegral
-from .intlin import smith_normal_form
-from .parabolic import ParabolicIndex, _root_split, levi_blocks
-from .rootsys import GL, SL, GroupFamily, all_roots, as_cocharacter, coroot
-
-
-@dataclass(frozen=True)
-class IntegerLattice:
-    ambient_dim: int
-    basis: tuple
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
+from .parabolic import ParabolicIndex, _root_split
+from .rootsys import (GL, SL, SO, GroupFamily, _reject_point, as_cocharacter,
+                      simple_root_count)
 
 
 @dataclass(frozen=True)
@@ -42,98 +35,32 @@ class FinAbGroup:
             raise ValueError(f"invariant factors {self.torsion} must divide "
                              "each other in order")
 
-    @property
-    def order(self):
-        if self.free_rank:
-            return None
-        out = 1
-        for d in self.torsion:
-            out *= d
-        return out
-
     def describe(self) -> str:
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion]
         return " x ".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class LatticeTower:
-    """Gamma, Lambda and its saturation, with the nonzero invariant factors
-    and the column transform V of the one Smith normal form of the coroot
-    matrix; and the central slope denominators of the Levi blocks."""
-
-    family: GroupFamily
-    gamma_basis: tuple
-    lam: IntegerLattice
-    lam_sat: IntegerLattice
-    psi_denominators: tuple
-    invariant_factors: tuple
-    column_transform: tuple
-
-
-def _gamma_basis(family: GroupFamily):
-    dim = family.cartan_dim
-    if family.kind == SL:
-        return tuple(tuple(1 if j == i else (-1 if j == i + 1 else 0) for j in range(dim))
-                     for i in range(dim - 1))
-    return tuple(tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim))
-
-
-def _psi_denominators(family, blocks):
-    if family.kind in (GL, SL):
-        return tuple(length for _, length in blocks)
-    # only blocks inside the first n diagonal coordinates have a free
-    # central parameter; the middle and mirrored blocks are determined
-    n = family.cartan_dim
-    return tuple(length for start, length in blocks if start - 1 + length <= n)
-
-
-def _tower(family, roots, blocks):
-    """Canonical bases of Lambda = span{d_i * row_i(V^{-1})} and of its
-    saturation span{row_i(V^{-1})}, from one Smith normal form."""
-    dim = family.cartan_dim
-    # a zero row keeps the width of the matrix when there are no roots
-    coroots = [coroot(family, a) for a in roots] or [(0,) * dim]
-    diag, v, vinv = smith_normal_form(coroots)
-    factors = tuple(d for d in diag if d != 0)
-    lam = IntegerLattice(dim, tuple(tuple(d * x for x in vinv[i])
-                                    for i, d in enumerate(factors)))
-    lam_sat = IntegerLattice(dim, tuple(map(tuple, vinv[:len(factors)])))
-    return LatticeTower(family, _gamma_basis(family), lam, lam_sat,
-                        _psi_denominators(family, blocks), factors,
-                        tuple(tuple(row) for row in v))
-
-
-@lru_cache(maxsize=64)
-def lattice_tower(family: GroupFamily) -> LatticeTower:
-    family.require_root_system()
-    return _tower(family, all_roots(family), ((1, family.r),))
-
-
-def levi_lattice_tower(family: GroupFamily, index: ParabolicIndex) -> LatticeTower:
-    """Tower of the Levi factor: coroots restricted to the Levi roots."""
-    family.require_root_system()
-    blocks = levi_blocks(family, index).blocks
-    return _tower(family, _root_split(index)[0], blocks)
-
-
 def fundamental_groups(family: GroupFamily):
     """(pi1 of the derived group, pi1 of G, pi1 of the abelianization)."""
-    return _tower_groups(lattice_tower(family))
+    return levi_fundamental_groups(family, ParabolicIndex(family, ()))
 
 
 def levi_fundamental_groups(family: GroupFamily, index: ParabolicIndex):
-    return _tower_groups(levi_lattice_tower(family, index))
+    """(pi1_der, pi1, pi1_ab) of the Levi factor L_I.
 
-
-def _tower_groups(t: LatticeTower):
-    """pi1 = Gamma/Lambda = Z^(n-k) x (+) Z/d_i, its torsion pi1_der =
-    Lambda-hat/Lambda and its free part pi1_ab = Gamma/Lambda-hat, read off
-    the k nonzero invariant factors d_i, with n the rank of Gamma.  Gamma is
-    saturated in Z^dim, so the torsion of Gamma/Lambda is that of
-    Z^dim/Lambda."""
-    free = len(t.gamma_basis) - len(t.invariant_factors)
-    torsion = tuple(d for d in t.invariant_factors if d > 1)
+    The free rank is rank Gamma less the rank of the Levi coroot lattice,
+    the count of simple roots outside I.  The torsion is Z/2 when L_I
+    keeps an SO(m) factor with m >= 3: for SO(2n+1) when the last simple
+    root is outside I, for SO(2n) when both fork roots are.
+    """
+    family.require_root_system()
+    if index.family != family:
+        _reject_point(family, index)
+    rank = family.r - 1 if family.kind == SL else family.cartan_dim
+    free = rank - simple_root_count(family) + len(index.members)
+    n = family.cartan_dim
+    tail = {n - 1} if family.r % 2 else {n - 2, n - 1}
+    torsion = (2,) if family.kind == SO and not tail & index.members else ()
     return FinAbGroup(0, torsion), FinAbGroup(free, torsion), FinAbGroup(free, ())
 
 
@@ -152,16 +79,13 @@ def obstruction_class(family: GroupFamily, a):
 
     Returns (free_coords, torsion_residues).  pi1 has a free part only
     for GL, and its one free coordinate is the total degree, the degree of
-    the determinant; the torsion residues are in adapted Smith
-    coordinates, reduced mod the invariant factors.
+    the determinant.  Only SO has torsion, Z/2: Lambda is the sublattice
+    of even coordinate sum, so the residue is the total degree mod 2.
     """
     a = _check_in_gamma(family, a)
-    t = lattice_tower(family)
+    family.require_root_system()
     free = (sum(a),) if family.kind == GL else ()
-    v = t.column_transform
-    residues = tuple(sum(x * row[i] for x, row in zip(a, v)) % d
-                     for i, d in enumerate(t.invariant_factors) if d > 1)
-    return free, residues
+    return free, ((sum(a) % 2,) if family.kind == SO else ())
 
 
 def topological_type(family: GroupFamily, a):
@@ -174,18 +98,45 @@ def topological_type(family: GroupFamily, a):
 
 
 def levi_topological_type(family: GroupFamily, index: ParabolicIndex, a):
-    """Per-Levi-block averaging; Sp/SO middle blocks average to zero."""
+    """Projection of a onto the centre of the Levi factor L_I.
+
+    A signed union-find over the Levi roots: e_i - e_j ties x_i = x_j and
+    e_i + e_j ties x_i = -x_j.  A root on one coordinate, or two ties that
+    clash, leave a component no central direction; on every other
+    component the centre takes the signed mean of a.
+    """
     a = _check_in_gamma(family, a)
-    blocks = levi_blocks(family, index).blocks
-    dim = family.cartan_dim
-    out = [Fraction(0)] * dim
-    for start, length in blocks:
-        lo = start - 1
-        hi = lo + length
-        # GL/SL blocks all lie in the first dim coordinates; Sp/SO middle
-        # and mirrored blocks do not
-        if hi <= dim:
-            avg = Fraction(sum(a[lo:hi]), length)
-            for i in range(lo, hi):
-                out[i] = avg
-    return tuple(out)
+    if index.family != family:
+        _reject_point(family, index)
+    parent = list(range(len(a)))
+    sign = [1] * len(a)  # x_i = sign[i] * x_parent[i]
+
+    def find(i):
+        s = 1
+        while parent[i] != i:
+            s *= sign[i]
+            i = parent[i]
+        return i, s
+
+    kills = []  # a coordinate of each component with no central direction
+    for root in _root_split(index)[0]:
+        support = [t for t, c in enumerate(root) if c]
+        if len(support) == 1:
+            kills.append(support[0])
+            continue
+        i, j = support
+        (ri, si), (rj, sj) = find(i), find(j)
+        tie = -1 if root[i] * root[j] > 0 else 1
+        if ri != rj:
+            parent[rj], sign[rj] = ri, si * tie * sj
+        elif si != tie * sj:
+            kills.append(i)
+    dead = {find(i)[0] for i in kills}
+    total, size, signs = {}, {}, []
+    for i, x in enumerate(a):
+        root, s = find(i)
+        signs.append((root, s))
+        total[root] = total.get(root, 0) + s * x
+        size[root] = size.get(root, 0) + 1
+    return tuple(Fraction(0) if root in dead
+                 else s * Fraction(total[root], size[root]) for root, s in signs)

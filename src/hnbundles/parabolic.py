@@ -1,10 +1,11 @@
 """Standard parabolic subgroups P_I as subsets of simple roots.
 
-Covers the flag correspondence, Levi block shapes, containment order,
-and characters of P_I represented by their differentials (integer
-functionals on Cartan coordinates).  The root split and the character
-generators are closed forms read off the simple-root coordinates; the
-tests keep a solve and an integer-kernel route as oracles.
+Covers the flag correspondence, the Levi/nilradical root split,
+containment order, and characters of P_I represented by their
+differentials (integer functionals on Cartan coordinates).  The root
+split and the character generators are closed forms read off the
+simple-root coordinates; the tests keep a solve, an integer-kernel route
+and the diagonal Levi blocks as oracles.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from .errors import (FamilyMismatch, InvalidFlag, NotACharacter,
                      NothingToGenerate)
 from .rootsys import (GL, SL, SO, SP, GroupFamily, _reject_point, all_roots,
                       coroot, evaluate, root_name, simple_root_coordinates,
-                      simple_roots)
+                      simple_root_count, simple_roots)
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,7 @@ class ParabolicIndex:
     def __post_init__(self):
         # a frozenset, so that the index can key the caches below
         object.__setattr__(self, "members", frozenset(self.members))
-        count = len(simple_roots(self.family))
+        count = simple_root_count(self.family)
         if not all(0 <= i < count for i in self.members):
             raise ValueError("parabolic index out of range")
 
@@ -65,41 +66,6 @@ def parabolic_from_flag(family: GroupFamily, flag_ranks) -> ParabolicIndex:
         else:
             members.add(l - 1)
     return ParabolicIndex(family, frozenset(members))
-
-
-@dataclass(frozen=True)
-class LeviBlocks:
-    """Contiguous diagonal blocks of the Levi factor, as (start, length)
-    pairs over the r matrix coordinates, 1-based, mirrored for Sp/SO."""
-
-    family: GroupFamily
-    blocks: tuple
-
-    def sizes(self):
-        return tuple(length for _, length in self.blocks)
-
-
-def levi_blocks(family: GroupFamily, index: ParabolicIndex) -> LeviBlocks:
-    """Diagonal block shape of the Levi factor L_I inside the r x r matrix."""
-    if index.family != family:
-        _reject_point(family, index)
-    r = family.r
-    cuts = set()
-    if family.kind in (GL, SL):
-        cuts.update(i + 1 for i in index.members)
-    else:
-        n = family.cartan_dim
-        for i in index.members:
-            # the last simple root cuts at n and its mirror r - n, which
-            # coincide except for SO of odd rank
-            if i < n - 1:
-                cuts.update({i + 1, r - i - 1})
-            else:
-                cuts.update({n, r - n})
-    bounds = [0] + sorted(cuts) + [r]
-    blocks = tuple((bounds[k] + 1, bounds[k + 1] - bounds[k])
-                   for k in range(len(bounds) - 1) if bounds[k + 1] > bounds[k])
-    return LeviBlocks(family, blocks)
 
 
 @lru_cache(maxsize=128)

@@ -101,6 +101,12 @@ def simple_roots(family: GroupFamily):
     return tuple(out)
 
 
+def simple_root_count(family: GroupFamily) -> int:
+    """len(simple_roots(family)) without building them."""
+    family.require_root_system()
+    return family.cartan_dim - (family.kind in (GL, SL))
+
+
 def as_cocharacter(family: GroupFamily, a):
     """The integer tuple of a Cartan vector that must be a cocharacter:
     exactly cartan_dim entries, each an integer or an integral rational."""

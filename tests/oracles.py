@@ -1,13 +1,22 @@
-"""Solve, Hermite and kernel routes that the closed forms replaced, kept
-as independent oracles for the tests: the rational solve and the
-Hermite-reduced integer row kernel, the point v_I and its sign test for
-the root split, and the integer row kernel for the character generators.
+"""Solve, Hermite, kernel and normal-form routes that the closed forms
+replaced, kept as independent oracles for the tests: the rational solve
+and the Hermite-reduced integer row kernel, the point v_I and its sign
+test for the root split, the integer row kernel for the character
+generators, the Smith normal form of the coroot matrix and the lattice
+tower read off it for the fundamental groups and the obstruction class,
+and the diagonal Levi blocks for the Levi topological type off the D_n
+fork.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
-from hnbundles.rootsys import all_roots, coroot, evaluate, simple_roots
+from hnbundles.lattice import FinAbGroup
+from hnbundles.parabolic import _root_split
+from hnbundles.rootsys import (GL, SL, all_roots, coroot, evaluate,
+                               simple_roots)
 
 
 def solve_rational(rows, rhs):
@@ -197,3 +206,237 @@ def generator_oracle(family, i):
     for q in solve_rational(simples, chi):
         scale = scale * q.denominator // gcd(scale, q.denominator)
     return tuple(scale * x for x in chi)
+
+
+def smith_normal_form(mat):
+    """Smith normal form of an integer matrix.
+
+    Returns (diag, V, V^{-1}) where diag is the list of invariant factors
+    (including zeros up to min(k, m)) and V is the unimodular m x m column
+    transform with U * mat * V diagonal for some unimodular U; V^{-1} is
+    built alongside from the inverse of each column operation.  Row space
+    of mat over the integers equals span{diag[i] * row_i(V^{-1})}.
+    """
+    a = [list(r) for r in mat]
+    k = len(a)
+    m = len(a[0]) if k else 0
+    v = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    vinv = [row[:] for row in v]  # rows of V^{-1}
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+
+    def swap_cols(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        v[i], v[j] = v[j], v[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
+
+    def add_row(i, j, q):  # row_i -= q * row_j
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+
+    def add_col(i, j, q):  # col_i -= q * col_j
+        for r in a:
+            r[i] -= q * r[j]
+        v[i] = [x - q * y for x, y in zip(v[i], v[j])]
+        vinv[j] = [x + q * y for x, y in zip(vinv[j], vinv[i])]
+
+    t = 0
+    while t < min(k, m):
+        # find a nonzero pivot in the remaining block
+        piv = None
+        for i in range(t, k):
+            for j in range(t, m):
+                if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
+                    piv = (i, j)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        while True:
+            # clear column t
+            dirty = False
+            for i in range(t + 1, k):
+                if a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    add_row(i, t, q)
+                    if a[i][t] != 0:
+                        swap_rows(t, i)
+                        dirty = True
+            for j in range(t + 1, m):
+                if a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    add_col(j, t, q)
+                    if a[t][j] != 0:
+                        swap_cols(t, j)
+                        dirty = True
+            if not dirty and all(a[i][t] == 0 for i in range(t + 1, k)) \
+                    and all(a[t][j] == 0 for j in range(t + 1, m)):
+                break
+        # divisibility fix-up: pivot must divide the remaining block
+        entry = None
+        for i in range(t + 1, k):
+            for j in range(t + 1, m):
+                if a[i][j] % a[t][t] != 0:
+                    entry = (i, j)
+                    break
+            if entry:
+                break
+        if entry:
+            add_row(t, entry[0], -1)  # row_t += row_i
+            continue
+        if a[t][t] < 0:
+            for r in a:
+                r[t] = -r[t]
+            v[t] = [-x for x in v[t]]
+            vinv[t] = [-x for x in vinv[t]]
+        t += 1
+    diag = [a[i][i] if i < m else 0 for i in range(min(k, m))]
+    # note: columns of the work matrix were transformed; v rows track columns
+    v_mat = [[v[j][i] for j in range(m)] for i in range(m)]
+    return diag, v_mat, vinv
+
+
+@dataclass(frozen=True)
+class LeviBlocks:
+    """Contiguous diagonal blocks of the Levi factor, as (start, length)
+    pairs over the r matrix coordinates, 1-based, mirrored for Sp/SO."""
+
+    family: object
+    blocks: tuple
+
+    def sizes(self):
+        return tuple(length for _, length in self.blocks)
+
+
+def levi_blocks(family, index):
+    """Diagonal block shape of the Levi factor L_I inside the r x r matrix.
+    Wrong on the D_n fork, where I holds alpha_(n-1) but not alpha_n: that
+    Levi is a GL(n) with the sign of the last coordinate flipped."""
+    r = family.r
+    cuts = set()
+    if family.kind in (GL, SL):
+        cuts.update(i + 1 for i in index.members)
+    else:
+        n = family.cartan_dim
+        for i in index.members:
+            # the last simple root cuts at n and its mirror r - n, which
+            # coincide except for SO of odd rank
+            if i < n - 1:
+                cuts.update({i + 1, r - i - 1})
+            else:
+                cuts.update({n, r - n})
+    bounds = [0] + sorted(cuts) + [r]
+    blocks = tuple((bounds[k] + 1, bounds[k + 1] - bounds[k])
+                   for k in range(len(bounds) - 1) if bounds[k + 1] > bounds[k])
+    return LeviBlocks(family, blocks)
+
+
+def on_the_fork(index):
+    """I holds the fork root alpha_(n-1) of D_n but not alpha_n."""
+    family, n = index.family, index.family.cartan_dim
+    return family.kind == "so" and family.r % 2 == 0 and \
+        n - 2 in index.members and n - 1 not in index.members
+
+
+def block_topological_type(family, index, a):
+    """Per-Levi-block averaging of a; Sp/SO middle blocks average to zero.
+    Off the D_n fork only."""
+    dim = family.cartan_dim
+    out = [Fraction(0)] * dim
+    for start, length in levi_blocks(family, index).blocks:
+        lo = start - 1
+        hi = lo + length
+        # GL/SL blocks all lie in the first dim coordinates; Sp/SO middle
+        # and mirrored blocks do not
+        if hi <= dim:
+            avg = Fraction(sum(a[lo:hi]), length)
+            for i in range(lo, hi):
+                out[i] = avg
+    return tuple(out)
+
+
+def _psi_denominators(family, blocks):
+    if family.kind in (GL, SL):
+        return tuple(length for _, length in blocks)
+    # only blocks inside the first n diagonal coordinates have a free
+    # central parameter; the middle and mirrored blocks are determined
+    n = family.cartan_dim
+    return tuple(length for start, length in blocks if start - 1 + length <= n)
+
+
+@dataclass(frozen=True)
+class IntegerLattice:
+    basis: tuple
+
+
+@dataclass(frozen=True)
+class LatticeTower:
+    """Gamma, Lambda and its saturation, with the nonzero invariant factors
+    and the column transform V of the one Smith normal form of the coroot
+    matrix; and the central slope denominators of the Levi blocks."""
+
+    family: object
+    gamma_basis: tuple
+    lam: IntegerLattice
+    lam_sat: IntegerLattice
+    psi_denominators: tuple
+    invariant_factors: tuple
+    column_transform: tuple
+
+
+def _gamma_basis(family):
+    dim = family.cartan_dim
+    if family.kind == SL:
+        return tuple(tuple(1 if j == i else (-1 if j == i + 1 else 0) for j in range(dim))
+                     for i in range(dim - 1))
+    return tuple(tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim))
+
+
+def _tower(family, roots, blocks):
+    """Canonical bases of Lambda = span{d_i * row_i(V^{-1})} and of its
+    saturation span{row_i(V^{-1})}, from one Smith normal form."""
+    dim = family.cartan_dim
+    # a zero row keeps the width of the matrix when there are no roots
+    coroots = [coroot(family, a) for a in roots] or [(0,) * dim]
+    diag, v, vinv = smith_normal_form(coroots)
+    factors = tuple(d for d in diag if d != 0)
+    lam = IntegerLattice(tuple(tuple(d * x for x in vinv[i])
+                               for i, d in enumerate(factors)))
+    lam_sat = IntegerLattice(tuple(map(tuple, vinv[:len(factors)])))
+    return LatticeTower(family, _gamma_basis(family), lam, lam_sat,
+                        _psi_denominators(family, blocks), factors,
+                        tuple(tuple(row) for row in v))
+
+
+@lru_cache(maxsize=64)
+def lattice_tower(family):
+    family.require_root_system()
+    return _tower(family, all_roots(family), ((1, family.r),))
+
+
+def levi_lattice_tower(family, index):
+    """Tower of the Levi factor: coroots restricted to the Levi roots."""
+    family.require_root_system()
+    return _tower(family, _root_split(index)[0],
+                  levi_blocks(family, index).blocks)
+
+
+def _tower_groups(t):
+    """pi1 = Gamma/Lambda = Z^(n-k) x (+) Z/d_i, its torsion pi1_der =
+    Lambda-hat/Lambda and its free part pi1_ab = Gamma/Lambda-hat, read off
+    the k nonzero invariant factors d_i, with n the rank of Gamma.  Gamma is
+    saturated in Z^dim, so the torsion of Gamma/Lambda is that of
+    Z^dim/Lambda."""
+    free = len(t.gamma_basis) - len(t.invariant_factors)
+    torsion = tuple(d for d in t.invariant_factors if d > 1)
+    return FinAbGroup(0, torsion), FinAbGroup(free, torsion), FinAbGroup(free, ())
+
+
+def tower_residues(family, a):
+    """Torsion residues of the obstruction class of a in adapted Smith
+    coordinates, (a.V)_i reduced mod the invariant factors d_i > 1."""
+    t = lattice_tower(family)
+    v = t.column_transform
+    return tuple(sum(x * row[i] for x, row in zip(a, v)) % d
+                 for i, d in enumerate(t.invariant_factors) if d > 1)

@@ -2,6 +2,7 @@ import importlib
 import pkgutil
 
 import hnbundles
+import oracles
 
 
 def test_every_cache_is_bounded():
@@ -13,5 +14,9 @@ def test_every_cache_is_bounded():
                 caches[f"{module.__name__}.{name}"] = obj.cache_info().maxsize
     assert "hnbundles.rootsys.weyl_orbit" in caches
     assert "hnbundles.cli.build_parser" in caches
+    # the closed forms of lattice keep nothing; the tower oracle keeps a
+    # bounded cache of its Smith normal forms
+    assert not any(name.startswith("hnbundles.lattice.") for name in caches)
+    assert oracles.lattice_tower.cache_info().maxsize is not None
     unbounded = sorted(name for name, size in caches.items() if size is None)
     assert not unbounded, f"unbounded caches: {unbounded}"

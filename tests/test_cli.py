@@ -1,9 +1,11 @@
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -138,6 +140,25 @@ def test_pi1_command(capsys):
                          "--levi", "a2,3")
     doc2 = json.loads(out2)
     assert code2 == 0 and doc2["pi1"] == "Z x Z"
+
+
+def test_pi1_builds_no_root_list(capsys, monkeypatch):
+    # SL(100000) has about 10^10 roots: pi1 must read the parabolic index
+    def refused(family):
+        raise AssertionError(f"pi1 listed the roots of {family}")
+
+    for info in pkgutil.iter_modules(hnbundles.__path__):
+        module = importlib.import_module(f"hnbundles.{info.name}")
+        for name in ("all_roots", "positive_roots", "simple_roots"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    argv = ["pi1", "--family", "sl", "--rank", "100000"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert (json.loads(out)["der"], json.loads(out)["pi1"]) == ("1", "1")
+    code, out, err = run(capsys, *argv, "--levi", "a1,2")
+    assert code == 0, err
+    assert json.loads(out)["pi1"] == "Z"
 
 
 def test_canon_command(capsys):

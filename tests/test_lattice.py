@@ -1,3 +1,6 @@
+import importlib
+import inspect
+import pkgutil
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -7,16 +10,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hnbundles.lattice
+import oracles
 from hnbundles.errors import NotInKernelLattice, UnsupportedRank
-from hnbundles.intlin import smith_normal_form
-from hnbundles.lattice import (FinAbGroup, fundamental_groups, lattice_tower,
-                               levi_fundamental_groups, levi_lattice_tower,
-                               levi_topological_type, obstruction_class,
-                               topological_type)
+from hnbundles.lattice import (FinAbGroup, fundamental_groups,
+                               levi_fundamental_groups, levi_topological_type,
+                               obstruction_class, topological_type)
 from hnbundles.parabolic import ParabolicIndex, _root_split
 from hnbundles.rootsys import (GroupFamily, all_roots, coroot, evaluate,
                                simple_roots, weyl_orbit)
-from oracles import _row_kernel, solve_rational
+from oracles import (_row_kernel, _tower_groups, block_topological_type,
+                     lattice_tower, levi_lattice_tower, on_the_fork,
+                     smith_normal_form, solve_rational, tower_residues)
 
 FAMILIES = [GroupFamily("gl", r) for r in (3, 4, 5)] + \
     [GroupFamily("sl", r) for r in (3, 4)] + \
@@ -42,7 +46,6 @@ def test_fin_ab_group_rejects_bad_factors():
         FinAbGroup(0, (3, 2))
     with pytest.raises(ValueError, match=">= 2"):
         FinAbGroup(1, (1,))
-    assert FinAbGroup(0, (2, 4)).order == 8
 
 
 def _contains(lattice, v):
@@ -153,6 +156,70 @@ def test_levi_topological_type():
     assert levi_topological_type(sp4, idx, (3, 2)) == (3, 0)
 
 
+def test_levi_topological_type_on_the_d_fork():
+    # I holds alpha_(n-1) but not alpha_n: the Levi is a GL(n) with the
+    # sign of the last coordinate flipped, not the blocks GL(n-1) x SO(2)
+    so8 = GroupFamily("so", 8)
+    assert levi_topological_type(so8, ParabolicIndex(so8, frozenset({2})),
+                                 (3, 2, 1, 1)) == \
+        (Fraction(5, 4), Fraction(5, 4), Fraction(5, 4), Fraction(-5, 4))
+    so4 = GroupFamily("so", 4)
+    assert levi_topological_type(so4, ParabolicIndex(so4, frozenset({0})),
+                                 (3, 1)) == (1, -1)
+
+
+CENTRE_GRID = [GroupFamily("gl", r) for r in range(1, 8)] + \
+    [GroupFamily("sl", r) for r in range(2, 8)] + \
+    [GroupFamily("sp", r) for r in range(2, 13, 2)] + \
+    [GroupFamily("so", r) for r in range(3, 13)]
+
+
+@pytest.mark.parametrize("family", CENTRE_GRID, ids=lambda f: f"{f.kind}{f.r}")
+def test_levi_topological_type_is_the_central_projection(family):
+    """The Levi roots vanish on the type, and a less the type lies in the
+    span of the Levi coroots; off the D_n fork the type is the per-block
+    average."""
+    rng = random.Random(f"centre {family.kind}{family.r}")
+    count = len(simple_roots(family))
+    for bits in range(1 << count):
+        index = ParabolicIndex(family, frozenset(
+            i for i in range(count) if bits >> i & 1))
+        levi = _root_split(index)[0]
+        for _ in range(3):
+            a = [rng.randint(-3, 3) for _ in range(family.cartan_dim)]
+            if family.kind == "sl":
+                a[-1] -= sum(a)
+            centre = levi_topological_type(family, index, a)
+            assert all(evaluate(alpha, centre) == 0 for alpha in levi)
+            rest = [x - c for x, c in zip(a, centre)]
+            assert solve_rational([coroot(family, alpha) for alpha in levi],
+                                  rest) is not None, (index, a)
+            if not on_the_fork(index):
+                assert centre == block_topological_type(family, index, a)
+
+
+@pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (
+    ("gl", 5), ("sp", 8), ("so", 9), ("so", 10))], ids=lambda f: f"{f.kind}{f.r}")
+def test_levi_topological_type_ignores_the_root_order(family, monkeypatch):
+    rng = random.Random(f"order {family.kind}{family.r}")
+    count = len(simple_roots(family))
+    cases = []
+    for bits in range(1 << count):
+        index = ParabolicIndex(family, frozenset(
+            i for i in range(count) if bits >> i & 1))
+        a = [rng.randint(-3, 3) for _ in range(family.cartan_dim)]
+        cases.append((index, a, levi_topological_type(family, index, a)))
+
+    def shuffled(index):
+        levi, nilrad = _root_split(index)
+        return rng.sample(levi, len(levi)), nilrad
+
+    monkeypatch.setattr(hnbundles.lattice, "_root_split", shuffled)
+    for index, a, centre in cases:
+        for _ in range(3):
+            assert levi_topological_type(family, index, a) == centre, index
+
+
 def _quotient(ambient_basis, spanning):
     """Reference quotient of the lattice on ambient_basis by the span of
     spanning: coordinates of each spanning vector by a rational solve, then
@@ -219,25 +286,49 @@ def test_free_functionals_equal_the_row_kernel_oracle(family):
             tuple(evaluate(f, a) for f in forms), a
 
 
-def test_one_smith_normal_form_per_family(monkeypatch):
-    calls = []
+def test_closed_forms_make_no_smith_normal_form(monkeypatch):
+    def refused(mat):
+        raise AssertionError("a closed form took a Smith normal form")
 
-    def counted(mat):
-        calls.append(len(mat))
-        return smith_normal_form(mat)
+    monkeypatch.setattr(oracles, "smith_normal_form", refused)
+    for family in [GroupFamily("gl", 4), GroupFamily("so", 7), GroupFamily("sp", 6),
+                   GroupFamily("so", 8), GroupFamily("sl", 3)]:
+        obstruction_class(family, (1, -1) + (0,) * (family.cartan_dim - 2))
+        fundamental_groups(family)
+        count = len(simple_roots(family))
+        for bits in range(1 << count):
+            levi_fundamental_groups(family, ParabolicIndex(family, frozenset(
+                i for i in range(count) if bits >> i & 1)))
+    for info in pkgutil.iter_modules(hnbundles.__path__):
+        module = importlib.import_module(f"hnbundles.{info.name}")
+        source = inspect.getsource(module)
+        assert "smith_normal_form" not in source, info.name
+        assert "LatticeTower" not in source, info.name
 
-    monkeypatch.setattr(hnbundles.lattice, "smith_normal_form", counted)
-    lattice_tower.cache_clear()
-    families = [GroupFamily("gl", 4), GroupFamily("so", 7), GroupFamily("sp", 6)]
-    try:
-        for _ in range(3):
-            for family in families:
-                obstruction_class(family, (1,) * family.cartan_dim)
-                fundamental_groups(family)
-        assert len(calls) == len(families)
-        assert all(lattice_tower(f) is lattice_tower(f) for f in families)
-    finally:
-        lattice_tower.cache_clear()
+
+# every parabolic index of these families, 1,142 in all, and 50 seeded
+# degree vectors per family
+CLOSED_FORM_GRID = [GroupFamily(k, r) for k in ("gl", "sl") for r in range(1, 9)] + \
+    [GroupFamily("sp", r) for r in range(2, 15, 2)] + \
+    [GroupFamily("so", r) for r in range(3, 15)]
+
+
+@pytest.mark.parametrize("family", CLOSED_FORM_GRID,
+                         ids=lambda f: f"{f.kind}{f.r}")
+def test_closed_forms_equal_the_snf_oracle(family):
+    assert fundamental_groups(family) == _tower_groups(lattice_tower(family))
+    count = len(simple_roots(family))
+    for bits in range(1 << count):
+        index = ParabolicIndex(family, frozenset(
+            i for i in range(count) if bits >> i & 1))
+        assert levi_fundamental_groups(family, index) == \
+            _tower_groups(levi_lattice_tower(family, index)), index
+    rng = random.Random(f"obstruction {family.kind}{family.r}")
+    for _ in range(50):
+        a = [rng.randint(-3, 3) for _ in range(family.cartan_dim)]
+        if family.kind == "sl":
+            a[-1] -= sum(a)
+        assert obstruction_class(family, a)[1] == tower_residues(family, a), a
 
 
 def _obstruction_oracle(family, a):

@@ -8,12 +8,11 @@ from hnbundles.errors import (FamilyMismatch, InvalidFlag, NotACharacter,
                               NothingToGenerate)
 from hnbundles.parabolic import (ParabolicIndex, _root_split, _two_rho,
                                  character_generators, is_dominant_character,
-                                 levi_blocks, parabolic_from_flag,
-                                 parabolic_leq)
+                                 parabolic_from_flag, parabolic_leq)
 from hnbundles.rootsys import (GroupFamily, all_roots, coroot, evaluate,
                                positive_roots, simple_roots)
-from oracles import (generator_oracle, index_point, root_split_oracle,
-                     solve_rational)
+from oracles import (generator_oracle, index_point, levi_blocks,
+                     root_split_oracle, solve_rational)
 
 
 def _idx(family, members):
