@@ -15,7 +15,7 @@ from .errors import InvalidReduction, TooLarge
 from .hnfilt import hn_filtration, hn_filtration_isotropic
 from .parabolic import (ParabolicIndex, _root_split, _two_rho,
                         character_generators)
-from .rootsys import (GL, SL, GroupFamily, _reject_point, as_cocharacter,
+from .rootsys import (GL, SL, GroupFamily, _point, as_cocharacter,
                       dominant_representative, evaluate, is_dominant,
                       simple_roots, weyl_orbit)
 
@@ -104,9 +104,7 @@ def check_bh(family: GroupFamily, a, red: CanonicalReduction):
 def bh_conditions(family: GroupFamily, index: ParabolicIndex, v):
     """The two conditions at an arbitrary reduction point v (possibly a
     non-dominant Weyl translate); used by the exhaustive oracle."""
-    if (index.family is not family and index.family != family) \
-            or len(v) != family.cartan_dim:
-        _reject_point(family, index, v)
+    v = _point(family, v, index)
     simples = simple_roots(family)
     levi_ss = all(evaluate(simples[i], v) == 0
                   for i in range(len(simples)) if i not in index.members)
@@ -120,11 +118,8 @@ def _ad_degree_form(family: GroupFamily, index: ParabolicIndex, v):
     """2rho_P, the functional whose value at v is the adjoint degree of the
     reduction to P_I at v, once index is checked to be of family and v to
     have its length."""
-    two_rho = _two_rho(index)
-    if (index.family is not family and index.family != family) \
-            or len(v) != len(two_rho):
-        _reject_point(family, index, v)
-    return two_rho
+    _point(family, v, index)
+    return _two_rho(index)
 
 
 def ad_degree(family: GroupFamily, index: ParabolicIndex, v) -> int:

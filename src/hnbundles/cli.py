@@ -165,10 +165,15 @@ def _cmd_semistable(args) -> dict:
 
 
 def _parse_levi(family, tokens):
-    names = {root_name(family, i): i for i in range(simple_root_count(family))}
+    count = simple_root_count(family)
+    names = {root_name(family, i): i for i in range(count)}
     for t in tokens:
         if t not in names:
-            raise SpecError(f"unknown simple root name {t!r}; choose from {sorted(names)}")
+            # a large family lists only the ends, so the message stays short
+            choices = sorted(names) if count <= 16 else (
+                f"the {count} names {root_name(family, 0)!r} to "
+                f"{root_name(family, count - 1)!r}")
+            raise SpecError(f"unknown simple root name {t!r}; choose from {choices}")
     return ParabolicIndex(family, {names[t] for t in tokens})
 
 

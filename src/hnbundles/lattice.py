@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import NotInKernelLattice, NotIntegral
 from .parabolic import ParabolicIndex, _root_split
-from .rootsys import (GL, SL, SO, GroupFamily, _reject_point, as_cocharacter,
+from .rootsys import (GL, SL, SO, GroupFamily, _point, as_cocharacter,
                       simple_root_count)
 
 
@@ -54,8 +54,7 @@ def levi_fundamental_groups(family: GroupFamily, index: ParabolicIndex):
     root is outside I, for SO(2n) when both fork roots are.
     """
     family.require_root_system()
-    if index.family != family:
-        _reject_point(family, index)
+    _point(family, index=index)
     rank = family.r - 1 if family.kind == SL else family.cartan_dim
     free = rank - simple_root_count(family) + len(index.members)
     n = family.cartan_dim
@@ -106,8 +105,7 @@ def levi_topological_type(family: GroupFamily, index: ParabolicIndex, a):
     component the centre takes the signed mean of a.
     """
     a = _check_in_gamma(family, a)
-    if index.family != family:
-        _reject_point(family, index)
+    _point(family, index=index)
     parent = list(range(len(a)))
     sign = [1] * len(a)  # x_i = sign[i] * x_parent[i]
 

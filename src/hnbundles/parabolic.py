@@ -14,7 +14,7 @@ from math import gcd
 
 from .errors import (FamilyMismatch, InvalidFlag, NotACharacter,
                      NothingToGenerate)
-from .rootsys import (GL, SL, SO, SP, GroupFamily, _reject_point, all_roots,
+from .rootsys import (GL, SL, SO, SP, GroupFamily, _point, all_roots,
                       coroot, evaluate, root_name, simple_root_coordinates,
                       simple_root_count, simple_roots)
 
@@ -117,9 +117,7 @@ def is_dominant_character(family: GroupFamily, index: ParabolicIndex, dchi):
     where coeffs is the exact decomposition over the simple roots, or None
     when dchi does not lie in their rational span.
     """
-    dchi = tuple(dchi)
-    if index.family != family or len(dchi) != family.cartan_dim:
-        _reject_point(family, index, dchi)
+    dchi = _point(family, dchi, index)
     simples = simple_roots(family)
     for i, alpha in enumerate(simples):
         if i not in index.members and evaluate(dchi, coroot(family, alpha)) != 0:
@@ -160,8 +158,7 @@ def character_generators(family: GroupFamily, index: ParabolicIndex):
     positive multiple of the fundamental weight of alpha that is integral
     with integral coordinates over the simple roots.
     """
-    if index.family != family:
-        _reject_point(family, index)
+    _point(family, index=index)
     if not index.members:
         raise NothingToGenerate("empty parabolic index has no generators")
     return [_generator(family, i + 1) for i in sorted(index.members)]

@@ -163,22 +163,20 @@ def coroot(family: GroupFamily, root):
     return tuple(2 * c // norm for c in root)
 
 
-def _reject_point(family: GroupFamily, index=None, v=()):
-    """Raise for an index of another family, else for a point or functional
-    v whose length is not cartan_dim, which evaluate would silently
-    truncate.  Callers test first and call this only to raise."""
+def _point(family: GroupFamily, v=None, index=None):
+    """v as a tuple of cartan_dim coordinates, or None when v is None.
+    Raises FamilyMismatch for an index of another family, then ValueError
+    for a point or functional v of another length, which evaluate would
+    silently truncate."""
     if index is not None and index.family != family:
         raise FamilyMismatch("index belongs to a different family")
-    raise ValueError(f"point ({', '.join(map(str, v))}) has {len(v)} "
-                     f"coordinates, {family.kind}{family.r} needs "
-                     f"{family.cartan_dim}")
-
-
-def _point(family: GroupFamily, v):
-    """v as a tuple of cartan_dim coordinates, else ValueError."""
+    if v is None:
+        return None
     v = tuple(v)
     if len(v) != family.cartan_dim:
-        _reject_point(family, v=v)
+        raise ValueError(f"point ({', '.join(map(str, v))}) has {len(v)} "
+                         f"coordinates, {family.kind}{family.r} needs "
+                         f"{family.cartan_dim}")
     return v
 
 

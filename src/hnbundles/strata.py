@@ -4,9 +4,11 @@ Labels are (dominant type, forced parabolic index) pairs; the order
 combines parabolic containment with Weyl-orbit convex-hull membership,
 decided by Kostant's convexity theorem from the closed-form dominant
 representatives and simple-root coordinates, with no orbit and no
-solve.  An exact phase-1 simplex over the whole Weyl orbit stays as an
-oracle for tests and the hull check suite, and a partial-sum dominance
-test for GL cross-checks both.
+solve.  enumerate_strata reads the coordinates once per label, not once
+per pair, and takes its covers as a transitive reduction.  An exact
+phase-1 simplex over the whole Weyl orbit stays as an oracle for tests
+and the hull check suite, and a partial-sum dominance test for GL
+cross-checks both.
 """
 
 from dataclasses import dataclass
@@ -16,9 +18,8 @@ from itertools import product
 from .canon import HNType, forced_index
 from .errors import FamilyMismatch, TooLarge
 from .parabolic import ParabolicIndex, parabolic_leq
-from .rootsys import (GL, SL, GroupFamily, _reject_point,
-                      dominant_representative, evaluate, is_dominant,
-                      simple_root_coordinates, weyl_orbit)
+from .rootsys import (GL, SL, GroupFamily, _point, dominant_representative,
+                      is_dominant, simple_root_coordinates, weyl_orbit)
 
 HULL_DIM_GUARD = 6
 ENUM_DIM_GUARD = 4
@@ -100,9 +101,7 @@ def hull_membership_lp_oracle(family: GroupFamily, mu, nu) -> bool:
     the phase-1 simplex on nu as a convex combination of the points of W.mu."""
     if family.cartan_dim > HULL_DIM_GUARD:
         raise TooLarge("hull guard exceeded")
-    nu = tuple(nu)
-    if len(nu) != family.cartan_dim:
-        _reject_point(family, v=nu)
+    nu = _point(family, nu)
     return _phase_one_feasible(weyl_orbit(family, tuple(mu)), nu)
 
 
@@ -168,31 +167,33 @@ def enumerate_strata(family: GroupFamily, bound: int,
     dim = family.cartan_dim
     if dim > ENUM_DIM_GUARD or bound > ENUM_BOUND_GUARD:
         raise TooLarge("enumeration guard exceeded")
-    # the degree of the underlying vector bundle pairs the determinant
-    # character with the type; it is trivial on Sp and SO
-    det = (1 if family.kind in (GL, SL) else 0,) * dim
-    labels = []
+    # stratum_leq(labels[i], labels[j]) holds when the index of j contains
+    # that of i, the centres agree and, by Kostant, the simple-root
+    # coordinates of mu_j - mu_i are >= 0: by linearity, when those of mu_j
+    # less its centre dominate those of mu_i less its centre.  The centre
+    # is the degree of the underlying vector bundle, trivial on Sp and SO.
+    labels, keys = [], []
     for coords in product(range(bound, -bound - 1, -1), repeat=dim):
-        if not is_dominant(family, coords):
-            continue
-        if family.kind == SL and sum(coords) != 0:
-            continue
-        if total_degree is not None and evaluate(det, coords) != total_degree:
+        degree = sum(coords) if family.kind in (GL, SL) else 0
+        if not is_dominant(family, coords) or (family.kind == SL and degree) \
+                or (total_degree is not None and degree != total_degree):
             continue
         labels.append(stratum_label(family, coords))
-    labels.sort(key=lambda s: s.mu.mu, reverse=True)
-    k = len(labels)
-    leq = [[i == j or stratum_leq(labels[i], labels[j]) for j in range(k)]
-           for i in range(k)]
+        shift = Fraction(degree, dim)
+        keys.append((labels[-1].index.members, degree, simple_root_coordinates(
+            family, [c - shift for c in coords])))
+    ups = [[j for j, (members, centre, xs) in enumerate(keys)
+            if j != i and centre == ci and members >= mi
+            and all(a <= b for a, b in zip(xi, xs))]
+           for i, (mi, ci, xi) in enumerate(keys)]
+    # j covers i when no m of the up-set of i has j in its own up-set
+    bits = [sum(1 << j for j in up) for up in ups]
     covers = set()
-    for i in range(k):
-        for j in range(k):
-            if i == j or not leq[i][j] or leq[j][i]:
-                continue
-            if any(m not in (i, j) and leq[i][m] and leq[m][j]
-                   and not leq[m][i] and not leq[j][m] for m in range(k)):
-                continue
-            covers.add((i, j))
+    for i, up in enumerate(ups):
+        through = 0
+        for m in up:
+            through |= bits[m]
+        covers.update((i, j) for j in up if not through >> j & 1)
     return StrataPoset(tuple(labels), frozenset(covers))
 
 

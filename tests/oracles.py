@@ -4,19 +4,24 @@ and the Hermite-reduced integer row kernel, the point v_I and its sign
 test for the root split, the integer row kernel for the character
 generators, the Smith normal form of the coroot matrix and the lattice
 tower read off it for the fundamental groups and the obstruction class,
-and the diagonal Levi blocks for the Levi topological type off the D_n
-fork.
+the diagonal Levi blocks for the Levi topological type off the D_n
+fork, and the pairwise stratum order with its covers found by a triple
+loop.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd
 
+from hnbundles.errors import TooLarge
 from hnbundles.lattice import FinAbGroup
 from hnbundles.parabolic import _root_split
-from hnbundles.rootsys import (GL, SL, all_roots, coroot, evaluate,
-                               simple_roots)
+from hnbundles.rootsys import (GL, SL, GroupFamily, all_roots, coroot,
+                               evaluate, is_dominant, simple_roots)
+from hnbundles.strata import (ENUM_BOUND_GUARD, ENUM_DIM_GUARD, StrataPoset,
+                              stratum_label, stratum_leq)
 
 
 def solve_rational(rows, rhs):
@@ -440,3 +445,38 @@ def tower_residues(family, a):
     v = t.column_transform
     return tuple(sum(x * row[i] for x, row in zip(a, v)) % d
                  for i, d in enumerate(t.invariant_factors) if d > 1)
+
+
+def enumerate_strata_oracle(family: GroupFamily, bound: int,
+                            total_degree=None) -> StrataPoset:
+    """enumerate_strata pairwise: stratum_leq on every ordered pair of
+    labels, then each pair with no label strictly between as a cover."""
+    dim = family.cartan_dim
+    if dim > ENUM_DIM_GUARD or bound > ENUM_BOUND_GUARD:
+        raise TooLarge("enumeration guard exceeded")
+    # the degree of the underlying vector bundle pairs the determinant
+    # character with the type; it is trivial on Sp and SO
+    det = (1 if family.kind in (GL, SL) else 0,) * dim
+    labels = []
+    for coords in product(range(bound, -bound - 1, -1), repeat=dim):
+        if not is_dominant(family, coords):
+            continue
+        if family.kind == SL and sum(coords) != 0:
+            continue
+        if total_degree is not None and evaluate(det, coords) != total_degree:
+            continue
+        labels.append(stratum_label(family, coords))
+    labels.sort(key=lambda s: s.mu.mu, reverse=True)
+    k = len(labels)
+    leq = [[i == j or stratum_leq(labels[i], labels[j]) for j in range(k)]
+           for i in range(k)]
+    covers = set()
+    for i in range(k):
+        for j in range(k):
+            if i == j or not leq[i][j] or leq[j][i]:
+                continue
+            if any(m not in (i, j) and leq[i][m] and leq[m][j]
+                   and not leq[m][i] and not leq[j][m] for m in range(k)):
+                continue
+            covers.add((i, j))
+    return StrataPoset(tuple(labels), frozenset(covers))

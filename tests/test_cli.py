@@ -161,6 +161,13 @@ def test_pi1_builds_no_root_list(capsys, monkeypatch):
     assert json.loads(out)["pi1"] == "Z"
 
 
+def test_unknown_levi_name_message_is_short(capsys):
+    code, out, err = run(capsys, "pi1", "--family", "sl", "--rank", "100000",
+                         "--levi", "bogus")
+    assert code == 1 and not out and len(err.encode()) < 1024
+    assert "choose from the 99999 names 'a1,2' to 'a99999,100000'" in err
+
+
 def test_canon_command(capsys):
     code, out, _ = run(capsys, "canon", "--family", "sp", "--rank", "4",
                        "--deg", "2,1", "--oracle")

@@ -6,7 +6,7 @@ from math import lcm
 import pytest
 from hypothesis import given, strategies as st
 
-from hnbundles import canon, parabolic, rootsys, strata
+from hnbundles import canon, lattice, parabolic, rootsys, strata
 from hnbundles.errors import NotARoot, NotIntegral, TooLarge, UnsupportedRank
 from hnbundles.rootsys import (GroupFamily, all_roots, as_cocharacter, coroot,
                                dominant_representative, evaluate, is_dominant,
@@ -309,8 +309,8 @@ def test_wrong_length_points_are_rejected():
     assert weyl_orbit(GroupFamily("gl", 2), [1, 0]) == ((1, 0), (0, 1))
     assert weyl_orbit(so6, [0, 0, 1]) == weyl_orbit(so6, (0, 0, 1))
     # one home for the message, shared by every module that rejects points
-    assert canon._reject_point is parabolic._reject_point is \
-        strata._reject_point is rootsys._reject_point
+    assert canon._point is parabolic._point is lattice._point is \
+        strata._point is rootsys._point
 
 
 def test_root_names():

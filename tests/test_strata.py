@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hnbundles import strata
 from hnbundles.canon import HNType
 from hnbundles.errors import FamilyMismatch, TooLarge
 from hnbundles.parabolic import ParabolicIndex
@@ -13,6 +14,7 @@ from hnbundles.strata import (StrataPoset, StratumLabel, enumerate_strata,
                               hull_membership_lp_oracle, stratum_label,
                               stratum_leq, to_dot)
 from hnbundles.rootsys import GroupFamily, dominant_representative, weyl_orbit
+from oracles import enumerate_strata_oracle
 
 
 def test_hull_examples():
@@ -205,6 +207,36 @@ def test_enumerate_guards():
         enumerate_strata(GroupFamily("gl", 5), 1)
     with pytest.raises(TooLarge):
         enumerate_strata(GroupFamily("gl", 2), 5)
+
+
+# every family with a root system and cartan_dim <= 3 at bounds 0-3, and
+# the rank-4 families at bounds 0-2
+ORACLE_GRID = [(GroupFamily(kind, r), range(4)) for kind, ranks in (
+    ("gl", (1, 2, 3)), ("sl", (1, 2, 3)), ("sp", (2, 4, 6)),
+    ("so", (3, 4, 5, 6, 7))) for r in ranks] + [
+    (GroupFamily(kind, r), range(3))
+    for kind, r in (("gl", 4), ("sl", 4), ("sp", 8), ("so", 8), ("so", 9))]
+
+
+@pytest.mark.parametrize("family,bounds", ORACLE_GRID,
+                         ids=[f"{f.kind}{f.r}" for f, _ in ORACLE_GRID])
+def test_enumerate_equals_the_pairwise_oracle(family, bounds):
+    for bound in bounds:
+        for degree in (None, 0, 1):
+            assert enumerate_strata(family, bound, degree) == \
+                enumerate_strata_oracle(family, bound, degree)
+
+
+def test_enumerate_decides_no_pair_by_hull(monkeypatch):
+    so8 = GroupFamily("so", 8)
+    want = enumerate_strata_oracle(so8, 2)
+
+    def refused(*args):
+        raise AssertionError("enumerate_strata compared a pair")
+
+    monkeypatch.setattr(strata, "stratum_leq", refused)
+    monkeypatch.setattr(strata, "hull_membership", refused)
+    assert enumerate_strata(so8, 2) == want
 
 
 def _closure(p: StrataPoset):
