@@ -15,9 +15,9 @@ from .errors import InvalidReduction, TooLarge
 from .hnfilt import hn_filtration, hn_filtration_isotropic
 from .parabolic import (ParabolicIndex, _root_split, _two_rho,
                         character_generators)
-from .rootsys import (GL, SL, GroupFamily, _point, as_cocharacter,
-                      dominant_representative, evaluate, is_dominant,
-                      simple_roots, weyl_orbit)
+from .rootsys import (GL, SL, GroupFamily, _point, _simple_root_values,
+                      as_cocharacter, dominant_representative, evaluate,
+                      is_dominant, simple_root_count, weyl_orbit)
 
 ORACLE_DIM_GUARD = 5
 
@@ -50,8 +50,8 @@ class CanonicalReduction:
 def forced_index(family: GroupFamily, mu) -> ParabolicIndex:
     """The parabolic index a dominant vector determines: simple roots
     taking a positive value on it."""
-    members = frozenset(i for i, a in enumerate(simple_roots(family))
-                        if evaluate(a, mu) > 0)
+    members = frozenset(i for i, x in enumerate(_simple_root_values(family, mu))
+                        if x > 0)
     return ParabolicIndex(family, members)
 
 
@@ -105,9 +105,8 @@ def bh_conditions(family: GroupFamily, index: ParabolicIndex, v):
     """The two conditions at an arbitrary reduction point v (possibly a
     non-dominant Weyl translate); used by the exhaustive oracle."""
     v = _point(family, v, index)
-    simples = simple_roots(family)
-    levi_ss = all(evaluate(simples[i], v) == 0
-                  for i in range(len(simples)) if i not in index.members)
+    levi_ss = all(x == 0 for i, x in enumerate(_simple_root_values(family, v))
+                  if i not in index.members)
     if not index.members:
         return levi_ss, []
     degrees = [evaluate(chi, v) for chi in character_generators(family, index)]
@@ -140,7 +139,7 @@ def ad_degree_max_oracle(family: GroupFamily, a):
     if family.cartan_dim > ORACLE_DIM_GUARD:
         raise TooLarge("enumeration guard exceeded")
     a = as_cocharacter(family, a)
-    count = len(simple_roots(family))
+    count = simple_root_count(family)
     orbit = weyl_orbit(family, a)
     best = None
     argmax = []

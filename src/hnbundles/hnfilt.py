@@ -1,8 +1,9 @@
 """Harder-Narasimhan filtrations on the formal model.
 
-The fast path groups atoms by slope; the oracles re-derive the same
-filtrations by exhaustive enumeration of ordered partitions (plain) or
-isotropic chains (Sp/SO), so the two routes check each other.
+The fast path groups atoms by slope; the oracle re-derives the same
+filtrations by exhaustive enumeration of ordered partitions of the atoms
+(plain) or of the positive isotropic part (Sp/SO), so the two routes
+check each other.
 """
 
 from dataclasses import dataclass
@@ -114,58 +115,24 @@ def _ordered_partitions(atoms):
         yield [tuple(atoms[i] for i in blk) for blk in part]
 
 
-def _sub_multisets(atoms):
-    for k in range(len(atoms) + 1):
-        seen = set()
-        for pick in combinations(range(len(atoms)), k):
-            key = tuple(sorted(atoms[i] for i in pick))
-            if key not in seen:
-                seen.add(key)
-                yield key
-
-
 def hn_uniqueness_oracle(b) -> bool:
     """Exhaustively verify that exactly one filtration satisfies the
     defining conditions, and that it is the fast-path output."""
-    if isinstance(b, IsotropicBundle):
-        return _uniqueness_isotropic(b)
     if isinstance(b, SlBundle):
         b = b.underlying
     if b.rank > ORACLE_RANK_GUARD:
         raise TooLarge(f"rank {b.rank} exceeds the oracle guard")
+    # an Sp/SO isotropic part takes every positive atom: one left out would
+    # sit in the slope-0 middle with its negative mirror, and the middle
+    # would not be semistable; so only the positive part is partitioned
+    isotropic = isinstance(b, IsotropicBundle)
     winners = set()
-    for part in _ordered_partitions(b.atoms):
+    for part in _ordered_partitions(b.positive if isotropic else b.atoms):
         blocks = [PlainBundle(blk) for blk in part]
         if not all(is_semistable(q) for q in blocks):
             continue
         slopes = [q.slope for q in blocks]
         if all(x > y for x, y in zip(slopes, slopes[1:])):
             winners.add(tuple(tuple(q.atoms) for q in blocks))
-    expected = tuple(tuple(q.atoms) for q in hn_filtration(b).quotients)
-    return winners == {expected}
-
-
-def _uniqueness_isotropic(b) -> bool:
-    if b.rank > ORACLE_RANK_GUARD:
-        raise TooLarge(f"rank {b.rank} exceeds the oracle guard")
-    winners = set()
-    for sub in _sub_multisets(b.positive):
-        # candidate isotropic part: ordered partitions of the chosen
-        # sub-multiset; the middle is everything else
-        rest = list(b.positive)
-        for a in sub:
-            rest.remove(a)
-        middle_ok = not rest  # leftover positive atoms destabilize the middle
-        parts = _ordered_partitions(list(sub)) if sub else iter([[]])
-        for part in parts:
-            blocks = [PlainBundle(blk) for blk in part]
-            if not all(is_semistable(q) for q in blocks):
-                continue
-            slopes = [q.slope for q in blocks]
-            if not all(x > y for x, y in zip(slopes, slopes[1:])):
-                continue
-            if not (all(s > 0 for s in slopes) and middle_ok):
-                continue
-            winners.add(tuple(tuple(q.atoms) for q in blocks))
-    expected = tuple(tuple(q.atoms) for q in hn_filtration_isotropic(b).quotients)
-    return winners == {expected}
+    fast = hn_filtration_isotropic(b) if isotropic else hn_filtration(b)
+    return winners == {tuple(tuple(q.atoms) for q in fast.quotients)}

@@ -14,9 +14,9 @@ from math import gcd
 
 from .errors import (FamilyMismatch, InvalidFlag, NotACharacter,
                      NothingToGenerate)
-from .rootsys import (GL, SL, SO, SP, GroupFamily, _point, all_roots,
-                      coroot, evaluate, root_name, simple_root_coordinates,
-                      simple_root_count, simple_roots)
+from .rootsys import (GL, SL, SO, SP, GroupFamily, _point,
+                      _simple_root_values, all_roots, root_name,
+                      simple_root_coordinates, simple_root_count)
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,10 @@ def is_dominant_character(family: GroupFamily, index: ParabolicIndex, dchi):
     when dchi does not lie in their rational span.
     """
     dchi = _point(family, dchi, index)
-    simples = simple_roots(family)
-    for i, alpha in enumerate(simples):
-        if i not in index.members and evaluate(dchi, coroot(family, alpha)) != 0:
+    # a coroot is a positive multiple of its root, so dchi vanishes on the
+    # coroot of alpha_i exactly when <alpha_i, dchi> = 0
+    for i, x in enumerate(_simple_root_values(family, dchi)):
+        if i not in index.members and x:
             raise NotACharacter(
                 f"functional does not vanish on the coroot of {root_name(family, i)}")
     if not any(dchi):

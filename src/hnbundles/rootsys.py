@@ -5,13 +5,13 @@ r for GL/SL, n for Sp(2n) and SO(2n)/SO(2n+1).  Roots are integer
 functionals of the same length, evaluated by the dot product.
 
 The Weyl group acts by permutations (GL/SL) and signed permutations
-(Sp, SO; even SO changes an even number of signs), so the dominant
-chamber, the simple-root coordinates and the orbit sizes have closed
-forms (Bourbaki, Lie Groups and Lie Algebras ch. VI, Plates I-IV).  So
-does the orbit itself: the distinct arrangements of the entries, or for
-Sp/SO of their absolute values with every sign pattern on the nonzero
-ones.  The tests check the closed forms against a loop of simple
-reflections and a solve.
+(Sp, SO; even SO changes an even number of signs), so the simple-root
+pairings, the dominant chamber, the simple-root coordinates and the
+orbit sizes have closed forms (Bourbaki, Lie Groups and Lie Algebras
+ch. VI, Plates I-IV).  So does the orbit itself: the distinct
+arrangements of the entries, or for Sp/SO of their absolute values with
+every sign pattern on the nonzero ones.  The tests check the closed
+forms against a loop of simple reflections and a solve.
 """
 
 from collections import Counter
@@ -81,7 +81,6 @@ def evaluate(functional, v):
     return sum(a * b for a, b in zip(functional, v))
 
 
-@lru_cache(maxsize=128)
 def simple_roots(family: GroupFamily):
     """Ordered simple roots of the family in diagonal coordinates."""
     family.require_root_system()
@@ -121,7 +120,6 @@ def _sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-@lru_cache(maxsize=128)
 def positive_roots(family: GroupFamily):
     """Positive roots: closure of the simple system, listed deterministically."""
     family.require_root_system()
@@ -139,19 +137,13 @@ def positive_roots(family: GroupFamily):
     return tuple(sorted(out, reverse=True))
 
 
-@lru_cache(maxsize=128)
 def all_roots(family: GroupFamily):
     pos = positive_roots(family)
     return pos + tuple(tuple(-c for c in a) for a in pos)
 
 
-@lru_cache(maxsize=128)
-def _root_set(family: GroupFamily):
-    return frozenset(all_roots(family))
-
-
 def is_root(family: GroupFamily, functional) -> bool:
-    return tuple(functional) in _root_set(family)
+    return tuple(functional) in all_roots(family)
 
 
 def coroot(family: GroupFamily, root):
@@ -263,9 +255,22 @@ def dominant_representative(family: GroupFamily, v):
     return tuple(out)
 
 
-def is_dominant(family: GroupFamily, v) -> bool:
+def _simple_root_values(family: GroupFamily, v):
+    """<alpha_i, v> for each simple root alpha_i, in order: the steps
+    v_i - v_(i+1), then 2 v_n for Sp, v_n for odd SO and v_(n-1) + v_n for
+    even SO (Bourbaki, Plates I-IV).  Checks the length of v first."""
     v = _point(family, v)
-    return all(evaluate(a, v) >= 0 for a in simple_roots(family))
+    family.require_root_system()
+    values = [x - y for x, y in zip(v, v[1:])]
+    if family.kind == SP:
+        values.append(2 * v[-1])
+    elif family.kind == SO:
+        values.append(v[-1] if family.r % 2 else v[-2] + v[-1])
+    return values
+
+
+def is_dominant(family: GroupFamily, v) -> bool:
+    return all(x >= 0 for x in _simple_root_values(family, v))
 
 
 def simple_root_coordinates(family: GroupFamily, d):

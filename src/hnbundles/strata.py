@@ -138,7 +138,7 @@ class StratumLabel:
 
 
 def stratum_label(family: GroupFamily, mu) -> StratumLabel:
-    t = HNType(family, tuple(Fraction(c) for c in mu))
+    t = HNType(family, mu)
     return StratumLabel(family, t, forced_index(family, t.mu))
 
 

@@ -2,11 +2,11 @@
 replaced, kept as independent oracles for the tests: the rational solve
 and the Hermite-reduced integer row kernel, the point v_I and its sign
 test for the root split, the integer row kernel for the character
-generators, the Smith normal form of the coroot matrix and the lattice
-tower read off it for the fundamental groups and the obstruction class,
-the diagonal Levi blocks for the Levi topological type off the D_n
-fork, and the pairwise stratum order with its covers found by a triple
-loop.
+generators, the coroot loop of the character test, the Smith normal
+form of the coroot matrix and the lattice tower read off it for the
+fundamental groups and the obstruction class, the diagonal Levi blocks
+for the Levi topological type off the D_n fork, and the pairwise stratum
+order with its covers found by a triple loop.
 """
 
 from dataclasses import dataclass
@@ -15,11 +15,11 @@ from functools import lru_cache
 from itertools import product
 from math import gcd
 
-from hnbundles.errors import TooLarge
+from hnbundles.errors import NotACharacter, TooLarge
 from hnbundles.lattice import FinAbGroup
 from hnbundles.parabolic import _root_split
 from hnbundles.rootsys import (GL, SL, GroupFamily, all_roots, coroot,
-                               evaluate, is_dominant, simple_roots)
+                               evaluate, is_dominant, root_name, simple_roots)
 from hnbundles.strata import (ENUM_BOUND_GUARD, ENUM_DIM_GUARD, StrataPoset,
                               stratum_label, stratum_leq)
 
@@ -211,6 +211,18 @@ def generator_oracle(family, i):
     for q in solve_rational(simples, chi):
         scale = scale * q.denominator // gcd(scale, q.denominator)
     return tuple(scale * x for x in chi)
+
+
+def character_oracle(family, index, dchi):
+    """The character test of is_dominant_character by its coroot loop:
+    raises NotACharacter, with the same message, unless dchi vanishes on
+    the coroot of every simple root outside I and is nonzero."""
+    for i, alpha in enumerate(simple_roots(family)):
+        if i not in index.members and evaluate(dchi, coroot(family, alpha)) != 0:
+            raise NotACharacter(
+                f"functional does not vanish on the coroot of {root_name(family, i)}")
+    if not any(dchi):
+        raise NotACharacter("the zero functional is not a character")
 
 
 def smith_normal_form(mat):

@@ -18,5 +18,9 @@ def test_every_cache_is_bounded():
     # bounded cache of its Smith normal forms
     assert not any(name.startswith("hnbundles.lattice.") for name in caches)
     assert oracles.lattice_tower.cache_info().maxsize is not None
+    # production reads the simple-root pairings in closed form, so the root
+    # tables keep no cache; an idle one added later shows up here
+    for name in ("simple_roots", "positive_roots", "all_roots"):
+        assert f"hnbundles.rootsys.{name}" not in caches
     unbounded = sorted(name for name, size in caches.items() if size is None)
     assert not unbounded, f"unbounded caches: {unbounded}"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,9 +11,9 @@ from hnbundles.parabolic import (ParabolicIndex, _root_split, _two_rho,
                                  character_generators, is_dominant_character,
                                  parabolic_from_flag, parabolic_leq)
 from hnbundles.rootsys import (GroupFamily, all_roots, coroot, evaluate,
-                               positive_roots, simple_roots)
-from oracles import (generator_oracle, index_point, levi_blocks,
-                     root_split_oracle, solve_rational)
+                               positive_roots, simple_root_count, simple_roots)
+from oracles import (character_oracle, generator_oracle, index_point,
+                     levi_blocks, root_split_oracle, solve_rational)
 
 
 def _idx(family, members):
@@ -171,6 +172,35 @@ def test_dominant_character_coefficients_equal_the_solve(family):
                                         for c in coeffs)
         assert is_dominant_character(family, _idx(family, members), dchi) \
             == (ok, coeffs), (members, dchi)
+
+
+@pytest.mark.parametrize("family", [f for f in FAMILIES if f.cartan_dim <= 4],
+                         ids=_name)
+def test_character_test_equals_the_coroot_loop(family):
+    # every functional in {-1, 0, 1}^dim, and for each index the sum of its
+    # generators and its negation, which are characters of that index
+    count = simple_root_count(family)
+    cube = list(product((-1, 0, 1), repeat=family.cartan_dim))
+    outcomes = set()
+    for bits in range(1 << count):
+        index = _idx(family, [i for i in range(count) if bits >> i & 1])
+        chi = [0] * family.cartan_dim
+        for i in index.members:
+            chi = [x + g for x, g in zip(chi, generator_oracle(family, i))]
+        for dchi in cube + [tuple(chi), tuple(-x for x in chi)]:
+            try:
+                character_oracle(family, index, dchi)
+                expected = None
+            except NotACharacter as e:
+                expected = str(e)
+            try:
+                is_dominant_character(family, index, dchi)
+                got = None
+            except NotACharacter as e:
+                got = str(e)
+            assert got == expected, (index.members, dchi)
+            outcomes.add(expected is None)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (

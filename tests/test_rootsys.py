@@ -291,8 +291,27 @@ def test_simple_root_coordinates_equal_the_rational_solve(family):
     assert seen == ({True, False} if family.kind in ("gl", "sl") else {False})
 
 
+# GL1-14, SL2-14, Sp2-14 and SO3-14
+TABLE_FAMILIES = [GroupFamily(kind, r) for kind in ("gl", "sl", "sp", "so")
+                  for r in range(1, 15)
+                  if (kind != "sl" or r >= 2) and (kind != "sp" or r % 2 == 0)
+                  and (kind != "so" or r >= 3)]
+
+
+@pytest.mark.parametrize("family", TABLE_FAMILIES, ids=str)
+def test_simple_root_values_equal_the_table(family):
+    rng = random.Random(str(family))
+    simples = simple_roots(family)
+    for _ in range(200):
+        v = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                  for _ in range(family.cartan_dim))
+        assert rootsys._simple_root_values(family, v) == \
+            [evaluate(a, v) for a in simples], v
+
+
 def test_wrong_length_points_are_rejected():
     gl3, so6 = GroupFamily("gl", 3), GroupFamily("so", 6)
+    sp6 = GroupFamily("sp", 6)
     for call in (lambda: dominant_representative(gl3, (1, 2, 3, 4)),
                  lambda: dominant_representative(gl3, (1, 2)),
                  lambda: weyl_orbit(gl3, (1, 2)),
@@ -300,10 +319,12 @@ def test_wrong_length_points_are_rejected():
                  lambda: weyl_orbit(so6, (0, 0, 0, 0)),
                  lambda: weyl_orbit(so6, [0, 0, 0, 0]),
                  lambda: is_dominant(gl3, (5,)),
+                 lambda: canon.forced_index(gl3, (1, 0)),
+                 lambda: canon.forced_index(sp6, (1, 0, 0, 5)),
                  lambda: simple_root_coordinates(gl3, (1, -1)),
                  lambda: simple_root_coordinates(so6, (1, 0, 0, -1)),
                  lambda: weyl_orbit_size(gl3, (1, 2))):
-        with pytest.raises(ValueError, match=r"coordinates, (gl3|so6) needs 3"):
+        with pytest.raises(ValueError, match=r"coordinates, (gl3|sp6|so6) needs 3"):
             call()
     # a list of the right length is a point like any other sequence
     assert weyl_orbit(GroupFamily("gl", 2), [1, 0]) == ((1, 0), (0, 1))
