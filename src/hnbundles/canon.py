@@ -9,6 +9,8 @@ other.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 
 from .bundle import IsotropicBundle, SlBundle, underlying
 from .errors import InvalidReduction, TooLarge
@@ -70,14 +72,20 @@ def canonical_reduction(family: GroupFamily, a) -> CanonicalReduction:
 
 
 def hn_type(b) -> HNType:
-    """Dominant slope vector of the HN filtration: quotient slopes with
-    multiplicity for GL/SL, positive slopes padded by zeros for Sp/SO."""
+    """Dominant slope vector of the HN filtration of b."""
     if isinstance(b, IsotropicBundle):
         family = GroupFamily(b.kind, b.rank)
         quotients = hn_filtration_isotropic(b).quotients
     else:
         family = GroupFamily(SL if isinstance(b, SlBundle) else GL, underlying(b).rank)
         quotients = hn_filtration(b).quotients
+    return hn_type_of_quotients(family, quotients)
+
+
+def hn_type_of_quotients(family: GroupFamily, quotients) -> HNType:
+    """The HN type read off the quotients of an HN filtration in family:
+    quotient slopes with multiplicity for GL/SL, positive slopes padded by
+    zeros for Sp/SO."""
     coords = []
     for q in quotients:
         coords.extend([q.slope] * q.rank)
@@ -113,14 +121,6 @@ def bh_conditions(family: GroupFamily, index: ParabolicIndex, v):
     return levi_ss, degrees
 
 
-def _ad_degree_form(family: GroupFamily, index: ParabolicIndex, v):
-    """2rho_P, the functional whose value at v is the adjoint degree of the
-    reduction to P_I at v, once index is checked to be of family and v to
-    have its length."""
-    _point(family, v, index)
-    return _two_rho(index)
-
-
 def ad_degree(family: GroupFamily, index: ParabolicIndex, v) -> int:
     """Degree of the adjoint bundle of the reduction to P_I at point v.
 
@@ -129,30 +129,39 @@ def ad_degree(family: GroupFamily, index: ParabolicIndex, v) -> int:
     negation, so their values cancel in pairs and the degree is <2rho_P, v>,
     where 2rho_P is the sum of the nilradical roots.
     """
-    return evaluate(_ad_degree_form(family, index, v), v)
+    v = _point(family, v, index)
+    return evaluate(_two_rho(index), v)
 
 
 def ad_degree_max_oracle(family: GroupFamily, a):
-    """Exhaustive maximum of ad_degree over all (index, Weyl point) pairs.
-    The orbit is built once, and 2rho_P and its checks are taken once per
-    index: every point of the orbit of a has the length of a."""
+    """Exhaustive maximum of ad_degree over all (index, Weyl point) pairs,
+    with the argmax pairs: indices in the order of their bit masks, points
+    in orbit order.
+
+    Every pair is scored exactly, with no pruning and no use of the
+    closed-form canonical reduction it checks.  The adjoint degree
+    <2rho_P, v> is linear in v, so each index scores the whole orbit at
+    once: the orbit's coordinate columns, scaled by the nonzero entries of
+    2rho_P and summed.
+    """
     if family.cartan_dim > ORACLE_DIM_GUARD:
         raise TooLarge("enumeration guard exceeded")
     a = as_cocharacter(family, a)
     count = simple_root_count(family)
     orbit = weyl_orbit(family, a)
+    columns = tuple(zip(*orbit))
     best = None
     argmax = []
     for bits in range(1 << count):
         index = ParabolicIndex(family, frozenset(
             i for i in range(count) if bits >> i & 1))
-        two_rho = _ad_degree_form(family, index, a)
-        for v in orbit:
-            val = evaluate(two_rho, v)
-            if best is None or val > best:
-                best = val
-                argmax = [(index, v)]
-            elif val == best:
-                argmax.append((index, v))
+        values = [0] * len(orbit)
+        for c, column in zip(_two_rho(index), columns):
+            if c:
+                values = list(map(add, values, map(mul, column, repeat(c))))
+        top = max(values)
+        if best is None or top > best:
+            best, argmax = top, []
+        if top == best:
+            argmax += [(index, v) for v, x in zip(orbit, values) if x == top]
     return best, argmax
-

@@ -18,7 +18,7 @@ from .bundle import (Atom, PlainBundle, SlBundle, SpBundle, bundle_from_degrees,
                      is_semistable, isotropic_bundle, underlying,
                      vertical_degree, vertical_degree_composite)
 from .canon import (ad_degree, ad_degree_max_oracle, canonical_reduction,
-                    check_bh, hn_type)
+                    check_bh, hn_type_of_quotients)
 from .errors import HnBundleError, InvariantBreach
 from .hnfilt import (extend_with_perps, hn_filtration, hn_filtration_isotropic,
                      hn_uniqueness_oracle)
@@ -152,7 +152,9 @@ def _cmd_hn(args) -> dict:
         doc["rank_flag"] = filt.rank_flag
         doc["full_blocks"] = [_atom_list(q.atoms)
                               for q in extend_with_perps(filt).quotients]
-    doc["type"] = [_frac(c) for c in hn_type(b).mu]
+    # the type reads the quotients above, not a second filtration
+    mu = hn_type_of_quotients(spec.family, filt.quotients).mu
+    doc["type"] = [_frac(c) for c in mu]
     return doc
 
 

@@ -203,8 +203,8 @@ def _arrangements(counts, n):
     return out
 
 
-# holds every distinct orbit of a cli_mix benchmark run (103-135 of them);
-# ad_degree_max_oracle asks for each of its orbits once
+# keyed by the dominant point, so every point of an orbit finds it; holds
+# every distinct orbit of a cli_mix benchmark run (103-135 of them)
 @lru_cache(maxsize=128)
 def _weyl_orbit(family: GroupFamily, v):
     size = weyl_orbit_size(family, v)
@@ -230,9 +230,10 @@ def weyl_orbit(family: GroupFamily, v):
     distinct arrangements of the entries for GL/SL; for Sp/SO those of
     the absolute values, with every sign pattern on the nonzero ones.
     Refuses an orbit of more than WEYL_ORBIT_GUARD points before building
-    it.  v may be any sequence; it is a tuple before the cache lookup."""
-    family.require_root_system()
-    return _weyl_orbit(family, _point(family, v))
+    it.  W.v = W.dom(v), and the sorted orbit is the same tuple from
+    every one of its points, so the cache is keyed by the dominant
+    representative: a lookup at any translate of a cached orbit hits."""
+    return _weyl_orbit(family, dominant_representative(family, v))
 
 
 weyl_orbit.cache_info = _weyl_orbit.cache_info

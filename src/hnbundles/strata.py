@@ -123,23 +123,28 @@ def gl_dominance(mu, nu) -> bool:
 
 @dataclass(frozen=True)
 class StratumLabel:
+    """A dominant type with the parabolic index it forces; the index is
+    computed when left out, and checked when given."""
+
     family: GroupFamily
     mu: HNType
-    index: ParabolicIndex
+    index: ParabolicIndex = None
 
     def __post_init__(self):
         # explicit raises, not assert, so that python -O keeps the checks
         if self.mu.family != self.family:
             raise FamilyMismatch("type belongs to a different family")
-        if self.index != forced_index(self.family, self.mu.mu):
+        forced = forced_index(self.family, self.mu.mu)
+        if self.index is None:
+            object.__setattr__(self, "index", forced)
+        elif self.index != forced:
             mu = ", ".join(str(c) for c in self.mu.mu)
             raise ValueError(f"index {{{','.join(self.index.names())}}} is "
                              f"not the index forced by the type ({mu})")
 
 
 def stratum_label(family: GroupFamily, mu) -> StratumLabel:
-    t = HNType(family, mu)
-    return StratumLabel(family, t, forced_index(family, t.mu))
+    return StratumLabel(family, HNType(family, mu))
 
 
 def stratum_leq(a: StratumLabel, b: StratumLabel) -> bool:

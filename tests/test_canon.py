@@ -176,13 +176,17 @@ def test_oracle_equals_the_per_pair_loop(family):
             _ad_degree_max_by_pairs(family, a), a
 
 
-def test_oracle_equals_the_per_pair_loop_sampled_rank_four():
-    rng = random.Random(9)
-    for family in (GroupFamily("sp", 8), GroupFamily("so", 9)):
-        for _ in range(40):
-            a = tuple(rng.randint(-3, 3) for _ in range(family.cartan_dim))
-            assert ad_degree_max_oracle(family, a) == \
-                _ad_degree_max_by_pairs(family, a), (family, a)
+@pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (
+    ("gl", 4), ("sl", 4), ("sp", 8), ("so", 8), ("so", 9))], ids=str)
+def test_oracle_equals_the_per_pair_loop_sampled_rank_four(family):
+    # SO8 has the D4 fork and the sign parity of even SO
+    rng = random.Random(f"{family}-9")
+    for _ in range(40):
+        a = [rng.randint(-3, 3) for _ in range(family.cartan_dim)]
+        if family.kind == "sl":
+            a[-1] -= sum(a)
+        assert ad_degree_max_oracle(family, a) == \
+            _ad_degree_max_by_pairs(family, a), (family, a)
 
 
 @pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (

@@ -124,6 +124,26 @@ def test_hn_command(capsys):
     assert doc2["full_blocks"] == [[[2, 1]], [[0, 2]], [[-2, 1]]]
 
 
+def test_hn_builds_one_filtration(capsys, monkeypatch):
+    # the type is read off the filtration the command prints
+    calls = []
+
+    def counted(build):
+        def wrapper(b):
+            calls.append(b)
+            return build(b)
+        return wrapper
+
+    for name in ("hn_filtration", "hn_filtration_isotropic"):
+        for module in (hnbundles.cli, hnbundles.canon):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    for spec in ("gl4: 3:1,1:2,-2:1", "sl2: deg=1,-1", "sp4: 2:1 | z=2",
+                 "so8: deg=3,-1,2,0"):
+        calls.clear()
+        code, _, err = run(capsys, "hn", spec)
+        assert code == 0 and len(calls) == 1, (spec, err)
+
+
 def test_semistable_command(capsys):
     code, out, _ = run(capsys, "semistable", "gl4: 1:2, 1:2")
     assert code == 0 and json.loads(out)["semistable"] is True

@@ -264,6 +264,23 @@ def test_dominant_representative_equals_the_reflection_loop(family):
         assert rep in orbit and weyl_orbit_size(family, v) == len(orbit), v
 
 
+@pytest.mark.parametrize("family", [f for f in ORACLE_FAMILIES
+                                    if f.cartan_dim <= 3], ids=str)
+def test_weyl_orbit_is_one_cache_entry_per_orbit(family):
+    # the cache key is the dominant point: the orbit built from any of its
+    # points is the one built from that key, and a lookup there is a hit
+    build = rootsys._weyl_orbit.__wrapped__
+    for v in product(range(-2, 3), repeat=family.cartan_dim):
+        orbit = weyl_orbit(family, v)
+        for w in orbit:
+            assert build(family, w) == orbit, (v, w)
+            before = weyl_orbit.cache_info()
+            assert weyl_orbit(family, w) is orbit, (v, w)
+            after = weyl_orbit.cache_info()
+            assert (after.hits, after.misses) == \
+                (before.hits + 1, before.misses), (v, w)
+
+
 def test_type_d_chamber_flips_the_last_sign():
     so8 = GroupFamily("so", 8)
     assert dominant_representative(so8, (-1, 2, 3, Fraction(1, 2))) == \

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hnbundles import strata
-from hnbundles.canon import HNType
+from hnbundles.canon import HNType, forced_index
 from hnbundles.errors import FamilyMismatch, TooLarge
 from hnbundles.parabolic import ParabolicIndex
 from hnbundles.strata import (StrataPoset, StratumLabel, enumerate_strata,
@@ -237,6 +237,19 @@ def test_enumerate_decides_no_pair_by_hull(monkeypatch):
     monkeypatch.setattr(strata, "stratum_leq", refused)
     monkeypatch.setattr(strata, "hull_membership", refused)
     assert enumerate_strata(so8, 2) == want
+
+
+def test_enumerate_forces_each_index_once(monkeypatch):
+    calls = []
+
+    def counted(family, mu):
+        calls.append(mu)
+        return forced_index(family, mu)
+
+    monkeypatch.setattr(strata, "forced_index", counted)
+    for family in (GroupFamily("gl", 3), GroupFamily("so", 8)):
+        calls.clear()
+        assert len(enumerate_strata(family, 2).labels) == len(calls)
 
 
 def _closure(p: StrataPoset):
