@@ -9,30 +9,38 @@ other.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, mul
 
 from .bundle import IsotropicBundle, SlBundle, underlying
 from .errors import InvalidReduction, TooLarge
 from .hnfilt import hn_filtration, hn_filtration_isotropic
 from .parabolic import (ParabolicIndex, _root_split, _two_rho,
-                        character_generators)
+                        _two_rho_terms, character_generators)
 from .rootsys import (GL, SL, GroupFamily, _point, _simple_root_values,
                       as_cocharacter, dominant_representative, evaluate,
-                      is_dominant, simple_root_count, weyl_orbit)
+                      is_dominant, weyl_orbit)
 
 ORACLE_DIM_GUARD = 5
 
 
 @dataclass(frozen=True)
 class HNType:
-    """Dominant rational Cartan vector of slopes."""
+    """Dominant rational Cartan vector of slopes.
+
+    An int coordinate stays an int and any other (a bool included) becomes
+    a Fraction: the canonical reduction of a cocharacter is a signed
+    permutation of its ints, so the checks that read it run on ints, while
+    a type read off bundle slopes holds Fractions.  Both compare and hash
+    alike, since 1 == Fraction(1) with the same hash.
+    """
 
     family: GroupFamily
     mu: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", tuple(Fraction(c) for c in self.mu))
+        object.__setattr__(self, "mu", tuple(
+            c if type(c) is int else Fraction(c) for c in self.mu))
         # explicit raises, not assert, so that python -O keeps the checks;
         # is_dominant rejects a point of the wrong length
         if not is_dominant(self.family, self.mu):
@@ -141,24 +149,24 @@ def ad_degree_max_oracle(family: GroupFamily, a):
     Every pair is scored exactly, with no pruning and no use of the
     closed-form canonical reduction it checks.  The adjoint degree
     <2rho_P, v> is linear in v, so each index scores the whole orbit at
-    once: the orbit's coordinate columns, scaled by the nonzero entries of
-    2rho_P and summed.
+    once, in the basis of prefix sums: by Abel summation it is
+    sum c_k s_k(v), with s_k(v) = v_0 + ... + v_k and c_k the per-family
+    terms of 2rho_P (parabolic._two_rho_terms), which sit only on the
+    members of the index and the last position.  So each index takes one
+    pass over the orbit's prefix-sum columns per term.
     """
     if family.cartan_dim > ORACLE_DIM_GUARD:
         raise TooLarge("enumeration guard exceeded")
     a = as_cocharacter(family, a)
-    count = simple_root_count(family)
     orbit = weyl_orbit(family, a)
-    columns = tuple(zip(*orbit))
+    columns = tuple(zip(*map(accumulate, orbit)))
+    zeros = [0] * len(orbit)
     best = None
     argmax = []
-    for bits in range(1 << count):
-        index = ParabolicIndex(family, frozenset(
-            i for i in range(count) if bits >> i & 1))
-        values = [0] * len(orbit)
-        for c, column in zip(_two_rho(index), columns):
-            if c:
-                values = list(map(add, values, map(mul, column, repeat(c))))
+    for index, terms in _two_rho_terms(family):
+        values = zeros
+        for k, c in terms:
+            values = list(map(add, values, map(mul, columns[k], repeat(c))))
         top = max(values)
         if best is None or top > best:
             best, argmax = top, []

@@ -14,6 +14,7 @@ cross-checks both.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 from .canon import HNType, forced_index
 from .errors import FamilyMismatch, TooLarge
@@ -26,59 +27,70 @@ ENUM_DIM_GUARD = 4
 ENUM_BOUND_GUARD = 4
 
 
+def _primitive(row):
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _integer_row(row):
+    """The rational row times the least positive integer that clears its
+    denominators, made primitive."""
+    scale = lcm(*(Fraction(x).denominator for x in row))
+    return _primitive([int(x * scale) for x in row])
+
+
 def _phase_one_feasible(columns, target):
     """Exact feasibility of: nonnegative lambda with sum 1 and
-    sum(lambda_j * columns[j]) = target.  Phase-1 simplex, Bland's rule."""
+    sum(lambda_j * columns[j]) = target.  Phase-1 simplex, Bland's rule.
+
+    Each row of the tableau, and the objective, is held as an integer row
+    up to a positive scale, divided by its gcd after each pivot.  The
+    scale changes no sign and cancels from the cross-multiplied ratio
+    test, so the pivots are those of the rational tableau."""
     m = len(target) + 1
     n = len(columns)
     rows = []
-    rhs = []
     for i in range(m - 1):
-        row = [Fraction(c[i]) for c in columns]
-        b = Fraction(target[i])
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-        rows.append(row)
-        rhs.append(b)
-    rows.append([Fraction(1)] * n)
-    rhs.append(Fraction(1))
+        row = [Fraction(c[i]) for c in columns] + [Fraction(target[i])]
+        rows.append([-x for x in row] if row[-1] < 0 else row)
+    rows.append([Fraction(1)] * (n + 1))
+    # minus the sum of the rows; each artificial sits in one row at cost 1,
+    # so its entry cancels to 0
+    total = [-sum(col) for col in zip(*rows)]
+    obj = _integer_row(total[:n] + [0] * m + total[n:])
     # tableau with one artificial per row
-    tab = [rows[i] + [Fraction(1 if j == i else 0) for j in range(m)] + [rhs[i]]
-           for i in range(m)]
+    tab = [_integer_row(row[:n] + [int(j == i) for j in range(m)] + row[n:])
+           for i, row in enumerate(rows)]
     width = n + m
-    obj = [Fraction(0)] * (width + 1)
-    for i in range(m):
-        for j in range(width + 1):
-            obj[j] -= tab[i][j]
-    for j in range(n, width):
-        obj[j] += Fraction(1)  # artificial costs cancel against the sum
     basis = list(range(n, width))
     while True:
         enter = next((j for j in range(width) if obj[j] < 0), None)
         if enter is None:
-            break
-        pivot = None
+            return obj[width] == 0
+        prow = None
         for i in range(m):
             if tab[i][enter] > 0:
-                ratio = tab[i][width] / tab[i][enter]
-                if pivot is None or ratio < pivot[0] or \
-                        (ratio == pivot[0] and basis[i] < basis[pivot[1]]):
-                    pivot = (ratio, i)
-        if pivot is None:
+                if prow is None:
+                    prow = i
+                    continue
+                # rhs_i / a_i against rhs_p / a_p, both a > 0
+                lhs = tab[i][width] * tab[prow][enter]
+                rhs = tab[prow][width] * tab[i][enter]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[prow]):
+                    prow = i
+        if prow is None:
             return False  # unbounded cannot happen on a bounded feasibility stub
-        _, prow = pivot
-        pv = tab[prow][enter]
-        tab[prow] = [x / pv for x in tab[prow]]
+        pivot = tab[prow]
+        pv = pivot[enter]
         for i in range(m):
-            if i != prow and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[prow])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, tab[prow])]
+            f = tab[i][enter]
+            if i != prow and f:
+                tab[i] = _primitive([pv * x - f * y for x, y in zip(tab[i], pivot)])
+        f = obj[enter]
+        if f:
+            obj = _primitive([pv * x - f * y for x, y in zip(obj, pivot)])
         basis[prow] = enter
-    return obj[width] == 0
 
 
 def hull_membership(family: GroupFamily, mu, nu) -> bool:

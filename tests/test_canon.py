@@ -7,13 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SoBundle, SpBundle,
                               is_semistable, vertical_degree)
-from hnbundles.canon import (HNType, ad_degree, ad_degree_max_oracle,
-                             bh_conditions, canonical_reduction, check_bh,
-                             forced_index, hn_type)
+from hnbundles.canon import (ORACLE_DIM_GUARD, HNType, ad_degree,
+                             ad_degree_max_oracle, bh_conditions,
+                             canonical_reduction, check_bh, forced_index,
+                             hn_type)
 from hnbundles.errors import (FamilyMismatch, InvalidReduction, NotIntegral,
                               TooLarge)
 from hnbundles.lattice import topological_type
-from hnbundles.parabolic import ParabolicIndex, _root_split
+from hnbundles.parabolic import (ParabolicIndex, _root_split, _two_rho,
+                                  _two_rho_terms)
 from hnbundles.rootsys import (GroupFamily, all_roots, as_cocharacter,
                                evaluate, is_dominant, is_root, simple_roots,
                                weyl_orbit)
@@ -168,7 +170,8 @@ def _ad_degree_max_by_pairs(family, a):
 
 
 @pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (
-    ("gl", 3), ("sl", 3), ("sp", 4), ("so", 5), ("so", 6))], ids=str)
+    ("gl", 2), ("gl", 3), ("sl", 2), ("sl", 3), ("sp", 2), ("sp", 4),
+    ("sp", 6), ("so", 3), ("so", 4), ("so", 5), ("so", 6), ("so", 7))], ids=str)
 def test_oracle_equals_the_per_pair_loop(family):
     for a in product(range(-2, 3), repeat=family.cartan_dim):
         # same best, same argmax pairs in the same order
@@ -187,6 +190,62 @@ def test_oracle_equals_the_per_pair_loop_sampled_rank_four(family):
             a[-1] -= sum(a)
         assert ad_degree_max_oracle(family, a) == \
             _ad_degree_max_by_pairs(family, a), (family, a)
+
+
+@pytest.mark.parametrize("family,a", [
+    (GroupFamily("gl", 5), (2, 2, 0, -1, -1)), (GroupFamily("gl", 5), (1, 0, 0, 0, 3)),
+    (GroupFamily("sp", 10), (2, -2, 1, 0, 0)), (GroupFamily("sp", 10), (0, 3, -1, 1, 3)),
+    (GroupFamily("so", 10), (1, -1, 2, 0, 2)), (GroupFamily("so", 10), (-2, 1, 1, 1, 3))],
+    ids=str)
+def test_oracle_equals_the_per_pair_loop_at_the_guard(family, a):
+    # non-regular points of dimension ORACLE_DIM_GUARD, the D5 fork included
+    assert family.cartan_dim == ORACLE_DIM_GUARD
+    assert ad_degree_max_oracle(family, a) == _ad_degree_max_by_pairs(family, a)
+
+
+def _families_to_the_guard():
+    return ([GroupFamily(k, r) for k in ("gl", "sl") for r in range(1, 6)]
+            + [GroupFamily("sp", r) for r in range(2, 11, 2)]
+            + [GroupFamily("so", r) for r in range(3, 12)])
+
+
+@pytest.mark.parametrize("family", _families_to_the_guard(), ids=str)
+def test_two_rho_terms_sit_on_the_index_or_the_last_position(family):
+    # 2rho_P is a character of P_I: no term at a simple root outside I
+    table = _two_rho_terms(family)
+    assert [index for index, _ in table] == _indices(family)
+    for index, terms in table:
+        assert all(k in index.members or k == family.cartan_dim - 1
+                   for k, _ in terms), index
+
+
+def test_two_rho_terms_pass_counts():
+    # column passes per oracle call, against one per nonzero coordinate of
+    # 2rho_P in the coordinate basis
+    for (kind, r), prefix, coordinate in (
+            (("gl", 4), 19, 26), (("sl", 4), 19, 26), (("sp", 8), 32, 49),
+            (("so", 8), 32, 49), (("so", 9), 32, 49), (("so", 10), 80, 129)):
+        table = _two_rho_terms(GroupFamily(kind, r))
+        assert sum(len(terms) for _, terms in table) == prefix, (kind, r)
+        assert sum(sum(1 for c in _two_rho(index) if c)
+                   for index, _ in table) == coordinate, (kind, r)
+
+
+def test_hn_type_keeps_ints():
+    gl3 = GroupFamily("gl", 3)
+    assert [type(c) for c in HNType(gl3, (2, 1, 0)).mu] == [int] * 3
+    mixed = HNType(gl3, (Fraction(2), True, False))
+    assert [type(c) for c in mixed.mu] == [Fraction] * 3
+    # mixed representations of one vector are one HN type
+    for other in (HNType(gl3, (2, 1, 0)), HNType(gl3, (2, Fraction(1), 0)),
+                  HNType(gl3, (Fraction(4, 2), 1, Fraction(0)))):
+        assert other == mixed and hash(other) == hash(mixed)
+    red = canonical_reduction(GroupFamily("so", 8), (1, -3, 0, 2))
+    assert red.mu.mu == (3, 2, 1, 0)
+    assert all(type(c) is int for c in red.mu.mu)
+    half = hn_type(PlainBundle((Atom(1, 2),)))
+    assert half.mu == (Fraction(1, 2),) * 2
+    assert all(type(c) is Fraction for c in half.mu)
 
 
 @pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (

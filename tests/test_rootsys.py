@@ -98,11 +98,16 @@ def test_dominant_representative_examples():
     assert dominant_representative(GroupFamily("so", 4), (1, -2)) == (2, -1)
 
 
-def _reflect(family, root, v):
-    """Reflection s_root applied to a Cartan vector: v - root(v) * coroot."""
-    cr = coroot(family, root)
+def _reflect(root, cr, v):
+    """Reflection s_root applied to a Cartan vector: v - root(v) * cr, with
+    cr = coroot(family, root)."""
     val = evaluate(root, v)
     return tuple(x - val * c for x, c in zip(v, cr))
+
+
+def _simple_reflections(family):
+    """(root, coroot) for each simple root, the coroots computed once."""
+    return [(a, coroot(family, a)) for a in simple_roots(family)]
 
 
 def _orbit_by_reflections(family, v):
@@ -110,7 +115,7 @@ def _orbit_by_reflections(family, v):
     reflections, breadth first.  W acts linearly, so the loop runs on the
     integer point m * v, m the common denominator, and divides by m at
     the end."""
-    simples = simple_roots(family)
+    simples = _simple_reflections(family)
     m = lcm(*(Fraction(x).denominator for x in v))
     v = tuple(int(x * m) for x in v)
     seen = {v}
@@ -118,8 +123,8 @@ def _orbit_by_reflections(family, v):
     while frontier:
         nxt = []
         for w in frontier:
-            for a in simples:
-                img = _reflect(family, a, w)
+            for a, cr in simples:
+                img = _reflect(a, cr, w)
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)
@@ -131,8 +136,9 @@ def _orbit_by_reflections(family, v):
 def test_reflections_preserve_root_system(family):
     roots = all_roots(family)
     for alpha in roots:
+        cr = coroot(family, alpha)
         for beta in roots:
-            assert is_root(family, _reflect(family, alpha, beta))
+            assert is_root(family, _reflect(alpha, cr, beta))
 
 
 def _dim_group(family):
@@ -211,12 +217,12 @@ def test_dominant_representative_idempotent(family, coords):
 def _dominant_by_reflections(family, v):
     """Reference dominant representative: reflect in a simple root that is
     negative on v until none is."""
-    simples = simple_roots(family)
+    simples = _simple_reflections(family)
     v = tuple(v)
     while True:
-        for a in simples:
+        for a, cr in simples:
             if evaluate(a, v) < 0:
-                v = _reflect(family, a, v)
+                v = _reflect(a, cr, v)
                 break
         else:
             return v
