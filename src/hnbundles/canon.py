@@ -4,24 +4,39 @@ Both characterizations are implemented: the filtration route (the
 reduction whose adjoint data is the perp of the top isotropic step) and
 the Levi-semistability plus dominant-character route, together with a
 brute-force degree-maximization oracle that checks them against each
-other.
+other.  The oracle scores every (parabolic, Weyl point) pair exactly; it
+packs each orbit's prefix-sum columns into Python ints, one fixed-width
+lane per orbit point, so that one parabolic scores the whole orbit in one
+multiply-add per term.
 """
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import add, mul
+from functools import lru_cache
+from itertools import accumulate
 
 from .bundle import IsotropicBundle, SlBundle, underlying
 from .errors import InvalidReduction, TooLarge
 from .hnfilt import hn_filtration, hn_filtration_isotropic
 from .parabolic import (ParabolicIndex, _root_split, _two_rho,
-                        _two_rho_terms, character_generators)
+                        _two_rho_term_weight, _two_rho_terms,
+                        character_generators)
 from .rootsys import (GL, SL, GroupFamily, _point, _simple_root_values,
                       as_cocharacter, dominant_representative, evaluate,
-                      is_dominant, weyl_orbit)
+                      is_dominant, positive_root_count, simple_root_count,
+                      weyl_orbit, weyl_orbit_size)
 
-ORACLE_DIM_GUARD = 5
+# The oracle's work, 2^count x ((count + 1) |W.a| + |Phi+|) with count the
+# number of simple roots: a pass over the orbit per term for each of the
+# 2^count parabolics, at most count + 1 terms each, and their table, which
+# reads every positive root.  The limit is the work at a regular Sp10 or
+# SO11 point, the largest input of the former cartan_dim <= 5 guard.
+ORACLE_WORK_GUARD = 32 * (6 * 3840 + 25)
+
+# (lane width in bits, array typecode) of the signed lanes, narrowest first
+_LANES = tuple((array(t).itemsize * 8, t) for t in "hiq")
 
 
 @dataclass(frozen=True)
@@ -152,24 +167,67 @@ def ad_degree_max_oracle(family: GroupFamily, a):
     once, in the basis of prefix sums: by Abel summation it is
     sum c_k s_k(v), with s_k(v) = v_0 + ... + v_k and c_k the per-family
     terms of 2rho_P (parabolic._two_rho_terms), which sit only on the
-    members of the index and the last position.  So each index takes one
-    pass over the orbit's prefix-sum columns per term.
+    members of the index and the last position.  Each column s_k is one
+    Python int with a lane per orbit point (_packed_orbit), so an index
+    costs one big-int multiply-add per term, then one read of the lanes
+    and their max; the lanes of the indices that attain the overall max
+    are scanned for the argmax.
+
+    Refuses, before it builds the orbit or the table of terms, an input
+    whose work exceeds ORACLE_WORK_GUARD or whose scores need lanes wider
+    than 64 bits.
     """
-    if family.cartan_dim > ORACLE_DIM_GUARD:
-        raise TooLarge("enumeration guard exceeded")
     a = as_cocharacter(family, a)
-    orbit = weyl_orbit(family, a)
-    columns = tuple(zip(*map(accumulate, orbit)))
-    zeros = [0] * len(orbit)
-    best = None
-    argmax = []
-    for index, terms in _two_rho_terms(family):
-        values = zeros
+    orbit, lanes, nbytes, half, bias, columns = _packed_orbit(
+        family, dominant_representative(family, a))
+    table = _two_rho_terms(family)
+    scores = []
+    for _, terms in table:
+        total = bias
         for k, c in terms:
-            values = list(map(add, values, map(mul, columns[k], repeat(c))))
-        top = max(values)
-        if best is None or top > best:
-            best, argmax = top, []
-        if top == best:
-            argmax += [(index, v) for v, x in zip(orbit, values) if x == top]
-    return best, argmax
+            total += c * columns[k]
+        scores.append(memoryview(total.to_bytes(nbytes, sys.byteorder)).cast(
+            lanes).tolist())
+    tops = list(map(max, scores))
+    best = max(tops)
+    argmax = [(index, v) for (index, _), top, values in zip(table, tops, scores)
+              if top == best for v, x in zip(orbit, values) if x == best]
+    return best - half, argmax
+
+
+@lru_cache(maxsize=128)
+def _packed_orbit(family: GroupFamily, dominant):
+    """(orbit, lane format, byte length, half lane, bias, packed columns) of
+    the orbit of a dominant point, for the adjoint-degree oracle.
+
+    The bound B = max(1, max_I sum |c_k|) * sum |a_i| covers every score
+    sum c_k s_k(v) and every column entry, since |s_k(v)| <= sum |a_i|.
+    The lanes are the narrowest of 16, 32 and 64 bits with B < 2^(w-1).
+    Column k is sum_j s_k(v_j) 2^(wj), a signed sum of lanes, and the bias
+    puts 2^(w-1) in every lane, so that bias + sum c_k col_k holds each
+    score plus 2^(w-1) in [0, 2^w) in its own lane: its bytes read as
+    unsigned lanes in orbit order.  Like the orbit cache, this one is
+    keyed by the dominant point, and the guards read only the key.
+    """
+    count = simple_root_count(family)
+    roots = positive_root_count(family)
+    bound = max(1, _two_rho_term_weight(family)) * sum(map(abs, dominant))
+    lane = next((lane for lane in _LANES if bound < 1 << lane[0] - 1), None)
+    # an orbit has at least one point, so a family over the guard at its
+    # zero point is refused before weyl_orbit_size takes a factorial of its
+    # dimension
+    size = 1 if (count + 1 + roots) << count > ORACLE_WORK_GUARD else \
+        weyl_orbit_size(family, dominant)
+    if lane is None or ((count + 1) * size + roots) << count > ORACLE_WORK_GUARD:
+        raise TooLarge("enumeration guard exceeded")
+    width, typecode = lane
+    orbit = weyl_orbit(family, dominant)
+    ones = int.from_bytes(array(typecode, [1]) * len(orbit), sys.byteorder)
+    columns = []
+    for column in zip(*map(accumulate, orbit)):
+        # the lanes as unsigned, less 2^w in each lane whose sign bit is set
+        u = int.from_bytes(array(typecode, column), sys.byteorder)
+        columns.append(u - ((u >> width - 1 & ones) << width))
+    half = 1 << width - 1
+    return (orbit, typecode.upper(), len(orbit) * width // 8, half,
+            half * ones, tuple(columns))

@@ -123,6 +123,19 @@ def _two_rho_terms(family: GroupFamily):
     return tuple(out)
 
 
+def _two_rho_term_weight(family: GroupFamily) -> int:
+    """The largest sum of |c_k| over the terms of one parabolic of the
+    family, in closed form: 3(n - 1) for GL/SL, 2n for Sp, 2n - 1 for odd
+    SO and max(3, 4n - 6) for even SO.  The tests read it off the table of
+    _two_rho_terms for every family the adjoint-degree oracle admits."""
+    n = family.cartan_dim
+    if family.kind in (GL, SL):
+        return 3 * (n - 1)
+    if family.kind == SP:
+        return 2 * n
+    return 2 * n - 1 if family.r % 2 else max(3, 4 * n - 6)
+
+
 def parabolic_leq(a: ParabolicIndex, b: ParabolicIndex) -> bool:
     """P_a contained in P_b: larger index set means smaller parabolic."""
     if a.family != b.family:

@@ -106,6 +106,16 @@ def simple_root_count(family: GroupFamily) -> int:
     return family.cartan_dim - (family.kind in (GL, SL))
 
 
+def positive_root_count(family: GroupFamily) -> int:
+    """len(positive_roots(family)) without building them: n(n - 1)/2 for
+    GL/SL, n^2 for Sp and odd SO, n(n - 1) for even SO."""
+    family.require_root_system()
+    n = family.cartan_dim
+    if family.kind in (GL, SL):
+        return n * (n - 1) // 2
+    return n * n if family.kind == SP or family.r % 2 else n * (n - 1)
+
+
 def as_cocharacter(family: GroupFamily, a):
     """The integer tuple of a Cartan vector that must be a cocharacter:
     exactly cartan_dim entries, each an integer or an integral rational."""
@@ -204,7 +214,10 @@ def _arrangements(counts, n):
 
 
 # keyed by the dominant point, so every point of an orbit finds it; holds
-# every distinct orbit of a cli_mix benchmark run (103-135 of them)
+# every distinct orbit of a cli_mix benchmark run (40-48 of them on seeds
+# 1-4, all from the lattice check suite).  The adjoint-degree oracle keeps
+# the packed columns of each orbit in a cache of its own and reaches this
+# one only on a miss there.
 @lru_cache(maxsize=128)
 def _weyl_orbit(family: GroupFamily, v):
     size = weyl_orbit_size(family, v)

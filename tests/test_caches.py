@@ -16,6 +16,8 @@ def test_every_cache_is_bounded():
     assert "hnbundles.cli.build_parser" in caches
     # the adjoint-degree oracle reads one table of 2rho_P terms per family
     assert caches["hnbundles.parabolic._two_rho_terms"] is not None
+    # and keeps the packed prefix-sum columns of each orbit it scores
+    assert caches["hnbundles.canon._packed_orbit"] is not None
     # the closed forms of lattice keep nothing; the tower oracle keeps a
     # bounded cache of its Smith normal forms
     assert not any(name.startswith("hnbundles.lattice.") for name in caches)

@@ -5,20 +5,22 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hnbundles import canon
 from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SoBundle, SpBundle,
                               is_semistable, vertical_degree)
-from hnbundles.canon import (ORACLE_DIM_GUARD, HNType, ad_degree,
-                             ad_degree_max_oracle, bh_conditions,
+from hnbundles.canon import (ORACLE_WORK_GUARD, HNType, _packed_orbit,
+                             ad_degree, ad_degree_max_oracle, bh_conditions,
                              canonical_reduction, check_bh, forced_index,
                              hn_type)
 from hnbundles.errors import (FamilyMismatch, InvalidReduction, NotIntegral,
                               TooLarge)
 from hnbundles.lattice import topological_type
 from hnbundles.parabolic import (ParabolicIndex, _root_split, _two_rho,
-                                  _two_rho_terms)
+                                  _two_rho_term_weight, _two_rho_terms)
 from hnbundles.rootsys import (GroupFamily, all_roots, as_cocharacter,
-                               evaluate, is_dominant, is_root, simple_roots,
-                               weyl_orbit)
+                               dominant_representative, evaluate, is_dominant,
+                               is_root, positive_roots, simple_roots,
+                               weyl_orbit, weyl_orbit_size)
 
 
 def test_canonical_reduction_examples():
@@ -116,9 +118,46 @@ def test_ad_degree_max_examples():
     assert ad_degree(sp4, red.index, red.mu.mu) == best2
 
 
-def test_ad_degree_guard():
-    with pytest.raises(TooLarge):
-        ad_degree_max_oracle(GroupFamily("gl", 6), (0,) * 6)
+def _work(family, a):
+    """The oracle's work from the root tables: 2^count x ((count + 1) |W.a|
+    + |Phi+|), count the number of simple roots."""
+    count = len(simple_roots(family))
+    return (1 << count) * ((count + 1) * weyl_orbit_size(family, a)
+                           + len(positive_roots(family)))
+
+
+def _bound(family, a):
+    """The lane bound from the table of terms: max(1, max_I sum |c_k|) times
+    sum |a_i|."""
+    weight = max(sum(abs(c) for _, c in terms)
+                 for _, terms in _two_rho_terms(family))
+    return max(1, weight) * sum(map(abs, a))
+
+
+def test_ad_degree_guard(monkeypatch):
+    # the largest inputs of the former cartan_dim <= 5 guard sit at the limit
+    assert _work(GroupFamily("sp", 10), (5, 4, 3, 2, 1)) == ORACLE_WORK_GUARD
+    assert _work(GroupFamily("so", 11), (5, 4, 3, 2, 1)) == ORACLE_WORK_GUARD
+    # a regular GL7 point, and the zero point of GL14, whose table of terms
+    # alone reads 2^13 parabolics: refused before the orbit or the table
+    for family, a in ((GroupFamily("gl", 7), tuple(range(7))),
+                      (GroupFamily("gl", 14), (0,) * 14)):
+        assert _work(family, a) > ORACLE_WORK_GUARD
+        orbits, tables = weyl_orbit.cache_info(), _two_rho_terms.cache_info()
+        with pytest.raises(TooLarge, match="enumeration guard exceeded"):
+            ad_degree_max_oracle(family, a)
+        assert weyl_orbit.cache_info().misses == orbits.misses
+        assert _two_rho_terms.cache_info().misses == tables.misses
+    # a family over the guard at its zero point is refused without reading
+    # the orbit size, a factorial of the dimension
+    monkeypatch.setattr(canon, "weyl_orbit_size", None)
+    with pytest.raises(TooLarge, match="enumeration guard exceeded"):
+        ad_degree_max_oracle(GroupFamily("sl", 10**4), (0,) * 10**4)
+    monkeypatch.undo()
+    # the zero point of GL6 is under the count: one point, 32 parabolics
+    gl6 = GroupFamily("gl", 6)
+    best, argmax = ad_degree_max_oracle(gl6, (0,) * 6)
+    assert best == 0 and len(argmax) == 32
 
 
 def _root_sum(index, v):
@@ -195,21 +234,97 @@ def test_oracle_equals_the_per_pair_loop_sampled_rank_four(family):
 @pytest.mark.parametrize("family,a", [
     (GroupFamily("gl", 5), (2, 2, 0, -1, -1)), (GroupFamily("gl", 5), (1, 0, 0, 0, 3)),
     (GroupFamily("sp", 10), (2, -2, 1, 0, 0)), (GroupFamily("sp", 10), (0, 3, -1, 1, 3)),
-    (GroupFamily("so", 10), (1, -1, 2, 0, 2)), (GroupFamily("so", 10), (-2, 1, 1, 1, 3))],
+    (GroupFamily("so", 10), (1, -1, 2, 0, 2)), (GroupFamily("so", 10), (-2, 1, 1, 1, 3)),
+    (GroupFamily("so", 11), (-3, 5, 1, -4, 2)), (GroupFamily("gl", 6), (3, -1, 2, 0, 2, 3)),
+    (GroupFamily("sl", 8), (1, 1, 1, 1, 0, 0, -2, -2))],
     ids=str)
 def test_oracle_equals_the_per_pair_loop_at_the_guard(family, a):
-    # non-regular points of dimension ORACLE_DIM_GUARD, the D5 fork included
-    assert family.cartan_dim == ORACLE_DIM_GUARD
+    # points whose work is up to the guard: a regular SO11 point at it, the
+    # D5 fork, and GL6 and SL8 points, which the former cartan_dim <= 5
+    # guard refused
+    assert _work(family, a) <= ORACLE_WORK_GUARD
     assert ad_degree_max_oracle(family, a) == _ad_degree_max_by_pairs(family, a)
 
 
-def _families_to_the_guard():
+def _admitted_families():
+    """Every family whose zero point the work guard admits."""
+    out = []
+    for kind, first, step in (("gl", 1, 1), ("sl", 1, 1), ("sp", 2, 2), ("so", 3, 1)):
+        r = first
+        while _work(GroupFamily(kind, r), (0,) * GroupFamily(kind, r).cartan_dim) \
+                <= ORACLE_WORK_GUARD:
+            out.append(GroupFamily(kind, r))
+            r += step
+    return out
+
+
+def test_two_rho_term_weight_equals_the_table():
+    # the closed form of the lane bound is exact wherever the oracle runs
+    families = _admitted_families()
+    assert {f.r for f in families if f.kind == "gl"} == set(range(1, 14))
+    for family in families:
+        assert _two_rho_term_weight(family) == max(
+            sum(abs(c) for _, c in terms) for _, terms in _two_rho_terms(family)), family
+    # drop the tables of up to 2^12 parabolics this test built
+    _two_rho_terms.cache_clear()
+
+
+def _lane_bytes(family, a):
+    dominant = dominant_representative(family, as_cocharacter(family, a))
+    orbit, _, nbytes, _, _, _ = _packed_orbit(family, dominant)
+    return nbytes // len(orbit)
+
+
+@pytest.mark.parametrize("family,base", [
+    (GroupFamily("gl", 3), (0, 2, -1)), (GroupFamily("sl", 3), (0, 2, -2)),
+    (GroupFamily("sp", 6), (0, -1, 2)), (GroupFamily("so", 7), (0, 1, -2)),
+    (GroupFamily("so", 8), (0, -1, 2, 1))], ids=str)
+def test_oracle_equals_the_per_pair_loop_at_the_lane_limits(family, base):
+    # add m to the first coordinate of base (and on SL take it off the last)
+    # so that the bound B sits on each side of 2^15, 2^31 and 2^63
+    step = 2 if family.kind == "sl" else 1
+
+    def point(m):
+        return (base[0] + m,) + base[1:-1] + (
+            base[-1] - m if family.kind == "sl" else base[-1],)
+
+    scale = _bound(family, point(step)) - _bound(family, point(0))
+    for limit, narrow, wide in ((15, 2, 4), (31, 4, 8), (63, 8, None)):
+        m = ((1 << limit) - _bound(family, point(0))) // scale * step
+        below, above = point(m), point(m + step)
+        assert _bound(family, below) < 1 << limit <= _bound(family, above)
+        assert _lane_bytes(family, below) == narrow
+        assert ad_degree_max_oracle(family, below) == \
+            _ad_degree_max_by_pairs(family, below), below
+        if wide is None:
+            with pytest.raises(TooLarge, match="enumeration guard exceeded"):
+                ad_degree_max_oracle(family, above)
+        else:
+            assert _lane_bytes(family, above) == wide
+            assert ad_degree_max_oracle(family, above) == \
+                _ad_degree_max_by_pairs(family, above), above
+
+
+@pytest.mark.parametrize("kind", ["gl", "sl"])
+def test_rank_one_entries_fit_their_lane(kind):
+    # GL1 and SL1 have one parabolic and no term, but the prefix-sum column
+    # still holds the entry, so B = |a_0|
+    family = GroupFamily(kind, 1)
+    index = ParabolicIndex(family, frozenset())
+    for x in ((1 << 15) - 1, -(1 << 15), (1 << 31) - 1, (1 << 63) - 1, 1 - (1 << 63)):
+        assert ad_degree_max_oracle(family, (x,)) == (0, [(index, (x,))])
+    for x in (1 << 63, -(1 << 63)):
+        with pytest.raises(TooLarge, match="enumeration guard exceeded"):
+            ad_degree_max_oracle(family, (x,))
+
+
+def _families_to_dimension_five():
     return ([GroupFamily(k, r) for k in ("gl", "sl") for r in range(1, 6)]
             + [GroupFamily("sp", r) for r in range(2, 11, 2)]
             + [GroupFamily("so", r) for r in range(3, 12)])
 
 
-@pytest.mark.parametrize("family", _families_to_the_guard(), ids=str)
+@pytest.mark.parametrize("family", _families_to_dimension_five(), ids=str)
 def test_two_rho_terms_sit_on_the_index_or_the_last_position(family):
     # 2rho_P is a character of P_I: no term at a simple root outside I
     table = _two_rho_terms(family)

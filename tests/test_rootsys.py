@@ -10,9 +10,9 @@ from hnbundles import canon, lattice, parabolic, rootsys, strata
 from hnbundles.errors import NotARoot, NotIntegral, TooLarge, UnsupportedRank
 from hnbundles.rootsys import (GroupFamily, all_roots, as_cocharacter, coroot,
                                dominant_representative, evaluate, is_dominant,
-                               is_root, positive_roots, root_name,
-                               simple_root_coordinates, simple_roots,
-                               weyl_orbit, weyl_orbit_size)
+                               is_root, positive_root_count, positive_roots,
+                               root_name, simple_root_coordinates,
+                               simple_roots, weyl_orbit, weyl_orbit_size)
 from oracles import solve_rational
 
 FAMILIES = [GroupFamily("gl", 3), GroupFamily("gl", 4), GroupFamily("sl", 3),
@@ -157,6 +157,7 @@ def _dim_group(family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_positive_root_count(family):
     assert len(positive_roots(family)) == (_dim_group(family) - family.torus_dim) // 2
+    assert positive_root_count(family) == len(positive_roots(family))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
