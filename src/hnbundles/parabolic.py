@@ -13,10 +13,16 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import (FamilyMismatch, InvalidFlag, NotACharacter,
-                     NothingToGenerate)
+                     NothingToGenerate, TooLarge)
 from .rootsys import (GL, SL, SO, SP, GroupFamily, _point,
-                      _simple_root_values, all_roots, root_name,
-                      simple_root_coordinates, simple_root_count)
+                      _simple_root_values, all_roots, positive_root_count,
+                      root_name, simple_root_coordinates, simple_root_count)
+
+# The root table of _root_supports lists 2|Phi+| roots of cartan_dim
+# entries each.  The limit is that count at GL160, whose table builds in
+# about 1 s (Python 3.11, one core of a 2-vCPU Xeon VM) and holds about
+# 50 MB; GL161 is refused.  Sp252 and SO254 sit just under it.
+ROOT_TABLE_GUARD = 2 * (160 * 159 // 2) * 160
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,10 @@ def parabolic_from_flag(family: GroupFamily, flag_ranks) -> ParabolicIndex:
 def _root_supports(family: GroupFamily):
     """(root, support, positive) for each root in all_roots order, where
     support is the bitmask of the simple roots with a nonzero coefficient
-    in the root's expansion; the coefficients share one sign."""
+    in the root's expansion; the coefficients share one sign.  Refuses a
+    table of more than ROOT_TABLE_GUARD entries before building it."""
+    if 2 * positive_root_count(family) * family.cartan_dim > ROOT_TABLE_GUARD:
+        raise TooLarge("enumeration guard exceeded")
     out = []
     for a in all_roots(family):
         coords = simple_root_coordinates(family, a)

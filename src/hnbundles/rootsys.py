@@ -27,8 +27,9 @@ from .errors import (FamilyMismatch, NotARoot, NotIntegral, TooLarge,
 GL, SL, SP, SO = "gl", "sl", "sp", "so"
 KINDS = (GL, SL, SP, SO)
 
-# |W(B6)| = |W(C6)|, the largest orbit the hull LP oracle can need under
-# its dimension guard; a regular GL9 point (9! translates) is refused.
+# |W(B6)| = |W(C6)|; a regular GL9 point (9! translates) is refused.  The
+# two oracles that enumerate orbits refuse far smaller ones by their own
+# counts of work, so this limit only bounds what weyl_orbit itself builds.
 WEYL_ORBIT_GUARD = 46080
 
 
@@ -215,9 +216,9 @@ def _arrangements(counts, n):
 
 # keyed by the dominant point, so every point of an orbit finds it; holds
 # every distinct orbit of a cli_mix benchmark run (40-48 of them on seeds
-# 1-4, all from the lattice check suite).  The adjoint-degree oracle keeps
-# the packed columns of each orbit in a cache of its own and reaches this
-# one only on a miss there.
+# 1-4, all from the lattice check suite).  The adjoint-degree oracle caches
+# its answer per orbit, so it reaches this one once per orbit, on the first
+# call that scores it.
 @lru_cache(maxsize=128)
 def _weyl_orbit(family: GroupFamily, v):
     size = weyl_orbit_size(family, v)

@@ -20,9 +20,15 @@ from .canon import HNType, forced_index
 from .errors import FamilyMismatch, TooLarge
 from .parabolic import ParabolicIndex, parabolic_leq
 from .rootsys import (GL, SL, GroupFamily, _point, dominant_representative,
-                      is_dominant, simple_root_coordinates, weyl_orbit)
+                      is_dominant, simple_root_coordinates, weyl_orbit,
+                      weyl_orbit_size)
 
-HULL_DIM_GUARD = 6
+# The LP oracle's simplex has one column per point of W.mu.  The limit is
+# the orbit of a regular SO10 point, or of an Sp10 or SO11 point with one
+# zero entry: each answers in 0.1-2.5 s by nu (Python 3.11, one core of a
+# 2-vCPU Xeon VM), while a regular SO11 point (3,840 columns) takes up to
+# 2.8 s and a regular Sp12 point (46,080) more than 600 s.
+HULL_ORBIT_GUARD = 1920
 ENUM_DIM_GUARD = 4
 ENUM_BOUND_GUARD = 4
 
@@ -110,10 +116,12 @@ def hull_membership(family: GroupFamily, mu, nu) -> bool:
 
 def hull_membership_lp_oracle(family: GroupFamily, mu, nu) -> bool:
     """hull_membership by brute force, for tests and the hull check suite:
-    the phase-1 simplex on nu as a convex combination of the points of W.mu."""
-    if family.cartan_dim > HULL_DIM_GUARD:
-        raise TooLarge("hull guard exceeded")
+    the phase-1 simplex on nu as a convex combination of the points of W.mu.
+    Refuses an orbit of more than HULL_ORBIT_GUARD points before building
+    it."""
     nu = _point(family, nu)
+    if weyl_orbit_size(family, mu) > HULL_ORBIT_GUARD:
+        raise TooLarge("hull guard exceeded")
     return _phase_one_feasible(weyl_orbit(family, tuple(mu)), nu)
 
 

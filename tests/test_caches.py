@@ -16,8 +16,10 @@ def test_every_cache_is_bounded():
     assert "hnbundles.cli.build_parser" in caches
     # the adjoint-degree oracle reads one table of 2rho_P terms per family
     assert caches["hnbundles.parabolic._two_rho_terms"] is not None
-    # and keeps the packed prefix-sum columns of each orbit it scores
-    assert caches["hnbundles.canon._packed_orbit"] is not None
+    # and keeps one answer per orbit it scores, not the orbit's packed
+    # prefix-sum columns
+    assert caches["hnbundles.canon._oracle_of_orbit"] is not None
+    assert "hnbundles.canon._packed_orbit" not in caches
     # the closed forms of lattice keep nothing; the tower oracle keeps a
     # bounded cache of its Smith normal forms
     assert not any(name.startswith("hnbundles.lattice.") for name in caches)

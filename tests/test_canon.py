@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from hnbundles import canon
 from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SoBundle, SpBundle,
                               is_semistable, vertical_degree)
-from hnbundles.canon import (ORACLE_WORK_GUARD, HNType, _packed_orbit,
-                             ad_degree, ad_degree_max_oracle, bh_conditions,
-                             canonical_reduction, check_bh, forced_index,
-                             hn_type)
+from hnbundles.canon import (ORACLE_WORK_GUARD, HNType, _oracle_of_orbit,
+                             _packed_orbit, ad_degree, ad_degree_max_oracle,
+                             bh_conditions, canonical_reduction, check_bh,
+                             forced_index, hn_type)
 from hnbundles.errors import (FamilyMismatch, InvalidReduction, NotIntegral,
                               TooLarge)
 from hnbundles.lattice import topological_type
@@ -144,10 +144,15 @@ def test_ad_degree_guard(monkeypatch):
                       (GroupFamily("gl", 14), (0,) * 14)):
         assert _work(family, a) > ORACLE_WORK_GUARD
         orbits, tables = weyl_orbit.cache_info(), _two_rho_terms.cache_info()
+        answers = _oracle_of_orbit.cache_info()
         with pytest.raises(TooLarge, match="enumeration guard exceeded"):
             ad_degree_max_oracle(family, a)
         assert weyl_orbit.cache_info().misses == orbits.misses
         assert _two_rho_terms.cache_info().misses == tables.misses
+        # the answer cache counts the lookup of the refused key as a miss,
+        # and stores and evicts nothing
+        assert _oracle_of_orbit.cache_info() == answers._replace(
+            misses=answers.misses + 1)
     # a family over the guard at its zero point is refused without reading
     # the orbit size, a factorial of the dimension
     monkeypatch.setattr(canon, "weyl_orbit_size", None)
@@ -216,6 +221,41 @@ def test_oracle_equals_the_per_pair_loop(family):
         # same best, same argmax pairs in the same order
         assert ad_degree_max_oracle(family, a) == \
             _ad_degree_max_by_pairs(family, a), a
+
+
+@pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (
+    ("gl", 1), ("gl", 2), ("gl", 3), ("sl", 1), ("sl", 2), ("sl", 3),
+    ("sp", 2), ("sp", 4), ("sp", 6), ("so", 3), ("so", 4), ("so", 5),
+    ("so", 6), ("so", 7))], ids=str)
+def test_oracle_answer_cache_equals_the_cold_oracle(family):
+    grid = list(product(range(-2, 3), repeat=family.cartan_dim))
+    if family.kind == "so" and family.r % 2 == 0:
+        # even SO keys an odd count of negative entries, with no zero entry
+        # to absorb a sign, to a dominant point with its last entry negated
+        assert any(all(a) and sum(x < 0 for x in a) % 2 for a in grid)
+    for a in grid:
+        ad_degree_max_oracle(family, a)
+    # the grid holds at most 125 orbits, so every one is still cached
+    before = _oracle_of_orbit.cache_info()
+    warm = [ad_degree_max_oracle(family, a) for a in grid]
+    after = _oracle_of_orbit.cache_info()
+    assert (after.hits - before.hits, after.misses) == (len(grid), before.misses)
+    cold = []
+    for a in grid:
+        _oracle_of_orbit.cache_clear()
+        cold.append(ad_degree_max_oracle(family, a))
+    assert warm == cold == [_ad_degree_max_by_pairs(family, a) for a in grid]
+
+
+def test_oracle_returns_a_fresh_argmax_list():
+    sp4 = GroupFamily("sp", 4)
+    best, argmax = ad_degree_max_oracle(sp4, (2, 1))
+    expected = list(argmax)
+    argmax.reverse()
+    argmax.append(None)
+    # (1, -2) is a translate of (2, 1): the same cache entry answers it
+    again = ad_degree_max_oracle(sp4, (1, -2))
+    assert again == (best, expected) and again[1] is not argmax
 
 
 @pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (

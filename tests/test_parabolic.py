@@ -4,14 +4,17 @@ from itertools import product
 
 import pytest
 
-from hnbundles.canon import ad_degree, forced_index
+from hnbundles import parabolic
+from hnbundles.canon import ad_degree, canonical_reduction, forced_index
 from hnbundles.errors import (FamilyMismatch, InvalidFlag, NotACharacter,
-                              NothingToGenerate)
-from hnbundles.parabolic import (ParabolicIndex, _root_split, _two_rho,
+                              NothingToGenerate, TooLarge)
+from hnbundles.parabolic import (ROOT_TABLE_GUARD, ParabolicIndex, _root_split,
+                                 _root_supports, _two_rho,
                                  character_generators, is_dominant_character,
                                  parabolic_from_flag, parabolic_leq)
 from hnbundles.rootsys import (GroupFamily, all_roots, coroot, evaluate,
-                               positive_roots, simple_root_count, simple_roots)
+                               positive_root_count, positive_roots,
+                               simple_root_count, simple_roots)
 from oracles import (character_oracle, generator_oracle, index_point,
                      levi_blocks, root_split_oracle, solve_rational)
 
@@ -126,6 +129,27 @@ def test_root_split_equals_the_solve_point_route_at_rank_twelve(family):
         for members in ({i}, set(range(count)) - {i}):
             index = _idx(family, members)
             assert _root_split(index) == root_split_oracle(index)
+
+
+def _table_size(family):
+    return 2 * positive_root_count(family) * family.cartan_dim
+
+
+def test_root_table_guard(monkeypatch):
+    # GL160 sits at the limit; Sp252, SO253 and SO254 just under it
+    assert _table_size(GroupFamily("gl", 160)) == ROOT_TABLE_GUARD
+    for kind, r in (("sl", 160), ("sp", 252), ("so", 253), ("so", 254)):
+        assert _table_size(GroupFamily(kind, r)) <= ROOT_TABLE_GUARD
+    # the next rank of each kind is refused before a root is listed
+    monkeypatch.setattr(parabolic, "all_roots", None)
+    for kind, r in (("gl", 161), ("sl", 161), ("sp", 254), ("so", 255),
+                    ("so", 256)):
+        family = GroupFamily(kind, r)
+        assert _table_size(family) > ROOT_TABLE_GUARD
+        with pytest.raises(TooLarge, match="enumeration guard exceeded"):
+            _root_supports(family)
+        with pytest.raises(TooLarge, match="enumeration guard exceeded"):
+            canonical_reduction(family, (0,) * family.cartan_dim)
 
 
 def test_character_generators_equal_the_kernel_oracle():

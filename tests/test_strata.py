@@ -9,11 +9,12 @@ from hnbundles import strata
 from hnbundles.canon import HNType, forced_index
 from hnbundles.errors import FamilyMismatch, TooLarge
 from hnbundles.parabolic import ParabolicIndex
-from hnbundles.strata import (StrataPoset, StratumLabel, enumerate_strata,
-                              gl_dominance, hull_membership,
+from hnbundles.strata import (HULL_ORBIT_GUARD, StrataPoset, StratumLabel,
+                              enumerate_strata, gl_dominance, hull_membership,
                               hull_membership_lp_oracle, stratum_label,
                               stratum_leq, to_dot)
-from hnbundles.rootsys import GroupFamily, dominant_representative, weyl_orbit
+from hnbundles.rootsys import (GroupFamily, dominant_representative, weyl_orbit,
+                               weyl_orbit_size)
 from oracles import enumerate_strata_oracle
 
 
@@ -28,9 +29,26 @@ def test_hull_examples():
 
 
 def test_hull_guard():
-    # only the LP oracle enumerates the orbit, so only it is guarded
-    with pytest.raises(TooLarge):
-        hull_membership_lp_oracle(GroupFamily("gl", 7), (0,) * 7, (0,) * 7)
+    # only the LP oracle enumerates the orbit, so only it is guarded, on
+    # the orbit's size: a regular SO10 point sits at the limit
+    so10 = GroupFamily("so", 10)
+    assert weyl_orbit_size(so10, (5, 4, 3, 2, 1)) == HULL_ORBIT_GUARD
+    assert hull_membership_lp_oracle(so10, (5, 4, 3, 2, 1), (5, 4, 3, 2, 1))
+    # over it: the smallest orbit over it (1,980 points), an SO12 point with
+    # two zeros, a GL7 point with one repeated entry, regular SO11 and Sp12
+    # points; each refused before its orbit is built
+    for family, mu in ((GroupFamily("gl", 11), (1, 1) + (0,) * 7 + (-1, -1)),
+                       (GroupFamily("so", 12), (3, 2, 1, 1, 0, 0)),
+                       (GroupFamily("gl", 7), (5, 4, 3, 2, 1, 0, 0)),
+                       (GroupFamily("so", 11), (5, 4, 3, 2, 1)),
+                       (GroupFamily("sp", 12), (6, 5, 4, 3, 2, 1))):
+        assert weyl_orbit_size(family, mu) > HULL_ORBIT_GUARD
+        orbits = weyl_orbit.cache_info()
+        with pytest.raises(TooLarge, match="hull guard exceeded"):
+            hull_membership_lp_oracle(family, mu, mu)
+        assert weyl_orbit.cache_info() == orbits
+    # the zero point of GL7, a one-point orbit, is in its own hull
+    assert hull_membership_lp_oracle(GroupFamily("gl", 7), (0,) * 7, (0,) * 7)
 
 
 def test_hull_membership_past_the_oracle_guard():
