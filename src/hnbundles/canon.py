@@ -21,8 +21,7 @@ from itertools import accumulate
 from .bundle import IsotropicBundle, SlBundle, underlying
 from .errors import InvalidReduction, TooLarge
 from .hnfilt import hn_filtration, hn_filtration_isotropic
-from .parabolic import (ParabolicIndex, _root_split, _two_rho,
-                        _two_rho_term_weight, _two_rho_terms,
+from .parabolic import (ParabolicIndex, _root_split, _two_rho, _two_rho_terms,
                         character_generators)
 from .rootsys import (GL, SL, GroupFamily, _point, _simple_root_values,
                       as_cocharacter, dominant_representative, evaluate,
@@ -178,9 +177,10 @@ def ad_degree_max_oracle(family: GroupFamily, a):
     it is computed once per (family, dominant point) and cached
     (_oracle_of_orbit), and every call returns a fresh argmax list.
 
-    Refuses, before it builds the orbit or the table of terms, an input
-    whose work exceeds ORACLE_WORK_GUARD or whose scores need lanes wider
-    than 64 bits.
+    Refuses an input whose work exceeds ORACLE_WORK_GUARD before it builds
+    the orbit or the table of terms, and one whose scores need lanes wider
+    than 64 bits before it builds the orbit.  The lane bound is read off
+    the table, whose build the work guard counts.
     """
     a = as_cocharacter(family, a)
     best, argmax = _oracle_of_orbit(family, dominant_representative(family, a))
@@ -198,7 +198,7 @@ def _oracle_of_orbit(family: GroupFamily, dominant):
     """(best, argmax as a tuple) of ad_degree_max_oracle on the orbit of a
     dominant point."""
     orbit, lanes, nbytes, half, bias, columns = _packed_orbit(family, dominant)
-    table = _two_rho_terms(family)
+    table, _ = _two_rho_terms(family)
     scores = []
     for _, terms in table:
         total = bias
@@ -218,25 +218,29 @@ def _packed_orbit(family: GroupFamily, dominant):
     the orbit of a dominant point, for the adjoint-degree oracle.
 
     The bound B = max(1, max_I sum |c_k|) * sum |a_i| covers every score
-    sum c_k s_k(v) and every column entry, since |s_k(v)| <= sum |a_i|.
+    sum c_k s_k(v) and every column entry, since |s_k(v)| <= sum |a_i|;
+    max_I sum |c_k| is the weight stored with the table of terms.
     The lanes are the narrowest of 16, 32 and 64 bits with B < 2^(w-1).
     Column k is sum_j s_k(v_j) 2^(wj), a signed sum of lanes, and the bias
     puts 2^(w-1) in every lane, so that bias + sum c_k col_k holds each
     score plus 2^(w-1) in [0, 2^w) in its own lane: its bytes read as
-    unsigned lanes in orbit order.  The guards read only the dominant
-    point.  Not cached: _oracle_of_orbit calls it once per orbit and keeps
-    only the answer.
+    unsigned lanes in orbit order.  The work guard reads only the
+    dominant point, and the lane guard the table it admits.  Not cached:
+    _oracle_of_orbit calls it once per orbit and keeps only the answer.
     """
     count = simple_root_count(family)
     roots = positive_root_count(family)
-    bound = max(1, _two_rho_term_weight(family)) * sum(map(abs, dominant))
-    lane = next((lane for lane in _LANES if bound < 1 << lane[0] - 1), None)
     # an orbit has at least one point, so a family over the guard at its
     # zero point is refused before weyl_orbit_size takes a factorial of its
     # dimension
     size = 1 if (count + 1 + roots) << count > ORACLE_WORK_GUARD else \
         weyl_orbit_size(family, dominant)
-    if lane is None or ((count + 1) * size + roots) << count > ORACLE_WORK_GUARD:
+    if ((count + 1) * size + roots) << count > ORACLE_WORK_GUARD:
+        raise TooLarge("enumeration guard exceeded")
+    _, weight = _two_rho_terms(family)
+    bound = max(1, weight) * sum(map(abs, dominant))
+    lane = next((lane for lane in _LANES if bound < 1 << lane[0] - 1), None)
+    if lane is None:
         raise TooLarge("enumeration guard exceeded")
     width, typecode = lane
     orbit = weyl_orbit(family, dominant)

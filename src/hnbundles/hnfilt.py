@@ -1,9 +1,9 @@
 """Harder-Narasimhan filtrations on the formal model.
 
 The fast path groups atoms by slope; the oracle re-derives the same
-filtrations by exhaustive enumeration of ordered partitions of the atoms
-(plain) or of the positive isotropic part (Sp/SO), so the two routes
-check each other.
+filtrations by an exhaustive search over ordered partitions of the atoms
+(plain) or of the positive isotropic part (Sp/SO) that extends only the
+prefixes meeting the definition, so the two routes check each other.
 """
 
 from dataclasses import dataclass
@@ -13,7 +13,7 @@ from .bundle import IsotropicBundle, PlainBundle, SlBundle, dual, is_semistable
 from .errors import TooLarge, UnsupportedRank
 from .rootsys import SO
 
-ORACLE_RANK_GUARD = 8
+ORACLE_ATOM_GUARD = 8
 
 
 def _require_decreasing(quotients):
@@ -98,41 +98,40 @@ def extend_with_perps(f: IsotropicFiltration) -> Filtration:
     return Filtration(tuple(quotients))
 
 
-def _ordered_partitions(atoms):
-    """All ordered set partitions of the atom multiset, by index blocks."""
-
-    def rec(remaining):
-        if not remaining:
-            yield []
-            return
-        for k in range(1, len(remaining) + 1):
-            for blk in combinations(remaining, k):
-                left = [i for i in remaining if i not in blk]
-                for tail in rec(left):
-                    yield [blk] + tail
-
-    for part in rec(tuple(range(len(atoms)))):
-        yield [tuple(atoms[i] for i in blk) for blk in part]
+def _hn_candidates(atoms, above=None):
+    """Every ordered partition of the atoms into semistable blocks whose
+    slopes strictly decrease, each first slope below above, as a tuple of
+    blocks.  A block is kept only when it extends a valid prefix: a prefix
+    that breaks the definition has no valid completion."""
+    if not atoms:
+        yield ()
+        return
+    for k in range(1, len(atoms) + 1):
+        for picked in combinations(range(len(atoms)), k):
+            block = PlainBundle(tuple(atoms[i] for i in picked))
+            if not is_semistable(block) or (above is not None
+                                            and block.slope >= above):
+                continue
+            rest = tuple(a for i, a in enumerate(atoms) if i not in picked)
+            for tail in _hn_candidates(rest, block.slope):
+                yield (block.atoms,) + tail
 
 
 def hn_uniqueness_oracle(b) -> bool:
-    """Exhaustively verify that exactly one filtration satisfies the
-    defining conditions, and that it is the fast-path output."""
+    """Verify by exhaustive search that exactly one filtration satisfies
+    the defining conditions, and that it is the fast-path output.
+
+    Refuses more than ORACLE_ATOM_GUARD atoms to partition (the positive
+    part for Sp/SO)."""
     if isinstance(b, SlBundle):
         b = b.underlying
-    if b.rank > ORACLE_RANK_GUARD:
-        raise TooLarge(f"rank {b.rank} exceeds the oracle guard")
     # an Sp/SO isotropic part takes every positive atom: one left out would
     # sit in the slope-0 middle with its negative mirror, and the middle
     # would not be semistable; so only the positive part is partitioned
     isotropic = isinstance(b, IsotropicBundle)
-    winners = set()
-    for part in _ordered_partitions(b.positive if isotropic else b.atoms):
-        blocks = [PlainBundle(blk) for blk in part]
-        if not all(is_semistable(q) for q in blocks):
-            continue
-        slopes = [q.slope for q in blocks]
-        if all(x > y for x, y in zip(slopes, slopes[1:])):
-            winners.add(tuple(tuple(q.atoms) for q in blocks))
+    atoms = b.positive if isotropic else b.atoms
+    if len(atoms) > ORACLE_ATOM_GUARD:
+        raise TooLarge(f"{len(atoms)} atoms exceed the oracle guard")
+    winners = set(_hn_candidates(atoms))
     fast = hn_filtration_isotropic(b) if isotropic else hn_filtration(b)
-    return winners == {tuple(tuple(q.atoms) for q in fast.quotients)}
+    return winners == {tuple(q.atoms for q in fast.quotients)}

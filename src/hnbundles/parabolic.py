@@ -113,14 +113,16 @@ def _two_rho(index: ParabolicIndex):
 
 @lru_cache(maxsize=128)
 def _two_rho_terms(family: GroupFamily):
-    """(index, terms) for every parabolic index of the family, in the order
-    of its bit mask, where terms are the nonzero (k, c_k) of 2rho_P in the
-    basis of prefix sums: c_k = lambda_k - lambda_(k+1) for k < n - 1 and
-    c_(n-1) = lambda_(n-1), with lambda = 2rho_P, so that by Abel summation
+    """(table, weight) for the family.  The table holds (index, terms) for
+    every parabolic index, in the order of its bit mask, where terms are
+    the nonzero (k, c_k) of 2rho_P in the basis of prefix sums:
+    c_k = lambda_k - lambda_(k+1) for k < n - 1 and c_(n-1) = lambda_(n-1),
+    with lambda = 2rho_P, so that by Abel summation
     <lambda, v> = sum c_k (v_0 + ... + v_k).  For k < n - 1, c_k pairs
     2rho_P with the coroot of the k-th simple root, which vanishes off I
     since 2rho_P is a character of P_I: only the members of I and the last
-    position carry terms."""
+    position carry terms.  The weight is the largest sum of |c_k| over one
+    index, which bounds the adjoint-degree oracle's lanes."""
     count = simple_root_count(family)
     out = []
     for bits in range(1 << count):
@@ -129,20 +131,7 @@ def _two_rho_terms(family: GroupFamily):
         lam = _two_rho(index)
         steps = [x - y for x, y in zip(lam, lam[1:])] + [lam[-1]]
         out.append((index, tuple((k, c) for k, c in enumerate(steps) if c)))
-    return tuple(out)
-
-
-def _two_rho_term_weight(family: GroupFamily) -> int:
-    """The largest sum of |c_k| over the terms of one parabolic of the
-    family, in closed form: 3(n - 1) for GL/SL, 2n for Sp, 2n - 1 for odd
-    SO and max(3, 4n - 6) for even SO.  The tests read it off the table of
-    _two_rho_terms for every family the adjoint-degree oracle admits."""
-    n = family.cartan_dim
-    if family.kind in (GL, SL):
-        return 3 * (n - 1)
-    if family.kind == SP:
-        return 2 * n
-    return 2 * n - 1 if family.r % 2 else max(3, 4 * n - 6)
+    return tuple(out), max(sum(abs(c) for _, c in terms) for _, terms in out)
 
 
 def parabolic_leq(a: ParabolicIndex, b: ParabolicIndex) -> bool:

@@ -17,7 +17,7 @@ from itertools import product
 from math import gcd, lcm
 
 from .canon import HNType, forced_index
-from .errors import FamilyMismatch, TooLarge
+from .errors import FamilyMismatch, InvariantBreach, TooLarge
 from .parabolic import ParabolicIndex, parabolic_leq
 from .rootsys import (GL, SL, GroupFamily, _point, dominant_representative,
                       is_dominant, simple_root_coordinates, weyl_orbit,
@@ -86,7 +86,9 @@ def _phase_one_feasible(columns, target):
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[prow]):
                     prow = i
         if prow is None:
-            return False  # unbounded cannot happen on a bounded feasibility stub
+            # the phase-1 objective is bounded below by 0, so an entering
+            # column always has a pivot row
+            raise InvariantBreach("phase-1 simplex found an unbounded objective")
         pivot = tab[prow]
         pv = pivot[enter]
         for i in range(m):

@@ -5,16 +5,18 @@ test for the root split, the integer row kernel for the character
 generators, the coroot loop of the character test, the Smith normal
 form of the coroot matrix and the lattice tower read off it for the
 fundamental groups and the obstruction class, the diagonal Levi blocks
-for the Levi topological type off the D_n fork, and the pairwise stratum
-order with its covers found by a triple loop.
+for the Levi topological type off the D_n fork, the pairwise stratum
+order with its covers found by a triple loop, and every ordered partition
+of the atoms for the HN uniqueness search.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
+from hnbundles.bundle import PlainBundle, is_semistable
 from hnbundles.errors import NotACharacter, TooLarge
 from hnbundles.lattice import FinAbGroup
 from hnbundles.parabolic import _root_split
@@ -492,3 +494,35 @@ def enumerate_strata_oracle(family: GroupFamily, bound: int,
                 continue
             covers.add((i, j))
     return StrataPoset(tuple(labels), frozenset(covers))
+
+
+def _ordered_partitions(atoms):
+    """All ordered set partitions of the atom multiset, by index blocks."""
+
+    def rec(remaining):
+        if not remaining:
+            yield []
+            return
+        for k in range(1, len(remaining) + 1):
+            for blk in combinations(remaining, k):
+                left = [i for i in remaining if i not in blk]
+                for tail in rec(left):
+                    yield [blk] + tail
+
+    for part in rec(tuple(range(len(atoms)))):
+        yield [tuple(atoms[i] for i in blk) for blk in part]
+
+
+def hn_winners_by_partitions(atoms):
+    """The filtrations that meet the HN definition, as tuples of blocks:
+    every ordered partition of the atoms is listed first, then kept when
+    its blocks are semistable with strictly decreasing slopes."""
+    winners = set()
+    for part in _ordered_partitions(atoms):
+        blocks = [PlainBundle(blk) for blk in part]
+        if not all(is_semistable(q) for q in blocks):
+            continue
+        slopes = [q.slope for q in blocks]
+        if all(x > y for x, y in zip(slopes, slopes[1:])):
+            winners.add(tuple(q.atoms for q in blocks))
+    return winners

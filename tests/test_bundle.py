@@ -29,6 +29,19 @@ def test_empty_bundle_rejected():
         PlainBundle(())
 
 
+def test_malformed_bundles_rejected():
+    with pytest.raises(ValueError, match="atom rank must be positive"):
+        Atom(1, 0)
+    with pytest.raises(TypeError, match="expected atoms"):
+        PlainBundle(((1, 1),))
+    with pytest.raises(NotDegreeZero):
+        SlBundle(PlainBundle((Atom(1, 1), Atom(0, 1))))
+    with pytest.raises(ValueError, match="positive part"):
+        SpBundle((Atom(0, 1),), ())
+    with pytest.raises(ValueError, match="zero block"):
+        SoBundle((), (Atom(1, 1),))
+
+
 def test_dual_tensor_sum():
     assert tensor(PlainBundle((Atom(1, 2),)), PlainBundle((Atom(1, 3),))).atoms \
         == (Atom(5, 6),)
@@ -62,6 +75,8 @@ def test_vertical_degree_errors():
         vertical_degree(GroupFamily("gl", 4), (2, 4), (3, 4))
     with pytest.raises(UnsupportedRank):
         vertical_degree(GroupFamily("so", 2), (0, 2), (1, 1))
+    with pytest.raises(UnsupportedRank, match="Sp rank must be even"):
+        vertical_degree(GroupFamily("sp", 4), (0, 3), (1, 1))
 
 
 def test_vertical_degree_routes_and_signs():
@@ -158,6 +173,7 @@ def test_adjoint_degrees_symmetric(kind, r, coords):
 def test_sl_semistability_matches_underlying():
     b = PlainBundle((Atom(2, 1), Atom(-2, 1)))
     assert is_semistable(SlBundle(b)) == is_semistable(b)
+    assert underlying(SlBundle(b)) is b
     c = PlainBundle((Atom(0, 1), Atom(0, 3)))
     assert is_semistable(SlBundle(c)) == is_semistable(c)
 

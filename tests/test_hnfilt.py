@@ -1,12 +1,17 @@
+import random
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hnbundles.bundle import Atom, PlainBundle, SoBundle, SpBundle, underlying
+from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SoBundle, SpBundle,
+                              underlying)
 from hnbundles.errors import TooLarge, UnsupportedRank
-from hnbundles.hnfilt import (Filtration, IsotropicFiltration,
+from hnbundles.hnfilt import (Filtration, IsotropicFiltration, _hn_candidates,
                               extend_with_perps, hn_filtration,
                               hn_filtration_isotropic, hn_uniqueness_oracle,
                               scss)
+from oracles import hn_winners_by_partitions
 
 B = PlainBundle((Atom(3, 1), Atom(1, 2), Atom(1, 2), Atom(-2, 1)))
 
@@ -68,20 +73,48 @@ def test_uniqueness_oracle_examples():
     assert hn_uniqueness_oracle(PlainBundle((Atom(3, 1), Atom(-2, 1))))
     assert hn_uniqueness_oracle(PlainBundle((Atom(0, 1), Atom(0, 1))))
     assert hn_uniqueness_oracle(SpBundle((Atom(2, 1), Atom(1, 1)), ()))
+    assert hn_uniqueness_oracle(SlBundle(PlainBundle((Atom(2, 1), Atom(-2, 2)))))
 
 
 def test_uniqueness_oracle_guard():
+    # the limit counts the atoms the search partitions, not the rank
+    assert hn_uniqueness_oracle(PlainBundle((Atom(0, 9),)))
+    assert hn_uniqueness_oracle(SpBundle(tuple(Atom(d, 1) for d in range(1, 9))))
     with pytest.raises(TooLarge):
-        hn_uniqueness_oracle(PlainBundle((Atom(0, 9),)))
+        hn_uniqueness_oracle(PlainBundle(tuple(Atom(d, 1) for d in range(9))))
+    with pytest.raises(TooLarge):
+        hn_uniqueness_oracle(SoBundle((Atom(1, 1),) * 9, (Atom(0, 1),)))
+
+
+def _search_and_reference_agree(atoms):
+    assert set(_hn_candidates(atoms)) == hn_winners_by_partitions(atoms), atoms
+
+
+def test_search_finds_the_partition_winners():
+    pool = [Atom(d, r) for d in range(-3, 4) for r in (1, 2)]
+    for size in (1, 2, 3):
+        for atoms in combinations_with_replacement(pool, size):
+            _search_and_reference_agree(PlainBundle(atoms).atoms)
+    rng = random.Random(18)
+    for _ in range(60):
+        atoms = tuple(Atom(rng.randint(-3, 3), rng.randint(1, 2))
+                      for _ in range(rng.randint(1, 6)))
+        _search_and_reference_agree(PlainBundle(atoms).atoms)
+    for _ in range(60):
+        positive = tuple(Atom(rng.randint(1, 3), rng.randint(1, 2))
+                         for _ in range(rng.randint(0, 4)))
+        zeros = tuple([Atom(0, 1)] * (2 * rng.randint(0, 1)))
+        for b in (SpBundle(positive, zeros), SoBundle(positive, zeros + (Atom(0, 1),))):
+            _search_and_reference_agree(b.positive)
+            if b.rank >= 3:
+                assert hn_uniqueness_oracle(b)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.builds(Atom, st.integers(-3, 3), st.integers(1, 2)),
                 min_size=1, max_size=4).map(tuple))
 def test_oracle_agrees_with_fast_path(atoms):
-    b = PlainBundle(atoms)
-    if b.rank <= 6:
-        assert hn_uniqueness_oracle(b)
+    assert hn_uniqueness_oracle(PlainBundle(atoms))
 
 
 @settings(max_examples=100, deadline=None)

@@ -334,3 +334,5 @@ def test_index_members_become_a_frozenset():
     assert index == _idx(gl3, {0}) and hash(index) == hash(_idx(gl3, {0}))
     assert ad_degree(gl3, index, (1, 0, 0)) == 2
     assert ParabolicIndex(gl3, [1, 0]).members == {0, 1}
+    with pytest.raises(ValueError, match="out of range"):
+        ParabolicIndex(gl3, {5})

@@ -42,6 +42,11 @@ def test_so2_rejected_outside_semistability():
         simple_roots(GroupFamily("so", 2))
 
 
+def test_unknown_family_kind_rejected():
+    with pytest.raises(ValueError, match="unknown family kind 'xx'"):
+        GroupFamily("xx", 3)
+
+
 def test_as_cocharacter():
     gl3 = GroupFamily("gl", 3)
     out = as_cocharacter(gl3, [Fraction(2), -1, 0])
