@@ -30,10 +30,11 @@ class Atom:
 
 
 def _canon(atoms):
-    out = tuple(sorted(atoms, reverse=True))
-    if not all(isinstance(a, Atom) for a in out):
+    # check before sorting, which fails on an Atom next to another object
+    atoms = tuple(atoms)
+    if not all(isinstance(a, Atom) for a in atoms):
         raise TypeError("expected atoms")
-    return out
+    return tuple(sorted(atoms, reverse=True))
 
 
 @dataclass(frozen=True)

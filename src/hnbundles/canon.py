@@ -9,6 +9,11 @@ packs each orbit's prefix-sum columns into Python ints, one fixed-width
 lane per orbit point, so that one parabolic scores the whole orbit in one
 multiply-add per term.  Its answer depends only on the Weyl orbit, so it
 is computed once per orbit and cached by the dominant point.
+
+The canonical reduction and its BH conditions depend only on the HN type,
+the dominant point of the orbit, so they too are built once per
+(family, dominant point) and cached, apart from the oracle's cache and
+unread by it; every call still checks its input and the orbit.
 """
 
 import sys
@@ -21,8 +26,8 @@ from itertools import accumulate
 from .bundle import IsotropicBundle, SlBundle, underlying
 from .errors import InvalidReduction, TooLarge
 from .hnfilt import hn_filtration, hn_filtration_isotropic
-from .parabolic import (ParabolicIndex, _root_split, _two_rho, _two_rho_terms,
-                        character_generators)
+from .parabolic import (CACHED_DIM, ParabolicIndex, _root_split, _two_rho,
+                        _two_rho_terms, character_generators)
 from .rootsys import (GL, SL, GroupFamily, _point, _simple_root_values,
                       as_cocharacter, dominant_representative, evaluate,
                       is_dominant, positive_root_count, simple_root_count,
@@ -82,16 +87,31 @@ def forced_index(family: GroupFamily, mu) -> ParabolicIndex:
 
 def canonical_reduction(family: GroupFamily, a) -> CanonicalReduction:
     """The canonical parabolic reduction of the torus-split bundle with
-    degree vector a, reported at its dominant representative."""
+    degree vector a, reported at its dominant representative.
+
+    It depends only on the Weyl orbit of a, so it is built once per
+    (family, dominant point) and shared: every field is frozen."""
     a = as_cocharacter(family, a)
-    family.require_root_system()
     mu = dominant_representative(family, a)
+    if len(mu) <= CACHED_DIM:
+        return _reduction_of_orbit(family, mu)
+    return _build_reduction(family, mu)
+
+
+def _build_reduction(family: GroupFamily, mu) -> CanonicalReduction:
     index = forced_index(family, mu)
     # mu is dominant, so the roots positive at mu are the nilradical roots
     # of its forced index and the roots vanishing at mu are the Levi roots
     levi, nilrad = _root_split(index)
     return CanonicalReduction(family, index, HNType(family, mu),
                               frozenset(nilrad), frozenset(levi + nilrad))
+
+
+# keyed by the dominant point, like _oracle_of_orbit, for families of
+# cartan_dim <= CACHED_DIM: an entry holds two root sets of at most 3 x 256
+# roots (Sp32), whose roots the cached root table keeps anyway.  The grids
+# of a canon_oracle benchmark run hold 247 orbits, so 256 evicts nothing.
+_reduction_of_orbit = lru_cache(maxsize=256)(_build_reduction)
 
 
 def hn_type(b) -> HNType:
@@ -122,14 +142,22 @@ def check_bh(family: GroupFamily, a, red: CanonicalReduction):
     Returns (levi_semistable, char_degrees): the Levi extension is
     semistable iff every simple root outside the index vanishes on the
     reduction point, and char_degrees pairs the character generators of
-    the index against it (all positive for a canonical reduction).
+    the index against it (all positive for a canonical reduction).  The
+    answer at an int point is kept per (family, index, point), and each
+    call returns a fresh list.
     """
     a = as_cocharacter(family, a)
     mu = red.mu.mu
     if tuple(dominant_representative(family, a)) != tuple(
             dominant_representative(family, mu)):
         raise InvalidReduction("reduction point is not in the Weyl orbit of a")
-    return bh_conditions(family, red.index, mu)
+    # 1 == Fraction(1) with the same hash, so only int points share the
+    # cache: a Fraction point would get the int degrees of its key, or the
+    # other way round
+    if len(mu) > CACHED_DIM or any(type(c) is not int for c in mu):
+        return bh_conditions(family, red.index, mu)
+    levi_ss, degrees = _bh_of_orbit(family, red.index, mu)
+    return levi_ss, list(degrees)
 
 
 def bh_conditions(family: GroupFamily, index: ParabolicIndex, v):
@@ -142,6 +170,12 @@ def bh_conditions(family: GroupFamily, index: ParabolicIndex, v):
         return levi_ss, []
     degrees = [evaluate(chi, v) for chi in character_generators(family, index)]
     return levi_ss, degrees
+
+
+# check_bh's answers at a dominant int point, keyed by the family, index and
+# point, for families of cartan_dim <= CACHED_DIM: an entry holds a flag and
+# at most 16 degrees, in a list that check_bh copies and never hands out
+_bh_of_orbit = lru_cache(maxsize=256)(bh_conditions)
 
 
 def ad_degree(family: GroupFamily, index: ParabolicIndex, v) -> int:

@@ -24,6 +24,13 @@ from .rootsys import (GL, SL, SO, SP, GroupFamily, _point,
 # 50 MB; GL161 is refused.  Sp252 and SO254 sit just under it.
 ROOT_TABLE_GUARD = 2 * (160 * 159 // 2) * 160
 
+# The per-family caches (the root table, the root split of each index, and
+# canon's reduction and BH data per orbit) keep families of cartan_dim at
+# most CACHED_DIM only: 79 families, whose tables hold 2.6 MB all together.
+# A larger table, up to ROOT_TABLE_GUARD, is kept alone, the last one built;
+# nothing derived from it is cached, since each entry would keep its roots.
+CACHED_DIM = 16
+
 
 @dataclass(frozen=True)
 class ParabolicIndex:
@@ -74,7 +81,6 @@ def parabolic_from_flag(family: GroupFamily, flag_ranks) -> ParabolicIndex:
     return ParabolicIndex(family, frozenset(members))
 
 
-@lru_cache(maxsize=128)
 def _root_supports(family: GroupFamily):
     """(root, support, positive) for each root in all_roots order, where
     support is the bitmask of the simple roots with a nonzero coefficient
@@ -82,6 +88,12 @@ def _root_supports(family: GroupFamily):
     table of more than ROOT_TABLE_GUARD entries before building it."""
     if 2 * positive_root_count(family) * family.cartan_dim > ROOT_TABLE_GUARD:
         raise TooLarge("enumeration guard exceeded")
+    if family.cartan_dim <= CACHED_DIM:
+        return _cached_supports(family)
+    return _large_supports(family)
+
+
+def _build_supports(family: GroupFamily):
     out = []
     for a in all_roots(family):
         coords = simple_root_coordinates(family, a)
@@ -90,18 +102,32 @@ def _root_supports(family: GroupFamily):
     return tuple(out)
 
 
-@lru_cache(maxsize=1024)
+# the 79 families of cartan_dim <= CACHED_DIM fit, and one larger table
+_cached_supports = lru_cache(maxsize=128)(_build_supports)
+_large_supports = lru_cache(maxsize=1)(_build_supports)
+
+
 def _root_split(index: ParabolicIndex):
     """(Levi roots, nilradical roots) of P_I, both in all_roots order.
 
     The Levi roots are the roots whose support misses I, and the nilradical
-    roots are the positive roots whose support meets I.
+    roots are the positive roots whose support meets I.  Cached per index
+    for families of cartan_dim <= CACHED_DIM.
     """
+    if index.family.cartan_dim <= CACHED_DIM:
+        return _cached_root_split(index)
+    return _build_root_split(index)
+
+
+def _build_root_split(index: ParabolicIndex):
     mask = sum(1 << i for i in index.members)
     supports = _root_supports(index.family)
     return (tuple(a for a, support, _ in supports if not support & mask),
             tuple(a for a, support, positive in supports
                   if positive and support & mask))
+
+
+_cached_root_split = lru_cache(maxsize=1024)(_build_root_split)
 
 
 @lru_cache(maxsize=1024)

@@ -214,17 +214,23 @@ def _arrangements(counts, n):
     return out
 
 
+# The orbit cache keeps an orbit of at most this many coordinates (points
+# times cartan_dim): a regular Sp10 or SO11 orbit, 3,840 points of 5, the
+# largest the adjoint-degree oracle admits.  Every orbit that oracle admits
+# fits: with count simple roots, its work guard keeps
+# (count + 1) |W.a| 2^count under 32 x 6 x 3,840, which bounds
+# |W.a| cartan_dim by 737,280 / 2^count, under the limit for count >= 6,
+# and for count <= 5 no orbit is larger than a regular Sp10 or SO11 one.
+ORBIT_CACHE_LIMIT = 3840 * 5
+
+
 # keyed by the dominant point, so every point of an orbit finds it; holds
 # every distinct orbit of a cli_mix benchmark run (40-48 of them on seeds
 # 1-4, all from the lattice check suite).  The adjoint-degree oracle caches
 # its answer per orbit, so it reaches this one once per orbit, on the first
-# call that scores it.
+# call that scores it.  128 orbits of at most ORBIT_CACHE_LIMIT coordinates.
 @lru_cache(maxsize=128)
 def _weyl_orbit(family: GroupFamily, v):
-    size = weyl_orbit_size(family, v)
-    if size > WEYL_ORBIT_GUARD:
-        raise TooLarge(f"the Weyl orbit has {size} points, over the guard "
-                       f"of {WEYL_ORBIT_GUARD}")
     if family.kind in (GL, SL):
         return tuple(sorted(_arrangements(Counter(v), len(v)), reverse=True))
     # even SO changes an even number of signs: with no zero entry to absorb
@@ -246,8 +252,17 @@ def weyl_orbit(family: GroupFamily, v):
     Refuses an orbit of more than WEYL_ORBIT_GUARD points before building
     it.  W.v = W.dom(v), and the sorted orbit is the same tuple from
     every one of its points, so the cache is keyed by the dominant
-    representative: a lookup at any translate of a cached orbit hits."""
-    return _weyl_orbit(family, dominant_representative(family, v))
+    representative: a lookup at any translate of a cached orbit hits.
+    An orbit of more than ORBIT_CACHE_LIMIT coordinates is built afresh
+    on each call and not cached."""
+    v = dominant_representative(family, v)
+    size = weyl_orbit_size(family, v)
+    if size > WEYL_ORBIT_GUARD:
+        raise TooLarge(f"the Weyl orbit has {size} points, over the guard "
+                       f"of {WEYL_ORBIT_GUARD}")
+    if size * len(v) > ORBIT_CACHE_LIMIT:
+        return _weyl_orbit.__wrapped__(family, v)
+    return _weyl_orbit(family, v)
 
 
 weyl_orbit.cache_info = _weyl_orbit.cache_info

@@ -2,7 +2,8 @@
 replaced, kept as independent oracles for the tests: the rational solve
 and the Hermite-reduced integer row kernel, the point v_I and its sign
 test for the root split, the integer row kernel for the character
-generators, the coroot loop of the character test, the Smith normal
+generators, the canonical reduction and its BH conditions built afresh
+on every call, the coroot loop of the character test, the Smith normal
 form of the coroot matrix and the lattice tower read off it for the
 fundamental groups and the obstruction class, the diagonal Levi blocks
 for the Levi topological type off the D_n fork, the pairwise stratum
@@ -17,11 +18,14 @@ from itertools import combinations, product
 from math import gcd
 
 from hnbundles.bundle import PlainBundle, is_semistable
+from hnbundles.canon import (CanonicalReduction, HNType, bh_conditions,
+                             forced_index)
 from hnbundles.errors import NotACharacter, TooLarge
 from hnbundles.lattice import FinAbGroup
 from hnbundles.parabolic import _root_split
-from hnbundles.rootsys import (GL, SL, GroupFamily, all_roots, coroot,
-                               evaluate, is_dominant, root_name, simple_roots)
+from hnbundles.rootsys import (GL, SL, GroupFamily, all_roots, as_cocharacter,
+                               coroot, dominant_representative, evaluate,
+                               is_dominant, root_name, simple_roots)
 from hnbundles.strata import (ENUM_BOUND_GUARD, ENUM_DIM_GUARD, StrataPoset,
                               stratum_label, stratum_leq)
 
@@ -187,6 +191,22 @@ def root_split_oracle(index):
         elif value > 0:
             nilrad.append(a)
     return tuple(levi), tuple(nilrad)
+
+
+def canonical_reduction_uncached(family, a):
+    """canonical_reduction with no per-orbit cache: the forced index of the
+    dominant point, its root split and the HN type, built on every call."""
+    mu = dominant_representative(family, as_cocharacter(family, a))
+    index = forced_index(family, mu)
+    levi, nilrad = _root_split(index)
+    return CanonicalReduction(family, index, HNType(family, mu),
+                              frozenset(nilrad), frozenset(levi + nilrad))
+
+
+def check_bh_uncached(family, red):
+    """check_bh's answer with no cache: bh_conditions at the reduction's
+    point, evaluated on every call."""
+    return bh_conditions(family, red.index, red.mu.mu)
 
 
 def generator_oracle(family, i):

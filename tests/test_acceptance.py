@@ -22,8 +22,7 @@ from hnbundles.lattice import (fundamental_groups, obstruction_class,
                                topological_type)
 from hnbundles.parabolic import (ParabolicIndex, character_generators,
                                  is_dominant_character)
-from hnbundles.rootsys import (GroupFamily, evaluate, is_dominant,
-                               simple_roots, weyl_orbit)
+from hnbundles.rootsys import GroupFamily, evaluate, is_dominant, simple_roots
 from hnbundles.strata import (enumerate_strata, gl_dominance, hull_membership,
                               stratum_leq)
 

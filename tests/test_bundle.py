@@ -34,6 +34,11 @@ def test_malformed_bundles_rejected():
         Atom(1, 0)
     with pytest.raises(TypeError, match="expected atoms"):
         PlainBundle(((1, 1),))
+    # an atom next to a non-atom fails the type check, not the sort
+    with pytest.raises(TypeError, match="expected atoms"):
+        PlainBundle((Atom(1, 1), (1, 1)))
+    with pytest.raises(TypeError, match="expected atoms"):
+        SpBundle(((1, 1), Atom(1, 1)), ())
     with pytest.raises(NotDegreeZero):
         SlBundle(PlainBundle((Atom(1, 1), Atom(0, 1))))
     with pytest.raises(ValueError, match="positive part"):

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hnbundles import canon
-from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SoBundle, SpBundle,
+from hnbundles.bundle import (Atom, PlainBundle, SoBundle, SpBundle,
                               is_semistable, vertical_degree)
-from hnbundles.canon import (ORACLE_WORK_GUARD, HNType, _oracle_of_orbit,
-                             _packed_orbit, ad_degree, ad_degree_max_oracle,
-                             bh_conditions, canonical_reduction, check_bh,
-                             forced_index, hn_type)
+from hnbundles.canon import (ORACLE_WORK_GUARD, CanonicalReduction, HNType,
+                             _bh_of_orbit, _oracle_of_orbit, _packed_orbit,
+                             _reduction_of_orbit, ad_degree,
+                             ad_degree_max_oracle, bh_conditions,
+                             canonical_reduction, check_bh, forced_index,
+                             hn_type)
 from hnbundles.errors import (FamilyMismatch, InvalidReduction, NotIntegral,
                               TooLarge)
 from hnbundles.lattice import topological_type
@@ -21,6 +23,7 @@ from hnbundles.rootsys import (GroupFamily, all_roots, as_cocharacter,
                                dominant_representative, evaluate, is_dominant,
                                is_root, positive_roots, simple_roots,
                                weyl_orbit, weyl_orbit_size)
+from oracles import canonical_reduction_uncached, check_bh_uncached
 
 
 def test_canonical_reduction_examples():
@@ -256,6 +259,48 @@ def test_oracle_returns_a_fresh_argmax_list():
     # (1, -2) is a translate of (2, 1): the same cache entry answers it
     again = ad_degree_max_oracle(sp4, (1, -2))
     assert again == (best, expected) and again[1] is not argmax
+
+
+@pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (
+    [("gl", r) for r in (1, 2, 3, 4)] + [("sl", r) for r in (1, 2, 3, 4)]
+    + [("sp", r) for r in (2, 4, 6, 8)] + [("so", r) for r in range(3, 10)])],
+    ids=str)
+def test_reduction_and_bh_caches_equal_the_uncached_reference(family):
+    # W acts by signed permutations, so [-2,2]^dim holds every Weyl
+    # translate of each of its points
+    grid = list(product(range(-2, 3), repeat=family.cartan_dim))
+    orbits = {dominant_representative(family, a) for a in grid}
+    _reduction_of_orbit.cache_clear()
+    _bh_of_orbit.cache_clear()
+    for a in grid:
+        red = canonical_reduction(family, a)
+        ref = canonical_reduction_uncached(family, a)
+        assert red == ref, a
+        assert all(type(c) is int for c in red.mu.mu)
+        assert check_bh(family, a, red) == check_bh_uncached(family, ref), a
+    # each orbit misses once, on its first point, and its other points hit
+    for cache in (_reduction_of_orbit, _bh_of_orbit):
+        info = cache.cache_info()
+        assert (info.misses, info.hits) == (len(orbits), len(grid) - len(orbits))
+
+
+def test_check_bh_returns_a_fresh_list_of_the_point_type():
+    sp4 = GroupFamily("sp", 4)
+    red = canonical_reduction(sp4, (2, 1))
+    # the same reduction at a Fraction point: equal, with an equal hash
+    frac = CanonicalReduction(sp4, red.index, HNType(sp4, (Fraction(2), 1)),
+                              red.ad_positive_roots, red.ad_parabolic_roots)
+    assert frac == red and hash(frac) == hash(red)
+    for order in ((red, frac), (frac, red)):
+        _bh_of_orbit.cache_clear()
+        for r in order * 2:
+            ok, degrees = check_bh(sp4, (1, -2), r)
+            assert ok and degrees == [4, 3]
+            kind = int if r is red else Fraction
+            assert [type(d) for d in degrees] == [kind] * 2
+    _, degrees = check_bh(sp4, (2, 1), red)
+    degrees.append(None)
+    assert check_bh(sp4, (-1, 2), red) == (True, [4, 3])
 
 
 @pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (

@@ -1,0 +1,38 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted((ROOT / "src" / "hnbundles").glob("*.py")) + sorted(
+    (ROOT / "tests").glob("*.py"))
+# the package's __init__ imports only to re-export
+SKIP = {ROOT / "src" / "hnbundles" / "__init__.py"}
+
+
+def unused_imports(source):
+    """Names an import binds that the module never reads.  A name counts
+    as read when it appears as a bare name anywhere in the module, the
+    base of an attribute access (module.name) included."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # import a.b binds a
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read)
+
+
+def test_the_scan_finds_an_unused_import():
+    assert unused_imports("import os\nfrom a.b import c, d as e\nimport x.y\n"
+                          "print(c, x)\n") == [(1, "os"), (2, "e")]
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p not in SKIP],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import hnbundles.lattice
 import oracles
-from hnbundles.errors import NotInKernelLattice, UnsupportedRank
+from hnbundles.errors import NotInKernelLattice
 from hnbundles.lattice import (FinAbGroup, fundamental_groups,
                                levi_fundamental_groups, levi_topological_type,
                                obstruction_class, topological_type)

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import product
 
 import pytest
