@@ -21,7 +21,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from operator import add
 
 from .bundle import IsotropicBundle, SlBundle, underlying
 from .errors import InvalidReduction, TooLarge
@@ -242,9 +242,16 @@ def _oracle_of_orbit(family: GroupFamily, dominant):
             lanes).tolist())
     tops = list(map(max, scores))
     best = max(tops)
-    argmax = tuple((index, v) for (index, _), top, values in zip(table, tops, scores)
-                   if top == best for v, x in zip(orbit, values) if x == best)
-    return best - half, argmax
+    # the attaining points of each attaining parabolic, found by list.count
+    # and list.index rather than a comparison per orbit point in Python
+    argmax = []
+    for (index, _), top, values in zip(table, tops, scores):
+        if top == best:
+            i = -1
+            for _ in range(values.count(best)):
+                i = values.index(best, i + 1)
+                argmax.append((index, orbit[i]))
+    return best - half, tuple(argmax)
 
 
 def _packed_orbit(family: GroupFamily, dominant):
@@ -265,8 +272,8 @@ def _packed_orbit(family: GroupFamily, dominant):
     count = simple_root_count(family)
     roots = positive_root_count(family)
     # an orbit has at least one point, so a family over the guard at its
-    # zero point is refused before weyl_orbit_size takes a factorial of its
-    # dimension
+    # zero point is refused before weyl_orbit_size counts the orbit, which
+    # can be as large as the factorial of the dimension
     size = 1 if (count + 1 + roots) << count > ORACLE_WORK_GUARD else \
         weyl_orbit_size(family, dominant)
     if ((count + 1) * size + roots) << count > ORACLE_WORK_GUARD:
@@ -280,9 +287,11 @@ def _packed_orbit(family: GroupFamily, dominant):
     orbit = weyl_orbit(family, dominant)
     ones = int.from_bytes(array(typecode, [1]) * len(orbit), sys.byteorder)
     columns = []
-    for column in zip(*map(accumulate, orbit)):
+    prefix = [0] * len(orbit)
+    for column in zip(*orbit):
+        prefix = list(map(add, prefix, column))
         # the lanes as unsigned, less 2^w in each lane whose sign bit is set
-        u = int.from_bytes(array(typecode, column), sys.byteorder)
+        u = int.from_bytes(array(typecode, prefix), sys.byteorder)
         columns.append(u - ((u >> width - 1 & ones) << width))
     half = 1 << width - 1
     return (orbit, typecode.upper(), len(orbit) * width // 8, half,

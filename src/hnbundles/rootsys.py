@@ -10,8 +10,15 @@ pairings, the dominant chamber, the simple-root coordinates and the
 orbit sizes have closed forms (Bourbaki, Lie Groups and Lie Algebras
 ch. VI, Plates I-IV).  So does the orbit itself: the distinct
 arrangements of the entries, or for Sp/SO of their absolute values with
-every sign pattern on the nonzero ones.  The tests check the closed
-forms against a loop of simple reflections and a solve.
+every sign pattern on the nonzero ones.  The arrangements come in
+lexicographically descending order from repeated previous-permutation
+steps on one list (Knuth, TAOCP 4A, 7.2.1.2, Algorithm L), with no
+recursion, so a GL/SL orbit is listed already sorted.  For Sp and odd SO
+each arrangement is expanded by a product of (x, -x) over its nonzero
+entries; for even SO with no zero entry, by one table of the sign
+patterns whose count of minus signs has the parity of the dominant
+point's.  The signed points are then sorted once.  The tests check the
+closed forms against a loop of simple reflections and a solve.
 """
 
 from collections import Counter
@@ -19,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
-from math import factorial
+from math import comb
+from operator import mul
 
 from .errors import (FamilyMismatch, NotARoot, NotIntegral, TooLarge,
                      UnsupportedRank)
@@ -186,13 +194,17 @@ def _point(family: GroupFamily, v=None, index=None):
 def weyl_orbit_size(family: GroupFamily, v) -> int:
     """|W.v| in closed form: the ways to place the multiset of entries
     (of absolute values, for Sp/SO), times a sign for each nonzero entry
-    off GL/SL, halved for even SO when no entry is zero."""
+    off GL/SL, halved for even SO when no entry is zero.  The placements
+    are counted as a product of binomials, largest multiplicity first, so
+    the cost follows the answer rather than the factorial of len(v)."""
     family.require_root_system()
     v = _point(family, v)
     signed = family.kind not in (GL, SL)
-    size = factorial(len(v))
-    for count in Counter(abs(x) if signed else x for x in v).values():
-        size //= factorial(count)
+    size, remaining = 1, len(v)
+    for count in sorted(Counter(abs(x) if signed else x for x in v).values(),
+                        reverse=True):
+        size *= comb(remaining, count)
+        remaining -= count
     if signed:
         size <<= sum(1 for x in v if x)
         if family.kind == SO and family.r % 2 == 0 and all(v):
@@ -200,18 +212,25 @@ def weyl_orbit_size(family: GroupFamily, v) -> int:
     return size
 
 
-def _arrangements(counts, n):
-    """Every distinct sequence of length n that uses each entry as often
-    as counts says, each once; counts is restored on return."""
-    if not n:
-        return [()]
-    out = []
-    for x, m in counts.items():
-        if m:
-            counts[x] = m - 1
-            out += [(x,) + rest for rest in _arrangements(counts, n - 1)]
-            counts[x] = m
-    return out
+def _descending_arrangements(p):
+    """Every distinct arrangement of the list p, which must be sorted
+    descending, in lexicographically descending order, each once.  Each
+    is the previous permutation of the one before: find the rightmost i
+    with p[i] > p[i + 1], swap p[i] with the rightmost entry below it,
+    reverse the suffix after i.  Works on p in place."""
+    n = len(p)
+    while True:
+        yield tuple(p)
+        i = n - 2
+        while i >= 0 and p[i] <= p[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while p[j] >= p[i]:
+            j -= 1
+        p[i], p[j] = p[j], p[i]
+        p[i + 1:] = p[:i:-1]
 
 
 # The orbit cache keeps an orbit of at most this many coordinates (points
@@ -231,28 +250,51 @@ ORBIT_CACHE_LIMIT = 3840 * 5
 # call that scores it.  128 orbits of at most ORBIT_CACHE_LIMIT coordinates.
 @lru_cache(maxsize=128)
 def _weyl_orbit(family: GroupFamily, v):
+    """The sorted orbit of v, a point of any chamber.  The entries, or
+    their absolute values for Sp/SO, are sorted descending, each equal
+    value taking the object of its first occurrence in v, and their
+    arrangements listed by previous-permutation steps: for GL/SL that
+    list is the orbit, sorted.  For Sp and odd SO every arrangement p
+    adds the product of the sign choices of its entries, (x, -x) for a
+    nonzero x and (x,) for a zero one, tabled once per value; for even
+    SO with no zero entry, the sign patterns that keep the parity of v's
+    negative entries, tabled once, multiply each p.  The signed points
+    are sorted once."""
+    first = {}
     if family.kind in (GL, SL):
-        return tuple(sorted(_arrangements(Counter(v), len(v)), reverse=True))
-    # even SO changes an even number of signs: with no zero entry to absorb
-    # one, the count of negative entries keeps its parity
-    parity = family.kind == SO and family.r % 2 == 0 and all(v)
-    negatives = sum(1 for x in v if x < 0)
+        return tuple(_descending_arrangements(
+            sorted((first.setdefault(x, x) for x in v), reverse=True)))
+    arrangements = _descending_arrangements(
+        sorted((first.setdefault(x, x) for x in map(abs, v)), reverse=True))
     points = []
-    for p in _arrangements(Counter(map(abs, v)), len(v)):
-        for signs in product(*((1, -1) if x else (1,) for x in p)):
-            if not parity or (signs.count(-1) - negatives) % 2 == 0:
-                points.append(tuple(s * x for s, x in zip(signs, p)))
-    return tuple(sorted(points, reverse=True))
+    if family.kind == SO and family.r % 2 == 0 and all(v):
+        # even SO changes an even number of signs: with no zero entry to
+        # absorb one, the count of negative entries keeps its parity
+        negatives = sum(1 for x in v if x < 0)
+        signs = [s for s in product((1, -1), repeat=len(v))
+                 if (s.count(-1) - negatives) % 2 == 0]
+        for p in arrangements:
+            points.extend(tuple(map(mul, s, p)) for s in signs)
+    else:
+        choices = {x: (x, -x) if x else (x,) for x in first}
+        for p in arrangements:
+            points.extend(product(*map(choices.__getitem__, p)))
+    points.sort(reverse=True)
+    return tuple(points)
 
 
 def weyl_orbit(family: GroupFamily, v):
     """Finite Weyl orbit of v in closed form, sorted descending: the
     distinct arrangements of the entries for GL/SL; for Sp/SO those of
-    the absolute values, with every sign pattern on the nonzero ones.
-    Refuses an orbit of more than WEYL_ORBIT_GUARD points before building
-    it.  W.v = W.dom(v), and the sorted orbit is the same tuple from
-    every one of its points, so the cache is keyed by the dominant
-    representative: a lookup at any translate of a cached orbit hits.
+    the absolute values, with every sign pattern on the nonzero ones
+    (for even SO with no zero entry, those of the parity of v's).  The
+    arrangements are listed by previous-permutation steps, already in
+    descending order, and for Sp/SO each is expanded by a product of
+    signs, then the points are sorted once.  Refuses an orbit of more
+    than WEYL_ORBIT_GUARD points before building it.  W.v = W.dom(v),
+    and the sorted orbit is the same tuple from every one of its points,
+    so the cache is keyed by the dominant representative: a lookup at
+    any translate of a cached orbit hits.
     An orbit of more than ORBIT_CACHE_LIMIT coordinates is built afresh
     on each call and not cached."""
     v = dominant_representative(family, v)

@@ -157,7 +157,7 @@ def test_ad_degree_guard(monkeypatch):
         assert _oracle_of_orbit.cache_info() == answers._replace(
             misses=answers.misses + 1)
     # a family over the guard at its zero point is refused without reading
-    # the orbit size, a factorial of the dimension
+    # the orbit size, which can be as large as the factorial of the dimension
     monkeypatch.setattr(canon, "weyl_orbit_size", None)
     with pytest.raises(TooLarge, match="enumeration guard exceeded"):
         ad_degree_max_oracle(GroupFamily("sl", 10**4), (0,) * 10**4)

@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
@@ -95,6 +97,62 @@ def test_orbit_guard_counts_points_not_dimension():
     assert weyl_orbit_size(GroupFamily("so", 8), (1, 2, 3, 4)) == 192
     assert weyl_orbit_size(GroupFamily("so", 8), (1, 2, 3, 0)) == 192
     assert weyl_orbit_size(GroupFamily("sp", 8), (1, -1, 0, 0)) == 24
+
+
+@pytest.mark.parametrize("n", [990, 1200])
+def test_orbit_of_a_long_point(n):
+    # the arrangements come from previous-permutation steps, with no
+    # recursion per coordinate: GL1200 at e1, under the guard, answers
+    # instead of exceeding the interpreter's recursion limit
+    family = GroupFamily("gl", n)
+    e1 = (1,) + (0,) * (n - 1)
+    units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    assert weyl_orbit(family, e1) == units
+    assert weyl_orbit(family, units[-1]) == units
+
+
+def test_orbit_keeps_the_objects_of_the_entries():
+    # equal entries of two types take the object of the first one, and a
+    # zero entry of an Sp point keeps its type under the sign product.  The
+    # builder, not the cache, whose key (1, 1, 0) equals (Fraction(1), 1, 0)
+    build = rootsys._weyl_orbit.__wrapped__
+    orbit = build(GroupFamily("gl", 3), (Fraction(1), 1, 0))
+    assert orbit == ((1, 1, 0), (1, 0, 1), (0, 1, 1))
+    assert all(type(x) is (int if x == 0 else Fraction) for w in orbit for x in w)
+    orbit = build(GroupFamily("sp", 4), (Fraction(1, 2), Fraction(0)))
+    assert len(orbit) == 4
+    assert all(type(x) is Fraction for w in orbit for x in w)
+
+
+def _size_by_factorials(family, v):
+    """Reference orbit size: n! over the factorials of the multiplicities."""
+    signed = family.kind not in ("gl", "sl")
+    counts = Counter(abs(x) if signed else x for x in v)
+    size = math.factorial(len(v)) // math.prod(map(math.factorial, counts.values()))
+    if not signed:
+        return size
+    size <<= sum(1 for x in v if x)
+    return size // 2 if family.kind == "so" and family.r % 2 == 0 and all(v) else size
+
+
+def test_orbit_size_binomials_equal_the_factorial_quotient():
+    rng = random.Random(20)
+    families = [GroupFamily(kind, r) for kind, r in (
+        ("gl", 2), ("gl", 5), ("sl", 7), ("gl", 12), ("sp", 2), ("sp", 8),
+        ("sp", 16), ("so", 3), ("so", 8), ("so", 9), ("so", 14), ("so", 17))]
+    for family in families:
+        for _ in range(60):
+            bound = rng.choice((1, 2, 5))
+            v = tuple(rng.randint(-bound, bound) for _ in range(family.cartan_dim))
+            assert weyl_orbit_size(family, v) == _size_by_factorials(family, v), (family, v)
+    # the count follows the answer, not n!: the zero point and e1 of
+    # GL(300000) are counted, and e1's orbit is refused before it is built
+    big = GroupFamily("gl", 300000)
+    e1 = (1,) + (0,) * 299999
+    assert weyl_orbit_size(big, (0,) * 300000) == 1
+    assert weyl_orbit_size(big, e1) == 300000
+    with pytest.raises(TooLarge):
+        weyl_orbit(big, e1)
 
 
 def test_dominant_representative_examples():
@@ -199,7 +257,6 @@ def _weyl_group_order(family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_weyl_group_order(family):
-    import math
     n = family.cartan_dim
     if family.kind in ("gl", "sl"):
         expected = math.factorial(n)
