@@ -272,10 +272,10 @@ def _packed_orbit(family: GroupFamily, dominant):
     count = simple_root_count(family)
     roots = positive_root_count(family)
     # an orbit has at least one point, so a family over the guard at its
-    # zero point is refused before weyl_orbit_size counts the orbit, which
-    # can be as large as the factorial of the dimension
+    # zero point is refused before weyl_orbit_size reads the point; a count
+    # over the guard is refused whatever its value, so it stops there
     size = 1 if (count + 1 + roots) << count > ORACLE_WORK_GUARD else \
-        weyl_orbit_size(family, dominant)
+        weyl_orbit_size(family, dominant, limit=ORACLE_WORK_GUARD)
     if ((count + 1) * size + roots) << count > ORACLE_WORK_GUARD:
         raise TooLarge("enumeration guard exceeded")
     _, weight = _two_rho_terms(family)

@@ -43,6 +43,7 @@ class BundleSpec:
 
 
 _HEAD = re.compile(r"^(gl|sl|sp|so)(\d+):(.*)$")
+_ATOM = re.compile(r"^(-?\d+):(\d+)$")
 
 
 def parse_bundle_spec(text: str) -> BundleSpec:
@@ -76,7 +77,7 @@ def parse_bundle_spec(text: str) -> BundleSpec:
             raise SpecError("rule zero-rank: zero-block rank must be nonnegative")
     atoms = []
     for part in body.split(","):
-        pm = re.match(r"^(-?\d+):(\d+)$", part)
+        pm = _ATOM.match(part)
         if not pm or int(pm.group(2)) < 1:
             raise SpecError(f"expected 'degree:rank' atom, got {part!r}")
         atoms.append(Atom(int(pm.group(1)), int(pm.group(2))))
@@ -126,14 +127,46 @@ def _atom_list(atoms):
     return [[a.degree, a.rank] for a in atoms]
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json(value, pad="\n") -> str:
+    """json.dumps(value, indent=2), character for character, as one string:
+    pad is the newline and indent of value's own level.  Dispatches on the
+    exact type: str, int, bool, None, and dict (with str keys, as every
+    document has), list and tuple, both written as JSON arrays; any other
+    value takes json.dumps's own text, re-indented to its level."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [_encode_str(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    return json.dumps(value, indent=2).replace("\n", pad)
+
+
 def _emit(doc, pretty: bool) -> None:
     if pretty:
         width = max(len(k) for k in doc)
         for key, value in doc.items():
             sys.stdout.write(f"{key.ljust(width)}  {json.dumps(value)}\n")
         return
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(_json(doc) + "\n")
 
 
 def _cmd_hn(args) -> dict:
@@ -372,8 +405,9 @@ _int_tuple = lambda text: tuple(int(x) for x in text.split(","))  # noqa: E731
 
 
 @lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    """Built once: parse_args returns a fresh Namespace and keeps no state."""
+def build_parser():
+    """(parser, its command table: name -> subcommand parser), built once:
+    parse_args returns a fresh Namespace and keeps no state."""
     p = argparse.ArgumentParser(prog="hnbundles",
                                 description="exact HN filtration toolkit")
     p.add_argument("--pretty", action="store_true",
@@ -418,12 +452,31 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--cases", type=int, default=100)
     s.set_defaults(fn=_cmd_check)
-    return p
+    return p, sub.choices
+
+
+def _parse(argv):
+    """build_parser()[0].parse_args(argv) in one pass when argv starts
+    with a command name.  The main parser would hand every later string
+    to that command's parser and reject whatever it leaves over, so the
+    command's parser reads them directly and its leftovers are rejected
+    with the main parser's text.  Any other argv takes the full parse, and
+    so does one holding a "--=" string, which the main parser alone
+    rejects, as ambiguous between --help and --pretty."""
+    parser, commands = build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None or any(a.startswith("--=") for a in argv):
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.pretty, args.cmd = False, argv[0]
+    return args
 
 
 def run_command(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:

@@ -191,24 +191,29 @@ def _point(family: GroupFamily, v=None, index=None):
     return v
 
 
-def weyl_orbit_size(family: GroupFamily, v) -> int:
+def weyl_orbit_size(family: GroupFamily, v, *, limit=None) -> int:
     """|W.v| in closed form: the ways to place the multiset of entries
     (of absolute values, for Sp/SO), times a sign for each nonzero entry
     off GL/SL, halved for even SO when no entry is zero.  The placements
     are counted as a product of binomials, largest multiplicity first, so
-    the cost follows the answer rather than the factorial of len(v)."""
+    the cost follows the answer rather than the factorial of len(v).
+
+    With a limit, the product stops as soon as it passes the limit: the
+    answer is exact when |W.v| <= limit, and otherwise only over it."""
     family.require_root_system()
     v = _point(family, v)
     signed = family.kind not in (GL, SL)
     size, remaining = 1, len(v)
+    if signed:
+        nonzero = sum(1 for x in v if x)
+        halved = family.kind == SO and family.r % 2 == 0 and nonzero == len(v)
+        size <<= nonzero - halved
     for count in sorted(Counter(abs(x) if signed else x for x in v).values(),
                         reverse=True):
+        if limit is not None and size > limit:
+            break
         size *= comb(remaining, count)
         remaining -= count
-    if signed:
-        size <<= sum(1 for x in v if x)
-        if family.kind == SO and family.r % 2 == 0 and all(v):
-            size //= 2
     return size
 
 
@@ -298,10 +303,15 @@ def weyl_orbit(family: GroupFamily, v):
     An orbit of more than ORBIT_CACHE_LIMIT coordinates is built afresh
     on each call and not cached."""
     v = dominant_representative(family, v)
-    size = weyl_orbit_size(family, v)
+    # 1 == Fraction(1) with one hash, so the cache keeps one orbit per
+    # number: an integral Fraction entry becomes an int.  A sum of ints is
+    # an int, and one Fraction makes it a Fraction.
+    if type(sum(v)) is not int:
+        v = tuple(int(x) if getattr(x, "denominator", None) == 1 else x for x in v)
+    size = weyl_orbit_size(family, v, limit=WEYL_ORBIT_GUARD)
     if size > WEYL_ORBIT_GUARD:
-        raise TooLarge(f"the Weyl orbit has {size} points, over the guard "
-                       f"of {WEYL_ORBIT_GUARD}")
+        raise TooLarge(f"the Weyl orbit has more than {WEYL_ORBIT_GUARD} "
+                       f"points, its guard")
     if size * len(v) > ORBIT_CACHE_LIMIT:
         return _weyl_orbit.__wrapped__(family, v)
     return _weyl_orbit(family, v)

@@ -122,7 +122,7 @@ def hull_membership_lp_oracle(family: GroupFamily, mu, nu) -> bool:
     Refuses an orbit of more than HULL_ORBIT_GUARD points before building
     it."""
     nu = _point(family, nu)
-    if weyl_orbit_size(family, mu) > HULL_ORBIT_GUARD:
+    if weyl_orbit_size(family, mu, limit=HULL_ORBIT_GUARD) > HULL_ORBIT_GUARD:
         raise TooLarge("hull guard exceeded")
     return _phase_one_feasible(weyl_orbit(family, tuple(mu)), nu)
 

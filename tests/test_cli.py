@@ -1,4 +1,5 @@
 import argparse
+import collections
 import contextlib
 import importlib
 import io
@@ -372,6 +373,12 @@ def test_parser_is_built_once(capsys, monkeypatch):
     try:
         assert [run(capsys, *argv)[0] for argv in argvs] == [0, 1, 0, 1, 0, 0]
         assert len(builds) == 1
+        # the parser and its command table, one pair for every call
+        parser, commands = hnbundles.cli.build_parser()
+        assert hnbundles.cli.build_parser() == (parser, commands)
+        assert sorted(commands) == ["canon", "check", "hn", "pi1", "semistable",
+                                    "strata", "vdeg"]
+        assert len(builds) == 1
     finally:
         hnbundles.cli.build_parser.cache_clear()
     # built on the first run_command, not on import
@@ -508,3 +515,88 @@ def test_every_argv_exits_with_a_message(argv, pretty):
         assert err.getvalue().strip() and not out.getvalue(), argv
     else:
         assert out.getvalue(), argv
+
+
+# the main parser, the reference for the one-pass route of run_command
+GOLDEN_ARGVS = [case["argv"] for case in json.loads(
+    (pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text())]
+
+
+def _parse_outcome(parse, argv):
+    """(vars of the Namespace, or the exit code), stdout, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _assert_routes_agree(argv):
+    reference = hnbundles.cli.build_parser()[0].parse_args
+    assert _parse_outcome(hnbundles.cli._parse, argv) == \
+        _parse_outcome(reference, argv), argv
+
+
+def _variants(argv):
+    """argv, --pretty or -h after its command, abbreviated and unknown
+    options, and a "--" before the command's strings."""
+    head, tail = argv[:1], argv[1:]
+    abbreviated = [re.sub(r"^--(family|rank|bound|suite|cases|oracle)",
+                          lambda m: m.group(0)[:5], a) for a in argv]
+    yield from (argv, argv + ["--pretty"], head + ["--pretty"] + tail,
+                head + ["-h"], head + ["-h"] + tail, argv + ["--help"],
+                abbreviated, head + ["--"] + tail, argv + ["--"],
+                argv + ["--bogus"], argv + ["--bogus=1"], argv + ["-x"],
+                argv + ["extra"], argv + ["--=x"], head + ["--", "--=x"],
+                ["--pretty"] + argv)
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGVS, ids=" ".join)
+def test_direct_route_equals_the_main_parser(argv):
+    for variant in _variants(argv):
+        _assert_routes_agree(variant)
+
+
+@pytest.mark.parametrize("argv", [[], ["--pretty"], ["-h"], ["--help"],
+                                  ["--pretty", "-h"], ["--pret", "hn", "gl1: 0:1"],
+                                  ["bogus"], ["bogus", "-h"], ["--"], ["--", "hn"],
+                                  ["--=x"], ["hn"], ["hn", "--"], ["-x", "hn"]],
+                         ids=repr)
+def test_direct_route_equals_the_main_parser_off_the_golden_set(argv):
+    _assert_routes_agree(argv)
+
+
+ARGV_TOKENS = st.sampled_from(
+    ["hn", "canon", "strata", "check", "pi1", "vdeg", "semistable", "bogus",
+     "gl2: 1:1,0:1", "--family=gl", "--family", "gl", "--fam=sp", "--rank",
+     "2", "--rank=4", "--deg=1,0", "--deg", "-1,0", "--oracle", "--orac",
+     "--bound=1", "--levi", "a1,2", "--E=2,4", "--F=3,2", "--suite=hn",
+     "--cases=2", "--pretty", "--pre", "-h", "--help", "--he", "--", "-",
+     "--=", "--=x", "-x", "--bogus", "-1", "--fix-type=0", "--dot"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ARGV_TOKENS, max_size=7))
+def test_direct_route_equals_the_main_parser_on_any_argv(argv):
+    _assert_routes_agree(argv)
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+               | st.integers(-(10**60), 10**60) | st.text()
+               | st.text(alphabet=st.characters(max_codepoint=0x1F)))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(st.text(), children)),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_equals_json_dumps(value):
+    assert hnbundles.cli._json(value) + "\n" == json.dumps(value, indent=2) + "\n"
+    # a subclass of a container takes json.dumps's text at its level
+    nested = [collections.OrderedDict(a=value, b=[value])]
+    assert hnbundles.cli._json(nested) == json.dumps(nested, indent=2)

@@ -155,6 +155,67 @@ def test_orbit_size_binomials_equal_the_factorial_quotient():
         weyl_orbit(big, e1)
 
 
+def test_orbit_size_stops_past_its_limit():
+    # exact up to the limit and over it beyond, on a seeded grid
+    rng = random.Random(49)
+    families = [GroupFamily(kind, r) for kind, r in (
+        ("gl", 5), ("sl", 7), ("sp", 8), ("so", 3), ("so", 8), ("so", 9))]
+    for family in families:
+        for _ in range(40):
+            bound = rng.choice((1, 2, 5))
+            v = tuple(rng.randint(-bound, bound) for _ in range(family.cartan_dim))
+            size = weyl_orbit_size(family, v)
+            for limit in (0, 1, size - 1, size, size + 1, rng.randint(1, size)):
+                capped = weyl_orbit_size(family, v, limit=limit)
+                assert capped == size if size <= limit else capped > limit, \
+                    (family, v, limit)
+    # a regular GL(100000) point stops after its first binomial, 100000,
+    # which is already past the guard; its full size has 456,574 digits
+    gl = GroupFamily("gl", 100000)
+    assert weyl_orbit_size(gl, range(100000), limit=rootsys.WEYL_ORBIT_GUARD) == 100000
+
+
+def test_orbit_guards_refuse_a_huge_orbit_by_a_capped_count(monkeypatch):
+    # each guard caps the count at its own value
+    limits = []
+
+    def capped(family, v, *, limit=None):
+        limits.append(limit)
+        return weyl_orbit_size(family, v, limit=limit)
+
+    monkeypatch.setattr(rootsys, "weyl_orbit_size", capped)
+    monkeypatch.setattr(strata, "weyl_orbit_size", capped)
+    # the size of a regular GL30000 point has over 4,300 digits: the guard
+    # once formatted it into its message and raised ValueError instead
+    gl = GroupFamily("gl", 30000)
+    regular = tuple(range(30000))
+    with pytest.raises(TooLarge, match=r"^the Weyl orbit has more than 46080 "
+                                       r"points, its guard$"):
+        weyl_orbit(gl, regular)
+    with pytest.raises(TooLarge, match="hull guard exceeded"):
+        strata.hull_membership_lp_oracle(gl, regular, regular)
+    assert limits == [rootsys.WEYL_ORBIT_GUARD, strata.HULL_ORBIT_GUARD]
+
+
+def test_orbit_has_one_representation_per_number():
+    # 1 == Fraction(1) with one hash, so the orbit cache, keyed by the
+    # dominant point, once answered with whichever type it built first
+    gl3 = GroupFamily("gl", 3)
+    for points in (((Fraction(1), 1, 0), (1, 1, 0)),
+                   ((1, 1, 0), (1, Fraction(1), Fraction(0)))):
+        weyl_orbit.cache_clear()
+        for v in points * 2:
+            orbit = weyl_orbit(gl3, v)
+            assert orbit == ((1, 1, 0), (1, 0, 1), (0, 1, 1))
+            assert all(type(x) is int for w in orbit for x in w), v
+    # an integral Fraction becomes an int, and any other stays a Fraction
+    half = Fraction(1, 2)
+    orbit = weyl_orbit(GroupFamily("sp", 6), (Fraction(-2), half, Fraction(0)))
+    assert len(orbit) == 24 and (2, half, 0) in orbit
+    assert all(type(x) is (Fraction if x in (half, -half) else int)
+               for w in orbit for x in w)
+
+
 def test_dominant_representative_examples():
     assert dominant_representative(GroupFamily("gl", 3), (0, 3, -1)) == (3, 0, -1)
     assert dominant_representative(GroupFamily("sp", 4), (-2, 1)) == (2, 1)
