@@ -74,7 +74,7 @@ class SlBundle:
 
 def _check_positive(atoms):
     atoms = _canon(atoms)
-    if any(a.slope <= 0 for a in atoms):
+    if any(a.degree <= 0 for a in atoms):
         raise ValueError("positive part must consist of slope > 0 atoms")
     return atoms
 
@@ -232,7 +232,8 @@ def is_semistable(b) -> bool:
     if isinstance(b, SlBundle):
         b = b.underlying
     if isinstance(b, PlainBundle):
-        return len({a.slope for a in b.atoms}) == 1
+        d, r = b.atoms[0].degree, b.atoms[0].rank
+        return all(a.degree * r == d * a.rank for a in b.atoms)
     if b.kind == SO and b.rank == 2:
         return True
     return not b.positive
@@ -260,6 +261,6 @@ def adjoint_bundle(family: GroupFamily, a) -> SoBundle:
 def adjoint_gl(e: PlainBundle) -> SoBundle:
     """End(E) = E* tensor E with its split orthogonal structure."""
     prod = tensor(dual(e), e)
-    positive = tuple(a for a in prod.atoms if a.slope > 0)
+    positive = tuple(a for a in prod.atoms if a.degree > 0)
     zero = tuple(a for a in prod.atoms if a.degree == 0)
     return SoBundle(positive, zero)

@@ -92,7 +92,7 @@ def parse_bundle_spec(text: str) -> BundleSpec:
                 raise SpecError("rule sl-degree-zero: SL bundle must have degree 0")
             return BundleSpec(family, SlBundle(b), None)
         return BundleSpec(family, b, None)
-    if any(a.slope <= 0 for a in atoms):
+    if any(a.degree <= 0 for a in atoms):
         raise SpecError("rule positive-slope: sp/so atoms must have slope > 0")
     zpart = (Atom(0, zero),) if zero else ()
     try:

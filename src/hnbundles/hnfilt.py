@@ -7,7 +7,8 @@ prefixes meeting the definition, so the two routes check each other.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 
 from .bundle import IsotropicBundle, PlainBundle, SlBundle, dual, is_semistable
 from .errors import TooLarge, UnsupportedRank
@@ -18,8 +19,9 @@ ORACLE_ATOM_GUARD = 8
 
 def _require_decreasing(quotients):
     # explicit raises, not assert, so that python -O keeps the checks
-    slopes = [q.slope for q in quotients]
-    if any(s <= t for s, t in zip(slopes, slopes[1:])):
+    pairs = [(q.degree, q.rank) for q in quotients]
+    if any(d * s <= c * r for (d, r), (c, s) in zip(pairs, pairs[1:])):
+        slopes = [q.slope for q in quotients]
         raise ValueError(f"HN slopes ({', '.join(map(str, slopes))}) are not "
                          "strictly decreasing")
 
@@ -51,7 +53,7 @@ class IsotropicFiltration:
 
     def __post_init__(self):
         _require_decreasing(self.quotients)
-        if self.quotients and self.quotients[-1].slope <= 0:
+        if self.quotients and self.quotients[-1].degree <= 0:
             raise ValueError("isotropic HN quotients must have positive slopes")
 
 
@@ -62,8 +64,9 @@ def scss(b: PlainBundle):
 
 
 def _group_by_slope(atoms):
-    slopes = sorted({a.slope for a in atoms}, reverse=True)
-    return tuple(PlainBundle(tuple(a for a in atoms if a.slope == s)) for s in slopes)
+    keyed = sorted(((a.slope, a) for a in atoms), key=itemgetter(0), reverse=True)
+    return tuple(PlainBundle(tuple(a for _, a in group))
+                 for _, group in groupby(keyed, key=itemgetter(0)))
 
 
 def hn_filtration(b) -> Filtration:

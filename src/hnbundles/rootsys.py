@@ -17,8 +17,10 @@ recursion, so a GL/SL orbit is listed already sorted.  For Sp and odd SO
 each arrangement is expanded by a product of (x, -x) over its nonzero
 entries; for even SO with no zero entry, by one table of the sign
 patterns whose count of minus signs has the parity of the dominant
-point's.  The signed points are then sorted once.  The tests check the
-closed forms against a loop of simple reflections and a solve.
+point's.  The signed points are then sorted once.  The simple-root
+coordinates are the integer key of the stratum order, halved at the end
+of the diagram.  The tests check the closed forms against a loop of
+simple reflections and a solve.
 """
 
 from collections import Counter
@@ -355,23 +357,32 @@ def is_dominant(family: GroupFamily, v) -> bool:
     return all(x >= 0 for x in _simple_root_values(family, v))
 
 
+def _order_key(family: GroupFamily, v):
+    """The key of the stratum order, of a checked point v: its prefix sums
+    s, with the even-SO fork entry made s_(n-1) - v_n.  These are the
+    simple-root coordinates with the Sp last and even-SO last two doubled,
+    so they are ints for an int point."""
+    s = list(accumulate(v))
+    if family.kind == SO and family.r % 2 == 0:
+        s[-2] -= v[-1]
+    return s
+
+
 def simple_root_coordinates(family: GroupFamily, d):
     """The exact c with d = sum c_i alpha_i over the simple roots, or None
     when d is off their span (GL/SL: when the entries of d do not sum to 0).
 
-    With s the prefix sums of d, c_i = s_i except at the end of the
-    diagram: c_n = s_n / 2 for Sp, and for even SO the fork splits into
-    (s_{n-1} - d_n) / 2 and s_n / 2."""
+    c is the order key of d with its doubled ends halved: the prefix sums
+    s of d, except c_n = s_n / 2 for Sp, and for even SO the fork splits
+    into (s_{n-1} - d_n) / 2 and s_n / 2."""
     family.require_root_system()
-    d = _point(family, d)
-    s = list(accumulate(d))
+    c = _order_key(family, _point(family, d))
     if family.kind in (GL, SL):
-        return s[:-1] if s[-1] == 0 else None
-    if family.kind == SP:
-        return s[:-1] + [Fraction(s[-1], 2)]
-    if family.r % 2:
-        return s
-    return s[:-2] + [Fraction(s[-2] - d[-1], 2), Fraction(s[-1], 2)]
+        return c[:-1] if c[-1] == 0 else None
+    if family.kind == SO and family.r % 2:
+        return c
+    ends = 1 if family.kind == SP else 2
+    return c[:-ends] + [Fraction(x, 2) for x in c[-ends:]]
 
 
 def root_name(family: GroupFamily, index: int) -> str:

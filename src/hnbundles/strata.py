@@ -2,26 +2,26 @@
 
 Labels are (dominant type, forced parabolic index) pairs; the order
 combines parabolic containment with Weyl-orbit convex-hull membership,
-decided by Kostant's convexity theorem from the closed-form dominant
-representatives and simple-root coordinates, with no orbit and no
-solve.  enumerate_strata reads the coordinates once per label, not once
-per pair, and takes its covers as a transitive reduction.  An exact
-phase-1 simplex over the whole Weyl orbit stays as an oracle for tests
-and the hull check suite, and a partial-sum dominance test for GL
-cross-checks both.
+decided by Kostant's convexity theorem as a sign test on the integer
+order keys of the dominant representatives, with no orbit and no solve.
+enumerate_strata lists the dominant labels directly, not by a walk
+over the box, reads each label's key once, not once per pair, and takes
+its covers as a transitive reduction.  An exact phase-1 simplex over the
+whole Weyl orbit stays as an oracle for tests and the hull check suite,
+and a partial-sum dominance test for GL cross-checks both.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement
 from math import gcd, lcm
+from operator import ge, le
 
 from .canon import HNType, forced_index
 from .errors import FamilyMismatch, InvariantBreach, TooLarge
 from .parabolic import ParabolicIndex, parabolic_leq
-from .rootsys import (GL, SL, GroupFamily, _point, dominant_representative,
-                      is_dominant, simple_root_coordinates, weyl_orbit,
-                      weyl_orbit_size)
+from .rootsys import (GL, SL, SO, GroupFamily, _order_key, _point,
+                      dominant_representative, weyl_orbit, weyl_orbit_size)
 
 # The LP oracle's simplex has one column per point of W.mu.  The limit is
 # the orbit of a regular SO10 point, or of an Sp10 or SO11 point with one
@@ -105,15 +105,15 @@ def hull_membership(family: GroupFamily, mu, nu) -> bool:
     """Whether nu lies in the convex hull of the Weyl orbit of mu.
 
     Kostant's convexity theorem: exactly when dom(mu) - dom(nu) is a
-    nonnegative rational combination of the simple roots, read off its
-    closed-form simple-root coordinates.  For GL/SL the simple roots span
-    only the trace-zero hyperplane, so points with different centres have
-    no coordinates at all.
+    nonnegative rational combination of the simple roots, that is when
+    the order key of dom(mu) is at least that of dom(nu) in every entry.
+    For GL/SL the simple roots span only the trace-zero hyperplane, so
+    the last entries, the centres, must also be equal.
     """
-    top = dominant_representative(family, mu)
-    low = dominant_representative(family, nu)
-    coeffs = simple_root_coordinates(family, [a - b for a, b in zip(top, low)])
-    return coeffs is not None and all(c >= 0 for c in coeffs)
+    top = _order_key(family, dominant_representative(family, mu))
+    low = _order_key(family, dominant_representative(family, nu))
+    return all(map(ge, top, low)) and (
+        family.kind not in (GL, SL) or top[-1] == low[-1])
 
 
 def hull_membership_lp_oracle(family: GroupFamily, mu, nu) -> bool:
@@ -187,6 +187,19 @@ class StrataPoset:
     relation: frozenset  # covering pairs (lower index, higher index)
 
 
+def _dominant_points(family: GroupFamily, bound: int):
+    """The dominant integer points of [-bound, bound]^dim, of sum 0 for
+    SL, listed directly in the box's descending lexicographic order."""
+    dim = family.cartan_dim
+    if family.kind in (GL, SL):
+        points = combinations_with_replacement(range(bound, -bound - 1, -1), dim)
+        return (p for p in points if family.kind == GL or not sum(p))
+    if family.kind == SO and family.r % 2 == 0:
+        heads = combinations_with_replacement(range(bound, -1, -1), dim - 1)
+        return (h + (x,) for h in heads for x in range(h[-1], -h[-1] - 1, -1))
+    return combinations_with_replacement(range(bound, -1, -1), dim)
+
+
 def enumerate_strata(family: GroupFamily, bound: int,
                      total_degree=None) -> StrataPoset:
     """All dominant integer labels with coordinates in [-bound, bound],
@@ -194,24 +207,21 @@ def enumerate_strata(family: GroupFamily, bound: int,
     dim = family.cartan_dim
     if dim > ENUM_DIM_GUARD or bound > ENUM_BOUND_GUARD:
         raise TooLarge("enumeration guard exceeded")
+    family.require_root_system()
     # stratum_leq(labels[i], labels[j]) holds when the index of j contains
-    # that of i, the centres agree and, by Kostant, the simple-root
-    # coordinates of mu_j - mu_i are >= 0: by linearity, when those of mu_j
-    # less its centre dominate those of mu_i less its centre.  The centre
-    # is the degree of the underlying vector bundle, trivial on Sp and SO.
+    # that of i, the centres agree and, by Kostant, the order key of mu_j
+    # is at least that of mu_i in every entry.  The centre is the degree
+    # of the underlying vector bundle, trivial on Sp and SO.
     labels, keys = [], []
-    for coords in product(range(bound, -bound - 1, -1), repeat=dim):
-        degree = sum(coords) if family.kind in (GL, SL) else 0
-        if not is_dominant(family, coords) or (family.kind == SL and degree) \
-                or (total_degree is not None and degree != total_degree):
+    for coords in _dominant_points(family, bound):
+        degree = sum(coords) if family.kind == GL else 0
+        if total_degree is not None and degree != total_degree:
             continue
         labels.append(stratum_label(family, coords))
-        shift = Fraction(degree, dim)
-        keys.append((labels[-1].index.members, degree, simple_root_coordinates(
-            family, [c - shift for c in coords])))
+        keys.append((labels[-1].index.members, degree, _order_key(family, coords)))
     ups = [[j for j, (members, centre, xs) in enumerate(keys)
             if j != i and centre == ci and members >= mi
-            and all(a <= b for a, b in zip(xi, xs))]
+            and all(map(le, xi, xs))]
            for i, (mi, ci, xi) in enumerate(keys)]
     # j covers i when no m of the up-set of i has j in its own up-set
     bits = [sum(1 << j for j in up) for up in ups]

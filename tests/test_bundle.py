@@ -117,6 +117,26 @@ def test_is_semistable_examples():
     assert not is_semistable(SpBundle((Atom(1, 1),), ()))
     assert is_semistable(SoBundle((), (Atom(0, 4),)))
     assert is_semistable(SoBundle((Atom(5, 1),), ())) is True  # rank 2 case
+    # equal slopes at different ranks, and negative ones
+    assert is_semistable(PlainBundle((Atom(1, 2), Atom(2, 4), Atom(3, 6))))
+    assert is_semistable(PlainBundle((Atom(-1, 2), Atom(-2, 4))))
+    assert not is_semistable(PlainBundle((Atom(-1, 2), Atom(1, 2))))
+    assert not is_semistable(PlainBundle((Atom(1, 2), Atom(1, 3))))
+
+
+@given(st.lists(st.builds(Atom, st.integers(-4, 4), st.integers(1, 3)),
+                min_size=1, max_size=5))
+def test_is_semistable_is_one_slope(atoms):
+    assert is_semistable(PlainBundle(tuple(atoms))) == \
+        (len({a.slope for a in atoms}) == 1)
+
+
+def test_positive_part_is_tested_on_degrees():
+    for atom in (Atom(0, 3), Atom(-1, 2)):
+        with pytest.raises(ValueError, match="^positive part must consist "
+                           "of slope > 0 atoms$"):
+            SpBundle((Atom(1, 1), atom), ())
+    assert SpBundle((Atom(1, 3),), ()).positive == (Atom(1, 3),)
 
 
 def test_isotropic_bundles_share_one_shape():

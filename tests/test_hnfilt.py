@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
@@ -157,3 +158,14 @@ def test_filtrations_reject_bad_slopes():
     with pytest.raises(ValueError, match="positive slopes"):
         IsotropicFiltration((high, low), ())
     assert Filtration((high, low)).slopes == (3, 0)
+    # slopes compare cross-multiplied, and the message still prints them
+    # as fractions
+    half, third = PlainBundle((Atom(2, 4),)), PlainBundle((Atom(1, 3),))
+    with pytest.raises(ValueError, match=r"^HN slopes \(1/3, 1/2\) are not "
+                       "strictly decreasing$"):
+        Filtration((third, half))
+    with pytest.raises(ValueError, match=r"^HN slopes \(1/2, 1/2\) are not"):
+        Filtration((half, PlainBundle((Atom(1, 2),))))
+    with pytest.raises(ValueError, match="positive slopes"):
+        IsotropicFiltration((half, PlainBundle((Atom(0, 3),))), ())
+    assert Filtration((half, third)).slopes == (Fraction(1, 2), Fraction(1, 3))

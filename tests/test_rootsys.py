@@ -438,6 +438,66 @@ def test_simple_root_coordinates_equal_the_rational_solve(family):
     assert seen == ({True, False} if family.kind in ("gl", "sl") else {False})
 
 
+# every family with a root system and cartan_dim <= 5
+KEY_FAMILIES = ([GroupFamily(kind, r) for kind in ("gl", "sl") for r in range(1, 6)]
+                + [GroupFamily("sp", r) for r in range(2, 11, 2)]
+                + [GroupFamily("so", r) for r in range(3, 12)])
+
+
+def _key_sign_test(family, d):
+    """Kostant's test read off the order key: every entry >= 0, and for
+    GL/SL the last one, the total, 0."""
+    key = rootsys._order_key(family, tuple(d))
+    return all(x >= 0 for x in key) and (
+        family.kind not in ("gl", "sl") or key[-1] == 0)
+
+
+def _coordinate_sign_test(family, d):
+    coeffs = simple_root_coordinates(family, d)
+    return coeffs is not None and all(c >= 0 for c in coeffs)
+
+
+@given(st.data())
+def test_order_key_sign_test_equals_the_coordinates(data):
+    family = data.draw(st.sampled_from(KEY_FAMILIES))
+    den = data.draw(st.sampled_from((1, 2)))
+    point = st.lists(st.integers(-6, 6), min_size=family.cartan_dim,
+                     max_size=family.cartan_dim).map(
+        lambda xs: tuple(Fraction(x, 2) for x in xs) if den == 2 else tuple(xs))
+    x, y = data.draw(point), data.draw(point)
+    # a raw point, and a difference of dominant points, which passes the
+    # test far more often
+    for d in (x, rootsys._sub(dominant_representative(family, x),
+                              dominant_representative(family, y))):
+        key = rootsys._order_key(family, d)
+        assert len(key) == family.cartan_dim
+        if den == 1:
+            # an int point has an int key: the doubled ends need no halving
+            assert all(type(c) is int for c in key)
+        assert _key_sign_test(family, d) == _coordinate_sign_test(family, d)
+
+
+def test_order_key_at_the_type_d_fork():
+    # SO4 = A1 x A1, and SO8 at (1, 1, 1, +-1): the two points differ only
+    # in the sign at the fork, so neither lies in the hull of the other,
+    # and both contain their common face (1, 1, 0, 0), resp. 0
+    so4, so8 = GroupFamily("so", 4), GroupFamily("so", 8)
+    assert rootsys._order_key(so4, (1, 1)) == [0, 2]
+    assert rootsys._order_key(so4, (1, -1)) == [2, 0]
+    assert rootsys._order_key(so8, (1, 1, 1, 1)) == [1, 2, 2, 4]
+    assert rootsys._order_key(so8, (1, 1, 1, -1)) == [1, 2, 4, 2]
+    assert simple_root_coordinates(so8, (1, 1, 1, -1)) == [1, 2, 2, 1]
+    for family, plus, minus, face in ((so4, (1, 1), (1, -1), (0, 0)),
+                                      (so8, (1, 1, 1, 1), (1, 1, 1, -1),
+                                       (1, 1, 0, 0))):
+        for mu, nu, inside in ((plus, minus, False), (minus, plus, False),
+                               (plus, face, True), (minus, face, True)):
+            d = rootsys._sub(mu, nu)
+            assert _key_sign_test(family, d) is _coordinate_sign_test(family, d) \
+                is strata.hull_membership(family, mu, nu) is inside
+            assert strata.hull_membership_lp_oracle(family, mu, nu) is inside
+
+
 # GL1-14, SL2-14, Sp2-14 and SO3-14
 TABLE_FAMILIES = [GroupFamily(kind, r) for kind in ("gl", "sl", "sp", "so")
                   for r in range(1, 15)
@@ -470,6 +530,9 @@ def test_wrong_length_points_are_rejected():
                  lambda: canon.forced_index(sp6, (1, 0, 0, 5)),
                  lambda: simple_root_coordinates(gl3, (1, -1)),
                  lambda: simple_root_coordinates(so6, (1, 0, 0, -1)),
+                 lambda: simple_root_coordinates(so6, (1, -1)),
+                 lambda: simple_root_coordinates(sp6, (1, 0)),
+                 lambda: strata.hull_membership(so6, (1, 0, 0), (1, 0)),
                  lambda: weyl_orbit_size(gl3, (1, 2))):
         with pytest.raises(ValueError, match=r"coordinates, (gl3|sp6|so6) needs 3"):
             call()

@@ -13,8 +13,8 @@ from hnbundles.strata import (HULL_ORBIT_GUARD, StrataPoset, StratumLabel,
                               enumerate_strata, gl_dominance, hull_membership,
                               hull_membership_lp_oracle, stratum_label,
                               stratum_leq, to_dot)
-from hnbundles.rootsys import (GroupFamily, dominant_representative, weyl_orbit,
-                               weyl_orbit_size)
+from hnbundles.rootsys import (GroupFamily, dominant_representative, is_dominant,
+                               weyl_orbit, weyl_orbit_size)
 from oracles import enumerate_strata_oracle
 
 
@@ -225,6 +225,23 @@ def test_enumerate_guards():
         enumerate_strata(GroupFamily("gl", 5), 1)
     with pytest.raises(TooLarge):
         enumerate_strata(GroupFamily("gl", 2), 5)
+
+
+# every family with a root system and cartan_dim <= 4
+LISTING_FAMILIES = ([GroupFamily(kind, r) for kind in ("gl", "sl") for r in range(1, 5)]
+                    + [GroupFamily("sp", r) for r in (2, 4, 6, 8)]
+                    + [GroupFamily("so", r) for r in range(3, 10)])
+
+
+@pytest.mark.parametrize("family", LISTING_FAMILIES, ids=str)
+def test_dominant_points_equal_the_box_walk(family):
+    # the box walk: every point of [-bound, bound]^dim in descending
+    # lexicographic order, kept when dominant (and of sum 0 for SL)
+    for bound in range(5):
+        box = product(range(bound, -bound - 1, -1), repeat=family.cartan_dim)
+        want = [p for p in box if is_dominant(family, p)
+                and (family.kind != "sl" or sum(p) == 0)]
+        assert list(strata._dominant_points(family, bound)) == want, bound
 
 
 # every family with a root system and cartan_dim <= 3 at bounds 0-3, and
