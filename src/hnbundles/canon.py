@@ -10,23 +10,24 @@ lane per orbit point, so that one parabolic scores the whole orbit in one
 multiply-add per term.  Its answer depends only on the Weyl orbit, so it
 is computed once per orbit and cached by the dominant point.
 
-The canonical reduction and its BH conditions depend only on the HN type,
-the dominant point of the orbit, so they too are built once per
-(family, dominant point) and cached, apart from the oracle's cache and
-unread by it; every call still checks its input and the orbit.
+The canonical reduction depends only on the HN type, the dominant point
+of the orbit, so it too is built once per (family, dominant point) and
+cached, apart from the oracle's cache and unread by it.  Its BH
+conditions ride on the reduction object itself, computed on first read;
+every call still checks its input and the orbit.
 """
 
 import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add
 
 from .bundle import IsotropicBundle, SlBundle, underlying
 from .errors import InvalidReduction, TooLarge
 from .hnfilt import hn_filtration, hn_filtration_isotropic
-from .parabolic import (CACHED_DIM, ParabolicIndex, _root_split, _two_rho,
+from .parabolic import (CACHED_DIM, ParabolicIndex, _root_split,
                         _two_rho_terms, character_generators)
 from .rootsys import (GL, SL, GroupFamily, _point, _simple_root_values,
                       as_cocharacter, dominant_representative, evaluate,
@@ -76,6 +77,14 @@ class CanonicalReduction:
     ad_positive_roots: frozenset
     ad_parabolic_roots: frozenset
 
+    @cached_property
+    def _bh(self):
+        """(levi_semistable, char_degrees as a tuple) at the reduction
+        point, kept on this object: the cached reduction of an orbit keeps
+        its answer, and a reduction at a Fraction point keeps its own."""
+        levi_ss, degrees = bh_conditions(self.index.family, self.index, self.mu.mu)
+        return levi_ss, tuple(degrees)
+
 
 def forced_index(family: GroupFamily, mu) -> ParabolicIndex:
     """The parabolic index a dominant vector determines: simple roots
@@ -109,8 +118,10 @@ def _build_reduction(family: GroupFamily, mu) -> CanonicalReduction:
 
 # keyed by the dominant point, like _oracle_of_orbit, for families of
 # cartan_dim <= CACHED_DIM: an entry holds two root sets of at most 3 x 256
-# roots (Sp32), whose roots the cached root table keeps anyway.  The grids
-# of a canon_oracle benchmark run hold 247 orbits, so 256 evicts nothing.
+# roots (Sp32), whose roots the cached root table keeps anyway, and once
+# read, its BH answer (a flag and at most 16 degrees) and its index's
+# 2rho_P.  The grids of a canon_oracle benchmark run hold 247 orbits, so
+# 256 evicts nothing.
 _reduction_of_orbit = lru_cache(maxsize=256)(_build_reduction)
 
 
@@ -143,26 +154,22 @@ def check_bh(family: GroupFamily, a, red: CanonicalReduction):
     semistable iff every simple root outside the index vanishes on the
     reduction point, and char_degrees pairs the character generators of
     the index against it (all positive for a canonical reduction).  The
-    answer at an int point is kept per (family, index, point), and each
-    call returns a fresh list.
+    answer is computed once per reduction object and kept on it
+    (CanonicalReduction._bh), and each call returns a fresh list.
     """
     a = as_cocharacter(family, a)
     mu = red.mu.mu
     if tuple(dominant_representative(family, a)) != tuple(
             dominant_representative(family, mu)):
         raise InvalidReduction("reduction point is not in the Weyl orbit of a")
-    # 1 == Fraction(1) with the same hash, so only int points share the
-    # cache: a Fraction point would get the int degrees of its key, or the
-    # other way round
-    if len(mu) > CACHED_DIM or any(type(c) is not int for c in mu):
-        return bh_conditions(family, red.index, mu)
-    levi_ss, degrees = _bh_of_orbit(family, red.index, mu)
+    _point(family, index=red.index)
+    levi_ss, degrees = red._bh
     return levi_ss, list(degrees)
 
 
 def bh_conditions(family: GroupFamily, index: ParabolicIndex, v):
     """The two conditions at an arbitrary reduction point v (possibly a
-    non-dominant Weyl translate); used by the exhaustive oracle."""
+    non-dominant Weyl translate)."""
     v = _point(family, v, index)
     levi_ss = all(x == 0 for i, x in enumerate(_simple_root_values(family, v))
                   if i not in index.members)
@@ -170,12 +177,6 @@ def bh_conditions(family: GroupFamily, index: ParabolicIndex, v):
         return levi_ss, []
     degrees = [evaluate(chi, v) for chi in character_generators(family, index)]
     return levi_ss, degrees
-
-
-# check_bh's answers at a dominant int point, keyed by the family, index and
-# point, for families of cartan_dim <= CACHED_DIM: an entry holds a flag and
-# at most 16 degrees, in a list that check_bh copies and never hands out
-_bh_of_orbit = lru_cache(maxsize=256)(bh_conditions)
 
 
 def ad_degree(family: GroupFamily, index: ParabolicIndex, v) -> int:
@@ -187,7 +188,7 @@ def ad_degree(family: GroupFamily, index: ParabolicIndex, v) -> int:
     where 2rho_P is the sum of the nilradical roots.
     """
     v = _point(family, v, index)
-    return evaluate(_two_rho(index), v)
+    return evaluate(index._two_rho, v)
 
 
 def ad_degree_max_oracle(family: GroupFamily, a):

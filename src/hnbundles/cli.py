@@ -11,7 +11,6 @@ import random
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .bundle import (Atom, PlainBundle, SlBundle, SpBundle, bundle_from_degrees,
@@ -119,10 +118,6 @@ def serialize_bundle_spec(spec: BundleSpec) -> str:
     return head + body
 
 
-def _frac(x) -> str:
-    return str(Fraction(x))
-
-
 def _atom_list(atoms):
     return [[a.degree, a.rank] for a in atoms]
 
@@ -177,7 +172,7 @@ def _cmd_hn(args) -> dict:
     if isinstance(b, (PlainBundle, SlBundle)):
         filt = hn_filtration(b)
         doc["blocks"] = [_atom_list(q.atoms) for q in filt.quotients]
-        doc["slopes"] = [_frac(s) for s in filt.slopes]
+        doc["slopes"] = [str(s) for s in filt.slopes]
     else:
         filt = hn_filtration_isotropic(b)
         doc["blocks"] = [_atom_list(q.atoms) for q in filt.quotients]
@@ -187,7 +182,7 @@ def _cmd_hn(args) -> dict:
                               for q in extend_with_perps(filt).quotients]
     # the type reads the quotients above, not a second filtration
     mu = hn_type_of_quotients(spec.family, filt.quotients).mu
-    doc["type"] = [_frac(c) for c in mu]
+    doc["type"] = [str(c) for c in mu]
     return doc
 
 
@@ -231,14 +226,14 @@ def _cmd_canon(args) -> dict:
     free, torsion = obstruction_class(family, args.deg)
     doc = {"command": "canon", "family": f"{family.kind}{family.r}",
            "deg": list(args.deg),
-           "mu": [_frac(c) for c in red.mu.mu],
+           "mu": [str(c) for c in red.mu.mu],
            "index": red.index.names(),
            "ad_positive_count": len(red.ad_positive_roots),
            "ad_parabolic_rank": len(red.ad_parabolic_roots) + family.torus_dim,
            "levi_semistable": levi_ss,
-           "char_degrees": [_frac(d) for d in degrees],
+           "char_degrees": [str(d) for d in degrees],
            "obstruction": {"free": list(free), "torsion": list(torsion)},
-           "topological_type": [_frac(c) for c in topological_type(family, args.deg)]}
+           "topological_type": [str(c) for c in topological_type(family, args.deg)]}
     if args.oracle:
         best, argmax = ad_degree_max_oracle(family, args.deg)
         doc["oracle_max"] = best
@@ -281,7 +276,7 @@ def _cmd_strata(args) -> dict:
             fh.write(dot)
     return {"command": "strata", "family": f"{family.kind}{family.r}",
             "bound": args.bound,
-            "labels": [{"mu": [_frac(c) for c in s.mu.mu],
+            "labels": [{"mu": [str(c) for c in s.mu.mu],
                         "index": s.index.names()} for s in poset.labels],
             "covers": sorted(list(e) for e in poset.relation),
             "dot_path": args.dot}
@@ -297,7 +292,7 @@ def _suite_hn(rng):
            "the HN filtration is not the unique one")
     slopes = hn_filtration(b).slopes
     yield (list(slopes) == sorted(slopes, reverse=True), family, spec,
-           f"HN slopes {[_frac(x) for x in slopes]} are not decreasing")
+           f"HN slopes {[str(x) for x in slopes]} are not decreasing")
     positive = tuple(Atom(rng.randint(1, 3), 1) for _ in range(rng.randint(0, 2)))
     sp = SpBundle(positive, tuple([Atom(0, 1)] * (2 * rng.randint(0, 1))))
     if sp.rank:
@@ -322,7 +317,7 @@ def _suite_canon(rng):
     levi_ss, degrees = check_bh(family, a, red)
     yield (levi_ss and all(d > 0 for d in degrees), family, a,
            f"BH conditions fail: levi_semistable={levi_ss}, "
-           f"char_degrees={[_frac(d) for d in degrees]}")
+           f"char_degrees={[str(d) for d in degrees]}")
 
 
 def _suite_hull(rng):

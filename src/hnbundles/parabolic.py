@@ -9,7 +9,7 @@ and the diagonal Levi blocks as oracles.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .errors import (FamilyMismatch, InvalidFlag, NotACharacter,
@@ -24,11 +24,11 @@ from .rootsys import (GL, SL, SO, SP, GroupFamily, _point,
 # 50 MB; GL161 is refused.  Sp252 and SO254 sit just under it.
 ROOT_TABLE_GUARD = 2 * (160 * 159 // 2) * 160
 
-# The per-family caches (the root table, the root split of each index, and
-# canon's reduction and BH data per orbit) keep families of cartan_dim at
-# most CACHED_DIM only: 79 families, whose tables hold 2.6 MB all together.
-# A larger table, up to ROOT_TABLE_GUARD, is kept alone, the last one built;
-# nothing derived from it is cached, since each entry would keep its roots.
+# The per-family caches (the root table, and canon's reduction per orbit)
+# keep families of cartan_dim at most CACHED_DIM only: 79 families, whose
+# tables hold 2.6 MB all together.  A larger table, up to ROOT_TABLE_GUARD,
+# is kept alone, the last one built; no reduction of it is cached, since
+# each entry would keep its roots.
 CACHED_DIM = 16
 
 
@@ -40,7 +40,7 @@ class ParabolicIndex:
     members: frozenset
 
     def __post_init__(self):
-        # a frozenset, so that the index can key the caches below
+        # a frozenset, so that the index hashes by value
         object.__setattr__(self, "members", frozenset(self.members))
         count = simple_root_count(self.family)
         if not all(0 <= i < count for i in self.members):
@@ -48,6 +48,13 @@ class ParabolicIndex:
 
     def names(self):
         return [root_name(self.family, i) for i in sorted(self.members)]
+
+    @cached_property
+    def _two_rho(self):
+        """2rho_P, the sum of the nilradical roots of P_I, as a functional,
+        kept on this index."""
+        _, nilrad = _root_split(self)
+        return tuple(sum(a[t] for a in nilrad) for t in range(self.family.cartan_dim))
 
 
 def parabolic_from_flag(family: GroupFamily, flag_ranks) -> ParabolicIndex:
@@ -111,30 +118,14 @@ def _root_split(index: ParabolicIndex):
     """(Levi roots, nilradical roots) of P_I, both in all_roots order.
 
     The Levi roots are the roots whose support misses I, and the nilradical
-    roots are the positive roots whose support meets I.  Cached per index
-    for families of cartan_dim <= CACHED_DIM.
+    roots are the positive roots whose support meets I: one pass over the
+    family's root table.
     """
-    if index.family.cartan_dim <= CACHED_DIM:
-        return _cached_root_split(index)
-    return _build_root_split(index)
-
-
-def _build_root_split(index: ParabolicIndex):
     mask = sum(1 << i for i in index.members)
     supports = _root_supports(index.family)
     return (tuple(a for a, support, _ in supports if not support & mask),
             tuple(a for a, support, positive in supports
                   if positive and support & mask))
-
-
-_cached_root_split = lru_cache(maxsize=1024)(_build_root_split)
-
-
-@lru_cache(maxsize=1024)
-def _two_rho(index: ParabolicIndex):
-    """2rho_P, the sum of the nilradical roots of P_I, as a functional."""
-    _, nilrad = _root_split(index)
-    return tuple(sum(a[t] for a in nilrad) for t in range(index.family.cartan_dim))
 
 
 @lru_cache(maxsize=128)
@@ -154,7 +145,7 @@ def _two_rho_terms(family: GroupFamily):
     for bits in range(1 << count):
         index = ParabolicIndex(family, frozenset(
             i for i in range(count) if bits >> i & 1))
-        lam = _two_rho(index)
+        lam = index._two_rho
         steps = [x - y for x, y in zip(lam, lam[1:])] + [lam[-1]]
         out.append((index, tuple((k, c) for k, c in enumerate(steps) if c)))
     return tuple(out), max(sum(abs(c) for _, c in terms) for _, terms in out)

@@ -1,12 +1,31 @@
 import importlib
 import pkgutil
+from functools import cached_property
 
 import hnbundles
 import oracles
-from hnbundles import canon, parabolic
+from hnbundles import canon, parabolic, rootsys
 from hnbundles.parabolic import CACHED_DIM
 from hnbundles.rootsys import (ORBIT_CACHE_LIMIT, GroupFamily, weyl_orbit,
                                weyl_orbit_size)
+
+
+# every module-level cache, by name, with its bound.  A cache is keyed by
+# value only where callers bring fresh objects, a family or a dominant
+# point; what is derived from an object those caches keep rides on that
+# object (PER_OBJECT), so its memory goes with the object.
+MODULE_CACHES = {
+    "hnbundles.rootsys.weyl_orbit": 128,
+    "hnbundles.parabolic._cached_supports": 128,
+    "hnbundles.parabolic._large_supports": 1,
+    "hnbundles.parabolic._two_rho_terms": 128,
+    "hnbundles.canon._reduction_of_orbit": 256,
+    "hnbundles.canon._oracle_of_orbit": 256,
+    "hnbundles.cli.build_parser": 1,
+}
+
+PER_OBJECT = ((canon.CanonicalReduction, "_bh"),
+              (parabolic.ParabolicIndex, "_two_rho"))
 
 
 def test_every_cache_is_bounded():
@@ -16,31 +35,14 @@ def test_every_cache_is_bounded():
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
                 caches[f"{module.__name__}.{name}"] = obj.cache_info().maxsize
-    assert "hnbundles.rootsys.weyl_orbit" in caches
-    assert "hnbundles.cli.build_parser" in caches
-    # the adjoint-degree oracle reads one table of 2rho_P terms per family
-    assert caches["hnbundles.parabolic._two_rho_terms"] is not None
-    # and keeps one answer per orbit it scores, not the orbit's packed
-    # prefix-sum columns
-    assert caches["hnbundles.canon._oracle_of_orbit"] is not None
-    assert "hnbundles.canon._packed_orbit" not in caches
-    # the canonical reduction and its BH data, once per orbit
-    assert caches["hnbundles.canon._reduction_of_orbit"] is not None
-    assert caches["hnbundles.canon._bh_of_orbit"] is not None
-    # the root tables of the families of cartan_dim <= CACHED_DIM, and
-    # one larger table
-    assert caches["hnbundles.parabolic._cached_supports"] is not None
-    assert caches["hnbundles.parabolic._large_supports"] == 1
-    # the closed forms of lattice keep nothing; the tower oracle keeps a
-    # bounded cache of its Smith normal forms
-    assert not any(name.startswith("hnbundles.lattice.") for name in caches)
+    # weyl_orbit hands out the cache of _weyl_orbit, which keeps its orbits
+    assert weyl_orbit.cache_info == rootsys._weyl_orbit.cache_info
+    del caches["hnbundles.rootsys._weyl_orbit"]
+    assert caches == MODULE_CACHES
+    for cls, name in PER_OBJECT:
+        assert isinstance(vars(cls)[name], cached_property), (cls, name)
+    # the tower oracle keeps a bounded cache of its Smith normal forms
     assert oracles.lattice_tower.cache_info().maxsize is not None
-    # production reads the simple-root pairings in closed form, so the root
-    # tables keep no cache; an idle one added later shows up here
-    for name in ("simple_roots", "positive_roots", "all_roots"):
-        assert f"hnbundles.rootsys.{name}" not in caches
-    unbounded = sorted(name for name, size in caches.items() if size is None)
-    assert not unbounded, f"unbounded caches: {unbounded}"
 
 
 def test_per_family_caches_keep_small_families_only():
@@ -50,18 +52,17 @@ def test_per_family_caches_keep_small_families_only():
     small += [GroupFamily("so", r) for r in range(3, 34)]
     assert {f.cartan_dim for f in small} == set(range(1, CACHED_DIM + 1))
     assert len(small) <= parabolic._cached_supports.cache_info().maxsize
-    # a family over CACHED_DIM keeps its table alone and caches no root
-    # split, reduction or BH data; the next larger table replaces it
-    per_index = (parabolic._cached_supports, parabolic._cached_root_split,
-                 canon._reduction_of_orbit, canon._bh_of_orbit)
+    # a family over CACHED_DIM keeps its table alone and caches no
+    # reduction; the next larger table replaces it
+    per_family = (parabolic._cached_supports, canon._reduction_of_orbit)
     for r in (17, 18):
         family, a = GroupFamily("gl", r), (1,) + (0,) * (r - 1)
-        before = [cache.cache_info() for cache in per_index]
+        before = [cache.cache_info() for cache in per_family]
         red = canon.canonical_reduction(family, a)
         assert red == oracles.canonical_reduction_uncached(family, a)
         assert canon.check_bh(family, a, red) == \
             oracles.check_bh_uncached(family, red)
-        assert [cache.cache_info() for cache in per_index] == before
+        assert [cache.cache_info() for cache in per_family] == before
         assert parabolic._large_supports.cache_info().currsize == 1
         assert parabolic._root_supports(family) is parabolic._root_supports(family)
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -9,7 +10,7 @@ from hnbundles import canon
 from hnbundles.bundle import (Atom, PlainBundle, SoBundle, SpBundle,
                               is_semistable, vertical_degree)
 from hnbundles.canon import (ORACLE_WORK_GUARD, CanonicalReduction, HNType,
-                             _bh_of_orbit, _oracle_of_orbit, _packed_orbit,
+                             _oracle_of_orbit, _packed_orbit,
                              _reduction_of_orbit, ad_degree,
                              ad_degree_max_oracle, bh_conditions,
                              canonical_reduction, check_bh, forced_index,
@@ -17,8 +18,7 @@ from hnbundles.canon import (ORACLE_WORK_GUARD, CanonicalReduction, HNType,
 from hnbundles.errors import (FamilyMismatch, InvalidReduction, NotIntegral,
                               TooLarge)
 from hnbundles.lattice import topological_type
-from hnbundles.parabolic import (ParabolicIndex, _root_split, _two_rho,
-                                  _two_rho_terms)
+from hnbundles.parabolic import ParabolicIndex, _root_split, _two_rho_terms
 from hnbundles.rootsys import (GroupFamily, all_roots, as_cocharacter,
                                dominant_representative, evaluate, is_dominant,
                                is_root, positive_roots, simple_roots,
@@ -106,6 +106,35 @@ def test_check_bh_rejects_wrong_orbit():
     red = canonical_reduction(gl3, (1, 1, 0))
     with pytest.raises(InvalidReduction):
         check_bh(gl3, (5, 0, 0), red)
+
+
+def test_check_bh_rejects_a_reduction_of_another_family():
+    sp4 = GroupFamily("sp", 4)
+    red = canonical_reduction(sp4, (2, 1))
+    check_bh(sp4, (2, 1), red)
+    # the orbit check passes, and the family check comes before the answer
+    # kept on the reduction is read
+    for other in (GroupFamily("so", 4), GroupFamily("so", 5)):
+        with pytest.raises(FamilyMismatch):
+            check_bh(other, (2, 1), red)
+    with pytest.raises(ValueError, match="has 2 coordinates, gl3 needs 3"):
+        check_bh(GroupFamily("gl", 3), (2, 1, 0), red)
+
+
+def test_answers_kept_on_objects_leave_their_values_alone():
+    sp4 = GroupFamily("sp", 4)
+    red = canonical_reduction_uncached(sp4, (2, 1))
+    copy = replace(red)
+    seen = (hash(red), repr(red), hash(red.index), repr(red.index))
+    assert check_bh(sp4, (2, 1), red) == (True, [4, 3])
+    assert ad_degree(sp4, red.index, (2, 1)) == 10
+    assert "_bh" in vars(red) and "_two_rho" in vars(red.index)
+    assert (hash(red), repr(red), hash(red.index), repr(red.index)) == seen
+    assert red == copy and copy == red and hash(copy) == hash(red)
+    # a replaced object is built anew and holds no answer
+    assert replace(red) == red and "_bh" not in vars(replace(red))
+    index = replace(red.index)
+    assert index == red.index and "_two_rho" not in vars(index)
 
 
 def test_ad_degree_max_examples():
@@ -265,23 +294,30 @@ def test_oracle_returns_a_fresh_argmax_list():
     [("gl", r) for r in (1, 2, 3, 4)] + [("sl", r) for r in (1, 2, 3, 4)]
     + [("sp", r) for r in (2, 4, 6, 8)] + [("so", r) for r in range(3, 10)])],
     ids=str)
-def test_reduction_and_bh_caches_equal_the_uncached_reference(family):
+def test_reduction_and_bh_caches_equal_the_uncached_reference(family, monkeypatch):
     # W acts by signed permutations, so [-2,2]^dim holds every Weyl
     # translate of each of its points
     grid = list(product(range(-2, 3), repeat=family.cartan_dim))
     orbits = {dominant_representative(family, a) for a in grid}
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bh_conditions(*args)
+
+    monkeypatch.setattr(canon, "bh_conditions", counted)
     _reduction_of_orbit.cache_clear()
-    _bh_of_orbit.cache_clear()
     for a in grid:
         red = canonical_reduction(family, a)
         ref = canonical_reduction_uncached(family, a)
         assert red == ref, a
         assert all(type(c) is int for c in red.mu.mu)
         assert check_bh(family, a, red) == check_bh_uncached(family, ref), a
-    # each orbit misses once, on its first point, and its other points hit
-    for cache in (_reduction_of_orbit, _bh_of_orbit):
-        info = cache.cache_info()
-        assert (info.misses, info.hits) == (len(orbits), len(grid) - len(orbits))
+    # each orbit misses once, on its first point, and its other points hit;
+    # the BH answer is computed once per orbit, on its cached reduction
+    info = _reduction_of_orbit.cache_info()
+    assert (info.misses, info.hits) == (len(orbits), len(grid) - len(orbits))
+    assert sorted(args[2] for args in calls) == sorted(orbits)
 
 
 def test_check_bh_returns_a_fresh_list_of_the_point_type():
@@ -291,12 +327,13 @@ def test_check_bh_returns_a_fresh_list_of_the_point_type():
     frac = CanonicalReduction(sp4, red.index, HNType(sp4, (Fraction(2), 1)),
                               red.ad_positive_roots, red.ad_parabolic_roots)
     assert frac == red and hash(frac) == hash(red)
-    for order in ((red, frac), (frac, red)):
-        _bh_of_orbit.cache_clear()
-        for r in order * 2:
+    typed = ((red, int), (frac, Fraction))
+    for order in (typed, typed[::-1]):
+        # fresh copies, which have read no answer yet
+        copies = [(replace(r), kind) for r, kind in order]
+        for r, kind in copies * 2:
             ok, degrees = check_bh(sp4, (1, -2), r)
             assert ok and degrees == [4, 3]
-            kind = int if r is red else Fraction
             assert [type(d) for d in degrees] == [kind] * 2
     _, degrees = check_bh(sp4, (2, 1), red)
     degrees.append(None)
@@ -404,7 +441,7 @@ def test_two_rho_terms_pass_counts():
             (("so", 8), 32, 49), (("so", 9), 32, 49), (("so", 10), 80, 129)):
         table, _ = _two_rho_terms(GroupFamily(kind, r))
         assert sum(len(terms) for _, terms in table) == prefix, (kind, r)
-        assert sum(sum(1 for c in _two_rho(index) if c)
+        assert sum(sum(1 for c in index._two_rho if c)
                    for index, _ in table) == coordinate, (kind, r)
 
 

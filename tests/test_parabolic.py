@@ -8,9 +8,9 @@ from hnbundles.canon import ad_degree, canonical_reduction, forced_index
 from hnbundles.errors import (FamilyMismatch, InvalidFlag, NotACharacter,
                               NothingToGenerate, TooLarge)
 from hnbundles.parabolic import (ROOT_TABLE_GUARD, ParabolicIndex, _root_split,
-                                 _root_supports, _two_rho,
-                                 character_generators, is_dominant_character,
-                                 parabolic_from_flag, parabolic_leq)
+                                 _root_supports, character_generators,
+                                 is_dominant_character, parabolic_from_flag,
+                                 parabolic_leq)
 from hnbundles.rootsys import (GroupFamily, all_roots, coroot, evaluate,
                                positive_root_count, positive_roots,
                                simple_root_count, simple_roots)
@@ -232,7 +232,7 @@ def test_two_rho_is_a_dominant_character(family):
     simples = simple_roots(family)
     for bits in range(1 << len(simples)):
         index = _idx(family, [i for i in range(len(simples)) if bits >> i & 1])
-        two_rho = _two_rho(index)
+        two_rho = index._two_rho
         for i, alpha in enumerate(simples):
             pairing = evaluate(two_rho, coroot(family, alpha))
             assert pairing > 0 if i in index.members else pairing == 0
@@ -250,8 +250,8 @@ def test_two_rho_is_a_dominant_character(family):
     (GroupFamily("so", 8), (6, 4, 2, 0))])
 def test_two_rho_of_the_borel_and_of_g(family, expected):
     count = len(simple_roots(family))
-    assert _two_rho(_idx(family, range(count))) == expected
-    assert _two_rho(_idx(family, [])) == (0,) * family.cartan_dim
+    assert _idx(family, range(count))._two_rho == expected
+    assert _idx(family, [])._two_rho == (0,) * family.cartan_dim
 
 
 def test_parabolic_leq():
