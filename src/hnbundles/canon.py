@@ -27,8 +27,8 @@ from operator import add
 from .bundle import IsotropicBundle, SlBundle, underlying
 from .errors import InvalidReduction, TooLarge
 from .hnfilt import hn_filtration, hn_filtration_isotropic
-from .parabolic import (CACHED_DIM, ParabolicIndex, _root_split,
-                        _two_rho_terms, character_generators)
+from .parabolic import (CACHED_DIM, ParabolicIndex, _two_rho_terms,
+                        character_generators)
 from .rootsys import (GL, SL, GroupFamily, _point, _simple_root_values,
                       as_cocharacter, dominant_representative, evaluate,
                       is_dominant, positive_root_count, simple_root_count,
@@ -111,17 +111,18 @@ def _build_reduction(family: GroupFamily, mu) -> CanonicalReduction:
     index = forced_index(family, mu)
     # mu is dominant, so the roots positive at mu are the nilradical roots
     # of its forced index and the roots vanishing at mu are the Levi roots
-    levi, nilrad = _root_split(index)
+    levi, nilrad = index._split
     return CanonicalReduction(family, index, HNType(family, mu),
                               frozenset(nilrad), frozenset(levi + nilrad))
 
 
 # keyed by the dominant point, like _oracle_of_orbit, for families of
 # cartan_dim <= CACHED_DIM: an entry holds two root sets of at most 3 x 256
-# roots (Sp32), whose roots the cached root table keeps anyway, and once
-# read, its BH answer (a flag and at most 16 degrees) and its index's
-# 2rho_P.  The grids of a canon_oracle benchmark run hold 247 orbits, so
-# 256 evicts nothing.
+# roots (Sp32) and its index's root split, two tuples of the same roots,
+# whose roots the cached root table keeps anyway, and once read, its BH
+# answer (a flag and at most 16 degrees) and its index's 2rho_P.  The
+# grids of a canon_oracle benchmark run hold 247 orbits, so 256 evicts
+# nothing.
 _reduction_of_orbit = lru_cache(maxsize=256)(_build_reduction)
 
 

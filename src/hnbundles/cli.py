@@ -1,6 +1,10 @@
 """Command-line front end: bundle-spec parsing, subcommands, JSON/DOT
 emission, and the brute-force check suites.
 
+Each subcommand's options are declared once, in _COMMANDS: a
+well-formed argv is read from that table, and argparse, built from it on
+first need, reads any other argv and writes the usage errors and help.
+
 Exit codes: 0 success, 1 usage or parse error, 2 validation error,
 3 internal invariant breach (an InvariantBreach, and nothing else).
 """
@@ -10,6 +14,7 @@ import json
 import random
 import re
 import sys
+from argparse import Namespace
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -388,85 +393,123 @@ def _cmd_check(args) -> dict:
             "cases": args.cases, "passed": passed}
 
 
-def _family_args(s, rank=True):
-    s.add_argument("--family", required=True, choices=[GL, SL, SP, SO])
-    if rank:
-        s.add_argument("--rank", required=True, type=int)
-
-
 # argparse names a rejected value by its type's __name__; a lambda keeps
 # the "invalid <lambda> value" text of the usage errors
 _int_tuple = lambda text: tuple(int(x) for x in text.split(","))  # noqa: E731
 
+# Each command's function, help and options, as flag -> add_argument
+# keywords: build_parser hands them to argparse and _read reads a
+# well-formed argv with them.  "spec" is a positional; a dest is argparse's,
+# the flag without dashes and with "_" for "-".
+_FAMILY = {"required": True, "choices": (GL, SL, SP, SO)}
+_INT = {"required": True, "type": int}
+_VECTOR = {"required": True, "type": _int_tuple}
+_COMMANDS = {
+    "hn": (_cmd_hn, "HN filtration and type of a bundle spec", {"spec": {}}),
+    "semistable": (_cmd_semistable, "semistability of a bundle spec",
+                   {"spec": {}}),
+    "pi1": (_cmd_pi1, "fundamental group triple",
+            {"--family": _FAMILY, "--rank": _INT,
+             "--levi": {"nargs": "*",
+                        "help": "simple-root names of the parabolic index"}}),
+    "canon": (_cmd_canon, "canonical reduction of torus-split data",
+              {"--family": _FAMILY, "--rank": _INT, "--deg": _VECTOR,
+               "--oracle": {"action": "store_true", "default": False}}),
+    "vdeg": (_cmd_vdeg, "vertical degree of a flag reduction",
+             {"--family": _FAMILY, "--E": _VECTOR, "--F": _VECTOR}),
+    "strata": (_cmd_strata, "stratification poset",
+               {"--family": _FAMILY, "--rank": _INT, "--bound": _INT,
+                "--dot": {}, "--fix-type": {"type": int}}),
+    "check": (_cmd_check, "run a brute-force oracle suite",
+              {"--suite": {"required": True, "choices": sorted(_SUITES)},
+               "--seed": {"type": int, "default": 0},
+               "--cases": {"type": int, "default": 100}}),
+}
+
 
 @lru_cache(maxsize=1)
 def build_parser():
-    """(parser, its command table: name -> subcommand parser), built once:
-    parse_args returns a fresh Namespace and keeps no state."""
+    """The argparse parser of _COMMANDS, built once, on the first argv
+    that _read declines: parse_args returns a fresh Namespace and keeps
+    no state."""
     p = argparse.ArgumentParser(prog="hnbundles",
                                 description="exact HN filtration toolkit")
     p.add_argument("--pretty", action="store_true",
                    help="aligned key/value output instead of JSON")
     sub = p.add_subparsers(dest="cmd", required=True)
+    for name, (fn, text, options) in _COMMANDS.items():
+        s = sub.add_parser(name, help=text)
+        for flag, keywords in options.items():
+            s.add_argument(flag, **keywords)
+        s.set_defaults(fn=fn)
+    return p
 
-    s = sub.add_parser("hn", help="HN filtration and type of a bundle spec")
-    s.add_argument("spec")
-    s.set_defaults(fn=_cmd_hn)
 
-    s = sub.add_parser("semistable", help="semistability of a bundle spec")
-    s.add_argument("spec")
-    s.set_defaults(fn=_cmd_semistable)
+def _value(token):
+    """Whether argparse reads token as a value: non-empty, not led by "-"."""
+    return token[:1] not in ("", "-")
 
-    s = sub.add_parser("pi1", help="fundamental group triple")
-    _family_args(s)
-    s.add_argument("--levi", nargs="*", default=None,
-                   help="simple-root names of the parabolic index")
-    s.set_defaults(fn=_cmd_pi1)
 
-    s = sub.add_parser("canon", help="canonical reduction of torus-split data")
-    _family_args(s)
-    s.add_argument("--deg", required=True, type=_int_tuple)
-    s.add_argument("--oracle", action="store_true")
-    s.set_defaults(fn=_cmd_canon)
-
-    s = sub.add_parser("vdeg", help="vertical degree of a flag reduction")
-    _family_args(s, rank=False)
-    s.add_argument("--E", required=True, type=_int_tuple)
-    s.add_argument("--F", required=True, type=_int_tuple)
-    s.set_defaults(fn=_cmd_vdeg)
-
-    s = sub.add_parser("strata", help="stratification poset")
-    _family_args(s)
-    s.add_argument("--bound", required=True, type=int)
-    s.add_argument("--dot", default=None)
-    s.add_argument("--fix-type", dest="fix_type", type=int, default=None)
-    s.set_defaults(fn=_cmd_strata)
-
-    s = sub.add_parser("check", help="run a brute-force oracle suite")
-    s.add_argument("--suite", required=True, choices=sorted(_SUITES))
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--cases", type=int, default=100)
-    s.set_defaults(fn=_cmd_check)
-    return p, sub.choices
+def _read(argv):
+    """build_parser().parse_args(argv), read from _COMMANDS, for an argv
+    [--pretty] <command> followed only by: --opt=value; --opt value, with
+    a _value; --levi and the _values after it; a bare --oracle; a _value
+    as the spec of hn or semistable; each at most once, flags in full.
+    None for any other argv."""
+    pretty = argv[:1] == ["--pretty"]
+    head = argv[1:] if pretty else argv
+    entry = _COMMANDS.get(head[0]) if head else None
+    if entry is None:
+        return None
+    fn, _, options = entry
+    tokens, found, i = head[1:], {}, 0
+    while i < len(tokens):
+        token = tokens[i]
+        i += 1
+        # a positional reads as "spec=token"
+        flag, eq, value = ("spec", "=", token) if _value(token) \
+            else token.partition("=")
+        keywords = options.get(flag)
+        if keywords is None or flag in found:
+            return None
+        if eq and ("action" in keywords or "nargs" in keywords):
+            return None
+        if "action" in keywords:            # a bare --oracle
+            found[flag] = True
+            continue
+        if "nargs" in keywords:             # --levi and the _values after it
+            start = i
+            while i < len(tokens) and _value(tokens[i]):
+                i += 1
+            found[flag] = tokens[start:i]
+            continue
+        if not eq:
+            if i == len(tokens) or not _value(tokens[i]):
+                return None
+            value, i = tokens[i], i + 1
+        try:
+            value = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        found[flag] = value
+    values = {"pretty": pretty, "cmd": head[0], "fn": fn}
+    for flag, keywords in options.items():
+        if flag not in found and (flag == "spec" or keywords.get("required")):
+            return None
+        values[flag.lstrip("-").replace("-", "_")] = \
+            found.get(flag, keywords.get("default"))
+    return Namespace(**values)
 
 
 def _parse(argv):
-    """build_parser()[0].parse_args(argv) in one pass when argv starts
-    with a command name.  The main parser would hand every later string
-    to that command's parser and reject whatever it leaves over, so the
-    command's parser reads them directly and its leftovers are rejected
-    with the main parser's text.  Any other argv takes the full parse, and
-    so does one holding a "--=" string, which the main parser alone
-    rejects, as ambiguous between --help and --pretty."""
-    parser, commands = build_parser()
-    command = commands.get(argv[0]) if argv else None
-    if command is None or any(a.startswith("--=") for a in argv):
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    args.pretty, args.cmd = False, argv[0]
-    return args
+    """build_parser().parse_args(argv), read by _read where it can, so
+    that well-formed argvs never build argparse; argparse reads any other
+    argv (help, an abbreviation, "--", a repeated option, a bad value, a
+    missing option) and writes its usage error or help text."""
+    args = _read(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def run_command(argv=None) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInKernelLattice, NotIntegral
-from .parabolic import ParabolicIndex, _root_split
+from .parabolic import ParabolicIndex
 from .rootsys import (GL, SL, SO, GroupFamily, _point, as_cocharacter,
                       simple_root_count)
 
@@ -117,7 +117,7 @@ def levi_topological_type(family: GroupFamily, index: ParabolicIndex, a):
         return i, s
 
     kills = []  # a coordinate of each component with no central direction
-    for root in _root_split(index)[0]:
+    for root in index._split[0]:
         support = [t for t, c in enumerate(root) if c]
         if len(support) == 1:
             kills.append(support[0])

@@ -50,10 +50,18 @@ class ParabolicIndex:
         return [root_name(self.family, i) for i in sorted(self.members)]
 
     @cached_property
+    def _split(self):
+        """_root_split of this index, kept on it: the filter over the
+        family's root table runs once per index."""
+        return _root_split(self)
+
+    @cached_property
     def _two_rho(self):
         """2rho_P, the sum of the nilradical roots of P_I, as a functional,
-        kept on this index."""
-        _, nilrad = _root_split(self)
+        kept on this index.  It reads the split if the index keeps one and
+        otherwise filters without keeping it, so that the 2^count indexes
+        of _two_rho_terms hold 2rho_P alone."""
+        _, nilrad = vars(self).get("_split") or _root_split(self)
         return tuple(sum(a[t] for a in nilrad) for t in range(self.family.cartan_dim))
 
 

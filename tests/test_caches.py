@@ -25,6 +25,7 @@ MODULE_CACHES = {
 }
 
 PER_OBJECT = ((canon.CanonicalReduction, "_bh"),
+              (parabolic.ParabolicIndex, "_split"),
               (parabolic.ParabolicIndex, "_two_rho"))
 
 

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hnbundles import canon
+from hnbundles import canon, parabolic
 from hnbundles.bundle import (Atom, PlainBundle, SoBundle, SpBundle,
                               is_semistable, vertical_degree)
 from hnbundles.canon import (ORACLE_WORK_GUARD, CanonicalReduction, HNType,
@@ -17,7 +17,7 @@ from hnbundles.canon import (ORACLE_WORK_GUARD, CanonicalReduction, HNType,
                              hn_type)
 from hnbundles.errors import (FamilyMismatch, InvalidReduction, NotIntegral,
                               TooLarge)
-from hnbundles.lattice import topological_type
+from hnbundles.lattice import levi_topological_type, topological_type
 from hnbundles.parabolic import ParabolicIndex, _root_split, _two_rho_terms
 from hnbundles.rootsys import (GroupFamily, all_roots, as_cocharacter,
                                dominant_representative, evaluate, is_dominant,
@@ -134,7 +134,25 @@ def test_answers_kept_on_objects_leave_their_values_alone():
     # a replaced object is built anew and holds no answer
     assert replace(red) == red and "_bh" not in vars(replace(red))
     index = replace(red.index)
-    assert index == red.index and "_two_rho" not in vars(index)
+    assert index == red.index and not {"_split", "_two_rho"} & set(vars(index))
+
+
+def test_the_root_table_is_filtered_once_per_reduction(monkeypatch):
+    calls = []
+
+    def counted(index):
+        calls.append(index)
+        return _root_split(index)
+
+    monkeypatch.setattr(parabolic, "_root_split", counted)
+    _reduction_of_orbit.cache_clear()
+    sp8, a = GroupFamily("sp", 8), (3, -1, 2, 0)
+    red = canonical_reduction(sp8, a)
+    # the reduction, 2rho_P and the Levi centre read one split of the index
+    assert ad_degree(sp8, red.index, red.mu.mu) == sum(
+        evaluate(alpha, red.mu.mu) for alpha in red.ad_positive_roots) == 40
+    levi_topological_type(sp8, red.index, a)
+    assert calls == [red.index]
 
 
 def test_ad_degree_max_examples():

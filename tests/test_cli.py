@@ -373,11 +373,11 @@ def test_parser_is_built_once(capsys, monkeypatch):
     try:
         assert [run(capsys, *argv)[0] for argv in argvs] == [0, 1, 0, 1, 0, 0]
         assert len(builds) == 1
-        # the parser and its command table, one pair for every call
-        parser, commands = hnbundles.cli.build_parser()
-        assert hnbundles.cli.build_parser() == (parser, commands)
-        assert sorted(commands) == ["canon", "check", "hn", "pi1", "semistable",
-                                    "strata", "vdeg"]
+        # one parser for every call, with a subcommand per table entry
+        parser = hnbundles.cli.build_parser()
+        assert hnbundles.cli.build_parser() is parser
+        assert sorted(hnbundles.cli._COMMANDS) == [
+            "canon", "check", "hn", "pi1", "semistable", "strata", "vdeg"]
         assert len(builds) == 1
     finally:
         hnbundles.cli.build_parser.cache_clear()
@@ -517,9 +517,10 @@ def test_every_argv_exits_with_a_message(argv, pretty):
         assert out.getvalue(), argv
 
 
-# the main parser, the reference for the one-pass route of run_command
-GOLDEN_ARGVS = [case["argv"] for case in json.loads(
-    (pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text())]
+# the main parser, the reference for the option-table route of run_command
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "cli_golden.json").read_text())
+GOLDEN_ARGVS = [case["argv"] for case in GOLDEN]
 
 
 def _parse_outcome(parse, argv):
@@ -534,7 +535,7 @@ def _parse_outcome(parse, argv):
 
 
 def _assert_routes_agree(argv):
-    reference = hnbundles.cli.build_parser()[0].parse_args
+    reference = hnbundles.cli.build_parser().parse_args
     assert _parse_outcome(hnbundles.cli._parse, argv) == \
         _parse_outcome(reference, argv), argv
 
@@ -562,7 +563,24 @@ def test_direct_route_equals_the_main_parser(argv):
 @pytest.mark.parametrize("argv", [[], ["--pretty"], ["-h"], ["--help"],
                                   ["--pretty", "-h"], ["--pret", "hn", "gl1: 0:1"],
                                   ["bogus"], ["bogus", "-h"], ["--"], ["--", "hn"],
-                                  ["--=x"], ["hn"], ["hn", "--"], ["-x", "hn"]],
+                                  ["--=x"], ["hn"], ["hn", "--"], ["-x", "hn"],
+                                  # argvs the option table declines
+                                  ["pi1", "--family=gl", "--rank=4", "--rank=2"],
+                                  ["pi1", "--family=gl", "--rank=2", "--levi=a1,2"],
+                                  ["canon", "--family=gl", "--rank=2",
+                                   "--deg=1,0", "--oracle=1"],
+                                  ["canon", "--family=gl", "--rank=2", "--deg", ""],
+                                  ["canon", "--family=gl", "--rank=2", "--deg", "-1 2"],
+                                  ["strata", "--family=gl", "--rank=2", "--bound=1",
+                                   "--fix_type=0"],
+                                  ["--pretty", "--pretty", "pi1", "--family=gl",
+                                   "--rank=3"],
+                                  ["hn", ""],
+                                  # and two it reads: an empty --dot=, and an
+                                  # int of any Unicode digit
+                                  ["strata", "--family=gl", "--rank=2",
+                                   "--bound=1", "--dot="],
+                                  ["pi1", "--family=gl", "--rank=\u0663"]],
                          ids=repr)
 def test_direct_route_equals_the_main_parser_off_the_golden_set(argv):
     _assert_routes_agree(argv)
@@ -571,16 +589,39 @@ def test_direct_route_equals_the_main_parser_off_the_golden_set(argv):
 ARGV_TOKENS = st.sampled_from(
     ["hn", "canon", "strata", "check", "pi1", "vdeg", "semistable", "bogus",
      "gl2: 1:1,0:1", "--family=gl", "--family", "gl", "--fam=sp", "--rank",
-     "2", "--rank=4", "--deg=1,0", "--deg", "-1,0", "--oracle", "--orac",
-     "--bound=1", "--levi", "a1,2", "--E=2,4", "--F=3,2", "--suite=hn",
-     "--cases=2", "--pretty", "--pre", "-h", "--help", "--he", "--", "-",
-     "--=", "--=x", "-x", "--bogus", "-1", "--fix-type=0", "--dot"])
+     "2", "--rank=4", "--rank=2", "--deg=1,0", "--deg", "-1,0", "--oracle",
+     "--orac", "--bound=1", "--levi", "a1,2", "--E=2,4", "--F=3,2",
+     "--suite=hn", "--cases=2", "--pretty", "--pre", "-h", "--help", "--he",
+     "--", "-", "--=", "--=x", "-x", "--bogus", "-1", "--fix-type=0", "--dot",
+     "--levi=a1,2", "--oracle=1", "", "-1 2", "--rank=\u0663", "--fix_type=0",
+     "--dot="])
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(ARGV_TOKENS, max_size=7))
 def test_direct_route_equals_the_main_parser_on_any_argv(argv):
     _assert_routes_agree(argv)
+
+
+# ARGVS are mostly well-formed, so most of them take the option table's route
+@settings(max_examples=300, deadline=None)
+@given(ARGVS, st.booleans())
+def test_direct_route_equals_the_main_parser_on_command_argvs(argv, pretty):
+    _assert_routes_agree(["--pretty", *argv] if pretty else list(argv))
+
+
+def test_well_formed_argvs_never_build_argparse():
+    # every golden argv that exits 0, in a fresh process
+    ok = [case["argv"] for case in GOLDEN if case["code"] == 0]
+    proc = _run_optimized(
+        "import contextlib, io, sys\n"
+        "import hnbundles.cli as cli\n"
+        f"for argv in {ok!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        if cli.run_command(argv):\n"
+        "            sys.exit(f'exit on {argv}')\n"
+        "print(cli.build_parser.cache_info().currsize)\n")
+    assert proc.stdout.split() == ["0"], proc.stderr
 
 
 JSON_LEAVES = (st.none() | st.booleans() | st.integers()
