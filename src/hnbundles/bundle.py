@@ -21,6 +21,9 @@ class Atom:
     rank: int
 
     def __post_init__(self):
+        if not isinstance(self.degree, int) or not isinstance(self.rank, int):
+            raise ValueError(f"atom degree and rank must be ints, got "
+                             f"{self.degree!r} and {self.rank!r}")
         if self.rank < 1:
             raise ValueError("atom rank must be positive")
 
@@ -136,7 +139,8 @@ def isotropic_bundle(kind: str, positive, zero_part) -> IsotropicBundle:
 
 
 def bundle_from_degrees(family: GroupFamily, degrees):
-    """Torus-split bundle of the given degree vector."""
+    """Torus-split bundle of the given degree vector, a cocharacter."""
+    degrees = as_cocharacter(family, degrees)
     if family.kind in (GL, SL):
         b = PlainBundle(tuple(Atom(d, 1) for d in degrees))
         return SlBundle(b) if family.kind == SL else b
@@ -177,14 +181,15 @@ def _flag_shape(family: GroupFamily, e, f):
     e = (total degree, total rank) and f = (subbundle degree, rank)."""
     d, r = e
     fdeg, l = f
+    if r != family.r:
+        raise UnsupportedRank(f"E has rank {r}, {family.kind}{family.r} "
+                              f"needs {family.r}")
     if family.kind in (GL, SL):
         if not 1 <= l < r:
             raise InvalidFlag(f"need 1 <= l < r, got l={l}, r={r}")
         return d, r, fdeg, l
     if d != 0:
         raise NotDegreeZero("Sp/SO vertical degree needs ambient degree 0")
-    if family.kind == SP and r % 2 != 0:
-        raise UnsupportedRank("Sp rank must be even")
     if family.kind == SO and r < 3:
         raise UnsupportedRank("SO vertical degree needs r >= 3")
     if not 1 <= l <= r // 2:

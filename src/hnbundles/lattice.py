@@ -4,11 +4,13 @@ closed form.
 Gamma is the cocharacter lattice of the maximal torus in its own
 coordinates (for SL, the trace-zero sublattice of Z^r).  Lambda is the
 integer span of the coroots; pi1 = Gamma/Lambda.  For the classical
-families every group below is read off the parabolic index: a Levi
-factor is a product of GL blocks and one classical factor of the same
-type, and pi1(SO(m)) = Z/2 for m >= 3 is its only torsion (Bourbaki,
-Lie Groups and Lie Algebras ch. VI, Plates I-IV).  The tests keep the
-Smith normal form of the coroot matrix as the oracle.
+families every group and centre below is read off the parabolic index,
+with no root table: a Levi factor is a product of GL blocks, the runs
+of coordinates tied by the simple roots outside I, and at most one
+classical factor of the same type, and pi1(SO(m)) = Z/2 for m >= 3 is
+its only torsion (Bourbaki, Lie Groups and Lie Algebras ch. VI, Plates
+I-IV).  The tests keep the Smith normal form of the coroot matrix and
+the Levi roots as oracles.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 from .errors import NotInKernelLattice, NotIntegral
 from .parabolic import ParabolicIndex
-from .rootsys import (GL, SL, SO, GroupFamily, _point, as_cocharacter,
+from .rootsys import (GL, SL, SO, SP, GroupFamily, _point, as_cocharacter,
                       simple_root_count)
 
 
@@ -45,21 +47,26 @@ def fundamental_groups(family: GroupFamily):
     return levi_fundamental_groups(family, ParabolicIndex(family, ()))
 
 
+def _keeps_classical_factor(family: GroupFamily, index: ParabolicIndex):
+    """L_I keeps a factor of the family's own Sp or SO type: the last
+    simple root lies outside I, and for even SO so does e_(n-1) - e_n."""
+    n, members = family.cartan_dim, index.members
+    fork = family.kind == SO and family.r % 2 == 0
+    return family.kind in (SP, SO) and n - 1 not in members and \
+        not (fork and n - 2 in members)
+
+
 def levi_fundamental_groups(family: GroupFamily, index: ParabolicIndex):
     """(pi1_der, pi1, pi1_ab) of the Levi factor L_I.
 
     The free rank is rank Gamma less the rank of the Levi coroot lattice,
     the count of simple roots outside I.  The torsion is Z/2 when L_I
-    keeps an SO(m) factor with m >= 3: for SO(2n+1) when the last simple
-    root is outside I, for SO(2n) when both fork roots are.
+    keeps an SO(m) factor with m >= 3.
     """
-    family.require_root_system()
     _point(family, index=index)
-    rank = family.r - 1 if family.kind == SL else family.cartan_dim
-    free = rank - simple_root_count(family) + len(index.members)
-    n = family.cartan_dim
-    tail = {n - 1} if family.r % 2 else {n - 2, n - 1}
-    torsion = (2,) if family.kind == SO and not tail & index.members else ()
+    free = family.torus_dim - simple_root_count(family) + len(index.members)
+    torsion = (2,) if family.kind == SO and \
+        _keeps_classical_factor(family, index) else ()
     return FinAbGroup(0, torsion), FinAbGroup(free, torsion), FinAbGroup(free, ())
 
 
@@ -99,42 +106,25 @@ def topological_type(family: GroupFamily, a):
 def levi_topological_type(family: GroupFamily, index: ParabolicIndex, a):
     """Projection of a onto the centre of the Levi factor L_I.
 
-    A signed union-find over the Levi roots: e_i - e_j ties x_i = x_j and
-    e_i + e_j ties x_i = -x_j.  A root on one coordinate, or two ties that
-    clash, leave a component no central direction; on every other
-    component the centre takes the signed mean of a.
+    Each simple root e_i - e_(i+1) outside I ties x_(i+1) to x_i: the runs
+    of tied coordinates are the GL blocks of L_I, and the centre on each
+    is its mean.  A classical factor leaves the last block no central
+    direction.  On the D_n fork, e_(n-1) + e_n outside I and e_(n-1) - e_n
+    in it, x_n joins the block of x_(n-1) negated.
     """
-    a = _check_in_gamma(family, a)
+    a = list(_check_in_gamma(family, a))
     _point(family, index=index)
-    parent = list(range(len(a)))
-    sign = [1] * len(a)  # x_i = sign[i] * x_parent[i]
-
-    def find(i):
-        s = 1
-        while parent[i] != i:
-            s *= sign[i]
-            i = parent[i]
-        return i, s
-
-    kills = []  # a coordinate of each component with no central direction
-    for root in index._split[0]:
-        support = [t for t, c in enumerate(root) if c]
-        if len(support) == 1:
-            kills.append(support[0])
-            continue
-        i, j = support
-        (ri, si), (rj, sj) = find(i), find(j)
-        tie = -1 if root[i] * root[j] > 0 else 1
-        if ri != rj:
-            parent[rj], sign[rj] = ri, si * tie * sj
-        elif si != tie * sj:
-            kills.append(i)
-    dead = {find(i)[0] for i in kills}
-    total, size, signs = {}, {}, []
-    for i, x in enumerate(a):
-        root, s = find(i)
-        signs.append((root, s))
-        total[root] = total.get(root, 0) + s * x
-        size[root] = size.get(root, 0) + 1
-    return tuple(Fraction(0) if root in dead
-                 else s * Fraction(total[root], size[root]) for root, s in signs)
+    n, cuts = len(a), index.members
+    fork = family.kind == SO and family.r % 2 == 0 and \
+        n - 2 in cuts and n - 1 not in cuts
+    if fork:
+        a[-1], cuts = -a[-1], cuts - {n - 2}
+    bounds = [0] + [i + 1 for i in range(n - 1) if i in cuts] + [n]
+    dead = _keeps_classical_factor(family, index)
+    centre = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        mean = Fraction(0 if dead and hi == n else sum(a[lo:hi]), hi - lo)
+        centre += [mean] * (hi - lo)
+    if fork:
+        centre[-1] = -centre[-1]
+    return tuple(centre)

@@ -27,8 +27,8 @@ ROOT_TABLE_GUARD = 2 * (160 * 159 // 2) * 160
 # The per-family caches (the root table, and canon's reduction per orbit)
 # keep families of cartan_dim at most CACHED_DIM only: 79 families, whose
 # tables hold 2.6 MB all together.  A larger table, up to ROOT_TABLE_GUARD,
-# is kept alone, the last one built; no reduction of it is cached, since
-# each entry would keep its roots.
+# is built afresh on each call and kept only by the split of its index; no
+# reduction of it is cached, since each entry would keep its roots.
 CACHED_DIM = 16
 
 
@@ -105,7 +105,7 @@ def _root_supports(family: GroupFamily):
         raise TooLarge("enumeration guard exceeded")
     if family.cartan_dim <= CACHED_DIM:
         return _cached_supports(family)
-    return _large_supports(family)
+    return _build_supports(family)
 
 
 def _build_supports(family: GroupFamily):
@@ -117,9 +117,8 @@ def _build_supports(family: GroupFamily):
     return tuple(out)
 
 
-# the 79 families of cartan_dim <= CACHED_DIM fit, and one larger table
+# the 79 families of cartan_dim <= CACHED_DIM fit
 _cached_supports = lru_cache(maxsize=128)(_build_supports)
-_large_supports = lru_cache(maxsize=1)(_build_supports)
 
 
 def _root_split(index: ParabolicIndex):

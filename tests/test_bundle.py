@@ -5,8 +5,9 @@ from hypothesis import given, strategies as st
 
 from hnbundles.bundle import (Atom, IsotropicBundle, PlainBundle, SlBundle,
                               SoBundle, SpBundle, adjoint_bundle, adjoint_gl,
-                              direct_sum, dual, is_semistable, isotropic_bundle,
-                              tensor, underlying, vertical_degree,
+                              bundle_from_degrees, direct_sum, dual,
+                              is_semistable, isotropic_bundle, tensor,
+                              underlying, vertical_degree,
                               vertical_degree_composite)
 from hnbundles.errors import (InvalidFlag, NotDegreeZero, NotIntegral,
                               UnsupportedRank, ZeroBundle)
@@ -32,6 +33,9 @@ def test_empty_bundle_rejected():
 def test_malformed_bundles_rejected():
     with pytest.raises(ValueError, match="atom rank must be positive"):
         Atom(1, 0)
+    for degree, rank in ((1.5, 1), (Fraction(3, 2), 2), (1, 2.0), (1, "2")):
+        with pytest.raises(ValueError, match="atom degree and rank must be ints"):
+            Atom(degree, rank)
     with pytest.raises(TypeError, match="expected atoms"):
         PlainBundle(((1, 1),))
     # an atom next to a non-atom fails the type check, not the sort
@@ -45,6 +49,19 @@ def test_malformed_bundles_rejected():
         SpBundle((Atom(0, 1),), ())
     with pytest.raises(ValueError, match="zero block"):
         SoBundle((), (Atom(1, 1),))
+
+
+def test_bundle_from_degrees_reads_a_cocharacter():
+    gl2, gl3 = GroupFamily("gl", 2), GroupFamily("gl", 3)
+    for family, degrees in ((gl3, (1, 2)), (gl2, (1.5, 2)), (gl2, (1, 2, 3)),
+                            (GroupFamily("sp", 4), (1,))):
+        with pytest.raises(NotIntegral, match="is not a cocharacter"):
+            bundle_from_degrees(family, degrees)
+    # an integral Fraction reads as its int
+    assert bundle_from_degrees(gl2, (Fraction(4, 2), 1)) == \
+        PlainBundle((Atom(2, 1), Atom(1, 1)))
+    assert bundle_from_degrees(GroupFamily("so", 5), (0, -2)) == \
+        SoBundle((Atom(2, 1),), (Atom(0, 1),) * 3)
 
 
 def test_dual_tensor_sum():
@@ -80,8 +97,12 @@ def test_vertical_degree_errors():
         vertical_degree(GroupFamily("gl", 4), (2, 4), (3, 4))
     with pytest.raises(UnsupportedRank):
         vertical_degree(GroupFamily("so", 2), (0, 2), (1, 1))
-    with pytest.raises(UnsupportedRank, match="Sp rank must be even"):
+    # the ambient rank is the family's own
+    with pytest.raises(UnsupportedRank, match="E has rank 3, sp4 needs 4"):
         vertical_degree(GroupFamily("sp", 4), (0, 3), (1, 1))
+    for route in (vertical_degree, vertical_degree_composite):
+        with pytest.raises(UnsupportedRank, match="E has rank 9, gl2 needs 2"):
+            route(GroupFamily("gl", 2), (1, 9), (1, 4))
 
 
 def test_vertical_degree_routes_and_signs():

@@ -17,7 +17,6 @@ from hnbundles.rootsys import (ORBIT_CACHE_LIMIT, GroupFamily, weyl_orbit,
 MODULE_CACHES = {
     "hnbundles.rootsys.weyl_orbit": 128,
     "hnbundles.parabolic._cached_supports": 128,
-    "hnbundles.parabolic._large_supports": 1,
     "hnbundles.parabolic._two_rho_terms": 128,
     "hnbundles.canon._reduction_of_orbit": 256,
     "hnbundles.canon._oracle_of_orbit": 256,
@@ -53,8 +52,8 @@ def test_per_family_caches_keep_small_families_only():
     small += [GroupFamily("so", r) for r in range(3, 34)]
     assert {f.cartan_dim for f in small} == set(range(1, CACHED_DIM + 1))
     assert len(small) <= parabolic._cached_supports.cache_info().maxsize
-    # a family over CACHED_DIM keeps its table alone and caches no
-    # reduction; the next larger table replaces it
+    # a family over CACHED_DIM caches neither its table nor a reduction:
+    # each call builds its table afresh
     per_family = (parabolic._cached_supports, canon._reduction_of_orbit)
     for r in (17, 18):
         family, a = GroupFamily("gl", r), (1,) + (0,) * (r - 1)
@@ -64,8 +63,9 @@ def test_per_family_caches_keep_small_families_only():
         assert canon.check_bh(family, a, red) == \
             oracles.check_bh_uncached(family, red)
         assert [cache.cache_info() for cache in per_family] == before
-        assert parabolic._large_supports.cache_info().currsize == 1
-        assert parabolic._root_supports(family) is parabolic._root_supports(family)
+        table = parabolic._root_supports(family)
+        assert parabolic._root_supports(family) == table
+        assert parabolic._root_supports(family) is not table
 
 
 def test_orbit_cache_keeps_orbits_up_to_its_limit():

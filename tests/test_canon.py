@@ -148,7 +148,7 @@ def test_the_root_table_is_filtered_once_per_reduction(monkeypatch):
     _reduction_of_orbit.cache_clear()
     sp8, a = GroupFamily("sp", 8), (3, -1, 2, 0)
     red = canonical_reduction(sp8, a)
-    # the reduction, 2rho_P and the Levi centre read one split of the index
+    # the reduction and 2rho_P read one split of the index, the Levi centre none
     assert ad_degree(sp8, red.index, red.mu.mu) == sum(
         evaluate(alpha, red.mu.mu) for alpha in red.ad_positive_roots) == 40
     levi_topological_type(sp8, red.index, a)

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import hnbundles.lattice
 import oracles
+from hnbundles import parabolic
 from hnbundles.errors import NotInKernelLattice
 from hnbundles.lattice import (FinAbGroup, fundamental_groups,
                                levi_fundamental_groups, levi_topological_type,
@@ -198,27 +199,53 @@ def test_levi_topological_type_is_the_central_projection(family):
                 assert centre == block_topological_type(family, index, a)
 
 
-@pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (
-    ("gl", 5), ("sp", 8), ("so", 9), ("so", 10))], ids=lambda f: f"{f.kind}{f.r}")
-def test_levi_topological_type_ignores_the_root_order(family, monkeypatch):
-    rng = random.Random(f"order {family.kind}{family.r}")
+@pytest.fixture
+def no_roots(monkeypatch):
+    """The root table and its split, patched to raise."""
+    def refused(*args):
+        raise AssertionError("a closed form read the root table")
+
+    monkeypatch.setattr(parabolic, "_root_split", refused)
+    monkeypatch.setattr(parabolic, "_root_supports", refused)
+
+
+@pytest.mark.parametrize("family", CENTRE_GRID, ids=lambda f: f"{f.kind}{f.r}")
+def test_levi_centre_and_groups_read_no_roots(family, no_roots):
+    rng = random.Random(f"no roots {family.kind}{family.r}")
     count = len(simple_roots(family))
-    cases = []
     for bits in range(1 << count):
         index = ParabolicIndex(family, frozenset(
             i for i in range(count) if bits >> i & 1))
         a = [rng.randint(-3, 3) for _ in range(family.cartan_dim)]
-        cases.append((index, a, levi_topological_type(family, index, a)))
+        if family.kind == "sl":
+            a[-1] -= sum(a)
+        centre = levi_topological_type(family, index, a)
+        assert on_the_fork(index) or \
+            centre == block_topological_type(family, index, a), index
+        levi_fundamental_groups(family, index)
 
-    def shuffled(index):
-        levi, nilrad = _root_split(index)
-        return rng.sample(levi, len(levi)), nilrad
 
-    # a property, read afresh each time, in place of the split kept on an index
-    monkeypatch.setattr(ParabolicIndex, "_split", property(shuffled))
-    for index, a, centre in cases:
-        for _ in range(3):
-            assert levi_topological_type(family, index, a) == centre, index
+def test_levi_centre_and_groups_past_the_root_table_guard(no_roots):
+    # GL200 has blocks of 1, 99 and 100
+    gl200 = GroupFamily("gl", 200)
+    index = ParabolicIndex(gl200, frozenset({0, 99}))
+    a = tuple(range(200))
+    assert levi_topological_type(gl200, index, a) == \
+        block_topological_type(gl200, index, a) == \
+        (0,) + (50,) * 99 + (Fraction(299, 2),) * 100
+    assert levi_fundamental_groups(gl200, index)[1].describe() == "Z x Z x Z"
+    # SO400 on the fork: x_199 joins the block of x_0 .. x_198 negated
+    so400 = GroupFamily("so", 400)
+    fork = ParabolicIndex(so400, frozenset({198}))
+    ones = (1,) * 199 + (-1,)
+    assert levi_topological_type(so400, fork, ones) == ones
+    assert levi_topological_type(so400, fork, (2,) + (0,) * 199) == \
+        (Fraction(1, 100),) * 199 + (Fraction(-1, 100),)
+    assert levi_fundamental_groups(so400, fork)[1].describe() == "Z"
+    # with both fork roots outside I, L_I keeps an SO(4) factor
+    tail = ParabolicIndex(so400, frozenset({197}))
+    assert levi_topological_type(so400, tail, (1,) * 200) == (1,) * 198 + (0, 0)
+    assert levi_fundamental_groups(so400, tail)[1].describe() == "Z x Z/2"
 
 
 def _quotient(ambient_basis, spanning):
