@@ -10,8 +10,9 @@ lane per orbit point, so that one parabolic scores the whole orbit in one
 multiply-add per term.  Its answer depends only on the Weyl orbit, so it
 is computed once per orbit and cached by the dominant point.
 
-The canonical reduction depends only on the HN type, the dominant point
-of the orbit, so it too is built once per (family, dominant point) and
+The canonical reduction is the forced index of the HN type, the dominant
+point of the orbit: it reads no root table and answers at every rank.
+For small families it is built once per (family, dominant point) and
 cached, apart from the oracle's cache and unread by it.  Its BH
 conditions ride on the reduction object itself, computed on first read;
 every call still checks its input and the orbit.
@@ -22,13 +23,13 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from operator import add
 
 from .bundle import IsotropicBundle, SlBundle, underlying
 from .errors import InvalidReduction, TooLarge
 from .hnfilt import hn_filtration, hn_filtration_isotropic
-from .parabolic import (CACHED_DIM, ParabolicIndex, _two_rho_terms,
-                        character_generators)
+from .parabolic import ParabolicIndex, _generator_terms, _two_rho_terms
 from .rootsys import (GL, SL, GroupFamily, _point, _simple_root_values,
                       as_cocharacter, dominant_representative, evaluate,
                       is_dominant, positive_root_count, simple_root_count,
@@ -43,6 +44,11 @@ ORACLE_WORK_GUARD = 32 * (6 * 3840 + 25)
 
 # (lane width in bits, array typecode) of the signed lanes, narrowest first
 _LANES = tuple((array(t).itemsize * 8, t) for t in "hiq")
+
+# The reduction cache keeps the 79 families of cartan_dim at most
+# CACHED_DIM; a larger reduction, whose type, 2rho_P and BH degrees are as
+# long as its cartan_dim, is built afresh on each call.
+CACHED_DIM = 16
 
 
 @dataclass(frozen=True)
@@ -74,8 +80,6 @@ class CanonicalReduction:
     family: GroupFamily
     index: ParabolicIndex
     mu: HNType
-    ad_positive_roots: frozenset
-    ad_parabolic_roots: frozenset
 
     @cached_property
     def _bh(self):
@@ -108,21 +112,14 @@ def canonical_reduction(family: GroupFamily, a) -> CanonicalReduction:
 
 
 def _build_reduction(family: GroupFamily, mu) -> CanonicalReduction:
-    index = forced_index(family, mu)
-    # mu is dominant, so the roots positive at mu are the nilradical roots
-    # of its forced index and the roots vanishing at mu are the Levi roots
-    levi, nilrad = index._split
-    return CanonicalReduction(family, index, HNType(family, mu),
-                              frozenset(nilrad), frozenset(levi + nilrad))
+    return CanonicalReduction(family, forced_index(family, mu), HNType(family, mu))
 
 
 # keyed by the dominant point, like _oracle_of_orbit, for families of
-# cartan_dim <= CACHED_DIM: an entry holds two root sets of at most 3 x 256
-# roots (Sp32) and its index's root split, two tuples of the same roots,
-# whose roots the cached root table keeps anyway, and once read, its BH
-# answer (a flag and at most 16 degrees) and its index's 2rho_P.  The
-# grids of a canon_oracle benchmark run hold 247 orbits, so 256 evicts
-# nothing.
+# cartan_dim <= CACHED_DIM: an entry holds the type and its index, and once
+# read, its BH answer (a flag and at most 16 degrees) and its index's
+# 2rho_P, each at most 16 numbers.  The grids of a canon_oracle benchmark
+# run hold 247 orbits, so 256 evicts nothing.
 _reduction_of_orbit = lru_cache(maxsize=256)(_build_reduction)
 
 
@@ -170,14 +167,18 @@ def check_bh(family: GroupFamily, a, red: CanonicalReduction):
 
 def bh_conditions(family: GroupFamily, index: ParabolicIndex, v):
     """The two conditions at an arbitrary reduction point v (possibly a
-    non-dominant Weyl translate)."""
+    non-dominant Weyl translate).  The degrees <chi, v> come from one
+    prefix-sum pass over v; one Fraction entry makes them all Fractions,
+    as it does the pairing."""
     v = _point(family, v, index)
     levi_ss = all(x == 0 for i, x in enumerate(_simple_root_values(family, v))
                   if i not in index.members)
     if not index.members:
         return levi_ss, []
-    degrees = [evaluate(chi, v) for chi in character_generators(family, index)]
-    return levi_ss, degrees
+    s = list(accumulate(v, initial=0))
+    zero = 0 * s[-1]
+    return levi_ss, [sum(c * s[j] for j, c in _generator_terms(family, i + 1))
+                     + zero for i in sorted(index.members)]
 
 
 def ad_degree(family: GroupFamily, index: ParabolicIndex, v) -> int:

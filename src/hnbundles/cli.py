@@ -28,9 +28,9 @@ from .hnfilt import (extend_with_perps, hn_filtration, hn_filtration_isotropic,
                      hn_uniqueness_oracle)
 from .lattice import fundamental_groups, levi_fundamental_groups, \
     obstruction_class, topological_type
-from .parabolic import ParabolicIndex
-from .rootsys import (GL, SL, SO, SP, GroupFamily, root_name, simple_root_count,
-                      weyl_orbit)
+from .parabolic import ParabolicIndex, _levi_positive_count
+from .rootsys import (GL, SL, SO, SP, GroupFamily, positive_root_count,
+                      root_name, simple_root_count, weyl_orbit)
 from .strata import (enumerate_strata, gl_dominance, hull_membership,
                      hull_membership_lp_oracle, to_dot)
 
@@ -229,12 +229,13 @@ def _cmd_canon(args) -> dict:
     red = canonical_reduction(family, args.deg)
     levi_ss, degrees = check_bh(family, args.deg, red)
     free, torsion = obstruction_class(family, args.deg)
+    positive, levi = positive_root_count(family), _levi_positive_count(red.index)
     doc = {"command": "canon", "family": f"{family.kind}{family.r}",
            "deg": list(args.deg),
            "mu": [str(c) for c in red.mu.mu],
            "index": red.index.names(),
-           "ad_positive_count": len(red.ad_positive_roots),
-           "ad_parabolic_rank": len(red.ad_parabolic_roots) + family.torus_dim,
+           "ad_positive_count": positive - levi,
+           "ad_parabolic_rank": positive + levi + family.torus_dim,
            "levi_semistable": levi_ss,
            "char_degrees": [str(d) for d in degrees],
            "obstruction": {"free": list(free), "torsion": list(torsion)},
@@ -310,8 +311,10 @@ def _suite_hn(rng):
 
 
 def _suite_canon(rng):
+    # SO6 and SO8 reach the D_n fork
     family = rng.choice([GroupFamily(GL, 3), GroupFamily(SP, 4),
-                         GroupFamily(SO, 5)])
+                         GroupFamily(SO, 5), GroupFamily(SO, 6),
+                         GroupFamily(SO, 8), GroupFamily(GL, 4)])
     a = tuple(rng.randint(-2, 2) for _ in range(family.cartan_dim))
     red = canonical_reduction(family, a)
     best, _ = ad_degree_max_oracle(family, a)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInKernelLattice, NotIntegral
-from .parabolic import ParabolicIndex
-from .rootsys import (GL, SL, SO, SP, GroupFamily, _point, as_cocharacter,
+from .parabolic import ParabolicIndex, _levi_blocks
+from .rootsys import (GL, SL, SO, GroupFamily, _point, as_cocharacter,
                       simple_root_count)
 
 
@@ -47,15 +47,6 @@ def fundamental_groups(family: GroupFamily):
     return levi_fundamental_groups(family, ParabolicIndex(family, ()))
 
 
-def _keeps_classical_factor(family: GroupFamily, index: ParabolicIndex):
-    """L_I keeps a factor of the family's own Sp or SO type: the last
-    simple root lies outside I, and for even SO so does e_(n-1) - e_n."""
-    n, members = family.cartan_dim, index.members
-    fork = family.kind == SO and family.r % 2 == 0
-    return family.kind in (SP, SO) and n - 1 not in members and \
-        not (fork and n - 2 in members)
-
-
 def levi_fundamental_groups(family: GroupFamily, index: ParabolicIndex):
     """(pi1_der, pi1, pi1_ab) of the Levi factor L_I.
 
@@ -65,8 +56,7 @@ def levi_fundamental_groups(family: GroupFamily, index: ParabolicIndex):
     """
     _point(family, index=index)
     free = family.torus_dim - simple_root_count(family) + len(index.members)
-    torsion = (2,) if family.kind == SO and \
-        _keeps_classical_factor(family, index) else ()
+    torsion = (2,) if family.kind == SO and _levi_blocks(index)[2] else ()
     return FinAbGroup(0, torsion), FinAbGroup(free, torsion), FinAbGroup(free, ())
 
 
@@ -114,17 +104,13 @@ def levi_topological_type(family: GroupFamily, index: ParabolicIndex, a):
     """
     a = list(_check_in_gamma(family, a))
     _point(family, index=index)
-    n, cuts = len(a), index.members
-    fork = family.kind == SO and family.r % 2 == 0 and \
-        n - 2 in cuts and n - 1 not in cuts
+    runs, fork, tail = _levi_blocks(index)
     if fork:
-        a[-1], cuts = -a[-1], cuts - {n - 2}
-    bounds = [0] + [i + 1 for i in range(n - 1) if i in cuts] + [n]
-    dead = _keeps_classical_factor(family, index)
+        a[-1] = -a[-1]
     centre = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        mean = Fraction(0 if dead and hi == n else sum(a[lo:hi]), hi - lo)
-        centre += [mean] * (hi - lo)
+    for lo, hi in runs:
+        centre += [Fraction(sum(a[lo:hi]), hi - lo)] * (hi - lo)
+    centre += [Fraction(0)] * tail
     if fork:
         centre[-1] = -centre[-1]
     return tuple(centre)

@@ -1,35 +1,23 @@
 """Standard parabolic subgroups P_I as subsets of simple roots.
 
-Covers the flag correspondence, the Levi/nilradical root split,
-containment order, and characters of P_I represented by their
-differentials (integer functionals on Cartan coordinates).  The root
-split and the character generators are closed forms read off the
-simple-root coordinates; the tests keep a solve, an integer-kernel route
-and the diagonal Levi blocks as oracles.
+Covers the flag correspondence, containment order, the Levi blocks of
+P_I and the adjoint data read off them (2rho_P, the Levi root count),
+and characters of P_I represented by their differentials (integer
+functionals on Cartan coordinates), all in closed form; the tests keep
+the root table, a solve, an integer-kernel route and the diagonal Levi
+blocks as oracles.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import gcd
 
 from .errors import (FamilyMismatch, InvalidFlag, NotACharacter,
-                     NothingToGenerate, TooLarge)
+                     NothingToGenerate)
 from .rootsys import (GL, SL, SO, SP, GroupFamily, _point,
-                      _simple_root_values, all_roots, positive_root_count,
-                      root_name, simple_root_coordinates, simple_root_count)
-
-# The root table of _root_supports lists 2|Phi+| roots of cartan_dim
-# entries each.  The limit is that count at GL160, whose table builds in
-# about 1 s (Python 3.11, one core of a 2-vCPU Xeon VM) and holds about
-# 50 MB; GL161 is refused.  Sp252 and SO254 sit just under it.
-ROOT_TABLE_GUARD = 2 * (160 * 159 // 2) * 160
-
-# The per-family caches (the root table, and canon's reduction per orbit)
-# keep families of cartan_dim at most CACHED_DIM only: 79 families, whose
-# tables hold 2.6 MB all together.  A larger table, up to ROOT_TABLE_GUARD,
-# is built afresh on each call and kept only by the split of its index; no
-# reduction of it is cached, since each entry would keep its roots.
-CACHED_DIM = 16
+                      _simple_root_values, root_name, simple_root_coordinates,
+                      simple_root_count)
 
 
 @dataclass(frozen=True)
@@ -50,19 +38,58 @@ class ParabolicIndex:
         return [root_name(self.family, i) for i in sorted(self.members)]
 
     @cached_property
-    def _split(self):
-        """_root_split of this index, kept on it: the filter over the
-        family's root table runs once per index."""
-        return _root_split(self)
-
-    @cached_property
     def _two_rho(self):
         """2rho_P, the sum of the nilradical roots of P_I, as a functional,
-        kept on this index.  It reads the split if the index keeps one and
-        otherwise filters without keeping it, so that the 2^count indexes
-        of _two_rho_terms hold 2rho_P alone."""
-        _, nilrad = vars(self).get("_split") or _root_split(self)
-        return tuple(sum(a[t] for a in nilrad) for t in range(self.family.cartan_dim))
+        kept on this index: 2rho_G less 2rho_L, in closed form from the
+        Levi blocks.  On a GL block [lo, hi) each coordinate is
+        (n - hi) - lo, plus (n - 1) + 2 for Sp, (n - 1) + 1 for odd SO and
+        n - 1 for even SO; the classical tail reads 0, and on the D_n fork
+        the last entry is negated."""
+        family = self.family
+        n = family.cartan_dim
+        shift = 0 if family.kind in (GL, SL) else \
+            n - 1 + (2 if family.kind == SP else family.r % 2)
+        runs, fork, tail = _levi_blocks(self)
+        out = [n + shift - hi - lo for lo, hi in runs for _ in range(lo, hi)]
+        out += [0] * tail
+        if fork:
+            out[-1] = -out[-1]
+        return tuple(out)
+
+
+def _levi_blocks(index: ParabolicIndex):
+    """(runs, fork, tail) of the Levi factor L_I, read off I with no root
+    table.  Each simple root e_i - e_(i+1) outside I ties x_(i+1) to x_i,
+    and the runs are the (lo, hi) bounds of the tied coordinates: the GL
+    blocks of L_I, in order.  On the D_n fork, e_(n-1) - e_n in I and
+    e_(n-1) + e_n outside it, x_n joins the block of x_(n-1) negated.  The
+    tail is the count of the last coordinates that L_I keeps as a factor of
+    the family's own Sp or SO type, which it does when the last simple
+    root lies outside I off the fork; it is 0 otherwise, and the runs stop
+    where it starts."""
+    family, members = index.family, index.members
+    n = family.cartan_dim
+    fork = family.kind == SO and family.r % 2 == 0 and \
+        n - 2 in members and n - 1 not in members
+    bounds = [0] + sorted(i + 1 for i in members
+                          if i < n - 1 and not (fork and i == n - 2))
+    tail = n - bounds[-1] if family.kind in (SP, SO) and \
+        n - 1 not in members and not fork else 0
+    if not tail:
+        bounds.append(n)
+    return tuple(zip(bounds, bounds[1:])), fork, tail
+
+
+def _levi_positive_count(index: ParabolicIndex) -> int:
+    """|Phi+_L|, the positive roots of the Levi factor L_I: m(m - 1)/2 for
+    each GL block of m coordinates, plus m^2 (Sp, odd SO) or m(m - 1) (even
+    SO) for a classical tail of m.  The nilradical of P_I has
+    |Phi+| - |Phi+_L| roots, and P_I has dimension
+    |Phi+| + |Phi+_L| + torus_dim."""
+    runs, _, tail = _levi_blocks(index)
+    even_so = index.family.kind == SO and index.family.r % 2 == 0
+    return sum((hi - lo) * (hi - lo - 1) // 2 for lo, hi in runs) + \
+        tail * (tail - even_so)
 
 
 def parabolic_from_flag(family: GroupFamily, flag_ranks) -> ParabolicIndex:
@@ -94,45 +121,6 @@ def parabolic_from_flag(family: GroupFamily, flag_ranks) -> ParabolicIndex:
         else:
             members.add(l - 1)
     return ParabolicIndex(family, frozenset(members))
-
-
-def _root_supports(family: GroupFamily):
-    """(root, support, positive) for each root in all_roots order, where
-    support is the bitmask of the simple roots with a nonzero coefficient
-    in the root's expansion; the coefficients share one sign.  Refuses a
-    table of more than ROOT_TABLE_GUARD entries before building it."""
-    if 2 * positive_root_count(family) * family.cartan_dim > ROOT_TABLE_GUARD:
-        raise TooLarge("enumeration guard exceeded")
-    if family.cartan_dim <= CACHED_DIM:
-        return _cached_supports(family)
-    return _build_supports(family)
-
-
-def _build_supports(family: GroupFamily):
-    out = []
-    for a in all_roots(family):
-        coords = simple_root_coordinates(family, a)
-        out.append((a, sum(1 << i for i, c in enumerate(coords) if c),
-                    any(c > 0 for c in coords)))
-    return tuple(out)
-
-
-# the 79 families of cartan_dim <= CACHED_DIM fit
-_cached_supports = lru_cache(maxsize=128)(_build_supports)
-
-
-def _root_split(index: ParabolicIndex):
-    """(Levi roots, nilradical roots) of P_I, both in all_roots order.
-
-    The Levi roots are the roots whose support misses I, and the nilradical
-    roots are the positive roots whose support meets I: one pass over the
-    family's root table.
-    """
-    mask = sum(1 << i for i in index.members)
-    supports = _root_supports(index.family)
-    return (tuple(a for a, support, _ in supports if not support & mask),
-            tuple(a for a, support, positive in supports
-                  if positive and support & mask))
 
 
 @lru_cache(maxsize=128)
@@ -189,22 +177,28 @@ def is_dominant_character(family: GroupFamily, index: ParabolicIndex, dchi):
     return ok, coeffs
 
 
-def _generator(family: GroupFamily, k: int):
-    """The generator of the k-th simple root (1-based): its fundamental
-    weight, scaled to the least multiple that is integral with integral
-    simple-root coordinates (Bourbaki, Lie Groups and Lie Algebras ch. VI,
-    Plates I-IV)."""
+def _generator_terms(family: GroupFamily, k: int):
+    """The generator chi of the k-th simple root (1-based) in the basis of
+    prefix sums: the (j, c) with <chi, v> = sum c S_j(v), where
+    S_j(v) = v_1 + ... + v_j, so that the degrees of all the generators at
+    a point cost one prefix-sum pass.  With g = gcd(k, n):
+      GL/SL: (n S_k - k S_n) / g;
+      Sp/SO off the fork: c S_k, c = 2 for odd k on Sp and even SO, else 1;
+      the D_n fork roots k = n - 1 and k = n: c (S_(n-1) -+ v_n), c = 2 for
+      odd n, else 1.
+    chi is the fundamental weight of the root, scaled to the least multiple
+    that is integral with integral simple-root coordinates (Bourbaki, Lie
+    Groups and Lie Algebras ch. VI, Plates I-IV)."""
     n = family.cartan_dim
     if family.kind in (GL, SL):
         g = gcd(k, n)
-        return ((n - k) // g,) * k + (-(k // g),) * (n - k)
+        return (k, n // g), (n, -(k // g))
     if family.kind == SO and family.r % 2 == 0 and k >= n - 1:
-        # the two fork roots of D_n: (1/2, ..., 1/2, -1/2) and (1/2, ..., 1/2)
+        # the fork weights (1/2, ..., 1/2, -+1/2): S_(n-1) - v_n = 2 S_(n-1) - S_n
         c = 2 if n % 2 else 1
-        return (c,) * (n - 1) + (c if k == n else -c,)
+        return ((n - 1, 2 * c), (n, -c)) if k == n - 1 else ((n, c),)
     # the simple-root coordinates of 1_k end in k/2 for Sp and even SO
-    c = 2 if k % 2 and family.r % 2 == 0 else 1
-    return (c,) * k + (0,) * (n - k)
+    return ((k, 2 if k % 2 and family.r % 2 == 0 else 1),)
 
 
 def character_generators(family: GroupFamily, index: ParabolicIndex):
@@ -213,9 +207,16 @@ def character_generators(family: GroupFamily, index: ParabolicIndex):
     The generator for alpha pairs to zero with the coroot of every other
     simple root and positively with the coroot of alpha: it is the least
     positive multiple of the fundamental weight of alpha that is integral
-    with integral coordinates over the simple roots.
+    with integral coordinates over the simple roots.  By Abel summation
+    its coordinate t sums its prefix-sum terms at the positions j > t.
     """
     _point(family, index=index)
     if not index.members:
         raise NothingToGenerate("empty parabolic index has no generators")
-    return [_generator(family, i + 1) for i in sorted(index.members)]
+    out = []
+    for i in sorted(index.members):
+        steps = [0] * (family.cartan_dim + 1)
+        for j, c in _generator_terms(family, i + 1):
+            steps[j] += c
+        out.append(tuple(accumulate(steps[:0:-1]))[::-1])
+    return out

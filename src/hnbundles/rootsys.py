@@ -42,6 +42,9 @@ KINDS = (GL, SL, SP, SO)
 # counts of work, so this limit only bounds what weyl_orbit itself builds.
 WEYL_ORBIT_GUARD = 46080
 
+# the entry types of a cocharacter that as_cocharacter returns unconverted
+_INT_ONLY = frozenset({int})
+
 
 @dataclass(frozen=True)
 class GroupFamily:
@@ -129,8 +132,13 @@ def positive_root_count(family: GroupFamily) -> int:
 
 def as_cocharacter(family: GroupFamily, a):
     """The integer tuple of a Cartan vector that must be a cocharacter:
-    exactly cartan_dim entries, each an integer or an integral rational."""
+    exactly cartan_dim entries, each an integer or an integral rational.
+    Every entry of the answer is an int: a tuple of ints is returned after
+    one scan of the entry types, and any other input (a bool, an int
+    subclass, a Fraction) is checked and converted entry by entry."""
     a = tuple(a)
+    if {*map(type, a)} == _INT_ONLY and len(a) == family.cartan_dim:
+        return a
     if len(a) != family.cartan_dim or any(
             not isinstance(c, int) and getattr(c, "denominator", None) != 1 for c in a):
         raise NotIntegral(f"{a} is not a cocharacter: need {family.cartan_dim} integral entries")

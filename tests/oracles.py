@@ -1,6 +1,8 @@
 """Solve, Hermite, kernel and normal-form routes that the closed forms
 replaced, kept as independent oracles for the tests: the rational solve
-and the Hermite-reduced integer row kernel, the point v_I and its sign
+and the Hermite-reduced integer row kernel, the root table of supports
+and the Levi/nilradical root split read off it (the oracle for 2rho_P,
+the Levi root count and the Levi centre), the point v_I and its sign
 test for the root split, the integer row kernel for the character
 generators, the canonical reduction and its BH conditions built afresh
 on every call, the coroot loop of the character test, the Smith normal
@@ -18,14 +20,14 @@ from itertools import combinations, product
 from math import gcd
 
 from hnbundles.bundle import PlainBundle, is_semistable
-from hnbundles.canon import (CanonicalReduction, HNType, bh_conditions,
-                             forced_index)
+from hnbundles.canon import (CACHED_DIM, CanonicalReduction, HNType,
+                             bh_conditions, forced_index)
 from hnbundles.errors import NotACharacter, TooLarge
 from hnbundles.lattice import FinAbGroup
-from hnbundles.parabolic import _root_split
 from hnbundles.rootsys import (GL, SL, GroupFamily, all_roots, as_cocharacter,
                                coroot, dominant_representative, evaluate,
-                               is_dominant, root_name, simple_roots)
+                               is_dominant, positive_root_count, root_name,
+                               simple_root_coordinates, simple_roots)
 from hnbundles.strata import (ENUM_BOUND_GUARD, ENUM_DIM_GUARD, StrataPoset,
                               stratum_label, stratum_leq)
 
@@ -193,14 +195,60 @@ def root_split_oracle(index):
     return tuple(levi), tuple(nilrad)
 
 
+# The root table of _root_supports lists 2|Phi+| roots of cartan_dim
+# entries each.  The limit is that count at GL160, whose table builds in
+# about 1 s (Python 3.11, one core of a 2-vCPU Xeon VM) and holds about
+# 50 MB; GL161 is refused.  Sp252 and SO254 sit just under it.
+ROOT_TABLE_GUARD = 2 * (160 * 159 // 2) * 160
+
+
+def _root_supports(family):
+    """(root, support, positive) for each root in all_roots order, where
+    support is the bitmask of the simple roots with a nonzero coefficient
+    in the root's expansion; the coefficients share one sign.  Refuses a
+    table of more than ROOT_TABLE_GUARD entries before building it, and
+    keeps the tables of families of cartan_dim at most CACHED_DIM."""
+    if 2 * positive_root_count(family) * family.cartan_dim > ROOT_TABLE_GUARD:
+        raise TooLarge("enumeration guard exceeded")
+    if family.cartan_dim <= CACHED_DIM:
+        return _cached_supports(family)
+    return _build_supports(family)
+
+
+def _build_supports(family):
+    out = []
+    for a in all_roots(family):
+        coords = simple_root_coordinates(family, a)
+        out.append((a, sum(1 << i for i, c in enumerate(coords) if c),
+                    any(c > 0 for c in coords)))
+    return tuple(out)
+
+
+# the 79 families of cartan_dim <= CACHED_DIM fit
+_cached_supports = lru_cache(maxsize=128)(_build_supports)
+
+
+def _root_split(index):
+    """(Levi roots, nilradical roots) of P_I, both in all_roots order: the
+    oracle for the closed forms read off the Levi blocks (2rho_P, the Levi
+    root count, the Levi centre).
+
+    The Levi roots are the roots whose support misses I, and the nilradical
+    roots are the positive roots whose support meets I: one pass over the
+    family's root table.
+    """
+    mask = sum(1 << i for i in index.members)
+    supports = _root_supports(index.family)
+    return (tuple(a for a, support, _ in supports if not support & mask),
+            tuple(a for a, support, positive in supports
+                  if positive and support & mask))
+
+
 def canonical_reduction_uncached(family, a):
     """canonical_reduction with no per-orbit cache: the forced index of the
-    dominant point, its root split and the HN type, built on every call."""
+    dominant point and the HN type, built on every call."""
     mu = dominant_representative(family, as_cocharacter(family, a))
-    index = forced_index(family, mu)
-    levi, nilrad = _root_split(index)
-    return CanonicalReduction(family, index, HNType(family, mu),
-                              frozenset(nilrad), frozenset(levi + nilrad))
+    return CanonicalReduction(family, forced_index(family, mu), HNType(family, mu))
 
 
 def check_bh_uncached(family, red):

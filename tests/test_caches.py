@@ -5,7 +5,7 @@ from functools import cached_property
 import hnbundles
 import oracles
 from hnbundles import canon, parabolic, rootsys
-from hnbundles.parabolic import CACHED_DIM
+from hnbundles.canon import CACHED_DIM
 from hnbundles.rootsys import (ORBIT_CACHE_LIMIT, GroupFamily, weyl_orbit,
                                weyl_orbit_size)
 
@@ -16,7 +16,6 @@ from hnbundles.rootsys import (ORBIT_CACHE_LIMIT, GroupFamily, weyl_orbit,
 # object (PER_OBJECT), so its memory goes with the object.
 MODULE_CACHES = {
     "hnbundles.rootsys.weyl_orbit": 128,
-    "hnbundles.parabolic._cached_supports": 128,
     "hnbundles.parabolic._two_rho_terms": 128,
     "hnbundles.canon._reduction_of_orbit": 256,
     "hnbundles.canon._oracle_of_orbit": 256,
@@ -24,7 +23,6 @@ MODULE_CACHES = {
 }
 
 PER_OBJECT = ((canon.CanonicalReduction, "_bh"),
-              (parabolic.ParabolicIndex, "_split"),
               (parabolic.ParabolicIndex, "_two_rho"))
 
 
@@ -41,31 +39,33 @@ def test_every_cache_is_bounded():
     assert caches == MODULE_CACHES
     for cls, name in PER_OBJECT:
         assert isinstance(vars(cls)[name], cached_property), (cls, name)
-    # the tower oracle keeps a bounded cache of its Smith normal forms
+    # the tower oracle keeps a bounded cache of its Smith normal forms, and
+    # the root table oracle one of its tables
     assert oracles.lattice_tower.cache_info().maxsize is not None
+    assert oracles._cached_supports.cache_info().maxsize is not None
 
 
 def test_per_family_caches_keep_small_families_only():
-    # every family the per-family caches admit fits in the table cache
+    # the families the reduction cache admits, 79 of them, fit in the
+    # oracle's root table cache, which keeps the same families
     small = [GroupFamily(kind, r) for kind in ("gl", "sl") for r in range(1, 17)]
     small += [GroupFamily("sp", 2 * n) for n in range(1, 17)]
     small += [GroupFamily("so", r) for r in range(3, 34)]
     assert {f.cartan_dim for f in small} == set(range(1, CACHED_DIM + 1))
-    assert len(small) <= parabolic._cached_supports.cache_info().maxsize
-    # a family over CACHED_DIM caches neither its table nor a reduction:
-    # each call builds its table afresh
-    per_family = (parabolic._cached_supports, canon._reduction_of_orbit)
+    assert len(small) <= oracles._cached_supports.cache_info().maxsize
+    # a family over CACHED_DIM caches no reduction: each call builds one
     for r in (17, 18):
         family, a = GroupFamily("gl", r), (1,) + (0,) * (r - 1)
-        before = [cache.cache_info() for cache in per_family]
+        before = canon._reduction_of_orbit.cache_info()
         red = canon.canonical_reduction(family, a)
         assert red == oracles.canonical_reduction_uncached(family, a)
+        assert canon.canonical_reduction(family, a) is not red
         assert canon.check_bh(family, a, red) == \
             oracles.check_bh_uncached(family, red)
-        assert [cache.cache_info() for cache in per_family] == before
-        table = parabolic._root_supports(family)
-        assert parabolic._root_supports(family) == table
-        assert parabolic._root_supports(family) is not table
+        assert canon._reduction_of_orbit.cache_info() == before
+        table = oracles._root_supports(family)
+        assert oracles._root_supports(family) == table
+        assert oracles._root_supports(family) is not table
 
 
 def test_orbit_cache_keeps_orbits_up_to_its_limit():

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hnbundles import canon, parabolic
+from hnbundles import canon, rootsys
 from hnbundles.bundle import (Atom, PlainBundle, SoBundle, SpBundle,
                               is_semistable, vertical_degree)
 from hnbundles.canon import (ORACLE_WORK_GUARD, CanonicalReduction, HNType,
@@ -18,12 +18,14 @@ from hnbundles.canon import (ORACLE_WORK_GUARD, CanonicalReduction, HNType,
 from hnbundles.errors import (FamilyMismatch, InvalidReduction, NotIntegral,
                               TooLarge)
 from hnbundles.lattice import levi_topological_type, topological_type
-from hnbundles.parabolic import ParabolicIndex, _root_split, _two_rho_terms
+from hnbundles.parabolic import (ParabolicIndex, _levi_positive_count,
+                                 _two_rho_terms)
 from hnbundles.rootsys import (GroupFamily, all_roots, as_cocharacter,
                                dominant_representative, evaluate, is_dominant,
-                               is_root, positive_roots, simple_roots,
-                               weyl_orbit, weyl_orbit_size)
-from oracles import canonical_reduction_uncached, check_bh_uncached
+                               is_root, positive_root_count, positive_roots,
+                               simple_roots, weyl_orbit, weyl_orbit_size)
+from oracles import (_root_split, canonical_reduction_uncached,
+                     check_bh_uncached)
 
 
 def test_canonical_reduction_examples():
@@ -31,7 +33,8 @@ def test_canonical_reduction_examples():
     red = canonical_reduction(sp4, (2, 1))
     assert red.index.members == {0, 1}
     assert red.mu.mu == (2, 1)
-    assert len(red.ad_parabolic_roots) + sp4.torus_dim == 6
+    assert positive_root_count(sp4) + _levi_positive_count(red.index) + \
+        sp4.torus_dim == 6
     red2 = canonical_reduction(sp4, (1, 1))
     assert red2.index.members == {1}
     red3 = canonical_reduction(GroupFamily("gl", 3), (0, 0, 0))
@@ -134,25 +137,36 @@ def test_answers_kept_on_objects_leave_their_values_alone():
     # a replaced object is built anew and holds no answer
     assert replace(red) == red and "_bh" not in vars(replace(red))
     index = replace(red.index)
-    assert index == red.index and not {"_split", "_two_rho"} & set(vars(index))
+    assert index == red.index and "_two_rho" not in vars(index)
 
 
-def test_the_root_table_is_filtered_once_per_reduction(monkeypatch):
-    calls = []
-
-    def counted(index):
-        calls.append(index)
-        return _root_split(index)
-
-    monkeypatch.setattr(parabolic, "_root_split", counted)
-    _reduction_of_orbit.cache_clear()
+def test_the_reduction_reads_no_root_table(monkeypatch):
     sp8, a = GroupFamily("sp", 8), (3, -1, 2, 0)
+    mu = dominant_representative(sp8, a)
+    nilrad = _root_split(forced_index(sp8, mu))[1]
+
+    def refused(*args):
+        raise AssertionError("a closed form listed the roots")
+
+    # all_roots lists the positive roots, so no root list survives this
+    monkeypatch.setattr(rootsys, "positive_roots", refused)
+    _reduction_of_orbit.cache_clear()
     red = canonical_reduction(sp8, a)
-    # the reduction and 2rho_P read one split of the index, the Levi centre none
     assert ad_degree(sp8, red.index, red.mu.mu) == sum(
-        evaluate(alpha, red.mu.mu) for alpha in red.ad_positive_roots) == 40
+        evaluate(alpha, mu) for alpha in nilrad) == 40
+    assert positive_root_count(sp8) - _levi_positive_count(red.index) == \
+        len(nilrad)
+    assert check_bh(sp8, a, red) == check_bh_uncached(sp8, red)
     levi_topological_type(sp8, red.index, a)
-    assert calls == [red.index]
+    # past the former root table guard: GL161, and SO400 on the D_n fork
+    for family, a in ((GroupFamily("gl", 161), (1,) + (0,) * 160),
+                      (GroupFamily("so", 400), (1,) * 199 + (-1,))):
+        red = canonical_reduction(family, a)
+        assert check_bh(family, a, red) == check_bh_uncached(family, red)
+        assert ad_degree(family, red.index, red.mu.mu) == evaluate(
+            red.index._two_rho, red.mu.mu)
+    assert red.index.members == {198} and red.index._two_rho == \
+        (199,) * 199 + (-199,)
 
 
 def test_ad_degree_max_examples():
@@ -342,8 +356,7 @@ def test_check_bh_returns_a_fresh_list_of_the_point_type():
     sp4 = GroupFamily("sp", 4)
     red = canonical_reduction(sp4, (2, 1))
     # the same reduction at a Fraction point: equal, with an equal hash
-    frac = CanonicalReduction(sp4, red.index, HNType(sp4, (Fraction(2), 1)),
-                              red.ad_positive_roots, red.ad_parabolic_roots)
+    frac = CanonicalReduction(sp4, red.index, HNType(sp4, (Fraction(2), 1)))
     assert frac == red and hash(frac) == hash(red)
     typed = ((red, int), (frac, Fraction))
     for order in (typed, typed[::-1]):
@@ -483,22 +496,26 @@ def test_hn_type_keeps_ints():
 @pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (
     ("gl", 3), ("sl", 3), ("sp", 4), ("sp", 6), ("so", 4), ("so", 5), ("so", 7))])
 def test_canonical_root_sets_are_the_roots_nonnegative_at_mu(family):
-    # reference: rescan every root at the dominant representative
+    # reference: rescan every root at the dominant representative; the
+    # forced index splits the roots at mu
     for a in product(range(-2, 3), repeat=family.cartan_dim):
         if family.kind == "sl" and sum(a) != 0:
             continue
         red = canonical_reduction(family, a)
         mu = red.mu.mu
-        assert red.ad_positive_roots == frozenset(
-            r for r in all_roots(family) if evaluate(r, mu) > 0)
-        assert red.ad_parabolic_roots == frozenset(
-            r for r in all_roots(family) if evaluate(r, mu) >= 0)
+        levi, nilrad = _root_split(red.index)
+        assert set(nilrad) == {
+            r for r in all_roots(family) if evaluate(r, mu) > 0}
+        assert set(levi + nilrad) == {
+            r for r in all_roots(family) if evaluate(r, mu) >= 0}
 
 
 def bracket_closure_check(red):
-    """Root-level shadow of Lie-bracket closure: both adjoint root sets
-    are closed under root addition."""
-    for roots in (red.ad_positive_roots, red.ad_parabolic_roots):
+    """Root-level shadow of Lie-bracket closure: the nilradical and the
+    parabolic root sets of the reduction's index are closed under root
+    addition."""
+    levi, nilrad = _root_split(red.index)
+    for roots in (set(nilrad), set(levi + nilrad)):
         for x in roots:
             for y in roots:
                 s = tuple(p + q for p, q in zip(x, y))
@@ -513,7 +530,7 @@ def test_bracket_closure():
     assert bracket_closure_check(canonical_reduction(sp4, (0, 0)))
     assert bracket_closure_check(canonical_reduction(sp4, (1, 0)))
     red = canonical_reduction(sp4, (1, 0))
-    assert red.ad_positive_roots == {(1, -1), (1, 1), (2, 0)}
+    assert set(_root_split(red.index)[1]) == {(1, -1), (1, 1), (2, 0)}
 
 
 @pytest.mark.parametrize("family", [GroupFamily("gl", 3), GroupFamily("sp", 4),
@@ -526,7 +543,7 @@ def test_canonical_attains_max_and_others_fail(family):
         mu = red.mu.mu
         best, argmax = ad_degree_max_oracle(family, a)
         assert ad_degree(family, red.index, mu) == best
-        assert best == sum(evaluate(r, mu) for r in red.ad_positive_roots)
+        assert best == sum(evaluate(r, mu) for r in _root_split(red.index)[1])
         # the canonical parabolic is inclusion-maximal among attainers
         for index, v in argmax:
             assert index.members >= red.index.members

@@ -8,6 +8,10 @@ FILES = sorted((ROOT / "src" / "hnbundles").glob("*.py")) + sorted(
     (ROOT / "tests").glob("*.py"))
 # the package's __init__ imports only to re-export
 SKIP = {ROOT / "src" / "hnbundles" / "__init__.py"}
+# the root table, which the tests keep as the oracle for the closed forms
+# read off the Levi blocks
+ORACLE_ONLY = {"_root_supports", "_build_supports", "_cached_supports",
+               "_root_split", "ROOT_TABLE_GUARD"}
 
 
 def unused_imports(source):
@@ -36,3 +40,31 @@ def test_the_scan_finds_an_unused_import():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def names_used(source):
+    """Every name a module binds, reads, imports or reaches as an
+    attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+def test_the_scan_finds_an_oracle_name():
+    assert names_used("from x import _root_split as s\n") >= {"_root_split"}
+    assert names_used("import p\np._cached_supports(f)\n") >= {"_cached_supports"}
+    assert names_used("def _build_supports(f): pass\n") >= {"_build_supports"}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "hnbundles").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_production_names_no_root_table(path):
+    assert names_used(path.read_text()) & ORACLE_ONLY == set()

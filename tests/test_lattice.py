@@ -11,17 +11,18 @@ from hypothesis import given, settings, strategies as st
 
 import hnbundles.lattice
 import oracles
-from hnbundles import parabolic
+from hnbundles import rootsys
 from hnbundles.errors import NotInKernelLattice
 from hnbundles.lattice import (FinAbGroup, fundamental_groups,
                                levi_fundamental_groups, levi_topological_type,
                                obstruction_class, topological_type)
-from hnbundles.parabolic import ParabolicIndex, _root_split
+from hnbundles.parabolic import ParabolicIndex
 from hnbundles.rootsys import (GroupFamily, all_roots, coroot, evaluate,
                                simple_roots, weyl_orbit)
-from oracles import (_row_kernel, _tower_groups, block_topological_type,
-                     lattice_tower, levi_lattice_tower, on_the_fork,
-                     smith_normal_form, solve_rational, tower_residues)
+from oracles import (_root_split, _row_kernel, _tower_groups,
+                     block_topological_type, lattice_tower,
+                     levi_lattice_tower, on_the_fork, smith_normal_form,
+                     solve_rational, tower_residues)
 
 FAMILIES = [GroupFamily("gl", r) for r in (3, 4, 5)] + \
     [GroupFamily("sl", r) for r in (3, 4)] + \
@@ -201,12 +202,13 @@ def test_levi_topological_type_is_the_central_projection(family):
 
 @pytest.fixture
 def no_roots(monkeypatch):
-    """The root table and its split, patched to raise."""
+    """The root lists and the oracle's root table, patched to raise:
+    all_roots lists the positive roots, so no root list survives."""
     def refused(*args):
         raise AssertionError("a closed form read the root table")
 
-    monkeypatch.setattr(parabolic, "_root_split", refused)
-    monkeypatch.setattr(parabolic, "_root_supports", refused)
+    monkeypatch.setattr(rootsys, "positive_roots", refused)
+    monkeypatch.setattr(oracles, "_root_supports", refused)
 
 
 @pytest.mark.parametrize("family", CENTRE_GRID, ids=lambda f: f"{f.kind}{f.r}")

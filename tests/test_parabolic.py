@@ -1,20 +1,23 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from hnbundles import parabolic
-from hnbundles.canon import ad_degree, canonical_reduction, forced_index
+import oracles
+from hnbundles.canon import (ad_degree, bh_conditions, canonical_reduction,
+                             forced_index)
 from hnbundles.errors import (FamilyMismatch, InvalidFlag, NotACharacter,
                               NothingToGenerate, TooLarge)
-from hnbundles.parabolic import (ROOT_TABLE_GUARD, ParabolicIndex, _root_split,
-                                 _root_supports, character_generators,
+from hnbundles.parabolic import (ParabolicIndex, _levi_blocks,
+                                 _levi_positive_count, character_generators,
                                  is_dominant_character, parabolic_from_flag,
                                  parabolic_leq)
 from hnbundles.rootsys import (GroupFamily, all_roots, coroot, evaluate,
                                positive_root_count, positive_roots,
                                simple_root_count, simple_roots)
-from oracles import (character_oracle, generator_oracle, index_point,
+from oracles import (ROOT_TABLE_GUARD, _root_split, _root_supports,
+                     character_oracle, generator_oracle, index_point,
                      levi_blocks, root_split_oracle, solve_rational)
 
 
@@ -135,20 +138,88 @@ def _table_size(family):
 
 
 def test_root_table_guard(monkeypatch):
-    # GL160 sits at the limit; Sp252, SO253 and SO254 just under it
+    # the oracle's root table: GL160 sits at the limit; Sp252, SO253 and
+    # SO254 just under it
     assert _table_size(GroupFamily("gl", 160)) == ROOT_TABLE_GUARD
     for kind, r in (("sl", 160), ("sp", 252), ("so", 253), ("so", 254)):
         assert _table_size(GroupFamily(kind, r)) <= ROOT_TABLE_GUARD
-    # the next rank of each kind is refused before a root is listed
-    monkeypatch.setattr(parabolic, "all_roots", None)
+    # the next rank of each kind is refused before a root is listed, and
+    # the canonical reduction, which reads no root table, answers there
+    monkeypatch.setattr(oracles, "all_roots", None)
     for kind, r in (("gl", 161), ("sl", 161), ("sp", 254), ("so", 255),
                     ("so", 256)):
         family = GroupFamily(kind, r)
         assert _table_size(family) > ROOT_TABLE_GUARD
         with pytest.raises(TooLarge, match="enumeration guard exceeded"):
             _root_supports(family)
-        with pytest.raises(TooLarge, match="enumeration guard exceeded"):
-            canonical_reduction(family, (0,) * family.cartan_dim)
+        zero = (0,) * family.cartan_dim
+        assert canonical_reduction(family, zero).index.members == set()
+
+
+# every index of these families, 629 in all, against the root table
+CLOSED_FORM_GRID = [GroupFamily("gl", r) for r in range(1, 8)] + \
+    [GroupFamily("sl", r) for r in range(2, 8)] + \
+    [GroupFamily("sp", r) for r in range(2, 13, 2)] + \
+    [GroupFamily("so", r) for r in range(3, 14)]
+
+
+def _every_index(family):
+    count = simple_root_count(family)
+    return [_idx(family, [i for i in range(count) if bits >> i & 1])
+            for bits in range(1 << count)]
+
+
+@pytest.mark.parametrize("family", CLOSED_FORM_GRID, ids=_name)
+def test_levi_closed_forms_equal_the_root_table(family):
+    # 2rho_P is the sum of the nilradical roots, and P_I holds the Levi and
+    # nilradical roots (and the torus): exact ints, equal to the table's
+    positive = positive_root_count(family)
+    for index in _every_index(family):
+        levi, nilrad = _root_split(index)
+        two_rho = tuple(sum(a[t] for a in nilrad)
+                        for t in range(family.cartan_dim))
+        assert index._two_rho == two_rho, index
+        assert all(type(c) is int for c in index._two_rho)
+        levi_count = _levi_positive_count(index)
+        assert positive - levi_count == len(nilrad), index
+        assert positive + levi_count == len(levi + nilrad), index
+        # the runs and the tail cover the coordinates once, in order
+        runs, fork, tail = _levi_blocks(index)
+        bounds = [lo for lo, _ in runs] + [family.cartan_dim - tail]
+        assert [hi for _, hi in runs] == bounds[1:]
+        assert fork == oracles.on_the_fork(index)
+
+
+def _points(rng, family):
+    """An int point, a Fraction point and a mixed point, whose one
+    Fraction entry sits anywhere."""
+    dim = family.cartan_dim
+    ints = tuple(rng.randint(-4, 4) for _ in range(dim))
+    fractions = tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 3))
+                      for _ in range(dim))
+    k = rng.randrange(dim)
+    mixed = ints[:k] + (Fraction(rng.randint(-8, 8), 2),) + ints[k + 1:]
+    return ints, fractions, mixed
+
+
+@pytest.mark.parametrize("family", CLOSED_FORM_GRID, ids=_name)
+def test_bh_degrees_equal_the_pairings_with_the_generators(family):
+    # one prefix-sum pass against the pairing of each generator with the
+    # point: equal values of equal types, a Fraction for any point that
+    # holds one.  The generators equal the kernel route's.
+    rng = random.Random(f"bh {family.kind}{family.r}")
+    count = simple_root_count(family)
+    kernel = [generator_oracle(family, i) for i in range(count)]
+    for index in _every_index(family):
+        if index.members:
+            assert character_generators(family, index) == [
+                kernel[i] for i in sorted(index.members)]
+        for v in _points(rng, family):
+            expected = [evaluate(kernel[i], v) for i in sorted(index.members)]
+            _, degrees = bh_conditions(family, index, v)
+            assert degrees == expected, (index, v)
+            assert list(map(type, degrees)) == list(map(type, expected)), \
+                (index, v)
 
 
 def test_character_generators_equal_the_kernel_oracle():

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
@@ -58,6 +59,33 @@ def test_as_cocharacter():
             as_cocharacter(gl3, bad)
     # the SL trace condition is lattice membership, not checked here
     assert as_cocharacter(GroupFamily("sl", 3), (1, 1, 1)) == (1, 1, 1)
+
+
+class _Int(int):
+    pass
+
+
+def test_as_cocharacter_contract():
+    # an int tuple passes one scan of its types; a bool, an int subclass or
+    # an integral Fraction anywhere is converted: every entry is an int
+    gl3 = GroupFamily("gl", 3)
+    for a, expected in (
+            ([2, -1, 0], (2, -1, 0)), (iter((2, -1, 0)), (2, -1, 0)),
+            ((2, True, 0), (2, 1, 0)), ((True, False, True), (1, 0, 1)),
+            ((_Int(2), -1, 0), (2, -1, 0)), ((2, -1, Fraction(0)), (2, -1, 0)),
+            ((Fraction(4, 2), True, _Int(-5)), (2, 1, -5))):
+        out = as_cocharacter(gl3, a)
+        assert type(out) is tuple and out == expected, a
+        assert all(type(c) is int for c in out), a
+    assert as_cocharacter(GroupFamily("gl", 1), (10**30,)) == (10**30,)
+    # anything else is refused with one message, the tuple and the length
+    for bad in [(2.0, 0, 0), (Decimal("2"), 0, 0), ("2", 0, 0),
+                (Fraction(1, 2), 0, 0), (0, 0, 2.0), (1, 2), (1, 2, 3, 4), (),
+                (None, 0, 0)]:
+        with pytest.raises(NotIntegral) as err:
+            as_cocharacter(gl3, bad)
+        assert str(err.value) == \
+            f"{bad} is not a cocharacter: need 3 integral entries"
 
 
 def test_coroot_examples():
