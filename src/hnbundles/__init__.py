@@ -20,7 +20,7 @@ from .parabolic import (ParabolicIndex, character_generators,
 from .rootsys import (GroupFamily, as_cocharacter, coroot,
                       dominant_representative, positive_roots, simple_roots,
                       weyl_orbit)
-from .strata import (StrataPoset, StratumLabel, enumerate_strata,
-                     hull_membership, stratum_leq, to_dot)
+from .strata import (StrataPoset, enumerate_strata, hull_membership,
+                     stratum_leq, to_dot)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,33 +1,35 @@
 """Canonical reductions of torus-split principal bundles and HN types.
 
-Both characterizations are implemented: the filtration route (the
-reduction whose adjoint data is the perp of the top isotropic step) and
-the Levi-semistability plus dominant-character route, together with a
-brute-force degree-maximization oracle that checks them against each
-other.  The oracle scores every (parabolic, Weyl point) pair exactly; it
-packs each orbit's prefix-sum columns into Python ints, one fixed-width
-lane per orbit point, so that one parabolic scores the whole orbit in one
-multiply-add per term.  Its answer depends only on the Weyl orbit, so it
-is computed once per orbit and cached by the dominant point.
+Both characterizations are implemented: the filtration route (hn_type,
+the slopes of the HN filtration of a bundle) and the degree route
+(canonical_reduction, with the Levi-semistability and dominant-character
+conditions of check_bh); tests/test_canon.py checks them against each
+other on split bundles, and a brute-force degree-maximization oracle
+checks the degree route.  The oracle scores every (parabolic, Weyl
+point) pair exactly, packing each orbit's prefix-sum columns into Python
+ints, one lane per orbit point, so that one parabolic scores the whole
+orbit in one multiply-add per term; its answer depends only on the
+orbit, so it is cached by the dominant point.
 
-The canonical reduction is the forced index of the HN type, the dominant
-point of the orbit: it reads no root table and answers at every rank.
-For small families it is built once per (family, dominant point) and
-cached, apart from the oracle's cache and unread by it.  Its BH
-conditions ride on the reduction object itself, computed on first read;
-every call still checks its input and the orbit.
+The canonical reduction is a value fixed by its HN type, the dominant
+point of the orbit, and it labels the HN stratum of that type (strata):
+its family and forced index are read off the type, with no root table,
+at every rank.  For small families it is built once per (family,
+dominant point) and cached, apart from the oracle's cache.  Its BH
+conditions ride on the object, computed on first read; every call still
+checks its input, the family and the orbit.
 """
 
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import add
 
 from .bundle import IsotropicBundle, SlBundle, underlying
-from .errors import InvalidReduction, TooLarge
+from .errors import FamilyMismatch, InvalidReduction, TooLarge
 from .hnfilt import hn_filtration, hn_filtration_isotropic
 from .parabolic import ParabolicIndex, _generator_terms, _two_rho_terms
 from .rootsys import (GL, SL, GroupFamily, _point, _simple_root_values,
@@ -77,16 +79,26 @@ class HNType:
 
 @dataclass(frozen=True)
 class CanonicalReduction:
-    family: GroupFamily
-    index: ParabolicIndex
+    """The reduction to the parabolic P_I that its HN type forces, I the
+    simple roots positive on the type: the type is its one field, and the
+    family and the index are read off it."""
+
     mu: HNType
+    index: ParabolicIndex = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", forced_index(self.family, self.mu.mu))
+
+    @property
+    def family(self) -> GroupFamily:
+        return self.mu.family
 
     @cached_property
     def _bh(self):
         """(levi_semistable, char_degrees as a tuple) at the reduction
         point, kept on this object: the cached reduction of an orbit keeps
         its answer, and a reduction at a Fraction point keeps its own."""
-        levi_ss, degrees = bh_conditions(self.index.family, self.index, self.mu.mu)
+        levi_ss, degrees = bh_conditions(self.family, self.index, self.mu.mu)
         return levi_ss, tuple(degrees)
 
 
@@ -108,19 +120,19 @@ def canonical_reduction(family: GroupFamily, a) -> CanonicalReduction:
     mu = dominant_representative(family, a)
     if len(mu) <= CACHED_DIM:
         return _reduction_of_orbit(family, mu)
-    return _build_reduction(family, mu)
+    return stratum_label(family, mu)
 
 
-def _build_reduction(family: GroupFamily, mu) -> CanonicalReduction:
-    return CanonicalReduction(family, forced_index(family, mu), HNType(family, mu))
+def stratum_label(family: GroupFamily, mu) -> CanonicalReduction:
+    """The canonical reduction of a dominant type mu: its stratum label."""
+    return CanonicalReduction(HNType(family, mu))
 
 
-# keyed by the dominant point, like _oracle_of_orbit, for families of
-# cartan_dim <= CACHED_DIM: an entry holds the type and its index, and once
-# read, its BH answer (a flag and at most 16 degrees) and its index's
-# 2rho_P, each at most 16 numbers.  The grids of a canon_oracle benchmark
-# run hold 247 orbits, so 256 evicts nothing.
-_reduction_of_orbit = lru_cache(maxsize=256)(_build_reduction)
+# keyed by the dominant point, like _oracle_of_orbit, for cartan_dim <=
+# CACHED_DIM: an entry holds the type, its index and, once read, its BH
+# answer and 2rho_P, each at most 16 numbers.  The grids of a canon_oracle
+# benchmark run hold 247 orbits, so 256 evicts nothing.
+_reduction_of_orbit = lru_cache(maxsize=256)(stratum_label)
 
 
 def hn_type(b) -> HNType:
@@ -154,13 +166,16 @@ def check_bh(family: GroupFamily, a, red: CanonicalReduction):
     the index against it (all positive for a canonical reduction).  The
     answer is computed once per reduction object and kept on it
     (CanonicalReduction._bh), and each call returns a fresh list.
+
+    Checks a, then the reduction's length (ValueError), family
+    (FamilyMismatch) and orbit, against its type, dominant by construction.
     """
     a = as_cocharacter(family, a)
-    mu = red.mu.mu
-    if tuple(dominant_representative(family, a)) != tuple(
-            dominant_representative(family, mu)):
+    mu = _point(family, red.mu.mu)
+    if red.family != family:
+        raise FamilyMismatch("reduction belongs to a different family")
+    if dominant_representative(family, a) != mu:
         raise InvalidReduction("reduction point is not in the Weyl orbit of a")
-    _point(family, index=red.index)
     levi_ss, degrees = red._bh
     return levi_ss, list(degrees)
 

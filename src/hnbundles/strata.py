@@ -1,14 +1,15 @@
 """Harder-Narasimhan stratification poset.
 
-Labels are (dominant type, forced parabolic index) pairs; the order
-combines parabolic containment with Weyl-orbit convex-hull membership,
-decided by Kostant's convexity theorem as a sign test on the integer
-order keys of the dominant representatives, with no orbit and no solve.
-enumerate_strata lists the dominant labels directly, not by a walk
-over the box, reads each label's key once, not once per pair, and takes
-its covers as a transitive reduction.  An exact phase-1 simplex over the
-whole Weyl orbit stays as an oracle for tests and the hull check suite,
-and a partial-sum dominance test for GL cross-checks both.
+Labels are canonical reductions (canon.CanonicalReduction), a dominant
+type with the parabolic index it forces.  The order combines parabolic
+containment with Weyl-orbit convex-hull membership, decided by
+Kostant's convexity theorem as a sign test on the integer order keys of
+the dominant representatives, with no orbit and no solve.
+enumerate_strata lists the dominant labels directly, not by a walk over
+the box, reads each label's key once, not once per pair, and takes its
+covers as a transitive reduction.  An exact phase-1 simplex over the
+whole Weyl orbit is an oracle for tests and the hull check suite, and a
+partial-sum dominance test for GL cross-checks both.
 """
 
 from dataclasses import dataclass
@@ -17,9 +18,9 @@ from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import ge, le
 
-from .canon import HNType, forced_index
+from .canon import CanonicalReduction, stratum_label
 from .errors import FamilyMismatch, InvariantBreach, TooLarge
-from .parabolic import ParabolicIndex, parabolic_leq
+from .parabolic import parabolic_leq
 from .rootsys import (GL, SL, SO, GroupFamily, _order_key, _point,
                       dominant_representative, weyl_orbit, weyl_orbit_size)
 
@@ -143,33 +144,7 @@ def gl_dominance(mu, nu) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class StratumLabel:
-    """A dominant type with the parabolic index it forces; the index is
-    computed when left out, and checked when given."""
-
-    family: GroupFamily
-    mu: HNType
-    index: ParabolicIndex = None
-
-    def __post_init__(self):
-        # explicit raises, not assert, so that python -O keeps the checks
-        if self.mu.family != self.family:
-            raise FamilyMismatch("type belongs to a different family")
-        forced = forced_index(self.family, self.mu.mu)
-        if self.index is None:
-            object.__setattr__(self, "index", forced)
-        elif self.index != forced:
-            mu = ", ".join(str(c) for c in self.mu.mu)
-            raise ValueError(f"index {{{','.join(self.index.names())}}} is "
-                             f"not the index forced by the type ({mu})")
-
-
-def stratum_label(family: GroupFamily, mu) -> StratumLabel:
-    return StratumLabel(family, HNType(family, mu))
-
-
-def stratum_leq(a: StratumLabel, b: StratumLabel) -> bool:
+def stratum_leq(a: CanonicalReduction, b: CanonicalReduction) -> bool:
     """True when b dominates a: the parabolic of b sits inside that of a
     and the type of a lies in the orbit hull of the type of b.  The
     semistable label of a topological type ends up below every label of
@@ -234,7 +209,7 @@ def enumerate_strata(family: GroupFamily, bound: int,
     return StrataPoset(tuple(labels), frozenset(covers))
 
 
-def _label_name(s: StratumLabel) -> str:
+def _label_name(s: CanonicalReduction) -> str:
     mu = ",".join(str(c) for c in s.mu.mu)
     names = ",".join(s.index.names())
     return f"({mu});{{{names}}}"

@@ -20,8 +20,7 @@ from itertools import combinations, product
 from math import gcd
 
 from hnbundles.bundle import PlainBundle, is_semistable
-from hnbundles.canon import (CACHED_DIM, CanonicalReduction, HNType,
-                             bh_conditions, forced_index)
+from hnbundles.canon import CACHED_DIM, bh_conditions
 from hnbundles.errors import NotACharacter, TooLarge
 from hnbundles.lattice import FinAbGroup
 from hnbundles.rootsys import (GL, SL, GroupFamily, all_roots, as_cocharacter,
@@ -248,7 +247,7 @@ def canonical_reduction_uncached(family, a):
     """canonical_reduction with no per-orbit cache: the forced index of the
     dominant point and the HN type, built on every call."""
     mu = dominant_representative(family, as_cocharacter(family, a))
-    return CanonicalReduction(family, forced_index(family, mu), HNType(family, mu))
+    return stratum_label(family, mu)
 
 
 def check_bh_uncached(family, red):

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from hnbundles import canon, rootsys
 from hnbundles.bundle import (Atom, PlainBundle, SoBundle, SpBundle,
-                              is_semistable, vertical_degree)
+                              bundle_from_degrees, is_semistable,
+                              vertical_degree)
 from hnbundles.canon import (ORACLE_WORK_GUARD, CanonicalReduction, HNType,
                              _oracle_of_orbit, _packed_orbit,
                              _reduction_of_orbit, ad_degree,
@@ -122,6 +123,89 @@ def test_check_bh_rejects_a_reduction_of_another_family():
             check_bh(other, (2, 1), red)
     with pytest.raises(ValueError, match="has 2 coordinates, gl3 needs 3"):
         check_bh(GroupFamily("gl", 3), (2, 1, 0), red)
+
+
+def test_a_reduction_is_fixed_by_its_type():
+    gl3, sp4, so5 = GroupFamily("gl", 3), GroupFamily("sp", 4), GroupFamily("so", 5)
+    # the type is the one field: no second family, and no index to check
+    with pytest.raises(TypeError):
+        CanonicalReduction(gl3, ParabolicIndex(sp4, {0}), HNType(so5, (2, 1)))
+    with pytest.raises(TypeError):
+        CanonicalReduction(HNType(sp4, (2, 1)), ParabolicIndex(sp4, {0}))
+    with pytest.raises(TypeError):
+        CanonicalReduction(mu=HNType(sp4, (2, 1)), index=ParabolicIndex(sp4, {0}))
+    red = CanonicalReduction(HNType(sp4, (2, 1)))
+    assert red.family == sp4 and red.index == forced_index(sp4, (2, 1))
+    assert red == canonical_reduction(sp4, (1, -2))
+    # replace raises ValueError up to Python 3.12 and TypeError from 3.13
+    with pytest.raises((ValueError, TypeError)):
+        replace(red, index=ParabolicIndex(sp4, {0}))
+    # a new type brings its own index
+    assert replace(red, mu=HNType(sp4, (1, 1))).index.members == {1}
+
+
+@pytest.mark.parametrize("kinds,mu", [
+    ((("gl", 3), ("sl", 3)), (1, 0, -1)),
+    ((("sp", 4), ("so", 4), ("so", 5)), (2, 1)),
+    ((("sp", 6), ("so", 6), ("so", 7)), (3, 2, 1))],
+    ids=["gl3-sl3", "sp4-so4-so5", "sp6-so6-so7"])
+def test_check_bh_rejects_each_other_family_of_equal_cartan_dim(kinds, mu):
+    families = [GroupFamily(*k) for k in kinds]
+    for family in families:
+        for other in families:
+            red = CanonicalReduction(HNType(other, mu))
+            if other == family:
+                assert check_bh(family, mu, red) == check_bh_uncached(family, red)
+            else:
+                # the point and the orbit agree: only the family tells
+                with pytest.raises(FamilyMismatch):
+                    check_bh(family, mu, red)
+
+
+def test_check_bh_reads_one_dominant_point(monkeypatch):
+    so8, a = GroupFamily("so", 8), (2, -1, 0, 1)
+    red = canonical_reduction(so8, a)
+    calls = []
+
+    def counted(family, v):
+        calls.append(v)
+        return dominant_representative(family, v)
+
+    monkeypatch.setattr(canon, "dominant_representative", counted)
+    assert check_bh(so8, a, red) == check_bh_uncached(so8, red)
+    assert calls == [a]
+
+
+def _fork_image(family, a):
+    """Whether hn_type of the split bundle of a is the outer-automorphism
+    image of the dominant point: on even SO, when no entry is zero and an
+    odd number of them are negative."""
+    return family.kind == "so" and family.r % 2 == 0 and all(a) and \
+        sum(x < 0 for x in a) % 2 == 1
+
+
+@pytest.mark.parametrize("family", [GroupFamily(k, r) for k, rs in (
+    ("gl", (2, 3, 4)), ("sl", (2, 3, 4)), ("sp", (2, 4, 6, 8)),
+    ("so", range(3, 10))) for r in rs], ids=str)
+def test_the_filtration_route_equals_the_degree_route(family):
+    # the formal isotropic model holds the absolute values of the degrees,
+    # so on even SO it drops their sign parity: there hn_type answers the
+    # dominant point with its last entry negated, whose index is the image
+    # of the forced one under the outer automorphism
+    fork = set()
+    for a in product(range(-2, 3), repeat=family.cartan_dim):
+        if family.kind == "sl" and sum(a):
+            continue
+        red = canonical_reduction(family, a)
+        filtered = CanonicalReduction(hn_type(bundle_from_degrees(family, a)))
+        if filtered != red:
+            fork.add(a)
+            mu = red.mu.mu
+            assert filtered.mu.mu == mu[:-1] + (-mu[-1],), a
+    assert fork == {a for a in product(range(-2, 3), repeat=family.cartan_dim)
+                    if _fork_image(family, a)}
+    assert len(fork) == {"so4": 8, "so6": 32, "so8": 128}.get(
+        f"{family.kind}{family.r}", 0)
 
 
 def test_answers_kept_on_objects_leave_their_values_alone():
@@ -356,7 +440,7 @@ def test_check_bh_returns_a_fresh_list_of_the_point_type():
     sp4 = GroupFamily("sp", 4)
     red = canonical_reduction(sp4, (2, 1))
     # the same reduction at a Fraction point: equal, with an equal hash
-    frac = CanonicalReduction(sp4, red.index, HNType(sp4, (Fraction(2), 1)))
+    frac = CanonicalReduction(HNType(sp4, (Fraction(2), 1)))
     assert frac == red and hash(frac) == hash(red)
     typed = ((red, int), (frac, Fraction))
     for order in (typed, typed[::-1]):

@@ -294,14 +294,12 @@ from hnbundles.canon import HNType
 from hnbundles.parabolic import (ParabolicIndex, character_generators,
                                  is_dominant_character)
 from hnbundles.rootsys import GroupFamily
-from hnbundles.strata import StratumLabel, hull_membership, stratum_label
+from hnbundles.strata import hull_membership, stratum_label
 gl3, sp4 = GroupFamily("gl", 3), GroupFamily("sp", 4)
 calls = [
     lambda: HNType(gl3, (1, 0)),
     lambda: HNType(gl3, (0, 1, 0)),
     lambda: stratum_label(gl3, (1, 0)),
-    lambda: StratumLabel(gl3, HNType(gl3, (1, 0, 0)),
-                         ParabolicIndex(gl3, frozenset())),
     lambda: hull_membership(gl3, (2, 0, -2), (1, -1)),
     lambda: hull_membership(gl3, (2, 0, -2), (1, 0, 0, -1)),
     lambda: hull_membership(gl3, (2, 0), (1, 0, -1)),
@@ -323,7 +321,7 @@ for call in calls:
 def test_input_checks_survive_optimize():
     proc = _run_optimized(OPTIMIZED_INPUT_CHECKS)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 8 + ["FamilyMismatch"] * 2
+    assert proc.stdout.split() == ["ValueError"] * 7 + ["FamilyMismatch"] * 2
 
 
 CONSTRUCTOR_CHECKS = """\

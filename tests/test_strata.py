@@ -5,11 +5,10 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hnbundles import strata
-from hnbundles.canon import HNType, forced_index
+from hnbundles import canon, strata
+from hnbundles.canon import forced_index
 from hnbundles.errors import FamilyMismatch, TooLarge
-from hnbundles.parabolic import ParabolicIndex
-from hnbundles.strata import (HULL_ORBIT_GUARD, StrataPoset, StratumLabel,
+from hnbundles.strata import (HULL_ORBIT_GUARD, StrataPoset,
                               enumerate_strata, gl_dominance, hull_membership,
                               hull_membership_lp_oracle, stratum_label,
                               stratum_leq, to_dot)
@@ -165,12 +164,6 @@ def test_stratum_label_errors():
         stratum_label(gl3, (1, 0))  # short type
     with pytest.raises(ValueError):
         stratum_label(gl3, (0, 1, 0))  # not dominant
-    with pytest.raises(ValueError):
-        StratumLabel(gl3, HNType(gl3, (1, 0, 0)),
-                     ParabolicIndex(gl3, frozenset()))  # not the forced index
-    with pytest.raises(FamilyMismatch):
-        StratumLabel(gl3, HNType(GroupFamily("gl", 2), (1, 0)),
-                     ParabolicIndex(gl3, frozenset({0})))
 
 
 def test_stratum_leq_examples():
@@ -281,7 +274,7 @@ def test_enumerate_forces_each_index_once(monkeypatch):
         calls.append(mu)
         return forced_index(family, mu)
 
-    monkeypatch.setattr(strata, "forced_index", counted)
+    monkeypatch.setattr(canon, "forced_index", counted)
     for family in (GroupFamily("gl", 3), GroupFamily("so", 8)):
         calls.clear()
         assert len(enumerate_strata(family, 2).labels) == len(calls)
