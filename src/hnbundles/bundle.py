@@ -11,8 +11,8 @@ from fractions import Fraction
 from typing import ClassVar
 
 from .errors import InvalidFlag, NotDegreeZero, UnsupportedRank, ZeroBundle
-from .rootsys import (GL, SL, SO, SP, GroupFamily, all_roots, as_cocharacter,
-                      evaluate)
+from .rootsys import (B, GL, SL, SO, SP, GroupFamily, all_roots,
+                      as_cocharacter, evaluate)
 
 
 @dataclass(frozen=True, order=True)
@@ -145,7 +145,7 @@ def bundle_from_degrees(family: GroupFamily, degrees):
         b = PlainBundle(tuple(Atom(d, 1) for d in degrees))
         return SlBundle(b) if family.kind == SL else b
     positive = tuple(Atom(abs(d), 1) for d in degrees if d != 0)
-    zeros = 2 * sum(1 for d in degrees if d == 0) + (family.r % 2)
+    zeros = 2 * sum(1 for d in degrees if d == 0) + (family.cartan_type == B)
     return isotropic_bundle(family.kind, positive, tuple([Atom(0, 1)] * zeros))
 
 

@@ -3,9 +3,9 @@
 Covers the flag correspondence, containment order, the Levi blocks of
 P_I and the adjoint data read off them (2rho_P, the Levi root count),
 and characters of P_I represented by their differentials (integer
-functionals on Cartan coordinates), all in closed form; the tests keep
-the root table, a solve, an integer-kernel route and the diagonal Levi
-blocks as oracles.
+functionals on Cartan coordinates), all in closed form in the family's
+Cartan type, never its kind; the tests keep the root table, a solve, an
+integer-kernel route and the diagonal Levi blocks as oracles.
 """
 
 from dataclasses import dataclass
@@ -15,9 +15,8 @@ from math import gcd
 
 from .errors import (FamilyMismatch, InvalidFlag, NotACharacter,
                      NothingToGenerate)
-from .rootsys import (GL, SL, SO, SP, GroupFamily, _point,
-                      _simple_root_values, root_name, simple_root_coordinates,
-                      simple_root_count)
+from .rootsys import (A, B, C, D, GroupFamily, _point, _simple_root_values,
+                      root_name, simple_root_coordinates, simple_root_count)
 
 
 @dataclass(frozen=True)
@@ -42,13 +41,11 @@ class ParabolicIndex:
         """2rho_P, the sum of the nilradical roots of P_I, as a functional,
         kept on this index: 2rho_G less 2rho_L, in closed form from the
         Levi blocks.  On a GL block [lo, hi) each coordinate is
-        (n - hi) - lo, plus (n - 1) + 2 for Sp, (n - 1) + 1 for odd SO and
-        n - 1 for even SO; the classical tail reads 0, and on the D_n fork
-        the last entry is negated."""
-        family = self.family
-        n = family.cartan_dim
-        shift = 0 if family.kind in (GL, SL) else \
-            n - 1 + (2 if family.kind == SP else family.r % 2)
+        (n - hi) - lo plus the offset of 2rho_G on the family's plate: 0 on
+        A_(n-1), n on B_n, n + 1 on C_n and n - 1 on D_n.  The classical
+        tail reads 0, and on the D_n fork the last entry is negated."""
+        n = self.family.cartan_dim
+        shift = {A: 0, B: n, C: n + 1, D: n - 1}[self.family.cartan_type]
         runs, fork, tail = _levi_blocks(self)
         out = [n + shift - hi - lo for lo, hi in runs for _ in range(lo, hi)]
         out += [0] * tail
@@ -64,17 +61,15 @@ def _levi_blocks(index: ParabolicIndex):
     blocks of L_I, in order.  On the D_n fork, e_(n-1) - e_n in I and
     e_(n-1) + e_n outside it, x_n joins the block of x_(n-1) negated.  The
     tail is the count of the last coordinates that L_I keeps as a factor of
-    the family's own Sp or SO type, which it does when the last simple
+    the family's own type B, C or D, which it does when the last simple
     root lies outside I off the fork; it is 0 otherwise, and the runs stop
     where it starts."""
-    family, members = index.family, index.members
-    n = family.cartan_dim
-    fork = family.kind == SO and family.r % 2 == 0 and \
-        n - 2 in members and n - 1 not in members
+    members, t = index.members, index.family.cartan_type
+    n = index.family.cartan_dim
+    fork = t == D and n - 2 in members and n - 1 not in members
     bounds = [0] + sorted(i + 1 for i in members
                           if i < n - 1 and not (fork and i == n - 2))
-    tail = n - bounds[-1] if family.kind in (SP, SO) and \
-        n - 1 not in members and not fork else 0
+    tail = n - bounds[-1] if t != A and n - 1 not in members and not fork else 0
     if not tail:
         bounds.append(n)
     return tuple(zip(bounds, bounds[1:])), fork, tail
@@ -82,27 +77,26 @@ def _levi_blocks(index: ParabolicIndex):
 
 def _levi_positive_count(index: ParabolicIndex) -> int:
     """|Phi+_L|, the positive roots of the Levi factor L_I: m(m - 1)/2 for
-    each GL block of m coordinates, plus m^2 (Sp, odd SO) or m(m - 1) (even
-    SO) for a classical tail of m.  The nilradical of P_I has
+    each GL block of m coordinates, plus m^2 (B, C) or m(m - 1) (D) for a
+    classical tail of m.  The nilradical of P_I has
     |Phi+| - |Phi+_L| roots, and P_I has dimension
     |Phi+| + |Phi+_L| + torus_dim."""
     runs, _, tail = _levi_blocks(index)
-    even_so = index.family.kind == SO and index.family.r % 2 == 0
     return sum((hi - lo) * (hi - lo - 1) // 2 for lo, hi in runs) + \
-        tail * (tail - even_so)
+        tail * (tail - (index.family.cartan_type == D))
 
 
 def parabolic_from_flag(family: GroupFamily, flag_ranks) -> ParabolicIndex:
     """Index of the standard parabolic stabilizing a flag of the given ranks.
 
-    Ranks are subbundle ranks: < r for GL/SL, <= n (isotropic) for Sp/SO.
-    The SO-even ranks n-1 and n hit the two special simple roots.
+    Ranks are subbundle ranks: < r on type A, <= n (isotropic) on B, C
+    and D.  On D_n the ranks n-1 and n hit the two fork roots.
     """
     ranks = list(flag_ranks)
     if ranks != sorted(set(ranks)) or any(l < 1 for l in ranks):
         raise InvalidFlag(f"flag ranks must be strictly increasing positive: {ranks}")
     members = set()
-    if family.kind in (GL, SL):
+    if family.cartan_type == A:
         if any(l >= family.r for l in ranks):
             raise InvalidFlag(f"GL/SL flag ranks must be < {family.r}")
         members.update(l - 1 for l in ranks)
@@ -112,8 +106,8 @@ def parabolic_from_flag(family: GroupFamily, flag_ranks) -> ParabolicIndex:
     if any(l > n for l in ranks):
         raise InvalidFlag(f"isotropic ranks must be <= {n}")
     for l in ranks:
-        if family.kind == SP or family.r % 2 == 1:
-            members.add(l - 1 if l < n else n - 1)
+        if family.cartan_type != D:
+            members.add(l - 1)
         elif l == n - 1:
             members.update({n - 2, n - 1})
         elif l == n:
@@ -182,23 +176,23 @@ def _generator_terms(family: GroupFamily, k: int):
     prefix sums: the (j, c) with <chi, v> = sum c S_j(v), where
     S_j(v) = v_1 + ... + v_j, so that the degrees of all the generators at
     a point cost one prefix-sum pass.  With g = gcd(k, n):
-      GL/SL: (n S_k - k S_n) / g;
-      Sp/SO off the fork: c S_k, c = 2 for odd k on Sp and even SO, else 1;
+      A: (n S_k - k S_n) / g;
+      B, C, D off the fork: c S_k, c = 2 for odd k on C and D, else 1;
       the D_n fork roots k = n - 1 and k = n: c (S_(n-1) -+ v_n), c = 2 for
       odd n, else 1.
     chi is the fundamental weight of the root, scaled to the least multiple
     that is integral with integral simple-root coordinates (Bourbaki, Lie
     Groups and Lie Algebras ch. VI, Plates I-IV)."""
-    n = family.cartan_dim
-    if family.kind in (GL, SL):
+    n, t = family.cartan_dim, family.cartan_type
+    if t == A:
         g = gcd(k, n)
         return (k, n // g), (n, -(k // g))
-    if family.kind == SO and family.r % 2 == 0 and k >= n - 1:
+    if t == D and k >= n - 1:
         # the fork weights (1/2, ..., 1/2, -+1/2): S_(n-1) - v_n = 2 S_(n-1) - S_n
         c = 2 if n % 2 else 1
         return ((n - 1, 2 * c), (n, -c)) if k == n - 1 else ((n, c),)
-    # the simple-root coordinates of 1_k end in k/2 for Sp and even SO
-    return ((k, 2 if k % 2 and family.r % 2 == 0 else 1),)
+    # the simple-root coordinates of 1_k end in k/2 on C and D
+    return ((k, 2 if k % 2 and t != B else 1),)
 
 
 def character_generators(family: GroupFamily, index: ParabolicIndex):

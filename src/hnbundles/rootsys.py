@@ -2,25 +2,27 @@
 
 Cartan vectors are tuples of exact rationals of length ``cartan_dim``:
 r for GL/SL, n for Sp(2n) and SO(2n)/SO(2n+1).  Roots are integer
-functionals of the same length, evaluated by the dot product.
+functionals of the same length, evaluated by the dot product.  A
+family's ``kind`` names the group and its ``cartan_type`` the root
+system and Weyl group: A for GL/SL, B for odd SO, C for Sp, D for even
+SO (Bourbaki, Lie Groups and Lie Algebras ch. VI, Plates I-IV).  Every
+root-system formula reads the type, none the kind.
 
-The Weyl group acts by permutations (GL/SL) and signed permutations
-(Sp, SO; even SO changes an even number of signs), so the simple-root
-pairings, the dominant chamber, the simple-root coordinates and the
-orbit sizes have closed forms (Bourbaki, Lie Groups and Lie Algebras
-ch. VI, Plates I-IV).  So does the orbit itself: the distinct
-arrangements of the entries, or for Sp/SO of their absolute values with
-every sign pattern on the nonzero ones.  The arrangements come in
-lexicographically descending order from repeated previous-permutation
-steps on one list (Knuth, TAOCP 4A, 7.2.1.2, Algorithm L), with no
-recursion, so a GL/SL orbit is listed already sorted.  For Sp and odd SO
-each arrangement is expanded by a product of (x, -x) over its nonzero
-entries; for even SO with no zero entry, by one table of the sign
-patterns whose count of minus signs has the parity of the dominant
-point's.  The signed points are then sorted once.  The simple-root
-coordinates are the integer key of the stratum order, halved at the end
-of the diagram.  The tests check the closed forms against a loop of
-simple reflections and a solve.
+The Weyl group acts by permutations (A) and signed permutations (B, C;
+D changes an even number of signs), so the simple-root pairings, the
+dominant chamber, the simple-root coordinates and the orbit sizes have
+closed forms.  So does the orbit itself: the distinct arrangements of
+the entries, or off A of their absolute values with every sign pattern
+on the nonzero ones.  The arrangements come in lexicographically
+descending order from repeated previous-permutation steps on one list
+(Knuth, TAOCP 4A, 7.2.1.2, Algorithm L), with no recursion, so a type-A
+orbit is listed already sorted.  On B and C each arrangement is
+expanded by a product of (x, -x) over its nonzero entries; on D with no
+zero entry, by one table of the sign patterns whose count of minus
+signs has the parity of the dominant point's.  The signed points are
+then sorted once.  The simple-root coordinates are the integer key of
+the stratum order, halved at the end of the diagram.  The tests check
+the closed forms against a loop of simple reflections and a solve.
 """
 
 from collections import Counter
@@ -36,6 +38,7 @@ from .errors import (FamilyMismatch, NotARoot, NotIntegral, TooLarge,
 
 GL, SL, SP, SO = "gl", "sl", "sp", "so"
 KINDS = (GL, SL, SP, SO)
+A, B, C, D = "A", "B", "C", "D"
 
 # |W(B6)| = |W(C6)|; a regular GL9 point (9! translates) is refused.  The
 # two oracles that enumerate orbits refuse far smaller ones by their own
@@ -62,12 +65,13 @@ class GroupFamily:
             raise UnsupportedRank(f"Sp requires even matrix size, got {self.r}")
         if self.kind == SO and self.r < 2:
             raise UnsupportedRank(f"SO requires r >= 2, got {self.r}")
+        # not a field: ==, hash and repr read (kind, r) alone
+        object.__setattr__(self, "cartan_type", A if self.kind in (GL, SL) else
+                           C if self.kind == SP else B if self.r % 2 else D)
 
     @property
     def cartan_dim(self) -> int:
-        if self.kind in (GL, SL):
-            return self.r
-        return self.r // 2
+        return self.r if self.cartan_type == A else self.r // 2
 
     @property
     def torus_dim(self) -> int:
@@ -100,34 +104,30 @@ def simple_roots(family: GroupFamily):
     family.require_root_system()
     dim = family.cartan_dim
     out = [tuple(_sub(_e(l, dim), _e(l + 1, dim))) for l in range(dim - 1)]
-    if family.kind in (GL, SL):
-        return tuple(out)
-    n = dim
-    if family.kind == SP:
-        out.append(_e(n - 1, dim, 2))
-    elif family.r % 2 == 1:
-        out.append(_e(n - 1, dim))
-    else:
-        last = list(_e(n - 2, dim))
-        last[n - 1] = 1
-        out.append(tuple(last))
+    t = family.cartan_type
+    if t == B:
+        out.append(_e(dim - 1, dim))
+    elif t == C:
+        out.append(_e(dim - 1, dim, 2))
+    elif t == D:
+        out.append(_e(dim - 2, dim)[:-1] + (1,))
     return tuple(out)
 
 
 def simple_root_count(family: GroupFamily) -> int:
     """len(simple_roots(family)) without building them."""
     family.require_root_system()
-    return family.cartan_dim - (family.kind in (GL, SL))
+    return family.cartan_dim - (family.cartan_type == A)
 
 
 def positive_root_count(family: GroupFamily) -> int:
     """len(positive_roots(family)) without building them: n(n - 1)/2 for
-    GL/SL, n^2 for Sp and odd SO, n(n - 1) for even SO."""
+    A, n^2 for B and C, n(n - 1) for D."""
     family.require_root_system()
     n = family.cartan_dim
-    if family.kind in (GL, SL):
+    if family.cartan_type == A:
         return n * (n - 1) // 2
-    return n * n if family.kind == SP or family.r % 2 else n * (n - 1)
+    return n * (n - (family.cartan_type == D))
 
 
 def as_cocharacter(family: GroupFamily, a):
@@ -152,17 +152,17 @@ def _sub(a, b):
 def positive_roots(family: GroupFamily):
     """Positive roots: closure of the simple system, listed deterministically."""
     family.require_root_system()
-    dim = family.cartan_dim
+    dim, t = family.cartan_dim, family.cartan_type
     out = []
     for i in range(dim):
         for j in range(i + 1, dim):
             out.append(_sub(_e(i, dim), _e(j, dim)))
-            if family.kind in (SP, SO):
+            if t != A:
                 out.append(tuple(a + b for a, b in zip(_e(i, dim), _e(j, dim))))
-    if family.kind == SP:
-        out.extend(_e(i, dim, 2) for i in range(dim))
-    elif family.kind == SO and family.r % 2 == 1:
+    if t == B:
         out.extend(_e(i, dim) for i in range(dim))
+    elif t == C:
+        out.extend(_e(i, dim, 2) for i in range(dim))
     return tuple(sorted(out, reverse=True))
 
 
@@ -203,8 +203,8 @@ def _point(family: GroupFamily, v=None, index=None):
 
 def weyl_orbit_size(family: GroupFamily, v, *, limit=None) -> int:
     """|W.v| in closed form: the ways to place the multiset of entries
-    (of absolute values, for Sp/SO), times a sign for each nonzero entry
-    off GL/SL, halved for even SO when no entry is zero.  The placements
+    (of absolute values, off type A), times a sign for each nonzero entry
+    off type A, halved on D when no entry is zero.  The placements
     are counted as a product of binomials, largest multiplicity first, so
     the cost follows the answer rather than the factorial of len(v).
 
@@ -212,11 +212,11 @@ def weyl_orbit_size(family: GroupFamily, v, *, limit=None) -> int:
     answer is exact when |W.v| <= limit, and otherwise only over it."""
     family.require_root_system()
     v = _point(family, v)
-    signed = family.kind not in (GL, SL)
+    signed = family.cartan_type != A
     size, remaining = 1, len(v)
     if signed:
         nonzero = sum(1 for x in v if x)
-        halved = family.kind == SO and family.r % 2 == 0 and nonzero == len(v)
+        halved = family.cartan_type == D and nonzero == len(v)
         size <<= nonzero - halved
     for count in sorted(Counter(abs(x) if signed else x for x in v).values(),
                         reverse=True):
@@ -266,24 +266,23 @@ ORBIT_CACHE_LIMIT = 3840 * 5
 @lru_cache(maxsize=128)
 def _weyl_orbit(family: GroupFamily, v):
     """The sorted orbit of v, a point of any chamber.  The entries, or
-    their absolute values for Sp/SO, are sorted descending, each equal
+    their absolute values off type A, are sorted descending, each equal
     value taking the object of its first occurrence in v, and their
-    arrangements listed by previous-permutation steps: for GL/SL that
-    list is the orbit, sorted.  For Sp and odd SO every arrangement p
-    adds the product of the sign choices of its entries, (x, -x) for a
-    nonzero x and (x,) for a zero one, tabled once per value; for even
-    SO with no zero entry, the sign patterns that keep the parity of v's
-    negative entries, tabled once, multiply each p.  The signed points
-    are sorted once."""
+    arrangements listed by previous-permutation steps: on A that list is
+    the orbit, sorted.  On B and C every arrangement p adds the product
+    of the sign choices of its entries, (x, -x) for a nonzero x and (x,)
+    for a zero one, tabled once per value; on D with no zero entry, the
+    sign patterns that keep the parity of v's negative entries, tabled
+    once, multiply each p.  The signed points are sorted once."""
     first = {}
-    if family.kind in (GL, SL):
+    if family.cartan_type == A:
         return tuple(_descending_arrangements(
             sorted((first.setdefault(x, x) for x in v), reverse=True)))
     arrangements = _descending_arrangements(
         sorted((first.setdefault(x, x) for x in map(abs, v)), reverse=True))
     points = []
-    if family.kind == SO and family.r % 2 == 0 and all(v):
-        # even SO changes an even number of signs: with no zero entry to
+    if family.cartan_type == D and all(v):
+        # W(D_n) changes an even number of signs: with no zero entry to
         # absorb one, the count of negative entries keeps its parity
         negatives = sum(1 for x in v if x < 0)
         signs = [s for s in product((1, -1), repeat=len(v))
@@ -300,16 +299,16 @@ def _weyl_orbit(family: GroupFamily, v):
 
 def weyl_orbit(family: GroupFamily, v):
     """Finite Weyl orbit of v in closed form, sorted descending: the
-    distinct arrangements of the entries for GL/SL; for Sp/SO those of
-    the absolute values, with every sign pattern on the nonzero ones
-    (for even SO with no zero entry, those of the parity of v's).  The
-    arrangements are listed by previous-permutation steps, already in
-    descending order, and for Sp/SO each is expanded by a product of
-    signs, then the points are sorted once.  Refuses an orbit of more
-    than WEYL_ORBIT_GUARD points before building it.  W.v = W.dom(v),
-    and the sorted orbit is the same tuple from every one of its points,
-    so the cache is keyed by the dominant representative: a lookup at
-    any translate of a cached orbit hits.
+    distinct arrangements of the entries on type A; off A those of the
+    absolute values, with every sign pattern on the nonzero ones (on D
+    with no zero entry, those of the parity of v's).  The arrangements
+    are listed by previous-permutation steps, already in descending
+    order, and off A each is expanded by a product of signs, then the
+    points are sorted once.  Refuses an orbit of more than
+    WEYL_ORBIT_GUARD points before building it.  W.v = W.dom(v), and the
+    sorted orbit is the same tuple from every one of its points, so the
+    cache is keyed by the dominant representative: a lookup at any
+    translate of a cached orbit hits.
     An orbit of more than ORBIT_CACHE_LIMIT coordinates is built afresh
     on each call and not cached."""
     v = dominant_representative(family, v)
@@ -333,31 +332,29 @@ weyl_orbit.cache_clear = _weyl_orbit.cache_clear
 
 def dominant_representative(family: GroupFamily, v):
     """Unique orbit element in the closed Weyl chamber (all simple roots >= 0):
-    the entries sorted descending for GL/SL, their absolute values sorted
-    descending for Sp/SO, with the last one negated for even SO when no
-    entry is zero and an odd number of them are negative."""
+    the entries sorted descending on type A, their absolute values sorted
+    descending off A, with the last one negated on D when no entry is
+    zero and an odd number of them are negative."""
     family.require_root_system()
     v = _point(family, v)
-    if family.kind in (GL, SL):
+    if family.cartan_type == A:
         return tuple(sorted(v, reverse=True))
     out = sorted(map(abs, v), reverse=True)
-    if family.kind == SO and family.r % 2 == 0 and all(v) \
-            and sum(1 for x in v if x < 0) % 2:
+    if family.cartan_type == D and all(v) and sum(1 for x in v if x < 0) % 2:
         out[-1] = -out[-1]
     return tuple(out)
 
 
 def _simple_root_values(family: GroupFamily, v):
     """<alpha_i, v> for each simple root alpha_i, in order: the steps
-    v_i - v_(i+1), then 2 v_n for Sp, v_n for odd SO and v_(n-1) + v_n for
-    even SO (Bourbaki, Plates I-IV).  Checks the length of v first."""
+    v_i - v_(i+1), then v_n on B, 2 v_n on C and v_(n-1) + v_n on D
+    (Bourbaki, Plates I-IV).  Checks the length of v first."""
     v = _point(family, v)
     family.require_root_system()
     values = [x - y for x, y in zip(v, v[1:])]
-    if family.kind == SP:
-        values.append(2 * v[-1])
-    elif family.kind == SO:
-        values.append(v[-1] if family.r % 2 else v[-2] + v[-1])
+    t = family.cartan_type
+    if t != A:
+        values.append(v[-1] if t == B else 2 * v[-1] if t == C else v[-2] + v[-1])
     return values
 
 
@@ -367,39 +364,36 @@ def is_dominant(family: GroupFamily, v) -> bool:
 
 def _order_key(family: GroupFamily, v):
     """The key of the stratum order, of a checked point v: its prefix sums
-    s, with the even-SO fork entry made s_(n-1) - v_n.  These are the
-    simple-root coordinates with the Sp last and even-SO last two doubled,
-    so they are ints for an int point."""
+    s, with the D_n fork entry made s_(n-1) - v_n.  These are the
+    simple-root coordinates with the last one on C and the last two on D
+    doubled, so they are ints for an int point."""
     s = list(accumulate(v))
-    if family.kind == SO and family.r % 2 == 0:
+    if family.cartan_type == D:
         s[-2] -= v[-1]
     return s
 
 
 def simple_root_coordinates(family: GroupFamily, d):
     """The exact c with d = sum c_i alpha_i over the simple roots, or None
-    when d is off their span (GL/SL: when the entries of d do not sum to 0).
+    when d is off their span (on A: when the entries of d do not sum to 0).
 
     c is the order key of d with its doubled ends halved: the prefix sums
-    s of d, except c_n = s_n / 2 for Sp, and for even SO the fork splits
+    s of d, except c_n = s_n / 2 on C, and on D the fork splits
     into (s_{n-1} - d_n) / 2 and s_n / 2."""
     family.require_root_system()
     c = _order_key(family, _point(family, d))
-    if family.kind in (GL, SL):
+    t = family.cartan_type
+    if t == A:
         return c[:-1] if c[-1] == 0 else None
-    if family.kind == SO and family.r % 2:
+    if t == B:
         return c
-    ends = 1 if family.kind == SP else 2
+    ends = 1 if t == C else 2
     return c[:-ends] + [Fraction(x, 2) for x in c[-ends:]]
 
 
 def root_name(family: GroupFamily, index: int) -> str:
     """Stable display name of the index-th simple root."""
-    n = family.cartan_dim
-    if family.kind in (GL, SL) or index < n - 1:
+    n, t = family.cartan_dim, family.cartan_type
+    if t == A or index < n - 1:
         return f"a{index + 1},{index + 2}"
-    if family.kind == SP:
-        return f"2a{n}"
-    if family.r % 2 == 1:
-        return f"a{n}"
-    return f"a{n - 1}+a{n}"
+    return {B: f"a{n}", C: f"2a{n}", D: f"a{n - 1}+a{n}"}[t]

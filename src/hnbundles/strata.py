@@ -8,8 +8,9 @@ the dominant representatives, with no orbit and no solve.
 enumerate_strata lists the dominant labels directly, not by a walk over
 the box, reads each label's key once, not once per pair, and takes its
 covers as a transitive reduction.  An exact phase-1 simplex over the
-whole Weyl orbit is an oracle for tests and the hull check suite, and a
-partial-sum dominance test for GL cross-checks both.
+whole Weyl orbit is the one independent oracle, for tests and the hull
+check suite; the partial-sum dominance test for GL restates the GL order
+key, so it does not check the sign test.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from operator import ge, le
 from .canon import CanonicalReduction, stratum_label
 from .errors import FamilyMismatch, InvariantBreach, TooLarge
 from .parabolic import parabolic_leq
-from .rootsys import (GL, SL, SO, GroupFamily, _order_key, _point,
+from .rootsys import (A, D, GL, GroupFamily, _order_key, _point,
                       dominant_representative, weyl_orbit, weyl_orbit_size)
 
 # The LP oracle's simplex has one column per point of W.mu.  The limit is
@@ -108,13 +109,13 @@ def hull_membership(family: GroupFamily, mu, nu) -> bool:
     Kostant's convexity theorem: exactly when dom(mu) - dom(nu) is a
     nonnegative rational combination of the simple roots, that is when
     the order key of dom(mu) is at least that of dom(nu) in every entry.
-    For GL/SL the simple roots span only the trace-zero hyperplane, so
+    On type A the simple roots span only the trace-zero hyperplane, so
     the last entries, the centres, must also be equal.
     """
     top = _order_key(family, dominant_representative(family, mu))
     low = _order_key(family, dominant_representative(family, nu))
     return all(map(ge, top, low)) and (
-        family.kind not in (GL, SL) or top[-1] == low[-1])
+        family.cartan_type != A or top[-1] == low[-1])
 
 
 def hull_membership_lp_oracle(family: GroupFamily, mu, nu) -> bool:
@@ -130,7 +131,8 @@ def hull_membership_lp_oracle(family: GroupFamily, mu, nu) -> bool:
 
 def gl_dominance(mu, nu) -> bool:
     """Partial-sum dominance for GL: with equal totals, every prefix sum
-    of the descending sort of nu stays below that of mu."""
+    of the descending sort of nu stays below that of mu.  That is the
+    GL order-key test of hull_membership again, not an independent check."""
     a = sorted(mu, reverse=True)
     b = sorted(nu, reverse=True)
     if sum(a) != sum(b):
@@ -166,10 +168,10 @@ def _dominant_points(family: GroupFamily, bound: int):
     """The dominant integer points of [-bound, bound]^dim, of sum 0 for
     SL, listed directly in the box's descending lexicographic order."""
     dim = family.cartan_dim
-    if family.kind in (GL, SL):
+    if family.cartan_type == A:
         points = combinations_with_replacement(range(bound, -bound - 1, -1), dim)
         return (p for p in points if family.kind == GL or not sum(p))
-    if family.kind == SO and family.r % 2 == 0:
+    if family.cartan_type == D:
         heads = combinations_with_replacement(range(bound, -1, -1), dim - 1)
         return (h + (x,) for h in heads for x in range(h[-1], -h[-1] - 1, -1))
     return combinations_with_replacement(range(bound, -1, -1), dim)

@@ -68,3 +68,53 @@ def test_the_scan_finds_an_oracle_name():
                          ids=lambda p: p.name)
 def test_production_names_no_root_table(path):
     assert names_used(path.read_text()) & ORACLE_ONLY == set()
+
+
+def parity_sites(source):
+    """Lines that take x.r % 2 outside the body of a class GroupFamily,
+    the one place that reads the Cartan type off the parity of r."""
+    def walk(node):
+        if isinstance(node, ast.ClassDef) and node.name == "GroupFamily":
+            return
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) \
+                and isinstance(node.left, ast.Attribute) and node.left.attr == "r" \
+                and isinstance(node.right, ast.Constant) and node.right.value == 2:
+            yield node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child)
+    return sorted(walk(ast.parse(source)))
+
+
+def kind_sites(source):
+    """Lines that read an attribute named kind or import a family kind."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "kind":
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(
+                alias.name in ("GL", "SL", "SP", "SO") for alias in node.names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_scans_find_a_parity_test_and_a_kind():
+    source = ("from .rootsys import A, SO\n"
+              "class GroupFamily:\n"
+              "    def f(self):\n"
+              "        return self.r % 2\n"
+              "def g(family, b):\n"
+              "    return family.r % 2 == 0 or b.rank % 2 or family.r % 3\n"
+              "def h(family):\n"
+              "    return family.kind, family.cartan_type\n")
+    assert parity_sites(source) == [6]
+    assert kind_sites(source) == [1, 8]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "hnbundles").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_group_family_reads_the_parity_of_r(path):
+    assert parity_sites(path.read_text()) == []
+
+
+def test_parabolic_reads_no_kind():
+    assert kind_sites((ROOT / "src" / "hnbundles" / "parabolic.py").read_text()) == []

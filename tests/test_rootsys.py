@@ -1,6 +1,8 @@
 import math
+import pickle
 import random
 from collections import Counter
+from dataclasses import FrozenInstanceError, fields, replace
 from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations, product
@@ -11,11 +13,13 @@ from hypothesis import given, strategies as st
 
 from hnbundles import canon, lattice, parabolic, rootsys, strata
 from hnbundles.errors import NotARoot, NotIntegral, TooLarge, UnsupportedRank
-from hnbundles.rootsys import (GroupFamily, all_roots, as_cocharacter, coroot,
+from hnbundles.rootsys import (A, B, C, D, GroupFamily, all_roots,
+                               as_cocharacter, coroot,
                                dominant_representative, evaluate, is_dominant,
                                is_root, positive_root_count, positive_roots,
                                root_name, simple_root_coordinates,
-                               simple_roots, weyl_orbit, weyl_orbit_size)
+                               simple_root_count, simple_roots, weyl_orbit,
+                               weyl_orbit_size)
 from oracles import solve_rational
 
 FAMILIES = [GroupFamily("gl", 3), GroupFamily("gl", 4), GroupFamily("sl", 3),
@@ -578,3 +582,72 @@ def test_root_names():
     assert root_name(GroupFamily("sp", 4), 1) == "2a2"
     assert root_name(GroupFamily("so", 5), 1) == "a2"
     assert root_name(GroupFamily("so", 6), 2) == "a2+a3"
+
+
+# every family of cartan_dim <= 8 with a root system: GL1-8, SL1-8, Sp2-16
+# and SO3-17
+SMALL_FAMILIES = ([GroupFamily(k, r) for k in ("gl", "sl") for r in range(1, 9)]
+                  + [GroupFamily("sp", r) for r in range(2, 17, 2)]
+                  + [GroupFamily("so", r) for r in range(3, 18)])
+
+
+def _plate(t, n):
+    """The Cartan matrix a_ij = <alpha_i, coroot of alpha_j> of type t and
+    rank n, from Bourbaki, Lie Groups and Lie Algebras ch. VI, Plates I-IV.
+    A_n is the path 1 - 2 - ... - n; B_n and C_n are the same path with
+    a_(n-1,n) = -2 on B_n and a_(n,n-1) = -2 on C_n; D_n is the path up to
+    n - 1 with node n tied to node n - 2, the fork, so D_2 is diagonal."""
+    a = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    edges = [(i, i + 1) for i in range(n - 1)]
+    if t == D:
+        edges = edges[:-1] + ([(n - 3, n - 1)] if n >= 3 else [])
+    for i, j in edges:
+        a[i][j] = a[j][i] = -1
+    if n >= 2 and t == B:
+        a[n - 2][n - 1] = -2
+    if n >= 2 and t == C:
+        a[n - 1][n - 2] = -2
+    return a
+
+
+def test_plates_spell_out_the_small_cases():
+    assert _plate(A, 3) == [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    assert _plate(B, 2) == [[2, -2], [-1, 2]]
+    assert _plate(C, 2) == [[2, -1], [-2, 2]]
+    assert _plate(D, 2) == [[2, 0], [0, 2]]
+    # D_3 = A_3 with nodes 1 and 2 swapped
+    assert _plate(D, 3) == [[2, -1, -1], [-1, 2, 0], [-1, 0, 2]]
+    assert _plate(D, 4) == [[2, -1, 0, 0], [-1, 2, -1, -1],
+                            [0, -1, 2, 0], [0, -1, 0, 2]]
+
+
+@pytest.mark.parametrize("family", SMALL_FAMILIES, ids=repr)
+def test_cartan_type_is_the_type_of_the_root_system(family):
+    """The Cartan matrix of the reference simple roots and coroots is the
+    plate of family.cartan_type.  At rank 1, where A1, B1 and C1 share the
+    matrix (2), the squared length of the last simple root tells them
+    apart: 2 on A and D, 1 on B, 4 on C.  The roots read the type too, so
+    their count is also held to the dimension of the group, which reads
+    only the kind and r."""
+    roots = simple_roots(family)
+    n = simple_root_count(family)
+    assert len(roots) == n
+    assert family.torus_dim + 2 * len(positive_roots(family)) == _dim_group(family)
+    matrix = [[evaluate(ai, coroot(family, aj)) for aj in roots] for ai in roots]
+    assert matrix == _plate(family.cartan_type, n)
+    if n:
+        assert evaluate(roots[-1], roots[-1]) == {A: 2, B: 1, C: 4, D: 2}[
+            family.cartan_type]
+
+
+def test_cartan_type_is_not_a_field():
+    so6 = GroupFamily("so", 6)
+    assert so6 == GroupFamily("so", 6)
+    assert hash(so6) == hash(GroupFamily("so", 6)) == hash(("so", 6))
+    assert repr(so6) == "GroupFamily(kind='so', r=6)"
+    assert [f.name for f in fields(GroupFamily)] == ["kind", "r"]
+    assert replace(so6, r=7).cartan_type == B
+    copy = pickle.loads(pickle.dumps(so6))
+    assert copy == so6 and copy.cartan_type == D
+    with pytest.raises(FrozenInstanceError):
+        so6.cartan_type = B
