@@ -1,14 +1,16 @@
 """Harder-Narasimhan filtrations on the formal model.
 
-The fast path groups atoms by slope; the oracle re-derives the same
-filtrations by an exhaustive search over ordered partitions of the atoms
-(plain) or of the positive isotropic part (Sp/SO) that extends only the
-prefixes meeting the definition, so the two routes check each other.
+The fast path sorts the atoms by slope and cuts the runs of equal slope,
+comparing slopes as integer cross-products.  The oracle re-derives the
+same filtrations by an exhaustive search over ordered partitions of the
+atoms (plain) or of the positive isotropic part (Sp/SO): a walk over bit
+masks of the atoms that extends only the prefixes meeting the
+definition, and reads nothing from the bundle model or the fast path, so
+the two routes check each other.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, groupby
-from operator import itemgetter
+from functools import cmp_to_key
 
 from .bundle import IsotropicBundle, PlainBundle, SlBundle, dual, is_semistable
 from .errors import TooLarge, UnsupportedRank
@@ -64,9 +66,14 @@ def scss(b: PlainBundle):
 
 
 def _group_by_slope(atoms):
-    keyed = sorted(((a.slope, a) for a in atoms), key=itemgetter(0), reverse=True)
-    return tuple(PlainBundle(tuple(a for _, a in group))
-                 for _, group in groupby(keyed, key=itemgetter(0)))
+    # by descending slope, d_a / r_a > d_b / r_b compared as d_a r_b > d_b r_a
+    ordered = sorted(atoms, key=cmp_to_key(
+        lambda a, b: b.degree * a.rank - a.degree * b.rank))
+    cuts = [i for i in range(1, len(ordered))
+            if ordered[i - 1].degree * ordered[i].rank
+            != ordered[i].degree * ordered[i - 1].rank]
+    return tuple(PlainBundle(tuple(ordered[i:j]))
+                 for i, j in zip([0] + cuts, cuts + [len(ordered)]) if i < j)
 
 
 def hn_filtration(b) -> Filtration:
@@ -101,23 +108,49 @@ def extend_with_perps(f: IsotropicFiltration) -> Filtration:
     return Filtration(tuple(quotients))
 
 
-def _hn_candidates(atoms, above=None):
+def _hn_candidates(atoms):
     """Every ordered partition of the atoms into semistable blocks whose
-    slopes strictly decrease, each first slope below above, as a tuple of
-    blocks.  A block is kept only when it extends a valid prefix: a prefix
-    that breaks the definition has no valid completion."""
-    if not atoms:
-        yield ()
-        return
-    for k in range(1, len(atoms) + 1):
-        for picked in combinations(range(len(atoms)), k):
-            block = PlainBundle(tuple(atoms[i] for i in picked))
-            if not is_semistable(block) or (above is not None
-                                            and block.slope >= above):
-                continue
-            rest = tuple(a for i, a in enumerate(atoms) if i not in picked)
-            for tail in _hn_candidates(rest, block.slope):
-                yield (block.atoms,) + tail
+    slopes strictly decrease, as a tuple of blocks, each block its atoms
+    in descending order.
+
+    A walk over bit masks of the atoms.  One table gives, for each mask,
+    its block's (degree, rank) when all its atoms share one slope, and
+    None otherwise, by integer cross-multiplication.  A prefix is
+    extended only by a submask of the atoms left whose block is uniform
+    and has slope below the previous block's: a prefix that breaks the
+    definition has no valid completion.  A block's atoms are gathered
+    only when it closes a winner.  Nothing here reads the bundle model
+    or the fast path."""
+    atoms = sorted(atoms, reverse=True)
+    n = len(atoms)
+    uniform = [None] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        a = atoms[low.bit_length() - 1]
+        if mask == low:
+            uniform[mask] = (a.degree, a.rank)
+        elif (rest := uniform[mask ^ low]) and \
+                a.degree * rest[1] == rest[0] * a.rank:
+            uniform[mask] = (rest[0] + a.degree, rest[1] + a.rank)
+
+    def block(mask):
+        return tuple(a for i, a in enumerate(atoms) if mask >> i & 1)
+
+    def walk(left, above):
+        if not left:
+            yield ()
+            return
+        sub = left
+        while sub:
+            slope = uniform[sub]
+            # slope d / r below the previous D / R, as d R < D r
+            if slope is not None and (above is None or
+                                      slope[0] * above[1] < above[0] * slope[1]):
+                for tail in walk(left & ~sub, slope):
+                    yield (block(sub),) + tail
+            sub = (sub - 1) & left
+
+    return walk((1 << n) - 1, None)
 
 
 def hn_uniqueness_oracle(b) -> bool:

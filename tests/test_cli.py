@@ -20,7 +20,7 @@ from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SpBundle,
                               bundle_from_degrees)
 from hnbundles.cli import (SpecError, parse_bundle_spec, run_command,
                            serialize_bundle_spec)
-from hnbundles.rootsys import GroupFamily
+from hnbundles.rootsys import GroupFamily, is_dominant
 
 
 def run(capsys, *argv):
@@ -238,9 +238,10 @@ def test_check_command(capsys):
         code, out, _ = run(capsys, "check", "--suite", suite,
                            "--seed", "1", "--cases", "15")
         assert code == 0 and json.loads(out)["passed"] == 15
+    # every hull case yields a check, whether or not nu is dominant
     code, out, _ = run(capsys, "check", "--suite", "hull",
                        "--seed", "1", "--cases", "30")
-    assert code == 0 and json.loads(out)["passed"] >= 1
+    assert code == 0 and json.loads(out)["passed"] == 30
 
 
 CANON_FAILURE = re.compile(
@@ -284,8 +285,67 @@ def test_hull_check_compares_the_lp_oracle(capsys, monkeypatch):
                          "--seed", "1", "--cases", "3")
     assert code == 3 and out == ""
     assert re.match(r"^internal invariant breach: check hull failed at seed 1, "
-                    r"case \d+ \(gl3, input mu=.*, nu=.*\): hull membership is "
+                    r"case \d+ \((gl3|sp4|so5|so6), input mu=.*, nu=.*\): "
+                    r"hull membership is "
                     r"None, the LP oracle says (True|False)\n$", err), err
+
+
+def _lattice_breach(what):
+    """A Weyl translate of a, for lattice case 0 at seed 1, that is not
+    dominant and is none of a, b and a + b (obstruction_class is called
+    on those three, then on every translate), and the message of a check
+    on what failing there."""
+    calls = []
+    real = hnbundles.cli.obstruction_class
+
+    def spy(family, v):
+        calls.append((family, tuple(v)))
+        return real(family, v)
+
+    hnbundles.cli.obstruction_class = spy
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_command(["check", "--suite=lattice", "--seed=1",
+                                "--cases=1"]) == 0
+    finally:
+        hnbundles.cli.obstruction_class = real
+    family = calls[0][0]
+    a, b, _ = setup = [v for _, v in calls[:3]]
+    translate = next(v for _, v in calls[3:]
+                     if v not in setup and not is_dominant(family, v))
+    return translate, (
+        f"internal invariant breach: check lattice failed at seed 1, case 0 "
+        f"({family.kind}{family.r}, input a={a}, b={b}): {what} of a "
+        f"differs at its Weyl translate {translate}\n")
+
+
+@pytest.mark.parametrize("name, what", [
+    ("topological_type", "the topological type"),
+    ("obstruction_class", "the obstruction class")])
+def test_lattice_check_names_the_failing_translate(capsys, monkeypatch,
+                                                   name, what):
+    # the suite yields a translate's checks only when they fail; a failure
+    # must still name the suite, seed, case, family, input and translate
+    translate, want = _lattice_breach(what)
+    real = getattr(hnbundles.cli, name)
+    monkeypatch.setattr(hnbundles.cli, name, lambda family, v: (
+        "wrong" if tuple(v) == translate else real(family, v)))
+    code, out, err = run(capsys, "check", "--suite", "lattice",
+                         "--seed", "1", "--cases", "3")
+    assert code == 3 and out == "" and err == want, err
+
+
+def test_lattice_check_failure_survives_optimize():
+    translate, want = _lattice_breach("the topological type")
+    proc = _run_optimized(
+        "import sys, hnbundles.cli as cli\n"
+        "real = cli.topological_type\n"
+        "cli.topological_type = lambda family, v: (\n"
+        f"    'wrong' if tuple(v) == {translate!r} else real(family, v))\n"
+        "sys.exit(cli.run_command(['check', '--suite', 'lattice',"
+        " '--seed', '1', '--cases', '3']))\n")
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == want, proc.stderr
 
 
 # input checks, each with the exception it must raise also under python -O

@@ -1,15 +1,16 @@
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hnbundles.hnfilt
 from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SoBundle, SpBundle,
                               underlying)
 from hnbundles.errors import TooLarge, UnsupportedRank
-from hnbundles.hnfilt import (Filtration, IsotropicFiltration, _hn_candidates,
-                              extend_with_perps, hn_filtration,
+from hnbundles.hnfilt import (Filtration, IsotropicFiltration, _group_by_slope,
+                              _hn_candidates, extend_with_perps, hn_filtration,
                               hn_filtration_isotropic, hn_uniqueness_oracle,
                               scss)
 from oracles import hn_winners_by_partitions
@@ -93,7 +94,7 @@ def _search_and_reference_agree(atoms):
 
 def test_search_finds_the_partition_winners():
     pool = [Atom(d, r) for d in range(-3, 4) for r in (1, 2)]
-    for size in (1, 2, 3):
+    for size in (1, 2, 3, 4):
         for atoms in combinations_with_replacement(pool, size):
             _search_and_reference_agree(PlainBundle(atoms).atoms)
     rng = random.Random(18)
@@ -109,6 +110,33 @@ def test_search_finds_the_partition_winners():
             _search_and_reference_agree(b.positive)
             if b.rank >= 3:
                 assert hn_uniqueness_oracle(b)
+
+
+def test_search_reads_neither_the_bundle_model_nor_the_fast_path(monkeypatch):
+    cases = [(Atom(2, 1), Atom(1, 2), Atom(1, 2), Atom(0, 1), Atom(-1, 1)),
+             (Atom(0, 1),) * 5, tuple(Atom(d, 1) for d in range(4, -1, -1)), ()]
+    want = [hn_winners_by_partitions(atoms) for atoms in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search read the bundle model or the fast path")
+
+    for name in ("is_semistable", "PlainBundle", "hn_filtration"):
+        monkeypatch.setattr(hnbundles.hnfilt, name, refuse)
+    assert [set(_hn_candidates(atoms)) for atoms in cases] == want
+
+
+def _group_by_fraction(atoms):
+    """The slope grouping keyed by Fraction slopes: sort, then groupby."""
+    slope = lambda a: Fraction(a.degree, a.rank)  # noqa: E731
+    return tuple(PlainBundle(tuple(run)) for _, run in
+                 groupby(sorted(atoms, key=slope, reverse=True), key=slope))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(Atom, st.integers(-5, 5), st.integers(1, 4)),
+                max_size=8))
+def test_group_by_slope_equals_fraction_grouping(atoms):
+    assert _group_by_slope(atoms) == _group_by_fraction(atoms)
 
 
 @settings(max_examples=150, deadline=None)
