@@ -6,10 +6,10 @@ the slopes of the HN filtration of a bundle) and the degree route
 conditions of check_bh); tests/test_canon.py checks them against each
 other on split bundles, and a brute-force degree-maximization oracle
 checks the degree route.  The oracle scores every (parabolic, Weyl
-point) pair exactly, packing each orbit's prefix-sum columns into Python
+point) pair exactly, packing each orbit's coordinate columns into Python
 ints, one lane per orbit point, so that one parabolic scores the whole
-orbit in one multiply-add per term; its answer depends only on the
-orbit, so it is cached by the dominant point.
+orbit in one multiply-add per nonzero coordinate of 2rho_P; its answer
+depends only on the orbit, so it is cached by the dominant point.
 
 The canonical reduction is a value fixed by its HN type, the dominant
 point of the orbit, and it labels the HN stratum of that type (strata):
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
-from operator import add
 
 from .bundle import IsotropicBundle, SlBundle, underlying
 from .errors import FamilyMismatch, InvalidReduction, TooLarge
@@ -215,24 +214,22 @@ def ad_degree_max_oracle(family: GroupFamily, a):
 
     Every pair is scored exactly, with no pruning and no use of the
     closed-form canonical reduction it checks.  The adjoint degree
-    <2rho_P, v> is linear in v, so each index scores the whole orbit at
-    once, in the basis of prefix sums: by Abel summation it is
-    sum c_k s_k(v), with s_k(v) = v_0 + ... + v_k and c_k the per-family
-    terms of 2rho_P (parabolic._two_rho_terms), which sit only on the
-    members of the index and the last position.  Each column s_k is one
-    Python int with a lane per orbit point (_packed_orbit), so an index
-    costs one big-int multiply-add per term, then one read of the lanes
-    and their max; the lanes of the indices that attain the overall max
-    are scanned for the argmax.
+    <2rho_P, v> = sum lambda_k v_k is linear in v, so each index scores
+    the whole orbit at once: each coordinate column v_k is one Python int
+    with a lane per orbit point (_packed_orbit), so an index costs one
+    big-int multiply-add per nonzero lambda_k of 2rho_P
+    (parabolic._two_rho_terms), then one read of the lanes and their max;
+    the lanes of the indices that attain the overall max are scanned for
+    the argmax.
 
     The pairs range over W.a, so the answer depends only on the orbit:
     it is computed once per (family, dominant point) and cached
     (_oracle_of_orbit), and every call returns a fresh argmax list.
 
-    Refuses an input whose work exceeds ORACLE_WORK_GUARD before it builds
-    the orbit or the table of terms, and one whose scores need lanes wider
-    than 64 bits before it builds the orbit.  The lane bound is read off
-    the table, whose build the work guard counts.
+    Refuses an input whose work exceeds ORACLE_WORK_GUARD, or whose
+    scores need lanes wider than 64 bits, before it builds the orbit or
+    the table of 2rho_P terms: both guards read only the family and the
+    dominant point.
     """
     a = as_cocharacter(family, a)
     best, argmax = _oracle_of_orbit(family, dominant_representative(family, a))
@@ -250,7 +247,7 @@ def _oracle_of_orbit(family: GroupFamily, dominant):
     """(best, argmax as a tuple) of ad_degree_max_oracle on the orbit of a
     dominant point."""
     orbit, lanes, nbytes, half, bias, columns = _packed_orbit(family, dominant)
-    table, _ = _two_rho_terms(family)
+    table = _two_rho_terms(family)
     scores = []
     for _, terms in table:
         total = bias
@@ -276,16 +273,17 @@ def _packed_orbit(family: GroupFamily, dominant):
     """(orbit, lane format, byte length, half lane, bias, packed columns) of
     the orbit of a dominant point, for the adjoint-degree oracle.
 
-    The bound B = max(1, max_I sum |c_k|) * sum |a_i| covers every score
-    sum c_k s_k(v) and every column entry, since |s_k(v)| <= sum |a_i|;
-    max_I sum |c_k| is the weight stored with the table of terms.
-    The lanes are the narrowest of 16, 32 and 64 bits with B < 2^(w-1).
-    Column k is sum_j s_k(v_j) 2^(wj), a signed sum of lanes, and the bias
-    puts 2^(w-1) in every lane, so that bias + sum c_k col_k holds each
-    score plus 2^(w-1) in [0, 2^w) in its own lane: its bytes read as
-    unsigned lanes in orbit order.  The work guard reads only the
-    dominant point, and the lane guard the table it admits.  Not cached:
-    _oracle_of_orbit calls it once per orbit and keeps only the answer.
+    Each root has l1 norm at most 2, and W only permutes the coordinates
+    and changes their signs, so B = max(1, 2|Phi+|) * max |a_i| bounds
+    every score <2rho_P, v> and every coordinate of the orbit.  The lanes
+    are the narrowest of 16, 32 and 64 bits with B < 2^(w-1).  Column k
+    is sum_j v_jk 2^(wj), v_j the j-th orbit point, a signed sum of lanes,
+    and the bias puts 2^(w-1) in every lane, so that
+    bias + sum lambda_k col_k holds each score plus 2^(w-1) in [0, 2^w) in
+    its own lane: its bytes read as unsigned lanes in orbit order.  The
+    work guard and the lane guard read only the family and the dominant
+    point.  Not cached: _oracle_of_orbit calls it once per orbit and keeps
+    only the answer.
     """
     count = simple_root_count(family)
     roots = positive_root_count(family)
@@ -296,8 +294,7 @@ def _packed_orbit(family: GroupFamily, dominant):
         weyl_orbit_size(family, dominant, limit=ORACLE_WORK_GUARD)
     if ((count + 1) * size + roots) << count > ORACLE_WORK_GUARD:
         raise TooLarge("enumeration guard exceeded")
-    _, weight = _two_rho_terms(family)
-    bound = max(1, weight) * sum(map(abs, dominant))
+    bound = max(1, 2 * roots) * max(map(abs, dominant))
     lane = next((lane for lane in _LANES if bound < 1 << lane[0] - 1), None)
     if lane is None:
         raise TooLarge("enumeration guard exceeded")
@@ -305,11 +302,9 @@ def _packed_orbit(family: GroupFamily, dominant):
     orbit = weyl_orbit(family, dominant)
     ones = int.from_bytes(array(typecode, [1]) * len(orbit), sys.byteorder)
     columns = []
-    prefix = [0] * len(orbit)
     for column in zip(*orbit):
-        prefix = list(map(add, prefix, column))
         # the lanes as unsigned, less 2^w in each lane whose sign bit is set
-        u = int.from_bytes(array(typecode, prefix), sys.byteorder)
+        u = int.from_bytes(array(typecode, column), sys.byteorder)
         columns.append(u - ((u >> width - 1 & ones) << width))
     half = 1 << width - 1
     return (orbit, typecode.upper(), len(orbit) * width // 8, half,

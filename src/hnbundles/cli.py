@@ -31,7 +31,7 @@ from .lattice import fundamental_groups, levi_fundamental_groups, \
 from .parabolic import ParabolicIndex, _levi_positive_count
 from .rootsys import (GL, SL, SO, SP, GroupFamily, positive_root_count,
                       root_name, simple_root_count, weyl_orbit)
-from .strata import (enumerate_strata, gl_dominance, hull_membership,
+from .strata import (enumerate_strata, hull_membership,
                      hull_membership_lp_oracle, to_dot)
 
 
@@ -342,10 +342,6 @@ def _suite_hull(rng):
     feasible = hull_membership_lp_oracle(family, mu, nu)
     yield (inside == feasible, family, data,
            f"hull membership is {inside}, the LP oracle says {feasible}")
-    if family.kind == GL:
-        dominated = gl_dominance(mu, nu)
-        yield (inside == dominated, family, data,
-               f"hull membership is {inside}, dominance is {dominated}")
 
 
 def _suite_lattice(rng):

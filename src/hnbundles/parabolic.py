@@ -119,25 +119,18 @@ def parabolic_from_flag(family: GroupFamily, flag_ranks) -> ParabolicIndex:
 
 @lru_cache(maxsize=128)
 def _two_rho_terms(family: GroupFamily):
-    """(table, weight) for the family.  The table holds (index, terms) for
-    every parabolic index, in the order of its bit mask, where terms are
-    the nonzero (k, c_k) of 2rho_P in the basis of prefix sums:
-    c_k = lambda_k - lambda_(k+1) for k < n - 1 and c_(n-1) = lambda_(n-1),
-    with lambda = 2rho_P, so that by Abel summation
-    <lambda, v> = sum c_k (v_0 + ... + v_k).  For k < n - 1, c_k pairs
-    2rho_P with the coroot of the k-th simple root, which vanishes off I
-    since 2rho_P is a character of P_I: only the members of I and the last
-    position carry terms.  The weight is the largest sum of |c_k| over one
-    index, which bounds the adjoint-degree oracle's lanes."""
+    """(index, terms) for every parabolic index of the family, in the
+    order of its bit mask, where terms are the nonzero (k, lambda_k) of
+    lambda = 2rho_P (ParabolicIndex._two_rho), so that
+    <lambda, v> = sum lambda_k v_k."""
     count = simple_root_count(family)
     out = []
     for bits in range(1 << count):
         index = ParabolicIndex(family, frozenset(
             i for i in range(count) if bits >> i & 1))
-        lam = index._two_rho
-        steps = [x - y for x, y in zip(lam, lam[1:])] + [lam[-1]]
-        out.append((index, tuple((k, c) for k, c in enumerate(steps) if c)))
-    return tuple(out), max(sum(abs(c) for _, c in terms) for _, terms in out)
+        out.append((index, tuple((k, c) for k, c in enumerate(index._two_rho)
+                                 if c)))
+    return tuple(out)
 
 
 def parabolic_leq(a: ParabolicIndex, b: ParabolicIndex) -> bool:

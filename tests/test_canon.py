@@ -275,11 +275,8 @@ def _work(family, a):
 
 
 def _bound(family, a):
-    """The lane bound from the table of terms: max(1, max_I sum |c_k|) times
-    sum |a_i|."""
-    table, _ = _two_rho_terms(family)
-    weight = max(sum(abs(c) for _, c in terms) for _, terms in table)
-    return max(1, weight) * sum(map(abs, a))
+    """The lane bound in closed form: max(1, 2|Phi+|) times max |a_i|."""
+    return max(1, 2 * len(positive_roots(family))) * max(map(abs, a))
 
 
 def test_ad_degree_guard(monkeypatch):
@@ -491,20 +488,25 @@ def _lane_bytes(family, a):
 
 @pytest.mark.parametrize("family,base", [
     (GroupFamily("gl", 3), (0, 2, -1)), (GroupFamily("sl", 3), (0, 2, -2)),
-    (GroupFamily("sp", 6), (0, -1, 2)), (GroupFamily("so", 7), (0, 1, -2)),
-    (GroupFamily("so", 8), (0, -1, 2, 1))], ids=str)
+    (GroupFamily("sp", 6), (0, -1, 2)), (GroupFamily("so", 5), (0, -1)),
+    (GroupFamily("so", 7), (0, 1, -2)), (GroupFamily("so", 8), (0, -1, 2, 1))],
+    ids=str)
 def test_oracle_equals_the_per_pair_loop_at_the_lane_limits(family, base):
     # add m to the first coordinate of base (and on SL take it off the last)
-    # so that the bound B sits on each side of 2^15, 2^31 and 2^63
+    # so that the bound B sits on each side of 2^15, 2^31 and 2^63.  From
+    # m = start on, a moved entry has the largest |a_i|, so each step adds
+    # the same amount to B
     step = 2 if family.kind == "sl" else 1
 
     def point(m):
         return (base[0] + m,) + base[1:-1] + (
             base[-1] - m if family.kind == "sl" else base[-1],)
 
-    scale = _bound(family, point(step)) - _bound(family, point(0))
+    start = 4 * step
+    scale = _bound(family, point(start + step)) - _bound(family, point(start))
     for limit, narrow, wide in ((15, 2, 4), (31, 4, 8), (63, 8, None)):
-        m = ((1 << limit) - _bound(family, point(0))) // scale * step
+        m = start + ((1 << limit) - 1 - _bound(family, point(start))) \
+            // scale * step
         below, above = point(m), point(m + step)
         assert _bound(family, below) < 1 << limit <= _bound(family, above)
         assert _lane_bytes(family, below) == narrow
@@ -519,9 +521,27 @@ def test_oracle_equals_the_per_pair_loop_at_the_lane_limits(family, base):
                 _ad_degree_max_by_pairs(family, above), above
 
 
+@pytest.mark.parametrize("family,a", [
+    (GroupFamily("gl", 3), (1537228672809129302, 0, 0)),
+    (GroupFamily("so", 5), (1 << 60, 0)), (GroupFamily("gl", 1), (1 << 63,))],
+    ids=str)
+def test_lane_refusal_builds_neither_the_table_nor_the_orbit(family, a):
+    # B = 6 max |a_i| on GL3, 8 max |a_i| on SO5 and |a_0| on GL1: each
+    # point is the first one up with B >= 2^63
+    assert _bound(family, a) >= 1 << 63 > _bound(family, (a[0] - 1,) + a[1:])
+    orbits, tables = weyl_orbit.cache_info(), _two_rho_terms.cache_info()
+    answers = _oracle_of_orbit.cache_info()
+    with pytest.raises(TooLarge, match="enumeration guard exceeded"):
+        ad_degree_max_oracle(family, a)
+    assert weyl_orbit.cache_info() == orbits
+    assert _two_rho_terms.cache_info() == tables
+    assert _oracle_of_orbit.cache_info() == answers._replace(
+        misses=answers.misses + 1)
+
+
 @pytest.mark.parametrize("kind", ["gl", "sl"])
 def test_rank_one_entries_fit_their_lane(kind):
-    # GL1 and SL1 have one parabolic and no term, but the prefix-sum column
+    # GL1 and SL1 have one parabolic and no term, but the coordinate column
     # still holds the entry, so B = |a_0|
     family = GroupFamily(kind, 1)
     index = ParabolicIndex(family, frozenset())
@@ -539,25 +559,37 @@ def _families_to_dimension_five():
 
 
 @pytest.mark.parametrize("family", _families_to_dimension_five(), ids=str)
-def test_two_rho_terms_sit_on_the_index_or_the_last_position(family):
-    # 2rho_P is a character of P_I: no term at a simple root outside I
-    table, _ = _two_rho_terms(family)
+def test_two_rho_terms_are_the_nonzero_coordinates_of_two_rho(family):
+    table = _two_rho_terms(family)
     assert [index for index, _ in table] == _indices(family)
     for index, terms in table:
-        assert all(k in index.members or k == family.cartan_dim - 1
-                   for k, _ in terms), index
+        assert all(c for _, c in terms), index
+        coordinates = [0] * family.cartan_dim
+        for k, c in terms:
+            coordinates[k] = c
+        assert tuple(coordinates) == index._two_rho, index
 
 
-def test_two_rho_terms_pass_counts():
-    # column passes per oracle call, against one per nonzero coordinate of
-    # 2rho_P in the coordinate basis
-    for (kind, r), prefix, coordinate in (
-            (("gl", 4), 19, 26), (("sl", 4), 19, 26), (("sp", 8), 32, 49),
-            (("so", 8), 32, 49), (("so", 9), 32, 49), (("so", 10), 80, 129)):
-        table, _ = _two_rho_terms(GroupFamily(kind, r))
-        assert sum(len(terms) for _, terms in table) == prefix, (kind, r)
-        assert sum(sum(1 for c in index._two_rho if c)
-                   for index, _ in table) == coordinate, (kind, r)
+def _sample_points(family):
+    """(2, -1, 0, 1, -2) and all ones, cut to cartan_dim, with the last entry
+    taking off the total on SL."""
+    points = []
+    for a in ((2, -1, 0, 1, -2), (1,) * 5):
+        a = list(a[:family.cartan_dim])
+        if family.kind == "sl":
+            a[-1] -= sum(a)
+        points.append(tuple(a))
+    return points
+
+
+@pytest.mark.parametrize("family", _families_to_dimension_five(), ids=str)
+def test_lane_bound_covers_every_score_and_entry(family):
+    for a in _sample_points(family):
+        orbit = weyl_orbit(family, a)
+        scores = [ad_degree(family, index, v)
+                  for index in _indices(family) for v in orbit]
+        assert _bound(family, a) >= max(map(abs, scores)), a
+        assert _bound(family, a) >= max(abs(x) for v in orbit for x in v), a
 
 
 def test_hn_type_keeps_ints():
