@@ -1,11 +1,14 @@
+import contextlib
 import importlib
+import io
 import pkgutil
 from functools import cached_property
 
 import hnbundles
 import oracles
-from hnbundles import canon, parabolic, rootsys
+from hnbundles import canon, cli, parabolic, rootsys
 from hnbundles.canon import CACHED_DIM
+from hnbundles.cli import ANSWER_CACHE_LIMIT, run_command
 from hnbundles.rootsys import (ORBIT_CACHE_LIMIT, GroupFamily, weyl_orbit,
                                weyl_orbit_size)
 
@@ -20,6 +23,8 @@ MODULE_CACHES = {
     "hnbundles.canon._reduction_of_orbit": 256,
     "hnbundles.canon._oracle_of_orbit": 256,
     "hnbundles.cli.build_parser": 1,
+    # bounded in characters held, not in entries
+    "hnbundles.cli.run_command": ANSWER_CACHE_LIMIT,
 }
 
 PER_OBJECT = ((canon.CanonicalReduction, "_bh"),
@@ -43,6 +48,19 @@ def test_every_cache_is_bounded():
     # the root table oracle one of its tables
     assert oracles.lattice_tower.cache_info().maxsize is not None
     assert oracles._cached_supports.cache_info().maxsize is not None
+
+
+def test_cache_clear_empties_the_answer_cache():
+    argv = ["pi1", "--family=gl", "--rank=3"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_command(argv) == run_command(argv) == 0
+    hits, misses, maxsize, held = run_command.cache_info()
+    assert (hits, misses, maxsize) == (1, 1, ANSWER_CACHE_LIMIT) and held > 0
+    # the benchmark empties each cache through the cache_clear it finds
+    # among a module's names
+    for obj in vars(cli).values():
+        getattr(obj, "cache_clear", lambda: None)()
+    assert run_command.cache_info() == (0, 0, ANSWER_CACHE_LIMIT, 0)
 
 
 def test_per_family_caches_keep_small_families_only():

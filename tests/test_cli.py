@@ -10,6 +10,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import threading
 import types
 
 import pytest
@@ -463,12 +464,180 @@ def test_only_invariant_breach_exits_3(capsys, monkeypatch):
 
 
 def test_byte_determinism(capsys):
-    runs = [run(capsys, "canon", "--family", "so", "--rank", "5",
-                "--deg", "2,1")[1] for _ in range(2)]
+    def fresh(*argv):
+        # an empty answer cache, so that each run computes its answer
+        run_command.cache_clear()
+        return run(capsys, *argv)[1]
+
+    runs = [fresh("canon", "--family", "so", "--rank", "5", "--deg", "2,1")
+            for _ in range(2)]
     assert runs[0] == runs[1]
-    runs2 = [run(capsys, "strata", "--family", "sp", "--rank", "4",
-                 "--bound", "1")[1] for _ in range(2)]
+    runs2 = [fresh("strata", "--family", "sp", "--rank", "4", "--bound", "1")
+             for _ in range(2)]
     assert runs2[0] == runs2[1]
+
+
+def counted_answers(monkeypatch):
+    """The argvs run_command computes an answer for, from now on."""
+    computed = []
+    answer = hnbundles.cli._answer
+
+    def counted(args):
+        computed.append(args.cmd)
+        return answer(args)
+
+    monkeypatch.setattr(hnbundles.cli, "_answer", counted)
+    return computed
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["pi1", "--family=gl", "--rank=3", "--levi", "a1,2"], 0),
+    (["--pretty", "canon", "--family", "sp", "--rank", "4", "--deg", "2,1"], 0),
+    (["hn", "gl4: 3:x"], 1),
+    (["pi1", "--family=sp", "--rank=3"], 2)], ids=repr)
+def test_a_repeated_argv_runs_once(capsys, monkeypatch, argv, code):
+    computed = counted_answers(monkeypatch)
+    miss = run(capsys, *argv)
+    assert miss[0] == code and (miss[1] or miss[2])
+    assert run(capsys, *argv) == miss
+    assert len(computed) == 1 and run_command.cache_info()[:2] == (1, 1)
+    # the key is the argv as passed: the same options spelt otherwise miss
+    respelt = [word for a in argv for word in
+               (a.split("=") if a.startswith("--") else [a])]
+    if respelt != argv:
+        assert run(capsys, *respelt) == miss and len(computed) == 2
+
+
+def test_argvs_that_are_never_kept_rerun(capsys, monkeypatch, tmp_path):
+    computed = counted_answers(monkeypatch)
+    # a check suite runs its checks on every call: a failure patched in
+    # after a pass exits 3
+    check = ["check", "--suite=canon", "--seed=1", "--cases=3"]
+    assert run(capsys, *check)[0] == 0
+    monkeypatch.setattr(hnbundles.cli, "ad_degree", lambda *args: -1000)
+    assert run(capsys, *check)[0] == 3
+    # an exit-3 answer shows on every call, and is gone once mended
+    vdeg = ["vdeg", "--family=gl", "--E=2,4", "--F=3,2"]
+    composite = hnbundles.cli.vertical_degree_composite
+    monkeypatch.setattr(hnbundles.cli, "vertical_degree_composite",
+                        lambda *args: 1000)
+    assert [run(capsys, *vdeg)[0] for _ in range(2)] == [3, 3]
+    monkeypatch.setattr(hnbundles.cli, "vertical_degree_composite", composite)
+    assert run(capsys, *vdeg)[0] == 0
+    # --dot writes its file on every call
+    dot = tmp_path / "p.dot"
+    strata = ["strata", "--family=gl", "--rank=2", "--bound=1", f"--dot={dot}"]
+    first = run(capsys, *strata)
+    dot.unlink()
+    assert run(capsys, *strata) == first and first[0] == 0 and dot.exists()
+    assert computed == ["check", "check", "vdeg", "vdeg", "vdeg",
+                        "strata", "strata"]
+    # of all these answers, only the mended vdeg one is kept
+    assert list(hnbundles.cli._ANSWERS.answers) == [tuple(vdeg)]
+    # argparse reads a usage error, help, or an argv the option table
+    # declines, and each reads it again
+    builds = []
+    parser = hnbundles.cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return parser()
+
+    monkeypatch.setattr(hnbundles.cli, "build_parser", counted)
+    repeated = ["pi1", "--family=gl", "--rank=2", "--rank=3"]
+    for argv, code in ((["bogus"], 1), (["pi1", "-h"], 0), (repeated, 0)):
+        runs = [run(capsys, *argv) for _ in range(2)]
+        assert runs[0] == runs[1] and runs[0][0] == code
+    assert len(builds) == 6 and computed[-2:] == ["pi1", "pi1"]
+
+
+def test_answer_cache_keeps_its_budget(capsys, monkeypatch):
+    argvs = [["pi1", f"--family={kind}", f"--rank={r}"]
+             for kind, r in (("gl", 2), ("sl", 3), ("sp", 4), ("so", 5))]
+    size = {}
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        size[tuple(argv)] = len("".join(argv)) + len(out)
+    assert run_command.cache_info().currsize == sum(size.values())
+    # a budget of the first three: the fourth evicts the least recently
+    # used, which the hit on the first leaves to be the second
+    run_command.cache_clear()
+    held = lambda: run_command.cache_info().currsize  # noqa: E731
+    limit = sum(size[tuple(a)] for a in argvs[:3])
+    monkeypatch.setattr(hnbundles.cli, "ANSWER_CACHE_LIMIT", limit)
+    for argv in argvs[:3] + argvs[:1]:
+        run(capsys, *argv)
+    assert held() == limit and run_command.cache_info().hits == 1
+    run(capsys, *argvs[3])
+    kept = list(hnbundles.cli._ANSWERS.answers)
+    assert tuple(argvs[1]) not in kept and tuple(argvs[0]) in kept
+    assert held() == sum(size[k] for k in kept) <= limit
+    # an answer over the budget is printed, and neither kept nor evicting
+    limit = size[tuple(argvs[0])]
+    monkeypatch.setattr(hnbundles.cli, "ANSWER_CACHE_LIMIT", limit)
+    run_command.cache_clear()
+    run(capsys, *argvs[0])
+    strata = ["strata", "--family=gl", "--rank=2", "--bound=1"]
+    first = run(capsys, *strata)
+    assert first[0] == 0 and len(first[1]) > limit
+    assert run(capsys, *strata) == first
+    assert list(hnbundles.cli._ANSWERS.answers) == [tuple(argvs[0])]
+    assert run_command.cache_info() == (0, 3, limit, limit)
+
+
+def test_answer_cache_counts_hold_under_threads(monkeypatch):
+    argvs = [["pi1", "--family=gl", f"--rank={r}"] for r in range(2, 10)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in argvs:
+            run_command(argv)
+    # a budget of half the answers, so that threads evict as they put
+    limit = run_command.cache_info().currsize // 2
+    monkeypatch.setattr(hnbundles.cli, "ANSWER_CACHE_LIMIT", limit)
+    run_command.cache_clear()
+
+    # the threads start each pass together, so that they miss, compute
+    # and put the same argv at once
+    barrier, passes = threading.Barrier(4, timeout=10), 200
+
+    def work():
+        for _ in range(passes):
+            barrier.wait()
+            for argv in argvs:
+                run_command(argv)
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    hits, misses, _, held = run_command.cache_info()
+    assert hits + misses == 4 * passes * len(argvs)
+    answers = hnbundles.cli._ANSWERS.answers
+    assert held == sum(hnbundles.cli._size(k, a) for k, a in answers.items())
+    assert 0 < held <= limit
+
+
+def test_answer_cache_holds_at_most_its_budget(capsys):
+    # three strata answers of 98,000 characters each pass the budget, so
+    # the third evicts the first
+    argvs = [["strata", "--family=gl", "--rank=4", "--bound=4"],
+             ["strata", "--family", "gl", "--rank=4", "--bound=4"],
+             ["strata", "--family=gl", "--rank", "4", "--bound=4"]]
+    outs = []
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv)
+        outs.append(out)
+        assert code == 0 and len(out) > 90000
+        assert run_command.cache_info().currsize <= hnbundles.cli.ANSWER_CACHE_LIMIT
+    assert list(hnbundles.cli._ANSWERS.answers) == [tuple(a) for a in argvs[1:]]
+    assert [run(capsys, *argv)[1] for argv in argvs] == outs
 
 
 def test_pretty_flag(capsys):
@@ -592,9 +761,16 @@ def _parse_outcome(parse, argv):
     return result, out.getvalue(), err.getvalue()
 
 
+def _direct(argv):
+    """run_command's route: the option table where it reads argv, and
+    argparse for any other."""
+    args = hnbundles.cli._read(argv)
+    return hnbundles.cli.build_parser().parse_args(argv) if args is None else args
+
+
 def _assert_routes_agree(argv):
     reference = hnbundles.cli.build_parser().parse_args
-    assert _parse_outcome(hnbundles.cli._parse, argv) == \
+    assert _parse_outcome(_direct, argv) == \
         _parse_outcome(reference, argv), argv
 
 

@@ -1,5 +1,7 @@
 """Golden CLI transcripts: each argv recorded in data/cli_golden.json must
-reproduce its exit code, stdout and stderr byte for byte.
+reproduce its exit code, stdout and stderr byte for byte, on its first
+run and on a second in the same process, which answers from the CLI's
+answer cache wherever the argv is kept.
 
 After an intended change of output, rewrite the transcripts with
 ``PYTHONPATH=src python tests/test_cli_golden.py`` and review the diff.
@@ -29,6 +31,7 @@ def capture(argv):
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
 def test_golden(case):
+    assert capture(case["argv"]) == case
     assert capture(case["argv"]) == case
 
 
