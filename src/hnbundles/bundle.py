@@ -212,22 +212,6 @@ def vertical_degree(family: GroupFamily, e, f) -> int:
     return -fdeg * (r - l - 1)
 
 
-def vertical_degree_composite(family: GroupFamily, e, f) -> int:
-    """Same quantity through the determinant-line route, for cross-checks.
-
-    GL/SL: deg(F* tensor E/F).  Sp: deg(F* tensor F_perp/F) plus the
-    det(F*)^(l+1) twist.  SO: the same with twist exponent l-1.
-    """
-    d, r, fdeg, l = _flag_shape(family, e, f)
-    if family.kind in (GL, SL):
-        fs = PlainBundle((Atom(-fdeg, l),))
-        quot = PlainBundle((Atom(d - fdeg, r - l),))
-        return tensor(fs, quot).degree
-    mid = -fdeg * (r - 2 * l)
-    twist = l + 1 if family.kind == SP else l - 1
-    return mid + twist * (-fdeg)
-
-
 def is_semistable(b) -> bool:
     """Slope semistability on the formal model.
 

@@ -6,7 +6,8 @@ well-formed argv is read from that table, and argparse, built from it on
 first need, reads any other argv and writes the usage errors and help.
 
 Exit codes: 0 success, 1 usage or parse error, 2 validation error,
-3 internal invariant breach (an InvariantBreach, and nothing else).
+3 internal invariant breach (an InvariantBreach, and nothing else), which
+a check case that fails or raises becomes.
 
 An answer is an exact function of its argv, so an in-process session
 of run_command calls keeps the answers, (exit code, stdout, stderr), of
@@ -33,7 +34,7 @@ from functools import lru_cache
 
 from .bundle import (Atom, PlainBundle, SlBundle, SpBundle, bundle_from_degrees,
                      is_semistable, isotropic_bundle, underlying,
-                     vertical_degree, vertical_degree_composite)
+                     vertical_degree)
 from .canon import (ad_degree, ad_degree_max_oracle, canonical_reduction,
                     check_bh, hn_type_of_quotients)
 from .errors import HnBundleError, InvariantBreach
@@ -277,22 +278,18 @@ def _cmd_vdeg(args) -> dict:
     e = _degree_rank("--E", args.E)
     f = _degree_rank("--F", args.F)
     family = GroupFamily(args.family, e[1])
-    v = vertical_degree(family, e, f)
-    w = vertical_degree_composite(family, e, f)
-    if v != w:
-        raise InvariantBreach(f"vertical degree routes disagree: {v} != {w}")
     return {"command": "vdeg", "family": f"{family.kind}{family.r}",
-            "E": list(e), "F": list(f), "vertical_degree": v}
+            "E": list(e), "F": list(f),
+            "vertical_degree": vertical_degree(family, e, f)}
 
 
 def _cmd_strata(args) -> dict:
     _nonnegative("--bound", args.bound)
     family = GroupFamily(args.family, args.rank)
     poset = enumerate_strata(family, args.bound, args.fix_type)
-    dot = to_dot(poset)
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(dot)
+            fh.write(to_dot(poset))
     return {"command": "strata", "family": f"{family.kind}{family.r}",
             "bound": args.bound,
             "labels": [{"mu": [str(c) for c in s.mu.mu],
@@ -301,47 +298,45 @@ def _cmd_strata(args) -> dict:
             "dot_path": args.dot}
 
 
-def _suite_hn(rng):
+def _suite_hn(rng, drawn):
     atoms = tuple(Atom(rng.randint(-3, 3), rng.randint(1, 2))
                   for _ in range(rng.randint(1, 4)))
     b = PlainBundle(atoms)
     family = GroupFamily(GL, b.rank)
-    spec = repr(serialize_bundle_spec(BundleSpec(family, b, None)))
-    yield (hn_uniqueness_oracle(b), family, spec,
-           "the HN filtration is not the unique one")
-    slopes = hn_filtration(b).slopes
-    yield (list(slopes) == sorted(slopes, reverse=True), family, spec,
-           f"HN slopes {[str(x) for x in slopes]} are not decreasing")
+    drawn[:] = family, repr(serialize_bundle_spec(BundleSpec(family, b, None)))
+    yield hn_uniqueness_oracle(b), "the HN filtration is not the unique one"
     positive = tuple(Atom(rng.randint(1, 3), 1) for _ in range(rng.randint(0, 2)))
     sp = SpBundle(positive, tuple([Atom(0, 1)] * (2 * rng.randint(0, 1))))
     if sp.rank:
         sp_family = GroupFamily(SP, sp.rank)
+        drawn[:] = sp_family, repr(serialize_bundle_spec(
+            BundleSpec(sp_family, sp, None)))
         yield (extend_with_perps(hn_filtration_isotropic(sp)).quotients ==
-               hn_filtration(underlying(sp)).quotients, sp_family,
-               repr(serialize_bundle_spec(BundleSpec(sp_family, sp, None))),
+               hn_filtration(underlying(sp)).quotients,
                "the isotropic HN filtration completed by perps differs "
                "from the HN filtration of the underlying bundle")
 
 
-def _suite_canon(rng):
+def _suite_canon(rng, drawn):
     # SO6 and SO8 reach the D_n fork
     family = rng.choice([GroupFamily(GL, 3), GroupFamily(SP, 4),
                          GroupFamily(SO, 5), GroupFamily(SO, 6),
                          GroupFamily(SO, 8), GroupFamily(GL, 4)])
     a = tuple(rng.randint(-2, 2) for _ in range(family.cartan_dim))
+    drawn[:] = family, a
     red = canonical_reduction(family, a)
     best, _ = ad_degree_max_oracle(family, a)
     attained = ad_degree(family, red.index, red.mu.mu)
-    yield (attained == best, family, a,
+    yield (attained == best,
            f"the canonical reduction has adjoint degree {attained}, "
            f"the oracle maximum is {best}")
     levi_ss, degrees = check_bh(family, a, red)
-    yield (levi_ss and all(d > 0 for d in degrees), family, a,
+    yield (levi_ss and all(d > 0 for d in degrees),
            f"BH conditions fail: levi_semistable={levi_ss}, "
            f"char_degrees={[str(d) for d in degrees]}")
 
 
-def _suite_hull(rng):
+def _suite_hull(rng, drawn):
     # SO6 reaches the D_n fork entry of the order key.  mu and nu need not
     # be dominant; on GL, nu takes the total of mu, off which it is outside
     family = rng.choice([GroupFamily(GL, 3), GroupFamily(SP, 4),
@@ -350,14 +345,14 @@ def _suite_hull(rng):
               for _ in range(2))
     if family.kind == GL:
         nu = (nu[0] + sum(mu) - sum(nu),) + nu[1:]
-    data = f"mu={mu}, nu={nu}"
+    drawn[:] = family, f"mu={mu}, nu={nu}"
     inside = hull_membership(family, mu, nu)
     feasible = hull_membership_lp_oracle(family, mu, nu)
-    yield (inside == feasible, family, data,
+    yield (inside == feasible,
            f"hull membership is {inside}, the LP oracle says {feasible}")
 
 
-def _suite_lattice(rng):
+def _suite_lattice(rng, drawn):
     family = rng.choice([GroupFamily(GL, 4), GroupFamily(SL, 3),
                          GroupFamily(SP, 6), GroupFamily(SO, 7)])
     a, b = ([rng.randint(-3, 3) for _ in range(family.cartan_dim)]
@@ -365,29 +360,29 @@ def _suite_lattice(rng):
     if family.kind == SL:
         a[-1] -= sum(a)
         b[-1] -= sum(b)
-    data = f"a={tuple(a)}, b={tuple(b)}"
+    drawn[:] = family, f"a={tuple(a)}, b={tuple(b)}"
     fa, ta = obstruction_class(family, a)
     fb, tb = obstruction_class(family, b)
     fs, ts = obstruction_class(family, [x + y for x, y in zip(a, b)])
-    yield (fs == tuple(x + y for x, y in zip(fa, fb)), family, data,
+    yield (fs == tuple(x + y for x, y in zip(fa, fb)),
            "the free part of the obstruction class is not additive")
     _, pi1, _ = fundamental_groups(family)
     yield (ts == tuple((x + y) % d for x, y, d in zip(ta, tb, pi1.torsion)),
-           family, data,
            "the torsion part of the obstruction class is not additive")
     # every translate is checked, but a check is yielded only when it fails
     top = topological_type(family, a)
     for w in weyl_orbit(family, tuple(a)):
         if topological_type(family, w) != top:
-            yield (False, family, data,
+            yield (False,
                    f"the topological type of a differs at its Weyl translate {w}")
         if obstruction_class(family, w) != (fa, ta):
-            yield (False, family, data,
+            yield (False,
                    f"the obstruction class of a differs at its Weyl translate {w}")
 
 
-# each suite draws one case from the rng and yields its checks in order,
-# as (ok, family, input, what); a case that yields no check is skipped
+# each suite draws one case from the rng, sets drawn to the (family,
+# input) it has drawn, and yields its checks on that input in order, as
+# (ok, what); a case that yields no check is skipped
 _SUITES = {"hn": _suite_hn, "canon": _suite_canon,
            "hull": _suite_hull, "lattice": _suite_lattice}
 
@@ -397,14 +392,19 @@ def _cmd_check(args) -> dict:
     rng = random.Random(args.seed)
     passed = 0
     for case in range(args.cases):
-        checked = False
-        for ok, family, data, what in _SUITES[args.suite](rng):
-            # an explicit raise, not assert, so that python -O keeps every check
-            if not ok:
-                raise InvariantBreach(
-                    f"check {args.suite} failed at seed {args.seed}, case {case} "
-                    f"({family.kind}{family.r}, input {data}): {what}")
-            checked = True
+        checked, drawn = False, []
+        try:
+            for ok, what in _SUITES[args.suite](rng, drawn):
+                # an explicit raise, not assert, so that python -O keeps every check
+                if not ok:
+                    raise InvariantBreach(what)
+                checked = True
+        except (HnBundleError, ValueError) as exc:
+            # a failed check, or a library error on the suite's own input
+            where = f" ({drawn[0].kind}{drawn[0].r}, input {drawn[1]})" \
+                if drawn else ""
+            raise InvariantBreach(f"check {args.suite} failed at seed "
+                                  f"{args.seed}, case {case}{where}: {exc}")
         passed += checked
     return {"command": "check", "suite": args.suite, "seed": args.seed,
             "cases": args.cases, "passed": passed}

@@ -54,6 +54,7 @@ class InvalidReduction(HnBundleError):
 
 
 class InvariantBreach(HnBundleError):
-    """An internal invariant failed: two independent routes disagree, or a
-    check suite found a case where the fast path and its oracle differ.
-    Never caused by invalid input; the CLI maps it, and only it, to exit 3."""
+    """An internal invariant failed: a check case found its fast path and
+    oracle differ or raised on its own input, or an oracle broke its own
+    invariant.  Never caused by invalid input; the CLI maps it, and only
+    it, to exit 3."""

@@ -9,8 +9,9 @@ on every call, the coroot loop of the character test, the Smith normal
 form of the coroot matrix and the lattice tower read off it for the
 fundamental groups and the obstruction class, the diagonal Levi blocks
 for the Levi topological type off the D_n fork, the pairwise stratum
-order with its covers found by a triple loop, and every ordered partition
-of the atoms for the HN uniqueness search.
+order with its covers found by a triple loop, every ordered partition
+of the atoms for the HN uniqueness search, and the determinant-line
+route of the vertical degree.
 """
 
 from dataclasses import dataclass
@@ -19,11 +20,12 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 
-from hnbundles.bundle import PlainBundle, is_semistable
+from hnbundles.bundle import (Atom, PlainBundle, _flag_shape, is_semistable,
+                              tensor)
 from hnbundles.canon import CACHED_DIM, bh_conditions
 from hnbundles.errors import NotACharacter, TooLarge
 from hnbundles.lattice import FinAbGroup
-from hnbundles.rootsys import (GL, SL, GroupFamily, all_roots, as_cocharacter,
+from hnbundles.rootsys import (GL, SL, SP, GroupFamily, all_roots, as_cocharacter,
                                coroot, dominant_representative, evaluate,
                                is_dominant, positive_root_count, root_name,
                                simple_root_coordinates, simple_roots)
@@ -593,3 +595,17 @@ def hn_winners_by_partitions(atoms):
         if all(x > y for x, y in zip(slopes, slopes[1:])):
             winners.add(tuple(q.atoms for q in blocks))
     return winners
+
+
+def vertical_degree_composite(family, e, f):
+    """vertical_degree through the determinant-line route: on GL/SL,
+    deg(F* tensor E/F); on Sp, deg(F* tensor F_perp/F) plus the
+    det(F*)^(l+1) twist; on SO, the same with twist exponent l-1."""
+    d, r, fdeg, l = _flag_shape(family, e, f)
+    if family.kind in (GL, SL):
+        fs = PlainBundle((Atom(-fdeg, l),))
+        quot = PlainBundle((Atom(d - fdeg, r - l),))
+        return tensor(fs, quot).degree
+    mid = -fdeg * (r - 2 * l)
+    twist = l + 1 if family.kind == SP else l - 1
+    return mid + twist * (-fdeg)

@@ -12,7 +12,7 @@ from itertools import combinations_with_replacement, product
 from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SoBundle, SpBundle,
                               adjoint_gl, bundle_from_degrees, direct_sum, dual,
                               is_semistable, tensor, underlying,
-                              vertical_degree, vertical_degree_composite)
+                              vertical_degree)
 from hnbundles.canon import (ad_degree, ad_degree_max_oracle, bh_conditions,
                              canonical_reduction, check_bh, forced_index,
                              hn_type)
@@ -25,6 +25,7 @@ from hnbundles.parabolic import (ParabolicIndex, character_generators,
 from hnbundles.rootsys import GroupFamily, evaluate, is_dominant, simple_roots
 from hnbundles.strata import (enumerate_strata, gl_dominance, hull_membership,
                               stratum_leq)
+from oracles import vertical_degree_composite
 
 
 def _report(num: int, budget, fn):

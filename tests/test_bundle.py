@@ -7,11 +7,11 @@ from hnbundles.bundle import (Atom, IsotropicBundle, PlainBundle, SlBundle,
                               SoBundle, SpBundle, adjoint_bundle, adjoint_gl,
                               bundle_from_degrees, direct_sum, dual,
                               is_semistable, isotropic_bundle, tensor,
-                              underlying, vertical_degree,
-                              vertical_degree_composite)
+                              underlying, vertical_degree)
 from hnbundles.errors import (InvalidFlag, NotDegreeZero, NotIntegral,
                               UnsupportedRank, ZeroBundle)
 from hnbundles.rootsys import GroupFamily
+from oracles import vertical_degree_composite
 
 atoms_st = st.lists(
     st.builds(Atom, st.integers(-4, 4), st.integers(1, 3)),
@@ -131,6 +131,33 @@ def test_vertical_degree_routes_and_signs():
                 assert v == vertical_degree_composite(fam, (0, r), (f, l))
                 if l != r // 2 - 1 or r % 2 == 1:
                     assert (v >= 0) == (Fraction(f, l) <= 0)
+
+
+BIG = 10 ** 6
+
+
+@st.composite
+def flag_reductions(draw):
+    """(family, e, f) of any kind at rank up to BIG, even on Sp and at
+    least 3 on SO, with any admissible l, and f and d in [-BIG, BIG],
+    d = 0 on Sp/SO."""
+    kind = draw(st.sampled_from(["gl", "sl", "sp", "so"]))
+    if kind == "sp":
+        r = 2 * draw(st.integers(1, BIG // 2))
+    else:
+        r = draw(st.integers(3 if kind == "so" else 2, BIG))
+    l = draw(st.integers(1, r - 1 if kind in ("gl", "sl") else r // 2))
+    d = draw(st.integers(-BIG, BIG)) if kind in ("gl", "sl") else 0
+    return GroupFamily(kind, r), (d, r), (draw(st.integers(-BIG, BIG)), l)
+
+
+@given(flag_reductions())
+def test_vertical_degree_routes_agree_beyond_the_grid(flag):
+    # the CLI answers by the closed form alone, so the determinant-line
+    # route checks it here, past the exhaustive grid above
+    family, e, f = flag
+    assert vertical_degree(family, e, f) == \
+        vertical_degree_composite(family, e, f)
 
 
 def test_is_semistable_examples():

@@ -21,7 +21,9 @@ from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SpBundle,
                               bundle_from_degrees)
 from hnbundles.cli import (SpecError, parse_bundle_spec, run_command,
                            serialize_bundle_spec)
+from hnbundles.errors import InvariantBreach
 from hnbundles.rootsys import GroupFamily, is_dominant
+from hnbundles.strata import enumerate_strata, to_dot
 
 
 def run(capsys, *argv):
@@ -234,6 +236,25 @@ def test_unwritable_dot_path_is_a_validation_error(capsys, tmp_path):
     assert str(target) in err and not target.exists()
 
 
+def test_strata_renders_dot_only_under_dot(capsys, monkeypatch, tmp_path):
+    argv = ["strata", "--family=gl", "--rank=3", "--bound=1"]
+    golden = next(case for case in GOLDEN if case["argv"] == argv)
+
+    def no_dot(poset):
+        raise AssertionError("to_dot called without --dot")
+
+    monkeypatch.setattr(hnbundles.cli, "to_dot", no_dot)
+    assert run(capsys, *argv) == (0, golden["stdout"], "")
+    monkeypatch.undo()
+    target = tmp_path / "poset.dot"
+    code, out, err = run(capsys, *argv, f"--dot={target}")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {**json.loads(golden["stdout"]),
+                               "dot_path": str(target)}
+    assert target.read_text() == to_dot(
+        enumerate_strata(GroupFamily("gl", 3), 1))
+
+
 def test_check_command(capsys):
     for suite in ("hn", "canon", "lattice"):
         code, out, _ = run(capsys, "check", "--suite", suite,
@@ -289,6 +310,52 @@ def test_hull_check_compares_the_lp_oracle(capsys, monkeypatch):
                     r"case \d+ \((gl3|sp4|so5|so6), input mu=.*, nu=.*\): "
                     r"hull membership is "
                     r"None, the LP oracle says (True|False)\n$", err), err
+
+
+# the hn suite's first case at seed 1, with the blocks of every HN
+# filtration put in increasing slope order
+HN_CASE_RAISES = ("internal invariant breach: check hn failed at seed 1, "
+                  "case 0 (gl2, input 'gl2: 1:1,-1:1'): HN slopes (-1, 1) "
+                  "are not strictly decreasing\n")
+
+
+def test_a_check_case_that_raises_names_the_case(capsys, monkeypatch):
+    # a suite draws its own input, so a library error in a case is a
+    # fault: exit 3, naming the case, where validation errors exit 2
+    real = hnbundles.hnfilt._group_by_slope
+    monkeypatch.setattr(hnbundles.hnfilt, "_group_by_slope",
+                        lambda atoms: real(atoms)[::-1])
+    assert run(capsys, "check", "--suite=hn", "--seed=1", "--cases=5") == (
+        3, "", HN_CASE_RAISES)
+
+
+def test_a_check_case_that_raises_before_its_draw(capsys, monkeypatch):
+    def refuse(*args):
+        raise ValueError("no bundle")
+
+    monkeypatch.setattr(hnbundles.cli, "PlainBundle", refuse)
+    assert run(capsys, "check", "--suite=hn", "--seed=1", "--cases=5") == (
+        3, "", "internal invariant breach: check hn failed at seed 1, "
+        "case 0: no bundle\n")
+
+    def stray(*args):
+        raise TypeError("not a library error")
+
+    # any other exception is a bug in the suite, and propagates
+    monkeypatch.setattr(hnbundles.cli, "PlainBundle", stray)
+    with pytest.raises(TypeError):
+        run_command(["check", "--suite=hn", "--seed=1", "--cases=5"])
+
+
+def test_a_check_case_that_raises_survives_optimize():
+    proc = _run_optimized(
+        "import sys, hnbundles.cli, hnbundles.hnfilt as hnfilt\n"
+        "real = hnfilt._group_by_slope\n"
+        "hnfilt._group_by_slope = lambda atoms: real(atoms)[::-1]\n"
+        "sys.exit(hnbundles.cli.run_command(['check', '--suite=hn',"
+        " '--seed=1', '--cases=5']))\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", HN_CASE_RAISES)
 
 
 def _lattice_breach(what):
@@ -446,14 +513,16 @@ def test_parser_is_built_once(capsys, monkeypatch):
     assert proc.stdout.split() == ["0"], proc.stderr
 
 
+def breach(*args):
+    raise InvariantBreach("routes disagree")
+
+
 def test_only_invariant_breach_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(hnbundles.cli, "vertical_degree_composite",
-                        lambda *args: 1000)
+    monkeypatch.setattr(hnbundles.cli, "vertical_degree", breach)
     code, out, err = run(capsys, "vdeg", "--family", "gl",
                          "--E", "2,4", "--F", "3,2")
     assert code == 3 and out == ""
-    assert err == ("internal invariant breach: vertical degree routes "
-                   "disagree: -8 != 1000\n")
+    assert err == "internal invariant breach: routes disagree\n"
 
     def stray(*args):
         raise AssertionError("not an invariant breach")
@@ -518,11 +587,10 @@ def test_argvs_that_are_never_kept_rerun(capsys, monkeypatch, tmp_path):
     assert run(capsys, *check)[0] == 3
     # an exit-3 answer shows on every call, and is gone once mended
     vdeg = ["vdeg", "--family=gl", "--E=2,4", "--F=3,2"]
-    composite = hnbundles.cli.vertical_degree_composite
-    monkeypatch.setattr(hnbundles.cli, "vertical_degree_composite",
-                        lambda *args: 1000)
+    closed_form = hnbundles.cli.vertical_degree
+    monkeypatch.setattr(hnbundles.cli, "vertical_degree", breach)
     assert [run(capsys, *vdeg)[0] for _ in range(2)] == [3, 3]
-    monkeypatch.setattr(hnbundles.cli, "vertical_degree_composite", composite)
+    monkeypatch.setattr(hnbundles.cli, "vertical_degree", closed_form)
     assert run(capsys, *vdeg)[0] == 0
     # --dot writes its file on every call
     dot = tmp_path / "p.dot"
