@@ -185,6 +185,8 @@ def _flag_shape(family: GroupFamily, e, f):
         raise UnsupportedRank(f"E has rank {r}, {family.kind}{family.r} "
                               f"needs {family.r}")
     if family.kind in (GL, SL):
+        if family.kind == SL and d != 0:
+            raise NotDegreeZero("SL vertical degree needs ambient degree 0")
         if not 1 <= l < r:
             raise InvalidFlag(f"need 1 <= l < r, got l={l}, r={r}")
         return d, r, fdeg, l

@@ -3,22 +3,25 @@ emission, and the brute-force check suites.
 
 Each subcommand's options are declared once, in _COMMANDS: a
 well-formed argv is read from that table, and argparse, built from it on
-first need, reads any other argv and writes the usage errors and help.
+first need, reads any other argv.  argparse's usage errors and help are
+captured, not written, and run_command writes them as it writes every
+answer.
 
 Exit codes: 0 success, 1 usage or parse error, 2 validation error,
 3 internal invariant breach (an InvariantBreach, and nothing else), which
 a check case that fails or raises becomes.
 
 An answer is an exact function of its argv, so an in-process session
-of run_command calls keeps the answers, (exit code, stdout, stderr), of
-the argvs _read reads, keyed by the argv as passed, and writes a kept
-answer again without parsing or computing.  It never keeps, and always
-reruns: an argv argparse reads (help and usage errors, whose text
-follows the terminal width), a check suite, an argv with --dot (it
-writes a file), and an exit-3 answer, so that a breach shows on every
-call.  The answers are bounded by ANSWER_CACHE_LIMIT characters and
-evicted least recently used first.  A one-shot ``python -m
-hnbundles.cli`` makes one call, and keeps nothing past it.
+of run_command calls keeps the answers, (exit code, stdout, stderr),
+keyed by the argv as passed, and writes a kept answer again without
+parsing or computing.  An answer of argparse's text is kept with the
+terminal width that text is wrapped to, and is computed afresh once the
+width differs.  It never keeps, and always reruns: a check suite, an
+argv with --dot (it writes a file), and an exit-3 answer, so that a
+breach shows on every call.  The answers are bounded by
+ANSWER_CACHE_LIMIT characters and evicted least recently used first.  A
+one-shot ``python -m hnbundles.cli`` makes one call, and keeps nothing
+past it.
 """
 
 import argparse
@@ -82,7 +85,7 @@ def parse_bundle_spec(text: str) -> BundleSpec:
         if kind == SL and sum(degrees) != 0:
             raise SpecError("rule sl-degree-zero: SL degrees must sum to 0")
         return BundleSpec(family, None, degrees)
-    zero = 0
+    zero = None
     if "|" in body:
         body, tail = body.split("|", 1)
         if not tail.startswith("z="):
@@ -100,7 +103,7 @@ def parse_bundle_spec(text: str) -> BundleSpec:
             raise SpecError(f"expected 'degree:rank' atom, got {part!r}")
         atoms.append(Atom(int(pm.group(1)), int(pm.group(2))))
     if kind in (GL, SL):
-        if zero:
+        if zero is not None:
             raise SpecError("rule zero-block: only sp/so take a zero block")
         b = PlainBundle(tuple(atoms))
         if b.rank != rank:
@@ -444,13 +447,29 @@ _COMMANDS = {
 }
 
 
+# what argparse writes, as (stdout texts, stderr texts), while run_command
+# parses an argv on this thread; None outside it
+_CAPTURE = threading.local()
+
+
 @lru_cache(maxsize=1)
 def build_parser():
     """The argparse parser of _COMMANDS, built once, on the first argv
     that _read declines: parse_args returns a fresh Namespace and keeps
-    no state."""
-    p = argparse.ArgumentParser(prog="hnbundles",
-                                description="exact HN filtration toolkit")
+    no state.  Its usage errors and help go to run_command's capture
+    while one is open on the calling thread, and are written as
+    argparse writes them otherwise."""
+
+    class Parser(argparse.ArgumentParser):
+        # every write of argparse's, and of each subparser's, goes here
+        def _print_message(self, message, file=None):
+            texts = getattr(_CAPTURE, "texts", None)
+            if texts is None:
+                super()._print_message(message, file)
+            elif message:
+                texts[file is not sys.stdout].append(message)
+
+    p = Parser(prog="hnbundles", description="exact HN filtration toolkit")
     p.add_argument("--pretty", action="store_true",
                    help="aligned key/value output instead of JSON")
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -460,6 +479,27 @@ def build_parser():
             s.add_argument(flag, **keywords)
         s.set_defaults(fn=fn)
     return p
+
+
+def _width():
+    """The terminal width argparse wraps its usage and help text to."""
+    import shutil
+    return shutil.get_terminal_size().columns
+
+
+def _parse(argv):
+    """build_parser().parse_args(argv), with argparse's writes captured:
+    the Namespace, or on its exit the answer (exit code, stdout text,
+    stderr text, terminal width)."""
+    width, texts = _width(), ([], [])
+    _CAPTURE.texts = texts
+    try:
+        return build_parser().parse_args(argv)
+    except SystemExit as exc:
+        out, err = map("".join, texts)
+        return 1 if exc.code else 0, out, err, width
+    finally:
+        _CAPTURE.texts = None
 
 
 def _value(token):
@@ -536,8 +576,8 @@ def _answer(args):
 # The answer cache holds at most this many characters, of argv and of
 # output, over all its answers.  Characters, not entries, bound its
 # memory: strata on GL4 at bound 4 alone prints 98,000.
-# At 2**18 the benchmark's seed-1 cli_mix session answers 2,239 of its
-# 2,465 repeated argvs from the cache.
+# At 2**18 the benchmark's seed-1 cli_mix session answers 2,417 of its
+# 2,643 repeated argvs from the cache.
 ANSWER_CACHE_LIMIT = 2 ** 18
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -546,7 +586,9 @@ _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 class _Answers:
     """Answers by argv tuple, least recently used first, with the count
     of characters they hold, info().currsize; a lock keeps the count
-    right when threads share the cache, as lru_cache's does."""
+    right when threads share the cache, as lru_cache's does.  An answer
+    of argparse's carries the terminal width of its text as a fourth
+    entry, and a hit at another width is a miss."""
 
     def __init__(self):
         self.lock = threading.Lock()
@@ -563,6 +605,8 @@ class _Answers:
     def get(self, key):
         with self.lock:
             answer = self.answers.get(key)
+            if answer is not None and len(answer) > 3 and answer[3] != _width():
+                answer = None
             if answer is None:
                 self.misses += 1
             else:
@@ -571,20 +615,24 @@ class _Answers:
             return answer
 
     def put(self, key, answer):
+        """Keep answer under key, in place of any answer key holds: one
+        of a stale terminal width, or an equal one that another thread
+        put after missing too."""
         size = _size(key, answer)
         if size > ANSWER_CACHE_LIMIT:
             return
         with self.lock:
-            if key not in self.answers:
-                self.answers[key] = answer
-                self.held += size
+            stale = self.answers.pop(key, None)
+            if stale is not None:
+                self.held -= _size(key, stale)
+            self.answers[key] = answer
+            self.held += size
             while self.held > ANSWER_CACHE_LIMIT:
                 self.held -= _size(*self.answers.popitem(last=False))
 
 
 def _size(key, answer):
-    _, out, err = answer
-    return sum(map(len, key)) + len(out) + len(err)
+    return sum(map(len, key)) + len(answer[1]) + len(answer[2])
 
 
 _ANSWERS = _Answers()
@@ -597,20 +645,20 @@ def run_command(argv=None) -> int:
     if answer is None:
         # _read reads a well-formed argv, so that it never builds
         # argparse; argparse reads any other (help, an abbreviation, "--",
-        # a repeated option, a bad value, a missing option) and writes its
-        # usage error or help.  Only an argv _read reads may be kept
+        # a repeated option, a bad value, a missing option), and answers
+        # a usage error or help itself
         args = _read(argv)
-        kept = args is not None and args.cmd != "check" \
-            and getattr(args, "dot", None) is None
         if args is None:
-            try:
-                args = build_parser().parse_args(argv)
-            except SystemExit as exc:
-                return 1 if exc.code else 0
-        answer = _answer(args)
-        if kept and answer[0] != 3:
+            args = _parse(argv)
+        if isinstance(args, Namespace):
+            answer = _answer(args)
+            kept = args.cmd != "check" and answer[0] != 3 \
+                and getattr(args, "dot", None) is None
+        else:
+            answer, kept = args, True
+        if kept:
             _ANSWERS.put(key, answer)
-    code, out, err = answer
+    code, out, err = answer[:3]
     # an error answer leaves stdout untouched, as a closed one may be
     if out:
         sys.stdout.write(out)

@@ -140,14 +140,14 @@ BIG = 10 ** 6
 def flag_reductions(draw):
     """(family, e, f) of any kind at rank up to BIG, even on Sp and at
     least 3 on SO, with any admissible l, and f and d in [-BIG, BIG],
-    d = 0 on Sp/SO."""
+    d = 0 on SL/Sp/SO."""
     kind = draw(st.sampled_from(["gl", "sl", "sp", "so"]))
     if kind == "sp":
         r = 2 * draw(st.integers(1, BIG // 2))
     else:
         r = draw(st.integers(3 if kind == "so" else 2, BIG))
     l = draw(st.integers(1, r - 1 if kind in ("gl", "sl") else r // 2))
-    d = draw(st.integers(-BIG, BIG)) if kind in ("gl", "sl") else 0
+    d = draw(st.integers(-BIG, BIG)) if kind == "gl" else 0
     return GroupFamily(kind, r), (d, r), (draw(st.integers(-BIG, BIG)), l)
 
 

@@ -18,10 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 import hnbundles.cli
 from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SpBundle,
-                              bundle_from_degrees)
+                              bundle_from_degrees, vertical_degree)
 from hnbundles.cli import (SpecError, parse_bundle_spec, run_command,
                            serialize_bundle_spec)
-from hnbundles.errors import InvariantBreach
+from hnbundles.errors import InvariantBreach, NotDegreeZero
 from hnbundles.rootsys import GroupFamily, is_dominant
 from hnbundles.strata import enumerate_strata, to_dot
 
@@ -47,6 +47,8 @@ def test_parse_examples():
 def test_parse_errors():
     for bad in ["xx3: 1:1", "gl4 3:1", "gl4: 3:x", "gl4: 3:0",
                 "gl4: 3:1 | z=2",          # zero block only for sp/so
+                "gl2: 1:1,1:1 | z=0",      # not even an empty one
+                "sl2: 1:1,-1:1 | z=0",
                 "sp3: 1:1",                # odd symplectic rank
                 "sp4: -1:1 | z=2",         # nonpositive slope
                 "sl2: 1:1, 0:1",           # nonzero total degree
@@ -207,6 +209,28 @@ def test_vdeg_command(capsys):
     code, out, _ = run(capsys, "vdeg", "--family", "gl",
                        "--E", "2,4", "--F", "3,2")
     assert code == 0 and json.loads(out)["vertical_degree"] == -8
+
+
+def test_vdeg_refuses_an_sl_bundle_of_nonzero_degree(capsys):
+    with pytest.raises(NotDegreeZero):
+        vertical_degree(GroupFamily("sl", 4), (2, 4), (3, 2))
+    # the same ambient data the spec parser refuses, on a miss and a hit
+    argv = ["vdeg", "--family", "sl", "--E", "2,4", "--F", "3,2"]
+    refused = (2, "", "validation error: SL vertical degree needs ambient "
+                      "degree 0\n")
+    assert [run(capsys, *argv) for _ in range(2)] == [refused] * 2
+    assert run_command.cache_info()[:2] == (1, 1)
+    assert run(capsys, "vdeg", "--family", "sl", "--E", "0,4",
+               "--F", "3,2")[0] == 0
+
+
+def test_gl_and_sl_specs_take_no_zero_block(capsys):
+    # README's grammar gives a zero block only to sp/so, so an empty one
+    # is refused as a larger one is
+    for spec in ("gl2: 1:1,1:1 | z=0", "sl2: 1:1,-1:1 | z=0", "gl4: 3:1 | z=2"):
+        assert run(capsys, "hn", spec) == (
+            1, "", "parse error: rule zero-block: only sp/so take a zero block\n")
+    assert run(capsys, "hn", "sp4: 1:2 | z=0")[0] == 0
 
 
 def test_strata_command(capsys, tmp_path):
@@ -485,26 +509,28 @@ def test_constructor_checks_survive_optimize():
 def test_parser_is_built_once(capsys, monkeypatch):
     builds = []
 
-    def counted(*args, **kwargs):
-        builds.append(kwargs)
-        return argparse.ArgumentParser(*args, **kwargs)
+    # the parser subclasses argparse's, and each subparser is of its class
+    class Counted(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            builds.append(kwargs["prog"])
+            super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(hnbundles.cli, "argparse",
-                        types.SimpleNamespace(ArgumentParser=counted))
+                        types.SimpleNamespace(ArgumentParser=Counted))
     hnbundles.cli.build_parser.cache_clear()
     argvs = [["pi1", "--family", "gl", "--rank", "3"], ["bogus"],
              ["semistable", "so4: deg=1,0"], ["hn", "gl4: what"],
              ["canon", "--family", "gl", "--rank", "2", "--deg", "1,2"],
              ["pi1", "--family", "gl", "--rank", "3"]]
+    commands = ["hn", "semistable", "pi1", "canon", "vdeg", "strata", "check"]
     try:
         assert [run(capsys, *argv)[0] for argv in argvs] == [0, 1, 0, 1, 0, 0]
-        assert len(builds) == 1
+        assert builds == ["hnbundles"] + [f"hnbundles {c}" for c in commands]
         # one parser for every call, with a subcommand per table entry
         parser = hnbundles.cli.build_parser()
         assert hnbundles.cli.build_parser() is parser
-        assert sorted(hnbundles.cli._COMMANDS) == [
-            "canon", "check", "hn", "pi1", "semistable", "strata", "vdeg"]
-        assert len(builds) == 1
+        assert list(hnbundles.cli._COMMANDS) == commands
+        assert len(builds) == 1 + len(commands)
     finally:
         hnbundles.cli.build_parser.cache_clear()
     # built on the first run_command, not on import
@@ -603,7 +629,7 @@ def test_argvs_that_are_never_kept_rerun(capsys, monkeypatch, tmp_path):
     # of all these answers, only the mended vdeg one is kept
     assert list(hnbundles.cli._ANSWERS.answers) == [tuple(vdeg)]
     # argparse reads a usage error, help, or an argv the option table
-    # declines, and each reads it again
+    # declines once, and a repeat is a hit with the same answer
     builds = []
     parser = hnbundles.cli.build_parser
 
@@ -613,10 +639,72 @@ def test_argvs_that_are_never_kept_rerun(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(hnbundles.cli, "build_parser", counted)
     repeated = ["pi1", "--family=gl", "--rank=2", "--rank=3"]
-    for argv, code in ((["bogus"], 1), (["pi1", "-h"], 0), (repeated, 0)):
+    argvs = ((["bogus"], 1), (["pi1", "-h"], 0), (repeated, 0))
+    for argv, code in argvs:
+        hits = run_command.cache_info().hits
         runs = [run(capsys, *argv) for _ in range(2)]
         assert runs[0] == runs[1] and runs[0][0] == code
-    assert len(builds) == 6 and computed[-2:] == ["pi1", "pi1"]
+        assert run_command.cache_info().hits == hits + 1
+    assert len(builds) == 3 and computed[-2:] == ["strata", "pi1"]
+    assert list(hnbundles.cli._ANSWERS.answers) == \
+        [tuple(vdeg)] + [tuple(argv) for argv, _ in argvs]
+
+
+def _argparse_answer(argv):
+    """argparse's own (exit code, stdout, stderr) of argv, as the parser
+    writes it outside run_command."""
+    code, out, err = _parse_outcome(hnbundles.cli.build_parser().parse_args, argv)
+    return 1 if code else 0, out, err
+
+
+USAGE_ARGVS = [["bogus"], ["pi1", "-h"]]
+
+
+def test_usage_answers_follow_the_terminal_width(capsys, monkeypatch):
+    texts = {}
+    for width in (40, 200):
+        monkeypatch.setenv("COLUMNS", str(width))
+        for argv in USAGE_ARGVS:
+            answer = run(capsys, *argv)
+            assert answer == _argparse_answer(argv) and answer[1] + answer[2]
+            assert run(capsys, *argv) == answer
+            texts[width, tuple(argv)] = answer
+    for argv in USAGE_ARGVS:
+        assert texts[40, tuple(argv)] != texts[200, tuple(argv)]
+
+
+def test_a_width_change_replaces_a_usage_answer(capsys, monkeypatch):
+    answers = hnbundles.cli._ANSWERS.answers
+    held = lambda: run_command.cache_info().currsize  # noqa: E731
+    plain = ["pi1", "--family=gl", "--rank=3"]
+    monkeypatch.setenv("COLUMNS", "40")
+    run(capsys, *plain)
+    narrow = run(capsys, "bogus")
+    assert run(capsys, "bogus") == narrow
+    assert run_command.cache_info()[:2] == (1, 2)
+    # a miss, whose answer takes the stale one's place and size
+    monkeypatch.setenv("COLUMNS", "200")
+    wide = run(capsys, "bogus")
+    assert wide != narrow and run_command.cache_info()[:2] == (1, 3)
+    assert list(answers) == [tuple(plain), ("bogus",)]
+    assert answers[("bogus",)][:3] == wide
+    assert held() == sum(hnbundles.cli._size(k, a) for k, a in answers.items())
+    assert run(capsys, "bogus") == wide and run_command.cache_info()[:2] == (2, 3)
+
+    # a plain answer holds no argparse text, and its hit reads no width
+    def unread():
+        raise AssertionError("a plain hit read the terminal width")
+
+    monkeypatch.setattr(hnbundles.cli, "_width", unread)
+    assert run(capsys, *plain)[0] == 0 and run_command.cache_info()[:2] == (3, 3)
+
+
+def test_the_parser_writes_as_argparse_outside_run_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        hnbundles.cli.build_parser().parse_args(["bogus"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.startswith("usage: hnbundles ") and "invalid choice: 'bogus'" in err
 
 
 def test_answer_cache_keeps_its_budget(capsys, monkeypatch):
@@ -654,10 +742,15 @@ def test_answer_cache_keeps_its_budget(capsys, monkeypatch):
 
 
 def test_answer_cache_counts_hold_under_threads(monkeypatch):
-    argvs = [["pi1", "--family=gl", f"--rank={r}"] for r in range(2, 10)]
-    with contextlib.redirect_stdout(io.StringIO()):
+    # usage errors and help, which argparse answers, among plain answers
+    usage = USAGE_ARGVS + [["canon", "--family=gl", "--rank=2", "--deg", "-1,2"]]
+    plain = [["pi1", "--family=gl", f"--rank={r}"] for r in range(2, 10)]
+    argvs = plain[:3] + usage[:1] + plain[3:6] + usage[1:2] + plain[6:] + usage[2:]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
         for argv in argvs:
             run_command(argv)
+    single = {tuple(a): hnbundles.cli._ANSWERS.answers[tuple(a)] for a in usage}
     # a budget of half the answers, so that threads evict as they put
     limit = run_command.cache_info().currsize // 2
     monkeypatch.setattr(hnbundles.cli, "ANSWER_CACHE_LIMIT", limit)
@@ -677,7 +770,8 @@ def test_answer_cache_counts_hold_under_threads(monkeypatch):
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
             for t in threads:
                 t.start()
             for t in threads:
@@ -690,6 +784,9 @@ def test_answer_cache_counts_hold_under_threads(monkeypatch):
     answers = hnbundles.cli._ANSWERS.answers
     assert held == sum(hnbundles.cli._size(k, a) for k, a in answers.items())
     assert 0 < held <= limit
+    # each thread captured only its own argparse text
+    kept = [k for k in single if k in answers]
+    assert kept and all(answers[k] == single[k] for k in kept)
 
 
 def test_answer_cache_holds_at_most_its_budget(capsys):
