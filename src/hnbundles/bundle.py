@@ -1,9 +1,11 @@
 """Formal bundle model: finite direct sums of semistable atoms.
 
 An atom is a pair (degree, rank) standing for a semistable bundle with
-those invariants.  Plain bundles are multisets of atoms; SL bundles add
-the trivial-determinant constraint; Sp/SO bundles store the positive
-isotropic part and a slope-0 block, the mirror being implied.
+those invariants.  Plain bundles are multisets of atoms; an SL bundle is
+a plain bundle of total degree 0 (trivial determinant), a subtype that
+adds the constraint and no data, so every function of a plain bundle
+takes it as it is; Sp/SO bundles store the positive isotropic part and
+a slope-0 block, the mirror being implied.
 """
 
 from dataclasses import dataclass, field
@@ -65,13 +67,14 @@ class PlainBundle:
 
 
 @dataclass(frozen=True)
-class SlBundle:
-    """Plain bundle with trivial determinant (total degree zero)."""
-
-    underlying: PlainBundle
+class SlBundle(PlainBundle):
+    """Plain bundle with trivial determinant (total degree zero).  It
+    never equals the plain bundle of the same atoms."""
 
     def __post_init__(self):
-        if self.underlying.degree != 0:
+        super().__post_init__()
+        # an explicit raise, not assert, so that python -O keeps the check
+        if self.degree != 0:
             raise NotDegreeZero("SL bundle must have total degree 0")
 
 
@@ -142,19 +145,18 @@ def bundle_from_degrees(family: GroupFamily, degrees):
     """Torus-split bundle of the given degree vector, a cocharacter."""
     degrees = as_cocharacter(family, degrees)
     if family.kind in (GL, SL):
-        b = PlainBundle(tuple(Atom(d, 1) for d in degrees))
-        return SlBundle(b) if family.kind == SL else b
+        return (SlBundle if family.kind == SL else PlainBundle)(
+            tuple(Atom(d, 1) for d in degrees))
     positive = tuple(Atom(abs(d), 1) for d in degrees if d != 0)
     zeros = 2 * sum(1 for d in degrees if d == 0) + (family.cartan_type == B)
     return isotropic_bundle(family.kind, positive, tuple([Atom(0, 1)] * zeros))
 
 
 def underlying(b) -> PlainBundle:
-    """The plain bundle beneath any decorated kind."""
+    """The plain bundle beneath any decorated kind: a plain bundle, an SL
+    one included, is its own."""
     if isinstance(b, PlainBundle):
         return b
-    if isinstance(b, SlBundle):
-        return b.underlying
     mirror = tuple(Atom(-a.degree, a.rank) for a in b.positive)
     return PlainBundle(b.positive + b.zero_part + mirror)
 
@@ -182,8 +184,7 @@ def _flag_shape(family: GroupFamily, e, f):
     d, r = e
     fdeg, l = f
     if r != family.r:
-        raise UnsupportedRank(f"E has rank {r}, {family.kind}{family.r} "
-                              f"needs {family.r}")
+        raise UnsupportedRank(f"E has rank {r}, {family} needs {family.r}")
     if family.kind in (GL, SL):
         if family.kind == SL and d != 0:
             raise NotDegreeZero("SL vertical degree needs ambient degree 0")
@@ -220,8 +221,6 @@ def is_semistable(b) -> bool:
     Plain/SL: all atoms share one slope.  Sp/SO: the positive part is
     empty.  An SO bundle of total rank 2 is always semistable.
     """
-    if isinstance(b, SlBundle):
-        b = b.underlying
     if isinstance(b, PlainBundle):
         d, r = b.atoms[0].degree, b.atoms[0].rank
         return all(a.degree * r == d * a.rank for a in b.atoms)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
-from .bundle import IsotropicBundle, SlBundle, underlying
+from .bundle import IsotropicBundle, SlBundle
 from .errors import FamilyMismatch, InvalidReduction, TooLarge
 from .hnfilt import hn_filtration, hn_filtration_isotropic
 from .parabolic import ParabolicIndex, _generator_terms, _two_rho_terms
@@ -73,7 +73,7 @@ class HNType:
         # is_dominant rejects a point of the wrong length
         if not is_dominant(self.family, self.mu):
             raise ValueError(f"HN type ({', '.join(map(str, self.mu))}) is not "
-                             f"dominant for {self.family.kind}{self.family.r}")
+                             f"dominant for {self.family}")
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ def hn_type(b) -> HNType:
         family = GroupFamily(b.kind, b.rank)
         quotients = hn_filtration_isotropic(b).quotients
     else:
-        family = GroupFamily(SL if isinstance(b, SlBundle) else GL, underlying(b).rank)
+        family = GroupFamily(SL if isinstance(b, SlBundle) else GL, b.rank)
         quotients = hn_filtration(b).quotients
     return hn_type_of_quotients(family, quotients)
 

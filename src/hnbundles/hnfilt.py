@@ -12,7 +12,7 @@ the two routes check each other.
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .bundle import IsotropicBundle, PlainBundle, SlBundle, dual, is_semistable
+from .bundle import IsotropicBundle, PlainBundle, dual, is_semistable
 from .errors import TooLarge, UnsupportedRank
 from .rootsys import SO
 
@@ -78,8 +78,6 @@ def _group_by_slope(atoms):
 
 def hn_filtration(b) -> Filtration:
     """HN filtration of a plain (or SL) bundle, reported by its quotients."""
-    if isinstance(b, SlBundle):
-        b = b.underlying
     return Filtration(_group_by_slope(b.atoms))
 
 
@@ -159,8 +157,6 @@ def hn_uniqueness_oracle(b) -> bool:
 
     Refuses more than ORACLE_ATOM_GUARD atoms to partition (the positive
     part for Sp/SO)."""
-    if isinstance(b, SlBundle):
-        b = b.underlying
     # an Sp/SO isotropic part takes every positive atom: one left out would
     # sit in the slope-0 middle with its negative mirror, and the middle
     # would not be semistable; so only the positive part is partitioned

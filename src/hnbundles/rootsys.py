@@ -40,10 +40,12 @@ GL, SL, SP, SO = "gl", "sl", "sp", "so"
 KINDS = (GL, SL, SP, SO)
 A, B, C, D = "A", "B", "C", "D"
 
-# |W(B6)| = |W(C6)|; a regular GL9 point (9! translates) is refused.  The
-# two oracles that enumerate orbits refuse far smaller ones by their own
-# counts of work, so this limit only bounds what weyl_orbit itself builds.
-WEYL_ORBIT_GUARD = 46080
+# The coordinates (points times cartan_dim) of the largest orbit weyl_orbit
+# builds, 16 MiB of pointers: GL1200 at e1 (1,440,000) and regular Sp12
+# and SO13 points (46,080 of 6) pass; GL2000 at e1 and a regular GL9 point
+# do not.  The two oracles that enumerate orbits refuse far smaller ones
+# by their own counts of work, so this limit bounds weyl_orbit alone.
+WEYL_ORBIT_GUARD = 2 ** 21
 
 # the entry types of a cocharacter that as_cocharacter returns unconverted
 _INT_ONLY = frozenset({int})
@@ -68,6 +70,9 @@ class GroupFamily:
         # not a field: ==, hash and repr read (kind, r) alone
         object.__setattr__(self, "cartan_type", A if self.kind in (GL, SL) else
                            C if self.kind == SP else B if self.r % 2 else D)
+
+    def __str__(self):
+        return f"{self.kind}{self.r}"
 
     @property
     def cartan_dim(self) -> int:
@@ -196,8 +201,7 @@ def _point(family: GroupFamily, v=None, index=None):
     v = tuple(v)
     if len(v) != family.cartan_dim:
         raise ValueError(f"point ({', '.join(map(str, v))}) has {len(v)} "
-                         f"coordinates, {family.kind}{family.r} needs "
-                         f"{family.cartan_dim}")
+                         f"coordinates, {family} needs {family.cartan_dim}")
     return v
 
 
@@ -305,7 +309,8 @@ def weyl_orbit(family: GroupFamily, v):
     are listed by previous-permutation steps, already in descending
     order, and off A each is expanded by a product of signs, then the
     points are sorted once.  Refuses an orbit of more than
-    WEYL_ORBIT_GUARD points before building it.  W.v = W.dom(v), and the
+    WEYL_ORBIT_GUARD coordinates before building it, from its size
+    capped at the guard over the length of v.  W.v = W.dom(v), and the
     sorted orbit is the same tuple from every one of its points, so the
     cache is keyed by the dominant representative: a lookup at any
     translate of a cached orbit hits.
@@ -317,10 +322,10 @@ def weyl_orbit(family: GroupFamily, v):
     # an int, and one Fraction makes it a Fraction.
     if type(sum(v)) is not int:
         v = tuple(int(x) if getattr(x, "denominator", None) == 1 else x for x in v)
-    size = weyl_orbit_size(family, v, limit=WEYL_ORBIT_GUARD)
-    if size > WEYL_ORBIT_GUARD:
+    size = weyl_orbit_size(family, v, limit=WEYL_ORBIT_GUARD // len(v))
+    if size * len(v) > WEYL_ORBIT_GUARD:
         raise TooLarge(f"the Weyl orbit has more than {WEYL_ORBIT_GUARD} "
-                       f"points, its guard")
+                       f"coordinates, its guard")
     if size * len(v) > ORBIT_CACHE_LIMIT:
         return _weyl_orbit.__wrapped__(family, v)
     return _weyl_orbit(family, v)

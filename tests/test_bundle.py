@@ -44,7 +44,7 @@ def test_malformed_bundles_rejected():
     with pytest.raises(TypeError, match="expected atoms"):
         SpBundle(((1, 1), Atom(1, 1)), ())
     with pytest.raises(NotDegreeZero):
-        SlBundle(PlainBundle((Atom(1, 1), Atom(0, 1))))
+        SlBundle((Atom(1, 1), Atom(0, 1)))
     with pytest.raises(ValueError, match="positive part"):
         SpBundle((Atom(0, 1),), ())
     with pytest.raises(ValueError, match="zero block"):
@@ -245,10 +245,23 @@ def test_adjoint_degrees_symmetric(kind, r, coords):
 
 def test_sl_semistability_matches_underlying():
     b = PlainBundle((Atom(2, 1), Atom(-2, 1)))
-    assert is_semistable(SlBundle(b)) == is_semistable(b)
-    assert underlying(SlBundle(b)) is b
+    sl = SlBundle(b.atoms)
+    assert is_semistable(sl) == is_semistable(b)
+    assert underlying(sl) is sl
     c = PlainBundle((Atom(0, 1), Atom(0, 3)))
-    assert is_semistable(SlBundle(c)) == is_semistable(c)
+    assert is_semistable(SlBundle(c.atoms)) == is_semistable(c)
+
+
+def test_sl_bundle_is_a_plain_bundle_of_its_own_type():
+    atoms = (Atom(-2, 1), Atom(2, 1))
+    sl = SlBundle(atoms)
+    assert isinstance(sl, PlainBundle) and sl.atoms == (Atom(2, 1), Atom(-2, 1))
+    assert repr(sl) == "SlBundle(atoms=(Atom(degree=2, rank=1), " \
+                       "Atom(degree=-2, rank=1)))"
+    assert sl == SlBundle(atoms[::-1]) and hash(sl) == hash(SlBundle(atoms[::-1]))
+    assert sl != PlainBundle(atoms)
+    assert bundle_from_degrees(GroupFamily("sl", 2), (2, -2)) == sl
+    assert type(bundle_from_degrees(GroupFamily("gl", 2), (2, -2))) is PlainBundle
 
 
 @given(st.lists(st.builds(Atom, st.integers(1, 4), st.integers(1, 2)),

@@ -186,7 +186,7 @@ def _fork_image(family, a):
 
 @pytest.mark.parametrize("family", [GroupFamily(k, r) for k, rs in (
     ("gl", (2, 3, 4)), ("sl", (2, 3, 4)), ("sp", (2, 4, 6, 8)),
-    ("so", range(3, 10))) for r in rs], ids=str)
+    ("so", range(3, 10))) for r in rs], ids=repr)
 def test_the_filtration_route_equals_the_degree_route(family):
     # the formal isotropic model holds the absolute values of the degrees,
     # so on even SO it drops their sign parity: there hn_type answers the
@@ -360,7 +360,7 @@ def _ad_degree_max_by_pairs(family, a):
 
 @pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (
     ("gl", 2), ("gl", 3), ("sl", 2), ("sl", 3), ("sp", 2), ("sp", 4),
-    ("sp", 6), ("so", 3), ("so", 4), ("so", 5), ("so", 6), ("so", 7))], ids=str)
+    ("sp", 6), ("so", 3), ("so", 4), ("so", 5), ("so", 6), ("so", 7))], ids=repr)
 def test_oracle_equals_the_per_pair_loop(family):
     for a in product(range(-2, 3), repeat=family.cartan_dim):
         # same best, same argmax pairs in the same order
@@ -371,7 +371,7 @@ def test_oracle_equals_the_per_pair_loop(family):
 @pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (
     ("gl", 1), ("gl", 2), ("gl", 3), ("sl", 1), ("sl", 2), ("sl", 3),
     ("sp", 2), ("sp", 4), ("sp", 6), ("so", 3), ("so", 4), ("so", 5),
-    ("so", 6), ("so", 7))], ids=str)
+    ("so", 6), ("so", 7))], ids=repr)
 def test_oracle_answer_cache_equals_the_cold_oracle(family):
     grid = list(product(range(-2, 3), repeat=family.cartan_dim))
     if family.kind == "so" and family.r % 2 == 0:
@@ -406,7 +406,7 @@ def test_oracle_returns_a_fresh_argmax_list():
 @pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (
     [("gl", r) for r in (1, 2, 3, 4)] + [("sl", r) for r in (1, 2, 3, 4)]
     + [("sp", r) for r in (2, 4, 6, 8)] + [("so", r) for r in range(3, 10)])],
-    ids=str)
+    ids=repr)
 def test_reduction_and_bh_caches_equal_the_uncached_reference(family, monkeypatch):
     # W acts by signed permutations, so [-2,2]^dim holds every Weyl
     # translate of each of its points
@@ -453,10 +453,10 @@ def test_check_bh_returns_a_fresh_list_of_the_point_type():
 
 
 @pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (
-    ("gl", 4), ("sl", 4), ("sp", 8), ("so", 8), ("so", 9))], ids=str)
+    ("gl", 4), ("sl", 4), ("sp", 8), ("so", 8), ("so", 9))], ids=repr)
 def test_oracle_equals_the_per_pair_loop_sampled_rank_four(family):
     # SO8 has the D4 fork and the sign parity of even SO
-    rng = random.Random(f"{family}-9")
+    rng = random.Random(f"{family!r}-9")
     for _ in range(40):
         a = [rng.randint(-3, 3) for _ in range(family.cartan_dim)]
         if family.kind == "sl":
@@ -471,7 +471,7 @@ def test_oracle_equals_the_per_pair_loop_sampled_rank_four(family):
     (GroupFamily("so", 10), (1, -1, 2, 0, 2)), (GroupFamily("so", 10), (-2, 1, 1, 1, 3)),
     (GroupFamily("so", 11), (-3, 5, 1, -4, 2)), (GroupFamily("gl", 6), (3, -1, 2, 0, 2, 3)),
     (GroupFamily("sl", 8), (1, 1, 1, 1, 0, 0, -2, -2))],
-    ids=str)
+    ids=repr)
 def test_oracle_equals_the_per_pair_loop_at_the_guard(family, a):
     # points whose work is up to the guard: a regular SO11 point at it, the
     # D5 fork, and GL6 and SL8 points, which the former cartan_dim <= 5
@@ -490,7 +490,7 @@ def _lane_bytes(family, a):
     (GroupFamily("gl", 3), (0, 2, -1)), (GroupFamily("sl", 3), (0, 2, -2)),
     (GroupFamily("sp", 6), (0, -1, 2)), (GroupFamily("so", 5), (0, -1)),
     (GroupFamily("so", 7), (0, 1, -2)), (GroupFamily("so", 8), (0, -1, 2, 1))],
-    ids=str)
+    ids=repr)
 def test_oracle_equals_the_per_pair_loop_at_the_lane_limits(family, base):
     # add m to the first coordinate of base (and on SL take it off the last)
     # so that the bound B sits on each side of 2^15, 2^31 and 2^63.  From
@@ -524,7 +524,7 @@ def test_oracle_equals_the_per_pair_loop_at_the_lane_limits(family, base):
 @pytest.mark.parametrize("family,a", [
     (GroupFamily("gl", 3), (1537228672809129302, 0, 0)),
     (GroupFamily("so", 5), (1 << 60, 0)), (GroupFamily("gl", 1), (1 << 63,))],
-    ids=str)
+    ids=repr)
 def test_lane_refusal_builds_neither_the_table_nor_the_orbit(family, a):
     # B = 6 max |a_i| on GL3, 8 max |a_i| on SO5 and |a_0| on GL1: each
     # point is the first one up with B >= 2^63
@@ -558,7 +558,7 @@ def _families_to_dimension_five():
             + [GroupFamily("so", r) for r in range(3, 12)])
 
 
-@pytest.mark.parametrize("family", _families_to_dimension_five(), ids=str)
+@pytest.mark.parametrize("family", _families_to_dimension_five(), ids=repr)
 def test_two_rho_terms_are_the_nonzero_coordinates_of_two_rho(family):
     table = _two_rho_terms(family)
     assert [index for index, _ in table] == _indices(family)
@@ -582,7 +582,7 @@ def _sample_points(family):
     return points
 
 
-@pytest.mark.parametrize("family", _families_to_dimension_five(), ids=str)
+@pytest.mark.parametrize("family", _families_to_dimension_five(), ids=repr)
 def test_lane_bound_covers_every_score_and_entry(family):
     for a in _sample_points(family):
         orbit = weyl_orbit(family, a)

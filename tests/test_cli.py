@@ -39,9 +39,17 @@ def test_parse_examples():
     assert isinstance(sp.bundle, SpBundle)
     assert sp.bundle.positive == (Atom(2, 1),) and sp.bundle.zero_rank == 2
     so = parse_bundle_spec("so4: deg=1,0")
-    assert so.bundle is None and so.degrees == (1, 0)
+    assert so.bundle == bundle_from_degrees(GroupFamily("so", 4), (1, 0))
+    assert so.degrees == (1, 0)
     sl = parse_bundle_spec("sl2: 1:1, -1:1")
     assert isinstance(sl.bundle, SlBundle)
+
+
+def test_parse_keeps_the_bundle_of_a_degree_spec():
+    spec = parse_bundle_spec("sl3: deg=1,0,-1")
+    assert spec.bundle == bundle_from_degrees(GroupFamily("sl", 3), (1, 0, -1))
+    assert isinstance(spec.bundle, SlBundle) and spec.degrees == (1, 0, -1)
+    assert serialize_bundle_spec(spec) == "sl3: deg=1,0,-1"
 
 
 def test_parse_errors():
@@ -323,6 +331,20 @@ def test_check_failure_survives_optimize():
     proc = _run_optimized(script)
     assert proc.returncode == 3 and proc.stdout == ""
     assert CANON_FAILURE.match(proc.stderr), proc.stderr
+
+
+def test_sl_bundle_refuses_a_nonzero_degree_under_optimize():
+    # the check is an explicit raise, which python -O keeps
+    script = ("import sys\n"
+              "from hnbundles.bundle import Atom, SlBundle\n"
+              "from hnbundles.errors import NotDegreeZero\n"
+              "try:\n"
+              "    SlBundle((Atom(1, 1), Atom(0, 1)))\n"
+              "except NotDegreeZero as exc:\n"
+              "    sys.exit(str(exc) != 'SL bundle must have total degree 0')\n"
+              "sys.exit(2)\n")
+    proc = _run_optimized(script)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_hull_check_compares_the_lp_oracle(capsys, monkeypatch):

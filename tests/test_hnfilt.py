@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import hnbundles.hnfilt
 from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SoBundle, SpBundle,
-                              underlying)
+                              adjoint_gl, direct_sum, dual, is_semistable,
+                              tensor, underlying)
 from hnbundles.errors import TooLarge, UnsupportedRank
 from hnbundles.hnfilt import (Filtration, IsotropicFiltration, _group_by_slope,
                               _hn_candidates, extend_with_perps, hn_filtration,
@@ -75,7 +76,30 @@ def test_uniqueness_oracle_examples():
     assert hn_uniqueness_oracle(PlainBundle((Atom(3, 1), Atom(-2, 1))))
     assert hn_uniqueness_oracle(PlainBundle((Atom(0, 1), Atom(0, 1))))
     assert hn_uniqueness_oracle(SpBundle((Atom(2, 1), Atom(1, 1)), ()))
-    assert hn_uniqueness_oracle(SlBundle(PlainBundle((Atom(2, 1), Atom(-2, 2)))))
+    assert hn_uniqueness_oracle(SlBundle((Atom(2, 1), Atom(-2, 2))))
+
+
+# atom lists of total degree 0: up to four atoms and one more that cancels
+# their degree, so at most five, under the oracle's guard
+sl_atoms_st = st.lists(st.builds(Atom, st.integers(-3, 3), st.integers(1, 2)),
+                       min_size=1, max_size=4).map(
+    lambda atoms: tuple(atoms) + (Atom(-sum(a.degree for a in atoms), 1),))
+
+
+@given(sl_atoms_st)
+def test_sl_bundle_answers_as_its_plain_bundle(atoms):
+    # an SL bundle is a plain bundle of degree 0: every function of a plain
+    # bundle takes it as it is and answers as on the plain bundle
+    sl, b = SlBundle(atoms), PlainBundle(atoms)
+    assert sl != b and sl.atoms == b.atoms and underlying(sl) is sl
+    assert hn_filtration(sl).quotients == hn_filtration(b).quotients
+    assert is_semistable(sl) == is_semistable(b)
+    assert scss(sl) == scss(b)
+    assert dual(sl) == dual(b)
+    assert tensor(sl, sl) == tensor(b, b) == tensor(sl, b)
+    assert direct_sum(sl, sl) == direct_sum(b, b)
+    assert adjoint_gl(sl) == adjoint_gl(b)
+    assert hn_uniqueness_oracle(sl) and hn_uniqueness_oracle(b)
 
 
 def test_uniqueness_oracle_guard():

@@ -99,8 +99,15 @@ def test_coroot_examples():
 
 
 def test_coroot_rejects_non_roots():
-    with pytest.raises(NotARoot):
+    # the message spells the family, not the dataclass repr
+    with pytest.raises(NotARoot, match=r"^\(1, 1, 0\) is not a root of gl3$"):
         coroot(GroupFamily("gl", 3), (1, 1, 0))
+
+
+def test_family_spells_its_name():
+    assert [str(GroupFamily(k, r)) for k, r in (
+        ("gl", 3), ("sl", 12), ("sp", 4), ("so", 7))] == ["gl3", "sl12", "sp4", "so7"]
+    assert repr(GroupFamily("gl", 3)) == "GroupFamily(kind='gl', r=3)"
 
 
 def test_weyl_orbit_examples():
@@ -202,9 +209,11 @@ def test_orbit_size_stops_past_its_limit():
                 assert capped == size if size <= limit else capped > limit, \
                     (family, v, limit)
     # a regular GL(100000) point stops after its first binomial, 100000,
-    # which is already past the guard; its full size has 456,574 digits
+    # which is already past the cap weyl_orbit passes, the guard over the
+    # length of the point; its full size has 456,574 digits
     gl = GroupFamily("gl", 100000)
-    assert weyl_orbit_size(gl, range(100000), limit=rootsys.WEYL_ORBIT_GUARD) == 100000
+    assert weyl_orbit_size(
+        gl, range(100000), limit=rootsys.WEYL_ORBIT_GUARD // 100000) == 100000
 
 
 def test_orbit_guards_refuse_a_huge_orbit_by_a_capped_count(monkeypatch):
@@ -221,12 +230,29 @@ def test_orbit_guards_refuse_a_huge_orbit_by_a_capped_count(monkeypatch):
     # once formatted it into its message and raised ValueError instead
     gl = GroupFamily("gl", 30000)
     regular = tuple(range(30000))
-    with pytest.raises(TooLarge, match=r"^the Weyl orbit has more than 46080 "
-                                       r"points, its guard$"):
+    with pytest.raises(TooLarge, match=r"^the Weyl orbit has more than 2097152 "
+                                       r"coordinates, its guard$"):
         weyl_orbit(gl, regular)
     with pytest.raises(TooLarge, match="hull guard exceeded"):
         strata.hull_membership_lp_oracle(gl, regular, regular)
-    assert limits == [rootsys.WEYL_ORBIT_GUARD, strata.HULL_ORBIT_GUARD]
+    # weyl_orbit's guard counts coordinates: its cap is the guard over
+    # the length of the point
+    assert limits == [rootsys.WEYL_ORBIT_GUARD // 30000, strata.HULL_ORBIT_GUARD]
+
+
+def test_orbit_guard_counts_coordinates_not_points(monkeypatch):
+    # GL2000 at e1 has only 2,000 points, but 4,000,000 coordinates: it is
+    # refused before any point is built, while GL1200 at e1 (1,440,000) is
+    # built, as the long-point test checks
+    def build(p):
+        raise AssertionError("an arrangement was built")
+
+    monkeypatch.setattr(rootsys, "_descending_arrangements", build)
+    e1 = (1,) + (0,) * 1999
+    with pytest.raises(TooLarge, match="coordinates, its guard$"):
+        weyl_orbit(GroupFamily("gl", 2000), e1)
+    assert weyl_orbit_size(GroupFamily("gl", 2000), e1) * 2000 > \
+        rootsys.WEYL_ORBIT_GUARD >= 1200 * 1200
 
 
 def test_orbit_has_one_representation_per_number():
@@ -408,7 +434,7 @@ def _oracle_points(family, seed):
     return points + [odd, odd[:-1] + (0,), tuple(Fraction(c, 2) for c in odd)]
 
 
-@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=str)
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=repr)
 def test_weyl_orbit_equals_the_reflection_orbit(family):
     for v in _oracle_points(family, 5):
         orbit = weyl_orbit(family, v)
@@ -417,7 +443,7 @@ def test_weyl_orbit_equals_the_reflection_orbit(family):
         assert list(orbit) == sorted(orbit, reverse=True), v
 
 
-@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=str)
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=repr)
 def test_dominant_representative_equals_the_reflection_loop(family):
     for v in _oracle_points(family, 7):
         rep = dominant_representative(family, v)
@@ -427,7 +453,7 @@ def test_dominant_representative_equals_the_reflection_loop(family):
 
 
 @pytest.mark.parametrize("family", [f for f in ORACLE_FAMILIES
-                                    if f.cartan_dim <= 3], ids=str)
+                                    if f.cartan_dim <= 3], ids=repr)
 def test_weyl_orbit_is_one_cache_entry_per_orbit(family):
     # the cache key is the dominant point: the orbit built from any of its
     # points is the one built from that key, and a lookup there is a hit
@@ -453,7 +479,7 @@ def test_type_d_chamber_flips_the_last_sign():
         (4, 3, 2, 1)
 
 
-@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=str)
+@pytest.mark.parametrize("family", ORACLE_FAMILIES, ids=repr)
 def test_simple_root_coordinates_equal_the_rational_solve(family):
     points = _oracle_points(family, 11)
     simples = simple_roots(family)
@@ -537,9 +563,9 @@ TABLE_FAMILIES = [GroupFamily(kind, r) for kind in ("gl", "sl", "sp", "so")
                   and (kind != "so" or r >= 3)]
 
 
-@pytest.mark.parametrize("family", TABLE_FAMILIES, ids=str)
+@pytest.mark.parametrize("family", TABLE_FAMILIES, ids=repr)
 def test_simple_root_values_equal_the_table(family):
-    rng = random.Random(str(family))
+    rng = random.Random(repr(family))
     simples = simple_roots(family)
     for _ in range(200):
         v = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))

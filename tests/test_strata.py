@@ -226,7 +226,7 @@ LISTING_FAMILIES = ([GroupFamily(kind, r) for kind in ("gl", "sl") for r in rang
                     + [GroupFamily("so", r) for r in range(3, 10)])
 
 
-@pytest.mark.parametrize("family", LISTING_FAMILIES, ids=str)
+@pytest.mark.parametrize("family", LISTING_FAMILIES, ids=repr)
 def test_dominant_points_equal_the_box_walk(family):
     # the box walk: every point of [-bound, bound]^dim in descending
     # lexicographic order, kept when dominant (and of sum 0 for SL)
