@@ -17,8 +17,7 @@ from .lattice import (FinAbGroup, fundamental_groups, levi_fundamental_groups,
 from .parabolic import (ParabolicIndex, character_generators,
                         is_dominant_character, parabolic_from_flag,
                         parabolic_leq)
-from .rootsys import (GroupFamily, as_cocharacter, coroot,
-                      dominant_representative, positive_roots, simple_roots,
+from .rootsys import (GroupFamily, as_cocharacter, dominant_representative,
                       weyl_orbit)
 from .strata import (StrataPoset, enumerate_strata, hull_membership,
                      stratum_leq, to_dot)

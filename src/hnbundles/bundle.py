@@ -5,7 +5,9 @@ those invariants.  Plain bundles are multisets of atoms; an SL bundle is
 a plain bundle of total degree 0 (trivial determinant), a subtype that
 adds the constraint and no data, so every function of a plain bundle
 takes it as it is; Sp/SO bundles store the positive isotropic part and
-a slope-0 block, the mirror being implied.
+a slope-0 block, the mirror being implied.  The adjoint bundle of a
+torus-split bundle is read off the values of the positive roots in
+closed form, with no list of roots.
 """
 
 from dataclasses import dataclass, field
@@ -13,8 +15,7 @@ from fractions import Fraction
 from typing import ClassVar
 
 from .errors import InvalidFlag, NotDegreeZero, UnsupportedRank, ZeroBundle
-from .rootsys import (B, GL, SL, SO, SP, GroupFamily, all_roots,
-                      as_cocharacter, evaluate)
+from .rootsys import A, B, C, GL, SL, SO, SP, GroupFamily, as_cocharacter
 
 
 @dataclass(frozen=True, order=True)
@@ -234,18 +235,25 @@ def adjoint_bundle(family: GroupFamily, a) -> SoBundle:
 
     One rank-1 atom of degree alpha(a) per root, plus a rank-(dim T)
     trivial block; the SO decoration takes the positive-degree atoms as
-    the isotropic positive part.
+    the isotropic positive part.  Read off the values of the positive
+    roots in closed form (Bourbaki, Plates I-IV): a_i - a_j for i < j,
+    off type A also a_i + a_j, on B a_i and on C 2 a_i.  A nonzero value
+    v and its negative give one atom of degree |v|; a zero value gives
+    two trivial atoms.
     """
     a = as_cocharacter(family, a)
-    positive = []
-    zero = [Atom(0, 1)] * family.torus_dim
-    for alpha in all_roots(family):
-        v = evaluate(alpha, a)
-        if v > 0:
-            positive.append(Atom(v, 1))
-        elif v == 0:
-            zero.append(Atom(0, 1))
-    return SoBundle(tuple(positive), tuple(zero))
+    family.require_root_system()
+    t = family.cartan_type
+    values = [x - y for i, x in enumerate(a) for y in a[i + 1:]]
+    if t != A:
+        values += [x + y for i, x in enumerate(a) for y in a[i + 1:]]
+    if t == B:
+        values += a
+    elif t == C:
+        values += [2 * x for x in a]
+    positive = tuple(Atom(abs(v), 1) for v in values if v)
+    zeros = family.torus_dim + 2 * (len(values) - len(positive))
+    return SoBundle(positive, (Atom(0, 1),) * zeros)
 
 
 def adjoint_gl(e: PlainBundle) -> SoBundle:

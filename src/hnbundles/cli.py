@@ -97,7 +97,8 @@ def parse_bundle_spec(text: str) -> BundleSpec:
         if zero < 0:
             raise SpecError("rule zero-rank: zero-block rank must be nonnegative")
     atoms = []
-    for part in body.split(","):
+    # an Sp/SO bundle may be its zero block alone: "sp2: | z=2"
+    for part in body.split(",") if body or not zero else ():
         pm = _ATOM.match(part)
         if not pm or int(pm.group(2)) < 1:
             raise SpecError(f"expected 'degree:rank' atom, got {part!r}")
@@ -134,7 +135,7 @@ def serialize_bundle_spec(spec: BundleSpec) -> str:
         return head + ",".join(f"{a.degree}:{a.rank}" for a in b.atoms)
     body = ",".join(f"{a.degree}:{a.rank}" for a in b.positive)
     if b.zero_rank:
-        body += f" | z={b.zero_rank}"
+        body = f"{body} | z={b.zero_rank}".lstrip()
     return head + body
 
 

@@ -9,10 +9,6 @@ class UnsupportedRank(HnBundleError):
     """Rank outside the range a family supports (e.g. SO with r < 3)."""
 
 
-class NotARoot(HnBundleError):
-    """Functional is not a root of the given family."""
-
-
 class TooLarge(HnBundleError):
     """Input exceeds an enumeration guard."""
 

@@ -21,8 +21,10 @@ expanded by a product of (x, -x) over its nonzero entries; on D with no
 zero entry, by one table of the sign patterns whose count of minus
 signs has the parity of the dominant point's.  The signed points are
 then sorted once.  The simple-root coordinates are the integer key of
-the stratum order, halved at the end of the diagram.  The tests check
-the closed forms against a loop of simple reflections and a solve.
+the stratum order, halved at the end of the diagram.  No root is
+listed here: the explicit root table (simple and positive roots, their
+coroots) is kept in the tests as the reference for these closed forms,
+which they also check against a loop of simple reflections and a solve.
 """
 
 from collections import Counter
@@ -33,8 +35,7 @@ from itertools import accumulate, product
 from math import comb
 from operator import mul
 
-from .errors import (FamilyMismatch, NotARoot, NotIntegral, TooLarge,
-                     UnsupportedRank)
+from .errors import FamilyMismatch, NotIntegral, TooLarge, UnsupportedRank
 
 GL, SL, SP, SO = "gl", "sl", "sp", "so"
 KINDS = (GL, SL, SP, SO)
@@ -93,41 +94,20 @@ class GroupFamily:
             raise UnsupportedRank("SO(2) has no usable root system")
 
 
-def _e(i, dim, c=1):
-    v = [0] * dim
-    v[i] = c
-    return tuple(v)
-
-
 def evaluate(functional, v):
     """Dot-product pairing of an integer functional against a Cartan vector."""
     return sum(a * b for a, b in zip(functional, v))
 
 
-def simple_roots(family: GroupFamily):
-    """Ordered simple roots of the family in diagonal coordinates."""
-    family.require_root_system()
-    dim = family.cartan_dim
-    out = [tuple(_sub(_e(l, dim), _e(l + 1, dim))) for l in range(dim - 1)]
-    t = family.cartan_type
-    if t == B:
-        out.append(_e(dim - 1, dim))
-    elif t == C:
-        out.append(_e(dim - 1, dim, 2))
-    elif t == D:
-        out.append(_e(dim - 2, dim)[:-1] + (1,))
-    return tuple(out)
-
-
 def simple_root_count(family: GroupFamily) -> int:
-    """len(simple_roots(family)) without building them."""
+    """The number of simple roots: the rank of the root system."""
     family.require_root_system()
     return family.cartan_dim - (family.cartan_type == A)
 
 
 def positive_root_count(family: GroupFamily) -> int:
-    """len(positive_roots(family)) without building them: n(n - 1)/2 for
-    A, n^2 for B and C, n(n - 1) for D."""
+    """|Phi+|, the number of positive roots: n(n - 1)/2 for A, n^2 for B
+    and C, n(n - 1) for D."""
     family.require_root_system()
     n = family.cartan_dim
     if family.cartan_type == A:
@@ -148,45 +128,6 @@ def as_cocharacter(family: GroupFamily, a):
             not isinstance(c, int) and getattr(c, "denominator", None) != 1 for c in a):
         raise NotIntegral(f"{a} is not a cocharacter: need {family.cartan_dim} integral entries")
     return tuple(int(c) for c in a)
-
-
-def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def positive_roots(family: GroupFamily):
-    """Positive roots: closure of the simple system, listed deterministically."""
-    family.require_root_system()
-    dim, t = family.cartan_dim, family.cartan_type
-    out = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            out.append(_sub(_e(i, dim), _e(j, dim)))
-            if t != A:
-                out.append(tuple(a + b for a, b in zip(_e(i, dim), _e(j, dim))))
-    if t == B:
-        out.extend(_e(i, dim) for i in range(dim))
-    elif t == C:
-        out.extend(_e(i, dim, 2) for i in range(dim))
-    return tuple(sorted(out, reverse=True))
-
-
-def all_roots(family: GroupFamily):
-    pos = positive_roots(family)
-    return pos + tuple(tuple(-c for c in a) for a in pos)
-
-
-def is_root(family: GroupFamily, functional) -> bool:
-    return tuple(functional) in all_roots(family)
-
-
-def coroot(family: GroupFamily, root):
-    """The coroot 2a/<a,a> of a root, under the standard dot product;
-    classical coroots are integral in these coordinates."""
-    if not is_root(family, root):
-        raise NotARoot(f"{root} is not a root of {family}")
-    norm = sum(c * c for c in root)
-    return tuple(2 * c // norm for c in root)
 
 
 def _point(family: GroupFamily, v=None, index=None):

@@ -1,5 +1,7 @@
 """Solve, Hermite, kernel and normal-form routes that the closed forms
-replaced, kept as independent oracles for the tests: the rational solve
+replaced, kept as independent oracles for the tests: the root table
+(simple roots, positive roots, all roots, the root test, the coroots)
+and the adjoint bundle read off it root by root, the rational solve
 and the Hermite-reduced integer row kernel, the root table of supports
 and the Levi/nilradical root split read off it (the oracle for 2rho_P,
 the Levi root count and the Levi centre), the point v_I and its sign
@@ -20,17 +22,97 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 
-from hnbundles.bundle import (Atom, PlainBundle, _flag_shape, is_semistable,
-                              tensor)
+from hnbundles.bundle import (Atom, PlainBundle, SoBundle, _flag_shape,
+                              is_semistable, tensor)
 from hnbundles.canon import CACHED_DIM, bh_conditions
-from hnbundles.errors import NotACharacter, TooLarge
+from hnbundles.errors import HnBundleError, NotACharacter, TooLarge
 from hnbundles.lattice import FinAbGroup
-from hnbundles.rootsys import (GL, SL, SP, GroupFamily, all_roots, as_cocharacter,
-                               coroot, dominant_representative, evaluate,
-                               is_dominant, positive_root_count, root_name,
-                               simple_root_coordinates, simple_roots)
+from hnbundles.rootsys import (A, B, C, D, GL, SL, SP, GroupFamily,
+                               as_cocharacter, dominant_representative,
+                               evaluate, is_dominant, positive_root_count,
+                               root_name, simple_root_coordinates)
 from hnbundles.strata import (ENUM_BOUND_GUARD, ENUM_DIM_GUARD, StrataPoset,
                               stratum_label, stratum_leq)
+
+
+class NotARoot(HnBundleError):
+    """Functional is not a root of the given family."""
+
+
+def _e(i, dim, c=1):
+    v = [0] * dim
+    v[i] = c
+    return tuple(v)
+
+
+def _sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def simple_roots(family: GroupFamily):
+    """Ordered simple roots of the family in diagonal coordinates."""
+    family.require_root_system()
+    dim = family.cartan_dim
+    out = [tuple(_sub(_e(l, dim), _e(l + 1, dim))) for l in range(dim - 1)]
+    t = family.cartan_type
+    if t == B:
+        out.append(_e(dim - 1, dim))
+    elif t == C:
+        out.append(_e(dim - 1, dim, 2))
+    elif t == D:
+        out.append(_e(dim - 2, dim)[:-1] + (1,))
+    return tuple(out)
+
+
+def positive_roots(family: GroupFamily):
+    """Positive roots: closure of the simple system, listed deterministically."""
+    family.require_root_system()
+    dim, t = family.cartan_dim, family.cartan_type
+    out = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            out.append(_sub(_e(i, dim), _e(j, dim)))
+            if t != A:
+                out.append(tuple(a + b for a, b in zip(_e(i, dim), _e(j, dim))))
+    if t == B:
+        out.extend(_e(i, dim) for i in range(dim))
+    elif t == C:
+        out.extend(_e(i, dim, 2) for i in range(dim))
+    return tuple(sorted(out, reverse=True))
+
+
+def all_roots(family: GroupFamily):
+    pos = positive_roots(family)
+    return pos + tuple(tuple(-c for c in a) for a in pos)
+
+
+def is_root(family: GroupFamily, functional) -> bool:
+    return tuple(functional) in all_roots(family)
+
+
+def coroot(family: GroupFamily, root):
+    """The coroot 2a/<a,a> of a root, under the standard dot product;
+    classical coroots are integral in these coordinates."""
+    if not is_root(family, root):
+        raise NotARoot(f"{root} is not a root of {family}")
+    norm = sum(c * c for c in root)
+    return tuple(2 * c // norm for c in root)
+
+
+def adjoint_bundle_oracle(family, a):
+    """adjoint_bundle root by root: one rank-1 atom of degree alpha(a) per
+    root alpha, plus a rank-(dim T) trivial block, the positive-degree
+    atoms the isotropic positive part."""
+    a = as_cocharacter(family, a)
+    positive = []
+    zero = [Atom(0, 1)] * family.torus_dim
+    for alpha in all_roots(family):
+        v = evaluate(alpha, a)
+        if v > 0:
+            positive.append(Atom(v, 1))
+        elif v == 0:
+            zero.append(Atom(0, 1))
+    return SoBundle(tuple(positive), tuple(zero))
 
 
 def solve_rational(rows, rhs):

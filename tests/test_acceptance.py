@@ -22,10 +22,10 @@ from hnbundles.lattice import (fundamental_groups, obstruction_class,
                                topological_type)
 from hnbundles.parabolic import (ParabolicIndex, character_generators,
                                  is_dominant_character)
-from hnbundles.rootsys import GroupFamily, evaluate, is_dominant, simple_roots
+from hnbundles.rootsys import GroupFamily, evaluate, is_dominant
 from hnbundles.strata import (enumerate_strata, gl_dominance, hull_membership,
                               stratum_leq)
-from oracles import vertical_degree_composite
+from oracles import simple_roots, vertical_degree_composite
 
 
 def _report(num: int, budget, fn):

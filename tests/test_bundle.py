@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +12,7 @@ from hnbundles.bundle import (Atom, IsotropicBundle, PlainBundle, SlBundle,
 from hnbundles.errors import (InvalidFlag, NotDegreeZero, NotIntegral,
                               UnsupportedRank, ZeroBundle)
 from hnbundles.rootsys import GroupFamily
-from oracles import vertical_degree_composite
+from oracles import adjoint_bundle_oracle, vertical_degree_composite
 
 atoms_st = st.lists(
     st.builds(Atom, st.integers(-4, 4), st.integers(1, 3)),
@@ -216,6 +217,31 @@ def test_adjoint_bundle_examples():
 def test_adjoint_bundle_errors():
     with pytest.raises(NotIntegral):
         adjoint_bundle(GroupFamily("gl", 2), (Fraction(1, 2), 0))
+
+
+def test_adjoint_bundle_checks_integrality_before_the_root_system():
+    so2 = GroupFamily("so", 2)
+    with pytest.raises(NotIntegral):
+        adjoint_bundle(so2, (Fraction(1, 2),))
+    for build in (adjoint_bundle, adjoint_bundle_oracle):
+        with pytest.raises(UnsupportedRank):
+            build(so2, (1,))
+
+
+# every family of cartan_dim <= 4 with a root system
+ADJOINT_GRID = [GroupFamily(kind, r) for kind in ("gl", "sl")
+                for r in range(1, 5)] + \
+    [GroupFamily("sp", r) for r in (2, 4, 6, 8)] + \
+    [GroupFamily("so", r) for r in range(3, 10)]
+
+
+@pytest.mark.parametrize("family", ADJOINT_GRID, ids=str)
+def test_adjoint_bundle_equals_the_root_table(family):
+    # every integral point of [-2, 2]^n: on SL the trace-zero ones among
+    # them, on even SO those with no zero entry and an odd number of
+    # negative ones
+    for a in product(range(-2, 3), repeat=family.cartan_dim):
+        assert adjoint_bundle(family, a) == adjoint_bundle_oracle(family, a), a
 
 
 def test_adjoint_gl_examples():

@@ -6,7 +6,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hnbundles import canon, rootsys
+import oracles
+from hnbundles import canon
 from hnbundles.bundle import (Atom, PlainBundle, SoBundle, SpBundle,
                               bundle_from_degrees, is_semistable,
                               vertical_degree)
@@ -21,12 +22,12 @@ from hnbundles.errors import (FamilyMismatch, InvalidReduction, NotIntegral,
 from hnbundles.lattice import levi_topological_type, topological_type
 from hnbundles.parabolic import (ParabolicIndex, _levi_positive_count,
                                  _two_rho_terms)
-from hnbundles.rootsys import (GroupFamily, all_roots, as_cocharacter,
+from hnbundles.rootsys import (GroupFamily, as_cocharacter,
                                dominant_representative, evaluate, is_dominant,
-                               is_root, positive_root_count, positive_roots,
-                               simple_roots, weyl_orbit, weyl_orbit_size)
-from oracles import (_root_split, canonical_reduction_uncached,
-                     check_bh_uncached)
+                               positive_root_count, weyl_orbit,
+                               weyl_orbit_size)
+from oracles import (_root_split, all_roots, canonical_reduction_uncached,
+                     check_bh_uncached, is_root, positive_roots, simple_roots)
 
 
 def test_canonical_reduction_examples():
@@ -233,7 +234,7 @@ def test_the_reduction_reads_no_root_table(monkeypatch):
         raise AssertionError("a closed form listed the roots")
 
     # all_roots lists the positive roots, so no root list survives this
-    monkeypatch.setattr(rootsys, "positive_roots", refused)
+    monkeypatch.setattr(oracles, "positive_roots", refused)
     _reduction_of_orbit.cache_clear()
     red = canonical_reduction(sp8, a)
     assert ad_degree(sp8, red.index, red.mu.mu) == sum(

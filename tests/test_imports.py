@@ -9,10 +9,13 @@ FILES = sorted((ROOT / "src" / "hnbundles").glob("*.py")) + sorted(
 # the package's __init__ imports only to re-export
 SKIP = {ROOT / "src" / "hnbundles" / "__init__.py"}
 # the root table, which the tests keep as the oracle for the closed forms
-# read off the Levi blocks, and the determinant-line route of the vertical
-# degree, the oracle for its closed form
+# read off the Levi blocks, the root lists it is built from, and the
+# determinant-line route of the vertical degree, the oracle for its closed
+# form
 ORACLE_ONLY = {"_root_supports", "_build_supports", "_cached_supports",
-               "_root_split", "ROOT_TABLE_GUARD", "vertical_degree_composite"}
+               "_root_split", "ROOT_TABLE_GUARD", "vertical_degree_composite",
+               "simple_roots", "positive_roots", "all_roots", "is_root",
+               "coroot"}
 
 
 def unused_imports(source):
@@ -63,6 +66,8 @@ def test_the_scan_finds_an_oracle_name():
     assert names_used("from x import _root_split as s\n") >= {"_root_split"}
     assert names_used("import p\np._cached_supports(f)\n") >= {"_cached_supports"}
     assert names_used("def _build_supports(f): pass\n") >= {"_build_supports"}
+    assert names_used("from .rootsys import positive_roots\n") & ORACLE_ONLY \
+        == {"positive_roots"}
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "hnbundles").glob("*.py")),
@@ -119,3 +124,59 @@ def test_only_group_family_reads_the_parity_of_r(path):
 
 def test_parabolic_reads_no_kind():
     assert kind_sites((ROOT / "src" / "hnbundles" / "parabolic.py").read_text()) == []
+
+
+# the names math may lend production code: integer functions only
+MATH_NAMES = {"comb", "gcd", "lcm"}
+
+
+def inexact_sites(source):
+    """(line, rule) for each construct that could leave exact arithmetic
+    or vanish under python -O: true division, a float or complex
+    constant, the names float and round, an import from math of anything
+    but MATH_NAMES (the whole module included), and an assert."""
+    sites = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            sites.add((node.lineno, "division"))
+        elif isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            sites.add((node.lineno, "float constant"))
+        elif isinstance(node, ast.Name) and node.id in ("float", "round"):
+            sites.add((node.lineno, "float name"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math" and any(
+                alias.name not in MATH_NAMES for alias in node.names):
+            sites.add((node.lineno, "math import"))
+        elif isinstance(node, ast.Import) and any(
+                alias.name == "math" for alias in node.names):
+            sites.add((node.lineno, "math import"))
+        elif isinstance(node, ast.Assert):
+            sites.add((node.lineno, "assert"))
+    return sorted(sites)
+
+
+@pytest.mark.parametrize("source, site", [
+    ("x = a / b\n", (1, "division")),
+    ("x = 1\nx /= 2\n", (2, "division")),
+    ("x = 0.5\n", (1, "float constant")),
+    ("x = 1j\n", (1, "float constant")),
+    ("x = float(y)\n", (1, "float name")),
+    ("x = round(y, 2)\n", (1, "float name")),
+    ("from math import gcd, sqrt\n", (1, "math import")),
+    ("import math\n", (1, "math import")),
+    ("assert x > 0\n", (1, "assert")),
+])
+def test_the_exactness_scan_finds_a_planted_violation(source, site):
+    assert inexact_sites(source) == [site]
+
+
+def test_the_exactness_scan_passes_exact_code():
+    assert inexact_sites("from math import comb, gcd, lcm\n"
+                         "from fractions import Fraction\n"
+                         "x = Fraction(a, b) + a // b + comb(4, 2)\n"
+                         "if x < 0:\n    raise ValueError('x / y')\n") == []
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "hnbundles").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_production_stays_exact(path):
+    assert inexact_sites(path.read_text()) == []

@@ -11,18 +11,16 @@ from hypothesis import given, settings, strategies as st
 
 import hnbundles.lattice
 import oracles
-from hnbundles import rootsys
 from hnbundles.errors import NotInKernelLattice
 from hnbundles.lattice import (FinAbGroup, fundamental_groups,
                                levi_fundamental_groups, levi_topological_type,
                                obstruction_class, topological_type)
 from hnbundles.parabolic import ParabolicIndex
-from hnbundles.rootsys import (GroupFamily, all_roots, coroot, evaluate,
-                               simple_roots, weyl_orbit)
-from oracles import (_root_split, _row_kernel, _tower_groups,
-                     block_topological_type, lattice_tower,
-                     levi_lattice_tower, on_the_fork, smith_normal_form,
-                     solve_rational, tower_residues)
+from hnbundles.rootsys import GroupFamily, evaluate, weyl_orbit
+from oracles import (_root_split, _row_kernel, _tower_groups, all_roots,
+                     block_topological_type, coroot, lattice_tower,
+                     levi_lattice_tower, on_the_fork, simple_roots,
+                     smith_normal_form, solve_rational, tower_residues)
 
 FAMILIES = [GroupFamily("gl", r) for r in (3, 4, 5)] + \
     [GroupFamily("sl", r) for r in (3, 4)] + \
@@ -207,7 +205,7 @@ def no_roots(monkeypatch):
     def refused(*args):
         raise AssertionError("a closed form read the root table")
 
-    monkeypatch.setattr(rootsys, "positive_roots", refused)
+    monkeypatch.setattr(oracles, "positive_roots", refused)
     monkeypatch.setattr(oracles, "_root_supports", refused)
 
 

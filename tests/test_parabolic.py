@@ -13,12 +13,12 @@ from hnbundles.parabolic import (ParabolicIndex, _levi_blocks,
                                  _levi_positive_count, character_generators,
                                  is_dominant_character, parabolic_from_flag,
                                  parabolic_leq)
-from hnbundles.rootsys import (GroupFamily, all_roots, coroot, evaluate,
-                               positive_root_count, positive_roots,
-                               simple_root_count, simple_roots)
-from oracles import (ROOT_TABLE_GUARD, _root_split, _root_supports,
-                     character_oracle, generator_oracle, index_point,
-                     levi_blocks, root_split_oracle, solve_rational)
+from hnbundles.rootsys import (GroupFamily, evaluate, positive_root_count,
+                               simple_root_count)
+from oracles import (ROOT_TABLE_GUARD, _root_split, _root_supports, all_roots,
+                     character_oracle, coroot, generator_oracle, index_point,
+                     levi_blocks, positive_roots, root_split_oracle,
+                     simple_roots, solve_rational)
 
 
 def _idx(family, members):

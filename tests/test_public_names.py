@@ -8,17 +8,17 @@ PUBLIC_NAMES = [
     "Atom", "CanonicalReduction", "Filtration", "FinAbGroup", "GroupFamily",
     "HNType", "HnBundleError", "IsotropicBundle", "IsotropicFiltration",
     "ParabolicIndex", "PlainBundle", "SlBundle", "SoBundle", "SpBundle",
-    "StrataPoset", "adjoint_bundle", "adjoint_gl",
-    "as_cocharacter", "bundle", "bundle_from_degrees", "canon",
-    "canonical_reduction", "character_generators", "check_bh", "coroot",
-    "direct_sum", "dominant_representative", "dual", "enumerate_strata",
-    "errors", "extend_with_perps", "fundamental_groups", "hn_filtration",
+    "StrataPoset", "adjoint_bundle", "adjoint_gl", "as_cocharacter", "bundle",
+    "bundle_from_degrees", "canon", "canonical_reduction",
+    "character_generators", "check_bh", "direct_sum",
+    "dominant_representative", "dual", "enumerate_strata", "errors",
+    "extend_with_perps", "fundamental_groups", "hn_filtration",
     "hn_filtration_isotropic", "hn_type", "hn_uniqueness_oracle", "hnfilt",
     "hull_membership", "is_dominant_character", "is_semistable", "lattice",
     "levi_fundamental_groups", "obstruction_class", "parabolic",
-    "parabolic_from_flag", "parabolic_leq", "positive_roots", "rootsys",
-    "scss", "simple_roots", "strata", "stratum_leq", "tensor", "to_dot",
-    "topological_type", "underlying", "vertical_degree", "weyl_orbit",
+    "parabolic_from_flag", "parabolic_leq", "rootsys", "scss", "strata",
+    "stratum_leq", "tensor", "to_dot", "topological_type", "underlying",
+    "vertical_degree", "weyl_orbit",
 ]
 
 
