@@ -34,15 +34,18 @@ class ZeroBundle(HnBundleError):
 
 
 class NotDegreeZero(HnBundleError):
-    """Sp/SO vertical degree requires total degree zero."""
+    """Nonzero total degree where it must be zero: an SL bundle, or the
+    ambient bundle of an SL, Sp or SO vertical degree."""
 
 
 class NotIntegral(HnBundleError):
-    """Cartan vector with non-integer coordinates where a cocharacter is required."""
+    """Cartan vector where a cocharacter is required: the base class of
+    NotInKernelLattice, which as_cocharacter raises."""
 
 
 class NotInKernelLattice(NotIntegral):
-    """Vector does not lie in the kernel lattice of the family."""
+    """Vector off the cocharacter lattice Gamma: not cartan_dim integral
+    entries, or on SL, where Gamma has trace zero, a nonzero trace."""
 
 
 class InvalidReduction(HnBundleError):

@@ -2,24 +2,23 @@
 closed form.
 
 Gamma is the cocharacter lattice of the maximal torus in its own
-coordinates (for SL, the trace-zero sublattice of Z^r).  Lambda is the
-integer span of the coroots; pi1 = Gamma/Lambda.  For the classical
-families every group and centre below is read off the parabolic index,
-with no root table: a Levi factor is a product of GL blocks, the runs
-of coordinates tied by the simple roots outside I, and at most one
-classical factor of the same type, and pi1(SO(m)) = Z/2 for m >= 3 is
-its only torsion (Bourbaki, Lie Groups and Lie Algebras ch. VI, Plates
-I-IV).  The tests keep the Smith normal form of the coroot matrix and
-the Levi roots as oracles.
+coordinates (for SL, the trace-zero sublattice of Z^r), and
+rootsys.as_cocharacter decides membership.  Lambda is the integer span
+of the coroots; pi1 = Gamma/Lambda.  For the classical families every
+group and centre below is read off the parabolic index, with no root
+table: a Levi factor is a product of GL blocks, the runs of coordinates
+tied by the simple roots outside I, and at most one classical factor of
+the same type, and pi1(SO(m)) = Z/2 for m >= 3 is its only torsion
+(Bourbaki, Lie Groups and Lie Algebras ch. VI, Plates I-IV).  The tests
+keep the Smith normal form of the coroot matrix and the Levi roots as
+oracles.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotInKernelLattice, NotIntegral
 from .parabolic import ParabolicIndex, _levi_blocks
-from .rootsys import (GL, SL, SO, GroupFamily, _point, as_cocharacter,
-                      simple_root_count)
+from .rootsys import GL, SO, GroupFamily, _point, as_cocharacter, simple_root_count
 
 
 @dataclass(frozen=True)
@@ -60,16 +59,6 @@ def levi_fundamental_groups(family: GroupFamily, index: ParabolicIndex):
     return FinAbGroup(0, torsion), FinAbGroup(free, torsion), FinAbGroup(free, ())
 
 
-def _check_in_gamma(family, a):
-    try:
-        a = as_cocharacter(family, a)
-    except NotIntegral as exc:
-        raise NotInKernelLattice(str(exc)) from exc
-    if family.kind == SL and sum(a) != 0:
-        raise NotInKernelLattice("SL cocharacters have trace zero")
-    return a
-
-
 def obstruction_class(family: GroupFamily, a):
     """Class of the degree cocharacter a in pi1(G) = Gamma/Lambda.
 
@@ -78,7 +67,7 @@ def obstruction_class(family: GroupFamily, a):
     the determinant.  Only SO has torsion, Z/2: Lambda is the sublattice
     of even coordinate sum, so the residue is the total degree mod 2.
     """
-    a = _check_in_gamma(family, a)
+    a = as_cocharacter(family, a)
     family.require_root_system()
     free = (sum(a),) if family.kind == GL else ()
     return free, ((sum(a) % 2,) if family.kind == SO else ())
@@ -86,7 +75,7 @@ def obstruction_class(family: GroupFamily, a):
 
 def topological_type(family: GroupFamily, a):
     """Central averaging of a degree vector: the slope-type of the bundle."""
-    a = _check_in_gamma(family, a)
+    a = as_cocharacter(family, a)
     if family.kind == GL:
         avg = Fraction(sum(a), family.r)
         return tuple(avg for _ in a)
@@ -102,7 +91,7 @@ def levi_topological_type(family: GroupFamily, index: ParabolicIndex, a):
     direction.  On the D_n fork, e_(n-1) + e_n outside I and e_(n-1) - e_n
     in it, x_n joins the block of x_(n-1) negated.
     """
-    a = list(_check_in_gamma(family, a))
+    a = list(as_cocharacter(family, a))
     _point(family, index=index)
     runs, fork, tail = _levi_blocks(index)
     if fork:

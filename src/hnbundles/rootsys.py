@@ -35,7 +35,7 @@ from itertools import accumulate, product
 from math import comb
 from operator import mul
 
-from .errors import FamilyMismatch, NotIntegral, TooLarge, UnsupportedRank
+from .errors import FamilyMismatch, NotInKernelLattice, TooLarge, UnsupportedRank
 
 GL, SL, SP, SO = "gl", "sl", "sp", "so"
 KINDS = (GL, SL, SP, SO)
@@ -116,18 +116,20 @@ def positive_root_count(family: GroupFamily) -> int:
 
 
 def as_cocharacter(family: GroupFamily, a):
-    """The integer tuple of a Cartan vector that must be a cocharacter:
-    exactly cartan_dim entries, each an integer or an integral rational.
-    Every entry of the answer is an int: a tuple of ints is returned after
-    one scan of the entry types, and any other input (a bool, an int
-    subclass, a Fraction) is checked and converted entry by entry."""
+    """The int tuple of a point of the cocharacter lattice Gamma, its one
+    check: exactly cartan_dim integral entries, summing to 0 on SL, else
+    NotInKernelLattice.  A tuple of ints passes after one scan of the
+    entry types; any other input (a bool, an int subclass, a Fraction) is
+    checked and converted entry by entry, so every entry is an int."""
     a = tuple(a)
-    if {*map(type, a)} == _INT_ONLY and len(a) == family.cartan_dim:
-        return a
-    if len(a) != family.cartan_dim or any(
-            not isinstance(c, int) and getattr(c, "denominator", None) != 1 for c in a):
-        raise NotIntegral(f"{a} is not a cocharacter: need {family.cartan_dim} integral entries")
-    return tuple(int(c) for c in a)
+    if {*map(type, a)} != _INT_ONLY or len(a) != family.cartan_dim:
+        if len(a) != family.cartan_dim or any(
+                not isinstance(c, int) and getattr(c, "denominator", None) != 1 for c in a):
+            raise NotInKernelLattice(f"{a} is not a cocharacter: need {family.cartan_dim} integral entries")
+        a = tuple(int(c) for c in a)
+    if family.kind == SL and sum(a):
+        raise NotInKernelLattice("SL cocharacters have trace zero")
+    return a
 
 
 def _point(family: GroupFamily, v=None, index=None):

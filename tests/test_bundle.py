@@ -241,6 +241,8 @@ def test_adjoint_bundle_equals_the_root_table(family):
     # them, on even SO those with no zero entry and an odd number of
     # negative ones
     for a in product(range(-2, 3), repeat=family.cartan_dim):
+        if family.kind == "sl" and sum(a):
+            continue
         assert adjoint_bundle(family, a) == adjoint_bundle_oracle(family, a), a
 
 
@@ -262,7 +264,10 @@ def test_adjoint_degrees_symmetric(kind, r, coords):
     if kind == "so" and r < 3:
         r = 3
     family = GroupFamily(kind, r)
-    a = tuple((coords * 8)[: family.cartan_dim])
+    a = (coords * 8)[: family.cartan_dim]
+    if kind == "sl":
+        # SL cocharacters have trace zero
+        a[-1] = -sum(a[:-1])
     ad = underlying(adjoint_bundle(family, a))
     degs = sorted(x.degree for x in ad.atoms)
     assert degs == sorted(-d for d in degs)

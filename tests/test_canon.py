@@ -17,8 +17,8 @@ from hnbundles.canon import (ORACLE_WORK_GUARD, CanonicalReduction, HNType,
                              ad_degree_max_oracle, bh_conditions,
                              canonical_reduction, check_bh, forced_index,
                              hn_type)
-from hnbundles.errors import (FamilyMismatch, InvalidReduction, NotIntegral,
-                              TooLarge)
+from hnbundles.errors import (FamilyMismatch, InvalidReduction,
+                              NotInKernelLattice, NotIntegral, TooLarge)
 from hnbundles.lattice import levi_topological_type, topological_type
 from hnbundles.parabolic import (ParabolicIndex, _levi_positive_count,
                                  _two_rho_terms)
@@ -359,11 +359,17 @@ def _ad_degree_max_by_pairs(family, a):
     return best, argmax
 
 
+def _grid(family):
+    """The cocharacters of [-2, 2]^n: on SL the trace-zero points."""
+    return [a for a in product(range(-2, 3), repeat=family.cartan_dim)
+            if family.kind != "sl" or sum(a) == 0]
+
+
 @pytest.mark.parametrize("family", [GroupFamily(k, r) for k, r in (
     ("gl", 2), ("gl", 3), ("sl", 2), ("sl", 3), ("sp", 2), ("sp", 4),
     ("sp", 6), ("so", 3), ("so", 4), ("so", 5), ("so", 6), ("so", 7))], ids=repr)
 def test_oracle_equals_the_per_pair_loop(family):
-    for a in product(range(-2, 3), repeat=family.cartan_dim):
+    for a in _grid(family):
         # same best, same argmax pairs in the same order
         assert ad_degree_max_oracle(family, a) == \
             _ad_degree_max_by_pairs(family, a), a
@@ -374,7 +380,7 @@ def test_oracle_equals_the_per_pair_loop(family):
     ("sp", 2), ("sp", 4), ("sp", 6), ("so", 3), ("so", 4), ("so", 5),
     ("so", 6), ("so", 7))], ids=repr)
 def test_oracle_answer_cache_equals_the_cold_oracle(family):
-    grid = list(product(range(-2, 3), repeat=family.cartan_dim))
+    grid = _grid(family)
     if family.kind == "so" and family.r % 2 == 0:
         # even SO keys an odd count of negative entries, with no zero entry
         # to absorb a sign, to a dominant point with its last entry negated
@@ -409,9 +415,9 @@ def test_oracle_returns_a_fresh_argmax_list():
     + [("sp", r) for r in (2, 4, 6, 8)] + [("so", r) for r in range(3, 10)])],
     ids=repr)
 def test_reduction_and_bh_caches_equal_the_uncached_reference(family, monkeypatch):
-    # W acts by signed permutations, so [-2,2]^dim holds every Weyl
+    # W acts by signed permutations, so the grid holds every Weyl
     # translate of each of its points
-    grid = list(product(range(-2, 3), repeat=family.cartan_dim))
+    grid = _grid(family)
     orbits = {dominant_representative(family, a) for a in grid}
     calls = []
 
@@ -543,12 +549,21 @@ def test_lane_refusal_builds_neither_the_table_nor_the_orbit(family, a):
 @pytest.mark.parametrize("kind", ["gl", "sl"])
 def test_rank_one_entries_fit_their_lane(kind):
     # GL1 and SL1 have one parabolic and no term, but the coordinate column
-    # still holds the entry, so B = |a_0|
+    # still holds the entry, so B = |a_0|.  The one cocharacter of SL1 is
+    # 0, and every other entry is refused off Gamma, before the lane guard
     family = GroupFamily(kind, 1)
     index = ParabolicIndex(family, frozenset())
-    for x in ((1 << 15) - 1, -(1 << 15), (1 << 31) - 1, (1 << 63) - 1, 1 - (1 << 63)):
+    fits = ((1 << 15) - 1, -(1 << 15), (1 << 31) - 1, (1 << 63) - 1, 1 - (1 << 63))
+    wide = (1 << 63, -(1 << 63))
+    assert ad_degree_max_oracle(family, (0,)) == (0, [(index, (0,))])
+    if kind == "sl":
+        for x in fits + wide:
+            with pytest.raises(NotInKernelLattice, match="trace zero"):
+                ad_degree_max_oracle(family, (x,))
+        return
+    for x in fits:
         assert ad_degree_max_oracle(family, (x,)) == (0, [(index, (x,))])
-    for x in (1 << 63, -(1 << 63)):
+    for x in wide:
         with pytest.raises(TooLarge, match="enumeration guard exceeded"):
             ad_degree_max_oracle(family, (x,))
 

@@ -349,6 +349,37 @@ def test_sl_bundle_refuses_a_nonzero_degree_under_optimize():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_sl_trace_refusal_survives_optimize():
+    # as_cocharacter refuses an SL point of nonzero trace by an explicit
+    # raise, which python -O keeps, at each torus-split entry point
+    script = ("import sys\n"
+              "from hnbundles.bundle import adjoint_bundle, bundle_from_degrees\n"
+              "from hnbundles.canon import (ad_degree_max_oracle,\n"
+              "    canonical_reduction, check_bh)\n"
+              "from hnbundles.errors import NotInKernelLattice\n"
+              "from hnbundles.lattice import (levi_topological_type,\n"
+              "    obstruction_class, topological_type)\n"
+              "from hnbundles.parabolic import ParabolicIndex\n"
+              "from hnbundles.rootsys import GroupFamily\n"
+              "sl3, a = GroupFamily('sl', 3), (1, 1, 1)\n"
+              "red = canonical_reduction(sl3, (1, 0, -1))\n"
+              "calls = [canonical_reduction, ad_degree_max_oracle,\n"
+              "         adjoint_bundle, bundle_from_degrees, obstruction_class,\n"
+              "         topological_type, lambda f, a: check_bh(f, a, red),\n"
+              "         lambda f, a: levi_topological_type(\n"
+              "             f, ParabolicIndex(f, frozenset()), a)]\n"
+              "for call in calls:\n"
+              "    try:\n"
+              "        call(sl3, a)\n"
+              "    except NotInKernelLattice as exc:\n"
+              "        if str(exc) != 'SL cocharacters have trace zero':\n"
+              "            sys.exit(str(exc))\n"
+              "    else:\n"
+              "        sys.exit('admitted (1, 1, 1)')\n")
+    proc = _run_optimized(script)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_hull_check_compares_the_lp_oracle(capsys, monkeypatch):
     monkeypatch.setattr(hnbundles.cli, "hull_membership", lambda *args: None)
     code, out, err = run(capsys, "check", "--suite", "hull",

@@ -1,45 +1,42 @@
-"""Golden CLI transcripts: each argv recorded in data/cli_golden.json must
-reproduce its exit code, stdout and stderr byte for byte, on its first
-run and on a second in the same process, which answers from the CLI's
-answer cache wherever the argv is kept.
-
-After an intended change of output, rewrite the transcripts with
-``PYTHONPATH=src python tests/test_cli_golden.py`` and review the diff.
-Usage errors carry argparse's own text, recorded under Python 3.11.
+"""Golden CLI transcripts (tests/golden.py): each argv recorded in
+data/cli_golden.json must reproduce its exit code, stdout and stderr
+byte for byte, on its first run and on a second in the same process,
+which answers from the CLI's answer cache wherever the argv is kept.
+argparse's own text is compared with what argparse writes on the
+running interpreter, and on 3.11, where it was recorded, with the record.
 """
 
-import contextlib
-import io
-import json
-import pathlib
+import sys
 
 import pytest
 
-from hnbundles.cli import run_command
-
-DATA = pathlib.Path(__file__).parent / "data" / "cli_golden.json"
-CASES = json.loads(DATA.read_text())
-
-
-def capture(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run_command(list(argv))
-    return {"argv": list(argv), "code": code,
-            "stdout": out.getvalue(), "stderr": err.getvalue()}
+from golden import CASES, RECORDED_ON, argparse_answer, capture, expected
 
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
 def test_golden(case):
-    assert capture(case["argv"]) == case
-    assert capture(case["argv"]) == case
+    wanted = expected(case)
+    for _ in range(2):
+        got = capture(case["argv"])
+        for want in wanted:
+            assert got == want
 
 
 def test_golden_in_reverse_order():
     # the parser is built once per process: no state may leak between calls
     for case in CASES + CASES[::-1]:
-        assert capture(case["argv"]) == case
+        got = capture(case["argv"])
+        for want in expected(case):
+            assert got == want
 
 
-if __name__ == "__main__":
-    DATA.write_text(json.dumps([capture(c["argv"]) for c in CASES], indent=1) + "\n")
+def test_usage_errors_are_compared_with_argparse():
+    usage = [c for c in CASES if c["stderr"].startswith("usage:")]
+    assert [c["argv"][0] for c in usage] == ["bogus", "canon"]
+    for case in usage:
+        live = argparse_answer(case["argv"])
+        assert live["code"] == 1 and live["stdout"] == ""
+        assert "error: argument" in live["stderr"]
+        wanted = expected(case)
+        assert wanted[0] == live
+        assert len(wanted) == 1 + (sys.version_info[:2] == RECORDED_ON)

@@ -2,18 +2,29 @@
 its sh blocks exits 0 through run_command, in a fresh directory, since
 the strata example writes its DOT file there.  A line that ends in a
 `# {...}` comment must print a JSON document holding those keys and
-values."""
+values.  README's guards and caches tables are checked against the
+code: each guard's limit and message, and each cache's bound."""
 
 import contextlib
+import importlib
 import io
 import json
 import pathlib
+import pkgutil
 import re
 import shlex
 
 import pytest
 
+import hnbundles
+from hnbundles.bundle import Atom, PlainBundle
+from hnbundles.canon import ad_degree_max_oracle
 from hnbundles.cli import run_command
+from hnbundles.errors import TooLarge
+from hnbundles.hnfilt import hn_uniqueness_oracle
+from hnbundles.rootsys import GroupFamily, weyl_orbit
+from hnbundles.strata import enumerate_strata, hull_membership_lp_oracle
+from test_caches import MODULE_CACHES
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -55,3 +66,70 @@ def test_readme_example_runs(argv, expected, tmp_path, monkeypatch):
     if expected is not None:
         doc = json.loads(out.getvalue())
         assert {key: doc.get(key) for key in expected} == expected
+
+
+def readme_table(text, heading):
+    """The body rows of the first table under `## heading`, as lists of
+    cells; a pipe escaped as \\| stays in its cell."""
+    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    return [[cell.strip().replace("\\|", "|")
+             for cell in re.split(r"(?<!\\)\|", row)[1:-1]] for row in rows[2:]]
+
+
+def leading_int(cell):
+    return int(re.match(r"[\d,]+", cell).group().replace(",", ""))
+
+
+def code(cell):
+    """The text of the first `code` span of a cell."""
+    return re.search(r"`([^`]*)`", cell).group(1)
+
+
+GL11_POINT = (1, 1) + (0,) * 7 + (-1, -1)
+
+# the smallest refused input of each guard that CI runs, and for the
+# oracle's work guard also its 64-bit lane refusal, which raises the same
+# message
+GUARD_TRIGGERS = {
+    "rootsys.WEYL_ORBIT_GUARD": [
+        lambda: weyl_orbit(GroupFamily("gl", 2000), (1,) + (0,) * 1999)],
+    "canon.ORACLE_WORK_GUARD": [
+        lambda: ad_degree_max_oracle(GroupFamily("gl", 7), (6, 5, 4, 3, 2, 1, 0)),
+        lambda: ad_degree_max_oracle(GroupFamily("gl", 3),
+                                     (1537228672809129302, 0, 0))],
+    "strata.HULL_ORBIT_GUARD": [
+        lambda: hull_membership_lp_oracle(GroupFamily("gl", 11), GL11_POINT,
+                                          GL11_POINT)],
+    "hnfilt.ORACLE_ATOM_GUARD": [
+        lambda: hn_uniqueness_oracle(
+            PlainBundle(tuple(Atom(d, 1) for d in range(9))))],
+    "strata.ENUM_DIM_GUARD": [lambda: enumerate_strata(GroupFamily("gl", 5), 1)],
+    "strata.ENUM_BOUND_GUARD": [lambda: enumerate_strata(GroupFamily("gl", 1), 5)],
+}
+
+
+def test_guards_table_matches_the_code():
+    rows = readme_table(README.read_text(), "Guards")
+    names = [code(name) for name, *_ in rows]
+    # every guard constant of the package has its row, once
+    constants = sorted(f"{info.name}.{const}"
+                       for info in pkgutil.iter_modules(hnbundles.__path__)
+                       for const in vars(importlib.import_module(
+                           f"hnbundles.{info.name}"))
+                       if const.endswith("_GUARD"))
+    assert sorted(names) == constants == sorted(GUARD_TRIGGERS)
+    for name, (_, _, limit, message) in zip(names, rows):
+        module, const = name.split(".")
+        value = getattr(importlib.import_module(f"hnbundles.{module}"), const)
+        assert leading_int(limit) == value, name
+        for trigger in GUARD_TRIGGERS[name]:
+            with pytest.raises(TooLarge) as err:
+                trigger()
+            assert str(err.value) == code(message), name
+
+
+def test_caches_table_matches_the_code():
+    rows = readme_table(README.read_text(), "Caches")
+    assert {f"hnbundles.{code(name)}": leading_int(bound)
+            for name, _, bound, *_ in rows} == MODULE_CACHES

@@ -11,8 +11,9 @@ from math import lcm
 import pytest
 from hypothesis import given, strategies as st
 
-from hnbundles import canon, lattice, parabolic, rootsys, strata
-from hnbundles.errors import NotIntegral, TooLarge, UnsupportedRank
+from hnbundles import bundle, canon, lattice, parabolic, rootsys, strata
+from hnbundles.errors import (NotInKernelLattice, NotIntegral, TooLarge,
+                              UnsupportedRank)
 from hnbundles.rootsys import (A, B, C, D, GroupFamily, as_cocharacter,
                                dominant_representative, evaluate, is_dominant,
                                positive_root_count, root_name,
@@ -60,8 +61,9 @@ def test_as_cocharacter():
     for bad in [(Fraction(1, 2), 0, 0), (1.0, 0, 0), (1, 2), (1, 2, 3, 4)]:
         with pytest.raises(NotIntegral):
             as_cocharacter(gl3, bad)
-    # the SL trace condition is lattice membership, not checked here
-    assert as_cocharacter(GroupFamily("sl", 3), (1, 1, 1)) == (1, 1, 1)
+    # on SL, Gamma is the trace-zero sublattice
+    with pytest.raises(NotInKernelLattice, match="^SL cocharacters have trace zero$"):
+        as_cocharacter(GroupFamily("sl", 3), (1, 1, 1))
 
 
 class _Int(int):
@@ -89,6 +91,39 @@ def test_as_cocharacter_contract():
             as_cocharacter(gl3, bad)
         assert str(err.value) == \
             f"{bad} is not a cocharacter: need 3 integral entries"
+
+
+# the torus-split entry points: each takes a family and a degree vector
+# that must lie in Gamma, checked by as_cocharacter alone
+ENTRY_POINTS = {
+    "canonical_reduction": canon.canonical_reduction,
+    "check_bh": lambda f, a: canon.check_bh(
+        f, a, canon.canonical_reduction(f, (0,) * f.cartan_dim)),
+    "ad_degree_max_oracle": canon.ad_degree_max_oracle,
+    "adjoint_bundle": bundle.adjoint_bundle,
+    "bundle_from_degrees": bundle.bundle_from_degrees,
+    "obstruction_class": lattice.obstruction_class,
+    "topological_type": lattice.topological_type,
+    "levi_topological_type": lambda f, a: lattice.levi_topological_type(
+        f, parabolic.ParabolicIndex(f, frozenset()), a),
+}
+
+OFF_GAMMA = [
+    (GroupFamily("sl", 3), (1, 1, 1), "SL cocharacters have trace zero"),
+    (GroupFamily("gl", 3), (1, 2),
+     "(1, 2) is not a cocharacter: need 3 integral entries"),
+    (GroupFamily("gl", 2), (Fraction(1, 2), 0),
+     "(Fraction(1, 2), 0) is not a cocharacter: need 2 integral entries"),
+]
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+@pytest.mark.parametrize("family, a, message", OFF_GAMMA,
+                         ids=[f"{f}-{a}" for f, a, _ in OFF_GAMMA])
+def test_every_entry_point_refuses_what_is_off_gamma(name, family, a, message):
+    with pytest.raises(NotInKernelLattice) as err:
+        ENTRY_POINTS[name](family, a)
+    assert str(err.value) == message
 
 
 def test_coroot_examples():
