@@ -3,9 +3,8 @@ reductions, and HN-type stratifications of decorated bundles on a formal
 model, for the classical groups GL, SL, Sp, SO."""
 
 from .bundle import (Atom, IsotropicBundle, PlainBundle, SlBundle, SoBundle,
-                     SpBundle, adjoint_bundle, adjoint_gl, bundle_from_degrees,
-                     direct_sum, dual, is_semistable, tensor, underlying,
-                     vertical_degree)
+                     SpBundle, adjoint, bundle_from_degrees, direct_sum, dual,
+                     is_semistable, tensor, underlying, vertical_degree)
 from .canon import (CanonicalReduction, HNType, canonical_reduction, check_bh,
                     hn_type)
 from .errors import HnBundleError

@@ -5,9 +5,9 @@ those invariants.  Plain bundles are multisets of atoms; an SL bundle is
 a plain bundle of total degree 0 (trivial determinant), a subtype that
 adds the constraint and no data, so every function of a plain bundle
 takes it as it is; Sp/SO bundles store the positive isotropic part and
-a slope-0 block, the mirror being implied.  The adjoint bundle of a
-torus-split bundle is read off the values of the positive roots in
-closed form, with no list of roots.
+a slope-0 block, the mirror being implied.  The adjoint bundle of any
+of them is read off its atoms, one atom per atom product, with no root
+values: End E, less its trace line on SL, Sym^2 E on Sp, Lambda^2 E on SO.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import ClassVar
 
 from .errors import InvalidFlag, NotDegreeZero, UnsupportedRank, ZeroBundle
-from .rootsys import A, B, C, GL, SL, SO, SP, GroupFamily, as_cocharacter
+from .rootsys import B, GL, SL, SO, SP, GroupFamily, as_cocharacter
 
 
 @dataclass(frozen=True, order=True)
@@ -108,6 +108,8 @@ class IsotropicBundle:
     zero_part: tuple = field(default=())
 
     def __post_init__(self):
+        if not hasattr(self, "kind"):
+            raise TypeError("IsotropicBundle has no kind: build SpBundle or SoBundle")
         object.__setattr__(self, "positive", _check_positive(self.positive))
         object.__setattr__(self, "zero_part", _check_zero(self.zero_part))
 
@@ -166,13 +168,14 @@ def dual(b: PlainBundle) -> PlainBundle:
     return PlainBundle(tuple(Atom(-a.degree, a.rank) for a in b.atoms))
 
 
+def _times(x: Atom, y: Atom) -> Atom:
+    """x tensor y: a product of semistable atoms stays one atom."""
+    return Atom(x.degree * y.rank + y.degree * x.rank, x.rank * y.rank)
+
+
 def tensor(a: PlainBundle, b: PlainBundle) -> PlainBundle:
-    """Formal tensor product; atom products stay single semistable atoms."""
-    out = []
-    for x in a.atoms:
-        for y in b.atoms:
-            out.append(Atom(x.degree * y.rank + y.degree * x.rank, x.rank * y.rank))
-    return PlainBundle(tuple(out))
+    """Formal tensor product, one atom per pair of atoms."""
+    return PlainBundle(tuple(_times(x, y) for x in a.atoms for y in b.atoms))
 
 
 def direct_sum(a: PlainBundle, b: PlainBundle) -> PlainBundle:
@@ -230,35 +233,32 @@ def is_semistable(b) -> bool:
     return not b.positive
 
 
-def adjoint_bundle(family: GroupFamily, a) -> SoBundle:
-    """Adjoint bundle of the torus-split bundle with degree vector a.
+def adjoint(b) -> SoBundle:
+    """ad E for any bundle b of the model, E = underlying(b), split
+    orthogonal: its atoms of degree > 0 are the positive part and those of
+    degree 0 the zero block.
 
-    One rank-1 atom of degree alpha(a) per root, plus a rank-(dim T)
-    trivial block; the SO decoration takes the positive-degree atoms as
-    the isotropic positive part.  Read off the values of the positive
-    roots in closed form (Bourbaki, Plates I-IV): a_i - a_j for i < j,
-    off type A also a_i + a_j, on B a_i and on C 2 a_i.  A nonzero value
-    v and its negative give one atom of degree |v|; a zero value gives
-    two trivial atoms.
+    ad E is End E = E* tensor E on GL; on SL End_0 E, End E less the trace
+    line, taken off its first slope-0 atom; Sym^2 E on Sp; Lambda^2 E on
+    SO.  Each is one semistable atom per atom product in characteristic 0
+    (Ramanan-Ramanathan 1984): x tensor y for atoms x, y, and for one atom
+    (d, r) Sym^2 (d(r + 1), r(r + 1)/2) or Lambda^2 (d(r - 1), r(r - 1)/2),
+    none when r = 1.  On a torus-split bundle: a rank-1 atom of degree
+    alpha(a) per root alpha, and torus_dim trivial atoms.
     """
-    a = as_cocharacter(family, a)
-    family.require_root_system()
-    t = family.cartan_type
-    values = [x - y for i, x in enumerate(a) for y in a[i + 1:]]
-    if t != A:
-        values += [x + y for i, x in enumerate(a) for y in a[i + 1:]]
-    if t == B:
-        values += a
-    elif t == C:
-        values += [2 * x for x in a]
-    positive = tuple(Atom(abs(v), 1) for v in values if v)
-    zeros = family.torus_dim + 2 * (len(values) - len(positive))
-    return SoBundle(positive, (Atom(0, 1),) * zeros)
-
-
-def adjoint_gl(e: PlainBundle) -> SoBundle:
-    """End(E) = E* tensor E with its split orthogonal structure."""
-    prod = tensor(dual(e), e)
-    positive = tuple(a for a in prod.atoms if a.degree > 0)
-    zero = tuple(a for a in prod.atoms if a.degree == 0)
-    return SoBundle(positive, zero)
+    e = underlying(b)
+    if isinstance(b, PlainBundle):
+        atoms = list(tensor(dual(e), e).atoms)
+        if isinstance(b, SlBundle):
+            # x* tensor x has degree 0, so there is a slope-0 atom
+            i = next(i for i, x in enumerate(atoms) if x.degree == 0)
+            k = atoms[i].rank
+            atoms[i:i + 1] = [Atom(0, k - 1)] if k > 1 else []
+    else:
+        s = 1 if b.kind == SP else -1
+        atoms = [Atom(x.degree * (x.rank + s), x.rank * (x.rank + s) // 2)
+                 for x in e.atoms if x.rank + s > 0]
+        atoms += [_times(x, y) for i, x in enumerate(e.atoms)
+                  for y in e.atoms[i + 1:]]
+    return SoBundle(tuple(a for a in atoms if a.degree > 0),
+                    tuple(a for a in atoms if a.degree == 0))

@@ -100,9 +100,10 @@ def coroot(family: GroupFamily, root):
 
 
 def adjoint_bundle_oracle(family, a):
-    """adjoint_bundle root by root: one rank-1 atom of degree alpha(a) per
-    root alpha, plus a rank-(dim T) trivial block, the positive-degree
-    atoms the isotropic positive part."""
+    """The adjoint bundle of the torus-split bundle of degree vector a, root
+    by root: one rank-1 atom of degree alpha(a) per root alpha, plus a
+    rank-(dim T) trivial block, the positive-degree atoms the isotropic
+    positive part."""
     a = as_cocharacter(family, a)
     positive = []
     zero = [Atom(0, 1)] * family.torus_dim

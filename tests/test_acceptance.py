@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SoBundle, SpBundle,
-                              adjoint_gl, bundle_from_degrees, direct_sum, dual,
+                              adjoint, bundle_from_degrees, direct_sum, dual,
                               is_semistable, tensor, underlying,
                               vertical_degree)
 from hnbundles.canon import (ad_degree, ad_degree_max_oracle, bh_conditions,
@@ -82,7 +82,7 @@ def test_criterion_3_adjoint_filtration():
                 continue
             e = PlainBundle((Atom(d, r),))
             ep = PlainBundle((Atom(dp, rp),))
-            ad = adjoint_gl(direct_sum(e, ep))
+            ad = adjoint(direct_sum(e, ep))
             assert isinstance(ad, SoBundle)
             filt = hn_filtration_isotropic(ad)
             hom = tensor(dual(ep), e)
@@ -277,7 +277,7 @@ def test_criterion_9_semistability_equivalences():
             atoms = tuple(Atom(rng.randint(-3, 3), rng.randint(1, 2))
                           for _ in range(rng.randint(1, 3)))
             b = PlainBundle(atoms)
-            ad = adjoint_gl(b)
+            ad = adjoint(b)
             if ad.rank > 2:
                 assert is_semistable(ad) == is_semistable(b)
     _report(9, None, check)

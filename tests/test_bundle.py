@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hnbundles.bundle import (Atom, IsotropicBundle, PlainBundle, SlBundle,
-                              SoBundle, SpBundle, adjoint_bundle, adjoint_gl,
-                              bundle_from_degrees, direct_sum, dual,
-                              is_semistable, isotropic_bundle, tensor,
-                              underlying, vertical_degree)
+                              SoBundle, SpBundle, adjoint, bundle_from_degrees,
+                              direct_sum, dual, is_semistable,
+                              isotropic_bundle, tensor, underlying,
+                              vertical_degree)
 from hnbundles.errors import (InvalidFlag, NotDegreeZero, NotIntegral,
                               UnsupportedRank, ZeroBundle)
 from hnbundles.rootsys import GroupFamily
@@ -201,14 +201,19 @@ def test_isotropic_bundles_share_one_shape():
     assert SoBundle(pos, (Atom(0, 1),)).rank == 3
 
 
+def split_adjoint(family, a):
+    """The adjoint bundle of the torus-split bundle of degree vector a."""
+    return adjoint(bundle_from_degrees(family, a))
+
+
 def test_adjoint_bundle_examples():
-    ad = adjoint_bundle(GroupFamily("sp", 4), (2, 1))
+    ad = split_adjoint(GroupFamily("sp", 4), (2, 1))
     degs = sorted(a.degree for a in underlying(ad).atoms)
     assert degs == [-4, -3, -2, -1, 0, 0, 1, 2, 3, 4]
     assert underlying(ad).rank == 10
-    ad2 = adjoint_bundle(GroupFamily("gl", 2), (1, 1))
+    ad2 = split_adjoint(GroupFamily("gl", 2), (1, 1))
     assert all(a.degree == 0 for a in underlying(ad2).atoms)
-    ad3 = adjoint_bundle(GroupFamily("so", 4), (1, 0))
+    ad3 = split_adjoint(GroupFamily("so", 4), (1, 0))
     degs3 = sorted(a.degree for a in underlying(ad3).atoms)
     assert degs3 == [-1, -1, 0, 0, 1, 1]
     assert underlying(ad3).rank == 6
@@ -216,16 +221,18 @@ def test_adjoint_bundle_examples():
 
 def test_adjoint_bundle_errors():
     with pytest.raises(NotIntegral):
-        adjoint_bundle(GroupFamily("gl", 2), (Fraction(1, 2), 0))
+        split_adjoint(GroupFamily("gl", 2), (Fraction(1, 2), 0))
 
 
 def test_adjoint_bundle_checks_integrality_before_the_root_system():
+    # the cocharacter check is bundle_from_degrees'; ad so(2) is one
+    # trivial line, which the root-by-root oracle, needing roots, refuses
     so2 = GroupFamily("so", 2)
     with pytest.raises(NotIntegral):
-        adjoint_bundle(so2, (Fraction(1, 2),))
-    for build in (adjoint_bundle, adjoint_bundle_oracle):
-        with pytest.raises(UnsupportedRank):
-            build(so2, (1,))
+        bundle_from_degrees(so2, (Fraction(1, 2),))
+    assert split_adjoint(so2, (1,)) == SoBundle((), (Atom(0, 1),))
+    with pytest.raises(UnsupportedRank):
+        adjoint_bundle_oracle(so2, (1,))
 
 
 # every family of cartan_dim <= 4 with a root system
@@ -243,17 +250,47 @@ def test_adjoint_bundle_equals_the_root_table(family):
     for a in product(range(-2, 3), repeat=family.cartan_dim):
         if family.kind == "sl" and sum(a):
             continue
-        assert adjoint_bundle(family, a) == adjoint_bundle_oracle(family, a), a
+        assert split_adjoint(family, a) == adjoint_bundle_oracle(family, a), a
 
 
 def test_adjoint_gl_examples():
-    ad = adjoint_gl(PlainBundle((Atom(1, 1), Atom(0, 2))))
+    ad = adjoint(PlainBundle((Atom(1, 1), Atom(0, 2))))
     assert sorted(underlying(ad).atoms) == sorted(
         (Atom(0, 1), Atom(2, 2), Atom(-2, 2), Atom(0, 4)))
-    assert underlying(adjoint_gl(PlainBundle((Atom(0, 1),)))).atoms == (Atom(0, 1),)
-    ad2 = adjoint_gl(PlainBundle((Atom(3, 1), Atom(-3, 1))))
+    assert underlying(adjoint(PlainBundle((Atom(0, 1),)))).atoms == (Atom(0, 1),)
+    ad2 = adjoint(PlainBundle((Atom(3, 1), Atom(-3, 1))))
     assert sorted(underlying(ad2).atoms) == sorted(
         (Atom(0, 1), Atom(6, 1), Atom(-6, 1), Atom(0, 1)))
+
+
+def test_adjoint_squares_and_trace_line():
+    # Sp: Sym^2, an atom (d, r) giving (d(r + 1), r(r + 1)/2); SO: Lambda^2,
+    # (d(r - 1), r(r - 1)/2) and none for r = 1; a pair of atoms, x tensor y
+    assert adjoint(SpBundle((Atom(1, 2),))) == SoBundle(
+        (Atom(3, 3),), (Atom(0, 4),))
+    assert adjoint(SoBundle((Atom(1, 2),), (Atom(0, 1),))) == SoBundle(
+        (Atom(1, 2), Atom(1, 1)), (Atom(0, 4),))
+    assert adjoint(SoBundle((), (Atom(0, 3),))) == SoBundle((), (Atom(0, 3),))
+    # SL: End E less the trace line, off its first slope-0 atom
+    assert adjoint(SlBundle((Atom(0, 2),))) == SoBundle((), (Atom(0, 3),))
+    assert adjoint(SlBundle((Atom(0, 1),))) == SoBundle((), ())
+    sl3 = bundle_from_degrees(GroupFamily("sl", 3), (1, 0, -1))
+    assert adjoint(sl3).zero_part == (Atom(0, 1),) * 2
+    assert adjoint(PlainBundle(sl3.atoms)).zero_part == (Atom(0, 1),) * 3
+
+
+def test_adjoint_bundle_does_not_see_the_d_fork():
+    # negating the last entry swaps a_i - a_n and a_i + a_n: the multiset of
+    # |alpha(a)| is the same on both families of maximal isotropic subbundles
+    for r, a in ((4, (1, -1)), (6, (2, 1, -1))):
+        flipped = a[:-1] + (-a[-1],)
+        so = GroupFamily("so", r)
+        assert split_adjoint(so, a) == split_adjoint(so, flipped)
+
+
+def test_an_isotropic_bundle_needs_a_kind():
+    with pytest.raises(TypeError, match="SpBundle or SoBundle"):
+        IsotropicBundle((Atom(1, 1),), (Atom(0, 1),))
 
 
 @given(st.sampled_from(["gl", "sl", "sp", "so"]), st.integers(2, 8),
@@ -268,7 +305,7 @@ def test_adjoint_degrees_symmetric(kind, r, coords):
     if kind == "sl":
         # SL cocharacters have trace zero
         a[-1] = -sum(a[:-1])
-    ad = underlying(adjoint_bundle(family, a))
+    ad = underlying(split_adjoint(family, a))
     degs = sorted(x.degree for x in ad.atoms)
     assert degs == sorted(-d for d in degs)
     assert ad.degree == 0

@@ -4,13 +4,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from hnbundles import canon
-from hnbundles.bundle import (Atom, PlainBundle, SoBundle, SpBundle,
-                              bundle_from_degrees, is_semistable,
-                              vertical_degree)
+from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SoBundle, SpBundle,
+                              adjoint, bundle_from_degrees, is_semistable,
+                              isotropic_bundle, vertical_degree)
 from hnbundles.canon import (ORACLE_WORK_GUARD, CanonicalReduction, HNType,
                              _oracle_of_orbit, _packed_orbit,
                              _reduction_of_orbit, ad_degree,
@@ -708,6 +708,49 @@ def test_chamber_law(family, coords):
     assert is_dominant(family, mu)
     for i, alpha in enumerate(simple_roots(family)):
         assert (evaluate(alpha, mu) > 0) == (i in red.index.members)
+
+
+@st.composite
+def atom_bundles(draw):
+    """A GL, SL, Sp or SO bundle of 1-4 atoms of rank 1-3.  On SL the last
+    atom's degree balances the others'.  On Sp/SO the atoms are the
+    positive part, of degrees 1-3, with a zero block of rank 0-3 (even on
+    Sp), written as one atom or as rank-1 atoms; an SO bundle has rank at
+    least 3, so that it has roots."""
+    kind = draw(st.sampled_from(["gl", "sl", "sp", "so"]))
+    degrees = st.integers(-4, 4) if kind in ("gl", "sl") else st.integers(1, 3)
+    atoms = draw(st.lists(st.builds(Atom, degrees, st.integers(1, 3)),
+                          min_size=1, max_size=4))
+    if kind == "gl":
+        return PlainBundle(tuple(atoms))
+    if kind == "sl":
+        atoms[-1] = Atom(-sum(a.degree for a in atoms[:-1]), atoms[-1].rank)
+        return SlBundle(tuple(atoms))
+    z = draw(st.integers(0, 3))
+    if kind == "sp":
+        z -= z % 2
+    one_atom = draw(st.booleans())
+    zero = () if not z else (Atom(0, z),) if one_atom else (Atom(0, 1),) * z
+    b = isotropic_bundle(kind, tuple(atoms), zero)
+    assume(b.rank >= 3)
+    return b
+
+
+@settings(max_examples=500, deadline=None)
+@given(atom_bundles())
+def test_the_adjoint_bundle_witnesses_the_reduction_at_rational_types(b):
+    # Biswas-Holla: at the HN type mu of b, a rational type, the slope > 0
+    # part of ad E is the nilradical of the canonical reduction to P_I, of
+    # degree <2rho_P, mu>, and with the slope-0 part it is ad E_P, of rank
+    # dim P_I
+    mu = hn_type(b)
+    family, index = mu.family, CanonicalReduction(mu).index
+    ad = adjoint(b)
+    count, levi = positive_root_count(family), _levi_positive_count(index)
+    positive_rank = sum(a.rank for a in ad.positive)
+    assert positive_rank == count - levi
+    assert sum(a.degree for a in ad.positive) == ad_degree(family, index, mu.mu)
+    assert positive_rank + ad.zero_rank == count + levi + family.torus_dim
 
 
 def test_vertical_degree_consistency():

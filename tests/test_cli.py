@@ -353,7 +353,7 @@ def test_sl_trace_refusal_survives_optimize():
     # as_cocharacter refuses an SL point of nonzero trace by an explicit
     # raise, which python -O keeps, at each torus-split entry point
     script = ("import sys\n"
-              "from hnbundles.bundle import adjoint_bundle, bundle_from_degrees\n"
+              "from hnbundles.bundle import bundle_from_degrees\n"
               "from hnbundles.canon import (ad_degree_max_oracle,\n"
               "    canonical_reduction, check_bh)\n"
               "from hnbundles.errors import NotInKernelLattice\n"
@@ -364,8 +364,8 @@ def test_sl_trace_refusal_survives_optimize():
               "sl3, a = GroupFamily('sl', 3), (1, 1, 1)\n"
               "red = canonical_reduction(sl3, (1, 0, -1))\n"
               "calls = [canonical_reduction, ad_degree_max_oracle,\n"
-              "         adjoint_bundle, bundle_from_degrees, obstruction_class,\n"
-              "         topological_type, lambda f, a: check_bh(f, a, red),\n"
+              "         bundle_from_degrees, obstruction_class, topological_type,\n"
+              "         lambda f, a: check_bh(f, a, red),\n"
               "         lambda f, a: levi_topological_type(\n"
               "             f, ParabolicIndex(f, frozenset()), a)]\n"
               "for call in calls:\n"

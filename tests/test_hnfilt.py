@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import hnbundles.hnfilt
 from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SoBundle, SpBundle,
-                              adjoint_gl, direct_sum, dual, is_semistable,
-                              tensor, underlying)
+                              adjoint, direct_sum, dual, is_semistable, tensor,
+                              underlying)
 from hnbundles.errors import TooLarge, UnsupportedRank
 from hnbundles.hnfilt import (Filtration, IsotropicFiltration, _group_by_slope,
                               _hn_candidates, extend_with_perps, hn_filtration,
@@ -89,7 +89,8 @@ sl_atoms_st = st.lists(st.builds(Atom, st.integers(-3, 3), st.integers(1, 2)),
 @given(sl_atoms_st)
 def test_sl_bundle_answers_as_its_plain_bundle(atoms):
     # an SL bundle is a plain bundle of degree 0: every function of a plain
-    # bundle takes it as it is and answers as on the plain bundle
+    # bundle takes it as it is and answers as on the plain bundle, but for
+    # the adjoint bundle, End_0 E on SL: End E less its trace line
     sl, b = SlBundle(atoms), PlainBundle(atoms)
     assert sl != b and sl.atoms == b.atoms and underlying(sl) is sl
     assert hn_filtration(sl).quotients == hn_filtration(b).quotients
@@ -98,7 +99,9 @@ def test_sl_bundle_answers_as_its_plain_bundle(atoms):
     assert dual(sl) == dual(b)
     assert tensor(sl, sl) == tensor(b, b) == tensor(sl, b)
     assert direct_sum(sl, sl) == direct_sum(b, b)
-    assert adjoint_gl(sl) == adjoint_gl(b)
+    ad_sl, ad = adjoint(sl), adjoint(b)
+    assert ad_sl.positive == ad.positive
+    assert ad_sl.zero_rank == ad.zero_rank - 1
     assert hn_uniqueness_oracle(sl) and hn_uniqueness_oracle(b)
 
 

@@ -8,7 +8,7 @@ PUBLIC_NAMES = [
     "Atom", "CanonicalReduction", "Filtration", "FinAbGroup", "GroupFamily",
     "HNType", "HnBundleError", "IsotropicBundle", "IsotropicFiltration",
     "ParabolicIndex", "PlainBundle", "SlBundle", "SoBundle", "SpBundle",
-    "StrataPoset", "adjoint_bundle", "adjoint_gl", "as_cocharacter", "bundle",
+    "StrataPoset", "adjoint", "as_cocharacter", "bundle",
     "bundle_from_degrees", "canon", "canonical_reduction",
     "character_generators", "check_bh", "direct_sum",
     "dominant_representative", "dual", "enumerate_strata", "errors",

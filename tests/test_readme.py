@@ -3,9 +3,11 @@ its sh blocks exits 0 through run_command, in a fresh directory, since
 the strata example writes its DOT file there.  A line that ends in a
 `# {...}` comment must print a JSON document holding those keys and
 values.  README's guards and caches tables are checked against the
-code: each guard's limit and message, and each cache's bound."""
+code: each guard's limit and message, and each cache's bound; and each
+name its removed-names list gives is gone from the package."""
 
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -133,3 +135,39 @@ def test_caches_table_matches_the_code():
     rows = readme_table(README.read_text(), "Caches")
     assert {f"hnbundles.{code(name)}": leading_int(bound)
             for name, _, bound, *_ in rows} == MODULE_CACHES
+
+
+def removed_names(text):
+    """The backticked names of each line of the removed-names list, left of
+    the colon that says where they went."""
+    section = text.split("\n## Names removed from the package\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    return [name for line in section.splitlines() if line.startswith("- ")
+            for name in re.findall(r"`([^`]*)`", line.rpartition(": ")[0])]
+
+
+def resolves(name):
+    """Whether a `module.name` or `Class.attr` resolves under hnbundles, a
+    dataclass field without a default included."""
+    head, _, attr = name.partition(".")
+    try:
+        owner = importlib.import_module(f"hnbundles.{head}")
+    except ModuleNotFoundError:
+        owner = getattr(hnbundles, head, None)
+    if owner is None:
+        return False
+    fields = dataclasses.fields(owner) if dataclasses.is_dataclass(owner) else ()
+    return hasattr(owner, attr) or attr in {f.name for f in fields}
+
+
+def test_removed_names_are_gone():
+    names = removed_names(README.read_text())
+    assert {"bundle.adjoint_bundle", "bundle.adjoint_gl", "intlin",
+            "SlBundle.underlying", "ad_parabolic_roots"} <= set(names)
+    assert resolves("bundle.adjoint") and resolves("SlBundle.atoms")
+    assert resolves("GroupFamily.torus_dim") and not resolves("bundle.nothing")
+    for name in names:
+        if "." in name:
+            assert not resolves(name), name
+        else:
+            assert name not in hnbundles.__all__, name

@@ -100,7 +100,6 @@ ENTRY_POINTS = {
     "check_bh": lambda f, a: canon.check_bh(
         f, a, canon.canonical_reduction(f, (0,) * f.cartan_dim)),
     "ad_degree_max_oracle": canon.ad_degree_max_oracle,
-    "adjoint_bundle": bundle.adjoint_bundle,
     "bundle_from_degrees": bundle.bundle_from_degrees,
     "obstruction_class": lattice.obstruction_class,
     "topological_type": lattice.topological_type,
