@@ -12,6 +12,7 @@ values: End E, less its trace line on SL, Sym^2 E on Sp, Lambda^2 E on SO.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import ClassVar
 
 from .errors import InvalidFlag, NotDegreeZero, UnsupportedRank, ZeroBundle
@@ -35,17 +36,23 @@ class Atom:
         return Fraction(self.degree, self.rank)
 
 
+# Atom's own order, (degree, rank), as a key read once per atom rather
+# than two tuples built per comparison
+_ATOM_ORDER = attrgetter("degree", "rank")
+
+
 def _canon(atoms):
     # check before sorting, which fails on an Atom next to another object
     atoms = tuple(atoms)
     if not all(isinstance(a, Atom) for a in atoms):
         raise TypeError("expected atoms")
-    return tuple(sorted(atoms, reverse=True))
+    return tuple(sorted(atoms, key=_ATOM_ORDER, reverse=True))
 
 
 @dataclass(frozen=True)
 class PlainBundle:
-    """Finite nonempty multiset of atoms."""
+    """Finite nonempty multiset of atoms; its rank and degree are summed
+    once, at construction."""
 
     atoms: tuple
 
@@ -53,14 +60,9 @@ class PlainBundle:
         object.__setattr__(self, "atoms", _canon(self.atoms))
         if not self.atoms:
             raise ZeroBundle("bundle needs at least one atom")
-
-    @property
-    def rank(self) -> int:
-        return sum(a.rank for a in self.atoms)
-
-    @property
-    def degree(self) -> int:
-        return sum(a.degree for a in self.atoms)
+        # not fields: ==, hash and repr read the atoms alone
+        object.__setattr__(self, "rank", sum(a.rank for a in self.atoms))
+        object.__setattr__(self, "degree", sum(a.degree for a in self.atoms))
 
     @property
     def slope(self) -> Fraction:
@@ -112,6 +114,8 @@ class IsotropicBundle:
             raise TypeError("IsotropicBundle has no kind: build SpBundle or SoBundle")
         object.__setattr__(self, "positive", _check_positive(self.positive))
         object.__setattr__(self, "zero_part", _check_zero(self.zero_part))
+        if not (self.positive or self.zero_part):
+            raise ZeroBundle("bundle needs at least one atom")
 
     @property
     def zero_rank(self) -> int:

@@ -14,10 +14,13 @@ depends only on the orbit, so it is cached by the dominant point.
 The canonical reduction is a value fixed by its HN type, the dominant
 point of the orbit, and it labels the HN stratum of that type (strata):
 its family and forced index are read off the type, with no root table,
-at every rank.  For small families it is built once per (family,
-dominant point) and cached, apart from the oracle's cache.  Its BH
-conditions ride on the object, computed on first read; every call still
-checks its input, the family and the orbit.
+at every rank.  The index, the dominance of the type and the Levi test
+of the BH conditions read only the signs of the simple-root pairings,
+each decided by comparing two coordinates.  For small families the
+reduction is built once per (family, dominant point) and cached, apart
+from the oracle's cache.  Its BH conditions ride on the object,
+computed on first read; every call still checks its input, the family
+and the orbit.
 """
 
 import sys
@@ -31,7 +34,7 @@ from .bundle import IsotropicBundle, SlBundle
 from .errors import FamilyMismatch, InvalidReduction, TooLarge
 from .hnfilt import hn_filtration, hn_filtration_isotropic
 from .parabolic import ParabolicIndex, _generator_terms, _two_rho_terms
-from .rootsys import (GL, SL, GroupFamily, _point, _simple_root_values,
+from .rootsys import (GL, SL, GroupFamily, _point, _simple_root_signs,
                       as_cocharacter, dominant_representative, evaluate,
                       is_dominant, positive_root_count, simple_root_count,
                       weyl_orbit, weyl_orbit_size)
@@ -51,16 +54,21 @@ _LANES = tuple((array(t).itemsize * 8, t) for t in "hiq")
 # long as its cartan_dim, is built afresh on each call.
 CACHED_DIM = 16
 
+# the coordinate types an HNType keeps unconverted
+_EXACT = frozenset({int, Fraction})
+
 
 @dataclass(frozen=True)
 class HNType:
     """Dominant rational Cartan vector of slopes.
 
-    An int coordinate stays an int and any other (a bool included) becomes
-    a Fraction: the canonical reduction of a cocharacter is a signed
-    permutation of its ints, so the checks that read it run on ints, while
-    a type read off bundle slopes holds Fractions.  Both compare and hash
-    alike, since 1 == Fraction(1) with the same hash.
+    An int or Fraction coordinate is kept as it is and any other (a bool
+    included) becomes a Fraction: the canonical reduction of a cocharacter
+    is a signed permutation of its ints, so the checks that read it run on
+    ints, while a type read off bundle slopes holds the slopes' own
+    Fractions.  Both compare and hash alike, since 1 == Fraction(1) with
+    the same hash.  Dominance is read off the signs of the simple-root
+    pairings, each decided by comparing two coordinates.
     """
 
     family: GroupFamily
@@ -68,7 +76,7 @@ class HNType:
 
     def __post_init__(self):
         object.__setattr__(self, "mu", tuple(
-            c if type(c) is int else Fraction(c) for c in self.mu))
+            c if type(c) in _EXACT else Fraction(c) for c in self.mu))
         # explicit raises, not assert, so that python -O keeps the checks;
         # is_dominant rejects a point of the wrong length
         if not is_dominant(self.family, self.mu):
@@ -104,7 +112,7 @@ class CanonicalReduction:
 def forced_index(family: GroupFamily, mu) -> ParabolicIndex:
     """The parabolic index a dominant vector determines: simple roots
     taking a positive value on it."""
-    members = frozenset(i for i, x in enumerate(_simple_root_values(family, mu))
+    members = frozenset(i for i, x in enumerate(_simple_root_signs(family, mu))
                         if x > 0)
     return ParabolicIndex(family, members)
 
@@ -185,7 +193,7 @@ def bh_conditions(family: GroupFamily, index: ParabolicIndex, v):
     prefix-sum pass over v; one Fraction entry makes them all Fractions,
     as it does the pairing."""
     v = _point(family, v, index)
-    levi_ss = all(x == 0 for i, x in enumerate(_simple_root_values(family, v))
+    levi_ss = all(x == 0 for i, x in enumerate(_simple_root_signs(family, v))
                   if i not in index.members)
     if not index.members:
         return levi_ss, []

@@ -297,19 +297,24 @@ def _cmd_strata(args) -> dict:
             "dot_path": args.dot}
 
 
+def _spec_text(family, b):
+    return repr(serialize_bundle_spec(BundleSpec(family, b, None)))
+
+
 def _suite_hn(rng, drawn):
     atoms = tuple(Atom(rng.randint(-3, 3), rng.randint(1, 2))
                   for _ in range(rng.randint(1, 4)))
     b = PlainBundle(atoms)
     family = GroupFamily(GL, b.rank)
-    drawn[:] = family, repr(serialize_bundle_spec(BundleSpec(family, b, None)))
+    drawn[:] = family, lambda: _spec_text(family, b)
     yield hn_uniqueness_oracle(b), "the HN filtration is not the unique one"
     positive = tuple(Atom(rng.randint(1, 3), 1) for _ in range(rng.randint(0, 2)))
-    sp = SpBundle(positive, tuple([Atom(0, 1)] * (2 * rng.randint(0, 1))))
-    if sp.rank:
+    zeros = tuple([Atom(0, 1)] * (2 * rng.randint(0, 1)))
+    # no atoms would make the zero bundle, which the model refuses
+    if positive or zeros:
+        sp = SpBundle(positive, zeros)
         sp_family = GroupFamily(SP, sp.rank)
-        drawn[:] = sp_family, repr(serialize_bundle_spec(
-            BundleSpec(sp_family, sp, None)))
+        drawn[:] = sp_family, lambda: _spec_text(sp_family, sp)
         yield (extend_with_perps(hn_filtration_isotropic(sp)).quotients ==
                hn_filtration(underlying(sp)).quotients,
                "the isotropic HN filtration completed by perps differs "
@@ -322,7 +327,7 @@ def _suite_canon(rng, drawn):
                          GroupFamily(SO, 5), GroupFamily(SO, 6),
                          GroupFamily(SO, 8), GroupFamily(GL, 4)])
     a = tuple(rng.randint(-2, 2) for _ in range(family.cartan_dim))
-    drawn[:] = family, a
+    drawn[:] = family, lambda: str(a)
     red = canonical_reduction(family, a)
     best, _ = ad_degree_max_oracle(family, a)
     attained = ad_degree(family, red.index, red.mu.mu)
@@ -344,7 +349,7 @@ def _suite_hull(rng, drawn):
               for _ in range(2))
     if family.kind == GL:
         nu = (nu[0] + sum(mu) - sum(nu),) + nu[1:]
-    drawn[:] = family, f"mu={mu}, nu={nu}"
+    drawn[:] = family, lambda: f"mu={mu}, nu={nu}"
     inside = hull_membership(family, mu, nu)
     feasible = hull_membership_lp_oracle(family, mu, nu)
     yield (inside == feasible,
@@ -359,7 +364,7 @@ def _suite_lattice(rng, drawn):
     if family.kind == SL:
         a[-1] -= sum(a)
         b[-1] -= sum(b)
-    drawn[:] = family, f"a={tuple(a)}, b={tuple(b)}"
+    drawn[:] = family, lambda: f"a={tuple(a)}, b={tuple(b)}"
     fa, ta = obstruction_class(family, a)
     fb, tb = obstruction_class(family, b)
     fs, ts = obstruction_class(family, [x + y for x, y in zip(a, b)])
@@ -379,9 +384,9 @@ def _suite_lattice(rng, drawn):
                    f"the obstruction class of a differs at its Weyl translate {w}")
 
 
-# each suite draws one case from the rng, sets drawn to the (family,
-# input) it has drawn, and yields its checks on that input in order, as
-# (ok, what)
+# each suite draws one case from the rng, sets drawn to the family it has
+# drawn and a function that renders the input, called only when the case
+# fails, and yields its checks on that input in order, as (ok, what)
 _SUITES = {"hn": _suite_hn, "canon": _suite_canon,
            "hull": _suite_hull, "lattice": _suite_lattice}
 
@@ -398,7 +403,7 @@ def _cmd_check(args) -> dict:
                     raise InvariantBreach(what)
         except (HnBundleError, ValueError) as exc:
             # a failed check, or a library error on the suite's own input
-            where = f" ({drawn[0]}, input {drawn[1]})" if drawn else ""
+            where = f" ({drawn[0]}, input {drawn[1]()})" if drawn else ""
             raise InvariantBreach(f"check {args.suite} failed at seed "
                                   f"{args.seed}, case {case}{where}: {exc}")
     # a case that fails raises, so every case run has passed

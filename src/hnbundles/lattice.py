@@ -20,6 +20,9 @@ from fractions import Fraction
 from .parabolic import ParabolicIndex, _levi_blocks
 from .rootsys import GL, SO, GroupFamily, _point, as_cocharacter, simple_root_count
 
+# the centre off GL, shared by every topological type: a Fraction is immutable
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class FinAbGroup:
@@ -74,12 +77,11 @@ def obstruction_class(family: GroupFamily, a):
 
 
 def topological_type(family: GroupFamily, a):
-    """Central averaging of a degree vector: the slope-type of the bundle."""
+    """Central averaging of a degree vector: the slope-type of the bundle,
+    one central value repeated, the mean degree on GL and 0 off it."""
     a = as_cocharacter(family, a)
-    if family.kind == GL:
-        avg = Fraction(sum(a), family.r)
-        return tuple(avg for _ in a)
-    return tuple(Fraction(0) for _ in a)
+    centre = Fraction(sum(a), family.r) if family.kind == GL else _ZERO
+    return (centre,) * len(a)
 
 
 def levi_topological_type(family: GroupFamily, index: ParabolicIndex, a):
@@ -99,7 +101,7 @@ def levi_topological_type(family: GroupFamily, index: ParabolicIndex, a):
     centre = []
     for lo, hi in runs:
         centre += [Fraction(sum(a[lo:hi]), hi - lo)] * (hi - lo)
-    centre += [Fraction(0)] * tail
+    centre += [_ZERO] * tail
     if fork:
         centre[-1] = -centre[-1]
     return tuple(centre)

@@ -15,7 +15,7 @@ from math import gcd
 
 from .errors import (FamilyMismatch, InvalidFlag, NotACharacter,
                      NothingToGenerate)
-from .rootsys import (A, B, C, D, GroupFamily, _point, _simple_root_values,
+from .rootsys import (A, B, C, D, GroupFamily, _point, _simple_root_signs,
                       root_name, simple_root_coordinates, simple_root_count)
 
 
@@ -151,7 +151,7 @@ def is_dominant_character(family: GroupFamily, index: ParabolicIndex, dchi):
     dchi = _point(family, dchi, index)
     # a coroot is a positive multiple of its root, so dchi vanishes on the
     # coroot of alpha_i exactly when <alpha_i, dchi> = 0
-    for i, x in enumerate(_simple_root_values(family, dchi)):
+    for i, x in enumerate(_simple_root_signs(family, dchi)):
         if i not in index.members and x:
             raise NotACharacter(
                 f"functional does not vanish on the coroot of {root_name(family, i)}")

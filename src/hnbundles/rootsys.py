@@ -21,10 +21,13 @@ expanded by a product of (x, -x) over its nonzero entries; on D with no
 zero entry, by one table of the sign patterns whose count of minus
 signs has the parity of the dominant point's.  The signed points are
 then sorted once.  The simple-root coordinates are the integer key of
-the stratum order, halved at the end of the diagram.  No root is
-listed here: the explicit root table (simple and positive roots, their
-coroots) is kept in the tests as the reference for these closed forms,
-which they also check against a loop of simple reflections and a solve.
+the stratum order, halved at the end of the diagram.  The sign of each
+simple-root pairing, which is all that dominance, the forced index of a
+type and the Levi test read, is decided by comparing two coordinates,
+with no subtraction.  No root is listed here: the explicit root table
+(simple and positive roots, their coroots) is kept in the tests as the
+reference for these closed forms, which they also check against a loop
+of simple reflections and a solve.
 """
 
 from collections import Counter
@@ -68,16 +71,14 @@ class GroupFamily:
             raise UnsupportedRank(f"Sp requires even matrix size, got {self.r}")
         if self.kind == SO and self.r < 2:
             raise UnsupportedRank(f"SO requires r >= 2, got {self.r}")
-        # not a field: ==, hash and repr read (kind, r) alone
-        object.__setattr__(self, "cartan_type", A if self.kind in (GL, SL) else
-                           C if self.kind == SP else B if self.r % 2 else D)
+        # not fields: ==, hash and repr read (kind, r) alone
+        t = A if self.kind in (GL, SL) else C if self.kind == SP else \
+            B if self.r % 2 else D
+        object.__setattr__(self, "cartan_type", t)
+        object.__setattr__(self, "cartan_dim", self.r if t == A else self.r // 2)
 
     def __str__(self):
         return f"{self.kind}{self.r}"
-
-    @property
-    def cartan_dim(self) -> int:
-        return self.r if self.cartan_type == A else self.r // 2
 
     @property
     def torus_dim(self) -> int:
@@ -293,21 +294,24 @@ def dominant_representative(family: GroupFamily, v):
     return tuple(out)
 
 
-def _simple_root_values(family: GroupFamily, v):
-    """<alpha_i, v> for each simple root alpha_i, in order: the steps
-    v_i - v_(i+1), then v_n on B, 2 v_n on C and v_(n-1) + v_n on D
-    (Bourbaki, Plates I-IV).  Checks the length of v first."""
+def _simple_root_signs(family: GroupFamily, v):
+    """The sign (-1, 0 or 1) of <alpha_i, v> for each simple root alpha_i,
+    in order (Bourbaki, Plates I-IV), each decided by comparing two
+    coordinates, with no subtraction: v_i against v_(i+1) for the step
+    v_i - v_(i+1), then v_n against 0 for v_n on B and 2 v_n on C, and
+    v_(n-1) against -v_n for v_(n-1) + v_n on D.  Checks the length of v
+    first."""
     v = _point(family, v)
     family.require_root_system()
-    values = [x - y for x, y in zip(v, v[1:])]
+    pairs = list(zip(v, v[1:]))
     t = family.cartan_type
     if t != A:
-        values.append(v[-1] if t == B else 2 * v[-1] if t == C else v[-2] + v[-1])
-    return values
+        pairs.append((v[-2], -v[-1]) if t == D else (v[-1], 0))
+    return [(x > y) - (x < y) for x, y in pairs]
 
 
 def is_dominant(family: GroupFamily, v) -> bool:
-    return all(x >= 0 for x in _simple_root_values(family, v))
+    return -1 not in _simple_root_signs(family, v)
 
 
 def _order_key(family: GroupFamily, v):

@@ -1,7 +1,8 @@
 """Solve, Hermite, kernel and normal-form routes that the closed forms
 replaced, kept as independent oracles for the tests: the root table
-(simple roots, positive roots, all roots, the root test, the coroots)
-and the adjoint bundle read off it root by root, the rational solve
+(simple roots, positive roots, all roots, the root test, the coroots),
+the closed-form simple-root values that the comparison of coordinates
+replaced, the adjoint bundle read off the root table root by root, the rational solve
 and the Hermite-reduced integer row kernel, the root table of supports
 and the Levi/nilradical root split read off it (the oracle for 2rho_P,
 the Levi root count and the Levi centre), the point v_I and its sign
@@ -27,7 +28,7 @@ from hnbundles.bundle import (Atom, PlainBundle, SoBundle, _flag_shape,
 from hnbundles.canon import CACHED_DIM, bh_conditions
 from hnbundles.errors import HnBundleError, NotACharacter, TooLarge
 from hnbundles.lattice import FinAbGroup
-from hnbundles.rootsys import (A, B, C, D, GL, SL, SP, GroupFamily,
+from hnbundles.rootsys import (A, B, C, D, GL, SL, SP, GroupFamily, _point,
                                as_cocharacter, dominant_representative,
                                evaluate, is_dominant, positive_root_count,
                                root_name, simple_root_coordinates)
@@ -62,6 +63,19 @@ def simple_roots(family: GroupFamily):
     elif t == D:
         out.append(_e(dim - 2, dim)[:-1] + (1,))
     return tuple(out)
+
+
+def simple_root_values(family: GroupFamily, v):
+    """<alpha_i, v> for each simple root alpha_i, in order, in closed form:
+    the steps v_i - v_(i+1), then v_n on B, 2 v_n on C and v_(n-1) + v_n
+    on D (Bourbaki, Plates I-IV).  Checks the length of v first."""
+    v = _point(family, v)
+    family.require_root_system()
+    values = [x - y for x, y in zip(v, v[1:])]
+    t = family.cartan_type
+    if t != A:
+        values.append(v[-1] if t == B else 2 * v[-1] if t == C else v[-2] + v[-1])
+    return values
 
 
 def positive_roots(family: GroupFamily):

@@ -1,3 +1,5 @@
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from itertools import product
 
@@ -29,6 +31,12 @@ def test_slope_examples():
 def test_empty_bundle_rejected():
     with pytest.raises(ZeroBundle):
         PlainBundle(())
+    # rank 0 on Sp and SO too: no positive part and no zero block
+    for build in (lambda: SpBundle((), ()), lambda: SoBundle((), ()),
+                  lambda: isotropic_bundle("sp", (), ()),
+                  lambda: isotropic_bundle("so", (), ())):
+        with pytest.raises(ZeroBundle, match="at least one atom"):
+            build()
 
 
 def test_malformed_bundles_rejected():
@@ -250,6 +258,12 @@ def test_adjoint_bundle_equals_the_root_table(family):
     for a in product(range(-2, 3), repeat=family.cartan_dim):
         if family.kind == "sl" and sum(a):
             continue
+        if family == GroupFamily("sl", 1):
+            # ad sl(1) = 0: both routes refuse the zero bundle
+            for route in (split_adjoint, adjoint_bundle_oracle):
+                with pytest.raises(ZeroBundle):
+                    route(family, a)
+            continue
         assert split_adjoint(family, a) == adjoint_bundle_oracle(family, a), a
 
 
@@ -273,7 +287,9 @@ def test_adjoint_squares_and_trace_line():
     assert adjoint(SoBundle((), (Atom(0, 3),))) == SoBundle((), (Atom(0, 3),))
     # SL: End E less the trace line, off its first slope-0 atom
     assert adjoint(SlBundle((Atom(0, 2),))) == SoBundle((), (Atom(0, 3),))
-    assert adjoint(SlBundle((Atom(0, 1),))) == SoBundle((), ())
+    # ad sl(1) = 0: the zero bundle, which the model refuses
+    with pytest.raises(ZeroBundle):
+        adjoint(SlBundle((Atom(0, 1),)))
     sl3 = bundle_from_degrees(GroupFamily("sl", 3), (1, 0, -1))
     assert adjoint(sl3).zero_part == (Atom(0, 1),) * 2
     assert adjoint(PlainBundle(sl3.atoms)).zero_part == (Atom(0, 1),) * 3
@@ -320,6 +336,30 @@ def test_sl_semistability_matches_underlying():
     assert is_semistable(SlBundle(c.atoms)) == is_semistable(c)
 
 
+def test_rank_and_degree_are_not_fields():
+    # summed once at construction: ==, hash and repr read the atoms alone,
+    # and replace builds afresh, so it sums again
+    b = PlainBundle((Atom(1, 2), Atom(-3, 1)))
+    assert [f.name for f in fields(PlainBundle)] == ["atoms"]
+    assert [f.name for f in fields(SlBundle)] == ["atoms"]
+    assert (b.rank, b.degree) == (3, -2)
+    assert repr(b) == "PlainBundle(atoms=(Atom(degree=1, rank=2), " \
+                      "Atom(degree=-3, rank=1)))"
+    assert hash(b) == hash(PlainBundle(b.atoms[::-1]))
+    c = replace(b, atoms=(Atom(2, 1),) * 4)
+    assert (c.rank, c.degree) == (4, 8)
+    sl = replace(SlBundle((Atom(1, 1), Atom(-1, 1))), atoms=(Atom(0, 5),))
+    assert type(sl) is SlBundle and (sl.rank, sl.degree) == (5, 0)
+    with pytest.raises(NotDegreeZero):
+        replace(sl, atoms=(Atom(1, 1),))
+    with pytest.raises(NotDegreeZero):
+        SlBundle((Atom(1, 1), Atom(0, 1)))
+    with pytest.raises(FrozenInstanceError):
+        b.rank = 4
+    copy = pickle.loads(pickle.dumps(b))
+    assert copy == b and (copy.rank, copy.degree) == (3, -2)
+
+
 def test_sl_bundle_is_a_plain_bundle_of_its_own_type():
     atoms = (Atom(-2, 1), Atom(2, 1))
     sl = SlBundle(atoms)
@@ -337,8 +377,8 @@ def test_sl_bundle_is_a_plain_bundle_of_its_own_type():
        st.integers(0, 2))
 def test_decorated_semistability_matches_underlying(positive, zeros):
     zero_part = tuple([Atom(0, 1)] * (2 * zeros))
-    sp = SpBundle(positive, zero_part)
-    if sp.rank:
+    if positive or zero_part:
+        sp = SpBundle(positive, zero_part)
         assert is_semistable(sp) == is_semistable(underlying(sp))
     so = SoBundle(positive, zero_part + (Atom(0, 1),))
     assert is_semistable(so) == is_semistable(underlying(so)) or so.rank == 2

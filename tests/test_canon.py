@@ -18,7 +18,8 @@ from hnbundles.canon import (ORACLE_WORK_GUARD, CanonicalReduction, HNType,
                              canonical_reduction, check_bh, forced_index,
                              hn_type)
 from hnbundles.errors import (FamilyMismatch, InvalidReduction,
-                              NotInKernelLattice, NotIntegral, TooLarge)
+                              NotInKernelLattice, NotIntegral, TooLarge,
+                              ZeroBundle)
 from hnbundles.lattice import levi_topological_type, topological_type
 from hnbundles.parabolic import (ParabolicIndex, _levi_positive_count,
                                  _two_rho_terms)
@@ -613,6 +614,11 @@ def test_hn_type_keeps_ints():
     assert [type(c) for c in HNType(gl3, (2, 1, 0)).mu] == [int] * 3
     mixed = HNType(gl3, (Fraction(2), True, False))
     assert [type(c) for c in mixed.mu] == [Fraction] * 3
+    # an int or a Fraction is kept as it is; a bool is converted
+    two, half = 2, Fraction(1, 2)
+    kept = HNType(gl3, (two, half, False)).mu
+    assert kept[0] is two and kept[1] is half
+    assert type(kept[2]) is Fraction and kept[2] == 0
     # mixed representations of one vector are one HN type
     for other in (HNType(gl3, (2, 1, 0)), HNType(gl3, (2, Fraction(1), 0)),
                   HNType(gl3, (Fraction(4, 2), 1, Fraction(0)))):
@@ -745,8 +751,13 @@ def test_the_adjoint_bundle_witnesses_the_reduction_at_rational_types(b):
     # dim P_I
     mu = hn_type(b)
     family, index = mu.family, CanonicalReduction(mu).index
-    ad = adjoint(b)
     count, levi = positive_root_count(family), _levi_positive_count(index)
+    if count + levi + family.torus_dim == 0:
+        # dim P_I = 0 on SL1 alone: ad sl(1) is the zero bundle, refused
+        with pytest.raises(ZeroBundle):
+            adjoint(b)
+        return
+    ad = adjoint(b)
     positive_rank = sum(a.rank for a in ad.positive)
     assert positive_rank == count - levi
     assert sum(a.degree for a in ad.positive) == ad_degree(family, index, mu.mu)

@@ -21,6 +21,7 @@ from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SpBundle,
 from hnbundles.cli import (SpecError, parse_bundle_spec, run_command,
                            serialize_bundle_spec)
 from hnbundles.errors import InvariantBreach, NotDegreeZero
+from hnbundles.hnfilt import Filtration
 from hnbundles.rootsys import GroupFamily, is_dominant
 from hnbundles.strata import enumerate_strata, to_dot
 
@@ -406,6 +407,29 @@ def test_a_check_case_that_raises_names_the_case(capsys, monkeypatch):
                         lambda atoms: real(atoms)[::-1])
     assert run(capsys, "check", "--suite=hn", "--seed=1", "--cases=5") == (
         3, "", HN_CASE_RAISES)
+
+
+# a check that fails names its case and the spec it drew, rendered only
+# then: a GL case, and an Sp one at case 1 of seed 5, after a case 0 whose
+# Sp draw had no atoms and was not built
+HN_CHECK_FAILS = {
+    "hn_uniqueness_oracle": (lambda b: False, 7, "case 0 (gl4, input "
+                             "'gl4: 2:1,-2:2,-3:1'): the HN filtration is not "
+                             "the unique one"),
+    "extend_with_perps": (lambda f: Filtration(()), 5, "case 1 (sp2, input "
+                          "'sp2: 3:1'): the isotropic HN filtration completed "
+                          "by perps differs from the HN filtration of the "
+                          "underlying bundle"),
+}
+
+
+@pytest.mark.parametrize("name", HN_CHECK_FAILS)
+def test_a_failing_hn_check_names_its_drawn_spec(capsys, monkeypatch, name):
+    fake, seed, where = HN_CHECK_FAILS[name]
+    monkeypatch.setattr(hnbundles.cli, name, fake)
+    assert run(capsys, "check", "--suite=hn", f"--seed={seed}", "--cases=5") == (
+        3, "", f"internal invariant breach: check hn failed at seed {seed}, "
+        f"{where}\n")
 
 
 def test_a_check_case_that_raises_before_its_draw(capsys, monkeypatch):

@@ -114,6 +114,17 @@ def test_topological_type_examples():
         tuple([Fraction(3, 5)] * 5)
     assert topological_type(GroupFamily("sp", 4), (2, 1)) == (0, 0)
     assert topological_type(GroupFamily("gl", 2), (1, 1)) == (1, 1)
+    # every entry a Fraction, the mean degree on GL and 0 off it
+    for kind, r in (("gl", 1), ("gl", 3), ("sl", 3), ("sp", 4), ("so", 5),
+                    ("so", 6)):
+        family = GroupFamily(kind, r)
+        for a in product(range(-2, 3), repeat=family.cartan_dim):
+            if kind == "sl" and sum(a):
+                continue
+            centre = Fraction(sum(a), r) if kind == "gl" else Fraction(0)
+            top = topological_type(family, a)
+            assert top == (centre,) * len(a), a
+            assert all(type(x) is Fraction for x in top), a
 
 
 def test_gl_psi_lattice():

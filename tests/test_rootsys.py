@@ -20,7 +20,8 @@ from hnbundles.rootsys import (A, B, C, D, GroupFamily, as_cocharacter,
                                simple_root_coordinates, simple_root_count,
                                weyl_orbit, weyl_orbit_size)
 from oracles import (NotARoot, _sub, all_roots, coroot, is_root,
-                     positive_roots, simple_roots, solve_rational)
+                     positive_roots, simple_root_values, simple_roots,
+                     solve_rational)
 
 FAMILIES = [GroupFamily("gl", 3), GroupFamily("gl", 4), GroupFamily("sl", 3),
             GroupFamily("sl", 4), GroupFamily("sp", 4), GroupFamily("sp", 6),
@@ -603,8 +604,50 @@ def test_simple_root_values_equal_the_table(family):
     for _ in range(200):
         v = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                   for _ in range(family.cartan_dim))
-        assert rootsys._simple_root_values(family, v) == \
-            [evaluate(a, v) for a in simples], v
+        values = [evaluate(a, v) for a in simples]
+        assert simple_root_values(family, v) == values, v
+        assert rootsys._simple_root_signs(family, v) == \
+            [(x > 0) - (x < 0) for x in values], v
+
+
+# every Cartan type, at cartan_dim up to 4, with SO4, SO6 and SO8 on the
+# D_n fork; GL1 and SO3 have one coordinate and no step
+SIGN_FAMILIES = [GroupFamily(kind, r) for kind, r in (
+    ("gl", 1), ("gl", 2), ("gl", 4), ("sl", 3), ("sp", 2), ("sp", 6),
+    ("so", 3), ("so", 4), ("so", 5), ("so", 6), ("so", 8), ("so", 9))]
+
+
+@pytest.mark.parametrize("exact", [int, lambda k: Fraction(k, 2)],
+                         ids=["int", "Fraction"])
+@pytest.mark.parametrize("family", SIGN_FAMILIES, ids=str)
+def test_the_sign_route_equals_the_root_table(family, exact):
+    """Dominance, the forced index and the Levi test of the BH conditions
+    read the sign of each simple-root value off a comparison of two
+    coordinates; the root table's values give the same signs on every
+    point of [-2, 2]^n, and of its halves as Fractions.  The Levi test
+    runs at every parabolic index in turn across the grid."""
+    simples = simple_roots(family)
+    count = len(simples)
+    for k, v in enumerate(product(map(exact, range(-2, 3)),
+                                  repeat=family.cartan_dim)):
+        values = [evaluate(a, v) for a in simples]
+        assert rootsys._simple_root_signs(family, v) == \
+            [(x > 0) - (x < 0) for x in values], v
+        assert is_dominant(family, v) is all(x >= 0 for x in values), v
+        assert canon.forced_index(family, v).members == \
+            {i for i, x in enumerate(values) if x > 0}, v
+        members = {i for i in range(count) if k >> i & 1}
+        index = parabolic.ParabolicIndex(family, members)
+        assert canon.bh_conditions(family, index, v)[0] is all(
+            x == 0 for i, x in enumerate(values) if i not in members), v
+    # a point of the wrong length is refused by every reader of the signs
+    short = (exact(1),) * (family.cartan_dim - 1)
+    index = parabolic.ParabolicIndex(family, ())
+    for call in (lambda: is_dominant(family, short),
+                 lambda: canon.forced_index(family, short),
+                 lambda: canon.bh_conditions(family, index, short)):
+        with pytest.raises(ValueError, match="coordinates"):
+            call()
 
 
 def test_wrong_length_points_are_rejected():
@@ -706,7 +749,12 @@ def test_cartan_type_is_not_a_field():
     assert repr(so6) == "GroupFamily(kind='so', r=6)"
     assert [f.name for f in fields(GroupFamily)] == ["kind", "r"]
     assert replace(so6, r=7).cartan_type == B
+    # cartan_dim is stored beside the type, and replace computes it afresh
+    assert so6.cartan_dim == 3 and replace(so6, r=7).cartan_dim == 3
+    assert replace(so6, kind="gl").cartan_dim == 6
     copy = pickle.loads(pickle.dumps(so6))
-    assert copy == so6 and copy.cartan_type == D
+    assert copy == so6 and copy.cartan_type == D and copy.cartan_dim == 3
     with pytest.raises(FrozenInstanceError):
         so6.cartan_type = B
+    with pytest.raises(FrozenInstanceError):
+        so6.cartan_dim = 4
