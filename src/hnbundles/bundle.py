@@ -201,8 +201,6 @@ def _flag_shape(family: GroupFamily, e, f):
         return d, r, fdeg, l
     if d != 0:
         raise NotDegreeZero("Sp/SO vertical degree needs ambient degree 0")
-    if family.kind == SO and r < 3:
-        raise UnsupportedRank("SO vertical degree needs r >= 3")
     if not 1 <= l <= r // 2:
         raise InvalidFlag(f"need 1 <= l <= {r // 2}, got {l}")
     return d, r, fdeg, l

@@ -36,7 +36,7 @@ from .hnfilt import hn_filtration, hn_filtration_isotropic
 from .parabolic import ParabolicIndex, _generator_terms, _two_rho_terms
 from .rootsys import (GL, SL, GroupFamily, _point, _simple_root_signs,
                       as_cocharacter, dominant_representative, evaluate,
-                      is_dominant, positive_root_count, simple_root_count,
+                      positive_root_count, simple_root_count,
                       weyl_orbit, weyl_orbit_size)
 
 # The oracle's work, 2^count x ((count + 1) |W.a| + |Phi+|) with count the
@@ -68,7 +68,8 @@ class HNType:
     ints, while a type read off bundle slopes holds the slopes' own
     Fractions.  Both compare and hash alike, since 1 == Fraction(1) with
     the same hash.  Dominance is read off the signs of the simple-root
-    pairings, each decided by comparing two coordinates.
+    pairings, each decided by comparing two coordinates, kept as the tuple
+    signs (not a field) that the reduction reads its index off.
     """
 
     family: GroupFamily
@@ -77,9 +78,10 @@ class HNType:
     def __post_init__(self):
         object.__setattr__(self, "mu", tuple(
             c if type(c) in _EXACT else Fraction(c) for c in self.mu))
-        # explicit raises, not assert, so that python -O keeps the checks;
-        # is_dominant rejects a point of the wrong length
-        if not is_dominant(self.family, self.mu):
+        # not a field, like GroupFamily.cartan_dim; an explicit raise, not
+        # assert, so that python -O keeps the check
+        object.__setattr__(self, "signs", tuple(_simple_root_signs(self.family, self.mu)))
+        if -1 in self.signs:
             raise ValueError(f"HN type ({', '.join(map(str, self.mu))}) is not "
                              f"dominant for {self.family}")
 
@@ -94,7 +96,7 @@ class CanonicalReduction:
     index: ParabolicIndex = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "index", forced_index(self.family, self.mu.mu))
+        object.__setattr__(self, "index", _positive_index(self.family, self.mu.signs))
 
     @property
     def family(self) -> GroupFamily:
@@ -112,9 +114,12 @@ class CanonicalReduction:
 def forced_index(family: GroupFamily, mu) -> ParabolicIndex:
     """The parabolic index a dominant vector determines: simple roots
     taking a positive value on it."""
-    members = frozenset(i for i, x in enumerate(_simple_root_signs(family, mu))
-                        if x > 0)
-    return ParabolicIndex(family, members)
+    return _positive_index(family, _simple_root_signs(family, mu))
+
+
+def _positive_index(family: GroupFamily, signs) -> ParabolicIndex:
+    """The index of the simple roots whose sign in signs is positive."""
+    return ParabolicIndex(family, frozenset(i for i, x in enumerate(signs) if x > 0))
 
 
 def canonical_reduction(family: GroupFamily, a) -> CanonicalReduction:

@@ -12,7 +12,7 @@ the two routes check each other.
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .bundle import IsotropicBundle, PlainBundle, dual, is_semistable
+from .bundle import IsotropicBundle, PlainBundle, dual, is_semistable, underlying
 from .errors import TooLarge, UnsupportedRank
 from .rootsys import SO
 
@@ -59,10 +59,12 @@ class IsotropicFiltration:
             raise ValueError("isotropic HN quotients must have positive slopes")
 
 
-def scss(b: PlainBundle):
-    """Strongly contradicting semistability subobject: the maximal-slope atoms."""
-    top = max(a.slope for a in b.atoms)
-    return tuple(a for a in b.atoms if a.slope == top)
+def scss(b):
+    """Strongly contradicting semistability subobject: the maximal-slope
+    atoms of underlying(b), for a bundle of any kind of the model."""
+    atoms = underlying(b).atoms
+    top = max(a.slope for a in atoms)
+    return tuple(a for a in atoms if a.slope == top)
 
 
 def _group_by_slope(atoms):

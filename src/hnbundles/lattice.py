@@ -71,7 +71,6 @@ def obstruction_class(family: GroupFamily, a):
     of even coordinate sum, so the residue is the total degree mod 2.
     """
     a = as_cocharacter(family, a)
-    family.require_root_system()
     free = (sum(a),) if family.kind == GL else ()
     return free, ((sum(a) % 2,) if family.kind == SO else ())
 

@@ -101,7 +101,6 @@ def parabolic_from_flag(family: GroupFamily, flag_ranks) -> ParabolicIndex:
             raise InvalidFlag(f"GL/SL flag ranks must be < {family.r}")
         members.update(l - 1 for l in ranks)
         return ParabolicIndex(family, frozenset(members))
-    family.require_root_system()
     n = family.cartan_dim
     if any(l > n for l in ranks):
         raise InvalidFlag(f"isotropic ranks must be <= {n}")

@@ -57,7 +57,7 @@ _INT_ONLY = frozenset({int})
 
 @dataclass(frozen=True)
 class GroupFamily:
-    """One of GL(r), SL(r), Sp(r) with r even, SO(r)."""
+    """One of GL(r), SL(r), Sp(r) with r even, SO(r), r >= 3."""
 
     kind: str
     r: int
@@ -71,6 +71,8 @@ class GroupFamily:
             raise UnsupportedRank(f"Sp requires even matrix size, got {self.r}")
         if self.kind == SO and self.r < 2:
             raise UnsupportedRank(f"SO requires r >= 2, got {self.r}")
+        if self.kind == SO and self.r == 2:
+            raise UnsupportedRank("SO(2) has no usable root system")
         # not fields: ==, hash and repr read (kind, r) alone
         t = A if self.kind in (GL, SL) else C if self.kind == SP else \
             B if self.r % 2 else D
@@ -89,11 +91,6 @@ class GroupFamily:
             return self.r - 1
         return self.r // 2
 
-    def require_root_system(self):
-        """Reject the degenerate SO(2) root system."""
-        if self.kind == SO and self.r < 3:
-            raise UnsupportedRank("SO(2) has no usable root system")
-
 
 def evaluate(functional, v):
     """Dot-product pairing of an integer functional against a Cartan vector."""
@@ -102,14 +99,12 @@ def evaluate(functional, v):
 
 def simple_root_count(family: GroupFamily) -> int:
     """The number of simple roots: the rank of the root system."""
-    family.require_root_system()
     return family.cartan_dim - (family.cartan_type == A)
 
 
 def positive_root_count(family: GroupFamily) -> int:
     """|Phi+|, the number of positive roots: n(n - 1)/2 for A, n^2 for B
     and C, n(n - 1) for D."""
-    family.require_root_system()
     n = family.cartan_dim
     if family.cartan_type == A:
         return n * (n - 1) // 2
@@ -158,7 +153,6 @@ def weyl_orbit_size(family: GroupFamily, v, *, limit=None) -> int:
 
     With a limit, the product stops as soon as it passes the limit: the
     answer is exact when |W.v| <= limit, and otherwise only over it."""
-    family.require_root_system()
     v = _point(family, v)
     signed = family.cartan_type != A
     size, remaining = 1, len(v)
@@ -284,7 +278,6 @@ def dominant_representative(family: GroupFamily, v):
     the entries sorted descending on type A, their absolute values sorted
     descending off A, with the last one negated on D when no entry is
     zero and an odd number of them are negative."""
-    family.require_root_system()
     v = _point(family, v)
     if family.cartan_type == A:
         return tuple(sorted(v, reverse=True))
@@ -302,7 +295,6 @@ def _simple_root_signs(family: GroupFamily, v):
     v_(n-1) against -v_n for v_(n-1) + v_n on D.  Checks the length of v
     first."""
     v = _point(family, v)
-    family.require_root_system()
     pairs = list(zip(v, v[1:]))
     t = family.cartan_type
     if t != A:
@@ -332,7 +324,6 @@ def simple_root_coordinates(family: GroupFamily, d):
     c is the order key of d with its doubled ends halved: the prefix sums
     s of d, except c_n = s_n / 2 on C, and on D the fork splits
     into (s_{n-1} - d_n) / 2 and s_n / 2."""
-    family.require_root_system()
     c = _order_key(family, _point(family, d))
     t = family.cartan_type
     if t == A:

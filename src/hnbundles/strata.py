@@ -184,7 +184,6 @@ def enumerate_strata(family: GroupFamily, bound: int,
     dim = family.cartan_dim
     if dim > ENUM_DIM_GUARD or bound > ENUM_BOUND_GUARD:
         raise TooLarge("enumeration guard exceeded")
-    family.require_root_system()
     # stratum_leq(labels[i], labels[j]) holds when the index of j contains
     # that of i, the centres agree and, by Kostant, the order key of mu_j
     # is at least that of mu_i in every entry.  The centre is the degree

@@ -52,7 +52,6 @@ def _sub(a, b):
 
 def simple_roots(family: GroupFamily):
     """Ordered simple roots of the family in diagonal coordinates."""
-    family.require_root_system()
     dim = family.cartan_dim
     out = [tuple(_sub(_e(l, dim), _e(l + 1, dim))) for l in range(dim - 1)]
     t = family.cartan_type
@@ -70,7 +69,6 @@ def simple_root_values(family: GroupFamily, v):
     the steps v_i - v_(i+1), then v_n on B, 2 v_n on C and v_(n-1) + v_n
     on D (Bourbaki, Plates I-IV).  Checks the length of v first."""
     v = _point(family, v)
-    family.require_root_system()
     values = [x - y for x, y in zip(v, v[1:])]
     t = family.cartan_type
     if t != A:
@@ -80,7 +78,6 @@ def simple_root_values(family: GroupFamily, v):
 
 def positive_roots(family: GroupFamily):
     """Positive roots: closure of the simple system, listed deterministically."""
-    family.require_root_system()
     dim, t = family.cartan_dim, family.cartan_type
     out = []
     for i in range(dim):
@@ -596,13 +593,11 @@ def _tower(family, roots, blocks):
 
 @lru_cache(maxsize=64)
 def lattice_tower(family):
-    family.require_root_system()
     return _tower(family, all_roots(family), ((1, family.r),))
 
 
 def levi_lattice_tower(family, index):
     """Tower of the Levi factor: coroots restricted to the Levi roots."""
-    family.require_root_system()
     return _tower(family, _root_split(index)[0],
                   levi_blocks(family, index).blocks)
 

@@ -13,6 +13,7 @@ from hnbundles.bundle import (Atom, IsotropicBundle, PlainBundle, SlBundle,
                               vertical_degree)
 from hnbundles.errors import (InvalidFlag, NotDegreeZero, NotIntegral,
                               UnsupportedRank, ZeroBundle)
+from hnbundles.hnfilt import hn_filtration_isotropic
 from hnbundles.rootsys import GroupFamily
 from oracles import adjoint_bundle_oracle, vertical_degree_composite
 
@@ -232,15 +233,21 @@ def test_adjoint_bundle_errors():
         split_adjoint(GroupFamily("gl", 2), (Fraction(1, 2), 0))
 
 
-def test_adjoint_bundle_checks_integrality_before_the_root_system():
-    # the cocharacter check is bundle_from_degrees'; ad so(2) is one
-    # trivial line, which the root-by-root oracle, needing roots, refuses
-    so2 = GroupFamily("so", 2)
-    with pytest.raises(NotIntegral):
-        bundle_from_degrees(so2, (Fraction(1, 2),))
-    assert split_adjoint(so2, (1,)) == SoBundle((), (Atom(0, 1),))
-    with pytest.raises(UnsupportedRank):
-        adjoint_bundle_oracle(so2, (1,))
+def test_so_bundles_of_rank_at_most_2_keep_their_rules():
+    # SO(2) is no family, but an SO bundle of rank 2 or 1 is a bundle of
+    # the model, since adjoint returns orthogonal containers of any rank:
+    # ad of the rank-2 bundle is one trivial line, and so is that of a
+    # GL1 bundle
+    with pytest.raises(UnsupportedRank, match=r"^SO\(2\) has no usable root system$"):
+        GroupFamily("so", 2)
+    assert adjoint(SoBundle((Atom(1, 1),), ())) == SoBundle((), (Atom(0, 1),))
+    ad = adjoint(PlainBundle((Atom(3, 1),)))
+    assert ad == SoBundle((), (Atom(0, 1),)) and ad.rank == 1
+    # the rank-2 rules: always semistable, and no isotropic filtration
+    so2 = SoBundle((Atom(5, 1),), ())
+    assert is_semistable(so2) is True
+    with pytest.raises(UnsupportedRank, match="^SO filtration needs total rank >= 3$"):
+        hn_filtration_isotropic(so2)
 
 
 # every family of cartan_dim <= 4 with a root system

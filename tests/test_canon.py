@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import product
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from hnbundles import canon
+from hnbundles import canon, rootsys
 from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SoBundle, SpBundle,
                               adjoint, bundle_from_degrees, is_semistable,
                               isotropic_bundle, vertical_degree)
@@ -607,6 +607,29 @@ def test_lane_bound_covers_every_score_and_entry(family):
                   for index in _indices(family) for v in orbit]
         assert _bound(family, a) >= max(map(abs, scores)), a
         assert _bound(family, a) >= max(abs(x) for v in orbit for x in v), a
+
+
+def test_a_label_reads_its_signs_once(monkeypatch):
+    # the type keeps the signs its dominance check read, and the reduction
+    # reads its forced index off them, not off a second pass
+    signs, calls = canon._simple_root_signs, []
+
+    def counted(family, v):
+        calls.append(tuple(v))
+        return signs(family, v)
+
+    for module in (canon, rootsys):
+        monkeypatch.setattr(module, "_simple_root_signs", counted)
+    sp6 = GroupFamily("sp", 6)
+    red = canon.stratum_label(sp6, (3, 1, 0))
+    assert calls == [(3, 1, 0)]
+    assert red.mu.signs == (1, 1, 0) and red.index.members == {0, 1}
+    assert red.index == forced_index(sp6, (3, 1, 0))
+    # the signs are no field: equality, hash and repr read (family, mu)
+    assert [f.name for f in fields(HNType)] == ["family", "mu"]
+    assert red.mu == HNType(sp6, (3, 1, 0)) and \
+        hash(red.mu) == hash(HNType(sp6, (3, Fraction(1), 0)))
+    assert repr(red.mu) == f"HNType(family={sp6!r}, mu=(3, 1, 0))"
 
 
 def test_hn_type_keeps_ints():

@@ -912,6 +912,18 @@ def test_exit_codes(capsys):
     assert code6 == 2 and out6 == "" and "validation error: --cases" in err6
 
 
+@pytest.mark.parametrize("argv", [
+    ("pi1", "--family=so", "--rank=2"),
+    ("canon", "--family=so", "--rank=2", "--deg=1"),
+    ("strata", "--family=so", "--rank=2", "--bound=1"),
+    ("vdeg", "--family=so", "--E=0,2", "--F=1,1"),
+    ("hn", "so2: 1:1"),
+    ("semistable", "so2: 1:1")], ids=lambda argv: argv[0])
+def test_every_command_refuses_the_so2_family(capsys, argv):
+    assert run(capsys, *argv) == \
+        (2, "", "validation error: SO(2) has no usable root system\n")
+
+
 # bounded argv strategies: rank <= 8, --bound <= 2, --cases <= 3, no --dot
 SMALL = st.integers(-3, 3)
 KIND = st.sampled_from(["gl", "sl", "sp", "so"] * 3 + ["xx"])

@@ -26,6 +26,15 @@ def test_scss_examples():
     assert scss(PlainBundle((Atom(2, 2), Atom(1, 1)))) == (Atom(2, 2), Atom(1, 1))
 
 
+def test_scss_reads_the_underlying_bundle():
+    # the maximal destabilising piece of an Sp or SO bundle is isotropic:
+    # the top slope of its positive part, never of the mirror
+    assert scss(SpBundle((Atom(2, 1), Atom(1, 1)), ())) == (Atom(2, 1),)
+    assert scss(SoBundle((Atom(1, 2), Atom(1, 1)), (Atom(0, 1),))) == \
+        (Atom(1, 1),)
+    assert scss(SoBundle((), (Atom(0, 3),))) == (Atom(0, 3),)
+
+
 def test_hn_filtration_examples():
     filt = hn_filtration(B)
     assert [q.atoms for q in filt.quotients] == [

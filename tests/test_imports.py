@@ -122,6 +122,45 @@ def test_only_group_family_reads_the_parity_of_r(path):
     assert parity_sites(path.read_text()) == []
 
 
+SO2_REFUSAL = "SO(2) has no usable root system"
+
+
+def so2_refusal_sites(source):
+    """(line, in GroupFamily.__post_init__) for each string constant, an
+    f-string's text included, that holds the SO(2) refusal."""
+    def walk(node, inside):
+        if isinstance(node, ast.ClassDef):
+            inside = node.name == "GroupFamily"
+        elif isinstance(node, ast.FunctionDef):
+            inside = inside and node.name == "__post_init__"
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and SO2_REFUSAL in node.value:
+            yield node.lineno, inside
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, inside)
+    return sorted(walk(ast.parse(source), False))
+
+
+def test_the_scan_finds_a_planted_so2_refusal():
+    source = ("class GroupFamily:\n"
+              "    def __post_init__(self):\n"
+              "        raise E('SO(2) has no usable root system')\n"
+              "    def require(self):\n"
+              "        raise E('SO(2) has no usable root system')\n"
+              "def f(family):\n"
+              "    raise E(f'{family}: SO(2) has no usable root system')\n")
+    assert so2_refusal_sites(source) == [(3, True), (5, False), (7, False)]
+
+
+def test_only_group_family_refuses_so2():
+    # the family decides its root system where it is built, so no other
+    # function re-checks it
+    sites = [(path.name, inside)
+             for path in sorted((ROOT / "src" / "hnbundles").glob("*.py"))
+             for _, inside in so2_refusal_sites(path.read_text())]
+    assert sites == [("rootsys.py", True)]
+
+
 def test_parabolic_reads_no_kind():
     assert kind_sites((ROOT / "src" / "hnbundles" / "parabolic.py").read_text()) == []
 

@@ -46,8 +46,14 @@ def test_positive_roots_examples():
 
 
 def test_so2_rejected_outside_semistability():
-    with pytest.raises(UnsupportedRank):
-        simple_roots(GroupFamily("so", 2))
+    # refused where the family is built, so no root-system formula sees it;
+    # SO bundles of rank 2 keep their own rules (test_bundle)
+    with pytest.raises(UnsupportedRank,
+                       match=r"^SO\(2\) has no usable root system$") as info:
+        GroupFamily("so", 2)
+    assert info.traceback[-1].name == "__post_init__"
+    with pytest.raises(UnsupportedRank, match="^SO requires r >= 2, got 1$"):
+        GroupFamily("so", 1)
 
 
 def test_unknown_family_kind_rejected():

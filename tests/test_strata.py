@@ -5,8 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hnbundles import canon, strata
-from hnbundles.canon import forced_index
+from hnbundles import canon, rootsys, strata
 from hnbundles.errors import FamilyMismatch, TooLarge
 from hnbundles.strata import (HULL_ORBIT_GUARD, StrataPoset,
                               enumerate_strata, gl_dominance, hull_membership,
@@ -268,13 +267,16 @@ def test_enumerate_decides_no_pair_by_hull(monkeypatch):
 
 
 def test_enumerate_forces_each_index_once(monkeypatch):
-    calls = []
+    # a label reads its simple-root signs once: its type's dominance check
+    # keeps them, and its forced index is read off them
+    signs, calls = canon._simple_root_signs, []
 
     def counted(family, mu):
         calls.append(mu)
-        return forced_index(family, mu)
+        return signs(family, mu)
 
-    monkeypatch.setattr(canon, "forced_index", counted)
+    for module in (canon, rootsys):
+        monkeypatch.setattr(module, "_simple_root_signs", counted)
     for family in (GroupFamily("gl", 3), GroupFamily("so", 8)):
         calls.clear()
         assert len(enumerate_strata(family, 2).labels) == len(calls)
