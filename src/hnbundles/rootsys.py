@@ -55,12 +55,41 @@ WEYL_ORBIT_GUARD = 2 ** 21
 _INT_ONLY = frozenset({int})
 
 
+class _Interned(type):
+    """Builds one family per (kind, r): a rank that is not an int is
+    refused first, since 2.0 and True hash and compare like 2; then the
+    family comes from _family_table, which runs __post_init__ on a miss
+    only.  An unhashable kind misses the table and is refused by
+    __post_init__ like any other unknown kind."""
+
+    def __call__(cls, kind, r):
+        if type(r) is not int:
+            raise ValueError(f"rank must be an int, got {r!r}")
+        try:
+            return _family_table(cls, kind, r)
+        except TypeError:
+            return type.__call__(cls, kind, r)
+
+
+# The checked families, least recently used out first.  Every
+# family-keyed cache then matches its keys by identity, a fast path only:
+# an evicted family equals, and hashes like, the one built after it.
+@lru_cache(maxsize=256)
+def _family_table(cls, kind, r):
+    return type.__call__(cls, kind, r)
+
+
 @dataclass(frozen=True)
-class GroupFamily:
-    """One of GL(r), SL(r), Sp(r) with r even, SO(r), r >= 3."""
+class GroupFamily(metaclass=_Interned):
+    """One of GL(r), SL(r), Sp(r) with r even, SO(r), r >= 3: one object
+    per (kind, r), built and checked once."""
 
     kind: str
     r: int
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, and so the table
+        return type(self), (self.kind, self.r)
 
     def __post_init__(self):
         if self.kind not in KINDS:

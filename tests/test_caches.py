@@ -18,6 +18,7 @@ from hnbundles.rootsys import (ORBIT_CACHE_LIMIT, GroupFamily, weyl_orbit,
 # point; what is derived from an object those caches keep rides on that
 # object (PER_OBJECT), so its memory goes with the object.
 MODULE_CACHES = {
+    "hnbundles.rootsys._family_table": 256,
     "hnbundles.rootsys.weyl_orbit": 128,
     "hnbundles.parabolic._two_rho_terms": 128,
     "hnbundles.canon._reduction_of_orbit": 256,
@@ -84,6 +85,24 @@ def test_per_family_caches_keep_small_families_only():
         table = oracles._root_supports(family)
         assert oracles._root_supports(family) == table
         assert oracles._root_supports(family) is not table
+
+
+def test_family_table_stays_at_its_bound():
+    table = rootsys._family_table
+    bound = table.cache_info().maxsize
+    first = GroupFamily("gl", 1)
+    red = canon.canonical_reduction(first, (1,))
+    for r in range(2, bound + 11):
+        GroupFamily("gl", r)
+    assert table.cache_info().currsize == bound
+    # GL1 was evicted: the family built again is another object, equal to
+    # the first and hashing alike, so the caches keyed by the first still
+    # answer it
+    again = GroupFamily("gl", 1)
+    assert again is not first
+    assert again == first and hash(again) == hash(first)
+    assert canon.canonical_reduction(again, (1,)) is red
+    assert table.cache_info().currsize == bound
 
 
 def test_orbit_cache_keeps_orbits_up_to_its_limit():

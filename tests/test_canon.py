@@ -127,6 +127,20 @@ def test_check_bh_rejects_a_reduction_of_another_family():
         check_bh(GroupFamily("gl", 3), (2, 1, 0), red)
 
 
+def test_a_float_rank_cannot_poison_the_reduction_cache():
+    # GL(2.0) once equalled and hashed like GL(2), so its reduction, of
+    # cartan_dim 2.0, was handed to the next GL(2) caller, whose check_bh
+    # then raised TypeError; the family now refuses the float rank
+    canon._reduction_of_orbit.cache_clear()
+    with pytest.raises(ValueError, match=r"^rank must be an int, got 2\.0$"):
+        canonical_reduction(GroupFamily("gl", 2.0), (1, 0))
+    gl2 = GroupFamily("gl", 2)
+    red = canonical_reduction(gl2, (1, 0))
+    assert type(red.family.cartan_dim) is int
+    assert check_bh(gl2, (1, 0), red) == \
+        oracles.check_bh_uncached(gl2, red)
+
+
 def test_a_reduction_is_fixed_by_its_type():
     gl3, sp4, so5 = GroupFamily("gl", 3), GroupFamily("sp", 4), GroupFamily("so", 5)
     # the type is the one field: no second family, and no index to check

@@ -1,6 +1,8 @@
+import copy
 import math
 import pickle
 import random
+import re
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 from decimal import Decimal
@@ -59,6 +61,47 @@ def test_so2_rejected_outside_semistability():
 def test_unknown_family_kind_rejected():
     with pytest.raises(ValueError, match="unknown family kind 'xx'"):
         GroupFamily("xx", 3)
+    # an unhashable kind cannot key the family table, and is refused as
+    # unknown all the same
+    with pytest.raises(ValueError, match=r"^unknown family kind \['gl'\]$"):
+        GroupFamily(["gl"], 3)
+
+
+@pytest.mark.parametrize("r", [2.0, True, "2", Fraction(2), Decimal(2)], ids=repr)
+def test_a_rank_that_is_not_an_int_is_refused(r):
+    # 2.0, True, Fraction(2) and Decimal(2) hash and compare like 2, so
+    # each would key a family-keyed cache as GL2; the check comes before
+    # the family table is read
+    before = rootsys._family_table.cache_info()
+    with pytest.raises(ValueError, match=f"^{re.escape(f'rank must be an int, got {r!r}')}$"):
+        GroupFamily("gl", r)
+    assert rootsys._family_table.cache_info() == before
+
+
+@pytest.mark.parametrize("kind, r, error, message", [
+    ("gl", 0, ValueError, "rank must be positive"),
+    ("sl", -1, ValueError, "rank must be positive"),
+    ("sp", 3, UnsupportedRank, "Sp requires even matrix size, got 3"),
+])
+def test_every_refusal_comes_from_post_init_on_each_call(kind, r, error, message):
+    # the table keeps no refusal: each call runs the checks again (SO(1)
+    # and SO(2) in test_so2_rejected_outside_semistability)
+    for _ in range(2):
+        with pytest.raises(error, match=f"^{message}$") as info:
+            GroupFamily(kind, r)
+        assert info.traceback[-1].name == "__post_init__"
+
+
+def test_a_family_is_one_object_per_kind_and_rank():
+    so6 = GroupFamily("so", 6)
+    assert GroupFamily(kind="so", r=6) is so6
+    assert GroupFamily("so", r=6) is so6
+    assert replace(so6) is so6 and replace(so6, r=7) is GroupFamily("so", 7)
+    assert copy.copy(so6) is so6 and copy.deepcopy(so6) is so6
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(so6, protocol)) is so6
+    # the stored type and dimension are those the checks computed once
+    assert vars(so6) == {"kind": "so", "r": 6, "cartan_type": D, "cartan_dim": 3}
 
 
 def test_as_cocharacter():
