@@ -9,8 +9,7 @@ from .canon import (CanonicalReduction, HNType, canonical_reduction, check_bh,
                     hn_type)
 from .errors import HnBundleError
 from .hnfilt import (Filtration, IsotropicFiltration, extend_with_perps,
-                     hn_filtration, hn_filtration_isotropic,
-                     hn_uniqueness_oracle, scss)
+                     hn_filtration, hn_filtration_isotropic, scss)
 from .lattice import (FinAbGroup, fundamental_groups, levi_fundamental_groups,
                       obstruction_class, topological_type)
 from .parabolic import (ParabolicIndex, character_generators,
@@ -21,4 +20,13 @@ from .rootsys import (GroupFamily, as_cocharacter, dominant_representative,
 from .strata import (StrataPoset, enumerate_strata, hull_membership,
                      stratum_leq, to_dot)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")] + [
+    "hn_uniqueness_oracle"]
+
+
+def __getattr__(name):
+    # the HN oracle is exported, but its module loads on the first read
+    if name == "hn_uniqueness_oracle":
+        from .oracles import hn_uniqueness_oracle
+        return hn_uniqueness_oracle
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

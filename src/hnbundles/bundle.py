@@ -101,8 +101,9 @@ class IsotropicBundle:
 
     The underlying bundle is positive + dual(positive) + zero block; the
     zero block is kept as a multiset of slope-0 atoms so that filtration
-    quotients compare exactly against the plain-bundle route.  Build one
-    through SpBundle or SoBundle.
+    quotients compare exactly against the plain-bundle route.  Its rank
+    and the rank of its zero block are summed once, at construction.
+    Build one through SpBundle or SoBundle.
     """
 
     kind: ClassVar[str]
@@ -116,16 +117,14 @@ class IsotropicBundle:
         object.__setattr__(self, "zero_part", _check_zero(self.zero_part))
         if not (self.positive or self.zero_part):
             raise ZeroBundle("bundle needs at least one atom")
-
-    @property
-    def zero_rank(self) -> int:
-        return sum(a.rank for a in self.zero_part)
-
-    @property
-    def rank(self) -> int:
-        return 2 * sum(a.rank for a in self.positive) + self.zero_rank
+        # not fields: ==, hash and repr read the atoms alone
+        zero_rank = sum(a.rank for a in self.zero_part)
+        object.__setattr__(self, "zero_rank", zero_rank)
+        object.__setattr__(self, "rank", 2 * sum(
+            a.rank for a in self.positive) + zero_rank)
 
 
+@dataclass(frozen=True)
 class SpBundle(IsotropicBundle):
     """Symplectic bundle: the total rank must be even."""
 
@@ -137,6 +136,7 @@ class SpBundle(IsotropicBundle):
             raise UnsupportedRank("Sp bundle rank must be even")
 
 
+@dataclass(frozen=True)
 class SoBundle(IsotropicBundle):
     """Special-orthogonal bundle: any total rank."""
 

@@ -1,5 +1,6 @@
-"""Command-line front end: bundle-spec parsing, subcommands, JSON/DOT
-emission, and the brute-force check suites.
+"""Command-line front end: bundle-spec parsing, subcommands, and JSON/DOT
+emission.  The brute-force suites that check runs live in
+hnbundles.oracles, which check loads on its first run.
 
 Each subcommand's options are declared once, in _COMMANDS: a
 well-formed argv is read from that table, and argparse, built from it on
@@ -26,7 +27,6 @@ past it.
 
 import argparse
 import json
-import random
 import re
 import sys
 import threading
@@ -35,21 +35,18 @@ from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bundle import (Atom, PlainBundle, SlBundle, SpBundle, bundle_from_degrees,
-                     is_semistable, isotropic_bundle, underlying,
-                     vertical_degree)
+from .bundle import (Atom, PlainBundle, SlBundle, bundle_from_degrees,
+                     is_semistable, isotropic_bundle, vertical_degree)
 from .canon import (ad_degree, ad_degree_max_oracle, canonical_reduction,
                     check_bh, hn_type_of_quotients)
 from .errors import HnBundleError, InvariantBreach
-from .hnfilt import (extend_with_perps, hn_filtration, hn_filtration_isotropic,
-                     hn_uniqueness_oracle)
+from .hnfilt import extend_with_perps, hn_filtration, hn_filtration_isotropic
 from .lattice import fundamental_groups, levi_fundamental_groups, \
     obstruction_class, topological_type
 from .parabolic import ParabolicIndex, _levi_positive_count
 from .rootsys import (GL, SL, SO, SP, GroupFamily, positive_root_count,
-                      root_name, simple_root_count, weyl_orbit)
-from .strata import (enumerate_strata, hull_membership,
-                     hull_membership_lp_oracle, to_dot)
+                      root_name, simple_root_count)
+from .strata import enumerate_strata, to_dot
 
 
 class SpecError(HnBundleError):
@@ -297,103 +294,17 @@ def _cmd_strata(args) -> dict:
             "dot_path": args.dot}
 
 
-def _spec_text(family, b):
-    return repr(serialize_bundle_spec(BundleSpec(family, b, None)))
-
-
-def _suite_hn(rng, drawn):
-    atoms = tuple(Atom(rng.randint(-3, 3), rng.randint(1, 2))
-                  for _ in range(rng.randint(1, 4)))
-    b = PlainBundle(atoms)
-    family = GroupFamily(GL, b.rank)
-    drawn[:] = family, lambda: _spec_text(family, b)
-    yield hn_uniqueness_oracle(b), "the HN filtration is not the unique one"
-    positive = tuple(Atom(rng.randint(1, 3), 1) for _ in range(rng.randint(0, 2)))
-    zeros = tuple([Atom(0, 1)] * (2 * rng.randint(0, 1)))
-    # no atoms would make the zero bundle, which the model refuses
-    if positive or zeros:
-        sp = SpBundle(positive, zeros)
-        sp_family = GroupFamily(SP, sp.rank)
-        drawn[:] = sp_family, lambda: _spec_text(sp_family, sp)
-        yield (extend_with_perps(hn_filtration_isotropic(sp)).quotients ==
-               hn_filtration(underlying(sp)).quotients,
-               "the isotropic HN filtration completed by perps differs "
-               "from the HN filtration of the underlying bundle")
-
-
-def _suite_canon(rng, drawn):
-    # SO6 and SO8 reach the D_n fork
-    family = rng.choice([GroupFamily(GL, 3), GroupFamily(SP, 4),
-                         GroupFamily(SO, 5), GroupFamily(SO, 6),
-                         GroupFamily(SO, 8), GroupFamily(GL, 4)])
-    a = tuple(rng.randint(-2, 2) for _ in range(family.cartan_dim))
-    drawn[:] = family, lambda: str(a)
-    red = canonical_reduction(family, a)
-    best, _ = ad_degree_max_oracle(family, a)
-    attained = ad_degree(family, red.index, red.mu.mu)
-    yield (attained == best,
-           f"the canonical reduction has adjoint degree {attained}, "
-           f"the oracle maximum is {best}")
-    levi_ss, degrees = check_bh(family, a, red)
-    yield (levi_ss and all(d > 0 for d in degrees),
-           f"BH conditions fail: levi_semistable={levi_ss}, "
-           f"char_degrees={[str(d) for d in degrees]}")
-
-
-def _suite_hull(rng, drawn):
-    # SO6 reaches the D_n fork entry of the order key.  mu and nu need not
-    # be dominant; on GL, nu takes the total of mu, off which it is outside
-    family = rng.choice([GroupFamily(GL, 3), GroupFamily(SP, 4),
-                         GroupFamily(SO, 5), GroupFamily(SO, 6)])
-    mu, nu = (tuple(rng.randint(-3, 3) for _ in range(family.cartan_dim))
-              for _ in range(2))
-    if family.kind == GL:
-        nu = (nu[0] + sum(mu) - sum(nu),) + nu[1:]
-    drawn[:] = family, lambda: f"mu={mu}, nu={nu}"
-    inside = hull_membership(family, mu, nu)
-    feasible = hull_membership_lp_oracle(family, mu, nu)
-    yield (inside == feasible,
-           f"hull membership is {inside}, the LP oracle says {feasible}")
-
-
-def _suite_lattice(rng, drawn):
-    family = rng.choice([GroupFamily(GL, 4), GroupFamily(SL, 3),
-                         GroupFamily(SP, 6), GroupFamily(SO, 7)])
-    a, b = ([rng.randint(-3, 3) for _ in range(family.cartan_dim)]
-            for _ in range(2))
-    if family.kind == SL:
-        a[-1] -= sum(a)
-        b[-1] -= sum(b)
-    drawn[:] = family, lambda: f"a={tuple(a)}, b={tuple(b)}"
-    fa, ta = obstruction_class(family, a)
-    fb, tb = obstruction_class(family, b)
-    fs, ts = obstruction_class(family, [x + y for x, y in zip(a, b)])
-    yield (fs == tuple(x + y for x, y in zip(fa, fb)),
-           "the free part of the obstruction class is not additive")
-    _, pi1, _ = fundamental_groups(family)
-    yield (ts == tuple((x + y) % d for x, y, d in zip(ta, tb, pi1.torsion)),
-           "the torsion part of the obstruction class is not additive")
-    # every translate is checked, but a check is yielded only when it fails
-    top = topological_type(family, a)
-    for w in weyl_orbit(family, tuple(a)):
-        if topological_type(family, w) != top:
-            yield (False,
-                   f"the topological type of a differs at its Weyl translate {w}")
-        if obstruction_class(family, w) != (fa, ta):
-            yield (False,
-                   f"the obstruction class of a differs at its Weyl translate {w}")
-
-
-# each suite draws one case from the rng, sets drawn to the family it has
-# drawn and a function that renders the input, called only when the case
-# fails, and yields its checks on that input in order, as (ok, what)
-_SUITES = {"hn": _suite_hn, "canon": _suite_canon,
-           "hull": _suite_hull, "lattice": _suite_lattice}
+# the names of the suites; the suites, in hnbundles.oracles, and the random
+# module load on the first check, so that no other command pays for them
+_SUITE_NAMES = ("canon", "hn", "hull", "lattice")
 
 
 def _cmd_check(args) -> dict:
+    from random import Random
+
+    from .oracles import _SUITES
     _nonnegative("--cases", args.cases)
-    rng = random.Random(args.seed)
+    rng = Random(args.seed)
     for case in range(args.cases):
         drawn = []
         try:
@@ -439,7 +350,7 @@ _COMMANDS = {
                {"--family": _FAMILY, "--rank": _INT, "--bound": _INT,
                 "--dot": {}, "--fix-type": {"type": int}}),
     "check": (_cmd_check, "run a brute-force oracle suite",
-              {"--suite": {"required": True, "choices": sorted(_SUITES)},
+              {"--suite": {"required": True, "choices": _SUITE_NAMES},
                "--seed": {"type": int, "default": 0},
                "--cases": {"type": int, "default": 100}}),
 }

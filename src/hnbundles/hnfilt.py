@@ -1,22 +1,16 @@
 """Harder-Narasimhan filtrations on the formal model.
 
-The fast path sorts the atoms by slope and cuts the runs of equal slope,
-comparing slopes as integer cross-products.  The oracle re-derives the
-same filtrations by an exhaustive search over ordered partitions of the
-atoms (plain) or of the positive isotropic part (Sp/SO): a walk over bit
-masks of the atoms that extends only the prefixes meeting the
-definition, and reads nothing from the bundle model or the fast path, so
-the two routes check each other.
+The atoms are sorted by slope and the runs of equal slope cut, comparing
+slopes as integer cross-products.  The exhaustive search that checks
+these filtrations lives in hnbundles.oracles.
 """
 
 from dataclasses import dataclass
 from functools import cmp_to_key
 
 from .bundle import IsotropicBundle, PlainBundle, dual, is_semistable, underlying
-from .errors import TooLarge, UnsupportedRank
+from .errors import UnsupportedRank
 from .rootsys import SO
-
-ORACLE_ATOM_GUARD = 8
 
 
 def _require_decreasing(quotients):
@@ -106,66 +100,3 @@ def extend_with_perps(f: IsotropicFiltration) -> Filtration:
         quotients.append(PlainBundle(f.middle))
     quotients.extend(dual(q) for q in reversed(f.quotients))
     return Filtration(tuple(quotients))
-
-
-def _hn_candidates(atoms):
-    """Every ordered partition of the atoms into semistable blocks whose
-    slopes strictly decrease, as a tuple of blocks, each block its atoms
-    in descending order.
-
-    A walk over bit masks of the atoms.  One table gives, for each mask,
-    its block's (degree, rank) when all its atoms share one slope, and
-    None otherwise, by integer cross-multiplication.  A prefix is
-    extended only by a submask of the atoms left whose block is uniform
-    and has slope below the previous block's: a prefix that breaks the
-    definition has no valid completion.  A block's atoms are gathered
-    only when it closes a winner.  Nothing here reads the bundle model
-    or the fast path."""
-    atoms = sorted(atoms, reverse=True)
-    n = len(atoms)
-    uniform = [None] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        a = atoms[low.bit_length() - 1]
-        if mask == low:
-            uniform[mask] = (a.degree, a.rank)
-        elif (rest := uniform[mask ^ low]) and \
-                a.degree * rest[1] == rest[0] * a.rank:
-            uniform[mask] = (rest[0] + a.degree, rest[1] + a.rank)
-
-    def block(mask):
-        return tuple(a for i, a in enumerate(atoms) if mask >> i & 1)
-
-    def walk(left, above):
-        if not left:
-            yield ()
-            return
-        sub = left
-        while sub:
-            slope = uniform[sub]
-            # slope d / r below the previous D / R, as d R < D r
-            if slope is not None and (above is None or
-                                      slope[0] * above[1] < above[0] * slope[1]):
-                for tail in walk(left & ~sub, slope):
-                    yield (block(sub),) + tail
-            sub = (sub - 1) & left
-
-    return walk((1 << n) - 1, None)
-
-
-def hn_uniqueness_oracle(b) -> bool:
-    """Verify by exhaustive search that exactly one filtration satisfies
-    the defining conditions, and that it is the fast-path output.
-
-    Refuses more than ORACLE_ATOM_GUARD atoms to partition (the positive
-    part for Sp/SO)."""
-    # an Sp/SO isotropic part takes every positive atom: one left out would
-    # sit in the slope-0 middle with its negative mirror, and the middle
-    # would not be semistable; so only the positive part is partitioned
-    isotropic = isinstance(b, IsotropicBundle)
-    atoms = b.positive if isotropic else b.atoms
-    if len(atoms) > ORACLE_ATOM_GUARD:
-        raise TooLarge(f"{len(atoms)} atoms exceed the oracle guard")
-    winners = set(_hn_candidates(atoms))
-    fast = hn_filtration_isotropic(b) if isotropic else hn_filtration(b)
-    return winners == {tuple(q.atoms for q in fast.quotients)}

@@ -7,100 +7,23 @@ Kostant's convexity theorem as a sign test on the integer order keys of
 the dominant representatives, with no orbit and no solve.
 enumerate_strata lists the dominant labels directly, not by a walk over
 the box, reads each label's key once, not once per pair, and takes its
-covers as a transitive reduction.  An exact phase-1 simplex over the
-whole Weyl orbit is the one independent oracle, for tests and the hull
-check suite; the partial-sum dominance test for GL restates the GL order
-key, so it does not check the sign test.
+covers as a transitive reduction.  The partial-sum dominance test for
+GL restates the GL order key, so it does not check the sign test; the
+independent LP oracle lives in hnbundles.oracles.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd, lcm
 from operator import ge, le
 
 from .canon import CanonicalReduction, stratum_label
-from .errors import FamilyMismatch, InvariantBreach, TooLarge
+from .errors import FamilyMismatch, TooLarge
 from .parabolic import parabolic_leq
-from .rootsys import (A, D, GL, GroupFamily, _order_key, _point,
-                      dominant_representative, weyl_orbit, weyl_orbit_size)
+from .rootsys import A, D, GL, GroupFamily, _order_key, dominant_representative
 
-# The LP oracle's simplex has one column per point of W.mu.  The limit is
-# the orbit of a regular SO10 point, or of an Sp10 or SO11 point with one
-# zero entry: each answers in 0.1-2.5 s by nu (Python 3.11, one core of a
-# 2-vCPU Xeon VM), while a regular SO11 point (3,840 columns) takes up to
-# 2.8 s and a regular Sp12 point (46,080) more than 600 s.
-HULL_ORBIT_GUARD = 1920
 ENUM_DIM_GUARD = 4
 ENUM_BOUND_GUARD = 4
-
-
-def _primitive(row):
-    """The integer row divided by the gcd of its entries."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
-def _integer_row(row):
-    """The rational row times the least positive integer that clears its
-    denominators, made primitive."""
-    scale = lcm(*(Fraction(x).denominator for x in row))
-    return _primitive([int(x * scale) for x in row])
-
-
-def _phase_one_feasible(columns, target):
-    """Exact feasibility of: nonnegative lambda with sum 1 and
-    sum(lambda_j * columns[j]) = target.  Phase-1 simplex, Bland's rule.
-
-    Each row of the tableau, and the objective, is held as an integer row
-    up to a positive scale, divided by its gcd after each pivot.  The
-    scale changes no sign and cancels from the cross-multiplied ratio
-    test, so the pivots are those of the rational tableau."""
-    m = len(target) + 1
-    n = len(columns)
-    rows = []
-    for i in range(m - 1):
-        row = [Fraction(c[i]) for c in columns] + [Fraction(target[i])]
-        rows.append([-x for x in row] if row[-1] < 0 else row)
-    rows.append([Fraction(1)] * (n + 1))
-    # minus the sum of the rows; each artificial sits in one row at cost 1,
-    # so its entry cancels to 0
-    total = [-sum(col) for col in zip(*rows)]
-    obj = _integer_row(total[:n] + [0] * m + total[n:])
-    # tableau with one artificial per row
-    tab = [_integer_row(row[:n] + [int(j == i) for j in range(m)] + row[n:])
-           for i, row in enumerate(rows)]
-    width = n + m
-    basis = list(range(n, width))
-    while True:
-        enter = next((j for j in range(width) if obj[j] < 0), None)
-        if enter is None:
-            return obj[width] == 0
-        prow = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                if prow is None:
-                    prow = i
-                    continue
-                # rhs_i / a_i against rhs_p / a_p, both a > 0
-                lhs = tab[i][width] * tab[prow][enter]
-                rhs = tab[prow][width] * tab[i][enter]
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[prow]):
-                    prow = i
-        if prow is None:
-            # the phase-1 objective is bounded below by 0, so an entering
-            # column always has a pivot row
-            raise InvariantBreach("phase-1 simplex found an unbounded objective")
-        pivot = tab[prow]
-        pv = pivot[enter]
-        for i in range(m):
-            f = tab[i][enter]
-            if i != prow and f:
-                tab[i] = _primitive([pv * x - f * y for x, y in zip(tab[i], pivot)])
-        f = obj[enter]
-        if f:
-            obj = _primitive([pv * x - f * y for x, y in zip(obj, pivot)])
-        basis[prow] = enter
 
 
 def hull_membership(family: GroupFamily, mu, nu) -> bool:
@@ -116,17 +39,6 @@ def hull_membership(family: GroupFamily, mu, nu) -> bool:
     low = _order_key(family, dominant_representative(family, nu))
     return all(map(ge, top, low)) and (
         family.cartan_type != A or top[-1] == low[-1])
-
-
-def hull_membership_lp_oracle(family: GroupFamily, mu, nu) -> bool:
-    """hull_membership by brute force, for tests and the hull check suite:
-    the phase-1 simplex on nu as a convex combination of the points of W.mu.
-    Refuses an orbit of more than HULL_ORBIT_GUARD points before building
-    it."""
-    nu = _point(family, nu)
-    if weyl_orbit_size(family, mu, limit=HULL_ORBIT_GUARD) > HULL_ORBIT_GUARD:
-        raise TooLarge("hull guard exceeded")
-    return _phase_one_feasible(weyl_orbit(family, tuple(mu)), nu)
 
 
 def gl_dominance(mu, nu) -> bool:

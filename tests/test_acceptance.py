@@ -17,9 +17,10 @@ from hnbundles.canon import (ad_degree, ad_degree_max_oracle, bh_conditions,
                              canonical_reduction, check_bh, forced_index,
                              hn_type)
 from hnbundles.hnfilt import (extend_with_perps, hn_filtration,
-                              hn_filtration_isotropic, hn_uniqueness_oracle)
+                              hn_filtration_isotropic)
 from hnbundles.lattice import (fundamental_groups, obstruction_class,
                                topological_type)
+from hnbundles.oracles import hn_uniqueness_oracle
 from hnbundles.parabolic import (ParabolicIndex, character_generators,
                                  is_dominant_character)
 from hnbundles.rootsys import GroupFamily, evaluate, is_dominant

@@ -367,6 +367,38 @@ def test_rank_and_degree_are_not_fields():
     assert copy == b and (copy.rank, copy.degree) == (3, -2)
 
 
+
+def test_isotropic_ranks_are_stored_sums_not_fields():
+    # summed once at construction, over a grid of Sp and SO bundles; an Sp
+    # bundle of odd rank is refused
+    positives = [(), (Atom(1, 1),), (Atom(2, 1), Atom(1, 2)),
+                 (Atom(3, 2), Atom(3, 2), Atom(1, 1))]
+    zero_parts = [(), (Atom(0, 1),), (Atom(0, 2),), (Atom(0, 1), Atom(0, 3))]
+    built = 0
+    for cls, positive, zero_part in product((SpBundle, SoBundle), positives,
+                                            zero_parts):
+        zero_rank = sum(a.rank for a in zero_part)
+        rank = 2 * sum(a.rank for a in positive) + zero_rank
+        if not rank or (cls is SpBundle and rank % 2):
+            continue
+        b = cls(positive, zero_part)
+        assert (b.rank, b.zero_rank) == (rank, zero_rank), b
+        c = pickle.loads(pickle.dumps(b))
+        assert c == b and (c.rank, c.zero_rank) == (rank, zero_rank)
+        built += 1
+    assert built == 26
+    # ==, hash and repr read the atoms alone, and replace sums again
+    for cls in (IsotropicBundle, SpBundle, SoBundle):
+        assert [f.name for f in fields(cls)] == ["positive", "zero_part"]
+    b = SoBundle((Atom(1, 1), Atom(2, 1)), (Atom(0, 1),))
+    assert repr(b) == "SoBundle(positive=(Atom(degree=2, rank=1), " \
+                      "Atom(degree=1, rank=1)), zero_part=(Atom(degree=0, rank=1),))"
+    assert hash(b) == hash(SoBundle(b.positive[::-1], b.zero_part))
+    c = replace(b, zero_part=(Atom(0, 2), Atom(0, 1)))
+    assert (c.rank, c.zero_rank) == (7, 3)
+    with pytest.raises(FrozenInstanceError):
+        b.rank = 4
+
 def test_sl_bundle_is_a_plain_bundle_of_its_own_type():
     atoms = (Atom(-2, 1), Atom(2, 1))
     sl = SlBundle(atoms)

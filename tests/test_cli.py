@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hnbundles.cli
+import hnbundles.oracles
 import oracles
 from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SpBundle,
                               bundle_from_degrees, vertical_degree)
@@ -308,7 +309,7 @@ CANON_FAILURE = re.compile(
 
 
 def test_check_failure_names_the_case(capsys, monkeypatch):
-    monkeypatch.setattr(hnbundles.cli, "ad_degree", lambda *args: -1000)
+    monkeypatch.setattr(hnbundles.oracles, "ad_degree", lambda *args: -1000)
     code, out, err = run(capsys, "check", "--suite", "canon",
                          "--seed", "1", "--cases", "3")
     assert code == 3 and out == ""
@@ -327,14 +328,37 @@ def _run_optimized(script):
 
 def test_check_failure_survives_optimize():
     # python -O strips assert statements; the suites must still fail
-    script = ("import sys, hnbundles.cli as cli\n"
-              "cli.ad_degree = lambda *args: -1000\n"
+    script = ("import sys, hnbundles.cli as cli, hnbundles.oracles as oracles\n"
+              "oracles.ad_degree = lambda *args: -1000\n"
               "sys.exit(cli.run_command(['check', '--suite', 'canon',"
               " '--seed', '1', '--cases', '3']))\n")
     proc = _run_optimized(script)
     assert proc.returncode == 3 and proc.stdout == ""
     assert CANON_FAILURE.match(proc.stderr), proc.stderr
 
+
+
+def test_check_offers_the_oracle_suites():
+    # cli names the suites without loading them, in argparse's help order
+    options = hnbundles.cli._COMMANDS["check"][2]
+    assert list(options["--suite"]["choices"]) == sorted(
+        hnbundles.oracles._SUITES)
+
+
+def test_the_oracles_load_on_first_use():
+    proc = _run_optimized(
+        "import contextlib, io, sys\n"
+        "import hnbundles, hnbundles.cli\n"
+        "loaded = ['hnbundles.oracles' in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = hnbundles.cli.run_command(\n"
+        "        ['check', '--suite', 'hn', '--cases', '1'])\n"
+        "loaded.append('hnbundles.oracles' in sys.modules)\n"
+        "from hnbundles import hn_uniqueness_oracle\n"
+        "home = sys.modules['hnbundles.oracles'].hn_uniqueness_oracle\n"
+        "print(code, loaded, hn_uniqueness_oracle is home)\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "0 [False, True] True\n", "")
 
 def test_sl_bundle_refuses_a_nonzero_degree_under_optimize():
     # the check is an explicit raise, which python -O keeps
@@ -382,7 +406,7 @@ def test_sl_trace_refusal_survives_optimize():
 
 
 def test_hull_check_compares_the_lp_oracle(capsys, monkeypatch):
-    monkeypatch.setattr(hnbundles.cli, "hull_membership", lambda *args: None)
+    monkeypatch.setattr(hnbundles.oracles, "hull_membership", lambda *args: None)
     code, out, err = run(capsys, "check", "--suite", "hull",
                          "--seed", "1", "--cases", "3")
     assert code == 3 and out == ""
@@ -426,7 +450,7 @@ HN_CHECK_FAILS = {
 @pytest.mark.parametrize("name", HN_CHECK_FAILS)
 def test_a_failing_hn_check_names_its_drawn_spec(capsys, monkeypatch, name):
     fake, seed, where = HN_CHECK_FAILS[name]
-    monkeypatch.setattr(hnbundles.cli, name, fake)
+    monkeypatch.setattr(hnbundles.oracles, name, fake)
     assert run(capsys, "check", "--suite=hn", f"--seed={seed}", "--cases=5") == (
         3, "", f"internal invariant breach: check hn failed at seed {seed}, "
         f"{where}\n")
@@ -436,7 +460,7 @@ def test_a_check_case_that_raises_before_its_draw(capsys, monkeypatch):
     def refuse(*args):
         raise ValueError("no bundle")
 
-    monkeypatch.setattr(hnbundles.cli, "PlainBundle", refuse)
+    monkeypatch.setattr(hnbundles.oracles, "PlainBundle", refuse)
     assert run(capsys, "check", "--suite=hn", "--seed=1", "--cases=5") == (
         3, "", "internal invariant breach: check hn failed at seed 1, "
         "case 0: no bundle\n")
@@ -445,7 +469,7 @@ def test_a_check_case_that_raises_before_its_draw(capsys, monkeypatch):
         raise TypeError("not a library error")
 
     # any other exception is a bug in the suite, and propagates
-    monkeypatch.setattr(hnbundles.cli, "PlainBundle", stray)
+    monkeypatch.setattr(hnbundles.oracles, "PlainBundle", stray)
     with pytest.raises(TypeError):
         run_command(["check", "--suite=hn", "--seed=1", "--cases=5"])
 
@@ -467,19 +491,19 @@ def _lattice_breach(what):
     on those three, then on every translate), and the message of a check
     on what failing there."""
     calls = []
-    real = hnbundles.cli.obstruction_class
+    real = hnbundles.oracles.obstruction_class
 
     def spy(family, v):
         calls.append((family, tuple(v)))
         return real(family, v)
 
-    hnbundles.cli.obstruction_class = spy
+    hnbundles.oracles.obstruction_class = spy
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             assert run_command(["check", "--suite=lattice", "--seed=1",
                                 "--cases=1"]) == 0
     finally:
-        hnbundles.cli.obstruction_class = real
+        hnbundles.oracles.obstruction_class = real
     family = calls[0][0]
     a, b, _ = setup = [v for _, v in calls[:3]]
     translate = next(v for _, v in calls[3:]
@@ -498,8 +522,8 @@ def test_lattice_check_names_the_failing_translate(capsys, monkeypatch,
     # the suite yields a translate's checks only when they fail; a failure
     # must still name the suite, seed, case, family, input and translate
     translate, want = _lattice_breach(what)
-    real = getattr(hnbundles.cli, name)
-    monkeypatch.setattr(hnbundles.cli, name, lambda family, v: (
+    real = getattr(hnbundles.oracles, name)
+    monkeypatch.setattr(hnbundles.oracles, name, lambda family, v: (
         "wrong" if tuple(v) == translate else real(family, v)))
     code, out, err = run(capsys, "check", "--suite", "lattice",
                          "--seed", "1", "--cases", "3")
@@ -509,9 +533,9 @@ def test_lattice_check_names_the_failing_translate(capsys, monkeypatch,
 def test_lattice_check_failure_survives_optimize():
     translate, want = _lattice_breach("the topological type")
     proc = _run_optimized(
-        "import sys, hnbundles.cli as cli\n"
-        "real = cli.topological_type\n"
-        "cli.topological_type = lambda family, v: (\n"
+        "import sys, hnbundles.cli as cli, hnbundles.oracles as oracles\n"
+        "real = oracles.topological_type\n"
+        "oracles.topological_type = lambda family, v: (\n"
         f"    'wrong' if tuple(v) == {translate!r} else real(family, v))\n"
         "sys.exit(cli.run_command(['check', '--suite', 'lattice',"
         " '--seed', '1', '--cases', '3']))\n")
@@ -688,7 +712,7 @@ def test_argvs_that_are_never_kept_rerun(capsys, monkeypatch, tmp_path):
     # after a pass exits 3
     check = ["check", "--suite=canon", "--seed=1", "--cases=3"]
     assert run(capsys, *check)[0] == 0
-    monkeypatch.setattr(hnbundles.cli, "ad_degree", lambda *args: -1000)
+    monkeypatch.setattr(hnbundles.oracles, "ad_degree", lambda *args: -1000)
     assert run(capsys, *check)[0] == 3
     # an exit-3 answer shows on every call, and is gone once mended
     vdeg = ["vdeg", "--family=gl", "--E=2,4", "--F=3,2"]

@@ -49,8 +49,13 @@ def test_no_unused_imports(path):
 def names_used(source):
     """Every name a module binds, reads, imports or reaches as an
     attribute."""
+    return names_in(ast.parse(source))
+
+
+def names_in(tree):
+    """names_used of one parsed node and everything under it."""
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -219,3 +224,101 @@ def test_the_exactness_scan_passes_exact_code():
                          ids=lambda p: p.name)
 def test_production_stays_exact(path):
     assert inexact_sites(path.read_text()) == []
+
+
+def oracle_import_sites(source):
+    """(line, enclosing function or None) for each import of the module
+    hnbundles.oracles, relative or absolute, importlib's included."""
+    def imports_oracles(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name == "hnbundles.oracles" for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            base = "hnbundles" if node.level else ""
+            base = ".".join(filter(None, (base, node.module)))
+            return base == "hnbundles.oracles" or base == "hnbundles" and any(
+                alias.name == "oracles" for alias in node.names)
+        return isinstance(node, ast.Call) and any(
+            isinstance(arg, ast.Constant) and arg.value in (
+                "hnbundles.oracles", ".oracles") for arg in node.args)
+
+    def walk(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if imports_oracles(node):
+            yield node.lineno, function
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, function)
+    return sorted(walk(ast.parse(source), None), key=lambda site: site[0])
+
+
+def test_the_scan_finds_a_planted_oracle_import():
+    source = ("from .oracles import _SUITES\n"
+              "import hnbundles.oracles\n"
+              "from . import bundle, oracles as o\n"
+              "from hnbundles import bundle\n"
+              "def f():\n"
+              "    from .oracles import x\n"
+              "def _cmd_check(args):\n"
+              "    import importlib\n"
+              "    importlib.import_module('hnbundles.oracles')\n"
+              "class C:\n"
+              "    def g(self):\n"
+              "        from hnbundles.oracles import y\n"
+              "import oracles\n")
+    assert oracle_import_sites(source) == [
+        (1, None), (2, None), (3, None), (6, "f"), (9, "_cmd_check"),
+        (12, "g")]
+
+
+def test_no_production_module_loads_the_oracles():
+    # cli loads them for check alone, and the package for its one oracle
+    # export, each on first use
+    sites = {path.name: [function for _, function in oracle_import_sites(
+                 path.read_text())]
+             for path in sorted((ROOT / "src" / "hnbundles").glob("*.py"))
+             if path.name != "oracles.py"}
+    assert {name: found for name, found in sites.items() if found} == {
+        "__init__.py": ["__getattr__"], "cli.py": ["_cmd_check"]}
+
+
+def function_names(source, functions):
+    """names_in of each top-level or nested function of that name, by name."""
+    return {node.name: names_in(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name in functions}
+
+
+# each oracle and the fast-path names it must not reach, so the two
+# routes check each other
+ORACLE_INDEPENDENCE = {
+    "hull_membership_lp_oracle": {"_order_key", "hull_membership"},
+    "_phase_one_feasible": {"_order_key", "hull_membership"},
+    "_hn_candidates": {"hn_filtration", "_group_by_slope", "PlainBundle",
+                       "is_semistable"},
+}
+
+
+def test_the_scan_finds_a_planted_fast_path_name():
+    source = ("def hull_membership_lp_oracle(family, mu, nu):\n"
+              "    return hull_membership(family, mu, nu)\n"
+              "def _phase_one_feasible(columns, target):\n"
+              "    return strata._order_key(columns)\n"
+              "def _hn_candidates(atoms):\n"
+              "    from .hnfilt import _group_by_slope\n"
+              "    def walk(left):\n"
+              "        return is_semistable(PlainBundle(left))\n"
+              "def hn_uniqueness_oracle(b):\n"
+              "    return hn_filtration(b)\n")
+    found = function_names(source, ORACLE_INDEPENDENCE)
+    assert {name: found[name] & fast
+            for name, fast in ORACLE_INDEPENDENCE.items()} == {
+        "hull_membership_lp_oracle": {"hull_membership"},
+        "_phase_one_feasible": {"_order_key"},
+        "_hn_candidates": {"_group_by_slope", "PlainBundle", "is_semistable"}}
+
+
+def test_the_oracles_name_no_fast_path():
+    source = (ROOT / "src" / "hnbundles" / "oracles.py").read_text()
+    found = function_names(source, ORACLE_INDEPENDENCE)
+    assert {name: found[name] & fast
+            for name, fast in ORACLE_INDEPENDENCE.items()} == dict.fromkeys(
+        ORACLE_INDEPENDENCE, set())

@@ -24,5 +24,7 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(hnbundles.__all__) == PUBLIC_NAMES
+    # the package's __getattr__ adds the oracle export and nothing else
+    assert not hasattr(hnbundles, "no_such_name")
     # the Smith normal form is a test oracle now, and its module is gone
     assert importlib.util.find_spec("hnbundles.intlin") is None

@@ -23,9 +23,9 @@ from hnbundles.bundle import Atom, PlainBundle
 from hnbundles.canon import ad_degree_max_oracle
 from hnbundles.cli import run_command
 from hnbundles.errors import TooLarge
-from hnbundles.hnfilt import hn_uniqueness_oracle
+from hnbundles.oracles import hn_uniqueness_oracle, hull_membership_lp_oracle
 from hnbundles.rootsys import GroupFamily, weyl_orbit
-from hnbundles.strata import enumerate_strata, hull_membership_lp_oracle
+from hnbundles.strata import enumerate_strata
 from test_caches import MODULE_CACHES
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -100,10 +100,10 @@ GUARD_TRIGGERS = {
         lambda: ad_degree_max_oracle(GroupFamily("gl", 7), (6, 5, 4, 3, 2, 1, 0)),
         lambda: ad_degree_max_oracle(GroupFamily("gl", 3),
                                      (1537228672809129302, 0, 0))],
-    "strata.HULL_ORBIT_GUARD": [
+    "oracles.HULL_ORBIT_GUARD": [
         lambda: hull_membership_lp_oracle(GroupFamily("gl", 11), GL11_POINT,
                                           GL11_POINT)],
-    "hnfilt.ORACLE_ATOM_GUARD": [
+    "oracles.ORACLE_ATOM_GUARD": [
         lambda: hn_uniqueness_oracle(
             PlainBundle(tuple(Atom(d, 1) for d in range(9))))],
     "strata.ENUM_DIM_GUARD": [lambda: enumerate_strata(GroupFamily("gl", 5), 1)],

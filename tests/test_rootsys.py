@@ -16,6 +16,8 @@ from hypothesis import given, strategies as st
 from hnbundles import bundle, canon, lattice, parabolic, rootsys, strata
 from hnbundles.errors import (NotInKernelLattice, NotIntegral, TooLarge,
                               UnsupportedRank)
+from hnbundles.oracles import (HULL_ORBIT_GUARD, _point as oracles_point,
+                               hull_membership_lp_oracle)
 from hnbundles.rootsys import (A, B, C, D, GroupFamily, as_cocharacter,
                                dominant_representative, evaluate, is_dominant,
                                positive_root_count, root_name,
@@ -308,7 +310,7 @@ def test_orbit_guards_refuse_a_huge_orbit_by_a_capped_count(monkeypatch):
         return weyl_orbit_size(family, v, limit=limit)
 
     monkeypatch.setattr(rootsys, "weyl_orbit_size", capped)
-    monkeypatch.setattr(strata, "weyl_orbit_size", capped)
+    monkeypatch.setattr("hnbundles.oracles.weyl_orbit_size", capped)
     # the size of a regular GL30000 point has over 4,300 digits: the guard
     # once formatted it into its message and raised ValueError instead
     gl = GroupFamily("gl", 30000)
@@ -317,10 +319,10 @@ def test_orbit_guards_refuse_a_huge_orbit_by_a_capped_count(monkeypatch):
                                        r"coordinates, its guard$"):
         weyl_orbit(gl, regular)
     with pytest.raises(TooLarge, match="hull guard exceeded"):
-        strata.hull_membership_lp_oracle(gl, regular, regular)
+        hull_membership_lp_oracle(gl, regular, regular)
     # weyl_orbit's guard counts coordinates: its cap is the guard over
     # the length of the point
-    assert limits == [rootsys.WEYL_ORBIT_GUARD // 30000, strata.HULL_ORBIT_GUARD]
+    assert limits == [rootsys.WEYL_ORBIT_GUARD // 30000, HULL_ORBIT_GUARD]
 
 
 def test_orbit_guard_counts_coordinates_not_points(monkeypatch):
@@ -636,7 +638,7 @@ def test_order_key_at_the_type_d_fork():
             d = _sub(mu, nu)
             assert _key_sign_test(family, d) is _coordinate_sign_test(family, d) \
                 is strata.hull_membership(family, mu, nu) is inside
-            assert strata.hull_membership_lp_oracle(family, mu, nu) is inside
+            assert hull_membership_lp_oracle(family, mu, nu) is inside
 
 
 # GL1-14, SL2-14, Sp2-14 and SO3-14
@@ -724,7 +726,7 @@ def test_wrong_length_points_are_rejected():
     assert weyl_orbit(so6, [0, 0, 1]) == weyl_orbit(so6, (0, 0, 1))
     # one home for the message, shared by every module that rejects points
     assert canon._point is parabolic._point is lattice._point is \
-        strata._point is rootsys._point
+        oracles_point is rootsys._point
 
 
 def test_root_names():

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from hnbundles import canon, rootsys, strata
 from hnbundles.errors import FamilyMismatch, TooLarge
-from hnbundles.strata import (HULL_ORBIT_GUARD, StrataPoset,
-                              enumerate_strata, gl_dominance, hull_membership,
-                              hull_membership_lp_oracle, stratum_label,
-                              stratum_leq, to_dot)
+from hnbundles.oracles import HULL_ORBIT_GUARD, hull_membership_lp_oracle
+from hnbundles.strata import (StrataPoset, enumerate_strata, gl_dominance,
+                              hull_membership, stratum_label, stratum_leq,
+                              to_dot)
 from hnbundles.rootsys import (GroupFamily, dominant_representative, is_dominant,
                                weyl_orbit, weyl_orbit_size)
 from oracles import enumerate_strata_oracle
