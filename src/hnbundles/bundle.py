@@ -25,7 +25,8 @@ class Atom:
     rank: int
 
     def __post_init__(self):
-        if not isinstance(self.degree, int) or not isinstance(self.rank, int):
+        # exactly int, as GroupFamily's rank: True equals 1, but prints True
+        if type(self.degree) is not int or type(self.rank) is not int:
             raise ValueError(f"atom degree and rank must be ints, got "
                              f"{self.degree!r} and {self.rank!r}")
         if self.rank < 1:

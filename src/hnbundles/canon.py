@@ -46,8 +46,8 @@ from .rootsys import (GL, SL, GroupFamily, _point, _simple_root_signs,
 # SO11 point, the largest input of the former cartan_dim <= 5 guard.
 ORACLE_WORK_GUARD = 32 * (6 * 3840 + 25)
 
-# (lane width in bits, array typecode) of the signed lanes, narrowest first
-_LANES = tuple((array(t).itemsize * 8, t) for t in "hiq")
+# the width in bits of the oracle's signed lanes, array typecode "q"
+_WIDTH = array("q").itemsize * 8
 
 # The reduction cache keeps the 79 families of cartan_dim at most
 # CACHED_DIM; a larger reduction, whose type, 2rho_P and BH degrees are as
@@ -259,7 +259,7 @@ def ad_degree_max_oracle(family: GroupFamily, a):
 def _oracle_of_orbit(family: GroupFamily, dominant):
     """(best, argmax as a tuple) of ad_degree_max_oracle on the orbit of a
     dominant point."""
-    orbit, lanes, nbytes, half, bias, columns = _packed_orbit(family, dominant)
+    orbit, nbytes, half, bias, columns = _packed_orbit(family, dominant)
     table = _two_rho_terms(family)
     scores = []
     for _, terms in table:
@@ -267,7 +267,7 @@ def _oracle_of_orbit(family: GroupFamily, dominant):
         for k, c in terms:
             total += c * columns[k]
         scores.append(memoryview(total.to_bytes(nbytes, sys.byteorder)).cast(
-            lanes).tolist())
+            "Q").tolist())
     tops = list(map(max, scores))
     best = max(tops)
     # the attaining points of each attaining parabolic, found by list.count
@@ -283,14 +283,14 @@ def _oracle_of_orbit(family: GroupFamily, dominant):
 
 
 def _packed_orbit(family: GroupFamily, dominant):
-    """(orbit, lane format, byte length, half lane, bias, packed columns) of
-    the orbit of a dominant point, for the adjoint-degree oracle.
+    """(orbit, byte length, half lane, bias, packed columns) of the orbit
+    of a dominant point, for the adjoint-degree oracle.
 
     Each root has l1 norm at most 2, and W only permutes the coordinates
     and changes their signs, so B = max(1, 2|Phi+|) * max |a_i| bounds
     every score <2rho_P, v> and every coordinate of the orbit.  The lanes
-    are the narrowest of 16, 32 and 64 bits with B < 2^(w-1).  Column k
-    is sum_j v_jk 2^(wj), v_j the j-th orbit point, a signed sum of lanes,
+    are 64 bits wide, w = 64, and B < 2^(w-1) is required.  Column k is
+    sum_j v_jk 2^(wj), v_j the j-th orbit point, a signed sum of lanes,
     and the bias puts 2^(w-1) in every lane, so that
     bias + sum lambda_k col_k holds each score plus 2^(w-1) in [0, 2^w) in
     its own lane: its bytes read as unsigned lanes in orbit order.  The
@@ -308,17 +308,14 @@ def _packed_orbit(family: GroupFamily, dominant):
     if ((count + 1) * size + roots) << count > ORACLE_WORK_GUARD:
         raise TooLarge("enumeration guard exceeded")
     bound = max(1, 2 * roots) * max(map(abs, dominant))
-    lane = next((lane for lane in _LANES if bound < 1 << lane[0] - 1), None)
-    if lane is None:
+    half = 1 << _WIDTH - 1
+    if bound >= half:
         raise TooLarge("enumeration guard exceeded")
-    width, typecode = lane
     orbit = weyl_orbit(family, dominant)
-    ones = int.from_bytes(array(typecode, [1]) * len(orbit), sys.byteorder)
+    ones = int.from_bytes(array("q", [1]) * len(orbit), sys.byteorder)
     columns = []
     for column in zip(*orbit):
         # the lanes as unsigned, less 2^w in each lane whose sign bit is set
-        u = int.from_bytes(array(typecode, column), sys.byteorder)
-        columns.append(u - ((u >> width - 1 & ones) << width))
-    half = 1 << width - 1
-    return (orbit, typecode.upper(), len(orbit) * width // 8, half,
-            half * ones, tuple(columns))
+        u = int.from_bytes(array("q", column), sys.byteorder)
+        columns.append(u - ((u >> _WIDTH - 1 & ones) << _WIDTH))
+    return orbit, len(orbit) * _WIDTH // 8, half, half * ones, tuple(columns)

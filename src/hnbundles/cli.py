@@ -12,14 +12,13 @@ Exit codes: 0 success, 1 usage or parse error, 2 validation error,
 3 internal invariant breach (an InvariantBreach, and nothing else), which
 a check case that fails or raises becomes.
 
-An answer is an exact function of its argv, so an in-process session
-of run_command calls keeps the answers, (exit code, stdout, stderr),
-keyed by the argv as passed, and writes a kept answer again without
-parsing or computing.  An answer of argparse's text is kept with the
-terminal width that text is wrapped to, and is computed afresh once the
-width differs.  It never keeps, and always reruns: a check suite, an
-argv with --dot (it writes a file), and an exit-3 answer, so that a
-breach shows on every call.  The answers are bounded by
+argparse wraps its usage and help text at 80 columns whatever the
+terminal, so an answer is an exact function of its argv, and an
+in-process session of run_command calls keeps the answers, (exit code,
+stdout, stderr), keyed by the argv as passed, and writes a kept answer
+again without parsing or computing.  It never keeps, and always reruns:
+a check suite, an argv with --dot (it writes a file), and an exit-3
+answer, so that a breach shows on every call.  The answers are bounded by
 ANSWER_CACHE_LIMIT characters and evicted least recently used first.  A
 one-shot ``python -m hnbundles.cli`` makes one call, and keeps nothing
 past it.
@@ -33,7 +32,7 @@ import threading
 from argparse import Namespace
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .bundle import (Atom, PlainBundle, SlBundle, bundle_from_degrees,
                      is_semistable, isotropic_bundle, vertical_degree)
@@ -146,9 +145,9 @@ _encode_str = json.encoder.encode_basestring_ascii
 def _json(value, pad="\n") -> str:
     """json.dumps(value, indent=2), character for character, as one string:
     pad is the newline and indent of value's own level.  Dispatches on the
-    exact type: str, int, bool, None, and dict (with str keys, as every
-    document has), list and tuple, both written as JSON arrays; any other
-    value takes json.dumps's own text, re-indented to its level."""
+    exact type of the values a document holds: str, int, bool, None, dict
+    (with str keys, as every document has) and list; any other type is a
+    TypeError."""
     kind = type(value)
     if kind is str:
         return _encode_str(value)
@@ -160,7 +159,7 @@ def _json(value, pad="\n") -> str:
         inner = pad + "  "
         items = [_encode_str(k) + ": " + _json(v, inner) for k, v in value.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if kind is list or kind is tuple:
+    if kind is list:
         if not value:
             return "[]"
         inner = pad + "  "
@@ -170,7 +169,7 @@ def _json(value, pad="\n") -> str:
         return "true" if value else "false"
     if value is None:
         return "null"
-    return json.dumps(value, indent=2).replace("\n", pad)
+    raise TypeError(f"a document holds no {kind.__name__}")
 
 
 def _emit(doc, pretty: bool) -> str:
@@ -209,17 +208,29 @@ def _cmd_semistable(args) -> dict:
             "semistable": is_semistable(spec.bundle)}
 
 
+# the name of the i-th simple root, a(i+1),(i+2), but for the last root
+# off type A
+_LEVI_NAME = re.compile(r"a(\d+),\d+")
+
+
 def _parse_levi(family, tokens):
+    """The parabolic index of the simple-root names tokens, each read in
+    closed form: the index its name gives, or the last root, if the
+    family names that root so; no table of names is built."""
     count = simple_root_count(family)
-    names = {root_name(family, i): i for i in range(count)}
+    members = set()
     for t in tokens:
-        if t not in names:
+        m = _LEVI_NAME.fullmatch(t)
+        # an index with more digits than count is out of range unread
+        i = int(m[1]) - 1 if m and len(m[1]) <= len(str(count)) else count - 1
+        if not (0 <= i < count and root_name(family, i) == t):
             # a large family lists only the ends, so the message stays short
-            choices = sorted(names) if count <= 16 else (
-                f"the {count} names {root_name(family, 0)!r} to "
-                f"{root_name(family, count - 1)!r}")
+            choices = sorted(root_name(family, j) for j in range(count)) \
+                if count <= 16 else (f"the {count} names {root_name(family, 0)!r}"
+                                     f" to {root_name(family, count - 1)!r}")
             raise SpecError(f"unknown simple root name {t!r}; choose from {choices}")
-    return ParabolicIndex(family, {names[t] for t in tokens})
+        members.add(i)
+    return ParabolicIndex(family, members)
 
 
 def _cmd_pi1(args) -> dict:
@@ -365,9 +376,10 @@ _CAPTURE = threading.local()
 def build_parser():
     """The argparse parser of _COMMANDS, built once, on the first argv
     that _read declines: parse_args returns a fresh Namespace and keeps
-    no state.  Its usage errors and help go to run_command's capture
-    while one is open on the calling thread, and are written as
-    argparse writes them otherwise."""
+    no state.  Its usage errors and help are wrapped at 80 columns, the
+    text of an 80-column terminal, whatever the terminal; they go to
+    run_command's capture while one is open on the calling thread, and
+    are written as argparse writes them otherwise."""
 
     class Parser(argparse.ArgumentParser):
         # every write of argparse's, and of each subparser's, goes here
@@ -378,35 +390,32 @@ def build_parser():
             elif message:
                 texts[file is not sys.stdout].append(message)
 
-    p = Parser(prog="hnbundles", description="exact HN filtration toolkit")
+    # argparse wraps at the terminal's columns less 2: its text at 80
+    wrap = partial(argparse.HelpFormatter, width=78)
+    p = Parser(prog="hnbundles", description="exact HN filtration toolkit",
+               formatter_class=wrap)
     p.add_argument("--pretty", action="store_true",
                    help="aligned key/value output instead of JSON")
     sub = p.add_subparsers(dest="cmd", required=True)
     for name, (fn, text, options) in _COMMANDS.items():
-        s = sub.add_parser(name, help=text)
+        s = sub.add_parser(name, help=text, formatter_class=wrap)
         for flag, keywords in options.items():
             s.add_argument(flag, **keywords)
         s.set_defaults(fn=fn)
     return p
 
 
-def _width():
-    """The terminal width argparse wraps its usage and help text to."""
-    import shutil
-    return shutil.get_terminal_size().columns
-
-
 def _parse(argv):
     """build_parser().parse_args(argv), with argparse's writes captured:
     the Namespace, or on its exit the answer (exit code, stdout text,
-    stderr text, terminal width)."""
-    width, texts = _width(), ([], [])
+    stderr text)."""
+    texts = ([], [])
     _CAPTURE.texts = texts
     try:
         return build_parser().parse_args(argv)
     except SystemExit as exc:
         out, err = map("".join, texts)
-        return 1 if exc.code else 0, out, err, width
+        return 1 if exc.code else 0, out, err
     finally:
         _CAPTURE.texts = None
 
@@ -495,9 +504,7 @@ _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 class _Answers:
     """Answers by argv tuple, least recently used first, with the count
     of characters they hold, info().currsize; a lock keeps the count
-    right when threads share the cache, as lru_cache's does.  An answer
-    of argparse's carries the terminal width of its text as a fourth
-    entry, and a hit at another width is a miss."""
+    right when threads share the cache, as lru_cache's does."""
 
     def __init__(self):
         self.lock = threading.Lock()
@@ -514,8 +521,6 @@ class _Answers:
     def get(self, key):
         with self.lock:
             answer = self.answers.get(key)
-            if answer is not None and len(answer) > 3 and answer[3] != _width():
-                answer = None
             if answer is None:
                 self.misses += 1
             else:
@@ -524,9 +529,8 @@ class _Answers:
             return answer
 
     def put(self, key, answer):
-        """Keep answer under key, in place of any answer key holds: one
-        of a stale terminal width, or an equal one that another thread
-        put after missing too."""
+        """Keep answer under key, in place of any answer key holds: an
+        equal one that another thread put after missing too."""
         size = _size(key, answer)
         if size > ANSWER_CACHE_LIMIT:
             return
@@ -567,7 +571,7 @@ def run_command(argv=None) -> int:
             answer, kept = args, True
         if kept:
             _ANSWERS.put(key, answer)
-    code, out, err = answer[:3]
+    code, out, err = answer
     # an error answer leaves stdout untouched, as a closed one may be
     if out:
         sys.stdout.write(out)

@@ -30,7 +30,7 @@ class ParabolicIndex:
         # a frozenset, so that the index hashes by value
         object.__setattr__(self, "members", frozenset(self.members))
         count = simple_root_count(self.family)
-        if not all(0 <= i < count for i in self.members):
+        if not all(type(i) is int and 0 <= i < count for i in self.members):
             raise ValueError("parabolic index out of range")
 
     def names(self):

@@ -18,15 +18,12 @@ or rewrite them after an intended change of output and review the diff:
     PYTHONPATH=src python -O tests/golden.py
     PYTHONPATH=src python tests/golden.py --write
 
-Both run at 80 columns, the width argparse wraps to when stdout is not a
-terminal, as under pytest.  tests/test_cli_golden.py runs the same
-replay under pytest.
+tests/test_cli_golden.py runs the same replay under pytest.
 """
 
 import contextlib
 import io
 import json
-import os
 import pathlib
 import sys
 
@@ -92,7 +89,6 @@ def replay():
 
 
 def main(args):
-    os.environ["COLUMNS"] = "80"
     if args == ["--write"]:
         DATA.write_text(json.dumps([capture(c["argv"]) for c in CASES],
                                    indent=1) + "\n")

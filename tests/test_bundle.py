@@ -43,7 +43,9 @@ def test_empty_bundle_rejected():
 def test_malformed_bundles_rejected():
     with pytest.raises(ValueError, match="atom rank must be positive"):
         Atom(1, 0)
-    for degree, rank in ((1.5, 1), (Fraction(3, 2), 2), (1, 2.0), (1, "2")):
+    # True equals 1, but would print as the spec "True:1", which no parse reads
+    for degree, rank in ((1.5, 1), (Fraction(3, 2), 2), (1, 2.0), (1, "2"),
+                         (True, 1), (1, True), (Fraction(2), 1)):
         with pytest.raises(ValueError, match="atom degree and rank must be ints"):
             Atom(degree, rank)
     with pytest.raises(TypeError, match="expected atoms"):

@@ -14,6 +14,7 @@ import types
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import golden
 import hnbundles.cli
 import hnbundles.oracles
 import oracles
@@ -204,6 +205,44 @@ def test_unknown_levi_name_message_is_short(capsys):
                          "--levi", "bogus")
     assert code == 1 and not out and len(err.encode()) < 1024
     assert "choose from the 99999 names 'a1,2' to 'a99999,100000'" in err
+
+
+def test_levi_names_are_read_in_closed_form(capsys, monkeypatch):
+    # each name is read off its digits and checked by one root_name call:
+    # SL(10^9) builds no table of its 999,999,999 names, and a fourth call
+    # stops one before it takes the memory
+    read = []
+    root_name = hnbundles.cli.root_name
+
+    def counted(family, i):
+        read.append(i)
+        if len(read) > 3:
+            raise AssertionError(f"a table of the names of {family}")
+        return root_name(family, i)
+
+    monkeypatch.setattr(hnbundles.cli, "root_name", counted)
+    sl = ["pi1", "--family=sl", "--rank=1000000000", "--levi"]
+    code, out, err = run(capsys, *sl, "a1,2", "a5,6", "a999999999,1000000000")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["levi"] == ["a1,2", "a5,6", "a999999999,1000000000"]
+    assert doc["pi1"] == "Z x Z x Z" and read == [0, 4, 999999998]
+    monkeypatch.setattr(hnbundles.cli, "root_name", root_name)
+    # a name is its root's own text: no zero, leading zero, other digits,
+    # index past the last root, or last-root name of another type; an index
+    # longer than the family's count is refused unread
+    for name in ("a0,1", "a01,2", "a1,3", "a\u0661,\u0662", "a1000000000,1000000001",
+                 "a999999999", "2a999999999", "a" + "9" * 5000 + ",1"):
+        code, out, err = run(capsys, *sl, name)
+        assert code == 1 and not out, name
+        assert err.startswith(f"parse error: unknown simple root name {name!r}")
+    # off type A the last root has its own name, and only it
+    for kind, rank, name, bad in (("so", 7, "a3", "a3,4"), ("sp", 6, "2a3", "a3"),
+                                  ("so", 8, "a3+a4", "a4,5")):
+        argv = ["pi1", f"--family={kind}", f"--rank={rank}", "--levi"]
+        code, out, err = run(capsys, *argv, name)
+        assert code == 0 and json.loads(out)["levi"] == [name], err
+        assert run(capsys, *argv, bad)[0] == 1
 
 
 def test_canon_command(capsys):
@@ -587,10 +626,14 @@ from hnbundles.lattice import FinAbGroup
 from hnbundles.parabolic import ParabolicIndex
 from hnbundles.rootsys import GroupFamily
 low, high = PlainBundle((Atom(0, 1),)), PlainBundle((Atom(3, 1),))
+gl3 = GroupFamily("gl", 3)
 calls = [
     lambda: Filtration((low, high)),
     lambda: IsotropicFiltration((high, low), ()),
     lambda: FinAbGroup(0, (3, 2)),
+    # True and 1.0 equal 1, but are no ints
+    lambda: Atom(True, 1),
+    lambda: ParabolicIndex(gl3, {1.0}),
 ]
 for call in calls:
     try:
@@ -598,7 +641,6 @@ for call in calls:
         print("no error")
     except Exception as exc:
         print(type(exc).__name__)
-gl3 = GroupFamily("gl", 3)
 print(ad_degree(gl3, ParabolicIndex(gl3, {0}), (1, 0, 0)))
 """
 
@@ -606,7 +648,7 @@ print(ad_degree(gl3, ParabolicIndex(gl3, {0}), (1, 0, 0)))
 def test_constructor_checks_survive_optimize():
     proc = _run_optimized(CONSTRUCTOR_CHECKS)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 3 + ["2"]
+    assert proc.stdout.split() == ["ValueError"] * 5 + ["2"]
 
 
 def test_parser_is_built_once(capsys, monkeypatch):
@@ -618,8 +660,8 @@ def test_parser_is_built_once(capsys, monkeypatch):
             builds.append(kwargs["prog"])
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(hnbundles.cli, "argparse",
-                        types.SimpleNamespace(ArgumentParser=Counted))
+    monkeypatch.setattr(hnbundles.cli, "argparse", types.SimpleNamespace(
+        ArgumentParser=Counted, HelpFormatter=argparse.HelpFormatter))
     hnbundles.cli.build_parser.cache_clear()
     argvs = [["pi1", "--family", "gl", "--rank", "3"], ["bogus"],
              ["semistable", "so4: deg=1,0"], ["hn", "gl4: what"],
@@ -753,53 +795,26 @@ def test_argvs_that_are_never_kept_rerun(capsys, monkeypatch, tmp_path):
         [tuple(vdeg)] + [tuple(argv) for argv, _ in argvs]
 
 
-def _argparse_answer(argv):
-    """argparse's own (exit code, stdout, stderr) of argv, as the parser
-    writes it outside run_command."""
-    code, out, err = _parse_outcome(hnbundles.cli.build_parser().parse_args, argv)
-    return 1 if code else 0, out, err
-
-
 USAGE_ARGVS = [["bogus"], ["pi1", "-h"]]
 
 
-def test_usage_answers_follow_the_terminal_width(capsys, monkeypatch):
-    texts = {}
-    for width in (40, 200):
-        monkeypatch.setenv("COLUMNS", str(width))
-        for argv in USAGE_ARGVS:
-            answer = run(capsys, *argv)
-            assert answer == _argparse_answer(argv) and answer[1] + answer[2]
-            assert run(capsys, *argv) == answer
-            texts[width, tuple(argv)] = answer
-    for argv in USAGE_ARGVS:
-        assert texts[40, tuple(argv)] != texts[200, tuple(argv)]
-
-
-def test_a_width_change_replaces_a_usage_answer(capsys, monkeypatch):
-    answers = hnbundles.cli._ANSWERS.answers
-    held = lambda: run_command.cache_info().currsize  # noqa: E731
-    plain = ["pi1", "--family=gl", "--rank=3"]
-    monkeypatch.setenv("COLUMNS", "40")
-    run(capsys, *plain)
-    narrow = run(capsys, "bogus")
-    assert run(capsys, "bogus") == narrow
-    assert run_command.cache_info()[:2] == (1, 2)
-    # a miss, whose answer takes the stale one's place and size
-    monkeypatch.setenv("COLUMNS", "200")
-    wide = run(capsys, "bogus")
-    assert wide != narrow and run_command.cache_info()[:2] == (1, 3)
-    assert list(answers) == [tuple(plain), ("bogus",)]
-    assert answers[("bogus",)][:3] == wide
-    assert held() == sum(hnbundles.cli._size(k, a) for k, a in answers.items())
-    assert run(capsys, "bogus") == wide and run_command.cache_info()[:2] == (2, 3)
-
-    # a plain answer holds no argparse text, and its hit reads no width
-    def unread():
-        raise AssertionError("a plain hit read the terminal width")
-
-    monkeypatch.setattr(hnbundles.cli, "_width", unread)
-    assert run(capsys, *plain)[0] == 0 and run_command.cache_info()[:2] == (3, 3)
+@pytest.mark.parametrize("width", ["40", "200"])
+def test_usage_answers_are_the_same_at_every_terminal_width(monkeypatch, width):
+    # the usage-error transcripts and pi1 -h are argparse's text at 80
+    # columns whatever COLUMNS says, on a miss and on a hit
+    usage = [case for case in golden.CASES if case["stderr"].startswith("usage:")]
+    argvs = [case["argv"] for case in usage] + [["pi1", "-h"]]
+    monkeypatch.setenv("COLUMNS", "80")
+    at_80 = [golden.capture(argv) for argv in argvs]
+    assert all(answer["stdout"] + answer["stderr"] for answer in at_80)
+    run_command.cache_clear()
+    monkeypatch.setenv("COLUMNS", width)
+    for argv, answer in zip(argvs, at_80):
+        assert [golden.capture(argv) for _ in range(2)] == [answer] * 2
+        assert golden.argparse_answer(argv) == answer
+    for case in usage:
+        assert golden.matches(case)
+    assert all(len(answer) == 3 for answer in hnbundles.cli._ANSWERS.answers.values())
 
 
 def test_the_parser_writes_as_argparse_outside_run_command(capsys):
@@ -1141,17 +1156,22 @@ def test_well_formed_argvs_never_build_argparse():
 JSON_LEAVES = (st.none() | st.booleans() | st.integers()
                | st.integers(-(10**60), 10**60) | st.text()
                | st.text(alphabet=st.characters(max_codepoint=0x1F)))
+# the types a document holds: str, int, bool, None, and dicts with str
+# keys and lists of them
 JSON_VALUES = st.recursive(
     JSON_LEAVES,
-    lambda children: (st.lists(children) | st.lists(children).map(tuple)
-                      | st.dictionaries(st.text(), children)),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
     max_leaves=40)
 
 
 @settings(max_examples=300, deadline=None)
 @given(JSON_VALUES)
 def test_json_writer_equals_json_dumps(value):
-    assert hnbundles.cli._json(value) + "\n" == json.dumps(value, indent=2) + "\n"
-    # a subclass of a container takes json.dumps's text at its level
-    nested = [collections.OrderedDict(a=value, b=[value])]
-    assert hnbundles.cli._json(nested) == json.dumps(nested, indent=2)
+    assert hnbundles.cli._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [(1, 2), 1.5, collections.OrderedDict(a=1),
+                                   [{"a": (1,)}]], ids=repr)
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError, match="a document holds no"):
+        hnbundles.cli._json(value)

@@ -406,3 +406,8 @@ def test_index_members_become_a_frozenset():
     assert ParabolicIndex(gl3, [1, 0]).members == {0, 1}
     with pytest.raises(ValueError, match="out of range"):
         ParabolicIndex(gl3, {5})
+    # 1.0, True and Fraction(1) equal 1, but are no ints: a float member
+    # would name its root a2.0,3.0, and ad_degree cannot read it
+    for members in ({1.0}, {True}, {0, Fraction(1)}):
+        with pytest.raises(ValueError, match="out of range"):
+            ParabolicIndex(gl3, members)
