@@ -139,7 +139,8 @@ class SpBundle(IsotropicBundle):
 
 @dataclass(frozen=True)
 class SoBundle(IsotropicBundle):
-    """Special-orthogonal bundle: any total rank."""
+    """Special-orthogonal bundle of any total rank, since adjoint returns
+    one for every bundle: ad of a GL1 bundle has rank 1."""
 
     kind = SO
 
@@ -150,7 +151,10 @@ def isotropic_bundle(kind: str, positive, zero_part) -> IsotropicBundle:
 
 
 def bundle_from_degrees(family: GroupFamily, degrees):
-    """Torus-split bundle of the given degree vector, a cocharacter."""
+    """Torus-split bundle of the given degree vector, a cocharacter.  Off
+    type A it keeps only |d|: on even SO with no zero degree and an odd
+    number of negative ones, its hn_type is the dominant point with the
+    last entry negated, the image under the outer automorphism."""
     degrees = as_cocharacter(family, degrees)
     if family.kind in (GL, SL):
         return (SlBundle if family.kind == SL else PlainBundle)(
@@ -247,7 +251,8 @@ def adjoint(b) -> SoBundle:
     (Ramanan-Ramanathan 1984): x tensor y for atoms x, y, and for one atom
     (d, r) Sym^2 (d(r + 1), r(r + 1)/2) or Lambda^2 (d(r - 1), r(r - 1)/2),
     none when r = 1.  On a torus-split bundle: a rank-1 atom of degree
-    alpha(a) per root alpha, and torus_dim trivial atoms.
+    alpha(a) per root alpha, and torus_dim trivial atoms.  ad sl(1) = 0
+    has no atom, and is refused with ZeroBundle.
     """
     e = underlying(b)
     if isinstance(b, PlainBundle):

@@ -43,7 +43,7 @@ from .rootsys import (GL, SL, GroupFamily, _point, _simple_root_signs,
 # number of simple roots: a pass over the orbit per term for each of the
 # 2^count parabolics, at most count + 1 terms each, and their table, which
 # reads every positive root.  The limit is the work at a regular Sp10 or
-# SO11 point, the largest input of the former cartan_dim <= 5 guard.
+# SO11 point.
 ORACLE_WORK_GUARD = 32 * (6 * 3840 + 25)
 
 # the width in bits of the oracle's signed lanes, array typecode "q"
@@ -109,12 +109,6 @@ class CanonicalReduction:
         its answer, and a reduction at a Fraction point keeps its own."""
         levi_ss, degrees = bh_conditions(self.family, self.index, self.mu.mu)
         return levi_ss, tuple(degrees)
-
-
-def forced_index(family: GroupFamily, mu) -> ParabolicIndex:
-    """The parabolic index a dominant vector determines: simple roots
-    taking a positive value on it."""
-    return _positive_index(family, _simple_root_signs(family, mu))
 
 
 def _positive_index(family: GroupFamily, signs) -> ParabolicIndex:
@@ -250,11 +244,10 @@ def ad_degree_max_oracle(family: GroupFamily, a):
 
 
 # keyed by the dominant point, like the orbit cache.  The answer holds only
-# best and the attaining pairs (853 pairs over the 247 keys of seed 1, at
-# most 4,096 at the GL13 and Sp24 zero points), no orbit columns.  A
-# canon_oracle benchmark run asks for 247 distinct keys whatever its seed,
-# which only shuffles the points of [-2,2]^dim, so 256 holds them all and
-# evicts nothing.
+# best and the attaining pairs (853 pairs over the 247 orbits of the grids
+# of the canon_oracle benchmark, at most 4,096 at the GL13 and Sp24 zero
+# points), no orbit columns.  A run of that benchmark visits 212-218 of
+# those orbits (seeds 1-3), so 256 holds them all and evicts nothing.
 @lru_cache(maxsize=256)
 def _oracle_of_orbit(family: GroupFamily, dominant):
     """(best, argmax as a tuple) of ad_degree_max_oracle on the orbit of a

@@ -6,7 +6,7 @@ Each subcommand's options are declared once, in _COMMANDS: a
 well-formed argv is read from that table, and argparse, built from it on
 first need, reads any other argv.  argparse's usage errors and help are
 captured, not written, and run_command writes them as it writes every
-answer.
+answer.  Each command computes only what it prints.
 
 Exit codes: 0 success, 1 usage or parse error, 2 validation error,
 3 internal invariant breach (an InvariantBreach, and nothing else), which

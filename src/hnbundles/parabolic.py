@@ -31,6 +31,11 @@ class ParabolicIndex:
         object.__setattr__(self, "members", frozenset(self.members))
         count = simple_root_count(self.family)
         if not all(type(i) is int and 0 <= i < count for i in self.members):
+            # exactly int: 1.0 and True equal 1, but 1.0 would name its root
+            # a2.0,3.0; the success path stays the one pass above
+            for i in self.members:
+                if type(i) is not int:
+                    raise ValueError(f"parabolic index members must be ints, got {i!r}")
             raise ValueError("parabolic index out of range")
 
     def names(self):

@@ -2,8 +2,10 @@
 replaced, kept as independent oracles for the tests: the root table
 (simple roots, positive roots, all roots, the root test, the coroots),
 the closed-form simple-root values that the comparison of coordinates
-replaced, the adjoint bundle read off the root table root by root, the rational solve
-and the Hermite-reduced integer row kernel, the root table of supports
+replaced, the dominance test and the forced index of a dominant vector,
+which production reads off the signs an HNType keeps, the adjoint bundle
+read off the root table root by root, the rational solve and the
+Hermite-reduced integer row kernel, the root table of supports
 and the Levi/nilradical root split read off it (the oracle for 2rho_P,
 the Levi root count and the Levi centre), the point v_I and its sign
 test for the root split, the integer row kernel for the character
@@ -25,13 +27,14 @@ from math import gcd
 
 from hnbundles.bundle import (Atom, PlainBundle, SoBundle, _flag_shape,
                               is_semistable, tensor)
-from hnbundles.canon import CACHED_DIM, bh_conditions
+from hnbundles.canon import CACHED_DIM, _positive_index, bh_conditions
 from hnbundles.errors import HnBundleError, NotACharacter, TooLarge
 from hnbundles.lattice import FinAbGroup
 from hnbundles.rootsys import (A, B, C, D, GL, SL, SP, GroupFamily, _point,
                                as_cocharacter, dominant_representative,
-                               evaluate, is_dominant, positive_root_count,
-                               root_name, simple_root_coordinates)
+                               _simple_root_signs, evaluate,
+                               positive_root_count, root_name,
+                               simple_root_coordinates)
 from hnbundles.strata import (ENUM_BOUND_GUARD, ENUM_DIM_GUARD, StrataPoset,
                               stratum_label, stratum_leq)
 
@@ -74,6 +77,18 @@ def simple_root_values(family: GroupFamily, v):
     if t != A:
         values.append(v[-1] if t == B else 2 * v[-1] if t == C else v[-2] + v[-1])
     return values
+
+
+def is_dominant(family: GroupFamily, v) -> bool:
+    """Whether v lies in the closed dominant chamber: no simple-root pairing
+    of it is negative."""
+    return -1 not in _simple_root_signs(family, v)
+
+
+def forced_index(family: GroupFamily, mu):
+    """The parabolic index a dominant vector determines: the simple roots
+    taking a positive value on it."""
+    return _positive_index(family, _simple_root_signs(family, mu))
 
 
 def positive_roots(family: GroupFamily):

@@ -14,8 +14,7 @@ from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SoBundle, SpBundle,
                               is_semistable, tensor, underlying,
                               vertical_degree)
 from hnbundles.canon import (ad_degree, ad_degree_max_oracle, bh_conditions,
-                             canonical_reduction, check_bh, forced_index,
-                             hn_type)
+                             canonical_reduction, check_bh, hn_type)
 from hnbundles.hnfilt import (extend_with_perps, hn_filtration,
                               hn_filtration_isotropic)
 from hnbundles.lattice import (fundamental_groups, obstruction_class,
@@ -23,10 +22,11 @@ from hnbundles.lattice import (fundamental_groups, obstruction_class,
 from hnbundles.oracles import hn_uniqueness_oracle
 from hnbundles.parabolic import (ParabolicIndex, character_generators,
                                  is_dominant_character)
-from hnbundles.rootsys import GroupFamily, evaluate, is_dominant
+from hnbundles.rootsys import GroupFamily, evaluate
 from hnbundles.strata import (enumerate_strata, gl_dominance, hull_membership,
                               stratum_leq)
-from oracles import simple_roots, vertical_degree_composite
+from oracles import (forced_index, is_dominant, simple_roots,
+                     vertical_degree_composite)
 
 
 def _report(num: int, budget, fn):

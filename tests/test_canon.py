@@ -14,8 +14,7 @@ from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SoBundle, SpBundle,
 from hnbundles.canon import (ORACLE_WORK_GUARD, CanonicalReduction, HNType,
                              _oracle_of_orbit, _reduction_of_orbit, ad_degree,
                              ad_degree_max_oracle, bh_conditions,
-                             canonical_reduction, check_bh, forced_index,
-                             hn_type)
+                             canonical_reduction, check_bh, hn_type)
 from hnbundles.errors import (FamilyMismatch, InvalidReduction,
                               NotInKernelLattice, NotIntegral, TooLarge,
                               ZeroBundle)
@@ -23,11 +22,12 @@ from hnbundles.lattice import levi_topological_type, topological_type
 from hnbundles.parabolic import (ParabolicIndex, _levi_positive_count,
                                  _two_rho_terms)
 from hnbundles.rootsys import (GroupFamily, as_cocharacter,
-                               dominant_representative, evaluate, is_dominant,
+                               dominant_representative, evaluate,
                                positive_root_count, weyl_orbit,
                                weyl_orbit_size)
 from oracles import (_root_split, all_roots, canonical_reduction_uncached,
-                     check_bh_uncached, is_root, positive_roots, simple_roots)
+                     check_bh_uncached, forced_index, is_dominant, is_root,
+                     positive_roots, simple_roots)
 
 
 def test_canonical_reduction_examples():

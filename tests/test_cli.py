@@ -24,7 +24,7 @@ from hnbundles.cli import (SpecError, parse_bundle_spec, run_command,
                            serialize_bundle_spec)
 from hnbundles.errors import InvariantBreach, NotDegreeZero
 from hnbundles.hnfilt import Filtration
-from hnbundles.rootsys import GroupFamily, is_dominant
+from hnbundles.rootsys import GroupFamily
 from hnbundles.strata import enumerate_strata, to_dot
 
 
@@ -546,7 +546,7 @@ def _lattice_breach(what):
     family = calls[0][0]
     a, b, _ = setup = [v for _, v in calls[:3]]
     translate = next(v for _, v in calls[3:]
-                     if v not in setup and not is_dominant(family, v))
+                     if v not in setup and not oracles.is_dominant(family, v))
     return translate, (
         f"internal invariant breach: check lattice failed at seed 1, case 0 "
         f"({family.kind}{family.r}, input a={a}, b={b}): {what} of a "
@@ -641,6 +641,12 @@ for call in calls:
         print("no error")
     except Exception as exc:
         print(type(exc).__name__)
+# each rule a parabolic index member can break names itself
+for members in ({1.0}, {True}, {3}):
+    try:
+        ParabolicIndex(gl3, members)
+    except ValueError as exc:
+        print(exc)
 print(ad_degree(gl3, ParabolicIndex(gl3, {0}), (1, 0, 0)))
 """
 
@@ -648,7 +654,10 @@ print(ad_degree(gl3, ParabolicIndex(gl3, {0}), (1, 0, 0)))
 def test_constructor_checks_survive_optimize():
     proc = _run_optimized(CONSTRUCTOR_CHECKS)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 5 + ["2"]
+    assert proc.stdout.splitlines() == ["ValueError"] * 5 + [
+        "parabolic index members must be ints, got 1.0",
+        "parabolic index members must be ints, got True",
+        "parabolic index out of range", "2"]
 
 
 def test_parser_is_built_once(capsys, monkeypatch):

@@ -5,8 +5,7 @@ from itertools import product
 import pytest
 
 import oracles
-from hnbundles.canon import (ad_degree, bh_conditions, canonical_reduction,
-                             forced_index)
+from hnbundles.canon import ad_degree, bh_conditions, canonical_reduction
 from hnbundles.errors import (FamilyMismatch, InvalidFlag, NotACharacter,
                               NothingToGenerate, TooLarge)
 from hnbundles.parabolic import (ParabolicIndex, _levi_blocks,
@@ -16,9 +15,9 @@ from hnbundles.parabolic import (ParabolicIndex, _levi_blocks,
 from hnbundles.rootsys import (GroupFamily, evaluate, positive_root_count,
                                simple_root_count)
 from oracles import (ROOT_TABLE_GUARD, _root_split, _root_supports, all_roots,
-                     character_oracle, coroot, generator_oracle, index_point,
-                     levi_blocks, positive_roots, root_split_oracle,
-                     simple_roots, solve_rational)
+                     character_oracle, coroot, forced_index, generator_oracle,
+                     index_point, levi_blocks, positive_roots,
+                     root_split_oracle, simple_roots, solve_rational)
 
 
 def _idx(family, members):
@@ -404,10 +403,16 @@ def test_index_members_become_a_frozenset():
     assert index == _idx(gl3, {0}) and hash(index) == hash(_idx(gl3, {0}))
     assert ad_degree(gl3, index, (1, 0, 0)) == 2
     assert ParabolicIndex(gl3, [1, 0]).members == {0, 1}
-    with pytest.raises(ValueError, match="out of range"):
-        ParabolicIndex(gl3, {5})
-    # 1.0, True and Fraction(1) equal 1, but are no ints: a float member
-    # would name its root a2.0,3.0, and ad_degree cannot read it
-    for members in ({1.0}, {True}, {0, Fraction(1)}):
-        with pytest.raises(ValueError, match="out of range"):
+    for members in ({5}, {-1}, {0, 2}):
+        with pytest.raises(ValueError) as err:
             ParabolicIndex(gl3, members)
+        assert str(err.value) == "parabolic index out of range"
+    # 1.0, True and Fraction(1) equal 1, but are no ints: a float member
+    # would name its root a2.0,3.0, and ad_degree cannot read it.  The
+    # message names that rule, even for a member also out of range
+    for members, shown in (({1.0}, "1.0"), ({True}, "True"),
+                           ({0, Fraction(1)}, "Fraction(1, 1)"),
+                           ({5.0}, "5.0")):
+        with pytest.raises(ValueError) as err:
+            ParabolicIndex(gl3, members)
+        assert str(err.value) == f"parabolic index members must be ints, got {shown}"

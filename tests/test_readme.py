@@ -1,14 +1,18 @@
 """README's CLI examples, run as written: every `hnbundles ...` line of
 its sh blocks exits 0 through run_command, in a fresh directory, since
-the strata example writes its DOT file there.  A line that ends in a
-`# {...}` comment must print a JSON document holding those keys and
-values.  README's guards and caches tables are checked against the
-code: each guard's limit and message, and each cache's bound; and each
-name its removed-names list gives is gone from the package."""
+the strata example writes its DOT file there, and every command has one.
+A line that ends in a `# {...}` comment must print a JSON document
+holding those keys and values.  README's Library section lists each
+package export once, under the module that defines it.  README's guards
+and caches tables are checked against the code: each guard's limit and
+message, and each cache's bound; and each name its removed-names list
+gives is gone from the package.  Only the title and one paragraph come
+before the first section."""
 
 import contextlib
 import dataclasses
 import importlib
+import inspect
 import io
 import json
 import pathlib
@@ -19,9 +23,10 @@ import shlex
 import pytest
 
 import hnbundles
+from hnbundles import errors
 from hnbundles.bundle import Atom, PlainBundle
 from hnbundles.canon import ad_degree_max_oracle
-from hnbundles.cli import run_command
+from hnbundles.cli import _COMMANDS, run_command
 from hnbundles.errors import TooLarge
 from hnbundles.oracles import hn_uniqueness_oracle, hull_membership_lp_oracle
 from hnbundles.rootsys import GroupFamily, weyl_orbit
@@ -70,11 +75,69 @@ def test_readme_example_runs(argv, expected, tmp_path, monkeypatch):
         assert {key: doc.get(key) for key in expected} == expected
 
 
+def test_every_command_has_an_example():
+    # a top-level flag such as --pretty may come before the command
+    commands = {next(t for t in argv if not t.startswith("-"))
+                for argv, _ in EXAMPLES}
+    assert commands >= set(_COMMANDS)
+
+
+def test_only_the_title_and_one_paragraph_precede_the_sections():
+    head = README.read_text().split("\n## ", 1)[0]
+    blocks = [b for b in head.split("\n\n") if b.strip()]
+    assert len(blocks) == 2, blocks
+    title, paragraph = blocks
+    assert title.startswith("# ") and "\n" not in title.strip()
+    assert not paragraph.startswith(("#", "-", "`", "|")), paragraph
+
+
+def section(text, heading):
+    """The text under `## heading`, up to the next `## ` heading."""
+    assert f"\n## {heading}\n" in text, f"no section {heading}"
+    return text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def library_entries(text):
+    """(module, name) for each bullet of the Library section: the name
+    that leads it, under the last `### `hnbundles.module`` heading."""
+    entries, module = [], None
+    for line in section(text, "Library").splitlines():
+        if line.startswith("### "):
+            module = re.fullmatch(r"### `hnbundles\.(\w+)`", line).group(1)
+        elif line.startswith("- "):
+            entries.append((module, re.match(r"- `(\w+)", line).group(1)))
+    return entries
+
+
+def test_the_library_lists_every_export_once():
+    assert library_entries("# t\n\n## Library\n\n### `hnbundles.m`\n\n"
+                           "- `f(a)`: x `g`\n- `C`: y\n\n## Next\n- `h`\n") == [
+        ("m", "f"), ("m", "C")]
+    entries = library_entries(README.read_text())
+    exports = [name for name in hnbundles.__all__
+               if not inspect.ismodule(getattr(hnbundles, name))]
+    assert sorted(name for _, name in entries) == sorted(exports)
+    for module, name in entries:
+        defined = importlib.import_module(f"hnbundles.{module}")
+        assert getattr(defined, name) is getattr(hnbundles, name), name
+        assert getattr(defined, name).__module__ == defined.__name__, name
+
+
+def test_the_library_lists_every_error_class():
+    line = next(line for line in section(README.read_text(), "Library")
+                .splitlines() if line.startswith("- `HnBundleError`"))
+    listed = re.findall(r"`(\w+)`", line.partition(": ")[2])
+    classes = [name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.HnBundleError)
+               and obj is not errors.HnBundleError]
+    assert sorted(listed) == sorted(classes)
+
+
 def readme_table(text, heading):
     """The body rows of the first table under `## heading`, as lists of
     cells; a pipe escaped as \\| stays in its cell."""
-    section = text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
-    rows = [line for line in section.splitlines() if line.startswith("|")]
+    rows = [line for line in section(text, heading).splitlines()
+            if line.startswith("|")]
     return [[cell.strip().replace("\\|", "|")
              for cell in re.split(r"(?<!\\)\|", row)[1:-1]] for row in rows[2:]]
 
@@ -140,9 +203,8 @@ def test_caches_table_matches_the_code():
 def removed_names(text):
     """The backticked names of each line of the removed-names list, left of
     the colon that says where they went."""
-    section = text.split("\n## Names removed from the package\n", 1)[1]
-    section = section.split("\n## ", 1)[0]
-    return [name for line in section.splitlines() if line.startswith("- ")
+    return [name for line in section(text, "Names removed from the package")
+            .splitlines() if line.startswith("- ")
             for name in re.findall(r"`([^`]*)`", line.rpartition(": ")[0])]
 
 

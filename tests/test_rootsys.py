@@ -19,13 +19,13 @@ from hnbundles.errors import (NotInKernelLattice, NotIntegral, TooLarge,
 from hnbundles.oracles import (HULL_ORBIT_GUARD, _point as oracles_point,
                                hull_membership_lp_oracle)
 from hnbundles.rootsys import (A, B, C, D, GroupFamily, as_cocharacter,
-                               dominant_representative, evaluate, is_dominant,
+                               dominant_representative, evaluate,
                                positive_root_count, root_name,
                                simple_root_coordinates, simple_root_count,
                                weyl_orbit, weyl_orbit_size)
-from oracles import (NotARoot, _sub, all_roots, coroot, is_root,
-                     positive_roots, simple_root_values, simple_roots,
-                     solve_rational)
+from oracles import (NotARoot, _sub, all_roots, coroot, forced_index,
+                     is_dominant, is_root, positive_roots, simple_root_values,
+                     simple_roots, solve_rational)
 
 FAMILIES = [GroupFamily("gl", 3), GroupFamily("gl", 4), GroupFamily("sl", 3),
             GroupFamily("sl", 4), GroupFamily("sp", 4), GroupFamily("sp", 6),
@@ -685,7 +685,7 @@ def test_the_sign_route_equals_the_root_table(family, exact):
         assert rootsys._simple_root_signs(family, v) == \
             [(x > 0) - (x < 0) for x in values], v
         assert is_dominant(family, v) is all(x >= 0 for x in values), v
-        assert canon.forced_index(family, v).members == \
+        assert forced_index(family, v).members == \
             {i for i, x in enumerate(values) if x > 0}, v
         members = {i for i in range(count) if k >> i & 1}
         index = parabolic.ParabolicIndex(family, members)
@@ -695,7 +695,7 @@ def test_the_sign_route_equals_the_root_table(family, exact):
     short = (exact(1),) * (family.cartan_dim - 1)
     index = parabolic.ParabolicIndex(family, ())
     for call in (lambda: is_dominant(family, short),
-                 lambda: canon.forced_index(family, short),
+                 lambda: forced_index(family, short),
                  lambda: canon.bh_conditions(family, index, short)):
         with pytest.raises(ValueError, match="coordinates"):
             call()
@@ -711,8 +711,8 @@ def test_wrong_length_points_are_rejected():
                  lambda: weyl_orbit(so6, (0, 0, 0, 0)),
                  lambda: weyl_orbit(so6, [0, 0, 0, 0]),
                  lambda: is_dominant(gl3, (5,)),
-                 lambda: canon.forced_index(gl3, (1, 0)),
-                 lambda: canon.forced_index(sp6, (1, 0, 0, 5)),
+                 lambda: forced_index(gl3, (1, 0)),
+                 lambda: forced_index(sp6, (1, 0, 0, 5)),
                  lambda: simple_root_coordinates(gl3, (1, -1)),
                  lambda: simple_root_coordinates(so6, (1, 0, 0, -1)),
                  lambda: simple_root_coordinates(so6, (1, -1)),

@@ -11,9 +11,9 @@ from hnbundles.oracles import HULL_ORBIT_GUARD, hull_membership_lp_oracle
 from hnbundles.strata import (StrataPoset, enumerate_strata, gl_dominance,
                               hull_membership, stratum_label, stratum_leq,
                               to_dot)
-from hnbundles.rootsys import (GroupFamily, dominant_representative, is_dominant,
+from hnbundles.rootsys import (GroupFamily, dominant_representative,
                                weyl_orbit, weyl_orbit_size)
-from oracles import enumerate_strata_oracle
+from oracles import enumerate_strata_oracle, is_dominant
 
 
 def test_hull_examples():
