@@ -150,6 +150,17 @@ def isotropic_bundle(kind: str, positive, zero_part) -> IsotropicBundle:
     return (SpBundle if kind == SP else SoBundle)(positive, zero_part)
 
 
+_TAKES = {PlainBundle: "a plain or SL bundle", IsotropicBundle: "an Sp or SO bundle",
+          (PlainBundle, IsotropicBundle): "a plain, SL, Sp or SO bundle"}
+
+
+def _require(b, cls, name):
+    """b if it is a cls, else a TypeError naming the function and _TAKES[cls]."""
+    if not isinstance(b, cls):
+        raise TypeError(f"{name} takes {_TAKES[cls]}, got {type(b).__name__}")
+    return b
+
+
 def bundle_from_degrees(family: GroupFamily, degrees):
     """Torus-split bundle of the given degree vector, a cocharacter.  Off
     type A it keeps only |d|: on even SO with no zero degree and an odd
@@ -174,7 +185,8 @@ def underlying(b) -> PlainBundle:
 
 
 def dual(b: PlainBundle) -> PlainBundle:
-    return PlainBundle(tuple(Atom(-a.degree, a.rank) for a in b.atoms))
+    atoms = _require(b, PlainBundle, "dual").atoms
+    return PlainBundle(tuple(Atom(-a.degree, a.rank) for a in atoms))
 
 
 def _times(x: Atom, y: Atom) -> Atom:
@@ -184,11 +196,13 @@ def _times(x: Atom, y: Atom) -> Atom:
 
 def tensor(a: PlainBundle, b: PlainBundle) -> PlainBundle:
     """Formal tensor product, one atom per pair of atoms."""
-    return PlainBundle(tuple(_times(x, y) for x in a.atoms for y in b.atoms))
+    xs, ys = (_require(c, PlainBundle, "tensor").atoms for c in (a, b))
+    return PlainBundle(tuple(_times(x, y) for x in xs for y in ys))
 
 
 def direct_sum(a: PlainBundle, b: PlainBundle) -> PlainBundle:
-    return PlainBundle(a.atoms + b.atoms)
+    xs, ys = (_require(c, PlainBundle, "direct_sum").atoms for c in (a, b))
+    return PlainBundle(xs + ys)
 
 
 def _flag_shape(family: GroupFamily, e, f):

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
-from .bundle import IsotropicBundle, SlBundle
+from .bundle import IsotropicBundle, PlainBundle, SlBundle, _require
 from .errors import FamilyMismatch, InvalidReduction, TooLarge
 from .hnfilt import hn_filtration, hn_filtration_isotropic
 from .parabolic import ParabolicIndex, _generator_terms, _two_rho_terms
@@ -143,6 +143,7 @@ _reduction_of_orbit = lru_cache(maxsize=256)(stratum_label)
 
 def hn_type(b) -> HNType:
     """Dominant slope vector of the HN filtration of b."""
+    _require(b, (PlainBundle, IsotropicBundle), "hn_type")
     if isinstance(b, IsotropicBundle):
         family = GroupFamily(b.kind, b.rank)
         quotients = hn_filtration_isotropic(b).quotients

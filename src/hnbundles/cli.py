@@ -8,9 +8,9 @@ first need, reads any other argv.  argparse's usage errors and help are
 captured, not written, and run_command writes them as it writes every
 answer.  Each command computes only what it prints.
 
-Exit codes: 0 success, 1 usage or parse error, 2 validation error,
-3 internal invariant breach (an InvariantBreach, and nothing else), which
-a check case that fails or raises becomes.
+Exit codes: 0 success; 1 a usage error, or a spec that breaks its grammar
+or declares a rank its atoms lack; 2 validation error; 3 internal invariant
+breach, an InvariantBreach only: a check case that fails or raises.
 
 argparse wraps its usage and help text at 80 columns whatever the
 terminal, so an answer is an exact function of its argv, and an
@@ -64,6 +64,9 @@ _ATOM = re.compile(r"^(-?\d+):(\d+)$")
 
 
 def parse_bundle_spec(text: str) -> BundleSpec:
+    """The spec of text, read for its grammar alone: SpecError for a head,
+    atom, degree list or '| z=INT' that does not parse, a '|' on GL or SL, or
+    a rank the bundle lacks; the model raises every other rule, unwrapped."""
     compact = "".join(text.split())
     m = _HEAD.match(compact)
     if not m:
@@ -75,11 +78,6 @@ def parse_bundle_spec(text: str) -> BundleSpec:
             degrees = tuple(int(t) for t in body[4:].split(","))
         except ValueError:
             raise SpecError(f"bad integer in degree list {body[4:]!r}")
-        if len(degrees) != family.cartan_dim:
-            raise SpecError(
-                f"rule degree-length: expected {family.cartan_dim} degrees")
-        if kind == SL and sum(degrees) != 0:
-            raise SpecError("rule sl-degree-zero: SL degrees must sum to 0")
         return BundleSpec(family, bundle_from_degrees(family, degrees), degrees)
     zero = None
     if "|" in body:
@@ -90,35 +88,22 @@ def parse_bundle_spec(text: str) -> BundleSpec:
             zero = int(tail[2:])
         except ValueError:
             raise SpecError(f"bad integer in zero-block rank {tail[2:]!r}")
-        if zero < 0:
-            raise SpecError("rule zero-rank: zero-block rank must be nonnegative")
-    atoms = []
+    pairs = []
     # an Sp/SO bundle may be its zero block alone: "sp2: | z=2"
     for part in body.split(",") if body or not zero else ():
         pm = _ATOM.match(part)
-        if not pm or int(pm.group(2)) < 1:
+        if not pm:
             raise SpecError(f"expected 'degree:rank' atom, got {part!r}")
-        atoms.append(Atom(int(pm.group(1)), int(pm.group(2))))
-    if kind in (GL, SL):
-        if zero is not None:
-            raise SpecError("rule zero-block: only sp/so take a zero block")
-        b = PlainBundle(tuple(atoms))
-        if b.rank != rank:
-            raise SpecError(f"rule rank-match: atoms have rank {b.rank}, spec says {rank}")
-        if kind == SL:
-            if b.degree != 0:
-                raise SpecError("rule sl-degree-zero: SL bundle must have degree 0")
-            return BundleSpec(family, SlBundle(b.atoms), None)
-        return BundleSpec(family, b, None)
-    if any(a.degree <= 0 for a in atoms):
-        raise SpecError("rule positive-slope: sp/so atoms must have slope > 0")
-    zpart = (Atom(0, zero),) if zero else ()
-    try:
-        b = isotropic_bundle(kind, tuple(atoms), zpart)
-    except (HnBundleError, ValueError) as exc:
-        raise SpecError(f"rule decorated-shape: {exc}")
+        pairs.append(pm.groups())
+    plain = kind in (GL, SL)
+    if plain and zero is not None:
+        raise SpecError("rule zero-block: only sp/so take a zero block")
+    atoms = tuple(Atom(int(d), int(r)) for d, r in pairs)
+    b = (SlBundle if kind == SL else PlainBundle)(atoms) if plain \
+        else isotropic_bundle(kind, atoms, (Atom(0, zero),) if zero else ())
     if b.rank != rank:
-        raise SpecError(f"rule rank-match: total rank {b.rank}, spec says {rank}")
+        what = "atoms have rank" if plain else "total rank"
+        raise SpecError(f"rule rank-match: {what} {b.rank}, spec says {rank}")
     return BundleSpec(family, b, None)
 
 
@@ -276,11 +261,6 @@ def _degree_rank(option, value):
     return value
 
 
-def _nonnegative(option, value):
-    if value < 0:
-        raise ValueError(f"{option} must be nonnegative, got {value}")
-
-
 def _cmd_vdeg(args) -> dict:
     e = _degree_rank("--E", args.E)
     f = _degree_rank("--F", args.F)
@@ -291,7 +271,6 @@ def _cmd_vdeg(args) -> dict:
 
 
 def _cmd_strata(args) -> dict:
-    _nonnegative("--bound", args.bound)
     family = GroupFamily(args.family, args.rank)
     poset = enumerate_strata(family, args.bound, args.fix_type)
     if args.dot:
@@ -314,7 +293,8 @@ def _cmd_check(args) -> dict:
     from random import Random
 
     from .oracles import _SUITES
-    _nonnegative("--cases", args.cases)
+    if args.cases < 0:
+        raise ValueError(f"--cases must be nonnegative, got {args.cases}")
     rng = Random(args.seed)
     for case in range(args.cases):
         drawn = []

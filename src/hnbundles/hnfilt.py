@@ -8,7 +8,8 @@ these filtrations lives in hnbundles.oracles.
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .bundle import IsotropicBundle, PlainBundle, dual, is_semistable, underlying
+from .bundle import (IsotropicBundle, PlainBundle, _require, dual, is_semistable,
+                     underlying)
 from .errors import UnsupportedRank
 from .rootsys import SO
 
@@ -74,7 +75,8 @@ def _group_by_slope(atoms):
 
 def hn_filtration(b) -> Filtration:
     """HN filtration of a plain (or SL) bundle, reported by its quotients."""
-    return Filtration(_group_by_slope(b.atoms))
+    atoms = _require(b, PlainBundle, "hn_filtration").atoms
+    return Filtration(_group_by_slope(atoms))
 
 
 def hn_filtration_isotropic(b: IsotropicBundle) -> IsotropicFiltration:
@@ -84,6 +86,7 @@ def hn_filtration_isotropic(b: IsotropicBundle) -> IsotropicFiltration:
     has rank n-1; the associated parabolic then carries both special
     simple roots.
     """
+    _require(b, IsotropicBundle, "hn_filtration_isotropic")
     if b.kind == SO and b.rank < 3:
         raise UnsupportedRank("SO filtration needs total rank >= 3")
     quotients = _group_by_slope(b.positive)

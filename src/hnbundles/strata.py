@@ -93,6 +93,8 @@ def enumerate_strata(family: GroupFamily, bound: int,
                      total_degree=None) -> StrataPoset:
     """All dominant integer labels with coordinates in [-bound, bound],
     ordered by covering pairs of the stratum order."""
+    if bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {bound}")
     dim = family.cartan_dim
     if dim > ENUM_DIM_GUARD or bound > ENUM_BOUND_GUARD:
         raise TooLarge("enumeration guard exceeded")

@@ -13,7 +13,9 @@ were recorded, the record too.  Every other transcript is compared with
 its record on every version.
 
 Replay every transcript (exit 1 naming the first argv that mismatches),
-or rewrite them after an intended change of output and review the diff:
+or rewrite them after an intended change of output, which prints each
+argv whose transcript changed and their count.  A new transcript is an
+entry holding its "argv" alone, which the rewrite fills in:
 
     PYTHONPATH=src python -O tests/golden.py
     PYTHONPATH=src python tests/golden.py --write
@@ -88,10 +90,20 @@ def replay():
     return None
 
 
+def write():
+    """Rewrite every transcript from its argv, printing one line per argv
+    whose transcript changed, then how many changed."""
+    cases = [capture(c["argv"]) for c in CASES]
+    changed = [new["argv"] for old, new in zip(CASES, cases) if new != old]
+    for argv in changed:
+        print(f"changed: {argv}")
+    print(f"{len(changed)} golden transcripts changed")
+    DATA.write_text(json.dumps(cases, indent=1) + "\n")
+
+
 def main(args):
     if args == ["--write"]:
-        DATA.write_text(json.dumps([capture(c["argv"]) for c in CASES],
-                                   indent=1) + "\n")
+        write()
         return 0
     if args:
         print("usage: golden.py [--write]", file=sys.stderr)

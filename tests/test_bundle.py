@@ -1,3 +1,4 @@
+import pathlib
 import pickle
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
@@ -11,11 +12,13 @@ from hnbundles.bundle import (Atom, IsotropicBundle, PlainBundle, SlBundle,
                               direct_sum, dual, is_semistable,
                               isotropic_bundle, tensor, underlying,
                               vertical_degree)
+from hnbundles.canon import hn_type
 from hnbundles.errors import (InvalidFlag, NotDegreeZero, NotIntegral,
                               UnsupportedRank, ZeroBundle)
-from hnbundles.hnfilt import hn_filtration_isotropic
+from hnbundles.hnfilt import hn_filtration, hn_filtration_isotropic
 from hnbundles.rootsys import GroupFamily
 from oracles import adjoint_bundle_oracle, vertical_degree_composite
+from test_cli import _run_optimized
 
 atoms_st = st.lists(
     st.builds(Atom, st.integers(-4, 4), st.integers(1, 3)),
@@ -423,3 +426,46 @@ def test_decorated_semistability_matches_underlying(positive, zeros):
         assert is_semistable(sp) == is_semistable(underlying(sp))
     so = SoBundle(positive, zero_part + (Atom(0, 1),))
     assert is_semistable(so) == is_semistable(underlying(so)) or so.rank == 2
+
+
+# Each function that takes only some kinds of bundle, called with every
+# other kind (an atom, which is no bundle, included) in each argument
+# place, and the TypeError it raises: the function and what it takes.
+_PLAIN, _SL = PlainBundle((Atom(1, 1),)), SlBundle((Atom(1, 1), Atom(-1, 1)))
+_SP, _SO = SpBundle((Atom(1, 1),)), SoBundle((Atom(1, 1),), (Atom(0, 1),))
+_ATOM = Atom(1, 1)
+WRONG_KINDS = (
+    [(fn, args, f"{fn.__name__} takes a plain or SL bundle, got {type(w).__name__}")
+     for w in (_SP, _SO, _ATOM)
+     for fn, args in ((hn_filtration, (w,)), (dual, (w,)),
+                      (tensor, (w, _PLAIN)), (tensor, (_PLAIN, w)),
+                      (direct_sum, (w, _SL)), (direct_sum, (_SL, w)))]
+    + [(hn_filtration_isotropic, (w,),
+        f"hn_filtration_isotropic takes an Sp or SO bundle, got {type(w).__name__}")
+       for w in (_PLAIN, _SL, _ATOM)]
+    + [(hn_type, (w,), f"hn_type takes a plain, SL, Sp or SO bundle, got {type(w).__name__}")
+       for w in (_ATOM, (_ATOM,))])
+
+
+@pytest.mark.parametrize("fn, args, message", WRONG_KINDS,
+                         ids=[m for _, _, m in WRONG_KINDS])
+def test_a_bundle_of_the_wrong_kind_is_refused(fn, args, message):
+    with pytest.raises(TypeError) as info:
+        fn(*args)
+    assert type(info.value) is TypeError and str(info.value) == message
+
+
+def test_the_kind_checks_survive_optimize():
+    # each is an explicit raise, which python -O keeps
+    tests = str(pathlib.Path(__file__).resolve().parent)
+    proc = _run_optimized(
+        f"import sys\nsys.path.insert(0, {tests!r})\n"
+        "from test_bundle import WRONG_KINDS\n"
+        "for fn, args, message in WRONG_KINDS:\n"
+        "    try:\n"
+        "        fn(*args)\n"
+        "    except TypeError as exc:\n"
+        "        print(exc)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [m for _, _, m in WRONG_KINDS]
+

@@ -22,7 +22,8 @@ from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SpBundle,
                               bundle_from_degrees, vertical_degree)
 from hnbundles.cli import (SpecError, parse_bundle_spec, run_command,
                            serialize_bundle_spec)
-from hnbundles.errors import InvariantBreach, NotDegreeZero
+from hnbundles.errors import (InvariantBreach, NotDegreeZero, NotInKernelLattice,
+                              UnsupportedRank)
 from hnbundles.hnfilt import Filtration
 from hnbundles.rootsys import GroupFamily
 from hnbundles.strata import enumerate_strata, to_dot
@@ -55,20 +56,56 @@ def test_parse_keeps_the_bundle_of_a_degree_spec():
 
 
 def test_parse_errors():
-    for bad in ["xx3: 1:1", "gl4 3:1", "gl4: 3:x", "gl4: 3:0",
-                "gl4: 3:1 | z=2",          # zero block only for sp/so
-                "gl2: 1:1,1:1 | z=0",      # not even an empty one
-                "sl2: 1:1,-1:1 | z=0",
-                "sp3: 1:1",                # odd symplectic rank
-                "sp4: -1:1 | z=2",         # nonpositive slope
-                "sl2: 1:1, 0:1",           # nonzero total degree
-                "gl4: 1:1",                # rank mismatch
-                "gl3: deg=1,2",            # degree-list length
-                "sl3: deg=1,1,1",
-                "sp2: | z=0", "so3:",      # no atom and no zero block
-                "gl2: | z=2"]:
-        with pytest.raises((SpecError, Exception)):
+    # SpecError for the spec's own rules: its grammar, no '|' tail on GL
+    # or SL, and the declared rank; the model's error, unwrapped, for
+    # every other rule
+    for bad, error in [
+            ("xx3: 1:1", SpecError), ("gl4 3:1", SpecError),
+            ("gl4: 3:x", SpecError),
+            ("gl4: 3:0", ValueError),                # Atom: rank >= 1
+            ("gl4: 3:1 | z=2", SpecError),           # zero block only for sp/so
+            ("gl2: 1:1,1:1 | z=0", SpecError),       # not even an empty one
+            ("sl2: 1:1,-1:1 | z=0", SpecError),
+            ("sp3: 1:1", UnsupportedRank),           # GroupFamily: odd Sp rank
+            ("sp4: -1:1 | z=2", ValueError),         # the positive part
+            ("sl2: 1:1, 0:1", NotDegreeZero),        # SlBundle: degree 0
+            ("gl4: 1:1", SpecError),                 # rank mismatch
+            ("gl3: deg=1,2", NotInKernelLattice),    # as_cocharacter: length
+            ("sl3: deg=1,1,1", NotInKernelLattice),  # as_cocharacter: trace
+            ("sp2: | z=0", SpecError), ("so3:", SpecError),  # no atom, no zero block
+            ("gl2: | z=2", SpecError)]:
+        with pytest.raises(error) as info:
             parse_bundle_spec(bad)
+        assert type(info.value) is error, (bad, info.value)
+
+
+def test_the_model_rules_a_spec_before_its_rank():
+    # SL's degree rule is the model's, met as the bundle is built, before
+    # the spec's rank is compared; so is an odd Sp total rank
+    with pytest.raises(NotDegreeZero):
+        parse_bundle_spec("sl4: 1:1")
+    with pytest.raises(UnsupportedRank, match="Sp bundle rank must be even"):
+        parse_bundle_spec("sp6: 1:1 | z=1")
+    # the body's grammar is read before any of its values
+    with pytest.raises(SpecError, match="got 'x'"):
+        parse_bundle_spec("gl4: 3:0, x")
+    with pytest.raises(SpecError, match="rule zero-block"):
+        parse_bundle_spec("gl4: 3:0 | z=2")
+
+
+# each invalid cocharacter, as (family, rank, degrees): a spec's deg= list
+# and canon's --deg refuse it with one exit code and one message
+INVALID_COCHARACTERS = [("gl", 3, "1,2"), ("sl", 3, "1,1,1"), ("so", 2, "1")]
+
+
+@pytest.mark.parametrize("kind, rank, deg", INVALID_COCHARACTERS)
+def test_a_spec_and_a_flag_refuse_a_cocharacter_alike(capsys, kind, rank, deg):
+    answers = [run(capsys, "semistable", f"{kind}{rank}: deg={deg}"),
+               run(capsys, "canon", f"--family={kind}", f"--rank={rank}",
+                   f"--deg={deg}")]
+    assert [(code, out) for code, out, _ in answers] == [(2, ""), (2, "")]
+    spec, flag = (err.partition("validation error: ") for _, _, err in answers)
+    assert spec[0] == flag[0] == "" and spec[2] == flag[2] != ""
 
 
 def test_parse_serialize_round_trip():
@@ -955,7 +992,9 @@ def test_exit_codes(capsys):
         assert code4 == 2 and f"validation error: {option} " in err4
     code5, out5, err5 = run(capsys, "strata", "--family", "gl", "--rank", "2",
                             "--bound=-1")
-    assert code5 == 2 and out5 == "" and "validation error: --bound" in err5
+    # enumerate_strata refuses a negative bound; the CLI has no check of its own
+    assert (code5, out5, err5) == (
+        2, "", "validation error: bound must be nonnegative, got -1\n")
     code6, out6, err6 = run(capsys, "check", "--suite", "canon", "--cases=-2")
     assert code6 == 2 and out6 == "" and "validation error: --cases" in err6
 

@@ -6,10 +6,12 @@ argparse's own text is compared with what argparse writes on the
 running interpreter, and on 3.11, where it was recorded, with the record.
 """
 
+import json
 import sys
 
 import pytest
 
+import golden
 from golden import CASES, RECORDED_ON, argparse_answer, capture, expected
 
 
@@ -40,3 +42,22 @@ def test_usage_errors_are_compared_with_argparse():
         wanted = expected(case)
         assert wanted[0] == live
         assert len(wanted) == 1 + (sys.version_info[:2] == RECORDED_ON)
+
+
+def test_write_names_each_transcript_it_changes(tmp_path, monkeypatch, capsys):
+    # a stale transcript and an entry holding its argv alone are rewritten
+    # and named; a second write changes nothing and says so
+    stale = dict(CASES[0], stdout="stale\n")
+    fresh = {"argv": ["hn", "gl4: 3:0"]}
+    monkeypatch.setattr(golden, "DATA", tmp_path / "golden.json")
+    monkeypatch.setattr(golden, "CASES", [stale, CASES[1], fresh])
+    assert golden.main(["--write"]) == 0
+    assert capsys.readouterr().out == (
+        f"changed: {stale['argv']}\nchanged: {fresh['argv']}\n"
+        "2 golden transcripts changed\n")
+    written = json.loads(golden.DATA.read_text())
+    assert written == [capture(c["argv"]) for c in (stale, CASES[1], fresh)]
+    assert written[0] == CASES[0] and written[2]["code"] == 2
+    monkeypatch.setattr(golden, "CASES", written)
+    assert golden.main(["--write"]) == 0
+    assert capsys.readouterr().out == "0 golden transcripts changed\n"

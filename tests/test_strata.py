@@ -219,6 +219,15 @@ def test_enumerate_guards():
         enumerate_strata(GroupFamily("gl", 2), 5)
 
 
+def test_enumerate_refuses_a_negative_bound():
+    # [-bound, bound] is empty, which once gave an empty poset; the CLI's
+    # --bound meets this check, and no other
+    for family in (GroupFamily("gl", 2), GroupFamily("sp", 4), GroupFamily("gl", 5)):
+        for bound in (-1, -5):
+            with pytest.raises(ValueError, match=f"^bound must be nonnegative, got {bound}$"):
+                enumerate_strata(family, bound)
+
+
 # every family with a root system and cartan_dim <= 4
 LISTING_FAMILIES = ([GroupFamily(kind, r) for kind in ("gl", "sl") for r in range(1, 5)]
                     + [GroupFamily("sp", r) for r in (2, 4, 6, 8)]
