@@ -5,9 +5,11 @@ those invariants.  Plain bundles are multisets of atoms; an SL bundle is
 a plain bundle of total degree 0 (trivial determinant), a subtype that
 adds the constraint and no data, so every function of a plain bundle
 takes it as it is; Sp/SO bundles store the positive isotropic part and
-a slope-0 block, the mirror being implied.  The adjoint bundle of any
-of them is read off its atoms, one atom per atom product, with no root
-values: End E, less its trace line on SL, Sym^2 E on Sp, Lambda^2 E on SO.
+a slope-0 block, the mirror being implied.  Every bundle class names its
+family's kind, and _BUNDLE_OF_KIND maps a kind back to its class.  The
+adjoint of any of them is read off its atoms, one atom per atom product,
+with no root values: End E, less its trace line on SL, Sym^2 E on Sp,
+Lambda^2 E on SO.
 """
 
 from dataclasses import dataclass, field
@@ -55,6 +57,7 @@ class PlainBundle:
     """Finite nonempty multiset of atoms; its rank and degree are summed
     once, at construction."""
 
+    kind: ClassVar[str] = GL
     atoms: tuple
 
     def __post_init__(self):
@@ -75,25 +78,13 @@ class SlBundle(PlainBundle):
     """Plain bundle with trivial determinant (total degree zero).  It
     never equals the plain bundle of the same atoms."""
 
+    kind = SL
+
     def __post_init__(self):
         super().__post_init__()
         # an explicit raise, not assert, so that python -O keeps the check
         if self.degree != 0:
             raise NotDegreeZero("SL bundle must have total degree 0")
-
-
-def _check_positive(atoms):
-    atoms = _canon(atoms)
-    if any(a.degree <= 0 for a in atoms):
-        raise ValueError("positive part must consist of slope > 0 atoms")
-    return atoms
-
-
-def _check_zero(atoms):
-    atoms = _canon(atoms)
-    if any(a.degree != 0 for a in atoms):
-        raise ValueError("zero block must consist of degree-0 atoms")
-    return atoms
 
 
 @dataclass(frozen=True)
@@ -114,8 +105,12 @@ class IsotropicBundle:
     def __post_init__(self):
         if not hasattr(self, "kind"):
             raise TypeError("IsotropicBundle has no kind: build SpBundle or SoBundle")
-        object.__setattr__(self, "positive", _check_positive(self.positive))
-        object.__setattr__(self, "zero_part", _check_zero(self.zero_part))
+        object.__setattr__(self, "positive", _canon(self.positive))
+        if any(a.degree <= 0 for a in self.positive):
+            raise ValueError("positive part must consist of slope > 0 atoms")
+        object.__setattr__(self, "zero_part", _canon(self.zero_part))
+        if any(a.degree != 0 for a in self.zero_part):
+            raise ValueError("zero block must consist of degree-0 atoms")
         if not (self.positive or self.zero_part):
             raise ZeroBundle("bundle needs at least one atom")
         # not fields: ==, hash and repr read the atoms alone
@@ -145,9 +140,7 @@ class SoBundle(IsotropicBundle):
     kind = SO
 
 
-def isotropic_bundle(kind: str, positive, zero_part) -> IsotropicBundle:
-    """The Sp or SO bundle of the given family kind."""
-    return (SpBundle if kind == SP else SoBundle)(positive, zero_part)
+_BUNDLE_OF_KIND = {GL: PlainBundle, SL: SlBundle, SP: SpBundle, SO: SoBundle}
 
 
 _TAKES = {PlainBundle: "a plain or SL bundle", IsotropicBundle: "an Sp or SO bundle",
@@ -168,16 +161,16 @@ def bundle_from_degrees(family: GroupFamily, degrees):
     last entry negated, the image under the outer automorphism."""
     degrees = as_cocharacter(family, degrees)
     if family.kind in (GL, SL):
-        return (SlBundle if family.kind == SL else PlainBundle)(
-            tuple(Atom(d, 1) for d in degrees))
+        return _BUNDLE_OF_KIND[family.kind](tuple(Atom(d, 1) for d in degrees))
     positive = tuple(Atom(abs(d), 1) for d in degrees if d != 0)
     zeros = 2 * sum(1 for d in degrees if d == 0) + (family.cartan_type == B)
-    return isotropic_bundle(family.kind, positive, tuple([Atom(0, 1)] * zeros))
+    return _BUNDLE_OF_KIND[family.kind](positive, tuple([Atom(0, 1)] * zeros))
 
 
 def underlying(b) -> PlainBundle:
     """The plain bundle beneath any decorated kind: a plain bundle, an SL
     one included, is its own."""
+    _require(b, (PlainBundle, IsotropicBundle), "underlying")
     if isinstance(b, PlainBundle):
         return b
     mirror = tuple(Atom(-a.degree, a.rank) for a in b.positive)
@@ -205,9 +198,13 @@ def direct_sum(a: PlainBundle, b: PlainBundle) -> PlainBundle:
     return PlainBundle(xs + ys)
 
 
-def _flag_shape(family: GroupFamily, e, f):
-    """Check a flag reduction's shape; returns (d, r, fdeg, l) from
-    e = (total degree, total rank) and f = (subbundle degree, rank)."""
+def vertical_degree(family: GroupFamily, e, f) -> int:
+    """Degree of the vertical tangent bundle of the flag reduction.
+
+    e = (total degree, total rank) of the ambient bundle, f = (degree, rank)
+    of the subbundle (isotropic for Sp/SO).  Nonnegative exactly when the
+    slope test for semistability holds, positive when it holds strictly.
+    """
     d, r = e
     fdeg, l = f
     if r != family.r:
@@ -217,27 +214,12 @@ def _flag_shape(family: GroupFamily, e, f):
             raise NotDegreeZero("SL vertical degree needs ambient degree 0")
         if not 1 <= l < r:
             raise InvalidFlag(f"need 1 <= l < r, got l={l}, r={r}")
-        return d, r, fdeg, l
+        return -fdeg * r + d * l
     if d != 0:
         raise NotDegreeZero("Sp/SO vertical degree needs ambient degree 0")
     if not 1 <= l <= r // 2:
         raise InvalidFlag(f"need 1 <= l <= {r // 2}, got {l}")
-    return d, r, fdeg, l
-
-
-def vertical_degree(family: GroupFamily, e, f) -> int:
-    """Degree of the vertical tangent bundle of the flag reduction.
-
-    e = (total degree, total rank) of the ambient bundle, f = (degree, rank)
-    of the subbundle (isotropic for Sp/SO).  Nonnegative exactly when the
-    slope test for semistability holds, positive when it holds strictly.
-    """
-    d, r, fdeg, l = _flag_shape(family, e, f)
-    if family.kind in (GL, SL):
-        return -fdeg * r + d * l
-    if family.kind == SP:
-        return -fdeg * (r - l + 1)
-    return -fdeg * (r - l - 1)
+    return -fdeg * (r - l + 1 if family.kind == SP else r - l - 1)
 
 
 def is_semistable(b) -> bool:
@@ -246,6 +228,7 @@ def is_semistable(b) -> bool:
     Plain/SL: all atoms share one slope.  Sp/SO: the positive part is
     empty.  An SO bundle of total rank 2 is always semistable.
     """
+    _require(b, (PlainBundle, IsotropicBundle), "is_semistable")
     if isinstance(b, PlainBundle):
         d, r = b.atoms[0].degree, b.atoms[0].rank
         return all(a.degree * r == d * a.rank for a in b.atoms)
@@ -268,10 +251,10 @@ def adjoint(b) -> SoBundle:
     alpha(a) per root alpha, and torus_dim trivial atoms.  ad sl(1) = 0
     has no atom, and is refused with ZeroBundle.
     """
-    e = underlying(b)
+    e = underlying(_require(b, (PlainBundle, IsotropicBundle), "adjoint"))
     if isinstance(b, PlainBundle):
         atoms = list(tensor(dual(e), e).atoms)
-        if isinstance(b, SlBundle):
+        if b.kind == SL:
             # x* tensor x has degree 0, so there is a slope-0 atom
             i = next(i for i, x in enumerate(atoms) if x.degree == 0)
             k = atoms[i].rank

@@ -30,14 +30,13 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
-from .bundle import IsotropicBundle, PlainBundle, SlBundle, _require
+from .bundle import IsotropicBundle, PlainBundle, _require
 from .errors import FamilyMismatch, InvalidReduction, TooLarge
 from .hnfilt import hn_filtration, hn_filtration_isotropic
 from .parabolic import ParabolicIndex, _generator_terms, _two_rho_terms
-from .rootsys import (GL, SL, GroupFamily, _point, _simple_root_signs,
-                      as_cocharacter, dominant_representative, evaluate,
-                      positive_root_count, simple_root_count,
-                      weyl_orbit, weyl_orbit_size)
+from .rootsys import (GroupFamily, _point, _simple_root_signs, as_cocharacter,
+                      dominant_representative, evaluate, positive_root_count,
+                      simple_root_count, weyl_orbit, weyl_orbit_size)
 
 # The oracle's work, 2^count x ((count + 1) |W.a| + |Phi+|) with count the
 # number of simple roots: a pass over the orbit per term for each of the
@@ -144,13 +143,9 @@ _reduction_of_orbit = lru_cache(maxsize=256)(stratum_label)
 def hn_type(b) -> HNType:
     """Dominant slope vector of the HN filtration of b."""
     _require(b, (PlainBundle, IsotropicBundle), "hn_type")
-    if isinstance(b, IsotropicBundle):
-        family = GroupFamily(b.kind, b.rank)
-        quotients = hn_filtration_isotropic(b).quotients
-    else:
-        family = GroupFamily(SL if isinstance(b, SlBundle) else GL, b.rank)
-        quotients = hn_filtration(b).quotients
-    return hn_type_of_quotients(family, quotients)
+    family = GroupFamily(b.kind, b.rank)
+    filt = hn_filtration(b) if isinstance(b, PlainBundle) else hn_filtration_isotropic(b)
+    return hn_type_of_quotients(family, filt.quotients)
 
 
 def hn_type_of_quotients(family: GroupFamily, quotients) -> HNType:

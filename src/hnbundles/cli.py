@@ -34,8 +34,8 @@ from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .bundle import (Atom, PlainBundle, SlBundle, bundle_from_degrees,
-                     is_semistable, isotropic_bundle, vertical_degree)
+from .bundle import (_BUNDLE_OF_KIND, Atom, PlainBundle, bundle_from_degrees,
+                     is_semistable, vertical_degree)
 from .canon import (ad_degree, ad_degree_max_oracle, canonical_reduction,
                     check_bh, hn_type_of_quotients)
 from .errors import HnBundleError, InvariantBreach
@@ -99,8 +99,8 @@ def parse_bundle_spec(text: str) -> BundleSpec:
     if plain and zero is not None:
         raise SpecError("rule zero-block: only sp/so take a zero block")
     atoms = tuple(Atom(int(d), int(r)) for d, r in pairs)
-    b = (SlBundle if kind == SL else PlainBundle)(atoms) if plain \
-        else isotropic_bundle(kind, atoms, (Atom(0, zero),) if zero else ())
+    cls = _BUNDLE_OF_KIND[kind]
+    b = cls(atoms) if plain else cls(atoms, (Atom(0, zero),) if zero else ())
     if b.rank != rank:
         what = "atoms have rank" if plain else "total rank"
         raise SpecError(f"rule rank-match: {what} {b.rank}, spec says {rank}")

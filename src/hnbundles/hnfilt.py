@@ -52,12 +52,14 @@ class IsotropicFiltration:
         _require_decreasing(self.quotients)
         if self.quotients and self.quotients[-1].degree <= 0:
             raise ValueError("isotropic HN quotients must have positive slopes")
+        if any(a.degree != 0 for a in self.middle):
+            raise ValueError("isotropic HN middle must consist of degree-0 atoms")
 
 
 def scss(b):
     """Strongly contradicting semistability subobject: the maximal-slope
     atoms of underlying(b), for a bundle of any kind of the model."""
-    atoms = underlying(b).atoms
+    atoms = underlying(_require(b, (PlainBundle, IsotropicBundle), "scss")).atoms
     top = max(a.slope for a in atoms)
     return tuple(a for a in atoms if a.slope == top)
 
@@ -98,6 +100,9 @@ def hn_filtration_isotropic(b: IsotropicBundle) -> IsotropicFiltration:
 def extend_with_perps(f: IsotropicFiltration) -> Filtration:
     """Complete an isotropic filtration by the co-isotropic perps: the
     result is the plain HN filtration of the underlying bundle."""
+    if not isinstance(f, IsotropicFiltration):
+        raise TypeError("extend_with_perps takes an isotropic filtration, "
+                        f"got {type(f).__name__}")
     quotients = list(f.quotients)
     if sum(a.rank for a in f.middle):
         quotients.append(PlainBundle(f.middle))

@@ -25,10 +25,10 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
 
-from hnbundles.bundle import (Atom, PlainBundle, SoBundle, _flag_shape,
-                              is_semistable, tensor)
+from hnbundles.bundle import Atom, PlainBundle, SoBundle, is_semistable, tensor
 from hnbundles.canon import CACHED_DIM, _positive_index, bh_conditions
-from hnbundles.errors import HnBundleError, NotACharacter, TooLarge
+from hnbundles.errors import (HnBundleError, NotACharacter, TooLarge,
+                              UnsupportedRank)
 from hnbundles.lattice import FinAbGroup
 from hnbundles.rootsys import (A, B, C, D, GL, SL, SP, GroupFamily, _point,
                                as_cocharacter, dominant_representative,
@@ -707,8 +707,13 @@ def hn_winners_by_partitions(atoms):
 def vertical_degree_composite(family, e, f):
     """vertical_degree through the determinant-line route: on GL/SL,
     deg(F* tensor E/F); on Sp, deg(F* tensor F_perp/F) plus the
-    det(F*)^(l+1) twist; on SO, the same with twist exponent l-1."""
-    d, r, fdeg, l = _flag_shape(family, e, f)
+    det(F*)^(l+1) twist; on SO, the same with twist exponent l-1.  It
+    checks the ambient rank alone: the rest of the flag's shape is the
+    fast path's to refuse."""
+    d, r = e
+    fdeg, l = f
+    if r != family.r:
+        raise UnsupportedRank(f"E has rank {r}, {family} needs {family.r}")
     if family.kind in (GL, SL):
         fs = PlainBundle((Atom(-fdeg, l),))
         quot = PlainBundle((Atom(d - fdeg, r - l),))

@@ -7,16 +7,18 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from hnbundles.bundle import (Atom, IsotropicBundle, PlainBundle, SlBundle,
-                              SoBundle, SpBundle, adjoint, bundle_from_degrees,
-                              direct_sum, dual, is_semistable,
-                              isotropic_bundle, tensor, underlying,
+from hnbundles.bundle import (_BUNDLE_OF_KIND, Atom, IsotropicBundle,
+                              PlainBundle, SlBundle, SoBundle, SpBundle,
+                              adjoint, bundle_from_degrees, direct_sum, dual,
+                              is_semistable, tensor, underlying,
                               vertical_degree)
 from hnbundles.canon import hn_type
+from hnbundles.cli import parse_bundle_spec
 from hnbundles.errors import (InvalidFlag, NotDegreeZero, NotIntegral,
                               UnsupportedRank, ZeroBundle)
-from hnbundles.hnfilt import hn_filtration, hn_filtration_isotropic
-from hnbundles.rootsys import GroupFamily
+from hnbundles.hnfilt import (extend_with_perps, hn_filtration,
+                              hn_filtration_isotropic, scss)
+from hnbundles.rootsys import KINDS, GroupFamily
 from oracles import adjoint_bundle_oracle, vertical_degree_composite
 from test_cli import _run_optimized
 
@@ -37,8 +39,8 @@ def test_empty_bundle_rejected():
         PlainBundle(())
     # rank 0 on Sp and SO too: no positive part and no zero block
     for build in (lambda: SpBundle((), ()), lambda: SoBundle((), ()),
-                  lambda: isotropic_bundle("sp", (), ()),
-                  lambda: isotropic_bundle("so", (), ())):
+                  lambda: _BUNDLE_OF_KIND["sp"]((), ()),
+                  lambda: _BUNDLE_OF_KIND["so"]((), ())):
         with pytest.raises(ZeroBundle, match="at least one atom"):
             build()
 
@@ -208,11 +210,22 @@ def test_isotropic_bundles_share_one_shape():
     assert isinstance(sp, IsotropicBundle) and isinstance(so, IsotropicBundle)
     assert (sp.kind, so.kind) == ("sp", "so") and sp != so
     assert sp.rank == so.rank == 4 and underlying(sp) == underlying(so)
-    assert isotropic_bundle("sp", pos, zero) == sp
-    assert isotropic_bundle("so", pos, zero) == so
+    assert _BUNDLE_OF_KIND["sp"](pos, zero) == sp
+    assert _BUNDLE_OF_KIND["so"](pos, zero) == so
     with pytest.raises(UnsupportedRank):
         SpBundle(pos, (Atom(0, 1),))
     assert SoBundle(pos, (Atom(0, 1),)).rank == 3
+    # every bundle names its kind, and its class, its family and a parsed
+    # spec agree on it: one bundle and one spec of each kind
+    examples = {"gl": (PlainBundle((Atom(1, 1), Atom(0, 2))), "gl3: 1:1, 0:2"),
+                "sl": (SlBundle((Atom(1, 1), Atom(-1, 1))), "sl2: deg=1,-1"),
+                "sp": (sp, "sp4: 1:1 | z=2"),
+                "so": (so, "so3: deg=1")}
+    assert tuple(examples) == KINDS
+    for kind, (b, spec) in examples.items():
+        assert b.kind == kind and type(b) is _BUNDLE_OF_KIND[b.kind]
+        assert hn_type(b).family is GroupFamily(b.kind, b.rank)
+        assert parse_bundle_spec(spec).bundle.kind == kind
 
 
 def split_adjoint(family, a):
@@ -443,8 +456,12 @@ WRONG_KINDS = (
     + [(hn_filtration_isotropic, (w,),
         f"hn_filtration_isotropic takes an Sp or SO bundle, got {type(w).__name__}")
        for w in (_PLAIN, _SL, _ATOM)]
-    + [(hn_type, (w,), f"hn_type takes a plain, SL, Sp or SO bundle, got {type(w).__name__}")
-       for w in (_ATOM, (_ATOM,))])
+    + [(fn, (w,), f"{fn.__name__} takes a plain, SL, Sp or SO bundle, got {type(w).__name__}")
+       for w in (_ATOM, (_ATOM,))
+       for fn in (hn_type, is_semistable, underlying, adjoint, scss)]
+    + [(extend_with_perps, (w,),
+        f"extend_with_perps takes an isotropic filtration, got {type(w).__name__}")
+       for w in (hn_filtration(_PLAIN), _SP)])
 
 
 @pytest.mark.parametrize("fn, args, message", WRONG_KINDS,

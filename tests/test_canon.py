@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from hnbundles import canon, rootsys
-from hnbundles.bundle import (Atom, PlainBundle, SlBundle, SoBundle, SpBundle,
-                              adjoint, bundle_from_degrees, is_semistable,
-                              isotropic_bundle, vertical_degree)
+from hnbundles.bundle import (_BUNDLE_OF_KIND, Atom, PlainBundle, SlBundle,
+                              SoBundle, SpBundle, adjoint, bundle_from_degrees,
+                              is_semistable, vertical_degree)
 from hnbundles.canon import (ORACLE_WORK_GUARD, CanonicalReduction, HNType,
                              _oracle_of_orbit, _reduction_of_orbit, ad_degree,
                              ad_degree_max_oracle, bh_conditions,
@@ -766,7 +766,7 @@ def atom_bundles(draw):
         z -= z % 2
     one_atom = draw(st.booleans())
     zero = () if not z else (Atom(0, z),) if one_atom else (Atom(0, 1),) * z
-    b = isotropic_bundle(kind, tuple(atoms), zero)
+    b = _BUNDLE_OF_KIND[kind](tuple(atoms), zero)
     assume(b.rank >= 3)
     return b
 

@@ -242,3 +242,15 @@ def test_filtrations_reject_bad_slopes():
     with pytest.raises(ValueError, match="positive slopes"):
         IsotropicFiltration((half, PlainBundle((Atom(0, 3),))), ())
     assert Filtration((half, third)).slopes == (Fraction(1, 2), Fraction(1, 3))
+
+
+def test_an_isotropic_middle_has_degree_zero():
+    # a middle atom of slope 1 would complete to slopes (2, 1, -2), the
+    # HN filtration of no bundle with that positive part
+    high = PlainBundle((Atom(2, 1),))
+    for middle in ((Atom(1, 1),), (Atom(0, 2), Atom(-1, 1))):
+        with pytest.raises(ValueError, match="^isotropic HN middle must "
+                           "consist of degree-0 atoms$"):
+            IsotropicFiltration((high,), middle)
+    f = IsotropicFiltration((high,), (Atom(0, 1),))
+    assert extend_with_perps(f).slopes == (2, 0, -2)

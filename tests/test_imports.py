@@ -172,6 +172,22 @@ def test_parabolic_reads_no_kind():
     assert kind_sites((ROOT / "src" / "hnbundles" / "parabolic.py").read_text()) == []
 
 
+# the bundle classes of one kind each: a bundle names its kind, and
+# bundle._BUNDLE_OF_KIND maps a kind to its class, so no other module picks
+# the class by the kind or the kind by the class
+KIND_CLASSES = {"SlBundle", "SpBundle", "SoBundle"}
+# __init__ re-exports them, and the hn suite of oracles builds an SpBundle
+# as its input
+KIND_CLASS_READERS = {"bundle.py", "__init__.py", "oracles.py"}
+
+
+@pytest.mark.parametrize("path", [p for p in sorted((ROOT / "src" / "hnbundles").glob("*.py"))
+                                  if p.name not in KIND_CLASS_READERS],
+                         ids=lambda p: p.name)
+def test_only_the_bundle_model_names_a_kind_class(path):
+    assert names_used(path.read_text()) & KIND_CLASSES == set()
+
+
 # the names math may lend production code: integer functions only
 MATH_NAMES = {"comb", "gcd", "lcm"}
 
