@@ -14,13 +14,19 @@ from .errors import UnsupportedRank
 from .rootsys import SO
 
 
-def _require_decreasing(quotients):
+def _check_quotients(f):
+    """The HN quotient rule both filtrations keep: plain (or SL) quotients,
+    semistable, of strictly decreasing slopes."""
     # explicit raises, not assert, so that python -O keeps the checks
-    pairs = [(q.degree, q.rank) for q in quotients]
+    for q in f.quotients:
+        _require(q, PlainBundle, type(f).__name__)
+    pairs = [(q.degree, q.rank) for q in f.quotients]
     if any(d * s <= c * r for (d, r), (c, s) in zip(pairs, pairs[1:])):
-        slopes = [q.slope for q in quotients]
+        slopes = [q.slope for q in f.quotients]
         raise ValueError(f"HN slopes ({', '.join(map(str, slopes))}) are not "
                          "strictly decreasing")
+    if not all(is_semistable(q) for q in f.quotients):
+        raise ValueError("HN quotients must be semistable")
 
 
 @dataclass(frozen=True)
@@ -30,9 +36,7 @@ class Filtration:
     quotients: tuple
 
     def __post_init__(self):
-        _require_decreasing(self.quotients)
-        if not all(is_semistable(q) for q in self.quotients):
-            raise ValueError("HN quotients must be semistable")
+        _check_quotients(self)
 
     @property
     def slopes(self):
@@ -41,15 +45,15 @@ class Filtration:
 
 @dataclass(frozen=True)
 class IsotropicFiltration:
-    """Isotropic quotients of positive decreasing slopes plus a slope-0
-    middle; rank_flag marks the SO-even isotropic rank n-1 case."""
+    """Isotropic quotients under Filtration's rule, of positive slopes, plus
+    a slope-0 middle; rank_flag marks the SO-even isotropic rank n-1 case."""
 
     quotients: tuple
     middle: tuple
     rank_flag: bool = False
 
     def __post_init__(self):
-        _require_decreasing(self.quotients)
+        _check_quotients(self)
         if self.quotients and self.quotients[-1].degree <= 0:
             raise ValueError("isotropic HN quotients must have positive slopes")
         if any(a.degree != 0 for a in self.middle):
@@ -60,8 +64,7 @@ def scss(b):
     """Strongly contradicting semistability subobject: the maximal-slope
     atoms of underlying(b), for a bundle of any kind of the model."""
     atoms = underlying(_require(b, (PlainBundle, IsotropicBundle), "scss")).atoms
-    top = max(a.slope for a in atoms)
-    return tuple(a for a in atoms if a.slope == top)
+    return _group_by_slope(atoms)[0].atoms
 
 
 def _group_by_slope(atoms):

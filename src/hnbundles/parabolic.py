@@ -100,25 +100,15 @@ def parabolic_from_flag(family: GroupFamily, flag_ranks) -> ParabolicIndex:
     ranks = list(flag_ranks)
     if ranks != sorted(set(ranks)) or any(l < 1 for l in ranks):
         raise InvalidFlag(f"flag ranks must be strictly increasing positive: {ranks}")
-    members = set()
+    n = family.cartan_dim
     if family.cartan_type == A:
         if any(l >= family.r for l in ranks):
             raise InvalidFlag(f"GL/SL flag ranks must be < {family.r}")
-        members.update(l - 1 for l in ranks)
-        return ParabolicIndex(family, frozenset(members))
-    n = family.cartan_dim
-    if any(l > n for l in ranks):
+    elif any(l > n for l in ranks):
         raise InvalidFlag(f"isotropic ranks must be <= {n}")
-    for l in ranks:
-        if family.cartan_type != D:
-            members.add(l - 1)
-        elif l == n - 1:
-            members.update({n - 2, n - 1})
-        elif l == n:
-            members.add(n - 1)
-        else:
-            members.add(l - 1)
-    return ParabolicIndex(family, frozenset(members))
+    # on D_n the rank n-1 flag is stabilized by both fork roots
+    fork = {n - 1} if family.cartan_type == D and n - 1 in ranks else set()
+    return ParabolicIndex(family, {l - 1 for l in ranks} | fork)
 
 
 @lru_cache(maxsize=128)

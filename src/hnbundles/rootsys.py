@@ -114,11 +114,7 @@ class GroupFamily(metaclass=_Interned):
     @property
     def torus_dim(self) -> int:
         """Dimension of the maximal torus (Cartan subgroup)."""
-        if self.kind == GL:
-            return self.r
-        if self.kind == SL:
-            return self.r - 1
-        return self.r // 2
+        return self.cartan_dim - (self.kind == SL)
 
 
 def evaluate(functional, v):

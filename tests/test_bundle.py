@@ -16,7 +16,8 @@ from hnbundles.canon import hn_type
 from hnbundles.cli import parse_bundle_spec
 from hnbundles.errors import (InvalidFlag, NotDegreeZero, NotIntegral,
                               UnsupportedRank, ZeroBundle)
-from hnbundles.hnfilt import (extend_with_perps, hn_filtration,
+from hnbundles.hnfilt import (Filtration, IsotropicFiltration,
+                              extend_with_perps, hn_filtration,
                               hn_filtration_isotropic, scss)
 from hnbundles.rootsys import KINDS, GroupFamily
 from oracles import adjoint_bundle_oracle, vertical_degree_composite
@@ -452,7 +453,8 @@ WRONG_KINDS = (
      for w in (_SP, _SO, _ATOM)
      for fn, args in ((hn_filtration, (w,)), (dual, (w,)),
                       (tensor, (w, _PLAIN)), (tensor, (_PLAIN, w)),
-                      (direct_sum, (w, _SL)), (direct_sum, (_SL, w)))]
+                      (direct_sum, (w, _SL)), (direct_sum, (_SL, w)),
+                      (Filtration, ((w,),)), (IsotropicFiltration, ((w,), ())))]
     + [(hn_filtration_isotropic, (w,),
         f"hn_filtration_isotropic takes an Sp or SO bundle, got {type(w).__name__}")
        for w in (_PLAIN, _SL, _ATOM)]

@@ -1,7 +1,7 @@
 import random
 from dataclasses import fields, replace
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,9 +18,10 @@ from hnbundles.canon import (ORACLE_WORK_GUARD, CanonicalReduction, HNType,
 from hnbundles.errors import (FamilyMismatch, InvalidReduction,
                               NotInKernelLattice, NotIntegral, TooLarge,
                               ZeroBundle)
+from hnbundles.hnfilt import hn_filtration, hn_filtration_isotropic
 from hnbundles.lattice import levi_topological_type, topological_type
 from hnbundles.parabolic import (ParabolicIndex, _levi_positive_count,
-                                 _two_rho_terms)
+                                 _two_rho_terms, parabolic_from_flag)
 from hnbundles.rootsys import (GroupFamily, as_cocharacter,
                                dominant_representative, evaluate,
                                positive_root_count, weyl_orbit,
@@ -791,6 +792,21 @@ def test_the_adjoint_bundle_witnesses_the_reduction_at_rational_types(b):
     assert positive_rank == count - levi
     assert sum(a.degree for a in ad.positive) == ad_degree(family, index, mu.mu)
     assert positive_rank + ad.zero_rank == count + levi + family.torus_dim
+
+
+@settings(max_examples=500, deadline=None)
+@given(atom_bundles())
+def test_the_parabolic_of_the_hn_flag_is_the_canonical_reduction(b):
+    # Atiyah-Bott: the stabilizer of the HN flag is the canonical parabolic.
+    # The flag's subbundle ranks are the cumulative quotient ranks: all but
+    # the whole bundle on GL/SL, every isotropic step on Sp/SO.
+    mu = hn_type(b)
+    if isinstance(b, PlainBundle):
+        quotients = hn_filtration(b).quotients[:-1]
+    else:
+        quotients = hn_filtration_isotropic(b).quotients
+    ranks = list(accumulate(q.rank for q in quotients))
+    assert parabolic_from_flag(mu.family, ranks) == CanonicalReduction(mu).index
 
 
 def test_vertical_degree_consistency():

@@ -226,6 +226,8 @@ def test_filtrations_reject_bad_slopes():
         Filtration((high, high))
     with pytest.raises(ValueError, match="semistable"):
         Filtration((PlainBundle((Atom(1, 1), Atom(0, 1))),))
+    with pytest.raises(ValueError, match="^HN quotients must be semistable$"):
+        IsotropicFiltration((PlainBundle((Atom(3, 1), Atom(1, 1))),), ())
     with pytest.raises(ValueError, match="not strictly decreasing"):
         IsotropicFiltration((PlainBundle((Atom(1, 1),)), high), ())
     with pytest.raises(ValueError, match="positive slopes"):

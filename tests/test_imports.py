@@ -168,6 +168,34 @@ def test_only_group_family_refuses_so2():
     assert sites == [("rootsys.py", True)]
 
 
+# the HN quotient rule that Filtration and IsotropicFiltration both keep,
+# by its two messages: a second copy of the rule drifts from the first
+QUOTIENT_RULE = ("are not strictly decreasing", "HN quotients must be semistable")
+
+
+def message_count(source, message):
+    """String constants of the source that hold message.  The parser joins
+    adjacent literals, so a message split across lines counts once."""
+    return sum(isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and message in node.value for node in ast.walk(ast.parse(source)))
+
+
+def test_the_scan_counts_a_split_message_once():
+    source = ('raise E(f"slopes ({s}) are not "\n'
+              '        "strictly decreasing")\n'
+              'x = "are not strictly decreasing"\n')
+    assert message_count(source, "are not strictly decreasing") == 2
+
+
+def test_the_hn_quotient_rule_lives_in_one_place():
+    sources = {p.name: p.read_text()
+               for p in sorted((ROOT / "src" / "hnbundles").glob("*.py"))}
+    for message in QUOTIENT_RULE:
+        assert [name for name, source in sources.items()
+                for _ in range(message_count(source, message))] == ["hnfilt.py"]
+    assert not any("_require_decreasing" in s for s in sources.values())
+
+
 def test_parabolic_reads_no_kind():
     assert kind_sites((ROOT / "src" / "hnbundles" / "parabolic.py").read_text()) == []
 

@@ -28,6 +28,8 @@ def test_flag_examples():
     assert parabolic_from_flag(GroupFamily("gl", 4), [2]).members == {1}
     assert parabolic_from_flag(GroupFamily("sp", 4), [2]).members == {1}
     assert parabolic_from_flag(GroupFamily("so", 8), [3]).members == {2, 3}
+    assert parabolic_from_flag(GroupFamily("so", 8), [3, 4]).members == {2, 3}
+    assert parabolic_from_flag(GroupFamily("so", 8), [4]).members == {3}
 
 
 def test_flag_errors():
