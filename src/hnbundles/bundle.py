@@ -217,8 +217,8 @@ def vertical_degree(family: GroupFamily, e, f) -> int:
         return -fdeg * r + d * l
     if d != 0:
         raise NotDegreeZero("Sp/SO vertical degree needs ambient degree 0")
-    if not 1 <= l <= r // 2:
-        raise InvalidFlag(f"need 1 <= l <= {r // 2}, got {l}")
+    if not 1 <= l <= family.cartan_dim:
+        raise InvalidFlag(f"need 1 <= l <= {family.cartan_dim}, got {l}")
     return -fdeg * (r - l + 1 if family.kind == SP else r - l - 1)
 
 

@@ -95,7 +95,8 @@ class CanonicalReduction:
     index: ParabolicIndex = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "index", _positive_index(self.family, self.mu.signs))
+        object.__setattr__(self, "index", ParabolicIndex(
+            self.family, {i for i, x in enumerate(self.mu.signs) if x > 0}))
 
     @property
     def family(self) -> GroupFamily:
@@ -108,11 +109,6 @@ class CanonicalReduction:
         its answer, and a reduction at a Fraction point keeps its own."""
         levi_ss, degrees = bh_conditions(self.family, self.index, self.mu.mu)
         return levi_ss, tuple(degrees)
-
-
-def _positive_index(family: GroupFamily, signs) -> ParabolicIndex:
-    """The index of the simple roots whose sign in signs is positive."""
-    return ParabolicIndex(family, frozenset(i for i, x in enumerate(signs) if x > 0))
 
 
 def canonical_reduction(family: GroupFamily, a) -> CanonicalReduction:
@@ -294,11 +290,9 @@ def _packed_orbit(family: GroupFamily, dominant):
     # over the guard is refused whatever its value, so it stops there
     size = 1 if (count + 1 + roots) << count > ORACLE_WORK_GUARD else \
         weyl_orbit_size(family, dominant, limit=ORACLE_WORK_GUARD)
-    if ((count + 1) * size + roots) << count > ORACLE_WORK_GUARD:
-        raise TooLarge("enumeration guard exceeded")
-    bound = max(1, 2 * roots) * max(map(abs, dominant))
     half = 1 << _WIDTH - 1
-    if bound >= half:
+    if ((count + 1) * size + roots) << count > ORACLE_WORK_GUARD or \
+            max(1, 2 * roots) * max(map(abs, dominant)) >= half:
         raise TooLarge("enumeration guard exceeded")
     orbit = weyl_orbit(family, dominant)
     ones = int.from_bytes(array("q", [1]) * len(orbit), sys.byteorder)

@@ -10,8 +10,7 @@ from functools import cmp_to_key
 
 from .bundle import (IsotropicBundle, PlainBundle, _require, dual, is_semistable,
                      underlying)
-from .errors import UnsupportedRank
-from .rootsys import SO
+from .rootsys import D, GroupFamily
 
 
 def _check_quotients(f):
@@ -87,16 +86,15 @@ def hn_filtration(b) -> Filtration:
 def hn_filtration_isotropic(b: IsotropicBundle) -> IsotropicFiltration:
     """Isotropic HN filtration of a symplectic or special-orthogonal bundle.
 
-    rank_flag is set for SO of even total rank when the isotropic part
-    has rank n-1; the associated parabolic then carries both special
-    simple roots.
+    rank_flag is set on type D_n when the isotropic part has rank n-1; the
+    associated parabolic then carries both special simple roots.  The
+    family is GroupFamily's, which refuses SO below rank 3.
     """
     _require(b, IsotropicBundle, "hn_filtration_isotropic")
-    if b.kind == SO and b.rank < 3:
-        raise UnsupportedRank("SO filtration needs total rank >= 3")
+    family = GroupFamily(b.kind, b.rank)
     quotients = _group_by_slope(b.positive)
     iso_rank = sum(q.rank for q in quotients)
-    flag = b.kind == SO and b.rank % 2 == 0 and iso_rank == b.rank // 2 - 1
+    flag = family.cartan_type == D and iso_rank == family.cartan_dim - 1
     return IsotropicFiltration(quotients, b.zero_part, flag)
 
 

@@ -32,9 +32,12 @@ class FinAbGroup:
     torsion: tuple
 
     def __post_init__(self):
-        # explicit raises, not assert, so that python -O keeps the checks
-        if any(d < 2 for d in self.torsion):
-            raise ValueError(f"invariant factors {self.torsion} must be >= 2")
+        # explicit raises, not assert, so that python -O keeps the checks;
+        # exactly int, like Atom: True and 2.0 would describe as Z and Z/2.0
+        if type(self.free_rank) is not int or self.free_rank < 0:
+            raise ValueError(f"free rank must be a nonnegative int, got {self.free_rank!r}")
+        if any(type(d) is not int or d < 2 for d in self.torsion):
+            raise ValueError(f"invariant factors {self.torsion} must be ints >= 2")
         if any(y % x for x, y in zip(self.torsion, self.torsion[1:])):
             raise ValueError(f"invariant factors {self.torsion} must divide "
                              "each other in order")

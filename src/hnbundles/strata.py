@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement
 from operator import ge, le
 
 from .canon import CanonicalReduction, stratum_label
-from .errors import FamilyMismatch, TooLarge
+from .errors import TooLarge
 from .parabolic import parabolic_leq
 from .rootsys import A, D, GL, GroupFamily, _order_key, dominant_representative
 
@@ -63,11 +63,8 @@ def stratum_leq(a: CanonicalReduction, b: CanonicalReduction) -> bool:
     and the type of a lies in the orbit hull of the type of b.  The
     semistable label of a topological type ends up below every label of
     that type under this orientation."""
-    if a.family != b.family:
-        raise FamilyMismatch("labels of different families")
-    if not parabolic_leq(b.index, a.index):
-        return False
-    return hull_membership(a.family, b.mu.mu, a.mu.mu)
+    return parabolic_leq(b.index, a.index) and \
+        hull_membership(a.family, b.mu.mu, a.mu.mu)
 
 
 @dataclass(frozen=True)

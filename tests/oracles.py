@@ -3,7 +3,7 @@ replaced, kept as independent oracles for the tests: the root table
 (simple roots, positive roots, all roots, the root test, the coroots),
 the closed-form simple-root values that the comparison of coordinates
 replaced, the dominance test and the forced index of a dominant vector,
-which production reads off the signs an HNType keeps, the adjoint bundle
+both read off those values and not off the signs, the adjoint bundle
 read off the root table root by root, the rational solve and the
 Hermite-reduced integer row kernel, the root table of supports
 and the Levi/nilradical root split read off it (the oracle for 2rho_P,
@@ -26,14 +26,14 @@ from itertools import combinations, product
 from math import gcd
 
 from hnbundles.bundle import Atom, PlainBundle, SoBundle, is_semistable, tensor
-from hnbundles.canon import CACHED_DIM, _positive_index, bh_conditions
+from hnbundles.canon import CACHED_DIM, bh_conditions
 from hnbundles.errors import (HnBundleError, NotACharacter, TooLarge,
                               UnsupportedRank)
 from hnbundles.lattice import FinAbGroup
+from hnbundles.parabolic import ParabolicIndex
 from hnbundles.rootsys import (A, B, C, D, GL, SL, SP, GroupFamily, _point,
                                as_cocharacter, dominant_representative,
-                               _simple_root_signs, evaluate,
-                               positive_root_count, root_name,
+                               evaluate, positive_root_count, root_name,
                                simple_root_coordinates)
 from hnbundles.strata import (ENUM_BOUND_GUARD, ENUM_DIM_GUARD, StrataPoset,
                               stratum_label, stratum_leq)
@@ -82,13 +82,14 @@ def simple_root_values(family: GroupFamily, v):
 def is_dominant(family: GroupFamily, v) -> bool:
     """Whether v lies in the closed dominant chamber: no simple-root pairing
     of it is negative."""
-    return -1 not in _simple_root_signs(family, v)
+    return all(x >= 0 for x in simple_root_values(family, v))
 
 
 def forced_index(family: GroupFamily, mu):
     """The parabolic index a dominant vector determines: the simple roots
     taking a positive value on it."""
-    return _positive_index(family, _simple_root_signs(family, mu))
+    values = simple_root_values(family, mu)
+    return ParabolicIndex(family, {i for i, x in enumerate(values) if x > 0})
 
 
 def positive_roots(family: GroupFamily):

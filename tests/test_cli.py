@@ -668,6 +668,7 @@ calls = [
     lambda: Filtration((low, high)),
     lambda: IsotropicFiltration((high, low), ()),
     lambda: FinAbGroup(0, (3, 2)),
+    lambda: FinAbGroup(True, ()),
     # True and 1.0 equal 1, but are no ints
     lambda: Atom(True, 1),
     lambda: ParabolicIndex(gl3, {1.0}),
@@ -691,7 +692,7 @@ print(ad_degree(gl3, ParabolicIndex(gl3, {0}), (1, 0, 0)))
 def test_constructor_checks_survive_optimize():
     proc = _run_optimized(CONSTRUCTOR_CHECKS)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["ValueError"] * 5 + [
+    assert proc.stdout.splitlines() == ["ValueError"] * 6 + [
         "parabolic index members must be ints, got 1.0",
         "parabolic index members must be ints, got True",
         "parabolic index out of range", "2"]

@@ -98,6 +98,10 @@ def parity_sites(source):
     return sorted(walk(ast.parse(source)))
 
 
+# the family kinds, as rootsys names them
+KIND_CONSTANTS = {"GL", "SL", "SP", "SO"}
+
+
 def kind_sites(source):
     """Lines that read an attribute named kind or import a family kind."""
     lines = set()
@@ -105,7 +109,7 @@ def kind_sites(source):
         if isinstance(node, ast.Attribute) and node.attr == "kind":
             lines.add(node.lineno)
         elif isinstance(node, ast.ImportFrom) and any(
-                alias.name in ("GL", "SL", "SP", "SO") for alias in node.names):
+                alias.name in KIND_CONSTANTS for alias in node.names):
             lines.add(node.lineno)
     return sorted(lines)
 
@@ -198,6 +202,52 @@ def test_the_hn_quotient_rule_lives_in_one_place():
 
 def test_parabolic_reads_no_kind():
     assert kind_sites((ROOT / "src" / "hnbundles" / "parabolic.py").read_text()) == []
+
+
+def test_the_scan_finds_a_planted_kind_constant():
+    source = ("from .rootsys import D, SO as so, GroupFamily\n"
+              "from . import rootsys\n"
+              "flag = b.kind == rootsys.GL or family.cartan_type == D\n")
+    assert names_used(source) & KIND_CONSTANTS == {"SO", "GL"}
+
+
+def test_hnfilt_reads_the_kind_through_its_family():
+    # hn_filtration_isotropic builds GroupFamily(b.kind, b.rank) and reads
+    # its Cartan type and dimension, so that the family alone decides its
+    # root system and refuses SO below rank 3
+    source = (ROOT / "src" / "hnbundles" / "hnfilt.py").read_text()
+    assert names_used(source) & KIND_CONSTANTS == set()
+
+
+# the test oracles of dominance and of the forced index, and the sign fast
+# path they check: the simple-root signs, which an HNType keeps, and the
+# index a CanonicalReduction reads off them
+SIGN_ORACLES = {"is_dominant", "forced_index"}
+SIGN_FAST_PATHS = {"_simple_root_signs", "signs", "HNType", "CanonicalReduction",
+                   "stratum_label", "canonical_reduction"}
+
+
+def test_the_scan_finds_a_planted_sign_fast_path():
+    source = ("from hnbundles.rootsys import _simple_root_signs as s\n"
+              "def is_dominant(family, v):\n"
+              "    return -1 not in HNType(family, v).signs\n"
+              "def forced_index(family, mu):\n"
+              "    return canon.stratum_label(family, mu).index\n")
+    assert "_simple_root_signs" in names_used(source)
+    found = function_names(source, SIGN_ORACLES)
+    assert {name: found[name] & SIGN_FAST_PATHS for name in SIGN_ORACLES} == {
+        "is_dominant": {"HNType", "signs"}, "forced_index": {"stratum_label"}}
+
+
+def test_the_test_oracles_read_no_sign_fast_path():
+    # is_dominant and forced_index read simple_root_values, the closed form
+    # the comparison of coordinates replaced, so that the fast path they
+    # check is not its own oracle
+    source = (ROOT / "tests" / "oracles.py").read_text()
+    assert "_simple_root_signs" not in names_used(source)
+    found = function_names(source, SIGN_ORACLES)
+    assert {name: found[name] & SIGN_FAST_PATHS for name in SIGN_ORACLES} == \
+        dict.fromkeys(SIGN_ORACLES, set())
 
 
 # the bundle classes of one kind each: a bundle names its kind, and

@@ -46,6 +46,13 @@ def test_fin_ab_group_rejects_bad_factors():
         FinAbGroup(0, (3, 2))
     with pytest.raises(ValueError, match=">= 2"):
         FinAbGroup(1, (1,))
+    # exact ints, like Atom: these would describe themselves as 1, Z and Z/2.0
+    with pytest.raises(ValueError, match="^free rank must be a nonnegative int, got -1$"):
+        FinAbGroup(-1, ())
+    with pytest.raises(ValueError, match="^free rank must be a nonnegative int, got True$"):
+        FinAbGroup(True, ())
+    with pytest.raises(ValueError, match=r"^invariant factors \(2\.0,\) must be ints >= 2$"):
+        FinAbGroup(0, (2.0,))
 
 
 def _contains(lattice, v):
