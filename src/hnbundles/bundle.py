@@ -5,8 +5,8 @@ those invariants.  Plain bundles are multisets of atoms; an SL bundle is
 a plain bundle of total degree 0 (trivial determinant), a subtype that
 adds the constraint and no data, so every function of a plain bundle
 takes it as it is; Sp/SO bundles store the positive isotropic part and
-a slope-0 block, the mirror being implied.  Every bundle class names its
-family's kind, and _BUNDLE_OF_KIND maps a kind back to its class.  The
+a slope-0 block, the mirror being implied.  Every bundle names its kind,
+which _BUNDLE_OF_KIND maps back to its class, and its family.  The
 adjoint of any of them is read off its atoms, one atom per atom product,
 with no root values: End E, less its trace line on SL, Sym^2 E on Sp,
 Lambda^2 E on SO.
@@ -72,6 +72,11 @@ class PlainBundle:
     def slope(self) -> Fraction:
         return Fraction(self.degree, self.rank)
 
+    @property
+    def family(self) -> GroupFamily:
+        """GroupFamily(kind, rank), interned; SO below rank 3 raises."""
+        return GroupFamily(self.kind, self.rank)
+
 
 @dataclass(frozen=True)
 class SlBundle(PlainBundle):
@@ -99,6 +104,7 @@ class IsotropicBundle:
     """
 
     kind: ClassVar[str]
+    family = PlainBundle.family     # not a field: a property, as on a plain bundle
     positive: tuple
     zero_part: tuple = field(default=())
 

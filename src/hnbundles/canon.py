@@ -139,9 +139,8 @@ _reduction_of_orbit = lru_cache(maxsize=256)(stratum_label)
 def hn_type(b) -> HNType:
     """Dominant slope vector of the HN filtration of b."""
     _require(b, (PlainBundle, IsotropicBundle), "hn_type")
-    family = GroupFamily(b.kind, b.rank)
     filt = hn_filtration(b) if isinstance(b, PlainBundle) else hn_filtration_isotropic(b)
-    return hn_type_of_quotients(family, filt.quotients)
+    return hn_type_of_quotients(b.family, filt.quotients)
 
 
 def hn_type_of_quotients(family: GroupFamily, quotients) -> HNType:

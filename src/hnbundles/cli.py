@@ -54,8 +54,7 @@ class SpecError(HnBundleError):
 
 @dataclass(frozen=True)
 class BundleSpec:
-    family: GroupFamily
-    bundle: object          # the bundle, torus-split for a deg= spec
+    bundle: object          # torus-split for a deg= spec; its family is the head's
     degrees: tuple          # a deg= spec's degrees, for the echo, else None
 
 
@@ -78,7 +77,7 @@ def parse_bundle_spec(text: str) -> BundleSpec:
             degrees = tuple(int(t) for t in body[4:].split(","))
         except ValueError:
             raise SpecError(f"bad integer in degree list {body[4:]!r}")
-        return BundleSpec(family, bundle_from_degrees(family, degrees), degrees)
+        return BundleSpec(bundle_from_degrees(family, degrees), degrees)
     zero = None
     if "|" in body:
         body, tail = body.split("|", 1)
@@ -104,14 +103,14 @@ def parse_bundle_spec(text: str) -> BundleSpec:
     if b.rank != rank:
         what = "atoms have rank" if plain else "total rank"
         raise SpecError(f"rule rank-match: {what} {b.rank}, spec says {rank}")
-    return BundleSpec(family, b, None)
+    return BundleSpec(b, None)
 
 
 def serialize_bundle_spec(spec: BundleSpec) -> str:
-    head = f"{spec.family}: "
+    b = spec.bundle
+    head = f"{b.family}: "
     if spec.degrees is not None:
         return head + "deg=" + ",".join(str(d) for d in spec.degrees)
-    b = spec.bundle
     if isinstance(b, PlainBundle):
         return head + ",".join(f"{a.degree}:{a.rank}" for a in b.atoms)
     body = ",".join(f"{a.degree}:{a.rank}" for a in b.positive)
@@ -120,8 +119,8 @@ def serialize_bundle_spec(spec: BundleSpec) -> str:
     return head + body
 
 
-def _atom_list(atoms):
-    return [[a.degree, a.rank] for a in atoms]
+def _blocks(quotients):
+    return [[[a.degree, a.rank] for a in q.atoms] for q in quotients]
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -169,28 +168,24 @@ def _emit(doc, pretty: bool) -> str:
 def _cmd_hn(args) -> dict:
     spec = parse_bundle_spec(args.spec)
     b = spec.bundle
-    doc = {"command": "hn", "spec": serialize_bundle_spec(spec)}
-    if isinstance(b, PlainBundle):
-        filt = hn_filtration(b)
-        doc["blocks"] = [_atom_list(q.atoms) for q in filt.quotients]
+    plain = isinstance(b, PlainBundle)
+    filt = hn_filtration(b) if plain else hn_filtration_isotropic(b)
+    doc = {"spec": serialize_bundle_spec(spec), "blocks": _blocks(filt.quotients)}
+    if plain:
         doc["slopes"] = [str(s) for s in filt.slopes]
     else:
-        filt = hn_filtration_isotropic(b)
-        doc["blocks"] = [_atom_list(q.atoms) for q in filt.quotients]
         doc["middle_rank"] = sum(a.rank for a in filt.middle)
         doc["rank_flag"] = filt.rank_flag
-        doc["full_blocks"] = [_atom_list(q.atoms)
-                              for q in extend_with_perps(filt).quotients]
+        doc["full_blocks"] = _blocks(extend_with_perps(filt).quotients)
     # the type reads the quotients above, not a second filtration
-    mu = hn_type_of_quotients(spec.family, filt.quotients).mu
+    mu = hn_type_of_quotients(b.family, filt.quotients).mu
     doc["type"] = [str(c) for c in mu]
     return doc
 
 
 def _cmd_semistable(args) -> dict:
     spec = parse_bundle_spec(args.spec)
-    return {"command": "semistable", "spec": serialize_bundle_spec(spec),
-            "semistable": is_semistable(spec.bundle)}
+    return {"spec": serialize_bundle_spec(spec), "semistable": is_semistable(spec.bundle)}
 
 
 # the name of the i-th simple root, a(i+1),(i+2), but for the last root
@@ -225,8 +220,7 @@ def _cmd_pi1(args) -> dict:
         der, pi1, ab = levi_fundamental_groups(family, index)
     else:
         der, pi1, ab = fundamental_groups(family)
-    return {"command": "pi1", "family": str(family),
-            "levi": index.names() if args.levi else None,
+    return {"family": str(family), "levi": index.names() if args.levi else None,
             "der": der.describe(), "pi1": pi1.describe(), "ab": ab.describe()}
 
 
@@ -236,8 +230,7 @@ def _cmd_canon(args) -> dict:
     levi_ss, degrees = check_bh(family, args.deg, red)
     free, torsion = obstruction_class(family, args.deg)
     positive, levi = positive_root_count(family), _levi_positive_count(red.index)
-    doc = {"command": "canon", "family": str(family),
-           "deg": list(args.deg),
+    doc = {"family": str(family), "deg": list(args.deg),
            "mu": [str(c) for c in red.mu.mu],
            "index": red.index.names(),
            "ad_positive_count": positive - levi,
@@ -265,8 +258,7 @@ def _cmd_vdeg(args) -> dict:
     e = _degree_rank("--E", args.E)
     f = _degree_rank("--F", args.F)
     family = GroupFamily(args.family, e[1])
-    return {"command": "vdeg", "family": str(family),
-            "E": list(e), "F": list(f),
+    return {"family": str(family), "E": list(e), "F": list(f),
             "vertical_degree": vertical_degree(family, e, f)}
 
 
@@ -276,8 +268,7 @@ def _cmd_strata(args) -> dict:
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(to_dot(poset))
-    return {"command": "strata", "family": str(family),
-            "bound": args.bound,
+    return {"family": str(family), "bound": args.bound,
             "labels": [{"mu": [str(c) for c in s.mu.mu],
                         "index": s.index.names()} for s in poset.labels],
             "covers": sorted(list(e) for e in poset.relation),
@@ -309,8 +300,8 @@ def _cmd_check(args) -> dict:
             raise InvariantBreach(f"check {args.suite} failed at seed "
                                   f"{args.seed}, case {case}{where}: {exc}")
     # a case that fails raises, so every case run has passed
-    return {"command": "check", "suite": args.suite, "seed": args.seed,
-            "cases": args.cases, "passed": args.cases}
+    return {"suite": args.suite, "seed": args.seed, "cases": args.cases,
+            "passed": args.cases}
 
 
 # argparse names a rejected value by its type's __name__; a lambda keeps
@@ -461,7 +452,7 @@ def _read(argv):
 def _answer(args):
     """(exit code, stdout text, stderr text) of a parsed argv."""
     try:
-        doc = args.fn(args)
+        doc = {"command": args.cmd, **args.fn(args)}
     except SpecError as exc:
         return 1, "", f"parse error: {exc}\n"
     except InvariantBreach as exc:

@@ -10,7 +10,7 @@ from functools import cmp_to_key
 
 from .bundle import (IsotropicBundle, PlainBundle, _require, dual, is_semistable,
                      underlying)
-from .rootsys import D, GroupFamily
+from .rootsys import D
 
 
 def _check_quotients(f):
@@ -88,10 +88,9 @@ def hn_filtration_isotropic(b: IsotropicBundle) -> IsotropicFiltration:
 
     rank_flag is set on type D_n when the isotropic part has rank n-1; the
     associated parabolic then carries both special simple roots.  The
-    family is GroupFamily's, which refuses SO below rank 3.
+    family is the bundle's, which refuses SO below rank 3.
     """
-    _require(b, IsotropicBundle, "hn_filtration_isotropic")
-    family = GroupFamily(b.kind, b.rank)
+    family = _require(b, IsotropicBundle, "hn_filtration_isotropic").family
     quotients = _group_by_slope(b.positive)
     iso_rank = sum(q.rank for q in quotients)
     flag = family.cartan_type == D and iso_rank == family.cartan_dim - 1

@@ -36,6 +36,10 @@ class FinAbGroup:
         # exactly int, like Atom: True and 2.0 would describe as Z and Z/2.0
         if type(self.free_rank) is not int or self.free_rank < 0:
             raise ValueError(f"free rank must be a nonnegative int, got {self.free_rank!r}")
+        # a list is kept as a tuple, so that the group hashes
+        if not isinstance(self.torsion, (list, tuple)):
+            raise ValueError(f"torsion must be a list or tuple, got {self.torsion!r}")
+        object.__setattr__(self, "torsion", tuple(self.torsion))
         if any(type(d) is not int or d < 2 for d in self.torsion):
             raise ValueError(f"invariant factors {self.torsion} must be ints >= 2")
         if any(y % x for x, y in zip(self.torsion, self.torsion[1:])):

@@ -172,24 +172,22 @@ def hull_membership_lp_oracle(family: GroupFamily, mu, nu) -> bool:
     return _phase_one_feasible(weyl_orbit(family, tuple(mu)), nu)
 
 
-def _spec_text(family, b):
-    return repr(serialize_bundle_spec(BundleSpec(family, b, None)))
+def _spec_text(b):
+    return repr(serialize_bundle_spec(BundleSpec(b, None)))
 
 
 def _suite_hn(rng, drawn):
     atoms = tuple(Atom(rng.randint(-3, 3), rng.randint(1, 2))
                   for _ in range(rng.randint(1, 4)))
     b = PlainBundle(atoms)
-    family = GroupFamily(GL, b.rank)
-    drawn[:] = family, lambda: _spec_text(family, b)
+    drawn[:] = b.family, lambda: _spec_text(b)
     yield hn_uniqueness_oracle(b), "the HN filtration is not the unique one"
     positive = tuple(Atom(rng.randint(1, 3), 1) for _ in range(rng.randint(0, 2)))
     zeros = tuple([Atom(0, 1)] * (2 * rng.randint(0, 1)))
     # no atoms would make the zero bundle, which the model refuses
     if positive or zeros:
         sp = SpBundle(positive, zeros)
-        sp_family = GroupFamily(SP, sp.rank)
-        drawn[:] = sp_family, lambda: _spec_text(sp_family, sp)
+        drawn[:] = sp.family, lambda: _spec_text(sp)
         yield (extend_with_perps(hn_filtration_isotropic(sp)).quotients ==
                hn_filtration(underlying(sp)).quotients,
                "the isotropic HN filtration completed by perps differs "

@@ -267,6 +267,22 @@ def test_so_bundles_of_rank_at_most_2_keep_their_rules():
     assert is_semistable(so2) is True
     with pytest.raises(UnsupportedRank, match=r"^SO\(2\) has no usable root system$"):
         hn_filtration_isotropic(so2)
+    # nor a family, which is where the filtration's refusal comes from
+    with pytest.raises(UnsupportedRank, match=r"^SO\(2\) has no usable root system$"):
+        so2.family
+    with pytest.raises(UnsupportedRank, match=r"^SO requires r >= 2, got 1$"):
+        ad.family
+
+
+# one spec of each kind, and deg= specs on odd SO, where bundle_from_degrees
+# adds the odd zero, on even SO and on SL
+@pytest.mark.parametrize("text", ["gl3: 1:1, 0:2", "sl2: 1:1, -1:1", "sp4: 1:1 | z=2",
+                                  "so5: 2:1 | z=3", "so5: deg=2,0", "so4: deg=1,-1",
+                                  "sl3: deg=1,0,-1"])
+def test_a_bundle_owns_the_family_of_its_spec(text):
+    head = text.split(":")[0]
+    family = GroupFamily(head[:2], int(head[2:]))
+    assert parse_bundle_spec(text).bundle.family is family
 
 
 # every family of cartan_dim <= 4 with a root system

@@ -669,6 +669,8 @@ calls = [
     lambda: IsotropicFiltration((high, low), ()),
     lambda: FinAbGroup(0, (3, 2)),
     lambda: FinAbGroup(True, ()),
+    # a string is no list of invariant factors, though it would describe as 1
+    lambda: FinAbGroup(0, ""),
     # True and 1.0 equal 1, but are no ints
     lambda: Atom(True, 1),
     lambda: ParabolicIndex(gl3, {1.0}),
@@ -686,16 +688,19 @@ for members in ({1.0}, {True}, {3}):
     except ValueError as exc:
         print(exc)
 print(ad_degree(gl3, ParabolicIndex(gl3, {0}), (1, 0, 0)))
+# a list of invariant factors is kept as a tuple, so the group hashes
+z2 = FinAbGroup(0, [2])
+print(z2 == FinAbGroup(0, (2,)), hash(z2) == hash(FinAbGroup(0, (2,))), z2.torsion)
 """
 
 
 def test_constructor_checks_survive_optimize():
     proc = _run_optimized(CONSTRUCTOR_CHECKS)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["ValueError"] * 6 + [
+    assert proc.stdout.splitlines() == ["ValueError"] * 7 + [
         "parabolic index members must be ints, got 1.0",
         "parabolic index members must be ints, got True",
-        "parabolic index out of range", "2"]
+        "parabolic index out of range", "2", "True True (2,)"]
 
 
 def test_parser_is_built_once(capsys, monkeypatch):

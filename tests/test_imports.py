@@ -212,11 +212,87 @@ def test_the_scan_finds_a_planted_kind_constant():
 
 
 def test_hnfilt_reads_the_kind_through_its_family():
-    # hn_filtration_isotropic builds GroupFamily(b.kind, b.rank) and reads
-    # its Cartan type and dimension, so that the family alone decides its
-    # root system and refuses SO below rank 3
+    # hn_filtration_isotropic reads the bundle's family and its Cartan type
+    # and dimension, so that the family alone decides its root system and
+    # refuses SO below rank 3
     source = (ROOT / "src" / "hnbundles" / "hnfilt.py").read_text()
     assert names_used(source) & KIND_CONSTANTS == set()
+
+
+def family_derivation_sites(source):
+    """Lines that call GroupFamily(x.kind, x.rank), or GroupFamily(K,
+    x.rank) with K a family kind: a bundle's family, built from the
+    bundle."""
+    def derives(node):
+        if not (isinstance(node, ast.Call) and len(node.args) == 2 and getattr(
+                node.func, "id", getattr(node.func, "attr", None)) == "GroupFamily"):
+            return False
+        kind, rank = node.args
+        return getattr(rank, "attr", None) == "rank" and (
+            getattr(kind, "attr", None) == "kind" or getattr(kind, "id", None)
+            in KIND_CONSTANTS)
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if derives(node))
+
+
+def test_the_scan_finds_a_planted_family_derivation():
+    source = ("def f(b, spec, args):\n"
+              "    family = GroupFamily(b.kind, b.rank)\n"
+              "    sp = rootsys.GroupFamily(spec.bundle.kind, spec.bundle.rank)\n"
+              "    gl = GroupFamily(GL, b.rank)\n"
+              "    return GroupFamily(args.family, args.rank), b.family\n")
+    assert family_derivation_sites(source) == [2, 3, 4]
+
+
+def test_only_the_bundle_model_derives_a_bundles_family():
+    # the bundle's family property is the one derivation: hn_type, the
+    # isotropic HN filtration, the spec echo and the hn suite read it
+    counts = {path.name: len(family_derivation_sites(path.read_text()))
+              for path in sorted((ROOT / "src" / "hnbundles").glob("*.py"))}
+    assert {name: n for name, n in counts.items() if n} == {"bundle.py": 1}
+
+
+def command_key_sites(source):
+    """(line, enclosing function or None) for each "command" key the
+    source writes: a dict display's key, a subscript store or a dict()
+    keyword."""
+    def keys(node):
+        if isinstance(node, ast.Dict):
+            return [getattr(k, "value", None) for k in node.keys]
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            return [getattr(node.slice, "value", None)]
+        if isinstance(node, ast.keyword):
+            return [node.arg]
+        return []
+
+    def walk(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if "command" in keys(node):
+            yield node.lineno, function
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, function)
+    return sorted(walk(ast.parse(source), None), key=lambda site: site[0])
+
+
+def test_the_scan_finds_a_planted_command_key():
+    source = ("def _cmd_a(args):\n"
+              "    return {'command': 'a', 'x': 1}\n"
+              "def _cmd_b(args):\n"
+              "    doc = {'spec': args.command}\n"
+              "    doc['command'] = 'b'\n"
+              "    return dict(doc, command='b')\n"
+              "def _answer(args):\n"
+              "    return {'command': args.cmd, **args.fn(args)}\n")
+    assert command_key_sites(source) == [
+        (2, "_cmd_a"), (5, "_cmd_b"), (6, "_cmd_b"), (8, "_answer")]
+
+
+def test_only_the_answer_names_the_command():
+    # _answer leads every document with its command's name, so that no
+    # _cmd_ function writes it
+    source = (ROOT / "src" / "hnbundles" / "cli.py").read_text()
+    assert [function for _, function in command_key_sites(source)] == ["_answer"]
 
 
 # the test oracles of dominance and of the forced index, and the sign fast

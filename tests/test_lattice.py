@@ -53,6 +53,10 @@ def test_fin_ab_group_rejects_bad_factors():
         FinAbGroup(True, ())
     with pytest.raises(ValueError, match=r"^invariant factors \(2\.0,\) must be ints >= 2$"):
         FinAbGroup(0, (2.0,))
+    # a list is kept as a tuple, so the group hashes; a string is refused
+    assert FinAbGroup(0, [2]).torsion == (2,)
+    with pytest.raises(ValueError, match="^torsion must be a list or tuple, got ''$"):
+        FinAbGroup(0, "")
 
 
 def _contains(lattice, v):
