@@ -119,10 +119,9 @@ def sites(rule, source, file=None):
     return found
 
 
-def tree_sites(rule):
-    """The (file name, def) sites of the tree that rule finds, as a Counter."""
-    paths = {path for pattern in rule.files for path in ROOT.glob(pattern)}
-    return sum((sites(rule, path.read_text(), path.name) for path in paths), Counter())
+def paths(rule):
+    """The files of the tree that rule scans."""
+    return sorted({path for pattern in rule.files for path in ROOT.glob(pattern)})
 
 
 RULES = (

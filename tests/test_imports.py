@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 import hnbundles
-from rules import ROOT, RULES, sites, tree_sites
+from rules import ROOT, RULES, paths, sites
 
 FILES = sorted((ROOT / "src" / "hnbundles").glob("*.py")) + sorted(
     (ROOT / "tests").glob("*.py"))
@@ -40,9 +40,12 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-@pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.id)
-def test_the_tree_keeps_the_rule(rule):
-    assert tree_sites(rule) == Counter(rule.expected), rule.statement
+@pytest.mark.parametrize("rule, path", [pytest.param(rule, path, id=f"{rule.id}-{path.name}")
+                                        for rule in RULES for path in paths(rule)])
+def test_the_tree_keeps_the_rule(rule, path):
+    assert {file for file, _ in rule.expected} <= {other.name for other in paths(rule)}
+    assert sites(rule, path.read_text(), path.name) == Counter(
+        site for site in rule.expected if site[0] == path.name), rule.statement
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.id)
