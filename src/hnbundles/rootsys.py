@@ -21,11 +21,14 @@ expanded by a product of (x, -x) over its nonzero entries; on D with no
 zero entry, by one table of the sign patterns whose count of minus
 signs has the parity of the dominant point's.  The signed points are
 then sorted once.  The simple-root coordinates are the integer key of
-the stratum order, halved at the end of the diagram.  The sign of each
-simple-root pairing, which is all that dominance, the forced index of a
-type and the Levi test read, is decided by comparing two coordinates,
-with no subtraction.  No root is listed here: the explicit root table
-(simple and positive roots, their coroots) is kept in the tests as the
+the stratum order, halved at the end of the diagram.  The hull test
+reads the key of a point's dominant representative in one pass, the
+chamber step and the prefix sums in one frame; the chamber step followed
+by the key is its reference.  The sign of each simple-root pairing,
+which is all that dominance, the forced index of a type and the Levi
+test read, is decided by comparing two coordinates, with no
+subtraction.  No root is listed here: the explicit root table (simple
+and positive roots, their coroots) is kept in the tests as the
 reference for these closed forms, which they also check against a loop
 of simple reflections and a solve.
 """
@@ -330,6 +333,26 @@ def _order_key(family: GroupFamily, v):
     s = list(accumulate(v))
     if family.cartan_type == D:
         s[-2] -= v[-1]
+    return s
+
+
+def _stratum_key(family: GroupFamily, v):
+    """The order key of dom(v), a W-invariant function of v, read in one
+    pass: the chamber step of dominant_representative, then the prefix
+    sums of _order_key, whose composition is its reference.  A point of
+    another length raises _point's ValueError."""
+    v = tuple(v)
+    if len(v) != family.cartan_dim:
+        _point(family, v)
+    t = family.cartan_type
+    if t == A:
+        return list(accumulate(sorted(v, reverse=True)))
+    out = sorted(map(abs, v), reverse=True)
+    if t == D and all(v) and sum(1 for x in v if x < 0) % 2:
+        out[-1] = -out[-1]
+    s = list(accumulate(out))
+    if t == D:
+        s[-2] -= out[-1]
     return s
 
 

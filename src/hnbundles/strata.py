@@ -3,8 +3,9 @@
 Labels are canonical reductions (canon.CanonicalReduction), a dominant
 type with the parabolic index it forces.  The order combines parabolic
 containment with Weyl-orbit convex-hull membership, decided by
-Kostant's convexity theorem as a sign test on the integer order keys of
-the dominant representatives, with no orbit and no solve.
+Kostant's convexity theorem as a sign test on one W-invariant key per
+point, the integer order key of its dominant representative, read in one
+pass, with no orbit and no solve.
 enumerate_strata lists the dominant labels directly, not by a walk over
 the box, reads each label's key once, not once per pair, and takes its
 covers as a transitive reduction.  The partial-sum dominance test for
@@ -20,7 +21,7 @@ from operator import ge, le
 from .canon import CanonicalReduction, stratum_label
 from .errors import TooLarge
 from .parabolic import parabolic_leq
-from .rootsys import A, D, GL, GroupFamily, _order_key, dominant_representative
+from .rootsys import A, D, GL, GroupFamily, _order_key, _stratum_key
 
 ENUM_DIM_GUARD = 4
 ENUM_BOUND_GUARD = 4
@@ -32,11 +33,12 @@ def hull_membership(family: GroupFamily, mu, nu) -> bool:
     Kostant's convexity theorem: exactly when dom(mu) - dom(nu) is a
     nonnegative rational combination of the simple roots, that is when
     the order key of dom(mu) is at least that of dom(nu) in every entry.
-    On type A the simple roots span only the trace-zero hyperplane, so
-    the last entries, the centres, must also be equal.
+    That key is W-invariant, one per point, read in one pass.  On type A
+    the simple roots span only the trace-zero hyperplane, so the last
+    entries, the centres, must also be equal.
     """
-    top = _order_key(family, dominant_representative(family, mu))
-    low = _order_key(family, dominant_representative(family, nu))
+    top = _stratum_key(family, mu)
+    low = _stratum_key(family, nu)
     return all(map(ge, top, low)) and (
         family.cartan_type != A or top[-1] == low[-1])
 

@@ -249,6 +249,7 @@ RULES = (
     Rule("oracle-independence", "each oracle names none of the fast paths it checks, "
          "so that the two routes check each other", "name", (),
          "def hull_membership_lp_oracle(family, mu, nu):\n"
+         "    from .rootsys import _stratum_key as key\n"
          "    return hull_membership(family, mu, nu)\n"
          "def _phase_one_feasible(columns, target):\n"
          "    return strata._order_key(columns)\n"
@@ -258,11 +259,12 @@ RULES = (
          "        return is_semistable(PlainBundle(left))\n"
          "def hn_uniqueness_oracle(b):\n"
          "    return hn_filtration(b)\n",
-         ((2, "hull_membership_lp_oracle"), (4, "_phase_one_feasible"), (6, "_hn_candidates"),
-          (8, "_hn_candidates.walk"), (8, "_hn_candidates.walk")),
+         ((2, "hull_membership_lp_oracle"), (3, "hull_membership_lp_oracle"),
+          (5, "_phase_one_feasible"), (7, "_hn_candidates"), (9, "_hn_candidates.walk"),
+          (9, "_hn_candidates.walk")),
          files=("src/hnbundles/oracles.py",), within={
-             "hull_membership_lp_oracle": ("_order_key", "hull_membership"),
-             "_phase_one_feasible": ("_order_key", "hull_membership"),
+             "hull_membership_lp_oracle": ("_order_key", "_stratum_key", "hull_membership"),
+             "_phase_one_feasible": ("_order_key", "_stratum_key", "hull_membership"),
              "_hn_candidates": ("hn_filtration", "_group_by_slope", "PlainBundle",
                                 "is_semistable")}),
     Rule("retired", "production names no _require_decreasing, Smith form or LatticeTower",

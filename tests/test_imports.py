@@ -68,15 +68,32 @@ def test_a_stale_row_fails():
 MATH_NAMES = {"comb", "gcd", "lcm"}
 
 
+def _exponent(node):
+    """The exponent of a power (**, **= or pow without a modulus), or None
+    for any other node: pow(a, -1, m) is an exact int."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+        return node.right if isinstance(node, ast.BinOp) else node.value
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pow":
+        bound = dict(zip(("base", "exp", "mod"), node.args))
+        bound.update((keyword.arg, keyword.value) for keyword in node.keywords)
+        return None if "mod" in bound else bound.get("exp")
+    return None
+
+
 def inexact_sites(source):
     """(line, rule) for each construct that could leave exact arithmetic
-    or vanish under python -O: true division, a float or complex
-    constant, the names float and round, an import from math of anything
-    but MATH_NAMES (the whole module included), and an assert."""
+    or vanish under python -O: true division, a power whose exponent is
+    not a nonnegative int literal, a float or complex constant, the names
+    float and round, an import from math of anything but MATH_NAMES (the
+    whole module included), and an assert."""
     sites = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
             sites.add((node.lineno, "division"))
+        elif (exponent := _exponent(node)) is not None and not (
+                isinstance(exponent, ast.Constant) and type(exponent.value) is int
+                and exponent.value >= 0):
+            sites.add((node.lineno, "power"))
         elif isinstance(node, ast.Constant) and type(node.value) in (float, complex):
             sites.add((node.lineno, "float constant"))
         elif isinstance(node, ast.Name) and node.id in ("float", "round"):
@@ -95,6 +112,10 @@ def inexact_sites(source):
 @pytest.mark.parametrize("source, site", [
     ("x = a / b\n", (1, "division")),
     ("x = 1\nx /= 2\n", (2, "division")),
+    ("x = 2 ** -1\n", (1, "power")),
+    ("x = pow(3, -2)\n", (1, "power")),
+    ("x = a ** k\n", (1, "power")),
+    ("x = 1\nx **= -1\n", (2, "power")),
     ("x = 0.5\n", (1, "float constant")),
     ("x = 1j\n", (1, "float constant")),
     ("x = float(y)\n", (1, "float name")),
@@ -111,6 +132,7 @@ def test_the_exactness_scan_passes_exact_code():
     assert inexact_sites("from math import comb, gcd, lcm\n"
                          "from fractions import Fraction\n"
                          "x = Fraction(a, b) + a // b + comb(4, 2)\n"
+                         "y = pow(a, -1, m) + 2 ** 18 + 2 ** 21 + pow(2, 3)\n"
                          "if x < 0:\n    raise ValueError('x / y')\n") == []
 
 

@@ -641,6 +641,42 @@ def test_order_key_at_the_type_d_fork():
             assert hull_membership_lp_oracle(family, mu, nu) is inside
 
 
+def _assert_key_matches(family, v):
+    # the reference: the chamber step, then the order key
+    key = rootsys._stratum_key(family, v)
+    reference = rootsys._order_key(family, dominant_representative(family, v))
+    assert key == reference and list(map(type, key)) == list(map(type, reference)), v
+
+
+@pytest.mark.parametrize("family", [f for f in KEY_FAMILIES if f.cartan_dim <= 4], ids=str)
+def test_stratum_key_equals_its_reference(family):
+    # the int box [-3, 3]^n, and the same box halved as Fraction points
+    for v in product(range(-3, 4), repeat=family.cartan_dim):
+        _assert_key_matches(family, v)
+        _assert_key_matches(family, tuple(Fraction(x, 2) for x in v))
+
+
+@pytest.mark.parametrize("r", (4, 6, 8))
+def test_stratum_key_at_the_type_d_fork(r):
+    # no zero entry and an odd count of negative entries: the chamber step
+    # negates the last entry, so one sign flip moves the key
+    family = GroupFamily("so", r)
+    fork = [v for v in product((-3, -2, -1, 1, 2, 3), repeat=family.cartan_dim)
+            if sum(x < 0 for x in v) % 2]
+    assert len(fork) == 6 ** family.cartan_dim // 2
+    for v in fork:
+        _assert_key_matches(family, v)
+        assert rootsys._stratum_key(family, v) != rootsys._stratum_key(
+            family, v[:-1] + (-v[-1],))
+
+
+@pytest.mark.parametrize("family", [f for f in KEY_FAMILIES if f.cartan_dim <= 3], ids=str)
+def test_stratum_key_is_weyl_invariant(family):
+    for v in product(range(-3, 4), repeat=family.cartan_dim):
+        key = rootsys._stratum_key(family, v)
+        assert all(rootsys._stratum_key(family, w) == key for w in weyl_orbit(family, v)), v
+
+
 # GL1-14, SL2-14, Sp2-14 and SO3-14
 TABLE_FAMILIES = [GroupFamily(kind, r) for kind in ("gl", "sl", "sp", "so")
                   for r in range(1, 15)

@@ -134,6 +134,16 @@ def test_hull_rejects_wrong_length_points():
         for decide in (hull_membership, hull_membership_lp_oracle):
             with pytest.raises(ValueError):
                 decide(gl3, mu, nu)
+    # hull_membership raises rootsys._point's text, for the first bad point
+    so8 = GroupFamily("so", 8)
+    for family, mu, nu, text in (
+            (gl3, (2, 0, -2), (1, -1), "point (1, -1) has 2 coordinates, gl3 needs 3"),
+            (gl3, (2, 0), iter((1, 0)), "point (2, 0) has 2 coordinates, gl3 needs 3"),
+            (so8, [1, 1, 1, -1, 0], (1, 1),
+             "point (1, 1, 1, -1, 0) has 5 coordinates, so8 needs 4")):
+        with pytest.raises(ValueError) as raised:
+            hull_membership(family, mu, nu)
+        assert str(raised.value) == text
 
 
 def test_hull_rejects_total_degree_mismatch():
