@@ -37,9 +37,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, product, repeat
 from math import comb
-from operator import mul
+from operator import lt, mul
+from threading import Lock
+from weakref import WeakValueDictionary
 
 from .errors import FamilyMismatch, NotInKernelLattice, TooLarge, UnsupportedRank
 
@@ -59,11 +61,13 @@ _INT_ONLY = frozenset({int})
 
 
 class _Interned(type):
-    """Builds one family per (kind, r): a rank that is not an int is
+    """Hands out the one live family per (kind, r), so that == and hash
+    on a family are object's identity slots: a rank that is not an int is
     refused first, since 2.0 and True hash and compare like 2; then the
-    family comes from _family_table, which runs __post_init__ on a miss
-    only.  An unhashable kind misses the table and is refused by
-    __post_init__ like any other unknown kind."""
+    family comes from _family_table, which reads _live_families on a miss
+    and runs __post_init__ only for a (kind, r) with no live family.  An
+    unhashable kind misses the table and is refused by __post_init__ like
+    any other unknown kind."""
 
     def __call__(cls, kind, r):
         if type(r) is not int:
@@ -74,18 +78,32 @@ class _Interned(type):
             return type.__call__(cls, kind, r)
 
 
-# The checked families, least recently used out first.  Every
-# family-keyed cache then matches its keys by identity, a fast path only:
-# an evicted family equals, and hashes like, the one built after it.
+# Every family alive, by (class, kind, r), hash-consed (Filliatre and
+# Conchon, "Type-safe modular hash-consing", 2006): its entry goes with
+# the last reference to the family.  The lock makes the read and the
+# insert one step, so threads that build a new (kind, r) at once all get
+# one object.
+_live_families = WeakValueDictionary()
+_live_lock = Lock()
+
+
+# The families used last, least recently used out first: they stay alive,
+# so a caller that builds and drops a family on every call finds it here
+# and does not rebuild it.
 @lru_cache(maxsize=256)
 def _family_table(cls, kind, r):
-    return type.__call__(cls, kind, r)
+    with _live_lock:
+        family = _live_families.get((cls, kind, r))
+        if family is None:
+            family = _live_families[cls, kind, r] = type.__call__(cls, kind, r)
+        return family
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupFamily(metaclass=_Interned):
     """One of GL(r), SL(r), Sp(r) with r even, SO(r), r >= 3: one object
-    per (kind, r), built and checked once."""
+    per (kind, r) while any reference to it lives, built and checked
+    once, so == and hash are identity."""
 
     kind: str
     r: int
@@ -105,7 +123,7 @@ class GroupFamily(metaclass=_Interned):
             raise UnsupportedRank(f"SO requires r >= 2, got {self.r}")
         if self.kind == SO and self.r == 2:
             raise UnsupportedRank("SO(2) has no usable root system")
-        # not fields: ==, hash and repr read (kind, r) alone
+        # not fields: repr and replace read (kind, r) alone
         t = A if self.kind in (GL, SL) else C if self.kind == SP else \
             B if self.r % 2 else D
         object.__setattr__(self, "cartan_type", t)
@@ -300,12 +318,17 @@ def dominant_representative(family: GroupFamily, v):
     """Unique orbit element in the closed Weyl chamber (all simple roots >= 0):
     the entries sorted descending on type A, their absolute values sorted
     descending off A, with the last one negated on D when no entry is
-    zero and an odd number of them are negative."""
-    v = _point(family, v)
-    if family.cartan_type == A:
+    zero and an odd number of them are negative.  Read in one frame, as
+    _stratum_key reads it; a point of another length raises _point's
+    ValueError."""
+    v = tuple(v)
+    if len(v) != family.cartan_dim:
+        _point(family, v)
+    t = family.cartan_type
+    if t == A:
         return tuple(sorted(v, reverse=True))
     out = sorted(map(abs, v), reverse=True)
-    if family.cartan_type == D and all(v) and sum(1 for x in v if x < 0) % 2:
+    if t == D and all(v) and sum(map(lt, v, repeat(0))) % 2:
         out[-1] = -out[-1]
     return tuple(out)
 
@@ -348,7 +371,7 @@ def _stratum_key(family: GroupFamily, v):
     if t == A:
         return list(accumulate(sorted(v, reverse=True)))
     out = sorted(map(abs, v), reverse=True)
-    if t == D and all(v) and sum(1 for x in v if x < 0) % 2:
+    if t == D and all(v) and sum(map(lt, v, repeat(0))) % 2:
         out[-1] = -out[-1]
     s = list(accumulate(out))
     if t == D:

@@ -3,6 +3,7 @@ import importlib
 import io
 import pkgutil
 from functools import cached_property
+from weakref import WeakValueDictionary
 
 import hnbundles
 import oracles
@@ -16,9 +17,11 @@ from hnbundles.rootsys import (ORBIT_CACHE_LIMIT, GroupFamily, weyl_orbit,
 # every module-level cache, by name, with its bound.  A cache is keyed by
 # value only where callers bring fresh objects, a family or a dominant
 # point; what is derived from an object those caches keep rides on that
-# object (PER_OBJECT), so its memory goes with the object.
+# object (PER_OBJECT), so its memory goes with the object.  A weak table
+# keeps no object alive, so its bound is the objects alive (None).
 MODULE_CACHES = {
     "hnbundles.rootsys._family_table": 256,
+    "hnbundles.rootsys._live_families": None,
     "hnbundles.rootsys.weyl_orbit": 128,
     "hnbundles.parabolic._two_rho_terms": 128,
     "hnbundles.canon._reduction_of_orbit": 256,
@@ -39,6 +42,8 @@ def test_every_cache_is_bounded():
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
                 caches[f"{module.__name__}.{name}"] = obj.cache_info().maxsize
+            elif isinstance(obj, WeakValueDictionary):
+                caches[f"{module.__name__}.{name}"] = None
     # weyl_orbit hands out the cache of _weyl_orbit, which keeps its orbits
     assert weyl_orbit.cache_info == rootsys._weyl_orbit.cache_info
     del caches["hnbundles.rootsys._weyl_orbit"]
@@ -95,14 +100,25 @@ def test_family_table_stays_at_its_bound():
     for r in range(2, bound + 11):
         GroupFamily("gl", r)
     assert table.cache_info().currsize == bound
-    # GL1 was evicted: the family built again is another object, equal to
-    # the first and hashing alike, so the caches keyed by the first still
-    # answer it
+    # GL1 was evicted, but a reference to it lives: the family built again
+    # is that object, from the live-family table, so the caches keyed by
+    # it still answer
+    assert rootsys._live_families[GroupFamily, "gl", 1] is first
     again = GroupFamily("gl", 1)
-    assert again is not first
-    assert again == first and hash(again) == hash(first)
+    assert again is first
     assert canon.canonical_reduction(again, (1,)) is red
     assert table.cache_info().currsize == bound
+
+
+def test_live_family_table_keeps_no_family_alive():
+    # a family out of the LRU table with no reference left leaves the live
+    # table too: its bound is the families alive
+    live, key = rootsys._live_families, (GroupFamily, "gl", 10 ** 6)
+    assert GroupFamily("gl", 10 ** 6) is live[key]
+    for r in range(1, rootsys._family_table.cache_info().maxsize + 1):
+        GroupFamily("sl", r)
+    assert key not in live
+    assert GroupFamily("gl", 10 ** 6) is live[key]
 
 
 def test_orbit_cache_keeps_orbits_up_to_its_limit():

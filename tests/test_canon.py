@@ -178,9 +178,8 @@ def test_check_bh_rejects_each_other_family_of_equal_cartan_dim(kinds, mu):
                     check_bh(family, mu, red)
 
 
-def test_check_bh_reads_one_dominant_point(monkeypatch):
-    so8, a = GroupFamily("so", 8), (2, -1, 0, 1)
-    red = canonical_reduction(so8, a)
+def _count_dominant_points(monkeypatch):
+    """The points canon passes to dominant_representative from now on."""
     calls = []
 
     def counted(family, v):
@@ -188,8 +187,29 @@ def test_check_bh_reads_one_dominant_point(monkeypatch):
         return dominant_representative(family, v)
 
     monkeypatch.setattr(canon, "dominant_representative", counted)
+    return calls
+
+
+def test_check_bh_reads_one_dominant_point(monkeypatch):
+    so8, a = GroupFamily("so", 8), (2, -1, 0, 1)
+    red = canonical_reduction(so8, a)
+    calls = _count_dominant_points(monkeypatch)
     assert check_bh(so8, a, red) == check_bh_uncached(so8, red)
     assert calls == [a]
+
+
+@pytest.mark.parametrize("entry, cache", [
+    (canonical_reduction, "_reduction_of_orbit"),
+    (ad_degree_max_oracle, "_oracle_of_orbit")], ids=lambda x: getattr(x, "__name__", x))
+def test_each_canon_entry_reads_one_dominant_point(monkeypatch, entry, cache):
+    # one chamber step per call, on a cache miss and on a hit
+    so8, a, table = GroupFamily("so", 8), (-2, 1, 0, -1), getattr(canon, cache)
+    table.cache_clear()
+    calls = _count_dominant_points(monkeypatch)
+    first = entry(so8, a)
+    assert calls == [a] and table.cache_info().misses == 1
+    assert entry(so8, a) == first
+    assert calls == [a, a] and table.cache_info().hits == 1
 
 
 def _fork_image(family, a):

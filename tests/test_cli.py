@@ -1,6 +1,7 @@
 import argparse
 import collections
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -490,6 +491,23 @@ def test_hull_check_compares_the_lp_oracle(capsys, monkeypatch):
                     r"case \d+ \((gl3|sp4|so5|so6), input mu=.*, nu=.*\): "
                     r"hull membership is "
                     r"None, the LP oracle says (True|False)\n$", err), err
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hull_check_reaches_the_gl_centre_rule(capsys, monkeypatch, seed):
+    # hull_membership with its GL centre test loosened from == to >=: the
+    # suite draws GL points of unequal totals, which the mutant lets in
+    source = inspect.getsource(hnbundles.strata.hull_membership)
+    assert source.count("top[-1] == low[-1]") == 1
+    namespace = dict(vars(hnbundles.strata))
+    exec(source.replace("top[-1] == low[-1]", "top[-1] >= low[-1]"), namespace)
+    monkeypatch.setattr(hnbundles.oracles, "hull_membership", namespace["hull_membership"])
+    code, out, err = run(capsys, "check", "--suite", "hull",
+                         "--seed", str(seed), "--cases", "100")
+    assert code == 3 and out == ""
+    assert re.match(rf"^internal invariant breach: check hull failed at seed {seed}, "
+                    r"case \d+ \(gl3, input mu=.*, nu=.*\): hull membership is "
+                    r"True, the LP oracle says False\n$", err), err
 
 
 # the hn suite's first case at seed 1, with the blocks of every HN

@@ -3,6 +3,8 @@ import math
 import pickle
 import random
 import re
+import sys
+import threading
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 from decimal import Decimal
@@ -95,6 +97,9 @@ def test_every_refusal_comes_from_post_init_on_each_call(kind, r, error, message
 
 
 def test_a_family_is_one_object_per_kind_and_rank():
+    # hash-consed: == and hash are object's identity slots
+    assert GroupFamily.__eq__ is object.__eq__
+    assert GroupFamily.__hash__ is object.__hash__
     so6 = GroupFamily("so", 6)
     assert GroupFamily(kind="so", r=6) is so6
     assert GroupFamily("so", r=6) is so6
@@ -104,6 +109,31 @@ def test_a_family_is_one_object_per_kind_and_rank():
         assert pickle.loads(pickle.dumps(so6, protocol)) is so6
     # the stored type and dimension are those the checks computed once
     assert vars(so6) == {"kind": "so", "r": 6, "cartan_type": D, "cartan_dim": 3}
+
+
+def test_threads_that_build_a_new_family_get_one_object():
+    # released at once by one barrier, 8 threads build a (kind, r) no one
+    # has built before, with thread switches as frequent as the
+    # interpreter allows, in 20 rounds of fresh ranks
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for r in range(10 ** 6 + 1, 10 ** 6 + 41, 2):
+            barrier, built = threading.Barrier(8, timeout=10), []
+
+            def build():
+                barrier.wait()
+                built.append(GroupFamily("so", r))
+
+            threads = [threading.Thread(target=build) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(built) == 8 and all(f is built[0] for f in built), r
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_as_cocharacter():
@@ -670,6 +700,25 @@ def test_stratum_key_at_the_type_d_fork(r):
             family, v[:-1] + (-v[-1],))
 
 
+@pytest.mark.parametrize("r", (4, 6, 8, 10))
+def test_the_type_d_parity_holds_on_fraction_points(r):
+    # half-integral points with no zero entry and an odd count of negative
+    # entries: the negatives, counted as a sum of Fraction comparisons,
+    # flip the last entry of the chamber step and of the key alike
+    family = GroupFamily("so", r)
+    halves = [Fraction(x, 2) for x in (-5, -3, -1, 1, 3, 5)]
+    fork = [v for v in product(halves, repeat=family.cartan_dim)
+            if sum(x < 0 for x in v) % 2]
+    if len(fork) > 1000:
+        fork = random.Random(r).sample(fork, 1000)
+    for v in fork:
+        rep = _dominant_by_reflections(family, v)
+        assert rep[-1] < 0, v
+        dom = dominant_representative(family, v)
+        assert dom == rep and all(type(x) is Fraction for x in dom), v
+        assert rootsys._stratum_key(family, v) == rootsys._order_key(family, rep), v
+
+
 @pytest.mark.parametrize("family", [f for f in KEY_FAMILIES if f.cartan_dim <= 3], ids=str)
 def test_stratum_key_is_weyl_invariant(family):
     for v in product(range(-3, 4), repeat=family.cartan_dim):
@@ -832,7 +881,7 @@ def test_cartan_type_is_the_type_of_the_root_system(family):
 def test_cartan_type_is_not_a_field():
     so6 = GroupFamily("so", 6)
     assert so6 == GroupFamily("so", 6)
-    assert hash(so6) == hash(GroupFamily("so", 6)) == hash(("so", 6))
+    assert so6 is GroupFamily("so", 6)
     assert repr(so6) == "GroupFamily(kind='so', r=6)"
     assert [f.name for f in fields(GroupFamily)] == ["kind", "r"]
     assert replace(so6, r=7).cartan_type == B
