@@ -87,7 +87,6 @@ class SlBundle(PlainBundle):
 
     def __post_init__(self):
         super().__post_init__()
-        # an explicit raise, not assert, so that python -O keeps the check
         if self.degree != 0:
             raise NotDegreeZero("SL bundle must have total degree 0")
 

@@ -6,9 +6,7 @@ the slopes of the HN filtration of a bundle) and the degree route
 conditions of check_bh); tests/test_canon.py checks them against each
 other on split bundles, and a brute-force degree-maximization oracle
 checks the degree route.  The oracle scores every (parabolic, Weyl
-point) pair exactly, packing each orbit's coordinate columns into Python
-ints, one lane per orbit point, so that one parabolic scores the whole
-orbit in one multiply-add per nonzero coordinate of 2rho_P; its answer
+point) pair exactly, in packed 64-bit lanes (_packed_orbit); its answer
 depends only on the orbit, so it is cached by the dominant point.
 
 The canonical reduction is a value fixed by its HN type, the dominant
@@ -77,8 +75,7 @@ class HNType:
     def __post_init__(self):
         object.__setattr__(self, "mu", tuple(
             c if type(c) in _EXACT else Fraction(c) for c in self.mu))
-        # not a field, like GroupFamily.cartan_dim; an explicit raise, not
-        # assert, so that python -O keeps the check
+        # not a field, like GroupFamily.cartan_dim
         object.__setattr__(self, "signs", tuple(_simple_root_signs(self.family, self.mu)))
         if -1 in self.signs:
             raise ValueError(f"HN type ({', '.join(map(str, self.mu))}) is not "
@@ -211,14 +208,8 @@ def ad_degree_max_oracle(family: GroupFamily, a):
     in orbit order.
 
     Every pair is scored exactly, with no pruning and no use of the
-    closed-form canonical reduction it checks.  The adjoint degree
-    <2rho_P, v> = sum lambda_k v_k is linear in v, so each index scores
-    the whole orbit at once: each coordinate column v_k is one Python int
-    with a lane per orbit point (_packed_orbit), so an index costs one
-    big-int multiply-add per nonzero lambda_k of 2rho_P
-    (parabolic._two_rho_terms), then one read of the lanes and their max;
-    the lanes of the indices that attain the overall max are scanned for
-    the argmax.
+    closed-form canonical reduction it checks: each index scores the
+    whole orbit at once, in packed lanes (_packed_orbit).
 
     The pairs range over W.a, so the answer depends only on the orbit:
     it is computed once per (family, dominant point) and cached
@@ -269,6 +260,13 @@ def _oracle_of_orbit(family: GroupFamily, dominant):
 def _packed_orbit(family: GroupFamily, dominant):
     """(orbit, byte length, half lane, bias, packed columns) of the orbit
     of a dominant point, for the adjoint-degree oracle.
+
+    The adjoint degree <2rho_P, v> = sum lambda_k v_k is linear in v, so
+    each coordinate column v_k is packed into one Python int with a lane
+    per orbit point, and an index scores the whole orbit by one big-int
+    multiply-add per nonzero lambda_k of 2rho_P (parabolic._two_rho_terms),
+    then one read of the lanes and their max; the lanes of the indices
+    that attain the overall max are scanned for the argmax.
 
     Each root has l1 norm at most 2, and W only permutes the coordinates
     and changes their signs, so B = max(1, 2|Phi+|) * max |a_i| bounds

@@ -291,7 +291,6 @@ def _cmd_check(args) -> dict:
         drawn = []
         try:
             for ok, what in _SUITES[args.suite](rng, drawn):
-                # an explicit raise, not assert, so that python -O keeps every check
                 if not ok:
                     raise InvariantBreach(what)
         except (HnBundleError, ValueError) as exc:

@@ -16,7 +16,6 @@ from .rootsys import D
 def _check_quotients(f):
     """The HN quotient rule both filtrations keep: plain (or SL) quotients,
     semistable, of strictly decreasing slopes."""
-    # explicit raises, not assert, so that python -O keeps the checks
     for q in f.quotients:
         _require(q, PlainBundle, type(f).__name__)
     pairs = [(q.degree, q.rank) for q in f.quotients]

@@ -32,7 +32,6 @@ class FinAbGroup:
     torsion: tuple
 
     def __post_init__(self):
-        # explicit raises, not assert, so that python -O keeps the checks;
         # exactly int, like Atom: True and 2.0 would describe as Z and Z/2.0
         if type(self.free_rank) is not int or self.free_rank < 0:
             raise ValueError(f"free rank must be a nonnegative int, got {self.free_rank!r}")

@@ -11,26 +11,18 @@ root-system formula reads the type, none the kind.
 The Weyl group acts by permutations (A) and signed permutations (B, C;
 D changes an even number of signs), so the simple-root pairings, the
 dominant chamber, the simple-root coordinates and the orbit sizes have
-closed forms.  So does the orbit itself: the distinct arrangements of
-the entries, or off A of their absolute values with every sign pattern
-on the nonzero ones.  The arrangements come in lexicographically
-descending order from repeated previous-permutation steps on one list
-(Knuth, TAOCP 4A, 7.2.1.2, Algorithm L), with no recursion, so a type-A
-orbit is listed already sorted.  On B and C each arrangement is
-expanded by a product of (x, -x) over its nonzero entries; on D with no
-zero entry, by one table of the sign patterns whose count of minus
-signs has the parity of the dominant point's.  The signed points are
-then sorted once.  The simple-root coordinates are the integer key of
-the stratum order, halved at the end of the diagram.  The hull test
-reads the key of a point's dominant representative in one pass, the
-chamber step and the prefix sums in one frame; the chamber step followed
-by the key is its reference.  The sign of each simple-root pairing,
-which is all that dominance, the forced index of a type and the Levi
-test read, is decided by comparing two coordinates, with no
-subtraction.  No root is listed here: the explicit root table (simple
-and positive roots, their coroots) is kept in the tests as the
-reference for these closed forms, which they also check against a loop
-of simple reflections and a solve.
+closed forms.  So does the orbit itself, which _weyl_orbit lists.  The
+simple-root coordinates are the integer key of the stratum order,
+halved at the end of the diagram.  The hull test reads the key of a
+point's dominant representative in one pass, the chamber step and the
+prefix sums in one frame; the chamber step followed by the key is its
+reference.  The sign of each simple-root pairing, which is all that
+dominance, the forced index of a type and the Levi test read, is
+decided by comparing two coordinates, with no subtraction.  No root is
+listed here: the explicit root table (simple and positive roots, their
+coroots) is kept in the tests as the reference for these closed forms,
+which they also check against a loop of simple reflections and a
+solve.
 """
 
 from collections import Counter
@@ -251,8 +243,9 @@ def _weyl_orbit(family: GroupFamily, v):
     """The sorted orbit of v, a point of any chamber.  The entries, or
     their absolute values off type A, are sorted descending, each equal
     value taking the object of its first occurrence in v, and their
-    arrangements listed by previous-permutation steps: on A that list is
-    the orbit, sorted.  On B and C every arrangement p adds the product
+    arrangements listed by previous-permutation steps (Knuth, TAOCP 4A,
+    7.2.1.2, Algorithm L), with no recursion: on A that list is the
+    orbit, sorted.  On B and C every arrangement p adds the product
     of the sign choices of its entries, (x, -x) for a nonzero x and (x,)
     for a zero one, tabled once per value; on D with no zero entry, the
     sign patterns that keep the parity of v's negative entries, tabled
@@ -281,13 +274,8 @@ def _weyl_orbit(family: GroupFamily, v):
 
 
 def weyl_orbit(family: GroupFamily, v):
-    """Finite Weyl orbit of v in closed form, sorted descending: the
-    distinct arrangements of the entries on type A; off A those of the
-    absolute values, with every sign pattern on the nonzero ones (on D
-    with no zero entry, those of the parity of v's).  The arrangements
-    are listed by previous-permutation steps, already in descending
-    order, and off A each is expanded by a product of signs, then the
-    points are sorted once.  Refuses an orbit of more than
+    """Finite Weyl orbit of v in closed form, sorted descending, as
+    _weyl_orbit lists it.  Refuses an orbit of more than
     WEYL_ORBIT_GUARD coordinates before building it, from its size
     capped at the guard over the length of v.  W.v = W.dom(v), and the
     sorted orbit is the same tuple from every one of its points, so the

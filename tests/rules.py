@@ -267,6 +267,17 @@ RULES = (
              "_phase_one_feasible": ("_order_key", "_stratum_key", "hull_membership"),
              "_hn_candidates": ("hn_filtration", "_group_by_slope", "PlainBundle",
                                 "is_semistable")}),
+    # with the exactness scan's assert check (inexact_sites), the static
+    # half of python -O's contract; CI's Tier-1 run under -O is the dynamic one
+    Rule("optimize", "production reads neither __debug__ nor sys.flags.optimize, and "
+         "test_production_stays_exact finds no assert: python -O changes nothing", "name",
+         ("__debug__", "optimize"),
+         "if __debug__:\n"
+         "    raise ValueError('checked only without -O')\n"
+         "import sys\n"
+         "def f():\n"
+         "    return sys.flags.optimize\n",
+         ((1, None), (5, "f"))),
     Rule("retired", "production names no _require_decreasing, Smith form or LatticeTower",
          "text", ("_require_decreasing", "smith_normal_form", "LatticeTower"),
          "# _require_decreasing\n"

@@ -1,4 +1,3 @@
-import pathlib
 import pickle
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
@@ -21,7 +20,6 @@ from hnbundles.hnfilt import (Filtration, IsotropicFiltration,
                               hn_filtration_isotropic, scss)
 from hnbundles.rootsys import KINDS, GroupFamily
 from oracles import adjoint_bundle_oracle, vertical_degree_composite
-from test_cli import _run_optimized
 
 atoms_st = st.lists(
     st.builds(Atom, st.integers(-4, 4), st.integers(1, 3)),
@@ -61,7 +59,7 @@ def test_malformed_bundles_rejected():
         PlainBundle((Atom(1, 1), (1, 1)))
     with pytest.raises(TypeError, match="expected atoms"):
         SpBundle(((1, 1), Atom(1, 1)), ())
-    with pytest.raises(NotDegreeZero):
+    with pytest.raises(NotDegreeZero, match="^SL bundle must have total degree 0$"):
         SlBundle((Atom(1, 1), Atom(0, 1)))
     with pytest.raises(ValueError, match="positive part"):
         SpBundle((Atom(0, 1),), ())
@@ -488,19 +486,3 @@ def test_a_bundle_of_the_wrong_kind_is_refused(fn, args, message):
     with pytest.raises(TypeError) as info:
         fn(*args)
     assert type(info.value) is TypeError and str(info.value) == message
-
-
-def test_the_kind_checks_survive_optimize():
-    # each is an explicit raise, which python -O keeps
-    tests = str(pathlib.Path(__file__).resolve().parent)
-    proc = _run_optimized(
-        f"import sys\nsys.path.insert(0, {tests!r})\n"
-        "from test_bundle import WRONG_KINDS\n"
-        "for fn, args, message in WRONG_KINDS:\n"
-        "    try:\n"
-        "        fn(*args)\n"
-        "    except TypeError as exc:\n"
-        "        print(exc)\n")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [m for _, _, m in WRONG_KINDS]
-

@@ -78,6 +78,8 @@ def test_hn_type_errors():
         HNType(gl3, (1, 0))
     with pytest.raises(ValueError, match=r"HN type \(0, 1/2, 0\) is not dominant"):
         HNType(gl3, (0, Fraction(1, 2), 0))
+    with pytest.raises(ValueError, match=r"^HN type \(0, 1, 0\) is not dominant for gl3$"):
+        HNType(gl3, (0, 1, 0))
 
 
 def test_hn_type_examples():

@@ -393,26 +393,14 @@ def test_check_failure_names_the_case(capsys, monkeypatch):
     assert CANON_FAILURE.match(err), err
 
 
-def _run_optimized(script):
-    """Run a script under python -O, which strips assert statements."""
+def _run_fresh(script):
+    """Run a script in a fresh interpreter, with src on its path."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
+    return subprocess.run([sys.executable, "-c", script], env=env,
                            capture_output=True, text=True, timeout=120)
-
-
-def test_check_failure_survives_optimize():
-    # python -O strips assert statements; the suites must still fail
-    script = ("import sys, hnbundles.cli as cli, hnbundles.oracles as oracles\n"
-              "oracles.ad_degree = lambda *args: -1000\n"
-              "sys.exit(cli.run_command(['check', '--suite', 'canon',"
-              " '--seed', '1', '--cases', '3']))\n")
-    proc = _run_optimized(script)
-    assert proc.returncode == 3 and proc.stdout == ""
-    assert CANON_FAILURE.match(proc.stderr), proc.stderr
-
 
 
 def test_check_offers_the_oracle_suites():
@@ -423,7 +411,7 @@ def test_check_offers_the_oracle_suites():
 
 
 def test_the_oracles_load_on_first_use():
-    proc = _run_optimized(
+    proc = _run_fresh(
         "import contextlib, io, sys\n"
         "import hnbundles, hnbundles.cli\n"
         "loaded = ['hnbundles.oracles' in sys.modules]\n"
@@ -436,50 +424,6 @@ def test_the_oracles_load_on_first_use():
         "print(code, loaded, hn_uniqueness_oracle is home)\n")
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, "0 [False, True] True\n", "")
-
-def test_sl_bundle_refuses_a_nonzero_degree_under_optimize():
-    # the check is an explicit raise, which python -O keeps
-    script = ("import sys\n"
-              "from hnbundles.bundle import Atom, SlBundle\n"
-              "from hnbundles.errors import NotDegreeZero\n"
-              "try:\n"
-              "    SlBundle((Atom(1, 1), Atom(0, 1)))\n"
-              "except NotDegreeZero as exc:\n"
-              "    sys.exit(str(exc) != 'SL bundle must have total degree 0')\n"
-              "sys.exit(2)\n")
-    proc = _run_optimized(script)
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_sl_trace_refusal_survives_optimize():
-    # as_cocharacter refuses an SL point of nonzero trace by an explicit
-    # raise, which python -O keeps, at each torus-split entry point
-    script = ("import sys\n"
-              "from hnbundles.bundle import bundle_from_degrees\n"
-              "from hnbundles.canon import (ad_degree_max_oracle,\n"
-              "    canonical_reduction, check_bh)\n"
-              "from hnbundles.errors import NotInKernelLattice\n"
-              "from hnbundles.lattice import (levi_topological_type,\n"
-              "    obstruction_class, topological_type)\n"
-              "from hnbundles.parabolic import ParabolicIndex\n"
-              "from hnbundles.rootsys import GroupFamily\n"
-              "sl3, a = GroupFamily('sl', 3), (1, 1, 1)\n"
-              "red = canonical_reduction(sl3, (1, 0, -1))\n"
-              "calls = [canonical_reduction, ad_degree_max_oracle,\n"
-              "         bundle_from_degrees, obstruction_class, topological_type,\n"
-              "         lambda f, a: check_bh(f, a, red),\n"
-              "         lambda f, a: levi_topological_type(\n"
-              "             f, ParabolicIndex(f, frozenset()), a)]\n"
-              "for call in calls:\n"
-              "    try:\n"
-              "        call(sl3, a)\n"
-              "    except NotInKernelLattice as exc:\n"
-              "        if str(exc) != 'SL cocharacters have trace zero':\n"
-              "            sys.exit(str(exc))\n"
-              "    else:\n"
-              "        sys.exit('admitted (1, 1, 1)')\n")
-    proc = _run_optimized(script)
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_hull_check_compares_the_lp_oracle(capsys, monkeypatch):
@@ -568,17 +512,6 @@ def test_a_check_case_that_raises_before_its_draw(capsys, monkeypatch):
         run_command(["check", "--suite=hn", "--seed=1", "--cases=5"])
 
 
-def test_a_check_case_that_raises_survives_optimize():
-    proc = _run_optimized(
-        "import sys, hnbundles.cli, hnbundles.hnfilt as hnfilt\n"
-        "real = hnfilt._group_by_slope\n"
-        "hnfilt._group_by_slope = lambda atoms: real(atoms)[::-1]\n"
-        "sys.exit(hnbundles.cli.run_command(['check', '--suite=hn',"
-        " '--seed=1', '--cases=5']))\n")
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        3, "", HN_CASE_RAISES)
-
-
 def _lattice_breach(what):
     """A Weyl translate of a, for lattice case 0 at seed 1, that is not
     dominant and is none of a, b and a + b (obstruction_class is called
@@ -624,103 +557,6 @@ def test_lattice_check_names_the_failing_translate(capsys, monkeypatch,
     assert code == 3 and out == "" and err == want, err
 
 
-def test_lattice_check_failure_survives_optimize():
-    translate, want = _lattice_breach("the topological type")
-    proc = _run_optimized(
-        "import sys, hnbundles.cli as cli, hnbundles.oracles as oracles\n"
-        "real = oracles.topological_type\n"
-        "oracles.topological_type = lambda family, v: (\n"
-        f"    'wrong' if tuple(v) == {translate!r} else real(family, v))\n"
-        "sys.exit(cli.run_command(['check', '--suite', 'lattice',"
-        " '--seed', '1', '--cases', '3']))\n")
-    assert proc.returncode == 3 and proc.stdout == ""
-    assert proc.stderr == want, proc.stderr
-
-
-# input checks, each with the exception it must raise also under python -O
-OPTIMIZED_INPUT_CHECKS = """\
-from hnbundles.canon import HNType
-from hnbundles.parabolic import (ParabolicIndex, character_generators,
-                                 is_dominant_character)
-from hnbundles.rootsys import GroupFamily
-from hnbundles.strata import hull_membership, stratum_label
-gl3, sp4 = GroupFamily("gl", 3), GroupFamily("sp", 4)
-calls = [
-    lambda: HNType(gl3, (1, 0)),
-    lambda: HNType(gl3, (0, 1, 0)),
-    lambda: stratum_label(gl3, (1, 0)),
-    lambda: hull_membership(gl3, (2, 0, -2), (1, -1)),
-    lambda: hull_membership(gl3, (2, 0, -2), (1, 0, 0, -1)),
-    lambda: hull_membership(gl3, (2, 0), (1, 0, -1)),
-    lambda: is_dominant_character(gl3, ParabolicIndex(gl3, frozenset({0})),
-                                  (1,)),
-    lambda: is_dominant_character(gl3, ParabolicIndex(sp4, frozenset({0})),
-                                  (1, -1, 0)),
-    lambda: character_generators(gl3, ParabolicIndex(sp4, frozenset({0}))),
-]
-for call in calls:
-    try:
-        call()
-        print("no error")
-    except Exception as exc:
-        print(type(exc).__name__)
-"""
-
-
-def test_input_checks_survive_optimize():
-    proc = _run_optimized(OPTIMIZED_INPUT_CHECKS)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 7 + ["FamilyMismatch"] * 2
-
-
-CONSTRUCTOR_CHECKS = """\
-from hnbundles.bundle import Atom, PlainBundle
-from hnbundles.canon import ad_degree
-from hnbundles.hnfilt import Filtration, IsotropicFiltration
-from hnbundles.lattice import FinAbGroup
-from hnbundles.parabolic import ParabolicIndex
-from hnbundles.rootsys import GroupFamily
-low, high = PlainBundle((Atom(0, 1),)), PlainBundle((Atom(3, 1),))
-gl3 = GroupFamily("gl", 3)
-calls = [
-    lambda: Filtration((low, high)),
-    lambda: IsotropicFiltration((high, low), ()),
-    lambda: FinAbGroup(0, (3, 2)),
-    lambda: FinAbGroup(True, ()),
-    # a string is no list of invariant factors, though it would describe as 1
-    lambda: FinAbGroup(0, ""),
-    # True and 1.0 equal 1, but are no ints
-    lambda: Atom(True, 1),
-    lambda: ParabolicIndex(gl3, {1.0}),
-]
-for call in calls:
-    try:
-        call()
-        print("no error")
-    except Exception as exc:
-        print(type(exc).__name__)
-# each rule a parabolic index member can break names itself
-for members in ({1.0}, {True}, {3}):
-    try:
-        ParabolicIndex(gl3, members)
-    except ValueError as exc:
-        print(exc)
-print(ad_degree(gl3, ParabolicIndex(gl3, {0}), (1, 0, 0)))
-# a list of invariant factors is kept as a tuple, so the group hashes
-z2 = FinAbGroup(0, [2])
-print(z2 == FinAbGroup(0, (2,)), hash(z2) == hash(FinAbGroup(0, (2,))), z2.torsion)
-"""
-
-
-def test_constructor_checks_survive_optimize():
-    proc = _run_optimized(CONSTRUCTOR_CHECKS)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["ValueError"] * 7 + [
-        "parabolic index members must be ints, got 1.0",
-        "parabolic index members must be ints, got True",
-        "parabolic index out of range", "2", "True True (2,)"]
-
-
 def test_parser_is_built_once(capsys, monkeypatch):
     builds = []
 
@@ -749,7 +585,7 @@ def test_parser_is_built_once(capsys, monkeypatch):
     finally:
         hnbundles.cli.build_parser.cache_clear()
     # built on the first run_command, not on import
-    proc = _run_optimized("import hnbundles.cli as cli\n"
+    proc = _run_fresh("import hnbundles.cli as cli\n"
                           "print(cli.build_parser.cache_info().currsize)\n")
     assert proc.stdout.split() == ["0"], proc.stderr
 
@@ -1214,7 +1050,7 @@ def test_direct_route_equals_the_main_parser_on_command_argvs(argv, pretty):
 def test_well_formed_argvs_never_build_argparse():
     # every golden argv that exits 0, in a fresh process
     ok = [case["argv"] for case in GOLDEN if case["code"] == 0]
-    proc = _run_optimized(
+    proc = _run_fresh(
         "import contextlib, io, sys\n"
         "import hnbundles.cli as cli\n"
         f"for argv in {ok!r}:\n"

@@ -50,7 +50,9 @@ def test_fin_ab_group_rejects_bad_factors():
     with pytest.raises(ValueError, match=r"^invariant factors \(2\.0,\) must be ints >= 2$"):
         FinAbGroup(0, (2.0,))
     # a list is kept as a tuple, so the group hashes; a string is refused
-    assert FinAbGroup(0, [2]).torsion == (2,)
+    z2 = FinAbGroup(0, [2])
+    assert z2.torsion == (2,) and z2 == FinAbGroup(0, (2,))
+    assert hash(z2) == hash(FinAbGroup(0, (2,)))
     with pytest.raises(ValueError, match="^torsion must be a list or tuple, got ''$"):
         FinAbGroup(0, "")
 

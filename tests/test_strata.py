@@ -71,7 +71,9 @@ def test_hull_membership_past_the_oracle_guard():
 
 
 def test_hull_agrees_with_gl_dominance():
-    # the LP is the reference, prefix-sum dominance the fast cross-check
+    # pins the benchmark's GL reference, gl_dominance, to the fast path; it
+    # restates the GL order key, so the independent check is
+    # test_hull_equals_the_lp_oracle
     for dim in (2, 3):
         fam = GroupFamily("gl", dim)
         vecs = [v for v in product(range(-3, 4), repeat=dim)
